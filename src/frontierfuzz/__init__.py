@@ -4,83 +4,3 @@ The engine schedules frontier branches (visited guards with an unexercised
 edge) by their estimated probability of a branch-distance decrease and flips
 them with a local-search plus root-finding mutator.
 """
-
-from .campaign import Budget, Campaign, CampaignLog, Corpus, Mode, convexity_probe, run
-from .coverage import CoverageMap, absorb_trace, recompute_frontier
-from .distance import (
-    BranchDistance,
-    DistanceRecord,
-    distance,
-    observation_distance,
-    string_distance,
-    update_record,
-)
-from .mutation import (
-    HotByteSet,
-    Mutator,
-    MutatorConfig,
-    SubgradientRecord,
-    compute_subgradient,
-    havoc_mutate,
-    infer_hot_bytes,
-    newton_step,
-)
-from .oracle import AbstractInstance, expected_coverage, greedy_schedule, verify
-from .scheduling import BranchStats, SchedulerState, Selection, StaleSiteError
-from .target import (
-    BranchObservation,
-    DocumentError,
-    ExecutionTrace,
-    GuardKind,
-    GuardNode,
-    GuardProgram,
-    Harness,
-    Relation,
-    load_program,
-    program_from_dict,
-)
-
-__all__ = [
-    "AbstractInstance",
-    "BranchDistance",
-    "BranchObservation",
-    "BranchStats",
-    "Budget",
-    "Campaign",
-    "CampaignLog",
-    "Corpus",
-    "CoverageMap",
-    "DistanceRecord",
-    "DocumentError",
-    "ExecutionTrace",
-    "GuardKind",
-    "GuardNode",
-    "GuardProgram",
-    "Harness",
-    "HotByteSet",
-    "Mode",
-    "Mutator",
-    "MutatorConfig",
-    "Relation",
-    "SchedulerState",
-    "Selection",
-    "StaleSiteError",
-    "SubgradientRecord",
-    "absorb_trace",
-    "compute_subgradient",
-    "convexity_probe",
-    "distance",
-    "expected_coverage",
-    "greedy_schedule",
-    "havoc_mutate",
-    "infer_hot_bytes",
-    "load_program",
-    "newton_step",
-    "observation_distance",
-    "program_from_dict",
-    "recompute_frontier",
-    "run",
-    "string_distance",
-    "update_record",
-    "verify",
-]

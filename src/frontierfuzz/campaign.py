@@ -1,10 +1,19 @@
 """The online control loop: select a seed, mutate, execute, absorb feedback.
 
-Every executed input flows through one bookkeeping path that updates edge
-coverage, the frontier, the corpus, the per-branch clocks, and the flip and
-finding counters.  A stage is one scheduling decision plus its batch of
-executions; the append-only campaign log records the cumulative state after
-every stage.
+Two objects split the work:
+
+* ``_Executor`` owns the per-exec state: the harness, the coverage map and
+  frontier, the per-branch clocks (``SchedulerState``), the corpus, the
+  findings, and the flip, exec and time counters.  Every executed input,
+  whether from the seed phase, a havoc batch, local search, a root step or a
+  hot-byte probe, flows through its one ``run`` path.
+* ``Campaign`` owns the control loop and the log: the mode, the rng, the
+  mutator, the round-robin and calibration cursors into the corpus, and the
+  append-only campaign log.  Its ``coverage``, ``corpus``, ``findings``,
+  ``harness`` and ``scheduler`` attributes are the executor's objects.
+
+A stage is one scheduling decision plus its batch of executions; the log
+records the cumulative state after every stage.
 
 Modes:
 
@@ -26,7 +35,7 @@ from .coverage import CoverageMap
 from .distance import observation_distance
 from .mutation import Mutator, MutatorConfig, StageReport, havoc_mutate
 from .scheduling import SchedulerState
-from .target import BranchObservation, ExecutionTrace, GuardProgram, Harness
+from .target import BranchObservation, GuardProgram, Harness
 
 __all__ = [
     "Mode",
@@ -39,7 +48,6 @@ __all__ = [
     "StepOutcome",
     "convexity_probe",
     "ConvexityStats",
-    "run",
 ]
 
 # Plain havoc (baseline mutator) uses a deeper stack than the locality-bound
@@ -135,25 +143,13 @@ class CorpusEntry:
 
 
 class Corpus:
-    """Coverage-increasing inputs plus the side pool of top-seed witnesses."""
+    """Coverage-increasing inputs in discovery order."""
 
     def __init__(self):
         self.entries: list[CorpusEntry] = []
-        self.side_pool: dict[bytes, int] = {}
-        self._members: set[bytes] = set()
 
     def add(self, data: bytes, new_edges, exec_index: int) -> None:
         self.entries.append(CorpusEntry(data, frozenset(new_edges), exec_index))
-        self._members.add(data)
-        self.side_pool.pop(data, None)
-
-    def note_witness(self, data: bytes, exec_index: int) -> None:
-        """Track a distance-minimum witness that is not a corpus member."""
-        if data not in self._members and data not in self.side_pool:
-            self.side_pool[data] = exec_index
-
-    def __contains__(self, data: bytes) -> bool:
-        return data in self._members
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -167,28 +163,34 @@ class _BudgetExceeded(Exception):
 class StepOutcome:
     """What one execution did to the campaign state."""
 
-    trace: ExecutionTrace
     new_edges: int
     flips: int
     observations: dict[int, BranchObservation]
 
 
 class _Executor:
-    """Single bookkeeping path for every executed input."""
+    """Single bookkeeping path for every executed input; owns the per-exec
+    state it updates."""
 
-    def __init__(self, campaign: "Campaign"):
-        self.c = campaign
+    def __init__(self, program: GuardProgram, budget: Budget, synthetic_time: bool):
+        self.budget = budget
+        self.harness = Harness(program, synthetic_time=synthetic_time)
+        self.coverage = CoverageMap(program)
+        self.scheduler = SchedulerState()
+        self.corpus = Corpus()
+        self.findings: list[tuple[int, bytes]] = []
+        self._finding_inputs: set[bytes] = set()
+        self.flips = 0
         self.execs = 0
         self.t_ns = 0
 
     def run(self, data: bytes, exempt_budget: bool = False) -> StepOutcome:
-        c = self.c
-        if not exempt_budget and c.budget.exhausted(self.execs, self.t_ns):
+        if not exempt_budget and self.budget.exhausted(self.execs, self.t_ns):
             raise _BudgetExceeded
-        trace = c.harness.execute(data)
+        trace = self.harness.execute(data)
         self.execs += 1
         self.t_ns += trace.exec_time
-        cov = c.coverage
+        cov = self.coverage
         flips = 0
         missing = cov.frontier_missing
         if missing:
@@ -197,35 +199,31 @@ class _Executor:
                     flips += 1
         first_cover = [e for e in trace.edges if e not in cov.edge_hits]
         new_edges = cov.absorb_trace(trace)
-        c.flips += flips
+        self.flips += flips
         if new_edges:
-            c.corpus.add(data, first_cover, self.execs)
-            if c.mode is not Mode.BASE:
-                c._pending_calibration.append(data)
-        if trace.bug_hits and data not in c._finding_inputs:
-            c._finding_inputs.add(data)
-            c.findings.append((self.execs, data))
+            self.corpus.add(data, first_cover, self.execs)
+        if trace.bug_hits and data not in self._finding_inputs:
+            self._finding_inputs.add(data)
+            self.findings.append((self.execs, data))
         observations: dict[int, BranchObservation] = {}
         if trace.observations:
             frontier = cov.frontier
-            scheduler = c.scheduler
+            scheduler = self.scheduler
             for obs in trace.observations:
                 observations[obs.site] = obs
                 if obs.site in frontier:
-                    lowered = scheduler.record_execution(
+                    scheduler.record_execution(
                         obs.site, data, observation_distance(obs),
                         trace.exec_time, frontier,
                     )
-                    if lowered:
-                        c.corpus.note_witness(data, self.execs)
-        return StepOutcome(trace, new_edges, flips, observations)
+        return StepOutcome(new_edges, flips, observations)
 
 
 class Campaign:
     """One fuzzing campaign over a guard program.
 
-    Owns all mutable state; a campaign instance is single-use.  Parallel
-    trials run fully disjoint Campaign instances.
+    A campaign instance is single-use.  Parallel trials run fully disjoint
+    Campaign instances.
     """
 
     def __init__(self, program: GuardProgram, seeds, mode: Mode, budget: Budget,
@@ -235,6 +233,8 @@ class Campaign:
         if not seeds:
             raise ValueError("at least one seed is required")
         for s in seeds:
+            if not s:
+                raise ValueError("seeds must be nonempty")
             if len(s) > program.max_input_len:
                 raise ValueError(
                     f"seed of length {len(s)} exceeds max_input_len {program.max_input_len}"
@@ -242,34 +242,35 @@ class Campaign:
         self.program = program
         self.seeds = seeds
         self.mode = Mode(mode)
-        self.budget = budget
         self.config = config or MutatorConfig()
         self.rng = random.Random(rng_seed)
-        self.harness = Harness(program, synthetic_time=synthetic_time)
-        self.coverage = CoverageMap(program)
-        self.scheduler = SchedulerState()
         self.mutator = Mutator(self.config, program)
-        self.corpus = Corpus()
         self.log = CampaignLog()
-        self.findings: list[tuple[int, bytes]] = []
-        self.flips = 0
-        self._finding_inputs: set[bytes] = set()
-        self._pending_calibration: list[bytes] = []
-        self._executor = _Executor(self)
+        self._executor = executor = _Executor(program, budget, synthetic_time)
+        self.harness = executor.harness
+        self.coverage = executor.coverage
+        self.scheduler = executor.scheduler
+        self.corpus = executor.corpus
+        self.findings = executor.findings
         self._rr_index = 0
+        # Corpus entries before this index have replayed with their
+        # frontier sites active.
+        self._calibrated = 0
         self._ran = False
 
     # -- stage helpers -----------------------------------------------------
 
-    def _refresh_active_sites(self) -> frozenset[int]:
-        """Point the adaptive switch at the current frontier and replay any
-        new coverage-increasing inputs so fresh frontier branches get their
-        baseline observations."""
+    def _refresh_active_sites(self, exempt_budget: bool = False) -> frozenset[int]:
+        """Point the adaptive switch at the current frontier and replay the
+        corpus entries added since the last refresh so fresh frontier
+        branches get their baseline observations.  A replay covers nothing
+        new, so it adds no entry."""
         frontier = frozenset(self.coverage.frontier)
         self.harness.set_active_sites(frontier)
-        pending, self._pending_calibration = self._pending_calibration, []
-        for data in pending:
-            self._executor.run(data)
+        pending = self.corpus.entries[self._calibrated:]
+        self._calibrated = len(self.corpus.entries)
+        for entry in pending:
+            self._executor.run(entry.data, exempt_budget)
         return frontier
 
     def _havoc_batch(self, seed: bytes, report: StageReport) -> None:
@@ -288,13 +289,14 @@ class Campaign:
             report.new_edges += outcome.new_edges
 
     def _append_record(self, stage: int, frontier_size: int, scheduled, fallback: bool) -> None:
+        executor = self._executor
         self.log.append(LogRecord(
-            t_ns=self._executor.t_ns,
-            execs=self._executor.execs,
+            t_ns=executor.t_ns,
+            execs=executor.execs,
             edges_covered=len(self.coverage.edge_hits),
             frontier_size=frontier_size,
             corpus_size=len(self.corpus),
-            flips=self.flips,
+            flips=executor.flips,
             mode=self.mode.value,
             stage=stage,
             scheduled_branch=None if scheduled is None else scheduled.branch,
@@ -309,29 +311,24 @@ class Campaign:
         if self._ran:
             raise RuntimeError("a Campaign instance is single-use")
         self._ran = True
+        executor = self._executor
 
         # Seed phase: every seed executes regardless of budget, then the
         # adaptive switch comes up and coverage-increasing seeds replay once
         # to establish their frontier observations.
         for seed in self.seeds:
-            self._executor.run(seed, exempt_budget=True)
-        frontier_size = 0
-        if self.mode is not Mode.BASE:
-            frontier = frozenset(self.coverage.frontier)
-            self.harness.set_active_sites(frontier)
-            pending, self._pending_calibration = self._pending_calibration, []
-            for data in pending:
-                self._executor.run(data, exempt_budget=True)
-            frontier_size = len(frontier)
-        else:
+            executor.run(seed, exempt_budget=True)
+        if self.mode is Mode.BASE:
             frontier_size = len(self.coverage.frontier)
+        else:
+            frontier_size = len(self._refresh_active_sites(exempt_budget=True))
         self._append_record(stage=0, frontier_size=frontier_size, scheduled=None, fallback=False)
 
         stage = 0
         while True:
             if self.coverage.complete:
                 break
-            if self.budget.exhausted(self._executor.execs, self._executor.t_ns):
+            if executor.budget.exhausted(executor.execs, executor.t_ns):
                 break
             stage += 1
             scheduled = None
@@ -350,7 +347,7 @@ class Campaign:
                         scheduled = self.scheduler.select_next(frontier)
                         if self.mode is Mode.FOX:
                             report = self.mutator.mutate_stage(
-                                scheduled.seed, frontier, self._executor, self.rng,
+                                scheduled.seed, frontier, executor, self.rng,
                             )
                         else:
                             self._havoc_batch(scheduled.seed, report)
@@ -364,14 +361,6 @@ class Campaign:
         entry = self.corpus.entries[self._rr_index % len(self.corpus.entries)]
         self._rr_index += 1
         return entry.data
-
-
-def run(program: GuardProgram, seeds, mode: Mode, budget: Budget,
-        config: MutatorConfig | None = None, rng_seed: int = 0,
-        synthetic_time: bool = True) -> CampaignLog:
-    """Run one campaign and return its log (see :class:`Campaign`)."""
-    return Campaign(program, seeds, mode, budget, config=config,
-                    rng_seed=rng_seed, synthetic_time=synthetic_time).run()
 
 
 @dataclass

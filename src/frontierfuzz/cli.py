@@ -22,7 +22,10 @@ _PROBABILITY_GRID = [Fraction(i, 10) for i in range(11)]
 
 def _load_target(ref: str) -> GuardProgram:
     if ref.startswith("builtin:"):
-        return builtin_targets.load(ref.split(":", 1)[1])
+        try:
+            return builtin_targets.load(ref.split(":", 1)[1])
+        except KeyError as exc:  # unknown name; the message is args[0]
+            raise ValueError(exc.args[0]) from None
     return load_program(Path(ref).read_bytes())
 
 
@@ -37,19 +40,23 @@ def _load_seeds(seeds_dir: str | None, program: GuardProgram) -> list[bytes]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    program = _load_target(args.target)
-    seeds = _load_seeds(args.seeds, program)
     if args.budget_execs is None and args.budget_secs is None:
         raise SystemExit("one of --budget-execs / --budget-secs is required")
-    budget = Budget(
-        max_execs=args.budget_execs,
-        max_time_ns=None if args.budget_secs is None else int(args.budget_secs * 1e9),
-    )
-    config = MutatorConfig(sample_size=args.sample_size, rng_seed=args.rng_seed)
-    campaign = Campaign(
-        program, seeds, Mode(args.mode), budget,
-        config=config, rng_seed=args.rng_seed, synthetic_time=args.synthetic_time,
-    )
+    # Set-up errors (unreadable or invalid target, missing or bad seeds, bad
+    # knobs) end the command with one line; the campaign itself is not wrapped.
+    try:
+        program = _load_target(args.target)
+        seeds = _load_seeds(args.seeds, program)
+        budget = Budget(
+            max_execs=args.budget_execs,
+            max_time_ns=None if args.budget_secs is None else int(args.budget_secs * 1e9),
+        )
+        campaign = Campaign(
+            program, seeds, Mode(args.mode), budget,
+            MutatorConfig(sample_size=args.sample_size), args.rng_seed, args.synthetic_time,
+        )
+    except (OSError, OverflowError, ValueError) as exc:
+        raise SystemExit(f"frontierfuzz run: {exc}") from None
     log = campaign.run()
 
     out = Path(args.out)

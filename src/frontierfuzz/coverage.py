@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .target import ExecutionTrace, GuardProgram
 
-__all__ = ["CoverageMap", "absorb_trace", "recompute_frontier"]
+__all__ = ["CoverageMap", "recompute_frontier"]
 
 
 class CoverageMap:
@@ -79,10 +79,6 @@ class CoverageMap:
             self.frontier.discard(nid)
             self.frontier_missing.pop(taken, None)
             self.frontier_missing.pop(nottaken, None)
-
-
-def absorb_trace(cov: CoverageMap, trace: ExecutionTrace) -> int:
-    return cov.absorb_trace(trace)
 
 
 def recompute_frontier(cov: CoverageMap, program: GuardProgram | None = None) -> frozenset[int]:

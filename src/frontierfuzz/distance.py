@@ -17,7 +17,6 @@ __all__ = [
     "distance",
     "string_distance",
     "observation_distance",
-    "update_record",
     "row_function",
 ]
 
@@ -114,7 +113,3 @@ class DistanceRecord:
             self.best_input = data
             return True
         return False
-
-
-def update_record(rec: DistanceRecord, data: bytes, d: BranchDistance) -> bool:
-    return rec.update(data, d)

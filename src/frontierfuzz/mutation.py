@@ -56,7 +56,6 @@ class MutatorConfig:
     sample_size: int = 1024
     havoc_stack_max: int = 4
     havoc_bytes_per_op: int = 4
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.sample_size < 2:
@@ -286,8 +285,9 @@ def _sign(v: int) -> int:
 class Mutator:
     """Stage driver: local search, then one root-finding input per branch.
 
-    ``executor`` is any object with ``run(data) -> outcome`` where the outcome
-    exposes ``observations`` (site -> BranchObservation), ``flips``, and
+    ``executor`` is any object with ``run(data) -> outcome`` and an ``execs``
+    counter of the executions it has run, where the outcome exposes
+    ``observations`` (site -> BranchObservation), ``flips``, and
     ``new_edges``; the campaign supplies one that also keeps the scheduler's
     clocks up to date.
     """
@@ -366,9 +366,9 @@ class Mutator:
         witness_d = observation_distance(rec.witness_obs)
         if witness_d == observation_distance(rec.seed_obs):
             return None
-        before = _probe_counter(executor)
+        before = executor.execs
         hot = infer_hot_bytes(seed, rec.witness, site, executor)
-        report.probes += _probe_counter(executor) - before
+        report.probes += executor.execs - before
         if not hot.offsets:
             return None
         node = self.program.node(site)
@@ -450,7 +450,3 @@ def _row_slope(outcome: bool, relation: Relation, f: int) -> int:
     ahead = row(f + 1)
     slope = ahead - probe
     return slope if slope != 0 else _sign(f)
-
-
-def _probe_counter(executor) -> int:
-    return getattr(executor, "execs", 0)

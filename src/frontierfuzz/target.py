@@ -31,8 +31,6 @@ __all__ = [
     "Harness",
     "load_program",
     "program_from_dict",
-    "taken_edge",
-    "nottaken_edge",
 ]
 
 
@@ -86,14 +84,6 @@ class GuardKind(Enum):
     STR = "str"
     XOR = "xor"
     BUG = "bug"
-
-
-def taken_edge(node_id: int) -> int:
-    return 2 * node_id
-
-
-def nottaken_edge(node_id: int) -> int:
-    return 2 * node_id + 1
 
 
 @dataclass(frozen=True)

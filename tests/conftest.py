@@ -1,40 +1,12 @@
-"""Shared fixtures: a minimal executor implementing the protocol the mutator
-drives (execute, absorb coverage, record clocks)."""
+"""Shared helpers: the campaign's own executor with a fixed set of active
+sites, for driving the mutator outside a campaign loop."""
 
 from __future__ import annotations
 
-from frontierfuzz.campaign import StepOutcome
-from frontierfuzz.coverage import CoverageMap
-from frontierfuzz.distance import observation_distance
-from frontierfuzz.scheduling import SchedulerState
-from frontierfuzz.target import GuardProgram, Harness
+from frontierfuzz.campaign import Budget, _Executor
 
 
-class MiniExecutor:
-    """Test-double campaign executor with a fixed frontier snapshot."""
-
-    def __init__(self, program: GuardProgram, frontier=()):
-        self.harness = Harness(program, synthetic_time=True)
-        self.coverage = CoverageMap(program)
-        self.scheduler = SchedulerState()
-        self.frontier = frozenset(frontier)
-        self.harness.set_active_sites(self.frontier)
-        self.execs = 0
-        self.flips = 0
-
-    def run(self, data: bytes) -> StepOutcome:
-        trace = self.harness.execute(data)
-        self.execs += 1
-        missing = self.coverage.frontier_missing
-        flips = sum(1 for e in trace.edges if e in missing)
-        new_edges = self.coverage.absorb_trace(trace)
-        self.flips += flips
-        observations = {}
-        for obs in trace.observations:
-            observations[obs.site] = obs
-            if obs.site in self.coverage.frontier and obs.site in self.frontier:
-                self.scheduler.record_execution(
-                    obs.site, data, observation_distance(obs),
-                    trace.exec_time, self.frontier,
-                )
-        return StepOutcome(trace, new_edges, flips, observations)
+def make_executor(program, frontier=()) -> _Executor:
+    executor = _Executor(program, Budget(max_execs=1 << 62), synthetic_time=True)
+    executor.harness.set_active_sites(frontier)
+    return executor

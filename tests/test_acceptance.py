@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import MiniExecutor
+from conftest import make_executor
 from frontierfuzz import builtin_targets
 from frontierfuzz.campaign import Budget, Campaign, ConvexityStats, Mode, convexity_probe
 from frontierfuzz.cli import main as cli_main
@@ -93,7 +93,7 @@ def test_criterion_1_distance_table_conformance(verdict):
 def test_criterion_2_boundary_guard_worked_example(verdict):
     ok = distance(True, Relation.LE, -10).scalar == 11
     program = builtin_targets.load("le15")
-    executor = MiniExecutor(program, frontier={0})
+    executor = make_executor(program, frontier={0})
     mutator = Mutator(MutatorConfig(sample_size=64), program)
     records = mutator.local_search(bytes([5]), {0}, executor, random.Random(0), k=64)
     record = records[0]
@@ -255,7 +255,7 @@ def test_criterion_8_hot_byte_inference(verdict):
     expected = tuple(range(4, 12))
     hits = 0
     for rng_seed in RNG_SEEDS:
-        executor = MiniExecutor(program, frontier={0})
+        executor = make_executor(program, frontier={0})
         mutator = Mutator(MutatorConfig(sample_size=256), program)
         seed = bytes(16)
         records = mutator.local_search(seed, {0}, executor, random.Random(rng_seed), k=256)

@@ -1,9 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from conftest import MiniExecutor
+from conftest import make_executor
 from frontierfuzz import builtin_targets
 from frontierfuzz.campaign import (
     Budget,
@@ -11,7 +12,6 @@ from frontierfuzz.campaign import (
     ConvexityStats,
     Mode,
     convexity_probe,
-    run,
 )
 from frontierfuzz.coverage import recompute_frontier
 from frontierfuzz.distance import observation_distance, row_function
@@ -42,7 +42,7 @@ class TestRun:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_trivial_guard_all_modes_cover_quickly(self, mode):
         program = builtin_targets.load("le15")
-        log = run(program, [bytes([5])], mode, Budget(max_execs=50_000), rng_seed=0)
+        log = Campaign(program, [bytes([5])], mode, Budget(max_execs=50_000), rng_seed=0).run()
         final = log.records[-1]
         assert final.edges_covered == 2
         execs = [r.execs for r in log.records]
@@ -52,25 +52,32 @@ class TestRun:
 
     def test_zero_budget_runs_only_seeds(self):
         program = builtin_targets.load("magic32")
-        log = run(program, [zero_seed(program)], Mode.FOX, Budget(max_execs=0), rng_seed=0)
+        log = Campaign(program, [zero_seed(program)], Mode.FOX, Budget(max_execs=0),
+                       rng_seed=0).run()
         assert [r.stage for r in log.records] == [0]
         # Initial seed execution plus its switch-on replay.
         assert log.records[-1].execs == 2
 
     def test_zero_budget_base_mode_runs_seeds_once(self):
         program = builtin_targets.load("magic32")
-        log = run(program, [zero_seed(program)], Mode.BASE, Budget(max_execs=0), rng_seed=0)
+        log = Campaign(program, [zero_seed(program)], Mode.BASE, Budget(max_execs=0),
+                       rng_seed=0).run()
         assert log.records[-1].execs == 1
 
     def test_empty_seed_list_rejected(self):
         program = builtin_targets.load("le15")
         with pytest.raises(ValueError, match="seed"):
-            run(program, [], Mode.FOX, Budget(max_execs=10))
+            Campaign(program, [], Mode.FOX, Budget(max_execs=10))
+
+    def test_empty_seed_rejected(self):
+        program = builtin_targets.load("le15")
+        with pytest.raises(ValueError, match="nonempty"):
+            Campaign(program, [bytes([5]), b""], Mode.FOX, Budget(max_execs=10))
 
     def test_overlong_seed_rejected(self):
         program = builtin_targets.load("le15")
         with pytest.raises(ValueError, match="max_input_len"):
-            run(program, [bytes(10)], Mode.FOX, Budget(max_execs=10))
+            Campaign(program, [bytes(10)], Mode.FOX, Budget(max_execs=10))
 
     def test_campaign_single_use(self):
         program = builtin_targets.load("le15")
@@ -82,8 +89,8 @@ class TestRun:
     def test_reproducible_logs(self):
         program = builtin_targets.load("chain6")
         kwargs = dict(mode=Mode.FOX, budget=Budget(max_execs=30_000), rng_seed=42)
-        first = run(program, [zero_seed(program)], **kwargs)
-        second = run(program, [zero_seed(program)], **kwargs)
+        first = Campaign(program, [zero_seed(program)], **kwargs).run()
+        second = Campaign(program, [zero_seed(program)], **kwargs).run()
         assert first.to_jsonl() == second.to_jsonl()
 
     def test_objective_accounting(self):
@@ -100,8 +107,8 @@ class TestRun:
 
     def test_budget_respected_modulo_final_stage(self):
         program = builtin_targets.load("magic_str8")
-        log = run(program, [zero_seed(program)], Mode.BASE, Budget(max_execs=5_000),
-                  rng_seed=0)
+        log = Campaign(program, [zero_seed(program)], Mode.BASE, Budget(max_execs=5_000),
+                       rng_seed=0).run()
         # The budget check runs before each execution, so overshoot is at
         # most one in-flight execution.
         assert log.records[-1].execs <= 5_001
@@ -154,8 +161,8 @@ class TestRun:
 
     def test_scheduler_fields_logged(self):
         program = builtin_targets.load("chain6")
-        log = run(program, [zero_seed(program)], Mode.FOX, Budget(max_execs=30_000),
-                  rng_seed=0)
+        log = Campaign(program, [zero_seed(program)], Mode.FOX, Budget(max_execs=30_000),
+                       rng_seed=0).run()
         scheduled = [r for r in log.records if r.scheduled_branch is not None]
         assert scheduled
         for r in scheduled:
@@ -200,8 +207,8 @@ class TestFallback:
             ],
         }
         program = program_from_dict(doc)
-        log = run(program, [bytes([5, 0, 0, 0])], Mode.FOX, Budget(max_execs=3_000),
-                  rng_seed=0)
+        log = Campaign(program, [bytes([5, 0, 0, 0])], Mode.FOX, Budget(max_execs=3_000),
+                       rng_seed=0).run()
         final = log.records[-1]
         assert final.edges_covered < program.total_edges
         assert final.execs >= 3_000
@@ -230,7 +237,7 @@ class TestFlipImpliesDecrease:
         # flipping input's value under the pre-flip distance row must fall
         # below the minimum seen before it.
         program = builtin_targets.load("le15")
-        executor = MiniExecutor(program, frontier={0})
+        executor = make_executor(program, frontier={0})
         mutator = Mutator(MutatorConfig(sample_size=256), program)
         trajectory = []
         original = executor.run
@@ -324,7 +331,7 @@ class TestConvexityProbe:
 class TestJsonl:
     def test_records_serialize_with_stable_field_order(self):
         program = builtin_targets.load("le15")
-        log = run(program, [bytes([5])], Mode.FOX, Budget(max_execs=2_000), rng_seed=0)
+        log = Campaign(program, [bytes([5])], Mode.FOX, Budget(max_execs=2_000), rng_seed=0).run()
         lines = log.to_jsonl().splitlines()
         first = json.loads(lines[0])
         assert list(first) == [
@@ -332,3 +339,28 @@ class TestJsonl:
             "flips", "mode", "stage", "scheduled_branch", "sched_logprob",
             "sched_sc", "fallback",
         ]
+
+
+# sha256 of CampaignLog.to_jsonl() at 3k execs, rng seed 0, all-zero seed.
+# A change that alters the RNG draws or any scheduling decision changes these;
+# such a change must update them and say so.
+GOLDEN_LOG_SHA256 = {
+    ("le15", "fox"): "28ae590ff09a575bc8617b70cb3a312eee14b206951947d056da598f5c0d25b6",
+    ("le15", "sched"): "017ec98e7e6bc1c049b55dd661aacc40ac34f36c2c14854d210a32be53eea958",
+    ("le15", "base"): "e06b34a01c5626e696665c9af89f3f6870e9a468c3e1183310e0eb5f48e15232",
+    ("chain6", "fox"): "d7d4cacde81f1eb2b5360caa7c01c14412906d01d50fa799fd40efedf3212603",
+    ("chain6", "sched"): "d459112891a50183d866fc6536ed8e493bb279730fad5ed6e96006369b808e3d",
+    ("chain6", "base"): "7dc26afcfea76e1fe971d288bf73f50d8b81172b6a45c8b926253584de59bb6b",
+    ("magic_str8", "fox"): "b9bdfe84e179aeadd484a4767f362b6ee30bc422c8ff8646ef570502e16d3251",
+    ("magic_str8", "sched"): "3f85b3e3f5f338cae01939671d80d116e56b0377a4a596aac4c90be98e1b2066",
+    ("magic_str8", "base"): "7591416d2f5bfa219eb0d62bdd33349a8f2bff884d35a2dbfd63fa3600a2d206",
+}
+
+
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN_LOG_SHA256))
+def test_golden_log_digest(name, mode):
+    program = builtin_targets.load(name)
+    log = Campaign(program, [zero_seed(program)], Mode(mode), Budget(max_execs=3_000),
+                   rng_seed=0).run()
+    digest = hashlib.sha256(log.to_jsonl().encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_LOG_SHA256[(name, mode)]

@@ -66,7 +66,7 @@ class TestRunCommand:
             run_cli(["run", "--target", "builtin:le15", "--out", str(tmp_path / "o")])
 
     def test_unknown_builtin(self, tmp_path):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit, match="^frontierfuzz run: unknown builtin target 'nope'"):
             run_cli([
                 "run", "--target", "builtin:nope", "--budget-execs", "10",
                 "--out", str(tmp_path / "o"),
@@ -90,6 +90,47 @@ class TestRunCommand:
             "--rng-seed", "1", "--synthetic-time",
         ])
         assert list((out / "findings").iterdir())
+
+
+class TestRunSetupErrors:
+    """Bad set-up input ends ``run`` with a one-line message, not a traceback."""
+
+    def run_expecting_exit(self, tmp_path, *extra):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["run", "--budget-execs", "10", "--out", str(tmp_path / "o"), *extra])
+        message = str(info.value.code)
+        assert message.startswith("frontierfuzz run: ") and "\n" not in message
+        assert not (tmp_path / "o").exists()
+        return message
+
+    def test_empty_seed_file(self, tmp_path):
+        seeds = tmp_path / "seeds"
+        seeds.mkdir()
+        (seeds / "a").write_bytes(bytes([5]))
+        (seeds / "b").write_bytes(b"")
+        message = self.run_expecting_exit(
+            tmp_path, "--target", "builtin:le15", "--seeds", str(seeds))
+        assert "nonempty" in message
+
+    def test_missing_seeds_directory(self, tmp_path):
+        message = self.run_expecting_exit(
+            tmp_path, "--target", "builtin:le15", "--seeds", str(tmp_path / "absent"))
+        assert "absent" in message
+
+    def test_invalid_document(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text('{"max_input_len": 4, "entry": 0, "nodes": []}')
+        self.run_expecting_exit(tmp_path, "--target", str(target))
+
+    def test_infinite_time_budget(self, tmp_path):
+        message = self.run_expecting_exit(
+            tmp_path, "--target", "builtin:le15", "--budget-secs", "inf")
+        assert "infinity" in message
+
+    def test_sample_size_one(self, tmp_path):
+        message = self.run_expecting_exit(
+            tmp_path, "--target", "builtin:le15", "--sample-size", "1")
+        assert "sample_size" in message
 
 
 class TestReportCommand:

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontierfuzz import builtin_targets
-from frontierfuzz.coverage import CoverageMap, absorb_trace, recompute_frontier
+from frontierfuzz.coverage import CoverageMap, recompute_frontier
 from frontierfuzz.target import Harness
 
 
@@ -19,21 +19,21 @@ class TestAbsorb:
     def test_first_trace_counts_new_edges(self):
         _, cov, harness = fresh("le15")
         trace = harness.execute(bytes([5]))
-        assert absorb_trace(cov, trace) == 1
+        assert cov.absorb_trace(trace) == 1
         assert cov.edge_hits == {0}
 
     def test_replay_is_idempotent(self):
         _, cov, harness = fresh("le15")
         trace = harness.execute(bytes([5]))
-        absorb_trace(cov, trace)
-        assert absorb_trace(cov, trace) == 0
+        cov.absorb_trace(trace)
+        assert cov.absorb_trace(trace) == 0
 
     def test_opposite_edges_accumulate(self):
         # Exhaustive over the two root outcomes of the nested chain: the two
         # traces exercise the two distinct root edges.
         _, cov, harness = fresh("chain6")
-        total = absorb_trace(cov, harness.execute(bytes(6)))
-        total += absorb_trace(cov, harness.execute(ALL_TAKEN))
+        total = cov.absorb_trace(harness.execute(bytes(6)))
+        total += cov.absorb_trace(harness.execute(ALL_TAKEN))
         assert {0, 1} <= cov.edge_hits
         assert total == len(cov.edge_hits)
 
@@ -42,51 +42,51 @@ class TestAbsorb:
 
         _, cov, _ = fresh("le15")
         with pytest.raises(ValueError, match="unknown edge"):
-            absorb_trace(cov, ExecutionTrace((99,), (), 1))
+            cov.absorb_trace(ExecutionTrace((99,), (), 1))
 
     def test_monotone_bits_never_clear(self):
         _, cov, harness = fresh("chain6")
-        absorb_trace(cov, harness.execute(ALL_TAKEN))
+        cov.absorb_trace(harness.execute(ALL_TAKEN))
         snapshot = set(cov.edge_hits)
-        absorb_trace(cov, harness.execute(bytes(6)))
+        cov.absorb_trace(harness.execute(bytes(6)))
         assert snapshot <= cov.edge_hits
 
 
 class TestFrontier:
     def test_one_edge_seen_makes_frontier(self):
         _, cov, harness = fresh("le15")
-        absorb_trace(cov, harness.execute(bytes([5])))
+        cov.absorb_trace(harness.execute(bytes([5])))
         assert recompute_frontier(cov) == {0}
 
     def test_both_edges_seen_retires(self):
         _, cov, harness = fresh("le15")
-        absorb_trace(cov, harness.execute(bytes([5])))
-        absorb_trace(cov, harness.execute(bytes([16])))
+        cov.absorb_trace(harness.execute(bytes([5])))
+        cov.absorb_trace(harness.execute(bytes([16])))
         assert recompute_frontier(cov) == frozenset()
 
     def test_all_taken_chain_makes_every_node_frontier(self):
         # Only the all-taken path is seen, so every node misses its
         # not-taken edge.
         _, cov, harness = fresh("chain6")
-        absorb_trace(cov, harness.execute(ALL_TAKEN))
+        cov.absorb_trace(harness.execute(ALL_TAKEN))
         assert recompute_frontier(cov) == frozenset(range(6))
 
     def test_flip_retires_branch_and_reveals_children(self):
         _, cov, harness = fresh("chain6")
-        absorb_trace(cov, harness.execute(bytes(6)))
+        cov.absorb_trace(harness.execute(bytes(6)))
         assert recompute_frontier(cov) == {0}
-        absorb_trace(cov, harness.execute(bytes([1, 0, 0, 0, 0, 0])))
+        cov.absorb_trace(harness.execute(bytes([1, 0, 0, 0, 0, 0])))
         assert recompute_frontier(cov) == {1}
 
     def test_frontier_bounded_by_visited(self):
         _, cov, harness = fresh("mixed_tree")
         for data in (bytes(8), bytes([0xE8, 0x03]) + bytes(6)):
-            absorb_trace(cov, harness.execute(data))
+            cov.absorb_trace(harness.execute(data))
             assert len(recompute_frontier(cov)) <= len(cov.node_visited)
 
     def test_bug_node_never_frontier(self):
         _, cov, harness = fresh("bug_chain")
-        absorb_trace(cov, harness.execute(b"\xad\xde\x80"))
+        cov.absorb_trace(harness.execute(b"\xad\xde\x80"))
         assert 2 in cov.node_visited
         assert 2 not in recompute_frontier(cov)
 
@@ -98,7 +98,7 @@ def test_incremental_frontier_matches_pure_recompute(inputs):
     cov = CoverageMap(program)
     harness = Harness(program, synthetic_time=True)
     for data in inputs:
-        absorb_trace(cov, harness.execute(data))
+        cov.absorb_trace(harness.execute(data))
         assert frozenset(cov.frontier) == recompute_frontier(cov)
         # The missing-edge index mirrors the frontier exactly.
         assert set(cov.frontier_missing.values()) == cov.frontier
@@ -111,5 +111,5 @@ def test_incremental_frontier_matches_on_tree(inputs):
     cov = CoverageMap(program)
     harness = Harness(program, synthetic_time=True)
     for data in inputs:
-        absorb_trace(cov, harness.execute(data))
+        cov.absorb_trace(harness.execute(data))
         assert frozenset(cov.frontier) == recompute_frontier(cov)

@@ -7,7 +7,6 @@ from frontierfuzz.distance import (
     DistanceRecord,
     distance,
     string_distance,
-    update_record,
 )
 from frontierfuzz.target import Relation
 
@@ -64,36 +63,36 @@ class TestStringDistance:
 class TestDistanceRecord:
     def test_first_observation_lowers(self):
         rec = DistanceRecord(site=0)
-        assert update_record(rec, b"a", BranchDistance((11,))) is True
+        assert rec.update(b"a", BranchDistance((11,))) is True
         assert rec.best.scalar == 11
         assert rec.best_input == b"a"
 
     def test_strictly_lower_replaces(self):
         rec = DistanceRecord(site=0)
-        update_record(rec, b"a", BranchDistance((11,)))
-        assert update_record(rec, b"b", BranchDistance((9,))) is True
+        rec.update(b"a", BranchDistance((11,)))
+        assert rec.update(b"b", BranchDistance((9,))) is True
         assert rec.best.scalar == 9
         assert rec.best_input == b"b"
 
     def test_tie_keeps_earlier(self):
         rec = DistanceRecord(site=0)
-        update_record(rec, b"a", BranchDistance((9,)))
-        assert update_record(rec, b"b", BranchDistance((9,))) is False
+        rec.update(b"a", BranchDistance((9,)))
+        assert rec.update(b"b", BranchDistance((9,))) is False
         assert rec.best_input == b"a"
 
     def test_form_mismatch_rejected(self):
         rec = DistanceRecord(site=0)
-        update_record(rec, b"a", BranchDistance((9,)))
+        rec.update(b"a", BranchDistance((9,)))
         with pytest.raises(ValueError, match="form"):
-            update_record(rec, b"b", BranchDistance((9, 1), is_vector=True))
+            rec.update(b"b", BranchDistance((9, 1), is_vector=True))
 
     def test_vector_order_l1_then_lexicographic(self):
         rec = DistanceRecord(site=0)
-        update_record(rec, b"a", BranchDistance((3, 3), is_vector=True))
+        rec.update(b"a", BranchDistance((3, 3), is_vector=True))
         # Same L1 norm: lexicographic tie-break, (2, 4) < (3, 3).
-        assert update_record(rec, b"b", BranchDistance((2, 4), is_vector=True)) is True
+        assert rec.update(b"b", BranchDistance((2, 4), is_vector=True)) is True
         # Lower L1 always wins.
-        assert update_record(rec, b"c", BranchDistance((5, 0), is_vector=True)) is True
+        assert rec.update(b"c", BranchDistance((5, 0), is_vector=True)) is True
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -107,6 +106,6 @@ class TestDistanceRecord:
         # Oracle: brute-force minimum under the (L1, lexicographic) key.
         rec = DistanceRecord(site=0)
         for i, v in enumerate(vectors):
-            update_record(rec, bytes([i]), BranchDistance(v, is_vector=True))
+            rec.update(bytes([i]), BranchDistance(v, is_vector=True))
         expected = min(vectors, key=lambda v: (abs(v[0]) + abs(v[1]), v))
         assert rec.best.values == expected

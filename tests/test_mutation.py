@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import MiniExecutor
+from conftest import make_executor
 from frontierfuzz import builtin_targets
 from frontierfuzz.distance import BranchDistance, observation_distance
 from frontierfuzz.mutation import (
@@ -154,7 +154,7 @@ def le15_program():
 class TestLocalSearch:
     def test_linear_guard_slope_sign(self):
         program = le15_program()
-        executor = MiniExecutor(program, frontier={0})
+        executor = make_executor(program, frontier={0})
         mutator = Mutator(MutatorConfig(sample_size=64), program)
         records = mutator.local_search(bytes([5]), {0}, executor, random.Random(0), k=64)
         g = records[0].g
@@ -167,14 +167,14 @@ class TestLocalSearch:
         # The only frontier branch hides behind a 2-byte magic compare the
         # sampler will not hit with this rng seed.
         program = builtin_targets.load("bug_chain")
-        executor = MiniExecutor(program, frontier={1})
+        executor = make_executor(program, frontier={1})
         mutator = Mutator(MutatorConfig(sample_size=64), program)
         records = mutator.local_search(bytes(8), {1}, executor, random.Random(0), k=64)
         assert records == {}
 
     def test_one_record_per_reached_branch(self):
         program = builtin_targets.load("mixed_tree")
-        executor = MiniExecutor(program, frontier={0, 2})
+        executor = make_executor(program, frontier={0, 2})
         mutator = Mutator(MutatorConfig(sample_size=128), program)
         records = mutator.local_search(bytes(8), {0, 2}, executor, random.Random(1), k=128)
         assert set(records) <= {0, 2}
@@ -184,7 +184,7 @@ class TestLocalSearch:
         # The magic guard cannot flip during sampling, so every execution
         # reaches a live frontier branch and lands in its clocks.
         program = builtin_targets.load("magic32")
-        executor = MiniExecutor(program, frontier={0})
+        executor = make_executor(program, frontier={0})
         mutator = Mutator(MutatorConfig(sample_size=32), program)
         mutator.local_search(bytes(8), {0}, executor, random.Random(0), k=32)
         stats = executor.scheduler.stats[0]
@@ -195,7 +195,7 @@ class TestLocalSearch:
         # Exhaustive oracle: the boundary guard's distance at every byte
         # value, measured through the harness.
         program = le15_program()
-        executor = MiniExecutor(program, frontier={0})
+        executor = make_executor(program, frontier={0})
         mutator = Mutator(MutatorConfig(sample_size=64), program)
         seed = bytes([5])
         records = mutator.local_search(seed, {0}, executor, random.Random(2), k=64)
@@ -224,7 +224,7 @@ class TestHotBytes:
 
     def test_window_inferred_from_single_probe(self):
         program = program_from_dict(self.MAGI_DOC)
-        executor = MiniExecutor(program, frontier={0})
+        executor = make_executor(program, frontier={0})
         seed = bytes(12)
         mutant = bytearray(seed)
         mutant[1] = 7
@@ -238,13 +238,13 @@ class TestHotBytes:
 
     def test_identical_mutant_yields_empty_set(self):
         program = program_from_dict(self.MAGI_DOC)
-        executor = MiniExecutor(program, frontier={0})
+        executor = make_executor(program, frontier={0})
         hot = infer_hot_bytes(bytes(12), bytes(12), 0, executor)
         assert hot.offsets == ()
 
     def test_differences_outside_window_yield_empty_set(self):
         program = program_from_dict(self.MAGI_DOC)
-        executor = MiniExecutor(program, frontier={0})
+        executor = make_executor(program, frontier={0})
         mutant = bytearray(bytes(12))
         mutant[1] = 7
         mutant[9] = 3  # past the compared window
@@ -257,7 +257,7 @@ class TestMutateStage:
         flips = 0
         for rng_seed in range(10):
             program = builtin_targets.load("magic32")
-            executor = MiniExecutor(program, frontier={0})
+            executor = make_executor(program, frontier={0})
             mutator = Mutator(MutatorConfig(sample_size=1024), program)
             before = executor.execs
             mutator.mutate_stage(bytes(8), {0}, executor, random.Random(rng_seed))
@@ -269,7 +269,7 @@ class TestMutateStage:
         flips = 0
         for rng_seed in range(10):
             program = builtin_targets.load("magic_str8")
-            executor = MiniExecutor(program, frontier={0})
+            executor = make_executor(program, frontier={0})
             mutator = Mutator(MutatorConfig(sample_size=1024), program)
             mutator.mutate_stage(bytes(16), {0}, executor, random.Random(rng_seed))
             flips += executor.coverage.complete
@@ -277,21 +277,21 @@ class TestMutateStage:
 
     def test_empty_frontier_runs_no_newton(self):
         program = builtin_targets.load("le15")
-        executor = MiniExecutor(program, frontier=frozenset())
+        executor = make_executor(program, frontier=frozenset())
         mutator = Mutator(MutatorConfig(sample_size=32), program)
         report = mutator.mutate_stage(bytes([5]), frozenset(), executor, random.Random(0))
         assert report.newton_execs == 0
 
     def test_xor_stage_completes_without_guarantee(self):
         program = builtin_targets.load("xor_guard")
-        executor = MiniExecutor(program, frontier={0})
+        executor = make_executor(program, frontier={0})
         mutator = Mutator(MutatorConfig(sample_size=64), program)
         report = mutator.mutate_stage(bytes(8), {0}, executor, random.Random(0))
         assert report.samples == 64
 
     def test_budget_bound(self):
         program = builtin_targets.load("mixed_tree")
-        executor = MiniExecutor(program, frontier={0, 2})
+        executor = make_executor(program, frontier={0, 2})
         mutator = Mutator(MutatorConfig(sample_size=256), program)
         report = mutator.mutate_stage(bytes(8), {0, 2}, executor, random.Random(3))
         reached = 2
@@ -306,7 +306,7 @@ class TestMutateStage:
                           "endian": "le", "signed": False, "relation": relation,
                           "constant": constant, "taken": None, "nottaken": None}]}
         program = program_from_dict(doc)
-        executor = MiniExecutor(program, frontier={0})
+        executor = make_executor(program, frontier={0})
         mutator = Mutator(MutatorConfig(sample_size=128), program)
         mutator.mutate_stage(bytes(2), {0}, executor, random.Random(11))
         assert executor.coverage.complete
@@ -326,7 +326,7 @@ class TestLinearExactness:
                           "endian": "le", "signed": False, "relation": relation,
                           "constant": constant, "taken": None, "nottaken": None}]}
         program = program_from_dict(doc)
-        executor = MiniExecutor(program, frontier={0})
+        executor = make_executor(program, frontier={0})
         mutator = Mutator(MutatorConfig(sample_size=64), program)
         seed = bytes([seed_byte])
         records = mutator.local_search(seed, {0}, executor, random.Random(17), k=64)
@@ -364,7 +364,7 @@ class TestNewtonTendency:
         program = le15_program()
         wins = trials = 0
         for rng_seed in range(40):
-            executor = MiniExecutor(program, frontier={0})
+            executor = make_executor(program, frontier={0})
             mutator = Mutator(MutatorConfig(sample_size=32), program)
             records = mutator.local_search(bytes([5]), {0}, executor,
                                            random.Random(rng_seed), k=32)
