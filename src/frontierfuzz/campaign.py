@@ -63,7 +63,7 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class Budget:
-    """Execution/time budget; at least one bound must be finite."""
+    """Execution/time budget; at least one bound must be finite, and none negative."""
 
     max_execs: int | None = None
     max_time_ns: int | None = None
@@ -71,6 +71,10 @@ class Budget:
     def __post_init__(self):
         if self.max_execs is None and self.max_time_ns is None:
             raise ValueError("budget needs at least one finite bound")
+        for name in ("max_execs", "max_time_ns"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     def exhausted(self, execs: int, t_ns: int) -> bool:
         if self.max_execs is not None and execs >= self.max_execs:

@@ -48,6 +48,22 @@ _INTERESTING = {1: INTERESTING_8, 2: INTERESTING_16, 4: INTERESTING_32}
 
 _ARITH_MAX = 35
 
+# Draw widths: CPython's ``_randbelow(m)`` takes ``m.bit_length()`` random
+# bits per try and retries while the result is ``>= m``.  These are the widths
+# for the fixed ranges havoc draws from.
+_K_BYTE = (256).bit_length()
+_K_BIT = (8).bit_length()
+_K_COIN = (2).bit_length()
+_K_ARITH = _ARITH_MAX.bit_length()
+
+# Havoc operator tables keyed by (byte swap allowed, resize allowed).
+_HAVOC_OPS = {
+    (swap, resize): (0, 1, 2, 3, 4) + ((5,) if swap else ()) + ((6, 7) if resize else ())
+    for swap in (False, True) for resize in (False, True)
+}
+# Interesting-value widths that fit min(len, bytes_per_op), capped at 4.
+_WIDTHS = {1: (1,), 2: (1, 2), 3: (1, 2), 4: (1, 2, 4)}
+
 
 @dataclass(frozen=True)
 class MutatorConfig:
@@ -70,11 +86,13 @@ class MutatorConfig:
 class SubgradientRecord:
     """Best slope estimate retained for one frontier branch this stage.
 
-    ``g`` maps byte positions to exact rational slopes; the retained record
-    is the one with the largest L1 norm among sampled candidates.
+    ``g`` maps byte positions to exact rational slopes and ``norm`` is its
+    L1 norm, computed once; the retained record is the one with the largest
+    norm among sampled candidates.
     """
 
     g: dict[int, Fraction]
+    norm: Fraction
     witness: bytes
     witness_obs: BranchObservation
     seed_obs: BranchObservation | None = None
@@ -125,64 +143,157 @@ def havoc_mutate(seed: bytes, cfg: MutatorConfig, rng: random.Random, *,
     Length-changing operators are off by default (local search needs aligned
     inputs) and, when enabled, never move the length more than
     ``havoc_bytes_per_op`` away from the seed's.
+
+    Draw contract: the function makes exactly the ``rng.getrandbits`` calls,
+    in the same order, that the plain formulation with ``rng.randint``,
+    ``rng.randrange`` and ``rng.choice`` makes on CPython, and so returns the
+    same mutant and leaves ``rng`` in the same state.  Each draw below
+    ``m`` inlines ``Random._randbelow(m)``: take ``m.bit_length()`` bits,
+    retry while the result is ``>= m``.  The differential test in
+    ``tests/test_mutation.py`` pins this against that formulation.
     """
     if not seed:
         raise ValueError("seed must be nonempty")
+    gb = rng.getrandbits
     budget = cfg.havoc_bytes_per_op
-    ops = [0, 1, 2, 3, 4]
-    if budget >= 2:
-        ops.append(5)
-    if allow_resize:
-        ops.extend((6, 7))
+    ops = _HAVOC_OPS[budget >= 2, allow_resize]
+    n_ops = len(ops)
+    k_ops = n_ops.bit_length()
     buf = bytearray(seed)
     orig_len = len(seed)
-    stack = rng.randint(1, stack_max if stack_max is not None else cfg.havoc_stack_max)
-    for _ in range(stack):
-        op = ops[rng.randrange(len(ops))]
+    top = stack_max if stack_max is not None else cfg.havoc_stack_max
+    k = top.bit_length()
+    stack = gb(k)
+    while stack >= top:
+        stack = gb(k)
+    for _ in range(stack + 1):
+        r = gb(k_ops)
+        while r >= n_ops:
+            r = gb(k_ops)
+        op = ops[r]
         n = len(buf)
         if op == 0:  # bit flip
-            pos = rng.randrange(n)
-            buf[pos] ^= 1 << rng.randrange(8)
-        elif op == 1:  # byte set
-            buf[rng.randrange(n)] = rng.randrange(256)
+            k = n.bit_length()
+            pos = gb(k)
+            while pos >= n:
+                pos = gb(k)
+            bit = gb(_K_BIT)
+            while bit >= 8:
+                bit = gb(_K_BIT)
+            buf[pos] ^= 1 << bit
+        elif op == 1:  # byte set: the value is drawn before the position
+            value = gb(_K_BYTE)
+            while value >= 256:
+                value = gb(_K_BYTE)
+            k = n.bit_length()
+            pos = gb(k)
+            while pos >= n:
+                pos = gb(k)
+            buf[pos] = value
         elif op == 2:  # byte add/sub
-            pos = rng.randrange(n)
-            delta = rng.randint(1, _ARITH_MAX)
-            if rng.randrange(2):
+            k = n.bit_length()
+            pos = gb(k)
+            while pos >= n:
+                pos = gb(k)
+            delta = gb(_K_ARITH)
+            while delta >= _ARITH_MAX:
+                delta = gb(_K_ARITH)
+            delta += 1
+            sign = gb(_K_COIN)
+            while sign >= 2:
+                sign = gb(_K_COIN)
+            if sign:
                 buf[pos] = (buf[pos] + delta) & 0xFF
             else:
                 buf[pos] = (buf[pos] - delta) & 0xFF
         elif op == 3:  # interesting value substitution
-            widths = [w for w in (1, 2, 4) if w <= n and w <= budget]
-            w = widths[rng.randrange(len(widths))] if widths else 1
-            pos = rng.randrange(n - w + 1)
-            value = rng.choice(_INTERESTING[w])
-            order = "big" if rng.randrange(2) else "little"
-            buf[pos:pos + w] = (value & ((1 << (8 * w)) - 1)).to_bytes(w, order)
+            widths = _WIDTHS[min(n, budget, 4)]
+            m = len(widths)
+            k = m.bit_length()
+            r = gb(k)
+            while r >= m:
+                r = gb(k)
+            w = widths[r]
+            m = n - w + 1
+            k = m.bit_length()
+            pos = gb(k)
+            while pos >= m:
+                pos = gb(k)
+            values = _INTERESTING[w]
+            m = len(values)
+            k = m.bit_length()
+            r = gb(k)
+            while r >= m:
+                r = gb(k)
+            value = values[r]
+            sign = gb(_K_COIN)
+            while sign >= 2:
+                sign = gb(_K_COIN)
+            buf[pos:pos + w] = (value & ((1 << (8 * w)) - 1)).to_bytes(
+                w, "big" if sign else "little")
         elif op == 4:  # short block overwrite
-            blen = rng.randint(1, min(budget, n))
-            pos = rng.randrange(n - blen + 1)
-            for i in range(blen):
-                buf[pos + i] = rng.randrange(256)
+            m = min(budget, n)
+            k = m.bit_length()
+            blen = gb(k)
+            while blen >= m:
+                blen = gb(k)
+            blen += 1
+            m = n - blen + 1
+            k = m.bit_length()
+            pos = gb(k)
+            while pos >= m:
+                pos = gb(k)
+            for i in range(pos, pos + blen):
+                value = gb(_K_BYTE)
+                while value >= 256:
+                    value = gb(_K_BYTE)
+                buf[i] = value
         elif op == 5:  # byte swap
             if n >= 2:
-                i = rng.randrange(n)
-                j = rng.randrange(n)
+                k = n.bit_length()
+                i = gb(k)
+                while i >= n:
+                    i = gb(k)
+                j = gb(k)
+                while j >= n:
+                    j = gb(k)
                 buf[i], buf[j] = buf[j], buf[i]
         elif op == 6:  # delete block
-            shrink_room = min(budget + (len(buf) - orig_len), len(buf) - 1, budget)
-            if shrink_room >= 1:
-                blen = rng.randint(1, shrink_room)
-                pos = rng.randrange(len(buf) - blen + 1)
+            m = min(budget + (n - orig_len), n - 1, budget)
+            if m >= 1:
+                k = m.bit_length()
+                blen = gb(k)
+                while blen >= m:
+                    blen = gb(k)
+                blen += 1
+                m = n - blen + 1
+                k = m.bit_length()
+                pos = gb(k)
+                while pos >= m:
+                    pos = gb(k)
                 del buf[pos:pos + blen]
         else:  # insert block
-            grow_room = budget - (len(buf) - orig_len)
+            m = budget - (n - orig_len)
             if max_len is not None:
-                grow_room = min(grow_room, max_len - len(buf))
-            if grow_room >= 1:
-                blen = rng.randint(1, grow_room)
-                pos = rng.randrange(len(buf) + 1)
-                buf[pos:pos] = bytes(rng.randrange(256) for _ in range(blen))
+                m = min(m, max_len - n)
+            if m >= 1:
+                k = m.bit_length()
+                blen = gb(k)
+                while blen >= m:
+                    blen = gb(k)
+                blen += 1
+                m = n + 1
+                k = m.bit_length()
+                pos = gb(k)
+                while pos >= m:
+                    pos = gb(k)
+                block = bytearray()
+                for _ in range(blen):
+                    value = gb(_K_BYTE)
+                    while value >= 256:
+                        value = gb(_K_BYTE)
+                    block.append(value)
+                buf[pos:pos] = block
     return bytes(buf)
 
 
@@ -329,10 +440,9 @@ class Mutator:
                         observation_distance(obs),
                     )
                 prev = records.get(site)
-                if prev is None:
-                    records[site] = SubgradientRecord(g, data, obs, base)
-                elif l1_norm(g) > l1_norm(prev.g):
-                    records[site] = SubgradientRecord(g, data, obs, seed_obs.get(site))
+                norm = l1_norm(g)
+                if prev is None or norm > prev.norm:
+                    records[site] = SubgradientRecord(g, norm, data, obs, base)
         return records
 
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> StageReport:
@@ -348,7 +458,7 @@ class Mutator:
                 candidate = self._solve_string(seed, site, rec, executor, report)
             elif node.kind is GuardKind.INT:
                 candidate = self._solve_operand(seed, site, rec)
-            if candidate is None and l1_norm(rec.g) > 0:
+            if candidate is None and rec.norm > 0:
                 candidate = newton_step(rec.witness, observation_distance(rec.witness_obs), rec.g)
             if candidate is None or candidate == rec.witness:
                 continue

@@ -275,7 +275,8 @@ class Harness:
                     )
                 )
             nid = tk if outcome else ntk
-        exec_time = 1 if synthetic else time.perf_counter_ns() - t0
+        # At least 1 ns: a zero reading would divide by zero in the scheduler's clocks.
+        exec_time = 1 if synthetic else max(1, time.perf_counter_ns() - t0)
         return ExecutionTrace(tuple(edges), tuple(observations), exec_time, bug_hits)
 
 

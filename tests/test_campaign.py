@@ -37,6 +37,12 @@ class TestBudget:
         budget = Budget(max_time_ns=100)
         assert budget.exhausted(0, 100)
 
+    def test_negative_bounds_rejected(self):
+        with pytest.raises(ValueError, match="max_execs"):
+            Budget(max_execs=-1)
+        with pytest.raises(ValueError, match="max_time_ns"):
+            Budget(max_time_ns=-1)
+
 
 class TestRun:
     @pytest.mark.parametrize("mode", list(Mode))
@@ -357,10 +363,42 @@ GOLDEN_LOG_SHA256 = {
 }
 
 
+# sha256 over every corpus entry's (exec_index, data, sorted new_edges), then
+# every finding's (exec_index, data), for the same runs; recorded with the
+# plain randrange/randint/choice formulation of havoc_mutate.
+GOLDEN_OUTPUT_SHA256 = {
+    ("le15", "fox"): "84a025c4d40424af8a1dae54984d692bd58468726ea739e33b963c7713f92952",
+    ("le15", "sched"): "60529e83f94be21abac86a89c4c10f9df11fe63b385badefc2727dd746132bee",
+    ("le15", "base"): "a8a1b2684e4a50f4818e3d16a0e5703461335bc61d9d0b6518ab06eb90090af1",
+    ("chain6", "fox"): "bc9965458f8fb3a99a2773bc003c8d7d9c06684d0a7bf6eb8e00bfcf82ee64a0",
+    ("chain6", "sched"): "93049d286a7c88a9697199c5507f465c6f1c464d0ba3fb9d43bff5c75ab775a9",
+    ("chain6", "base"): "0560ffe1a71b52b2cd25ed0575d0ee83ebdbd73906c1e20791c1f756ece93812",
+    ("magic_str8", "fox"): "08eaa4257dabca7d5866b3a11292307047d472800f98c0ee4972e7e0b934f2b1",
+    ("magic_str8", "sched"): "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf",
+    ("magic_str8", "base"): "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf",
+}
+
+
+def golden_campaign(name, mode):
+    program = builtin_targets.load(name)
+    return Campaign(program, [zero_seed(program)], Mode(mode), Budget(max_execs=3_000),
+                    rng_seed=0)
+
+
 @pytest.mark.parametrize("name,mode", sorted(GOLDEN_LOG_SHA256))
 def test_golden_log_digest(name, mode):
-    program = builtin_targets.load(name)
-    log = Campaign(program, [zero_seed(program)], Mode(mode), Budget(max_execs=3_000),
-                   rng_seed=0).run()
+    log = golden_campaign(name, mode).run()
     digest = hashlib.sha256(log.to_jsonl().encode("utf-8")).hexdigest()
     assert digest == GOLDEN_LOG_SHA256[(name, mode)]
+
+
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN_OUTPUT_SHA256))
+def test_golden_output_digest(name, mode):
+    campaign = golden_campaign(name, mode)
+    campaign.run()
+    h = hashlib.sha256()
+    for entry in campaign.corpus.entries:
+        h.update(repr((entry.exec_index, entry.data, sorted(entry.new_edges))).encode("utf-8"))
+    for exec_index, data in campaign.findings:
+        h.update(repr((exec_index, data)).encode("utf-8"))
+    assert h.hexdigest() == GOLDEN_OUTPUT_SHA256[(name, mode)]

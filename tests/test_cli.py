@@ -127,6 +127,16 @@ class TestRunSetupErrors:
             tmp_path, "--target", "builtin:le15", "--budget-secs", "inf")
         assert "infinity" in message
 
+    def test_negative_exec_budget(self, tmp_path):
+        message = self.run_expecting_exit(
+            tmp_path, "--target", "builtin:le15", "--budget-execs", "-3")
+        assert "max_execs" in message
+
+    def test_negative_time_budget(self, tmp_path):
+        message = self.run_expecting_exit(
+            tmp_path, "--target", "builtin:le15", "--budget-secs", "-1")
+        assert "max_time_ns" in message
+
     def test_sample_size_one(self, tmp_path):
         message = self.run_expecting_exit(
             tmp_path, "--target", "builtin:le15", "--sample-size", "1")

@@ -8,6 +8,8 @@ from conftest import make_executor
 from frontierfuzz import builtin_targets
 from frontierfuzz.distance import BranchDistance, observation_distance
 from frontierfuzz.mutation import (
+    _ARITH_MAX,
+    _INTERESTING,
     Mutator,
     MutatorConfig,
     compute_subgradient,
@@ -23,29 +25,114 @@ CFG = MutatorConfig()
 
 
 class ScriptedRng:
-    """Deterministic rng double that plays back scripted draws."""
+    """Deterministic rng double that plays back scripted ``getrandbits``
+    draws, each given as (expected bit width, value)."""
 
-    def __init__(self, randints, randranges, choices=()):
-        self.randints = list(randints)
-        self.randranges = list(randranges)
-        self.choices = list(choices)
+    def __init__(self, draws):
+        self.draws = list(draws)
 
-    def randint(self, a, b):
-        return self.randints.pop(0)
+    def getrandbits(self, k):
+        width, value = self.draws.pop(0)
+        assert k == width
+        return value
 
-    def randrange(self, *args):
-        return self.randranges.pop(0)
 
-    def choice(self, seq):
-        return self.choices.pop(0)
+def _reference_havoc(seed, cfg, rng, *, stack_max=None, allow_resize=False, max_len=None):
+    """The plain ``randint``/``randrange``/``choice`` formulation of havoc,
+    kept as the oracle for ``havoc_mutate``'s draw contract."""
+    if not seed:
+        raise ValueError("seed must be nonempty")
+    budget = cfg.havoc_bytes_per_op
+    ops = [0, 1, 2, 3, 4]
+    if budget >= 2:
+        ops.append(5)
+    if allow_resize:
+        ops.extend((6, 7))
+    buf = bytearray(seed)
+    orig_len = len(seed)
+    stack = rng.randint(1, stack_max if stack_max is not None else cfg.havoc_stack_max)
+    for _ in range(stack):
+        op = ops[rng.randrange(len(ops))]
+        n = len(buf)
+        if op == 0:  # bit flip
+            pos = rng.randrange(n)
+            buf[pos] ^= 1 << rng.randrange(8)
+        elif op == 1:  # byte set
+            buf[rng.randrange(n)] = rng.randrange(256)
+        elif op == 2:  # byte add/sub
+            pos = rng.randrange(n)
+            delta = rng.randint(1, _ARITH_MAX)
+            if rng.randrange(2):
+                buf[pos] = (buf[pos] + delta) & 0xFF
+            else:
+                buf[pos] = (buf[pos] - delta) & 0xFF
+        elif op == 3:  # interesting value substitution
+            widths = [w for w in (1, 2, 4) if w <= n and w <= budget]
+            w = widths[rng.randrange(len(widths))] if widths else 1
+            pos = rng.randrange(n - w + 1)
+            value = rng.choice(_INTERESTING[w])
+            order = "big" if rng.randrange(2) else "little"
+            buf[pos:pos + w] = (value & ((1 << (8 * w)) - 1)).to_bytes(w, order)
+        elif op == 4:  # short block overwrite
+            blen = rng.randint(1, min(budget, n))
+            pos = rng.randrange(n - blen + 1)
+            for i in range(blen):
+                buf[pos + i] = rng.randrange(256)
+        elif op == 5:  # byte swap
+            if n >= 2:
+                i = rng.randrange(n)
+                j = rng.randrange(n)
+                buf[i], buf[j] = buf[j], buf[i]
+        elif op == 6:  # delete block
+            shrink_room = min(budget + (len(buf) - orig_len), len(buf) - 1, budget)
+            if shrink_room >= 1:
+                blen = rng.randint(1, shrink_room)
+                pos = rng.randrange(len(buf) - blen + 1)
+                del buf[pos:pos + blen]
+        else:  # insert block
+            grow_room = budget - (len(buf) - orig_len)
+            if max_len is not None:
+                grow_room = min(grow_room, max_len - len(buf))
+            if grow_room >= 1:
+                blen = rng.randint(1, grow_room)
+                pos = rng.randrange(len(buf) + 1)
+                buf[pos:pos] = bytes(rng.randrange(256) for _ in range(blen))
+    return bytes(buf)
 
 
 class TestHavoc:
     def test_single_bit_flip(self):
-        # Stack of one, operator 0 (bit flip) at position 0, bit 3.
-        rng = ScriptedRng(randints=[1], randranges=[0, 0, 3])
+        # Stack of one (3-bit draw below 4), operator 0 (3-bit draw below 6,
+        # the bit flip), position 0 (3-bit draw below 4), bit 3 (4-bit draw
+        # below 8).
+        rng = ScriptedRng([(3, 0), (3, 0), (3, 0), (4, 3)])
         mutant = havoc_mutate(bytes(4), CFG, rng)
         assert mutant == bytes([8, 0, 0, 0])
+        assert not rng.draws
+
+    @pytest.mark.parametrize("bytes_per_op", [1, 2, 3, 4, 8])
+    def test_matches_reference_draw_for_draw(self, bytes_per_op):
+        # Same output bytes and same rng state after every call, across
+        # stack depths, resize on and off, length caps and seed lengths.
+        cfg = MutatorConfig(havoc_bytes_per_op=bytes_per_op)
+        pick = random.Random(bytes_per_op)
+        fast, slow = random.Random(7 * bytes_per_op), random.Random(7 * bytes_per_op)
+        calls = 0
+        for stack_max in (None, 1, 4, 16):
+            for allow_resize in (False, True):
+                for cap in ("none", "len", "len+2", "64"):
+                    for length in range(1, 41):
+                        seed = bytes(pick.randrange(256) for _ in range(length))
+                        max_len = {"none": None, "len": length, "len+2": length + 2,
+                                   "64": 64}[cap]
+                        kwargs = dict(stack_max=stack_max, allow_resize=allow_resize,
+                                      max_len=max_len)
+                        got = havoc_mutate(seed, cfg, fast, **kwargs)
+                        want = _reference_havoc(seed, cfg, slow, **kwargs)
+                        assert got == want
+                        assert fast.getstate() == slow.getstate()
+                        calls += 1
+        assert calls == 4 * 2 * 4 * 40
 
     def test_empty_seed_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):

@@ -132,6 +132,12 @@ class TestExecute:
         assert obs.relation is Relation.LE
         assert obs.f_value == -10
 
+    def test_real_clock_reading_is_at_least_one_ns(self, monkeypatch):
+        # A clock that does not advance must not yield a zero exec time.
+        monkeypatch.setattr("frontierfuzz.target.time.perf_counter_ns", lambda: 7)
+        harness = Harness(program_from_dict(LE15_DOC), synthetic_time=False)
+        assert harness.execute(bytes([5])).exec_time == 1
+
     def test_le_guard_flip_side(self):
         harness = Harness(program_from_dict(LE15_DOC), synthetic_time=True)
         trace = harness.execute(bytes([16]))
