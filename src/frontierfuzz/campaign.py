@@ -33,7 +33,7 @@ from enum import Enum
 
 from .coverage import CoverageMap
 from .distance import observation_distance
-from .mutation import Mutator, MutatorConfig, StageReport, havoc_mutate
+from .mutation import Mutator, MutatorConfig, havoc_mutate
 from .scheduling import SchedulerState
 from .target import BranchObservation, GuardProgram, Harness
 
@@ -132,12 +132,6 @@ class CampaignLog:
     def to_jsonl(self) -> str:
         return "".join(r.to_json() + "\n" for r in self.records)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
 
 @dataclass(frozen=True)
 class CorpusEntry:
@@ -167,7 +161,6 @@ class _BudgetExceeded(Exception):
 class StepOutcome:
     """What one execution did to the campaign state."""
 
-    new_edges: int
     flips: int
     observations: dict[int, BranchObservation]
 
@@ -196,15 +189,13 @@ class _Executor:
         self.t_ns += trace.exec_time
         cov = self.coverage
         flips = 0
-        missing = cov.frontier_missing
-        if missing:
-            for edge in trace.edges:
-                if edge in missing:
-                    flips += 1
         first_cover = [e for e in trace.edges if e not in cov.edge_hits]
-        new_edges = cov.absorb_trace(trace)
-        self.flips += flips
-        if new_edges:
+        if first_cover:
+            # A flip is a first-cover edge out of a node that was a frontier
+            # branch before this exec; an acyclic walk repeats no edge.
+            flips = sum(1 for e in first_cover if e >> 1 in cov.frontier)
+            self.flips += flips
+            cov.absorb_trace(trace)
             self.corpus.add(data, first_cover, self.execs)
         if trace.bug_hits and data not in self._finding_inputs:
             self._finding_inputs.add(data)
@@ -220,7 +211,7 @@ class _Executor:
                         obs.site, data, observation_distance(obs),
                         trace.exec_time, frontier,
                     )
-        return StepOutcome(new_edges, flips, observations)
+        return StepOutcome(flips, observations)
 
 
 class Campaign:
@@ -277,7 +268,7 @@ class Campaign:
             self._executor.run(entry.data, exempt_budget)
         return frontier
 
-    def _havoc_batch(self, seed: bytes, report: StageReport) -> None:
+    def _havoc_batch(self, seed: bytes) -> None:
         cfg = self.config
         rng = self.rng
         executor = self._executor
@@ -287,10 +278,7 @@ class Campaign:
                 seed, cfg, rng,
                 stack_max=_BASE_HAVOC_STACK, allow_resize=True, max_len=max_len,
             )
-            outcome = executor.run(data)
-            report.samples += 1
-            report.flips += outcome.flips
-            report.new_edges += outcome.new_edges
+            executor.run(data)
 
     def _append_record(self, stage: int, frontier_size: int, scheduled, fallback: bool) -> None:
         executor = self._executor
@@ -337,24 +325,23 @@ class Campaign:
             stage += 1
             scheduled = None
             fallback = False
-            report = StageReport()
             frontier = frozenset(self.coverage.frontier)
             try:
                 if self.mode is Mode.BASE:
-                    self._havoc_batch(self._next_round_robin(), report)
+                    self._havoc_batch(self._next_round_robin())
                 else:
                     frontier = self._refresh_active_sites()
                     if not frontier:
                         fallback = True
-                        self._havoc_batch(self._next_round_robin(), report)
+                        self._havoc_batch(self._next_round_robin())
                     else:
                         scheduled = self.scheduler.select_next(frontier)
                         if self.mode is Mode.FOX:
-                            report = self.mutator.mutate_stage(
+                            self.mutator.mutate_stage(
                                 scheduled.seed, frontier, executor, self.rng,
                             )
                         else:
-                            self._havoc_batch(scheduled.seed, report)
+                            self._havoc_batch(scheduled.seed)
             except _BudgetExceeded:
                 self._append_record(stage, len(frontier), scheduled, fallback)
                 break
@@ -406,8 +393,7 @@ def convexity_probe(harness: Harness, site: int, x1: bytes, x2: bytes,
                 if stats is not None:
                     stats._bump(stats.non_probes, site)
                 return None
-            d = observation_distance(obs)
-            values.append(d.magnitude() if d.is_vector else d.scalar)
+            values.append(observation_distance(obs).scalarize())
         d1, d2, dm = values[0], values[1], values[2]
         passed = 2 * dm <= d1 + d2
         if stats is not None:

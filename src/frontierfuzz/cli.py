@@ -13,7 +13,7 @@ from random import Random
 from . import builtin_targets
 from .campaign import Budget, Campaign, Mode
 from .mutation import MutatorConfig
-from .oracle import AbstractInstance, verify
+from .oracle import AbstractInstance, check_enumerable, verify
 from .target import GuardProgram, load_program
 
 # Probability grid used for random oracle instances: 0, 0.1, ..., 1.
@@ -93,17 +93,37 @@ def _percentile(sorted_values: list[int], q: float) -> float:
     return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
 
 
+def _read_stats(path: Path) -> tuple[str | None, list[tuple[int, int]]]:
+    """The mode and the (t_ns, edges_covered) series of one stats file.  An
+    unreadable file or a malformed record ends the command with one line."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"frontierfuzz report: {path}: {exc}") from None
+    mode = None
+    series: list[tuple[int, int]] = []
+    for lineno, line in enumerate(lines, 1):
+        where = f"frontierfuzz report: {path}:{lineno}"
+        try:
+            rec = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise SystemExit(f"{where}: not JSON: {exc}") from None
+        if not isinstance(rec, dict):
+            raise SystemExit(f"{where}: not a JSON object")
+        for key, kind in (("mode", str), ("t_ns", int), ("edges_covered", int)):
+            if type(rec.get(key)) is not kind:
+                raise SystemExit(f"{where}: {key!r} missing or not {kind.__name__}")
+        mode = rec["mode"]
+        series.append((rec["t_ns"], rec["edges_covered"]))
+    return mode, series
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
     runs: dict[str, list[list[tuple[int, int]]]] = {}
     for stats_path in sorted(out.rglob("stats.jsonl")):
-        series: list[tuple[int, int]] = []
-        mode = None
-        for line in stats_path.read_text(encoding="utf-8").splitlines():
-            rec = json.loads(line)
-            mode = rec["mode"]
-            series.append((rec["t_ns"], rec["edges_covered"]))
-        if mode is not None and series:
+        mode, series = _read_stats(stats_path)
+        if mode is not None:
             runs.setdefault(mode, []).append(series)
     if not runs:
         raise SystemExit(f"no stats.jsonl files under {out}")
@@ -134,6 +154,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> int:
+    # Checked before any trial: the largest instance a trial can draw has
+    # --branches branches and --stages stages.
+    for flag in ("branches", "stages", "trials"):
+        value = getattr(args, flag)
+        if value < 1:
+            raise SystemExit(f"frontierfuzz verify-theorem: --{flag} must be >= 1, got {value}")
+    try:
+        check_enumerable(args.branches, args.stages)
+    except ValueError as exc:
+        raise SystemExit(f"frontierfuzz verify-theorem: {exc}") from None
     rng = Random(args.rng_seed)
     optimal_count = 0
     for trial in range(args.trials):

@@ -21,9 +21,9 @@ __all__ = ["CoverageMap", "recompute_frontier"]
 class CoverageMap:
     """Monotone record of exercised edges and visited nodes for one program.
 
-    ``frontier`` and ``frontier_missing`` (unexercised edge id -> owning
-    frontier node) are maintained incrementally and always consistent with
-    the recorded bits.
+    Edge ``2 * n`` is node ``n``'s taken edge and ``2 * n + 1`` its not-taken
+    edge, so ``edge >> 1`` is an edge's source node.  ``frontier`` is
+    maintained incrementally and always consistent with the recorded bits.
     """
 
     def __init__(self, program: GuardProgram):
@@ -31,7 +31,6 @@ class CoverageMap:
         self.edge_hits: set[int] = set()
         self.node_visited: set[int] = set()
         self.frontier: set[int] = set()
-        self.frontier_missing: dict[int, int] = {}
 
     @property
     def complete(self) -> bool:
@@ -66,19 +65,10 @@ class CoverageMap:
         """Re-derive the frontier membership of one visited guard node."""
         if nid not in self.node_visited or nid not in self.program.guard_ids:
             return
-        taken, nottaken = 2 * nid, 2 * nid + 1
-        missing = [e for e in (taken, nottaken) if e not in self.edge_hits]
-        if missing:
-            self.frontier.add(nid)
-            for e in (taken, nottaken):
-                if e in missing:
-                    self.frontier_missing[e] = nid
-                else:
-                    self.frontier_missing.pop(e, None)
-        else:
+        if 2 * nid in self.edge_hits and 2 * nid + 1 in self.edge_hits:
             self.frontier.discard(nid)
-            self.frontier_missing.pop(taken, None)
-            self.frontier_missing.pop(nottaken, None)
+        else:
+            self.frontier.add(nid)
 
 
 def recompute_frontier(cov: CoverageMap, program: GuardProgram | None = None) -> frozenset[int]:

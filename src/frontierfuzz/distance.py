@@ -60,6 +60,10 @@ class BranchDistance:
         """L1 norm; for scalars this is the absolute value."""
         return sum(abs(v) for v in self.values)
 
+    def scalarize(self) -> int:
+        """Vectors collapse to their L1 norm; scalars keep their sign."""
+        return self.magnitude() if self.is_vector else self.values[0]
+
     def order_key(self):
         # Scalars order by signed value; vectors by L1 norm with a
         # lexicographic tie-break.

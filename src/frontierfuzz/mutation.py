@@ -27,7 +27,6 @@ __all__ = [
     "MutatorConfig",
     "SubgradientRecord",
     "HotByteSet",
-    "StageReport",
     "havoc_mutate",
     "compute_subgradient",
     "newton_step",
@@ -105,15 +104,6 @@ class HotByteSet:
     site: int
     offsets: tuple[int, ...]
     compared_length: int
-
-
-@dataclass
-class StageReport:
-    samples: int = 0
-    newton_execs: int = 0
-    probes: int = 0
-    flips: int = 0
-    new_edges: int = 0
 
 
 def round_half_away(x) -> int:
@@ -297,11 +287,6 @@ def havoc_mutate(seed: bytes, cfg: MutatorConfig, rng: random.Random, *,
     return bytes(buf)
 
 
-def _scalarize(d: BranchDistance) -> int:
-    # Vector distances collapse to their L1 norm; scalars keep their sign.
-    return d.magnitude() if d.is_vector else d.scalar
-
-
 def compute_subgradient(seed: bytes, mutant: bytes, d_seed: BranchDistance,
                         d_mut: BranchDistance) -> dict[int, Fraction]:
     """Element-wise slope estimate between two inputs reaching the same site.
@@ -313,7 +298,7 @@ def compute_subgradient(seed: bytes, mutant: bytes, d_seed: BranchDistance,
     """
     if d_seed.is_vector != d_mut.is_vector:
         raise ValueError("distance form mismatch")
-    delta_d = _scalarize(d_mut) - _scalarize(d_seed)
+    delta_d = d_mut.scalarize() - d_seed.scalarize()
     width = max(len(seed), len(mutant))
     g: dict[int, Fraction] = {}
     for j in range(width):
@@ -333,7 +318,7 @@ def newton_step(witness: bytes, d: BranchDistance, g: dict[int, Fraction]) -> by
     """
     if l1_norm(g) == 0:
         raise ValueError("newton step requires a nonzero-norm subgradient")
-    value = _scalarize(d)
+    value = d.scalarize()
     out = bytearray(witness)
     for j, slope in g.items():
         if slope == 0 or j >= len(out):
@@ -396,11 +381,11 @@ def _sign(v: int) -> int:
 class Mutator:
     """Stage driver: local search, then one root-finding input per branch.
 
-    ``executor`` is any object with ``run(data) -> outcome`` and an ``execs``
-    counter of the executions it has run, where the outcome exposes
-    ``observations`` (site -> BranchObservation), ``flips``, and
-    ``new_edges``; the campaign supplies one that also keeps the scheduler's
-    clocks up to date.
+    ``executor`` is any object with ``run(data) -> outcome``, where the
+    outcome exposes ``observations`` (site -> BranchObservation) and
+    ``flips`` (frontier branches the input flipped); the campaign supplies
+    one that also keeps coverage, the corpus and the scheduler's clocks up
+    to date.
     """
 
     def __init__(self, config: MutatorConfig, program: GuardProgram):
@@ -408,8 +393,7 @@ class Mutator:
         self.program = program
 
     def local_search(self, seed: bytes, frontier, executor,
-                     rng: random.Random, k: int | None = None,
-                     report: StageReport | None = None) -> dict[int, SubgradientRecord]:
+                     rng: random.Random, k: int | None = None) -> dict[int, SubgradientRecord]:
         """Sample the seed neighborhood and retain the best slope per branch.
 
         The first of the k samples is the unmutated seed itself, which
@@ -421,10 +405,6 @@ class Mutator:
         for i in range(k):
             data = seed if i == 0 else havoc_mutate(seed, self.config, rng)
             outcome = executor.run(data)
-            if report is not None:
-                report.samples += 1
-                report.flips += outcome.flips
-                report.new_edges += outcome.new_edges
             if i == 0:
                 seed_obs = dict(outcome.observations)
             for site, obs in outcome.observations.items():
@@ -445,40 +425,33 @@ class Mutator:
                     records[site] = SubgradientRecord(g, norm, data, obs, base)
         return records
 
-    def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> StageReport:
+    def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
         """One full stage: sample, estimate slopes, and fire one targeted
         input per frontier branch that yielded a usable estimate."""
-        report = StageReport()
-        records = self.local_search(seed, frontier, executor, rng, report=report)
+        records = self.local_search(seed, frontier, executor, rng)
         for site in sorted(records):
             rec = records[site]
             node = self.program.node(site)
             candidate: bytes | None = None
             if node.kind is GuardKind.STR:
-                candidate = self._solve_string(seed, site, rec, executor, report)
+                candidate = self._solve_string(seed, site, rec, executor)
             elif node.kind is GuardKind.INT:
                 candidate = self._solve_operand(seed, site, rec)
             if candidate is None and rec.norm > 0:
                 candidate = newton_step(rec.witness, observation_distance(rec.witness_obs), rec.g)
             if candidate is None or candidate == rec.witness:
                 continue
-            outcome = executor.run(candidate)
-            report.newton_execs += 1
-            report.flips += outcome.flips
-            report.new_edges += outcome.new_edges
-        return report
+            executor.run(candidate)
 
     def _solve_string(self, seed: bytes, site: int, rec: SubgradientRecord,
-                      executor, report: StageReport) -> bytes | None:
+                      executor) -> bytes | None:
         """Per-byte root solving over the inferred hot window."""
         if rec.seed_obs is None:
             return None
         witness_d = observation_distance(rec.witness_obs)
         if witness_d == observation_distance(rec.seed_obs):
             return None
-        before = executor.execs
         hot = infer_hot_bytes(seed, rec.witness, site, executor)
-        report.probes += executor.execs - before
         if not hot.offsets:
             return None
         node = self.program.node(site)

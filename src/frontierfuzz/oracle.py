@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["AbstractInstance", "VerifyResult", "expected_coverage", "greedy_schedule", "verify"]
+__all__ = ["AbstractInstance", "VerifyResult", "check_enumerable", "expected_coverage",
+           "greedy_schedule", "verify"]
 
 _ENUMERATION_LIMIT = 10 ** 7
 
@@ -79,6 +80,15 @@ def greedy_schedule(instance: AbstractInstance) -> tuple[int, ...]:
     return tuple(schedule)
 
 
+def check_enumerable(branches: int, stages: int) -> None:
+    """Raise ``ValueError`` when ``branches ** stages`` schedules exceed the
+    limit.  Stage counts that exceed it even with two branches are rejected
+    without computing the power, which for huge flags would not finish."""
+    if branches > 1 and (stages >= _ENUMERATION_LIMIT.bit_length()
+                         or branches ** stages > _ENUMERATION_LIMIT):
+        raise ValueError(f"instance too large to enumerate: {branches}^{stages} schedules")
+
+
 @dataclass(frozen=True)
 class VerifyResult:
     greedy_value: Fraction
@@ -93,10 +103,7 @@ def verify(instance: AbstractInstance) -> VerifyResult:
     objective is order-invariant, the enumeration walks choice multisets,
     which covers exactly the same set of objective values.
     """
-    if instance.branches ** instance.stages > _ENUMERATION_LIMIT:
-        raise ValueError(
-            f"instance too large to enumerate: {instance.branches}^{instance.stages} schedules"
-        )
+    check_enumerable(instance.branches, instance.stages)
     greedy_value = expected_coverage(instance, greedy_schedule(instance))
     optimum = None
     for combo in itertools.combinations_with_replacement(

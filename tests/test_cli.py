@@ -162,6 +162,31 @@ class TestReportCommand:
         with pytest.raises(SystemExit):
             run_cli(["report", "--out", str(tmp_path)])
 
+    GOOD = json.dumps({"t_ns": 1, "execs": 1, "edges_covered": 1, "mode": "fox"})
+
+    @pytest.mark.parametrize("bad,why", [
+        ("{not json", "not JSON"),
+        (json.dumps({"t_ns": 2, "edges_covered": 1}), "'mode' missing"),
+        (json.dumps({"t_ns": "2", "edges_covered": 1, "mode": "fox"}), "'t_ns' missing or not int"),
+        (json.dumps([2, 1, "fox"]), "not a JSON object"),
+    ])
+    def test_malformed_record_names_file_and_line(self, tmp_path, bad, why):
+        stats = tmp_path / "run" / "stats.jsonl"
+        stats.parent.mkdir()
+        stats.write_text(self.GOOD + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as info:
+            run_cli(["report", "--out", str(tmp_path)])
+        message = str(info.value.code)
+        assert message.startswith(f"frontierfuzz report: {stats}:2: {why}")
+        assert "\n" not in message
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_undecodable_file_names_file(self, tmp_path):
+        stats = tmp_path / "stats.jsonl"
+        stats.write_bytes(b"\xff\xfe\n")
+        with pytest.raises(SystemExit, match=f"^frontierfuzz report: {stats}: "):
+            run_cli(["report", "--out", str(tmp_path)])
+
 
 class TestVerifyTheoremCommand:
     def test_small_run_all_optimal(self, capsys):
@@ -173,3 +198,17 @@ class TestVerifyTheoremCommand:
         assert code == 0
         assert "optimal 25/25" in out
         assert out.count("trial ") == 25
+
+    @pytest.mark.parametrize("flags,why", [
+        (["--branches", "0"], "--branches must be >= 1"),
+        (["--stages", "0"], "--stages must be >= 1"),
+        (["--trials", "-1"], "--trials must be >= 1"),
+        (["--branches", "30", "--stages", "30"], "instance too large"),
+    ])
+    def test_bad_flags_rejected_before_any_trial(self, capsys, flags, why):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["verify-theorem", *flags])
+        message = str(info.value.code)
+        assert message.startswith(f"frontierfuzz verify-theorem: {why}")
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""

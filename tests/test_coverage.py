@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_executor
 from frontierfuzz import builtin_targets
 from frontierfuzz.coverage import CoverageMap, recompute_frontier
 from frontierfuzz.target import Harness
@@ -100,8 +101,6 @@ def test_incremental_frontier_matches_pure_recompute(inputs):
     for data in inputs:
         cov.absorb_trace(harness.execute(data))
         assert frozenset(cov.frontier) == recompute_frontier(cov)
-        # The missing-edge index mirrors the frontier exactly.
-        assert set(cov.frontier_missing.values()) == cov.frontier
 
 
 @settings(max_examples=50, deadline=None)
@@ -113,3 +112,24 @@ def test_incremental_frontier_matches_on_tree(inputs):
     for data in inputs:
         cov.absorb_trace(harness.execute(data))
         assert frozenset(cov.frontier) == recompute_frontier(cov)
+
+
+@pytest.mark.parametrize("name,max_len", [("chain6", 6), ("mixed_tree", 8)])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_flips_match_brute_force_count(name, max_len, data):
+    # A flip is an edge first covered by this exec whose source node was a
+    # frontier branch before it.
+    program = builtin_targets.load(name)
+    executor = make_executor(program)
+    cov = executor.coverage
+    total = 0
+    for x in data.draw(st.lists(st.binary(max_size=max_len), max_size=12)):
+        before_hits = set(cov.edge_hits)
+        before_frontier = recompute_frontier(cov)
+        edges = executor.harness.execute(x).edges
+        expected = sum(1 for e in edges if e not in before_hits and e >> 1 in before_frontier)
+        outcome = executor.run(x)
+        assert outcome.flips == expected
+        total += expected
+        assert executor.flips == total

@@ -47,6 +47,10 @@ class TestStringDistance:
     def test_single_component(self):
         assert string_distance(False, Relation.EQ, (1,)).values == (1,)
 
+    def test_scalarize_keeps_scalar_sign_and_sums_vectors(self):
+        assert distance(True, Relation.GE, 0).scalarize() == -1
+        assert string_distance(False, Relation.EQ, (-2, 0, 5)).scalarize() == 7
+
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             string_distance(False, Relation.EQ, ())

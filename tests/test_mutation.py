@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_executor
-from frontierfuzz import builtin_targets
+from frontierfuzz import builtin_targets, mutation
 from frontierfuzz.distance import BranchDistance, observation_distance
 from frontierfuzz.mutation import (
     _ARITH_MAX,
@@ -366,23 +366,43 @@ class TestMutateStage:
         program = builtin_targets.load("le15")
         executor = make_executor(program, frontier=frozenset())
         mutator = Mutator(MutatorConfig(sample_size=32), program)
-        report = mutator.mutate_stage(bytes([5]), frozenset(), executor, random.Random(0))
-        assert report.newton_execs == 0
+        mutator.mutate_stage(bytes([5]), frozenset(), executor, random.Random(0))
+        assert executor.execs == 32  # the samples alone, no root step
 
-    def test_xor_stage_completes_without_guarantee(self):
+    def test_xor_stage_completes_without_guarantee(self, monkeypatch):
         program = builtin_targets.load("xor_guard")
         executor = make_executor(program, frontier={0})
         mutator = Mutator(MutatorConfig(sample_size=64), program)
-        report = mutator.mutate_stage(bytes(8), {0}, executor, random.Random(0))
-        assert report.samples == 64
+        local_search = Mutator.local_search
+        sampled = []
 
-    def test_budget_bound(self):
+        def counting_local_search(self, seed, frontier, executor, rng, k=None):
+            before = executor.execs
+            records = local_search(self, seed, frontier, executor, rng, k)
+            sampled.append(executor.execs - before)
+            return records
+
+        monkeypatch.setattr(Mutator, "local_search", counting_local_search)
+        mutator.mutate_stage(bytes(8), {0}, executor, random.Random(0))
+        assert sampled == [64]
+
+    def test_budget_bound(self, monkeypatch):
         program = builtin_targets.load("mixed_tree")
         executor = make_executor(program, frontier={0, 2})
         mutator = Mutator(MutatorConfig(sample_size=256), program)
-        report = mutator.mutate_stage(bytes(8), {0, 2}, executor, random.Random(3))
+        infer = mutation.infer_hot_bytes
+        probes = []
+
+        def counting_infer(seed, mutant, site, executor):
+            before = executor.execs
+            hot = infer(seed, mutant, site, executor)
+            probes.append(executor.execs - before)
+            return hot
+
+        monkeypatch.setattr(mutation, "infer_hot_bytes", counting_infer)
+        mutator.mutate_stage(bytes(8), {0, 2}, executor, random.Random(3))
         reached = 2
-        assert executor.execs <= 256 + reached + report.probes
+        assert executor.execs <= 256 + reached + sum(probes)
 
     @pytest.mark.parametrize("relation,constant", [
         ("lt", 40), ("le", 40), ("gt", 200), ("ge", 200), ("eq", 77), ("ne", 0),

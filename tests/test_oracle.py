@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontierfuzz.oracle import AbstractInstance, expected_coverage, greedy_schedule, verify
+from frontierfuzz.oracle import (
+    AbstractInstance,
+    check_enumerable,
+    expected_coverage,
+    greedy_schedule,
+    verify,
+)
 
 
 def inst(probs, stages):
@@ -94,6 +100,17 @@ class TestVerify:
     def test_too_large_rejected(self):
         with pytest.raises(ValueError, match="too large"):
             verify(inst([Fraction(1, 2)] * 5, 11))
+
+    @pytest.mark.parametrize("branches,stages,ok", [
+        (10, 7, True), (2, 23, True), (1, 10 ** 9, True),
+        (2, 24, False), (10 ** 7 + 1, 1, False), (2, 10 ** 9, False),
+    ])
+    def test_enumeration_limit_boundary(self, branches, stages, ok):
+        if ok:
+            check_enumerable(branches, stages)
+        else:
+            with pytest.raises(ValueError, match="too large"):
+                check_enumerable(branches, stages)
 
     def test_random_grid_instances_all_optimal(self):
         rng = random.Random(0)
