@@ -32,7 +32,13 @@ def _load_target(ref: str) -> GuardProgram:
 def _load_seeds(seeds_dir: str | None, program: GuardProgram) -> list[bytes]:
     if seeds_dir is None:
         # Default: one all-zeros seed, enough to reach the entry guard.
-        return [bytes(program.max_input_len)]
+        try:
+            return [bytes(program.max_input_len)]
+        except MemoryError:
+            raise ValueError(
+                f"max_input_len {program.max_input_len} is too large for the default "
+                "all-zeros seed; pass --seeds"
+            ) from None
     paths = sorted(p for p in Path(seeds_dir).iterdir() if p.is_file())
     if not paths:
         raise SystemExit(f"no seed files in {seeds_dir}")

@@ -8,6 +8,11 @@ exercised edges plus, for explicitly activated guard sites, the raw comparison
 feedback (outcome, relation, operand difference) that the rest of the engine
 consumes.
 
+Each guard is compiled once per program into a step function with its
+operands bound in; a harness swaps in an observing step, built the first time
+the site is activated, for each active site.  An input shorter than the
+furthest operand window is zero-extended up to it before the walk.
+
 Edge ids are fixed as ``2 * node_id`` for the taken edge and
 ``2 * node_id + 1`` for the not-taken edge.
 """
@@ -16,9 +21,11 @@ from __future__ import annotations
 
 import base64
 import json
+import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 __all__ = [
     "DocumentError",
@@ -50,33 +57,17 @@ class Relation(Enum):
 
     def holds(self, value: int) -> bool:
         """Whether ``value R 0`` is true for this relation."""
-        code = _REL_CODE[self]
-        return _rel_holds(code, value)
+        return _OPS[self](value, 0)
 
 
-# Integer codes keep the execution loop free of Enum dispatch overhead.
-_REL_CODE = {
-    Relation.LT: 0,
-    Relation.LE: 1,
-    Relation.GT: 2,
-    Relation.GE: 3,
-    Relation.EQ: 4,
-    Relation.NE: 5,
+_OPS = {
+    Relation.LT: operator.lt,
+    Relation.LE: operator.le,
+    Relation.GT: operator.gt,
+    Relation.GE: operator.ge,
+    Relation.EQ: operator.eq,
+    Relation.NE: operator.ne,
 }
-
-
-def _rel_holds(code: int, v: int) -> bool:
-    if code == 4:
-        return v == 0
-    if code == 5:
-        return v != 0
-    if code == 0:
-        return v < 0
-    if code == 1:
-        return v <= 0
-    if code == 2:
-        return v > 0
-    return v >= 0
 
 
 class GuardKind(Enum):
@@ -136,6 +127,107 @@ class ExecutionTrace:
     bug_hits: tuple[int, ...] = ()
 
 
+# Step functions.  ``step(data, edges, obs)`` evaluates one guard on ``data``
+# (already zero-extended past every operand window), appends the edge it takes
+# to ``edges`` (and, for an observing step, its observation to ``obs``) and
+# returns the next node id, or None at a terminal edge.  Operands are bound as
+# default arguments: closures over cells made loading a program slower.
+
+
+def _int_step(n: GuardNode, observe: bool):
+    off, end, signed, const = n.offset, n.offset + n.size, n.signed, n.constant
+    order = "little" if n.endian == "le" else "big"
+    cmp, tk, ntk = _OPS[n.relation], n.taken, n.nottaken
+    te, ne = 2 * n.node_id, 2 * n.node_id + 1
+    if observe:
+        def step(data, edges, obs, off=off, end=end, order=order, signed=signed,
+                 const=const, cmp=cmp, te=te, ne=ne, tk=tk, ntk=ntk, site=n.node_id,
+                 rel=n.relation):
+            f = int.from_bytes(data[off:end], order, signed=signed) - const
+            outcome = cmp(f, 0)
+            edges.append(te if outcome else ne)
+            obs.append(BranchObservation(site, outcome, rel, f))
+            return tk if outcome else ntk
+    elif end - off == 1 and not signed:
+        def step(data, edges, obs, off=off, const=const, cmp=cmp, te=te, ne=ne, tk=tk, ntk=ntk):
+            if cmp(data[off], const):
+                edges.append(te)
+                return tk
+            edges.append(ne)
+            return ntk
+    else:
+        def step(data, edges, obs, off=off, end=end, order=order, signed=signed,
+                 const=const, cmp=cmp, te=te, ne=ne, tk=tk, ntk=ntk):
+            if cmp(int.from_bytes(data[off:end], order, signed=signed), const):
+                edges.append(te)
+                return tk
+            edges.append(ne)
+            return ntk
+    return step
+
+
+def _str_step(n: GuardNode, observe: bool):
+    # Window and constant are both zero-padded to the longer of the two and
+    # compared as byte strings.
+    cmplen = max(n.size, len(n.constant))
+    off, end, pad = n.offset, n.offset + n.size, bytes(cmplen - n.size)
+    const = n.constant.ljust(cmplen, b"\0")
+    cmp, tk, ntk = _OPS[n.relation], n.taken, n.nottaken
+    te, ne = 2 * n.node_id, 2 * n.node_id + 1
+    if observe:
+        def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
+                 te=te, ne=ne, tk=tk, ntk=ntk, site=n.node_id, rel=n.relation, cmplen=cmplen,
+                 sub=operator.sub):
+            window = data[off:end] + pad
+            outcome = cmp(window, const)
+            edges.append(te if outcome else ne)
+            obs.append(BranchObservation(site, outcome, rel, None,
+                                         tuple(map(sub, window, const)), cmplen))
+            return tk if outcome else ntk
+    else:
+        def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
+                 te=te, ne=ne, tk=tk, ntk=ntk):
+            if cmp(data[off:end] + pad, const):
+                edges.append(te)
+                return tk
+            edges.append(ne)
+            return ntk
+    return step
+
+
+def _xor_step(n: GuardNode, observe: bool):
+    off, end, const = n.offset, n.offset + n.size, n.constant
+    cmp, tk, ntk = _OPS[n.relation], n.taken, n.nottaken
+    te, ne = 2 * n.node_id, 2 * n.node_id + 1
+    if observe:
+        def step(data, edges, obs, off=off, end=end, const=const, cmp=cmp, te=te, ne=ne,
+                 tk=tk, ntk=ntk, site=n.node_id, rel=n.relation, xor=operator.xor):
+            f = reduce(xor, data[off:end], 0) - const
+            outcome = cmp(f, 0)
+            edges.append(te if outcome else ne)
+            obs.append(BranchObservation(site, outcome, rel, f))
+            return tk if outcome else ntk
+    else:
+        def step(data, edges, obs, off=off, end=end, const=const, cmp=cmp, te=te, ne=ne,
+                 tk=tk, ntk=ntk, xor=operator.xor):
+            if cmp(reduce(xor, data[off:end], 0), const):
+                edges.append(te)
+                return tk
+            edges.append(ne)
+            return ntk
+    return step
+
+
+_STEP_FACTORIES = {GuardKind.INT: _int_step, GuardKind.STR: _str_step, GuardKind.XOR: _xor_step}
+
+
+def _step(node: GuardNode, observe: bool):
+    """The step function of ``node``; None for a bug node."""
+    if node.kind is GuardKind.BUG:
+        return None
+    return _STEP_FACTORIES[node.kind](node, observe)
+
+
 class GuardProgram:
     """Validated, immutable guard-tree program.
 
@@ -156,7 +248,11 @@ class GuardProgram:
             e for nid in self.guard_ids for e in (2 * nid, 2 * nid + 1)
         )
         self._by_id = {n.node_id: n for n in self.nodes}
-        self._rows = [self._compile(self._by_id[i]) for i in range(len(self.nodes))]
+        self._steps = [_step(self._by_id[i], observe=False) for i in range(len(self.nodes))]
+        # Inputs are zero-extended to here: the furthest operand window end.
+        self._window_end = max(
+            (n.offset + n.size for n in self.nodes if n.kind is not GuardKind.BUG), default=0
+        )
 
     def node(self, node_id: int) -> GuardNode:
         return self._by_id[node_id]
@@ -172,30 +268,6 @@ class GuardProgram:
     def total_edges(self) -> int:
         return len(self.all_edges)
 
-    @staticmethod
-    def _compile(n: GuardNode):
-        kind = {GuardKind.INT: 0, GuardKind.STR: 1, GuardKind.XOR: 2, GuardKind.BUG: 3}[n.kind]
-        if kind == 3:
-            return (3, 0, 0, "little", False, None, 0, None, None, None, None)
-        rel_code = _REL_CODE[n.relation]
-        extra = None
-        if kind == 1:
-            cmplen = max(n.size, len(n.constant))
-            extra = (bytes(n.constant).ljust(cmplen, b"\0"), cmplen)
-        return (
-            kind,
-            n.offset,
-            n.size,
-            "little" if n.endian == "le" else "big",
-            n.signed,
-            n.constant,
-            rel_code,
-            n.taken,
-            n.nottaken,
-            n.relation,
-            extra,
-        )
-
 
 class Harness:
     """Mutable execution handle over a shared :class:`GuardProgram`.
@@ -208,6 +280,9 @@ class Harness:
         self.program = program
         self.synthetic_time = synthetic_time
         self._active: frozenset[int] = frozenset()
+        # The program's steps, with the observing step of each active site.
+        self._steps = program._steps
+        self._observing: dict[int, object] = {}
 
     @property
     def active_sites(self) -> frozenset[int]:
@@ -215,10 +290,19 @@ class Harness:
 
     def set_active_sites(self, sites) -> None:
         sites = frozenset(sites)
-        unknown = sites - self.program.node_ids
+        program = self.program
+        unknown = sites - program.node_ids
         if unknown:
             raise ValueError(f"unknown node ids in active set: {sorted(unknown)}")
+        steps = list(program._steps)
+        observing = self._observing
+        for nid in sites & program.guard_ids:
+            step = observing.get(nid)
+            if step is None:
+                step = observing[nid] = _step(program.node(nid), observe=True)
+            steps[nid] = step
         self._active = sites
+        self._steps = steps
 
     def execute(self, data: bytes) -> ExecutionTrace:
         program = self.program
@@ -228,53 +312,18 @@ class Harness:
             )
         synthetic = self.synthetic_time
         t0 = 0 if synthetic else time.perf_counter_ns()
-        rows = program._rows
-        active = self._active
+        data = data.ljust(program._window_end, b"\0")
+        steps = self._steps
         edges: list[int] = []
         observations: list[BranchObservation] = []
         bug_hits: tuple[int, ...] = ()
         nid = program.entry
         while nid is not None:
-            kind, off, size, byteorder, signed, const, rel_code, tk, ntk, rel, extra = rows[nid]
-            if kind == 3:
+            step = steps[nid]
+            if step is None:
                 bug_hits = (nid,)
                 break
-            chunk = data[off : off + size]
-            if len(chunk) < size:
-                chunk = chunk.ljust(size, b"\0")
-            if kind == 0:
-                f = int.from_bytes(chunk, byteorder, signed=signed) - const
-                outcome = _rel_holds(rel_code, f)
-                diffs = None
-                cmplen = None
-            elif kind == 1:
-                op2, cmplen = extra
-                op1 = chunk.ljust(cmplen, b"\0")
-                cmp = 0 if op1 == op2 else (-1 if op1 < op2 else 1)
-                outcome = _rel_holds(rel_code, cmp)
-                f = None
-                diffs = tuple(a - b for a, b in zip(op1, op2))
-            else:
-                x = 0
-                for b in chunk:
-                    x ^= b
-                f = x - const
-                outcome = _rel_holds(rel_code, f)
-                diffs = None
-                cmplen = None
-            edges.append(nid + nid if outcome else nid + nid + 1)
-            if nid in active:
-                observations.append(
-                    BranchObservation(
-                        site=nid,
-                        outcome=outcome,
-                        relation=rel,
-                        f_value=f,
-                        byte_diffs=diffs,
-                        compared_length=cmplen,
-                    )
-                )
-            nid = tk if outcome else ntk
+            nid = step(data, edges, observations)
         # At least 1 ns: a zero reading would divide by zero in the scheduler's clocks.
         exec_time = 1 if synthetic else max(1, time.perf_counter_ns() - t0)
         return ExecutionTrace(tuple(edges), tuple(observations), exec_time, bug_hits)

@@ -122,6 +122,17 @@ class TestRunSetupErrors:
         target.write_text('{"max_input_len": 4, "entry": 0, "nodes": []}')
         self.run_expecting_exit(tmp_path, "--target", str(target))
 
+    def test_default_seed_for_huge_max_input_len(self, tmp_path):
+        # 2**62 bytes can never be allocated, so this fails at once.
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({
+            "max_input_len": 2**62, "entry": 0,
+            "nodes": [{"id": 0, "kind": "int", "offset": 0, "width": 1, "endian": "le",
+                       "signed": False, "relation": "le", "constant": 15}],
+        }))
+        message = self.run_expecting_exit(tmp_path, "--target", str(target))
+        assert "max_input_len" in message and "--seeds" in message
+
     def test_infinite_time_budget(self, tmp_path):
         message = self.run_expecting_exit(
             tmp_path, "--target", "builtin:le15", "--budget-secs", "inf")

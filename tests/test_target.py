@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from frontierfuzz import builtin_targets
 from frontierfuzz.target import (
+    BranchObservation,
     DocumentError,
+    ExecutionTrace,
     GuardKind,
     Harness,
     Relation,
@@ -160,6 +162,22 @@ class TestExecute:
         assert obs.compared_length == 3
         assert obs.outcome is False
 
+    def test_string_window_padded_to_constant_length(self):
+        # A 2-byte window equals the constant "ab\0" once zero-padded, with
+        # the site observing or not.
+        doc = {
+            "max_input_len": 4,
+            "entry": 0,
+            "nodes": [{"id": 0, "kind": "str", "offset": 0, "length": 2,
+                       "relation": "eq",
+                       "constant": base64.b64encode(b"ab\0").decode(),
+                       "taken": None, "nottaken": None}],
+        }
+        harness = Harness(program_from_dict(doc), synthetic_time=True)
+        assert harness.execute(b"ab").edges == (0,)
+        harness.set_active_sites({0})
+        assert harness.execute(b"ab").edges == (0,)
+
     def test_xor_observation(self):
         doc = {
             "max_input_len": 4,
@@ -180,6 +198,13 @@ class TestExecute:
         harness = Harness(program_from_dict(doc), synthetic_time=True)
         trace = harness.execute(b"\x01")
         assert trace.edges == (0,)  # operand reads as zero, equality holds
+
+    def test_padding_stops_at_furthest_window(self):
+        # Padding a short input to max_input_len (2**62) would fail to allocate.
+        doc = {"max_input_len": 2**62, "entry": 0,
+               "nodes": [int_node(0, relation="eq", constant=7)]}
+        harness = Harness(program_from_dict(doc), synthetic_time=True)
+        assert harness.execute(b"\x07").edges == (0,)
 
     def test_too_long_input_rejected(self):
         harness = Harness(program_from_dict(LE15_DOC), synthetic_time=True)
@@ -313,3 +338,181 @@ class TestDeterminismAndConsistency:
         for prev, nxt in zip(trace.edges, trace.edges[1:]):
             src, dst = program.edge_endpoints(prev)
             assert dst == nxt // 2
+
+
+# -- differential oracle -------------------------------------------------------
+# The row interpreter that executed guard programs before each guard was
+# compiled into a step function, kept verbatim as the reference for the harness.
+
+_REL_CODE = {
+    Relation.LT: 0,
+    Relation.LE: 1,
+    Relation.GT: 2,
+    Relation.GE: 3,
+    Relation.EQ: 4,
+    Relation.NE: 5,
+}
+
+
+def _rel_holds(code: int, v: int) -> bool:
+    if code == 4:
+        return v == 0
+    if code == 5:
+        return v != 0
+    if code == 0:
+        return v < 0
+    if code == 1:
+        return v <= 0
+    if code == 2:
+        return v > 0
+    return v >= 0
+
+
+def _compile(n):
+    kind = {GuardKind.INT: 0, GuardKind.STR: 1, GuardKind.XOR: 2, GuardKind.BUG: 3}[n.kind]
+    if kind == 3:
+        return (3, 0, 0, "little", False, None, 0, None, None, None, None)
+    rel_code = _REL_CODE[n.relation]
+    extra = None
+    if kind == 1:
+        cmplen = max(n.size, len(n.constant))
+        extra = (bytes(n.constant).ljust(cmplen, b"\0"), cmplen)
+    return (
+        kind,
+        n.offset,
+        n.size,
+        "little" if n.endian == "le" else "big",
+        n.signed,
+        n.constant,
+        rel_code,
+        n.taken,
+        n.nottaken,
+        n.relation,
+        extra,
+    )
+
+
+def _reference_execute(program, active, data: bytes) -> ExecutionTrace:
+    """The trace of ``data`` with the sites in ``active`` observing, under
+    synthetic time."""
+    rows = [_compile(program.node(i)) for i in range(len(program.nodes))]
+    edges = []
+    observations = []
+    bug_hits = ()
+    nid = program.entry
+    while nid is not None:
+        kind, off, size, byteorder, signed, const, rel_code, tk, ntk, rel, extra = rows[nid]
+        if kind == 3:
+            bug_hits = (nid,)
+            break
+        chunk = data[off : off + size]
+        if len(chunk) < size:
+            chunk = chunk.ljust(size, b"\0")
+        if kind == 0:
+            f = int.from_bytes(chunk, byteorder, signed=signed) - const
+            outcome = _rel_holds(rel_code, f)
+            diffs = None
+            cmplen = None
+        elif kind == 1:
+            op2, cmplen = extra
+            op1 = chunk.ljust(cmplen, b"\0")
+            cmp = 0 if op1 == op2 else (-1 if op1 < op2 else 1)
+            outcome = _rel_holds(rel_code, cmp)
+            f = None
+            diffs = tuple(a - b for a, b in zip(op1, op2))
+        else:
+            x = 0
+            for b in chunk:
+                x ^= b
+            f = x - const
+            outcome = _rel_holds(rel_code, f)
+            diffs = None
+            cmplen = None
+        edges.append(nid + nid if outcome else nid + nid + 1)
+        if nid in active:
+            observations.append(
+                BranchObservation(
+                    site=nid,
+                    outcome=outcome,
+                    relation=rel,
+                    f_value=f,
+                    byte_diffs=diffs,
+                    compared_length=cmplen,
+                )
+            )
+        nid = tk if outcome else ntk
+    return ExecutionTrace(tuple(edges), tuple(observations), 1, bug_hits)
+
+
+_RELATION_TOKENS = [r.value for r in Relation]
+# Byte values that sit on either side of sign and width boundaries.
+_BYTE_VALUES = st.sampled_from([0, 1, 0x7F, 0x80, 0xFF]) | st.integers(0, 0xFF)
+
+
+@st.composite
+def _guard(draw, nid):
+    """One guard node of any kind; its children are filled in later."""
+    kind = draw(st.sampled_from(["int", "str", "xor"]))
+    node = {"id": nid, "kind": kind, "offset": draw(st.integers(0, 6)),
+            "relation": draw(st.sampled_from(_RELATION_TOKENS))}
+    if kind == "int":
+        width = draw(st.sampled_from([1, 2, 4, 8]))
+        signed = draw(st.booleans())
+        bits = 8 * width
+        lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if signed else (0, (1 << bits) - 1)
+        node.update(width=width, endian=draw(st.sampled_from(["le", "be"])), signed=signed,
+                    constant=draw(st.sampled_from([lo, lo + 1, hi - 1, hi, 0, 1])
+                                  | st.integers(lo, hi)))
+    elif kind == "str":
+        # Constants both shorter and longer than the window.
+        constant = draw(st.lists(_BYTE_VALUES, min_size=1, max_size=7).map(bytes))
+        node.update(length=draw(st.integers(1, 5)),
+                    constant=base64.b64encode(constant).decode())
+    else:
+        node.update(length=draw(st.integers(1, 5)), constant=draw(st.integers(0, 0xFF)))
+    return node
+
+
+@st.composite
+def _documents(draw):
+    """Acyclic programs whose children point at larger ids, so nodes may
+    share children; node 0 (the entry) is a guard, later ones may be bugs."""
+    n = draw(st.integers(1, 10))
+    nodes = [draw(_guard(0))]
+    for nid in range(1, n):
+        is_bug = draw(st.integers(0, 3)) == 0
+        nodes.append({"id": nid, "kind": "bug"} if is_bug else draw(_guard(nid)))
+    for node in nodes:
+        if node["kind"] != "bug":
+            later = st.integers(node["id"] + 1, n - 1) if node["id"] + 1 < n else st.nothing()
+            node["taken"] = draw(st.none() | later)
+            node["nottaken"] = draw(st.none() | later)
+    window_end = max(nd["offset"] + nd.get("width", nd.get("length", 0))
+                     for nd in nodes if nd["kind"] != "bug")
+    return {"max_input_len": window_end + draw(st.integers(0, 3)), "entry": 0, "nodes": nodes}
+
+
+def _assert_matches_reference(program, data):
+    """Runs on one harness, each input under no, all (bug ids included) and
+    a random subset of active sites, each equal to the reference trace."""
+    harness = Harness(program, synthetic_time=True)
+    ids = sorted(program.node_ids)
+    raw_inputs = st.lists(_BYTE_VALUES, max_size=program.max_input_len).map(bytes)
+    for raw in data.draw(st.lists(raw_inputs, min_size=1, max_size=8)):
+        subset = data.draw(st.frozensets(st.sampled_from(ids)))
+        for active in (frozenset(), frozenset(ids), subset):
+            harness.set_active_sites(active)
+            assert harness.execute(raw) == _reference_execute(program, active, raw)
+
+
+class TestDifferentialAgainstInterpreter:
+    @settings(max_examples=300, deadline=None)
+    @given(_documents(), st.data())
+    def test_generated_programs(self, doc, data):
+        _assert_matches_reference(program_from_dict(doc), data)
+
+    @pytest.mark.parametrize("name", builtin_targets.names())
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_builtin_targets(self, name, data):
+        _assert_matches_reference(builtin_targets.load(name), data)
