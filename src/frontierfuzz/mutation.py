@@ -16,6 +16,7 @@ and each window byte is solved independently.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,6 +64,10 @@ _HAVOC_OPS = {
 # Interesting-value widths that fit min(len, bytes_per_op), capped at 4.
 _WIDTHS = {1: (1,), 2: (1, 2), 3: (1, 2), 4: (1, 2, 4)}
 
+# 1/δ in units of 1/L for each byte delta δ; L = lcm(1..255) makes each exact.
+_L = math.lcm(*range(1, 256))
+_INV = (0,) + tuple(_L // delta for delta in range(1, 256))
+
 
 @dataclass(frozen=True)
 class MutatorConfig:
@@ -86,8 +91,9 @@ class SubgradientRecord:
     """Best slope estimate retained for one frontier branch this stage.
 
     ``g`` maps byte positions to exact rational slopes and ``norm`` is its
-    L1 norm, computed once; the retained record is the one with the largest
-    norm among sampled candidates.
+    L1 norm; the retained record is the one with the largest norm among
+    sampled candidates.  ``g`` is built only for a record that won with a
+    nonzero norm (see ``Mutator.local_search``); otherwise it is empty.
     """
 
     g: dict[int, Fraction]
@@ -398,31 +404,50 @@ class Mutator:
 
         The first of the k samples is the unmutated seed itself, which
         establishes the baseline distances the slopes are measured against.
+        A sample's slope norm at a site is |Δd| · Σ_j 1/|Δbyte_j|; the sum
+        depends only on the sample, so it is taken once, as an integer in
+        units of 1/L (``_INV``), and records are compared by norm times L.
+        ``g`` is built only for a record that wins with a nonzero norm.
         """
         k = self.config.sample_size if k is None else k
-        records: dict[int, SubgradientRecord] = {}
-        seed_obs: dict[int, BranchObservation] = {}
-        for i in range(k):
-            data = seed if i == 0 else havoc_mutate(seed, self.config, rng)
-            outcome = executor.run(data)
-            if i == 0:
-                seed_obs = dict(outcome.observations)
-            for site, obs in outcome.observations.items():
+        if k < 1:
+            return {}
+        seed_obs = executor.run(seed).observations
+        seed_d = {site: observation_distance(obs)
+                  for site, obs in seed_obs.items() if site in frontier}
+        seed_v = {site: d.scalarize() for site, d in seed_d.items()}
+        records = {site: SubgradientRecord({}, Fraction(0), seed, seed_obs[site], seed_obs[site])
+                   for site in seed_d}
+        keys = dict.fromkeys(records, 0)
+        for _ in range(k - 1):
+            data = havoc_mutate(seed, self.config, rng)
+            observations = executor.run(data).observations
+            a, b = seed, data
+            if len(data) != len(seed):  # zero-extend the shorter input
+                n = max(len(seed), len(data))
+                a, b = seed.ljust(n, b"\0"), data.ljust(n, b"\0")
+            s = 0
+            for x, y in zip(a, b):
+                if x != y:
+                    s += _INV[abs(y - x)]
+            for site, obs in observations.items():
                 if site not in frontier:
                     continue
-                base = seed_obs.get(site)
-                if data == seed or base is None:
-                    g: dict[int, Fraction] = {}
-                else:
-                    g = compute_subgradient(
-                        seed, data,
-                        observation_distance(base),
-                        observation_distance(obs),
-                    )
-                prev = records.get(site)
-                norm = l1_norm(g)
-                if prev is None or norm > prev.norm:
-                    records[site] = SubgradientRecord(g, norm, data, obs, base)
+                base = seed_d.get(site)
+                if base is None or not s:
+                    if site not in records:  # first reached without a seed baseline
+                        records[site] = SubgradientRecord({}, Fraction(0), data, obs)
+                        keys[site] = 0
+                    continue
+                d = observation_distance(obs)
+                if d.is_vector != base.is_vector:
+                    raise ValueError("distance form mismatch")
+                key = abs(d.scalarize() - seed_v[site]) * s
+                if key > keys[site]:
+                    keys[site] = key
+                    records[site] = SubgradientRecord(
+                        compute_subgradient(seed, data, base, d), Fraction(key, _L),
+                        data, obs, seed_obs[site])
         return records
 
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:

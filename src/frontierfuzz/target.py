@@ -11,7 +11,8 @@ consumes.
 Each guard is compiled once per program into a step function with its
 operands bound in; a harness swaps in an observing step, built the first time
 the site is activated, for each active site.  An input shorter than the
-furthest operand window is zero-extended up to it before the walk.
+furthest operand window is zero-extended up to it before the walk; loading
+rejects a window that ends past ``MAX_WINDOW_END`` bytes.
 
 Edge ids are fixed as ``2 * node_id`` for the taken edge and
 ``2 * node_id + 1`` for the not-taken edge.
@@ -26,9 +27,11 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
+from typing import NamedTuple
 
 __all__ = [
     "DocumentError",
+    "MAX_WINDOW_END",
     "Relation",
     "GuardKind",
     "GuardNode",
@@ -98,8 +101,7 @@ class GuardNode:
     nottaken: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class BranchObservation:
+class BranchObservation(NamedTuple):
     """Comparison feedback emitted by one active guard site during a run.
 
     Integer and xor guards report the signed operand difference ``f_value``;
@@ -115,8 +117,7 @@ class BranchObservation:
     compared_length: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class ExecutionTrace:
+class ExecutionTrace(NamedTuple):
     """Record of one input execution: exercised edges in path order,
     observations for active sites, execution time in nanoseconds, and any
     reached bug nodes."""
@@ -330,6 +331,8 @@ class Harness:
 
 
 _VALID_INT_WIDTHS = (1, 2, 4, 8)
+# Inputs are zero-extended to the furthest operand window end: bound it.
+MAX_WINDOW_END = 1 << 24
 _RELATIONS = {r.value: r for r in Relation}
 
 
@@ -427,6 +430,8 @@ def program_from_dict(doc: dict) -> GuardProgram:
                 f"{ref}: operand window [{offset}, {offset + size}) exceeds "
                 f"max_input_len {max_input_len}"
             )
+        if offset + size > MAX_WINDOW_END:
+            raise DocumentError(f"{ref}: operand window ends past the {MAX_WINDOW_END}-byte limit")
         nodes[nid] = GuardNode(
             node_id=nid,
             kind=kind,

@@ -360,6 +360,11 @@ GOLDEN_LOG_SHA256 = {
     ("magic_str8", "fox"): "b9bdfe84e179aeadd484a4767f362b6ee30bc422c8ff8646ef570502e16d3251",
     ("magic_str8", "sched"): "3f85b3e3f5f338cae01939671d80d116e56b0377a4a596aac4c90be98e1b2066",
     ("magic_str8", "base"): "7591416d2f5bfa219eb0d62bdd33349a8f2bff884d35a2dbfd63fa3600a2d206",
+    # Fox on the big-endian operand solver, the xor Newton path and a mixed
+    # tree.  The first two finish in one stage, so their logs match le15's.
+    ("magic32_be", "fox"): "28ae590ff09a575bc8617b70cb3a312eee14b206951947d056da598f5c0d25b6",
+    ("xor_guard", "fox"): "28ae590ff09a575bc8617b70cb3a312eee14b206951947d056da598f5c0d25b6",
+    ("mixed_tree", "fox"): "7d52264ec50d5029e7daa5c1acd8684b82e33ea208961cdeb1ebd16d092da35d",
 }
 
 
@@ -376,6 +381,9 @@ GOLDEN_OUTPUT_SHA256 = {
     ("magic_str8", "fox"): "08eaa4257dabca7d5866b3a11292307047d472800f98c0ee4972e7e0b934f2b1",
     ("magic_str8", "sched"): "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf",
     ("magic_str8", "base"): "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf",
+    ("magic32_be", "fox"): "3888de09dff2699ecadeb2fe0b12a67f1ed123d902eb029e8069b1453a2b7373",
+    ("xor_guard", "fox"): "9bd09fae0c584d4b5dfe044fd37e1d914a775861fbb8679ccd02053e43309e56",
+    ("mixed_tree", "fox"): "b5ccbc35161f510dddf96a27040aae4beb0294e7b3fca9db2f0d87f1a3f3ea8c",
 }
 
 

@@ -133,6 +133,20 @@ class TestRunSetupErrors:
         message = self.run_expecting_exit(tmp_path, "--target", str(target))
         assert "max_input_len" in message and "--seeds" in message
 
+    def test_operand_window_past_limit(self, tmp_path):
+        seeds = tmp_path / "seeds"
+        seeds.mkdir()
+        (seeds / "a").write_bytes(bytes([5]))
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({
+            "max_input_len": 2**62, "entry": 0,
+            "nodes": [{"id": 0, "kind": "int", "offset": 2**40, "width": 1, "endian": "le",
+                       "signed": False, "relation": "le", "constant": 15}],
+        }))
+        message = self.run_expecting_exit(
+            tmp_path, "--target", str(target), "--seeds", str(seeds))
+        assert "byte limit" in message
+
     def test_infinite_time_budget(self, tmp_path):
         message = self.run_expecting_exit(
             tmp_path, "--target", "builtin:le15", "--budget-secs", "inf")

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_executor
 from frontierfuzz import builtin_targets, mutation
@@ -12,6 +14,7 @@ from frontierfuzz.mutation import (
     _INTERESTING,
     Mutator,
     MutatorConfig,
+    SubgradientRecord,
     compute_subgradient,
     havoc_mutate,
     infer_hot_bytes,
@@ -19,7 +22,8 @@ from frontierfuzz.mutation import (
     newton_step,
     round_half_away,
 )
-from frontierfuzz.target import Harness, program_from_dict
+from frontierfuzz.target import BranchObservation, Harness, program_from_dict
+from test_target import _documents
 
 CFG = MutatorConfig()
 
@@ -297,6 +301,119 @@ class TestLocalSearch:
         d_seed = dist(5)
         for x in range(256):
             assert g * (x - 5) <= dist(x) - d_seed
+
+
+def _reference_local_search(self, seed, frontier, executor, rng, k=None):
+    """``Mutator.local_search`` as it was before the norm was factored: a
+    ``Fraction`` slope dict and its L1 norm for every (sample, frontier site)
+    pair.  Called with the mutator as ``self``; kept as the oracle for the
+    records the factored version keeps."""
+    k = self.config.sample_size if k is None else k
+    records: dict[int, SubgradientRecord] = {}
+    seed_obs: dict[int, BranchObservation] = {}
+    for i in range(k):
+        data = seed if i == 0 else havoc_mutate(seed, self.config, rng)
+        outcome = executor.run(data)
+        if i == 0:
+            seed_obs = dict(outcome.observations)
+        for site, obs in outcome.observations.items():
+            if site not in frontier:
+                continue
+            base = seed_obs.get(site)
+            if data == seed or base is None:
+                g: dict[int, Fraction] = {}
+            else:
+                g = compute_subgradient(
+                    seed, data,
+                    observation_distance(base),
+                    observation_distance(obs),
+                )
+            prev = records.get(site)
+            norm = l1_norm(g)
+            if prev is None or norm > prev.norm:
+                records[site] = SubgradientRecord(g, norm, data, obs, base)
+    return records
+
+
+@st.composite
+def _search_setups(draw):
+    """A program (builtin or generated), its active sites and frontier (a
+    subset of them), and a nonempty seed no longer than ``max_input_len``."""
+    if draw(st.booleans()):
+        program = builtin_targets.load(draw(st.sampled_from(builtin_targets.names())))
+    else:
+        program = program_from_dict(draw(_documents()))
+    ids = sorted(program.node_ids)
+    active = draw(st.frozensets(st.sampled_from(ids)))
+    frontier = draw(st.frozensets(st.sampled_from(ids)))
+    seed = draw(st.binary(min_size=1, max_size=program.max_input_len))
+    return program, active | frontier, frontier, seed
+
+
+class TestLocalSearchAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_search_setups(), st.integers(0, 2**32), st.integers(0, 40),
+           st.sampled_from([1, 2, 4, 8]))
+    def test_same_records_draws_and_state(self, setup, rng_seed, k, bytes_per_op):
+        program, active, frontier, seed = setup
+        mutator = Mutator(MutatorConfig(havoc_bytes_per_op=bytes_per_op), program)
+        runs = []
+        for search in (Mutator.local_search, _reference_local_search):
+            executor = make_executor(program, frontier=active)
+            rng = random.Random(rng_seed)
+            records = search(mutator, seed, frontier, executor, rng, k)
+            runs.append((records, rng.getstate(), executor))
+        (got, got_rng, got_ex), (want, want_rng, want_ex) = runs
+        assert set(got) == set(want)
+        for site, rec in want.items():
+            assert got[site].witness == rec.witness
+            assert got[site].witness_obs == rec.witness_obs
+            assert got[site].seed_obs == rec.seed_obs
+            assert got[site].norm == rec.norm
+            if rec.norm > 0:
+                assert got[site].g == rec.g
+        assert got_rng == want_rng
+        assert (got_ex.execs, got_ex.flips) == (want_ex.execs, want_ex.flips)
+        assert got_ex.corpus.entries == want_ex.corpus.entries
+
+    def test_subgradients_built_only_for_nonzero_replacements(self, monkeypatch):
+        # Five always-true guards on every path: each sample reaches every
+        # site.  Count the strict nonzero-norm improvements the sample stream
+        # makes per site, then the slope dicts local search builds.
+        program = program_from_dict({
+            "max_input_len": 5, "entry": 0,
+            "nodes": [{"id": i, "kind": "int", "offset": i, "width": 1, "endian": "le",
+                       "signed": False, "relation": "le", "constant": 255,
+                       "taken": i + 1 if i < 4 else None, "nottaken": None}
+                      for i in range(5)],
+        })
+        sites = set(program.guard_ids)
+        seed = bytes([3, 60, 128, 200, 250])
+        harness = Harness(program, synthetic_time=True)
+        harness.set_active_sites(sites)
+        base = {o.site: observation_distance(o) for o in harness.execute(seed).observations}
+        best = dict.fromkeys(sites, Fraction(0))
+        replacements = 0
+        rng = random.Random(5)
+        for _ in range(255):
+            data = havoc_mutate(seed, CFG, rng)
+            for obs in harness.execute(data).observations:
+                norm = l1_norm(compute_subgradient(
+                    seed, data, base[obs.site], observation_distance(obs)))
+                if norm > best[obs.site]:
+                    best[obs.site] = norm
+                    replacements += 1
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return compute_subgradient(*args)
+
+        monkeypatch.setattr(mutation, "compute_subgradient", counting)
+        executor = make_executor(program, frontier=sites)
+        Mutator(CFG, program).local_search(seed, sites, executor, random.Random(5), k=256)
+        assert len(calls) == replacements
+        assert 0 < replacements < 255  # fewer than one per sample, not 5 per sample
 
 
 class TestHotBytes:

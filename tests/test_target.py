@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from frontierfuzz import builtin_targets
 from frontierfuzz.target import (
+    MAX_WINDOW_END,
     BranchObservation,
     DocumentError,
     ExecutionTrace,
@@ -79,6 +80,18 @@ class TestLoadProgram:
         doc = {"max_input_len": 2, "entry": 0, "nodes": [int_node(0, offset=1, width=4)]}
         with pytest.raises(DocumentError, match="window"):
             load_program(doc_bytes(doc))
+
+    def test_operand_window_past_limit_rejected(self):
+        # Loads only up to the limit: padding an input to a window at 2**40
+        # would fail to allocate on the first exec.
+        for offset, width in ((2**40, 1), (MAX_WINDOW_END - 1, 2)):
+            doc = {"max_input_len": 2**62, "entry": 0,
+                   "nodes": [int_node(0, offset=offset, width=width)]}
+            with pytest.raises(DocumentError, match="byte limit"):
+                load_program(doc_bytes(doc))
+        doc = {"max_input_len": 2**62, "entry": 0,
+               "nodes": [int_node(0, offset=MAX_WINDOW_END - 1)]}
+        assert load_program(doc_bytes(doc)).node(0).offset == MAX_WINDOW_END - 1
 
     def test_constant_must_fit_width(self):
         doc = {"max_input_len": 4, "entry": 0, "nodes": [int_node(0, constant=300)]}
