@@ -13,7 +13,9 @@ Two objects split the work:
   ``harness`` and ``scheduler`` attributes are the executor's objects.
 
 A stage is one scheduling decision plus its batch of executions; the log
-records the cumulative state after every stage.
+records the cumulative state after every stage.  A stage switches on the
+whole frontier; a havoc batch then switches off each site that leaves it, but a
+fox stage does not, since local search reads every stage-frontier site.
 
 Modes:
 
@@ -28,8 +30,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .coverage import CoverageMap
 from .distance import observation_distance
@@ -100,20 +103,7 @@ class LogRecord:
     fallback: bool = False
 
     def to_json(self) -> str:
-        return json.dumps({
-            "t_ns": self.t_ns,
-            "execs": self.execs,
-            "edges_covered": self.edges_covered,
-            "frontier_size": self.frontier_size,
-            "corpus_size": self.corpus_size,
-            "flips": self.flips,
-            "mode": self.mode,
-            "stage": self.stage,
-            "scheduled_branch": self.scheduled_branch,
-            "sched_logprob": self.sched_logprob,
-            "sched_sc": self.sched_sc,
-            "fallback": self.fallback,
-        })
+        return json.dumps(asdict(self))  # keys in field order
 
 
 class CampaignLog:
@@ -157,8 +147,7 @@ class _BudgetExceeded(Exception):
     pass
 
 
-@dataclass(slots=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """What one execution did to the campaign state."""
 
     flips: int
@@ -185,32 +174,31 @@ class _Executor:
         if not exempt_budget and self.budget.exhausted(self.execs, self.t_ns):
             raise _BudgetExceeded
         trace = self.harness.execute(data)
+        edges, trace_obs, exec_time, bug_hits = trace
         self.execs += 1
-        self.t_ns += trace.exec_time
+        self.t_ns += exec_time
         cov = self.coverage
         flips = 0
-        first_cover = [e for e in trace.edges if e not in cov.edge_hits]
-        if first_cover:
+        if not cov.edge_hits.issuperset(edges):
+            first_cover = [e for e in edges if e not in cov.edge_hits]
             # A flip is a first-cover edge out of a node that was a frontier
             # branch before this exec; an acyclic walk repeats no edge.
             flips = sum(1 for e in first_cover if e >> 1 in cov.frontier)
             self.flips += flips
             cov.absorb_trace(trace)
             self.corpus.add(data, first_cover, self.execs)
-        if trace.bug_hits and data not in self._finding_inputs:
+        if bug_hits and data not in self._finding_inputs:
             self._finding_inputs.add(data)
             self.findings.append((self.execs, data))
         observations: dict[int, BranchObservation] = {}
-        if trace.observations:
+        if trace_obs:
             frontier = cov.frontier
-            scheduler = self.scheduler
-            for obs in trace.observations:
-                observations[obs.site] = obs
-                if obs.site in frontier:
-                    scheduler.record_execution(
-                        obs.site, data, observation_distance(obs),
-                        trace.exec_time, frontier,
-                    )
+            record = self.scheduler.record_execution
+            for obs in trace_obs:
+                site = obs.site
+                observations[site] = obs
+                if site in frontier:
+                    record(site, data, observation_distance(obs), exec_time, frontier)
         return StepOutcome(flips, observations)
 
 
@@ -269,16 +257,22 @@ class Campaign:
         return frontier
 
     def _havoc_batch(self, seed: bytes) -> None:
+        """One batch of plain havoc on ``seed``.  Sites that leave the frontier
+        are switched off after the exec that flips them (no other exec can);
+        only sched has active sites here, base and the fox fallback have none."""
         cfg = self.config
         rng = self.rng
         executor = self._executor
+        harness = self.harness
+        frontier = self.coverage.frontier
         max_len = self.program.max_input_len
         for _ in range(cfg.sample_size):
             data = havoc_mutate(
                 seed, cfg, rng,
                 stack_max=_BASE_HAVOC_STACK, allow_resize=True, max_len=max_len,
             )
-            executor.run(data)
+            if executor.run(data).flips and harness.active_sites:
+                harness.set_active_sites(harness.active_sites & frontier)
 
     def _append_record(self, stage: int, frontier_size: int, scheduled, fallback: bool) -> None:
         executor = self._executor

@@ -41,15 +41,16 @@ def _load_seeds(seeds_dir: str | None, program: GuardProgram) -> list[bytes]:
             ) from None
     paths = sorted(p for p in Path(seeds_dir).iterdir() if p.is_file())
     if not paths:
-        raise SystemExit(f"no seed files in {seeds_dir}")
+        raise ValueError(f"no seed files in {seeds_dir}")
     return [p.read_bytes() for p in paths]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.budget_execs is None and args.budget_secs is None:
         raise SystemExit("one of --budget-execs / --budget-secs is required")
-    # Set-up errors (unreadable or invalid target, missing or bad seeds, bad
-    # knobs) end the command with one line; the campaign itself is not wrapped.
+    # Set-up errors (bad target, seeds, knobs or --out) end the command with
+    # one line; the campaign itself is not wrapped.
+    out = Path(args.out)
     try:
         program = _load_target(args.target)
         seeds = _load_seeds(args.seeds, program)
@@ -61,12 +62,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             program, seeds, Mode(args.mode), budget,
             MutatorConfig(sample_size=args.sample_size), args.rng_seed, args.synthetic_time,
         )
+        out.mkdir(parents=True, exist_ok=True)
     except (OSError, OverflowError, ValueError) as exc:
         raise SystemExit(f"frontierfuzz run: {exc}") from None
     log = campaign.run()
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "stats.jsonl").write_text(log.to_jsonl(), encoding="utf-8")
     corpus_dir = out / "corpus"
     corpus_dir.mkdir(exist_ok=True)

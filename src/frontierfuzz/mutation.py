@@ -422,12 +422,8 @@ class Mutator:
         for _ in range(k - 1):
             data = havoc_mutate(seed, self.config, rng)
             observations = executor.run(data).observations
-            a, b = seed, data
-            if len(data) != len(seed):  # zero-extend the shorter input
-                n = max(len(seed), len(data))
-                a, b = seed.ljust(n, b"\0"), data.ljust(n, b"\0")
-            s = 0
-            for x, y in zip(a, b):
+            s = 0  # without allow_resize, havoc keeps the seed's length
+            for x, y in zip(seed, data):
                 if x != y:
                     s += _INV[abs(y - x)]
             for site, obs in observations.items():

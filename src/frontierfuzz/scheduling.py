@@ -10,6 +10,9 @@ and the stage picks the branch with the highest score, handing back the
 top seed recorded for it.  The schedule counter of the chosen seed is then
 incremented, which discounts repeat selections.
 
+``record_execution`` owns each branch's distance minimum, kept as a plain
+order key so that folding in an observation costs one compare.
+
 Scores are compared in exact rational arithmetic so selection is free of
 floating-point tie ambiguity; the equivalent log-probability is reported
 for the campaign log.
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distance import BranchDistance, DistanceRecord
+from .distance import BranchDistance
 
 __all__ = ["BranchStats", "Selection", "SchedulerState", "StaleSiteError"]
 
@@ -31,19 +34,23 @@ class StaleSiteError(ValueError):
     which signals a stale adaptive switch."""
 
 
-@dataclass
+@dataclass(slots=True)
 class BranchStats:
-    """Clocks and counters for one frontier branch.
+    """Distance minimum, clocks and counters for one frontier branch.
 
+    ``best`` is the running distance minimum as a plain order key: the signed
+    value of a scalar, or ``(L1, values)`` for a vector, whose L1 ties break
+    lexicographically.  ``best_input`` is the earliest input that reached it.
     ``pt``/``tt`` are productive/total reach time in nanoseconds; ``ph``/``th``
     are the matching hit counts, kept for stats only.
     """
 
-    record: DistanceRecord
-    pt: int = 0
-    tt: int = 0
-    ph: int = 0
-    th: int = 0
+    best: int | tuple[int, tuple[int, ...]]
+    best_input: bytes
+    pt: int
+    tt: int
+    ph: int
+    th: int
 
 
 @dataclass(frozen=True)
@@ -65,24 +72,32 @@ class SchedulerState:
 
     def record_execution(self, site: int, data: bytes, d: BranchDistance,
                          exec_time: int, frontier) -> bool:
-        """Fold one reaching execution into the site's clocks.
+        """Fold one reaching execution into the site's minimum and clocks.
 
-        Returns whether the execution lowered the distance minimum (a first
-        reach always does).
+        Returns whether the execution strictly lowered the distance minimum
+        (a first reach always does).  A distance of the other form than the
+        site's minimum raises before any clock moves.
         """
         if site not in frontier:
             raise StaleSiteError(f"site {site} is not a frontier branch")
+        values, is_vector = d
+        key = (sum(map(abs, values)), values) if is_vector else values[0]
         stats = self.stats.get(site)
         if stats is None:
-            stats = BranchStats(record=DistanceRecord(site))
-            self.stats[site] = stats
-        lowered = stats.record.update(data, d)
+            self.stats[site] = BranchStats(key, data, exec_time, exec_time, 1, 1)
+            return True
+        best = stats.best
+        if is_vector != (best.__class__ is tuple):
+            raise ValueError("distance form mismatch for site %d" % site)
         stats.tt += exec_time
         stats.th += 1
-        if lowered:
+        if key < best:
+            stats.best = key
+            stats.best_input = data
             stats.pt += exec_time
             stats.ph += 1
-        return lowered
+            return True
+        return False
 
     def schedule_count(self, data: bytes) -> int:
         return self.sc.get(data, 1)
@@ -101,13 +116,13 @@ class SchedulerState:
             stats = self.stats.get(site)
             if stats is None:
                 raise StaleSiteError(f"frontier branch {site} has never been reached")
-            sc = self.schedule_count(stats.record.best_input)
+            sc = self.schedule_count(stats.best_input)
             score = Fraction(stats.pt, stats.tt * sc)
             if best_score is None or score > best_score:
                 best_site = site
                 best_score = score
         stats = self.stats[best_site]
-        seed = stats.record.best_input
+        seed = stats.best_input
         sc = self.schedule_count(seed)
         logprob = math.log(stats.pt) - math.log(stats.tt) - math.log(sc)
         self.sc[seed] = sc + 1

@@ -58,6 +58,9 @@ class Relation(Enum):
     EQ = "eq"
     NE = "ne"
 
+    # Members are singletons: hash by identity in C, not by name in Python.
+    __hash__ = object.__hash__
+
     def holds(self, value: int) -> bool:
         """Whether ``value R 0`` is true for this relation."""
         return _OPS[self](value, 0)
@@ -132,7 +135,8 @@ class ExecutionTrace(NamedTuple):
 # (already zero-extended past every operand window), appends the edge it takes
 # to ``edges`` (and, for an observing step, its observation to ``obs``) and
 # returns the next node id, or None at a terminal edge.  Operands are bound as
-# default arguments: closures over cells made loading a program slower.
+# default arguments: closures over cells made loading a program slower.  Observing
+# steps use ``tuple.__new__``, skipping the NamedTuple's Python-level ``__new__``.
 
 
 def _int_step(n: GuardNode, observe: bool):
@@ -143,11 +147,11 @@ def _int_step(n: GuardNode, observe: bool):
     if observe:
         def step(data, edges, obs, off=off, end=end, order=order, signed=signed,
                  const=const, cmp=cmp, te=te, ne=ne, tk=tk, ntk=ntk, site=n.node_id,
-                 rel=n.relation):
+                 rel=n.relation, new=tuple.__new__, cls=BranchObservation):
             f = int.from_bytes(data[off:end], order, signed=signed) - const
             outcome = cmp(f, 0)
             edges.append(te if outcome else ne)
-            obs.append(BranchObservation(site, outcome, rel, f))
+            obs.append(new(cls, (site, outcome, rel, f, None, None)))
             return tk if outcome else ntk
     elif end - off == 1 and not signed:
         def step(data, edges, obs, off=off, const=const, cmp=cmp, te=te, ne=ne, tk=tk, ntk=ntk):
@@ -178,12 +182,12 @@ def _str_step(n: GuardNode, observe: bool):
     if observe:
         def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
                  te=te, ne=ne, tk=tk, ntk=ntk, site=n.node_id, rel=n.relation, cmplen=cmplen,
-                 sub=operator.sub):
+                 sub=operator.sub, new=tuple.__new__, cls=BranchObservation):
             window = data[off:end] + pad
             outcome = cmp(window, const)
             edges.append(te if outcome else ne)
-            obs.append(BranchObservation(site, outcome, rel, None,
-                                         tuple(map(sub, window, const)), cmplen))
+            obs.append(new(cls, (site, outcome, rel, None,
+                                 tuple(map(sub, window, const)), cmplen)))
             return tk if outcome else ntk
     else:
         def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
@@ -202,11 +206,12 @@ def _xor_step(n: GuardNode, observe: bool):
     te, ne = 2 * n.node_id, 2 * n.node_id + 1
     if observe:
         def step(data, edges, obs, off=off, end=end, const=const, cmp=cmp, te=te, ne=ne,
-                 tk=tk, ntk=ntk, site=n.node_id, rel=n.relation, xor=operator.xor):
+                 tk=tk, ntk=ntk, site=n.node_id, rel=n.relation, xor=operator.xor,
+                 new=tuple.__new__, cls=BranchObservation):
             f = reduce(xor, data[off:end], 0) - const
             outcome = cmp(f, 0)
             edges.append(te if outcome else ne)
-            obs.append(BranchObservation(site, outcome, rel, f))
+            obs.append(new(cls, (site, outcome, rel, f, None, None)))
             return tk if outcome else ntk
     else:
         def step(data, edges, obs, off=off, end=end, const=const, cmp=cmp, te=te, ne=ne,

@@ -1,12 +1,16 @@
 import hashlib
 import json
 import random
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_executor
 from frontierfuzz import builtin_targets
 from frontierfuzz.campaign import (
+    _BASE_HAVOC_STACK,
     Budget,
     Campaign,
     ConvexityStats,
@@ -15,8 +19,9 @@ from frontierfuzz.campaign import (
 )
 from frontierfuzz.coverage import recompute_frontier
 from frontierfuzz.distance import observation_distance, row_function
-from frontierfuzz.mutation import Mutator, MutatorConfig
+from frontierfuzz.mutation import Mutator, MutatorConfig, havoc_mutate
 from frontierfuzz.target import Harness, Relation, program_from_dict
+from test_target import _documents
 
 
 def zero_seed(program):
@@ -162,7 +167,7 @@ class TestRun:
         campaign.run()
         harness = Harness(program, synthetic_time=True)
         for site, stats in campaign.scheduler.stats.items():
-            trace = harness.execute(stats.record.best_input)
+            trace = harness.execute(stats.best_input)
             assert site in {e // 2 for e in trace.edges}
 
     def test_scheduler_fields_logged(self):
@@ -193,6 +198,107 @@ class TestActiveSiteContract:
         assert calls
         for requested, pure in calls:
             assert requested == pure
+
+    def test_sched_batches_keep_active_sites_on_the_frontier(self):
+        # Refreshes point the switch at the whole frontier; inside a havoc
+        # batch it only narrows, and after every exec no active site is off
+        # the frontier.
+        narrowings = []
+        for name in builtin_targets.names():
+            program = builtin_targets.load(name)
+            campaign = Campaign(program, [zero_seed(program)], Mode.SCHED,
+                                Budget(max_execs=6_000), MutatorConfig(sample_size=16),
+                                rng_seed=3)
+            harness, coverage, executor = campaign.harness, campaign.coverage, campaign._executor
+            in_batch = []
+            refreshes = []
+
+            def check():
+                assert harness.active_sites <= coverage.frontier
+
+            original_set = harness.set_active_sites
+
+            def spy_set(sites):
+                sites = frozenset(sites)
+                if in_batch:
+                    assert sites <= harness.active_sites
+                    if sites != harness.active_sites:
+                        narrowings.append(sites)
+                else:
+                    refreshes.append((sites, recompute_frontier(coverage)))
+                return original_set(sites)
+
+            original_run = executor.run
+
+            def spy_run(data, *args, **kwargs):
+                if in_batch:
+                    check()
+                return original_run(data, *args, **kwargs)
+
+            original_batch = campaign._havoc_batch
+
+            def spy_batch(seed):
+                in_batch.append(seed)
+                try:
+                    original_batch(seed)
+                finally:
+                    in_batch.pop()
+                check()
+
+            harness.set_active_sites = spy_set
+            executor.run = spy_run
+            campaign._havoc_batch = spy_batch
+            campaign.run()
+            assert refreshes
+            for requested, pure in refreshes:
+                assert requested == pure
+        assert narrowings
+
+
+def _reference_havoc_batch(self, seed: bytes) -> None:
+    """``Campaign._havoc_batch`` before it switched off sites that leave the
+    frontier mid-batch: every site stays active until the next refresh."""
+    cfg = self.config
+    rng = self.rng
+    executor = self._executor
+    max_len = self.program.max_input_len
+    for _ in range(cfg.sample_size):
+        data = havoc_mutate(
+            seed, cfg, rng,
+            stack_max=_BASE_HAVOC_STACK, allow_resize=True, max_len=max_len,
+        )
+        executor.run(data)
+
+
+def _sched_outputs(program, havoc_batch, max_execs, sample_size, rng_seed):
+    campaign = Campaign(program, [zero_seed(program)], Mode.SCHED, Budget(max_execs=max_execs),
+                        MutatorConfig(sample_size=sample_size), rng_seed=rng_seed)
+    campaign._havoc_batch = types.MethodType(havoc_batch, campaign)
+    log = campaign.run()
+    corpus = [(e.exec_index, e.data, e.new_edges) for e in campaign.corpus.entries]
+    stats = {site: (s.best_input, s.pt, s.tt, s.ph, s.th)
+             for site, s in campaign.scheduler.stats.items()}
+    return log.to_jsonl(), corpus, list(campaign.findings), stats
+
+
+class TestHavocBatchAgainstReference:
+    """Switching sites off mid-batch drops only observations nobody reads:
+    logs, corpus, findings and per-site scheduler state are unchanged."""
+
+    @pytest.mark.parametrize("name", builtin_targets.names())
+    def test_builtin_targets(self, name):
+        program = builtin_targets.load(name)
+        for sample_size in (16, 256):
+            args = (6_000, sample_size, 3)
+            assert _sched_outputs(program, Campaign._havoc_batch, *args) == \
+                _sched_outputs(program, _reference_havoc_batch, *args)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_documents(), st.integers(0, 3))
+    def test_generated_programs(self, doc, rng_seed):
+        program = program_from_dict(doc)
+        assert _sched_outputs(program, Campaign._havoc_batch, 800, 8, rng_seed) == \
+            _sched_outputs(program, _reference_havoc_batch, 800, 8, rng_seed)
 
 
 class TestFallback:
@@ -365,6 +471,8 @@ GOLDEN_LOG_SHA256 = {
     ("magic32_be", "fox"): "28ae590ff09a575bc8617b70cb3a312eee14b206951947d056da598f5c0d25b6",
     ("xor_guard", "fox"): "28ae590ff09a575bc8617b70cb3a312eee14b206951947d056da598f5c0d25b6",
     ("mixed_tree", "fox"): "7d52264ec50d5029e7daa5c1acd8684b82e33ea208961cdeb1ebd16d092da35d",
+    # Sched on a tree where havoc batches switch off sites mid-batch.
+    ("mixed_tree", "sched"): "f8a0a8778f337ea6466b311aa20b240293a463245114aa734446e492619c1266",
 }
 
 
@@ -384,6 +492,7 @@ GOLDEN_OUTPUT_SHA256 = {
     ("magic32_be", "fox"): "3888de09dff2699ecadeb2fe0b12a67f1ed123d902eb029e8069b1453a2b7373",
     ("xor_guard", "fox"): "9bd09fae0c584d4b5dfe044fd37e1d914a775861fbb8679ccd02053e43309e56",
     ("mixed_tree", "fox"): "b5ccbc35161f510dddf96a27040aae4beb0294e7b3fca9db2f0d87f1a3f3ea8c",
+    ("mixed_tree", "sched"): "17bdf2273c5b2f7182a201835a77a6ab8084cd14717c33f1a2ccea531954dcb0",
 }
 
 

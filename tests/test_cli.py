@@ -3,6 +3,7 @@ import json
 import pytest
 
 from frontierfuzz import builtin_targets
+from frontierfuzz.campaign import Campaign
 from frontierfuzz.cli import main
 
 
@@ -166,6 +167,35 @@ class TestRunSetupErrors:
         message = self.run_expecting_exit(
             tmp_path, "--target", "builtin:le15", "--sample-size", "1")
         assert "sample_size" in message
+
+    def test_empty_seeds_directory(self, tmp_path, monkeypatch):
+        ran = self.count_campaign_runs(monkeypatch)
+        seeds = tmp_path / "seeds"
+        seeds.mkdir()
+        message = self.run_expecting_exit(
+            tmp_path, "--target", "builtin:le15", "--seeds", str(seeds))
+        assert "no seed files" in message and str(seeds) in message
+        assert not ran
+
+    def test_out_is_an_existing_file(self, tmp_path, monkeypatch):
+        ran = self.count_campaign_runs(monkeypatch)
+        out = tmp_path / "out"
+        out.write_bytes(b"keep")
+        with pytest.raises(SystemExit) as info:
+            run_cli(["run", "--target", "builtin:le15", "--budget-execs", "10",
+                     "--out", str(out)])
+        message = str(info.value.code)
+        assert message.startswith("frontierfuzz run: ") and "\n" not in message
+        assert str(out) in message
+        assert out.read_bytes() == b"keep"
+        assert not ran
+
+    @staticmethod
+    def count_campaign_runs(monkeypatch):
+        ran = []
+        original = Campaign.run
+        monkeypatch.setattr(Campaign, "run", lambda self: (ran.append(self), original(self))[1])
+        return ran
 
 
 class TestReportCommand:

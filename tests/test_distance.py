@@ -1,13 +1,5 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from frontierfuzz.distance import (
-    BranchDistance,
-    DistanceRecord,
-    distance,
-    string_distance,
-)
+from frontierfuzz.distance import distance, string_distance
 from frontierfuzz.target import Relation
 
 
@@ -63,53 +55,3 @@ class TestStringDistance:
         vec = string_distance(True, Relation.LE, diffs)
         assert vec.values == tuple(1 - f for f in diffs)
 
-
-class TestDistanceRecord:
-    def test_first_observation_lowers(self):
-        rec = DistanceRecord(site=0)
-        assert rec.update(b"a", BranchDistance((11,))) is True
-        assert rec.best.scalar == 11
-        assert rec.best_input == b"a"
-
-    def test_strictly_lower_replaces(self):
-        rec = DistanceRecord(site=0)
-        rec.update(b"a", BranchDistance((11,)))
-        assert rec.update(b"b", BranchDistance((9,))) is True
-        assert rec.best.scalar == 9
-        assert rec.best_input == b"b"
-
-    def test_tie_keeps_earlier(self):
-        rec = DistanceRecord(site=0)
-        rec.update(b"a", BranchDistance((9,)))
-        assert rec.update(b"b", BranchDistance((9,))) is False
-        assert rec.best_input == b"a"
-
-    def test_form_mismatch_rejected(self):
-        rec = DistanceRecord(site=0)
-        rec.update(b"a", BranchDistance((9,)))
-        with pytest.raises(ValueError, match="form"):
-            rec.update(b"b", BranchDistance((9, 1), is_vector=True))
-
-    def test_vector_order_l1_then_lexicographic(self):
-        rec = DistanceRecord(site=0)
-        rec.update(b"a", BranchDistance((3, 3), is_vector=True))
-        # Same L1 norm: lexicographic tie-break, (2, 4) < (3, 3).
-        assert rec.update(b"b", BranchDistance((2, 4), is_vector=True)) is True
-        # Lower L1 always wins.
-        assert rec.update(b"c", BranchDistance((5, 0), is_vector=True)) is True
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
-            min_size=1,
-            max_size=10,
-        )
-    )
-    def test_vector_minimum_matches_sorted_order(self, vectors):
-        # Oracle: brute-force minimum under the (L1, lexicographic) key.
-        rec = DistanceRecord(site=0)
-        for i, v in enumerate(vectors):
-            rec.update(bytes([i]), BranchDistance(v, is_vector=True))
-        expected = min(vectors, key=lambda v: (abs(v[0]) + abs(v[1]), v))
-        assert rec.best.values == expected

@@ -153,6 +153,24 @@ class TestHavoc:
             hamming = sum(1 for a, b in zip(seed, mutant) if a != b)
             assert hamming <= bound
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cfg=st.builds(MutatorConfig, havoc_stack_max=st.integers(1, 16),
+                      havoc_bytes_per_op=st.integers(1, 8)),
+        stack_max=st.none() | st.integers(1, 32),
+        seed=st.binary(min_size=1, max_size=64),
+        rng_seed=st.integers(0, 2**32),
+        max_len=st.none() | st.integers(1, 128),
+    )
+    def test_fixed_length_without_resize(self, cfg, stack_max, seed, rng_seed, max_len):
+        # Local search relies on this: its samples align byte for byte with
+        # the seed, so it never zero-extends.
+        rng = random.Random(rng_seed)
+        for _ in range(8):
+            mutant = havoc_mutate(seed, cfg, rng, stack_max=stack_max, allow_resize=False,
+                                  max_len=max_len)
+            assert len(mutant) == len(seed)
+
     def test_determinism_across_runs(self):
         seed = bytes(range(16))
         first = [havoc_mutate(seed, CFG, random.Random(99)) for _ in range(500)]

@@ -34,7 +34,7 @@ class TestRecordExecution:
         assert state.record_execution(0, b"u", d(9), 50, {0}) is True
         stats = state.stats[0]
         assert (stats.pt, stats.tt) == (150, 200)
-        assert stats.record.best_input == b"u"
+        assert stats.best_input == b"u"
 
     def test_stale_site_rejected(self):
         state = SchedulerState()
@@ -51,6 +51,71 @@ class TestRecordExecution:
             assert stats.pt >= prev[0] and stats.tt > prev[1]
             assert stats.pt <= stats.tt and stats.ph <= stats.th
             prev = (stats.pt, stats.tt)
+
+
+class TestDistanceMinimum:
+    """``record_execution`` keeps each site's distance minimum and the input
+    that first achieved it."""
+
+    @staticmethod
+    def record(state, data, dist):
+        return state.record_execution(0, data, dist, 1, {0})
+
+    def test_first_observation_lowers(self):
+        state = SchedulerState()
+        assert self.record(state, b"a", BranchDistance((11,))) is True
+        assert state.stats[0].best == 11
+        assert state.stats[0].best_input == b"a"
+
+    def test_strictly_lower_replaces(self):
+        state = SchedulerState()
+        self.record(state, b"a", BranchDistance((11,)))
+        assert self.record(state, b"b", BranchDistance((9,))) is True
+        assert state.stats[0].best == 9
+        assert state.stats[0].best_input == b"b"
+
+    def test_tie_keeps_earlier(self):
+        state = SchedulerState()
+        self.record(state, b"a", BranchDistance((9,)))
+        assert self.record(state, b"b", BranchDistance((9,))) is False
+        assert state.stats[0].best_input == b"a"
+
+    def test_form_mismatch_rejected(self):
+        state = SchedulerState()
+        self.record(state, b"a", BranchDistance((9,)))
+        stats = state.stats[0]
+        before = (stats.pt, stats.tt, stats.ph, stats.th)
+        with pytest.raises(ValueError, match="form"):
+            self.record(state, b"b", BranchDistance((9, 1), is_vector=True))
+        assert (stats.pt, stats.tt, stats.ph, stats.th) == before
+        assert (stats.best, stats.best_input) == (9, b"a")
+
+    def test_vector_order_l1_then_lexicographic(self):
+        state = SchedulerState()
+        self.record(state, b"a", BranchDistance((3, 3), is_vector=True))
+        # Same L1 norm: lexicographic tie-break, (2, 4) < (3, 3).
+        assert self.record(state, b"b", BranchDistance((2, 4), is_vector=True)) is True
+        # Lower L1 always wins.
+        assert self.record(state, b"c", BranchDistance((5, 0), is_vector=True)) is True
+        assert state.stats[0].best_input == b"c"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    def test_vector_minimum_matches_sorted_order(self, vectors):
+        # Oracle: brute-force minimum under the (L1, lexicographic) key; the
+        # earliest of equal vectors keeps the record.
+        state = SchedulerState()
+        for i, v in enumerate(vectors):
+            self.record(state, bytes([i]), BranchDistance(v, is_vector=True))
+        expected = min(vectors, key=lambda v: (abs(v[0]) + abs(v[1]), v))
+        assert state.stats[0].best == (abs(expected[0]) + abs(expected[1]), expected)
+        assert state.stats[0].best_input == bytes([vectors.index(expected)])
 
 
 class TestSelectNext:
