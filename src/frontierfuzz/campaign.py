@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -40,18 +40,7 @@ from .mutation import Mutator, MutatorConfig, havoc_mutate
 from .scheduling import SchedulerState
 from .target import BranchObservation, GuardProgram, Harness
 
-__all__ = [
-    "Mode",
-    "Budget",
-    "LogRecord",
-    "CampaignLog",
-    "Corpus",
-    "CorpusEntry",
-    "Campaign",
-    "StepOutcome",
-    "convexity_probe",
-    "ConvexityStats",
-]
+__all__ = ["Mode", "Budget", "CorpusEntry", "Campaign"]
 
 # Plain havoc (baseline mutator) uses a deeper stack than the locality-bound
 # local-search havoc.
@@ -346,52 +335,3 @@ class Campaign:
         entry = self.corpus.entries[self._rr_index % len(self.corpus.entries)]
         self._rr_index += 1
         return entry.data
-
-
-@dataclass
-class ConvexityStats:
-    """Per-site tallies of midpoint probes: passes / fails / non-probes."""
-
-    passes: dict[int, int] = field(default_factory=dict)
-    fails: dict[int, int] = field(default_factory=dict)
-    non_probes: dict[int, int] = field(default_factory=dict)
-
-    def ratio(self, site: int) -> float:
-        p = self.passes.get(site, 0)
-        f = self.fails.get(site, 0)
-        return p / (p + f) if p + f else 0.0
-
-    def _bump(self, bucket: dict[int, int], site: int) -> None:
-        bucket[site] = bucket.get(site, 0) + 1
-
-
-def convexity_probe(harness: Harness, site: int, x1: bytes, x2: bytes,
-                    stats: ConvexityStats | None = None) -> bool | None:
-    """Midpoint convexity check for one branch and one input pair.
-
-    Executes both inputs and their byte-wise floor midpoint with the site
-    active; passes when the midpoint's distance is at most the average of the
-    endpoint distances (L1 for vectors, compared exactly).  Returns None when
-    any of the three runs misses the site (a non-probe).
-    """
-    if len(x1) != len(x2):
-        raise ValueError("convexity probe requires equal-length inputs")
-    saved = harness.active_sites
-    harness.set_active_sites({site})
-    try:
-        midpoint = bytes((a + b) // 2 for a, b in zip(x1, x2))
-        values = []
-        for data in (x1, x2, midpoint):
-            obs = {o.site: o for o in harness.execute(data).observations}.get(site)
-            if obs is None:
-                if stats is not None:
-                    stats._bump(stats.non_probes, site)
-                return None
-            values.append(observation_distance(obs).scalarize())
-        d1, d2, dm = values[0], values[1], values[2]
-        passed = 2 * dm <= d1 + d2
-        if stats is not None:
-            stats._bump(stats.passes if passed else stats.fails, site)
-        return passed
-    finally:
-        harness.set_active_sites(saved)

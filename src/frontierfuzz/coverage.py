@@ -19,17 +19,18 @@ __all__ = ["CoverageMap", "recompute_frontier"]
 
 
 class CoverageMap:
-    """Monotone record of exercised edges and visited nodes for one program.
+    """Monotone record of exercised edges for one program, and its frontier.
 
     Edge ``2 * n`` is node ``n``'s taken edge and ``2 * n + 1`` its not-taken
-    edge, so ``edge >> 1`` is an edge's source node.  ``frontier`` is
-    maintained incrementally and always consistent with the recorded bits.
+    edge, so ``edge >> 1`` is an edge's source node and ``edge ^ 1`` its
+    sibling.  A walk steps through every guard it enters, so a guard is
+    visited exactly when one of its edges is hit, and ``frontier`` is the set
+    of guards with exactly one edge hit.
     """
 
     def __init__(self, program: GuardProgram):
         self.program = program
         self.edge_hits: set[int] = set()
-        self.node_visited: set[int] = set()
         self.frontier: set[int] = set()
 
     @property
@@ -39,10 +40,9 @@ class CoverageMap:
 
     def absorb_trace(self, trace: ExecutionTrace) -> int:
         """Fold one trace into the map; returns the number of new edges."""
-        program = self.program
-        all_edges = program.all_edges
+        all_edges = self.program.all_edges
         edge_hits = self.edge_hits
-        visited = self.node_visited
+        frontier = self.frontier
         new_edges = 0
         for edge in trace.edges:
             if edge in edge_hits:
@@ -51,32 +51,21 @@ class CoverageMap:
                 raise ValueError(f"unknown edge id {edge}")
             edge_hits.add(edge)
             new_edges += 1
-            src = edge // 2
-            dst = program.node(src).taken if edge % 2 == 0 else program.node(src).nottaken
-            for nid in (src, dst):
-                if nid is not None:
-                    visited.add(nid)
-            self._refresh_node(src)
-            if dst is not None and dst in program.guard_ids:
-                self._refresh_node(dst)
+            if edge ^ 1 in edge_hits:
+                frontier.discard(edge >> 1)
+            else:
+                frontier.add(edge >> 1)
         return new_edges
 
-    def _refresh_node(self, nid: int) -> None:
-        """Re-derive the frontier membership of one visited guard node."""
-        if nid not in self.node_visited or nid not in self.program.guard_ids:
-            return
-        if 2 * nid in self.edge_hits and 2 * nid + 1 in self.edge_hits:
-            self.frontier.discard(nid)
-        else:
-            self.frontier.add(nid)
 
-
-def recompute_frontier(cov: CoverageMap, program: GuardProgram | None = None) -> frozenset[int]:
-    """Frontier derived from scratch: visited guard nodes missing an edge."""
-    program = program or cov.program
+def recompute_frontier(cov: CoverageMap) -> frozenset[int]:
+    """Frontier derived from scratch: visited guard nodes missing an edge,
+    where a node is visited once a hit edge starts or ends at it."""
+    program = cov.program
     hits = cov.edge_hits
+    visited = {nid for edge in hits for nid in program.edge_endpoints(edge)}
     return frozenset(
         nid
         for nid in program.guard_ids
-        if nid in cov.node_visited and (2 * nid not in hits or 2 * nid + 1 not in hits)
+        if nid in visited and (2 * nid not in hits or 2 * nid + 1 not in hits)
     )

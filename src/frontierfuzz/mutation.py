@@ -27,7 +27,6 @@ from .target import BranchObservation, GuardKind, GuardProgram, Relation
 __all__ = [
     "MutatorConfig",
     "SubgradientRecord",
-    "HotByteSet",
     "havoc_mutate",
     "compute_subgradient",
     "newton_step",
@@ -35,16 +34,14 @@ __all__ = [
     "l1_norm",
     "round_half_away",
     "Mutator",
-    "INTERESTING_8",
-    "INTERESTING_16",
-    "INTERESTING_32",
 ]
 
-# AFL-style interesting substitution values.
-INTERESTING_8 = (-128, -1, 0, 1, 16, 32, 64, 100, 127)
-INTERESTING_16 = (-32768, -129, 128, 255, 256, 512, 1000, 1024, 4096, 32767)
-INTERESTING_32 = (-2147483648, -100663046, -32769, 32768, 65535, 65536, 100663045, 2147483647)
-_INTERESTING = {1: INTERESTING_8, 2: INTERESTING_16, 4: INTERESTING_32}
+# AFL-style interesting substitution values, keyed by width in bytes.
+_INTERESTING = {
+    1: (-128, -1, 0, 1, 16, 32, 64, 100, 127),
+    2: (-32768, -129, 128, 255, 256, 512, 1000, 1024, 4096, 32767),
+    4: (-2147483648, -100663046, -32769, 32768, 65535, 65536, 100663045, 2147483647),
+}
 
 _ARITH_MAX = 35
 
@@ -90,14 +87,13 @@ class MutatorConfig:
 class SubgradientRecord:
     """Best slope estimate retained for one frontier branch this stage.
 
-    ``g`` maps byte positions to exact rational slopes and ``norm`` is its
-    L1 norm; the retained record is the one with the largest norm among
-    sampled candidates.  ``g`` is built only for a record that won with a
-    nonzero norm (see ``Mutator.local_search``); otherwise it is empty.
+    ``g`` maps byte positions to exact rational slopes; the retained record
+    is the one whose ``g`` has the largest L1 norm among sampled candidates.
+    ``g`` is built only for a record that won with a nonzero norm (see
+    ``Mutator.local_search``), so it is nonempty exactly when that norm is.
     """
 
     g: dict[int, Fraction]
-    norm: Fraction
     witness: bytes
     witness_obs: BranchObservation
     seed_obs: BranchObservation | None = None
@@ -300,16 +296,15 @@ def compute_subgradient(seed: bytes, mutant: bytes, d_seed: BranchDistance,
     For every byte position where the inputs differ, the distance delta is
     divided by the byte delta; positions with no byte delta carry no slope
     information and stay zero (absent).  Identical inputs yield an all-zero
-    (empty) vector.
+    (empty) vector.  The inputs must have the same length.
     """
+    if len(seed) != len(mutant):
+        raise ValueError("subgradient requires equal-length inputs")
     if d_seed.is_vector != d_mut.is_vector:
         raise ValueError("distance form mismatch")
     delta_d = d_mut.scalarize() - d_seed.scalarize()
-    width = max(len(seed), len(mutant))
     g: dict[int, Fraction] = {}
-    for j in range(width):
-        a = seed[j] if j < len(seed) else 0
-        b = mutant[j] if j < len(mutant) else 0
+    for j, (a, b) in enumerate(zip(seed, mutant)):
         if a != b:
             g[j] = Fraction(delta_d, b - a)
     return g
@@ -333,14 +328,6 @@ def newton_step(witness: bytes, d: BranchDistance, g: dict[int, Fraction]) -> by
     return bytes(out)
 
 
-def _single_byte_variant(seed: bytes, pos: int, value: int) -> bytes:
-    buf = bytearray(seed)
-    if pos >= len(buf):
-        buf.extend(b"\0" * (pos + 1 - len(buf)))
-    buf[pos] = value
-    return bytes(buf)
-
-
 def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> HotByteSet:
     """Locate the input window feeding a string comparison.
 
@@ -348,20 +335,19 @@ def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> HotByteS
     the first probe that moves the site's distance pins one hot byte, and the
     rest of the window follows from the changed comparison index plus the
     compared length (string windows are contiguous).  Returns an empty set
-    when no probe moves the distance.
+    when no probe moves the distance.  The inputs must have the same length.
     """
+    if len(seed) != len(mutant):
+        raise ValueError("hot-byte inference requires equal-length inputs")
     base = executor.run(seed)
     base_obs = base.observations.get(site)
     if base_obs is None or base_obs.byte_diffs is None:
         return HotByteSet(site, (), 0)
-    width = max(len(seed), len(mutant))
-    differing = [
-        j for j in range(width)
-        if (seed[j] if j < len(seed) else 0) != (mutant[j] if j < len(mutant) else 0)
-    ]
+    differing = [j for j, (a, b) in enumerate(zip(seed, mutant)) if a != b]
     for pos in differing:
-        value = mutant[pos] if pos < len(mutant) else 0
-        outcome = executor.run(_single_byte_variant(seed, pos, value))
+        probe = bytearray(seed)
+        probe[pos] = mutant[pos]
+        outcome = executor.run(bytes(probe))
         obs = outcome.observations.get(site)
         if obs is None or obs.byte_diffs is None:
             continue
@@ -377,11 +363,6 @@ def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> HotByteS
                 length = obs.compared_length
                 return HotByteSet(site, tuple(range(start, start + length)), length)
     return HotByteSet(site, (), 0)
-
-
-def _sign(v: int) -> int:
-    # Zero maps to +1 so kinked rows still produce a usable step direction.
-    return -1 if v < 0 else 1
 
 
 class Mutator:
@@ -416,7 +397,7 @@ class Mutator:
         seed_d = {site: observation_distance(obs)
                   for site, obs in seed_obs.items() if site in frontier}
         seed_v = {site: d.scalarize() for site, d in seed_d.items()}
-        records = {site: SubgradientRecord({}, Fraction(0), seed, seed_obs[site], seed_obs[site])
+        records = {site: SubgradientRecord({}, seed, seed_obs[site], seed_obs[site])
                    for site in seed_d}
         keys = dict.fromkeys(records, 0)
         for _ in range(k - 1):
@@ -432,7 +413,7 @@ class Mutator:
                 base = seed_d.get(site)
                 if base is None or not s:
                     if site not in records:  # first reached without a seed baseline
-                        records[site] = SubgradientRecord({}, Fraction(0), data, obs)
+                        records[site] = SubgradientRecord({}, data, obs)
                         keys[site] = 0
                     continue
                 d = observation_distance(obs)
@@ -442,8 +423,7 @@ class Mutator:
                 if key > keys[site]:
                     keys[site] = key
                     records[site] = SubgradientRecord(
-                        compute_subgradient(seed, data, base, d), Fraction(key, _L),
-                        data, obs, seed_obs[site])
+                        compute_subgradient(seed, data, base, d), data, obs, seed_obs[site])
         return records
 
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
@@ -458,7 +438,7 @@ class Mutator:
                 candidate = self._solve_string(seed, site, rec, executor)
             elif node.kind is GuardKind.INT:
                 candidate = self._solve_operand(seed, site, rec)
-            if candidate is None and rec.norm > 0:
+            if candidate is None and rec.g:
                 candidate = newton_step(rec.witness, observation_distance(rec.witness_obs), rec.g)
             if candidate is None or candidate == rec.witness:
                 continue
@@ -489,9 +469,8 @@ class Mutator:
             slope = _row_slope(rec.witness_obs.outcome, rec.witness_obs.relation, diffs[j])
             if offset >= len(buf):
                 buf.extend(b"\0" * (offset + 1 - len(buf)))
-            buf[offset] = _clamp_byte(
-                round_half_away(buf[offset] - Fraction(component, slope))
-            )
+            # The slope is +/-1, so dividing by it is multiplying by it.
+            buf[offset] = _clamp_byte(buf[offset] - component * slope)
             changed = True
         return bytes(buf) if changed else None
 
@@ -546,11 +525,7 @@ class Mutator:
 
 
 def _row_slope(outcome: bool, relation: Relation, f: int) -> int:
-    """Derivative of the distance row with respect to the operand difference."""
+    """Derivative of the distance row with respect to the operand difference:
+    the forward difference, which is +/-1 for every row at every integer."""
     row = row_function(outcome, relation)
-    probe = row(f)
-    # Affine rows have slope +/-1; absolute-value rows take the sign of f
-    # (with zero treated as positive so a step is still possible).
-    ahead = row(f + 1)
-    slope = ahead - probe
-    return slope if slope != 0 else _sign(f)
+    return row(f + 1) - row(f)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .distance import BranchDistance
 
-__all__ = ["BranchStats", "Selection", "SchedulerState", "StaleSiteError"]
+__all__ = ["SchedulerState", "StaleSiteError"]
 
 
 class StaleSiteError(ValueError):
@@ -41,16 +41,13 @@ class BranchStats:
     ``best`` is the running distance minimum as a plain order key: the signed
     value of a scalar, or ``(L1, values)`` for a vector, whose L1 ties break
     lexicographically.  ``best_input`` is the earliest input that reached it.
-    ``pt``/``tt`` are productive/total reach time in nanoseconds; ``ph``/``th``
-    are the matching hit counts, kept for stats only.
+    ``pt``/``tt`` are productive/total reach time in nanoseconds.
     """
 
     best: int | tuple[int, tuple[int, ...]]
     best_input: bytes
     pt: int
     tt: int
-    ph: int
-    th: int
 
 
 @dataclass(frozen=True)
@@ -84,18 +81,16 @@ class SchedulerState:
         key = (sum(map(abs, values)), values) if is_vector else values[0]
         stats = self.stats.get(site)
         if stats is None:
-            self.stats[site] = BranchStats(key, data, exec_time, exec_time, 1, 1)
+            self.stats[site] = BranchStats(key, data, exec_time, exec_time)
             return True
         best = stats.best
         if is_vector != (best.__class__ is tuple):
             raise ValueError("distance form mismatch for site %d" % site)
         stats.tt += exec_time
-        stats.th += 1
         if key < best:
             stats.best = key
             stats.best_input = data
             stats.pt += exec_time
-            stats.ph += 1
             return True
         return False
 

@@ -34,7 +34,6 @@ __all__ = [
     "MAX_WINDOW_END",
     "Relation",
     "GuardKind",
-    "GuardNode",
     "GuardProgram",
     "BranchObservation",
     "ExecutionTrace",
@@ -253,21 +252,22 @@ class GuardProgram:
         self.all_edges = frozenset(
             e for nid in self.guard_ids for e in (2 * nid, 2 * nid + 1)
         )
-        self._by_id = {n.node_id: n for n in self.nodes}
-        self._steps = [_step(self._by_id[i], observe=False) for i in range(len(self.nodes))]
+        # Ids are dense and ordered (``program_from_dict`` checks), so a node's
+        # id is its index.
+        self._steps = [_step(n, observe=False) for n in self.nodes]
         # Inputs are zero-extended to here: the furthest operand window end.
         self._window_end = max(
             (n.offset + n.size for n in self.nodes if n.kind is not GuardKind.BUG), default=0
         )
 
     def node(self, node_id: int) -> GuardNode:
-        return self._by_id[node_id]
+        return self.nodes[node_id]
 
     def edge_endpoints(self, edge_id: int) -> tuple[int, int | None]:
         """(source node, destination node or None for a terminal edge)."""
         if edge_id not in self.all_edges:
             raise ValueError(f"unknown edge id {edge_id}")
-        node = self._by_id[edge_id // 2]
+        node = self.nodes[edge_id >> 1]
         return node.node_id, (node.taken if edge_id % 2 == 0 else node.nottaken)
 
     @property
@@ -501,4 +501,6 @@ def load_program(document: bytes) -> GuardProgram:
         raise DocumentError(f"document is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DocumentError(f"document is not valid JSON: line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise DocumentError("document nests too deeply to parse") from None
     return program_from_dict(doc)

@@ -12,10 +12,11 @@ import pytest
 
 from conftest import make_executor
 from frontierfuzz import builtin_targets
-from frontierfuzz.campaign import Budget, Campaign, ConvexityStats, Mode, convexity_probe
+from frontierfuzz.campaign import Budget, Campaign, Mode
 from frontierfuzz.cli import main as cli_main
 from frontierfuzz.distance import distance, observation_distance
 from frontierfuzz.mutation import Mutator, MutatorConfig, infer_hot_bytes, newton_step
+from frontierfuzz.oracle import ConvexityStats, convexity_probe
 from frontierfuzz.target import Harness, Relation, program_from_dict
 
 BUDGET_EXECS = 200_000

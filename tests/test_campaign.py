@@ -9,17 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import make_executor
 from frontierfuzz import builtin_targets
-from frontierfuzz.campaign import (
-    _BASE_HAVOC_STACK,
-    Budget,
-    Campaign,
-    ConvexityStats,
-    Mode,
-    convexity_probe,
-)
+from frontierfuzz.campaign import _BASE_HAVOC_STACK, Budget, Campaign, Mode
 from frontierfuzz.coverage import recompute_frontier
 from frontierfuzz.distance import observation_distance, row_function
 from frontierfuzz.mutation import Mutator, MutatorConfig, havoc_mutate
+from frontierfuzz.oracle import ConvexityStats, convexity_probe
 from frontierfuzz.target import Harness, Relation, program_from_dict
 from test_target import _documents
 
@@ -276,7 +270,7 @@ def _sched_outputs(program, havoc_batch, max_execs, sample_size, rng_seed):
     campaign._havoc_batch = types.MethodType(havoc_batch, campaign)
     log = campaign.run()
     corpus = [(e.exec_index, e.data, e.new_edges) for e in campaign.corpus.entries]
-    stats = {site: (s.best_input, s.pt, s.tt, s.ph, s.th)
+    stats = {site: (s.best_input, s.pt, s.tt)
              for site, s in campaign.scheduler.stats.items()}
     return log.to_jsonl(), corpus, list(campaign.findings), stats
 

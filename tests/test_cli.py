@@ -148,6 +148,14 @@ class TestRunSetupErrors:
             tmp_path, "--target", str(target), "--seeds", str(seeds))
         assert "byte limit" in message
 
+    def test_deeply_nested_document(self, tmp_path, monkeypatch):
+        ran = self.count_campaign_runs(monkeypatch)
+        target = tmp_path / "target.json"
+        target.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+        message = self.run_expecting_exit(tmp_path, "--target", str(target))
+        assert "nests too deeply" in message
+        assert not ran
+
     def test_infinite_time_budget(self, tmp_path):
         message = self.run_expecting_exit(
             tmp_path, "--target", "builtin:le15", "--budget-secs", "inf")

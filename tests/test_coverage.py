@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from conftest import make_executor
 from frontierfuzz import builtin_targets
 from frontierfuzz.coverage import CoverageMap, recompute_frontier
-from frontierfuzz.target import Harness
+from frontierfuzz.target import Harness, program_from_dict
+from test_target import _documents
 
 
 def fresh(name):
@@ -80,16 +81,20 @@ class TestFrontier:
         assert recompute_frontier(cov) == {1}
 
     def test_frontier_bounded_by_visited(self):
-        _, cov, harness = fresh("mixed_tree")
+        # Every frontier branch is the source of a hit edge.
+        program, cov, harness = fresh("mixed_tree")
         for data in (bytes(8), bytes([0xE8, 0x03]) + bytes(6)):
             cov.absorb_trace(harness.execute(data))
-            assert len(recompute_frontier(cov)) <= len(cov.node_visited)
+            sources = {program.edge_endpoints(e)[0] for e in cov.edge_hits}
+            assert recompute_frontier(cov) <= sources
 
     def test_bug_node_never_frontier(self):
-        _, cov, harness = fresh("bug_chain")
+        program, cov, harness = fresh("bug_chain")
         cov.absorb_trace(harness.execute(b"\xad\xde\x80"))
-        assert 2 in cov.node_visited
+        # A hit edge ends at the bug node, so it is visited.
+        assert 2 in {program.edge_endpoints(e)[1] for e in cov.edge_hits}
         assert 2 not in recompute_frontier(cov)
+        assert 2 not in cov.frontier
 
 
 @settings(max_examples=50, deadline=None)
@@ -111,6 +116,18 @@ def test_incremental_frontier_matches_on_tree(inputs):
     harness = Harness(program, synthetic_time=True)
     for data in inputs:
         cov.absorb_trace(harness.execute(data))
+        assert frozenset(cov.frontier) == recompute_frontier(cov)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents(), st.data())
+def test_incremental_frontier_matches_on_generated_programs(doc, data):
+    # Shared children, bug nodes and every guard kind.
+    program = program_from_dict(doc)
+    cov = CoverageMap(program)
+    harness = Harness(program, synthetic_time=True)
+    for x in data.draw(st.lists(st.binary(max_size=program.max_input_len), max_size=12)):
+        cov.absorb_trace(harness.execute(x))
         assert frozenset(cov.frontier) == recompute_frontier(cov)
 
 

@@ -225,6 +225,11 @@ class TestSubgradient:
             compute_subgradient(b"a", b"b", BranchDistance((1,)),
                                 BranchDistance((1, 2), is_vector=True))
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            compute_subgradient(bytes([5]), bytes([5, 3]),
+                                BranchDistance((11,)), BranchDistance((9,)))
+
 
 class TestNewtonStep:
     def test_boundary_guard_lands_on_flip_input(self):
@@ -297,7 +302,8 @@ class TestLocalSearch:
         mutator = Mutator(MutatorConfig(sample_size=32), program)
         mutator.local_search(bytes(8), {0}, executor, random.Random(0), k=32)
         stats = executor.scheduler.stats[0]
-        assert stats.th == executor.execs == 32
+        # Synthetic time charges one unit per exec.
+        assert stats.tt == executor.execs == 32
         assert stats.pt <= stats.tt
 
     def test_retained_slope_is_global_lower_bound_on_linear_guard(self):
@@ -328,6 +334,7 @@ def _reference_local_search(self, seed, frontier, executor, rng, k=None):
     records the factored version keeps."""
     k = self.config.sample_size if k is None else k
     records: dict[int, SubgradientRecord] = {}
+    norms: dict[int, Fraction] = {}
     seed_obs: dict[int, BranchObservation] = {}
     for i in range(k):
         data = seed if i == 0 else havoc_mutate(seed, self.config, rng)
@@ -346,10 +353,10 @@ def _reference_local_search(self, seed, frontier, executor, rng, k=None):
                     observation_distance(base),
                     observation_distance(obs),
                 )
-            prev = records.get(site)
             norm = l1_norm(g)
-            if prev is None or norm > prev.norm:
-                records[site] = SubgradientRecord(g, norm, data, obs, base)
+            if site not in records or norm > norms[site]:
+                records[site] = SubgradientRecord(g, data, obs, base)
+                norms[site] = norm
     return records
 
 
@@ -387,9 +394,12 @@ class TestLocalSearchAgainstReference:
             assert got[site].witness == rec.witness
             assert got[site].witness_obs == rec.witness_obs
             assert got[site].seed_obs == rec.seed_obs
-            assert got[site].norm == rec.norm
-            if rec.norm > 0:
+            norm = l1_norm(rec.g)
+            assert l1_norm(got[site].g) == norm
+            if norm > 0:
                 assert got[site].g == rec.g
+            else:
+                assert got[site].g == {}
         assert got_rng == want_rng
         assert (got_ex.execs, got_ex.flips) == (want_ex.execs, want_ex.flips)
         assert got_ex.corpus.entries == want_ex.corpus.entries
@@ -472,6 +482,13 @@ class TestHotBytes:
         mutant[9] = 3  # past the compared window
         hot = infer_hot_bytes(bytes(12), bytes(mutant), 0, executor)
         assert hot.offsets == ()
+
+    def test_unequal_lengths_rejected_before_any_exec(self):
+        program = program_from_dict(self.MAGI_DOC)
+        executor = make_executor(program, frontier={0})
+        with pytest.raises(ValueError, match="equal-length"):
+            infer_hot_bytes(bytes(8), bytes(12), 0, executor)
+        assert executor.execs == 0
 
 
 class TestMutateStage:

@@ -18,7 +18,7 @@ class TestRecordExecution:
         state = SchedulerState()
         assert state.record_execution(0, b"s", d(11), 100, {0}) is True
         stats = state.stats[0]
-        assert (stats.pt, stats.tt, stats.ph, stats.th) == (100, 100, 1, 1)
+        assert (stats.pt, stats.tt) == (100, 100)
 
     def test_non_lowering_reach_only_grows_total(self):
         state = SchedulerState()
@@ -49,7 +49,7 @@ class TestRecordExecution:
             state.record_execution(0, bytes([i]), d(dist), 10, {0})
             stats = state.stats[0]
             assert stats.pt >= prev[0] and stats.tt > prev[1]
-            assert stats.pt <= stats.tt and stats.ph <= stats.th
+            assert stats.pt <= stats.tt
             prev = (stats.pt, stats.tt)
 
 
@@ -84,10 +84,10 @@ class TestDistanceMinimum:
         state = SchedulerState()
         self.record(state, b"a", BranchDistance((9,)))
         stats = state.stats[0]
-        before = (stats.pt, stats.tt, stats.ph, stats.th)
+        before = (stats.pt, stats.tt)
         with pytest.raises(ValueError, match="form"):
             self.record(state, b"b", BranchDistance((9, 1), is_vector=True))
-        assert (stats.pt, stats.tt, stats.ph, stats.th) == before
+        assert (stats.pt, stats.tt) == before
         assert (stats.best, stats.best_input) == (9, b"a")
 
     def test_vector_order_l1_then_lexicographic(self):

@@ -1,0 +1,59 @@
+"""Source hygiene for ``src/frontierfuzz``, checked with the stdlib ``ast``:
+every module-level import is used, and every ``__all__`` name resolves.
+These are the leftovers a deletion tends to leave behind."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "frontierfuzz"
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _module_imports(tree: ast.Module):
+    """(bound name, line) for each name a top-level import statement binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def test_every_module_is_checked():
+    assert {"campaign", "coverage", "mutation", "target"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_are_used(module):
+    tree = _tree(module)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(_exports(tree))
+    unused = [f"{name} (line {line})" for name, line in _module_imports(tree)
+              if name not in used]
+    assert not unused, f"{module}.py imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_exported_names_resolve(module):
+    exports = _exports(_tree(module))
+    assert len(exports) == len(set(exports)), f"{module}.__all__ repeats a name"
+    loaded = importlib.import_module(f"frontierfuzz.{module}")
+    missing = [name for name in exports if not hasattr(loaded, name)]
+    assert not missing, f"{module}.__all__ names undefined attributes: {missing}"

@@ -122,6 +122,11 @@ class TestLoadProgram:
         with pytest.raises(DocumentError, match="line"):
             load_program(b'{"max_input_len": 4,\n  "entry"')
 
+    def test_deeply_nested_document_rejected(self):
+        nested = b"[" * 200_000 + b"]" * 200_000
+        with pytest.raises(DocumentError, match="nests too deeply"):
+            load_program(nested)
+
     def test_dag_with_shared_child_is_legal(self):
         doc = {
             "max_input_len": 4,
