@@ -35,7 +35,6 @@ from enum import Enum
 from typing import NamedTuple
 
 from .coverage import CoverageMap
-from .distance import observation_distance
 from .mutation import Mutator, MutatorConfig, havoc_mutate
 from .scheduling import SchedulerState
 from .target import BranchObservation, GuardProgram, Harness
@@ -187,7 +186,7 @@ class _Executor:
                 site = obs.site
                 observations[site] = obs
                 if site in frontier:
-                    record(site, data, observation_distance(obs), exec_time, frontier)
+                    record(site, data, obs.key, exec_time, frontier)
         return StepOutcome(flips, observations)
 
 

@@ -1,18 +1,18 @@
 """Branch distance: how close a guard's comparison is to flipping.
 
 The distance of an observation is a fixed function of the (outcome, relation)
-pair applied to the signed operand difference.  Integer and xor guards yield a
-scalar; string guards yield one component per compared byte.
-``distance`` validates a raw (outcome, relation, f) triple; ``observation_distance``
-trusts the harness, whose outcome came from the same comparison, and applies
-the row directly.
+pair applied to the signed operand difference: the rows of ``target._ROWS``.
+Integer and xor guards yield a scalar; string guards yield one component per
+compared byte.  ``distance`` and ``string_distance`` validate and apply a row
+to raw input; a harness observation already carries its distance, applied by
+the guard's step as an order key, and ``observation_distance`` only reads it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .target import BranchObservation, Relation
+from .target import _ROWS, BranchObservation, Relation
 
 __all__ = [
     "BranchDistance",
@@ -21,23 +21,6 @@ __all__ = [
     "observation_distance",
     "row_function",
 ]
-
-# Distance rows keyed by (outcome, relation).  Pairs sharing a formula
-# collapse onto the same function of the operand difference f.
-_ROWS = {
-    (False, Relation.LT): lambda f: f - 1,
-    (True, Relation.GE): lambda f: f - 1,
-    (False, Relation.LE): lambda f: f,
-    (True, Relation.GT): lambda f: f,
-    (False, Relation.GT): lambda f: 1 - f,
-    (True, Relation.LE): lambda f: 1 - f,
-    (False, Relation.GE): lambda f: -f,
-    (True, Relation.LT): lambda f: -f,
-    (False, Relation.EQ): lambda f: abs(f),
-    (True, Relation.NE): lambda f: abs(f),
-    (False, Relation.NE): lambda f: 1 - abs(f),
-    (True, Relation.EQ): lambda f: 1 - abs(f),
-}
 
 
 def row_function(outcome: bool, relation: Relation):
@@ -84,15 +67,13 @@ def string_distance(outcome: bool, relation: Relation, byte_diffs) -> BranchDist
     return BranchDistance(tuple(row(f) for f in diffs), is_vector=True)
 
 
-# Skips the NamedTuple's Python-level ``__new__``, about a quarter of
-# ``observation_distance``'s cost when measured.
+# Skips the NamedTuple's Python-level ``__new__``.
 _new = tuple.__new__
 
 
 def observation_distance(obs: BranchObservation) -> BranchDistance:
-    """Distance of a harness observation; its outcome is not re-checked."""
-    _, outcome, relation, f, diffs, _ = obs
-    row = _ROWS[outcome, relation]
-    if diffs is None:
-        return _new(BranchDistance, ((row(f),), False))
-    return _new(BranchDistance, (tuple(map(row, diffs)), True))
+    """The distance the harness computed for ``obs``, read off its key."""
+    key = obs.key
+    if key.__class__ is tuple:
+        return _new(BranchDistance, (key[1], True))
+    return _new(BranchDistance, ((key,), False))

@@ -349,15 +349,11 @@ def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> HotByteS
         probe[pos] = mutant[pos]
         outcome = executor.run(bytes(probe))
         obs = outcome.observations.get(site)
-        if obs is None or obs.byte_diffs is None:
-            continue
-        probe_d = observation_distance(obs)
-        base_d = observation_distance(base_obs)
-        if probe_d == base_d:
+        if obs is None or obs.byte_diffs is None or obs.key == base_obs.key:
             continue
         # The changed comparison index tells us where in the window this
-        # input byte landed.
-        for j, (a, b) in enumerate(zip(base_d.values, probe_d.values)):
+        # input byte landed; a vector key is (L1, values).
+        for j, (a, b) in enumerate(zip(base_obs.key[1], obs.key[1])):
             if a != b:
                 start = pos - j
                 length = obs.compared_length
@@ -388,18 +384,19 @@ class Mutator:
         A sample's slope norm at a site is |Δd| · Σ_j 1/|Δbyte_j|; the sum
         depends only on the sample, so it is taken once, as an integer in
         units of 1/L (``_INV``), and records are compared by norm times L.
-        ``g`` is built only for a record that wins with a nonzero norm.
+        Δd comes from the observations' distance keys; ``g``, and the
+        ``BranchDistance`` values it needs, are built only for a record that
+        wins with a nonzero norm.
         """
         k = self.config.sample_size if k is None else k
         if k < 1:
             return {}
         seed_obs = executor.run(seed).observations
-        seed_d = {site: observation_distance(obs)
-                  for site, obs in seed_obs.items() if site in frontier}
-        seed_v = {site: d.scalarize() for site, d in seed_d.items()}
+        seed_key = {site: obs.key for site, obs in seed_obs.items() if site in frontier}
+        seed_v = {site: _scalarize(key) for site, key in seed_key.items()}
         records = {site: SubgradientRecord({}, seed, seed_obs[site], seed_obs[site])
-                   for site in seed_d}
-        keys = dict.fromkeys(records, 0)
+                   for site in seed_key}
+        norms = dict.fromkeys(records, 0)
         for _ in range(k - 1):
             data = havoc_mutate(seed, self.config, rng)
             observations = executor.run(data).observations
@@ -410,20 +407,21 @@ class Mutator:
             for site, obs in observations.items():
                 if site not in frontier:
                     continue
-                base = seed_d.get(site)
+                base = seed_key.get(site)
                 if base is None or not s:
                     if site not in records:  # first reached without a seed baseline
                         records[site] = SubgradientRecord({}, data, obs)
-                        keys[site] = 0
+                        norms[site] = 0
                     continue
-                d = observation_distance(obs)
-                if d.is_vector != base.is_vector:
+                key = obs.key
+                if key.__class__ is not base.__class__:
                     raise ValueError("distance form mismatch")
-                key = abs(d.scalarize() - seed_v[site]) * s
-                if key > keys[site]:
-                    keys[site] = key
-                    records[site] = SubgradientRecord(
-                        compute_subgradient(seed, data, base, d), data, obs, seed_obs[site])
+                norm = abs(_scalarize(key) - seed_v[site]) * s
+                if norm > norms[site]:
+                    norms[site] = norm
+                    g = compute_subgradient(seed, data, observation_distance(seed_obs[site]),
+                                            observation_distance(obs))
+                    records[site] = SubgradientRecord(g, data, obs, seed_obs[site])
         return records
 
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
@@ -449,8 +447,7 @@ class Mutator:
         """Per-byte root solving over the inferred hot window."""
         if rec.seed_obs is None:
             return None
-        witness_d = observation_distance(rec.witness_obs)
-        if witness_d == observation_distance(rec.seed_obs):
+        if rec.witness_obs.key == rec.seed_obs.key:
             return None
         hot = infer_hot_bytes(seed, rec.witness, site, executor)
         if not hot.offsets:
@@ -498,7 +495,7 @@ class Mutator:
         if linkage == 0:
             return None
         slope = _row_slope(rec.witness_obs.outcome, rec.witness_obs.relation, f_wit) * linkage
-        d_wit = observation_distance(rec.witness_obs).scalar
+        d_wit = rec.witness_obs.key
         solved = round_half_away(op_wit - Fraction(d_wit, 1) / slope)
         bits = 8 * node.size
         lo, hi = (
@@ -522,6 +519,11 @@ class Mutator:
             chunk = chunk.ljust(node.size, b"\0")
         order = "little" if node.endian == "le" else "big"
         return int.from_bytes(chunk, order, signed=node.signed)
+
+
+def _scalarize(key) -> int:
+    """``BranchDistance.scalarize`` of a distance order key."""
+    return key[0] if key.__class__ is tuple else key
 
 
 def _row_slope(outcome: bool, relation: Relation, f: int) -> int:

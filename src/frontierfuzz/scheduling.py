@@ -11,7 +11,8 @@ top seed recorded for it.  The schedule counter of the chosen seed is then
 incremented, which discounts repeat selections.
 
 ``record_execution`` owns each branch's distance minimum, kept as a plain
-order key so that folding in an observation costs one compare.
+order key.  The guard's step has already computed the observation's key, so
+folding it in costs one class check and one compare.
 
 Scores are compared in exact rational arithmetic so selection is free of
 floating-point tie ambiguity; the equivalent log-probability is reported
@@ -23,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .distance import BranchDistance
 
 __all__ = ["SchedulerState", "StaleSiteError"]
 
@@ -67,24 +66,22 @@ class SchedulerState:
         self.stats: dict[int, BranchStats] = {}
         self.sc: dict[bytes, int] = {}
 
-    def record_execution(self, site: int, data: bytes, d: BranchDistance,
-                         exec_time: int, frontier) -> bool:
-        """Fold one reaching execution into the site's minimum and clocks.
+    def record_execution(self, site: int, data: bytes, key, exec_time: int, frontier) -> bool:
+        """Fold one reaching execution, with distance order key ``key`` (see
+        ``BranchObservation.key``), into the site's minimum and clocks.
 
         Returns whether the execution strictly lowered the distance minimum
-        (a first reach always does).  A distance of the other form than the
-        site's minimum raises before any clock moves.
+        (a first reach always does).  A key of the other form than the site's
+        minimum raises before any clock moves.
         """
         if site not in frontier:
             raise StaleSiteError(f"site {site} is not a frontier branch")
-        values, is_vector = d
-        key = (sum(map(abs, values)), values) if is_vector else values[0]
         stats = self.stats.get(site)
         if stats is None:
             self.stats[site] = BranchStats(key, data, exec_time, exec_time)
             return True
         best = stats.best
-        if is_vector != (best.__class__ is tuple):
+        if key.__class__ is not best.__class__:
             raise ValueError("distance form mismatch for site %d" % site)
         stats.tt += exec_time
         if key < best:

@@ -4,13 +4,14 @@ A target is a small tree (or DAG) of comparison guards compiled from a JSON
 document.  Executing an input walks the guards from the entry node: each guard
 reads an operand window out of the input, compares it against a constant, and
 transfers control along its taken or not-taken edge.  The walk records the
-exercised edges plus, for explicitly activated guard sites, the raw comparison
-feedback (outcome, relation, operand difference) that the rest of the engine
-consumes.
+exercised edges plus, for explicitly activated guard sites, the comparison
+feedback (outcome, relation, operand difference) and the branch distance that
+the rest of the engine consumes.
 
 Each guard is compiled once per program into a step function with its
-operands bound in; a harness swaps in an observing step, built the first time
-the site is activated, for each active site.  An input shorter than the
+operands bound in; integer operands are read through ``struct`` readers built
+at import.  A harness swaps in an observing step, which also applies the
+guard's distance row, for each active site.  An input shorter than the
 furthest operand window is zero-extended up to it before the walk; loading
 rejects a window that ends past ``MAX_WINDOW_END`` bytes.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 import base64
 import json
 import operator
+import struct
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -108,7 +110,8 @@ class BranchObservation(NamedTuple):
 
     Integer and xor guards report the signed operand difference ``f_value``;
     string guards report signed per-byte differences over the zero-padded
-    comparison window instead.
+    comparison window instead.  ``key`` is the branch distance as an order
+    key: the row value for a scalar, ``(L1, values)`` for a vector.
     """
 
     site: int
@@ -117,6 +120,7 @@ class BranchObservation(NamedTuple):
     f_value: int | None = None
     byte_diffs: tuple[int, ...] | None = None
     compared_length: int | None = None
+    key: int | tuple[int, tuple[int, ...]] | None = None
 
 
 class ExecutionTrace(NamedTuple):
@@ -130,29 +134,55 @@ class ExecutionTrace(NamedTuple):
     bug_hits: tuple[int, ...] = ()
 
 
+# Distance rows keyed by (outcome, relation): how far the operand difference f
+# is from flipping the comparison.  Pairs sharing a formula share a function.
+_ROWS = {
+    (False, Relation.LT): lambda f: f - 1,
+    (True, Relation.GE): lambda f: f - 1,
+    (False, Relation.LE): lambda f: f,
+    (True, Relation.GT): lambda f: f,
+    (False, Relation.GT): lambda f: 1 - f,
+    (True, Relation.LE): lambda f: 1 - f,
+    (False, Relation.GE): lambda f: -f,
+    (True, Relation.LT): lambda f: -f,
+    (False, Relation.EQ): lambda f: abs(f),
+    (True, Relation.NE): lambda f: abs(f),
+    (False, Relation.NE): lambda f: 1 - abs(f),
+    (True, Relation.EQ): lambda f: 1 - abs(f),
+}
+
+# Integer operand readers keyed by (endian, width, signed): ``read(data, off)[0]``.
+_READERS = {
+    (endian, width, signed): struct.Struct(prefix + (code.lower() if signed else code)).unpack_from
+    for endian, prefix in (("le", "<"), ("be", ">"))
+    for width, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+    for signed in (False, True)
+}
+
 # Step functions.  ``step(data, edges, obs)`` evaluates one guard on ``data``
-# (already zero-extended past every operand window), appends the edge it takes
-# to ``edges`` (and, for an observing step, its observation to ``obs``) and
-# returns the next node id, or None at a terminal edge.  Operands are bound as
+# (already zero-extended past every operand window, so no read comes up short),
+# appends the edge it takes to ``edges`` (and, for an observing step, its
+# observation with the distance key from the bound rows ``rt``/``rf`` to ``obs``)
+# and returns the next node id, or None at a terminal edge.  Operands are bound as
 # default arguments: closures over cells made loading a program slower.  Observing
 # steps use ``tuple.__new__``, skipping the NamedTuple's Python-level ``__new__``.
 
 
 def _int_step(n: GuardNode, observe: bool):
-    off, end, signed, const = n.offset, n.offset + n.size, n.signed, n.constant
-    order = "little" if n.endian == "le" else "big"
+    off, signed, const = n.offset, n.signed, n.constant
+    read = _READERS[n.endian, n.size, signed]
     cmp, tk, ntk = _OPS[n.relation], n.taken, n.nottaken
     te, ne = 2 * n.node_id, 2 * n.node_id + 1
     if observe:
-        def step(data, edges, obs, off=off, end=end, order=order, signed=signed,
-                 const=const, cmp=cmp, te=te, ne=ne, tk=tk, ntk=ntk, site=n.node_id,
-                 rel=n.relation, new=tuple.__new__, cls=BranchObservation):
-            f = int.from_bytes(data[off:end], order, signed=signed) - const
+        def step(data, edges, obs, off=off, read=read, const=const, cmp=cmp, te=te, ne=ne,
+                 tk=tk, ntk=ntk, site=n.node_id, rel=n.relation, rt=_ROWS[True, n.relation],
+                 rf=_ROWS[False, n.relation], new=tuple.__new__, cls=BranchObservation):
+            f = read(data, off)[0] - const
             outcome = cmp(f, 0)
             edges.append(te if outcome else ne)
-            obs.append(new(cls, (site, outcome, rel, f, None, None)))
+            obs.append(new(cls, (site, outcome, rel, f, None, None, (rt if outcome else rf)(f))))
             return tk if outcome else ntk
-    elif end - off == 1 and not signed:
+    elif n.size == 1 and not signed:
         def step(data, edges, obs, off=off, const=const, cmp=cmp, te=te, ne=ne, tk=tk, ntk=ntk):
             if cmp(data[off], const):
                 edges.append(te)
@@ -160,9 +190,9 @@ def _int_step(n: GuardNode, observe: bool):
             edges.append(ne)
             return ntk
     else:
-        def step(data, edges, obs, off=off, end=end, order=order, signed=signed,
-                 const=const, cmp=cmp, te=te, ne=ne, tk=tk, ntk=ntk):
-            if cmp(int.from_bytes(data[off:end], order, signed=signed), const):
+        def step(data, edges, obs, off=off, read=read, const=const, cmp=cmp, te=te, ne=ne,
+                 tk=tk, ntk=ntk):
+            if cmp(read(data, off)[0], const):
                 edges.append(te)
                 return tk
             edges.append(ne)
@@ -181,12 +211,15 @@ def _str_step(n: GuardNode, observe: bool):
     if observe:
         def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
                  te=te, ne=ne, tk=tk, ntk=ntk, site=n.node_id, rel=n.relation, cmplen=cmplen,
+                 rt=_ROWS[True, n.relation], rf=_ROWS[False, n.relation],
                  sub=operator.sub, new=tuple.__new__, cls=BranchObservation):
             window = data[off:end] + pad
             outcome = cmp(window, const)
             edges.append(te if outcome else ne)
-            obs.append(new(cls, (site, outcome, rel, None,
-                                 tuple(map(sub, window, const)), cmplen)))
+            diffs = tuple(map(sub, window, const))
+            values = tuple(map(rt if outcome else rf, diffs))
+            obs.append(new(cls, (site, outcome, rel, None, diffs, cmplen,
+                                 (sum(map(abs, values)), values))))
             return tk if outcome else ntk
     else:
         def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
@@ -205,12 +238,13 @@ def _xor_step(n: GuardNode, observe: bool):
     te, ne = 2 * n.node_id, 2 * n.node_id + 1
     if observe:
         def step(data, edges, obs, off=off, end=end, const=const, cmp=cmp, te=te, ne=ne,
-                 tk=tk, ntk=ntk, site=n.node_id, rel=n.relation, xor=operator.xor,
-                 new=tuple.__new__, cls=BranchObservation):
+                 tk=tk, ntk=ntk, site=n.node_id, rel=n.relation, rt=_ROWS[True, n.relation],
+                 rf=_ROWS[False, n.relation], xor=operator.xor, new=tuple.__new__,
+                 cls=BranchObservation):
             f = reduce(xor, data[off:end], 0) - const
             outcome = cmp(f, 0)
             edges.append(te if outcome else ne)
-            obs.append(new(cls, (site, outcome, rel, f, None, None)))
+            obs.append(new(cls, (site, outcome, rel, f, None, None, (rt if outcome else rf)(f))))
             return tk if outcome else ntk
     else:
         def step(data, edges, obs, off=off, end=end, const=const, cmp=cmp, te=te, ne=ne,

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from conftest import make_executor
 from frontierfuzz import builtin_targets
 from frontierfuzz.coverage import CoverageMap, recompute_frontier
-from frontierfuzz.target import Harness, program_from_dict
+from frontierfuzz.target import GuardKind, Harness, program_from_dict
 from test_target import _documents
 
 
@@ -119,16 +119,65 @@ def test_incremental_frontier_matches_on_tree(inputs):
         assert frozenset(cov.frontier) == recompute_frontier(cov)
 
 
+def _overlays(program):
+    """(offset, bytes) writes that put a guard's operand on its constant (and,
+    for an int, one either side), so that random inputs get past guards."""
+    for n in program.nodes:
+        if n.kind is GuardKind.INT:
+            order = "little" if n.endian == "le" else "big"
+            mask = (1 << 8 * n.size) - 1
+            for v in (n.constant - 1, n.constant, n.constant + 1):
+                yield n.offset, (v & mask).to_bytes(n.size, order)
+        elif n.kind is GuardKind.STR:
+            yield n.offset, n.constant
+        elif n.kind is GuardKind.XOR:
+            yield n.offset, bytes([n.constant]) + bytes(n.size - 1)
+
+
+@st.composite
+def _guided_inputs(draw, program):
+    """Random bytes with a few guard constants written over them."""
+    buf = bytearray(draw(st.binary(max_size=program.max_input_len)))
+    writes = st.lists(st.sampled_from(list(_overlays(program))), min_size=1, max_size=6)
+    for off, chunk in draw(writes):
+        end = min(off + len(chunk), program.max_input_len)
+        buf.extend(bytes(max(0, end - len(buf))))
+        buf[off:end] = chunk[: end - off]
+    return bytes(buf)
+
+
+def _check_incremental_frontier(doc, data) -> set[int]:
+    """Drives generated inputs through a fresh map, comparing its frontier
+    with the oracle after each; returns the guards with both edges hit."""
+    program = program_from_dict(doc)
+    cov = CoverageMap(program)
+    harness = Harness(program, synthetic_time=True)
+    for x in data.draw(st.lists(_guided_inputs(program), min_size=4, max_size=12)):
+        cov.absorb_trace(harness.execute(x))
+        assert frozenset(cov.frontier) == recompute_frontier(cov)
+    return {e >> 1 for e in cov.edge_hits if e ^ 1 in cov.edge_hits}
+
+
 @settings(max_examples=300, deadline=None)
 @given(_documents(), st.data())
 def test_incremental_frontier_matches_on_generated_programs(doc, data):
     # Shared children, bug nodes and every guard kind.
-    program = program_from_dict(doc)
-    cov = CoverageMap(program)
-    harness = Harness(program, synthetic_time=True)
-    for x in data.draw(st.lists(st.binary(max_size=program.max_input_len), max_size=12)):
-        cov.absorb_trace(harness.execute(x))
-        assert frozenset(cov.frontier) == recompute_frontier(cov)
+    _check_incremental_frontier(doc, data)
+
+
+def test_generated_inputs_retire_deep_guards():
+    # Derandomized, so the same examples run every time: the frontier check
+    # above must see guards past the first few leave the frontier.  About one
+    # generated program in five has a guard with id >= 3 on any path at all.
+    deep = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_documents(), st.data())
+    def run(doc, data):
+        deep.append(any(nid >= 3 for nid in _check_incremental_frontier(doc, data)))
+
+    run()
+    assert sum(deep) >= 30, f"{sum(deep)} of {len(deep)} examples retire a guard with id >= 3"
 
 
 @pytest.mark.parametrize("name,max_len", [("chain6", 6), ("mixed_tree", 8)])

@@ -1,6 +1,10 @@
 import pytest
-from frontierfuzz.distance import distance, string_distance
-from frontierfuzz.target import Relation
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frontierfuzz.distance import distance, observation_distance, string_distance
+from frontierfuzz.target import Harness, Relation, program_from_dict
+from test_target import _documents
 
 
 class TestScalarDistance:
@@ -55,3 +59,19 @@ class TestStringDistance:
         vec = string_distance(True, Relation.LE, diffs)
         assert vec.values == tuple(1 - f for f in diffs)
 
+
+@settings(max_examples=200, deadline=None)
+@given(_documents(), st.data())
+def test_observation_distance_matches_validating_distance(doc, data):
+    # The distance a guard's step computes equals the one the validating
+    # functions compute from the same observation's raw feedback.
+    program = program_from_dict(doc)
+    harness = Harness(program, synthetic_time=True)
+    harness.set_active_sites(program.node_ids)
+    for x in data.draw(st.lists(st.binary(max_size=program.max_input_len), max_size=8)):
+        for obs in harness.execute(x).observations:
+            if obs.byte_diffs is None:
+                expected = distance(obs.outcome, obs.relation, obs.f_value)
+            else:
+                expected = string_distance(obs.outcome, obs.relation, obs.byte_diffs)
+            assert observation_distance(obs) == expected

@@ -5,33 +5,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontierfuzz.distance import BranchDistance
 from frontierfuzz.scheduling import SchedulerState, StaleSiteError
 
 
-def d(v):
-    return BranchDistance((v,))
+def vec(*values):
+    """The order key of a vector distance: its L1 norm, then its values."""
+    return (sum(map(abs, values)), values)
 
 
 class TestRecordExecution:
     def test_first_reach_is_productive(self):
         state = SchedulerState()
-        assert state.record_execution(0, b"s", d(11), 100, {0}) is True
+        assert state.record_execution(0, b"s", 11, 100, {0}) is True
         stats = state.stats[0]
         assert (stats.pt, stats.tt) == (100, 100)
 
     def test_non_lowering_reach_only_grows_total(self):
         state = SchedulerState()
-        state.record_execution(0, b"s", d(11), 100, {0})
-        assert state.record_execution(0, b"t", d(11), 50, {0}) is False
+        state.record_execution(0, b"s", 11, 100, {0})
+        assert state.record_execution(0, b"t", 11, 50, {0}) is False
         stats = state.stats[0]
         assert (stats.pt, stats.tt) == (100, 150)
 
     def test_lowering_reach_grows_both(self):
         state = SchedulerState()
-        state.record_execution(0, b"s", d(11), 100, {0})
-        state.record_execution(0, b"t", d(11), 50, {0})
-        assert state.record_execution(0, b"u", d(9), 50, {0}) is True
+        state.record_execution(0, b"s", 11, 100, {0})
+        state.record_execution(0, b"t", 11, 50, {0})
+        assert state.record_execution(0, b"u", 9, 50, {0}) is True
         stats = state.stats[0]
         assert (stats.pt, stats.tt) == (150, 200)
         assert stats.best_input == b"u"
@@ -39,14 +39,14 @@ class TestRecordExecution:
     def test_stale_site_rejected(self):
         state = SchedulerState()
         with pytest.raises(StaleSiteError):
-            state.record_execution(3, b"s", d(1), 1, frontier={0, 1})
+            state.record_execution(3, b"s", 1, 1, frontier={0, 1})
 
     def test_clocks_monotone(self):
         state = SchedulerState()
-        state.record_execution(0, b"s", d(5), 10, {0})
+        state.record_execution(0, b"s", 5, 10, {0})
         prev = (0, 0)
         for i, dist in enumerate((7, 4, 4, 2)):
-            state.record_execution(0, bytes([i]), d(dist), 10, {0})
+            state.record_execution(0, bytes([i]), dist, 10, {0})
             stats = state.stats[0]
             assert stats.pt >= prev[0] and stats.tt > prev[1]
             assert stats.pt <= stats.tt
@@ -58,45 +58,56 @@ class TestDistanceMinimum:
     that first achieved it."""
 
     @staticmethod
-    def record(state, data, dist):
-        return state.record_execution(0, data, dist, 1, {0})
+    def record(state, data, key):
+        return state.record_execution(0, data, key, 1, {0})
 
     def test_first_observation_lowers(self):
         state = SchedulerState()
-        assert self.record(state, b"a", BranchDistance((11,))) is True
+        assert self.record(state, b"a", 11) is True
         assert state.stats[0].best == 11
         assert state.stats[0].best_input == b"a"
 
     def test_strictly_lower_replaces(self):
         state = SchedulerState()
-        self.record(state, b"a", BranchDistance((11,)))
-        assert self.record(state, b"b", BranchDistance((9,))) is True
+        self.record(state, b"a", 11)
+        assert self.record(state, b"b", 9) is True
         assert state.stats[0].best == 9
         assert state.stats[0].best_input == b"b"
 
     def test_tie_keeps_earlier(self):
         state = SchedulerState()
-        self.record(state, b"a", BranchDistance((9,)))
-        assert self.record(state, b"b", BranchDistance((9,))) is False
+        self.record(state, b"a", 9)
+        assert self.record(state, b"b", 9) is False
         assert state.stats[0].best_input == b"a"
 
     def test_form_mismatch_rejected(self):
         state = SchedulerState()
-        self.record(state, b"a", BranchDistance((9,)))
+        self.record(state, b"a", 9)
         stats = state.stats[0]
         before = (stats.pt, stats.tt)
         with pytest.raises(ValueError, match="form"):
-            self.record(state, b"b", BranchDistance((9, 1), is_vector=True))
+            self.record(state, b"b", vec(9, 1))
         assert (stats.pt, stats.tt) == before
         assert (stats.best, stats.best_input) == (9, b"a")
 
+    def test_form_mismatch_rejected_against_vector(self):
+        # A scalar key whose value sits below the stored L1 norm still raises.
+        state = SchedulerState()
+        self.record(state, b"a", vec(9, 1))
+        stats = state.stats[0]
+        before = (stats.pt, stats.tt)
+        with pytest.raises(ValueError, match="form"):
+            self.record(state, b"b", 0)
+        assert (stats.pt, stats.tt) == before
+        assert (stats.best, stats.best_input) == (vec(9, 1), b"a")
+
     def test_vector_order_l1_then_lexicographic(self):
         state = SchedulerState()
-        self.record(state, b"a", BranchDistance((3, 3), is_vector=True))
+        self.record(state, b"a", vec(3, 3))
         # Same L1 norm: lexicographic tie-break, (2, 4) < (3, 3).
-        assert self.record(state, b"b", BranchDistance((2, 4), is_vector=True)) is True
+        assert self.record(state, b"b", vec(2, 4)) is True
         # Lower L1 always wins.
-        assert self.record(state, b"c", BranchDistance((5, 0), is_vector=True)) is True
+        assert self.record(state, b"c", vec(5, 0)) is True
         assert state.stats[0].best_input == b"c"
 
     @settings(max_examples=100, deadline=None)
@@ -112,7 +123,7 @@ class TestDistanceMinimum:
         # earliest of equal vectors keeps the record.
         state = SchedulerState()
         for i, v in enumerate(vectors):
-            self.record(state, bytes([i]), BranchDistance(v, is_vector=True))
+            self.record(state, bytes([i]), vec(*v))
         expected = min(vectors, key=lambda v: (abs(v[0]) + abs(v[1]), v))
         assert state.stats[0].best == (abs(expected[0]) + abs(expected[1]), expected)
         assert state.stats[0].best_input == bytes([vectors.index(expected)])
@@ -120,9 +131,9 @@ class TestDistanceMinimum:
 
 class TestSelectNext:
     def setup_branch(self, state, site, seed, pt, tt):
-        state.record_execution(site, seed, d(10), pt, {site})
+        state.record_execution(site, seed, 10, pt, {site})
         if tt > pt:
-            state.record_execution(site, seed, d(10), tt - pt, {site})
+            state.record_execution(site, seed, 10, tt - pt, {site})
 
     def test_higher_ratio_wins(self):
         state = SchedulerState()
@@ -201,9 +212,9 @@ def test_argmax_agrees_with_naive_rational_comparison(branches):
     expected_scores = {}
     for site, (pt, extra_tt, sc) in enumerate(branches):
         seed = bytes([site])
-        state.record_execution(site, seed, d(10), pt, {site})
+        state.record_execution(site, seed, 10, pt, {site})
         if extra_tt:
-            state.record_execution(site, seed, d(10), extra_tt, {site})
+            state.record_execution(site, seed, 10, extra_tt, {site})
         state.sc[seed] = sc
         frontier.add(site)
         expected_scores[site] = Fraction(pt, (pt + extra_tt) * sc)

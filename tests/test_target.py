@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from frontierfuzz import builtin_targets
 from frontierfuzz.target import (
+    _READERS,
     MAX_WINDOW_END,
     BranchObservation,
     DocumentError,
@@ -358,9 +359,34 @@ class TestDeterminismAndConsistency:
             assert dst == nxt // 2
 
 
+class TestOperandReaders:
+    @staticmethod
+    def patterns(width):
+        yield bytes(width)
+        yield b"\x7f" + b"\xff" * (width - 1)
+        yield b"\x80" + bytes(width - 1)
+        yield b"\xff" * width
+        for i in range(width):
+            for bit in (0x01, 0x80):
+                yield bytes(i) + bytes([bit]) + bytes(width - i - 1)
+
+    @pytest.mark.parametrize("endian", ["le", "be"])
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_reader_matches_int_from_bytes(self, endian, width, signed):
+        read = _READERS[endian, width, signed]
+        order = "little" if endian == "le" else "big"
+        for window in self.patterns(width):
+            # Read at an offset, with bytes on both sides of the window.
+            data = b"\xaa" + window + b"\x55"
+            assert read(data, 1)[0] == int.from_bytes(window, order, signed=signed)
+
+
 # -- differential oracle -------------------------------------------------------
 # The row interpreter that executed guard programs before each guard was
-# compiled into a step function, kept verbatim as the reference for the harness.
+# compiled into a step function, kept as the reference for the harness: it reads
+# operands with ``int.from_bytes`` and computes each observation's distance key
+# from its own copy of the distance table.
 
 _REL_CODE = {
     Relation.LT: 0,
@@ -384,6 +410,22 @@ def _rel_holds(code: int, v: int) -> bool:
     if code == 2:
         return v > 0
     return v >= 0
+
+
+# The distance table, transcribed row by row: how far a comparison with
+# operand difference f is from flipping, given its outcome and relation.
+def _row(outcome: bool, code: int, f: int) -> int:
+    if code == 4:  # eq
+        return 1 - abs(f) if outcome else abs(f)
+    if code == 5:  # ne
+        return abs(f) if outcome else 1 - abs(f)
+    if code == 0:  # lt
+        return -f if outcome else f - 1
+    if code == 1:  # le
+        return 1 - f if outcome else f
+    if code == 2:  # gt
+        return f if outcome else 1 - f
+    return f - 1 if outcome else -f  # ge
 
 
 def _compile(n):
@@ -431,6 +473,7 @@ def _reference_execute(program, active, data: bytes) -> ExecutionTrace:
             outcome = _rel_holds(rel_code, f)
             diffs = None
             cmplen = None
+            key = _row(outcome, rel_code, f)
         elif kind == 1:
             op2, cmplen = extra
             op1 = chunk.ljust(cmplen, b"\0")
@@ -438,6 +481,8 @@ def _reference_execute(program, active, data: bytes) -> ExecutionTrace:
             outcome = _rel_holds(rel_code, cmp)
             f = None
             diffs = tuple(a - b for a, b in zip(op1, op2))
+            values = tuple(_row(outcome, rel_code, x) for x in diffs)
+            key = (sum(abs(v) for v in values), values)
         else:
             x = 0
             for b in chunk:
@@ -446,6 +491,7 @@ def _reference_execute(program, active, data: bytes) -> ExecutionTrace:
             outcome = _rel_holds(rel_code, f)
             diffs = None
             cmplen = None
+            key = _row(outcome, rel_code, f)
         edges.append(nid + nid if outcome else nid + nid + 1)
         if nid in active:
             observations.append(
@@ -456,6 +502,7 @@ def _reference_execute(program, active, data: bytes) -> ExecutionTrace:
                     f_value=f,
                     byte_diffs=diffs,
                     compared_length=cmplen,
+                    key=key,
                 )
             )
         nid = tk if outcome else ntk
