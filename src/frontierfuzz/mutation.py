@@ -8,10 +8,13 @@ pairs, and then jumps each branch toward its distance root:
 
     new_input = witness - distance / slope
 
-For multi-byte integer operands the step is solved in operand space and the
-result written back with the declared endianness; for string comparisons the
-compared window is located first by single-byte probing (hot-byte inference)
-and each window byte is solved independently.
+Every distance is the order key a guard's step stored on its observation
+(see ``distance``); slopes and steps use its scalarized value.  For integer
+guards the step is solved in operand space, where the operand is the
+constant plus the observed difference, and the result written back with the
+declared endianness; for string comparisons the compared window is located
+first by single-byte probing (hot-byte inference) and each window byte is
+solved independently from its component of the witness's distance key.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distance import BranchDistance, observation_distance, row_function
+from .distance import observation_distance, row_function, scalarize
 from .target import BranchObservation, GuardKind, GuardProgram, Relation
 
 __all__ = [
@@ -97,15 +100,6 @@ class SubgradientRecord:
     witness: bytes
     witness_obs: BranchObservation
     seed_obs: BranchObservation | None = None
-
-
-@dataclass(frozen=True)
-class HotByteSet:
-    """Input byte positions that directly feed a string comparison."""
-
-    site: int
-    offsets: tuple[int, ...]
-    compared_length: int
 
 
 def round_half_away(x) -> int:
@@ -289,20 +283,19 @@ def havoc_mutate(seed: bytes, cfg: MutatorConfig, rng: random.Random, *,
     return bytes(buf)
 
 
-def compute_subgradient(seed: bytes, mutant: bytes, d_seed: BranchDistance,
-                        d_mut: BranchDistance) -> dict[int, Fraction]:
+def compute_subgradient(seed: bytes, mutant: bytes, d_seed: int,
+                        d_mut: int) -> dict[int, Fraction]:
     """Element-wise slope estimate between two inputs reaching the same site.
 
-    For every byte position where the inputs differ, the distance delta is
-    divided by the byte delta; positions with no byte delta carry no slope
-    information and stay zero (absent).  Identical inputs yield an all-zero
-    (empty) vector.  The inputs must have the same length.
+    ``d_seed`` and ``d_mut`` are the inputs' scalarized distances.  For every
+    byte position where the inputs differ, the distance delta is divided by
+    the byte delta; positions with no byte delta carry no slope information
+    and stay zero (absent).  Identical inputs yield an all-zero (empty)
+    vector.  The inputs must have the same length.
     """
     if len(seed) != len(mutant):
         raise ValueError("subgradient requires equal-length inputs")
-    if d_seed.is_vector != d_mut.is_vector:
-        raise ValueError("distance form mismatch")
-    delta_d = d_mut.scalarize() - d_seed.scalarize()
+    delta_d = d_mut - d_seed
     g: dict[int, Fraction] = {}
     for j, (a, b) in enumerate(zip(seed, mutant)):
         if a != b:
@@ -310,39 +303,39 @@ def compute_subgradient(seed: bytes, mutant: bytes, d_seed: BranchDistance,
     return g
 
 
-def newton_step(witness: bytes, d: BranchDistance, g: dict[int, Fraction]) -> bytes:
+def newton_step(witness: bytes, d: int, g: dict[int, Fraction]) -> bytes:
     """Jump toward the distance root along the estimated slope.
 
-    Each nonzero-slope byte moves by -distance/slope, rounded half away from
-    zero and clamped to the byte range; all other bytes and the input length
-    are unchanged.
+    ``d`` is the witness's scalarized distance.  Each nonzero-slope byte
+    moves by -d/slope, rounded half away from zero and clamped to the byte
+    range; all other bytes and the input length are unchanged.
     """
     if l1_norm(g) == 0:
         raise ValueError("newton step requires a nonzero-norm subgradient")
-    value = d.scalarize()
     out = bytearray(witness)
     for j, slope in g.items():
         if slope == 0 or j >= len(out):
             continue
-        out[j] = _clamp_byte(round_half_away(witness[j] - Fraction(value, 1) / slope))
+        out[j] = _clamp_byte(round_half_away(witness[j] - Fraction(d) / slope))
     return bytes(out)
 
 
-def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> HotByteSet:
+def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> tuple[int, ...]:
     """Locate the input window feeding a string comparison.
 
     Replays the seed with each differing mutant byte applied in isolation;
     the first probe that moves the site's distance pins one hot byte, and the
     rest of the window follows from the changed comparison index plus the
-    compared length (string windows are contiguous).  Returns an empty set
-    when no probe moves the distance.  The inputs must have the same length.
+    compared length (string windows are contiguous).  Returns the window's
+    input offsets, one per compared position, or ``()`` when no probe moves
+    the distance.  The inputs must have the same length.
     """
     if len(seed) != len(mutant):
         raise ValueError("hot-byte inference requires equal-length inputs")
     base = executor.run(seed)
     base_obs = base.observations.get(site)
     if base_obs is None or base_obs.byte_diffs is None:
-        return HotByteSet(site, (), 0)
+        return ()
     differing = [j for j, (a, b) in enumerate(zip(seed, mutant)) if a != b]
     for pos in differing:
         probe = bytearray(seed)
@@ -356,9 +349,8 @@ def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> HotByteS
         for j, (a, b) in enumerate(zip(base_obs.key[1], obs.key[1])):
             if a != b:
                 start = pos - j
-                length = obs.compared_length
-                return HotByteSet(site, tuple(range(start, start + length)), length)
-    return HotByteSet(site, (), 0)
+                return tuple(range(start, start + len(obs.byte_diffs)))
+    return ()
 
 
 class Mutator:
@@ -384,18 +376,16 @@ class Mutator:
         A sample's slope norm at a site is |Δd| · Σ_j 1/|Δbyte_j|; the sum
         depends only on the sample, so it is taken once, as an integer in
         units of 1/L (``_INV``), and records are compared by norm times L.
-        Δd comes from the observations' distance keys; ``g``, and the
-        ``BranchDistance`` values it needs, are built only for a record that
-        wins with a nonzero norm.
+        Δd comes from the observations' scalarized distance keys; ``g`` is
+        built only for a record that wins with a nonzero norm.
         """
         k = self.config.sample_size if k is None else k
         if k < 1:
             return {}
         seed_obs = executor.run(seed).observations
-        seed_key = {site: obs.key for site, obs in seed_obs.items() if site in frontier}
-        seed_v = {site: _scalarize(key) for site, key in seed_key.items()}
+        seed_v = {site: scalarize(obs.key) for site, obs in seed_obs.items() if site in frontier}
         records = {site: SubgradientRecord({}, seed, seed_obs[site], seed_obs[site])
-                   for site in seed_key}
+                   for site in seed_v}
         norms = dict.fromkeys(records, 0)
         for _ in range(k - 1):
             data = havoc_mutate(seed, self.config, rng)
@@ -407,20 +397,17 @@ class Mutator:
             for site, obs in observations.items():
                 if site not in frontier:
                     continue
-                base = seed_key.get(site)
+                base = seed_v.get(site)
                 if base is None or not s:
                     if site not in records:  # first reached without a seed baseline
                         records[site] = SubgradientRecord({}, data, obs)
                         norms[site] = 0
                     continue
-                key = obs.key
-                if key.__class__ is not base.__class__:
-                    raise ValueError("distance form mismatch")
-                norm = abs(_scalarize(key) - seed_v[site]) * s
+                v = scalarize(obs.key)
+                norm = abs(v - base) * s
                 if norm > norms[site]:
                     norms[site] = norm
-                    g = compute_subgradient(seed, data, observation_distance(seed_obs[site]),
-                                            observation_distance(obs))
+                    g = compute_subgradient(seed, data, base, v)
                     records[site] = SubgradientRecord(g, data, obs, seed_obs[site])
         return records
 
@@ -435,7 +422,7 @@ class Mutator:
             if node.kind is GuardKind.STR:
                 candidate = self._solve_string(seed, site, rec, executor)
             elif node.kind is GuardKind.INT:
-                candidate = self._solve_operand(seed, site, rec)
+                candidate = self._solve_operand(site, rec)
             if candidate is None and rec.g:
                 candidate = newton_step(rec.witness, observation_distance(rec.witness_obs), rec.g)
             if candidate is None or candidate == rec.witness:
@@ -449,21 +436,18 @@ class Mutator:
             return None
         if rec.witness_obs.key == rec.seed_obs.key:
             return None
-        hot = infer_hot_bytes(seed, rec.witness, site, executor)
-        if not hot.offsets:
+        offsets = infer_hot_bytes(seed, rec.witness, site, executor)
+        if not offsets:
             return None
-        node = self.program.node(site)
-        row = row_function(rec.witness_obs.outcome, rec.witness_obs.relation)
-        diffs = rec.witness_obs.byte_diffs
+        obs = rec.witness_obs
         buf = bytearray(rec.witness)
         changed = False
-        for j, offset in enumerate(hot.offsets):
-            if j >= node.size or j >= len(diffs):
-                break  # padding positions have no input byte to solve
-            component = row(diffs[j])
+        # Positions past the window are padding, with no input byte to solve.
+        window = offsets[:self.program.node(site).size]
+        for offset, f, component in zip(window, obs.byte_diffs, obs.key[1]):
             if component == 0:
                 continue
-            slope = _row_slope(rec.witness_obs.outcome, rec.witness_obs.relation, diffs[j])
+            slope = _row_slope(obs.outcome, obs.relation, f)
             if offset >= len(buf):
                 buf.extend(b"\0" * (offset + 1 - len(buf)))
             # The slope is +/-1, so dividing by it is multiplying by it.
@@ -471,32 +455,25 @@ class Mutator:
             changed = True
         return bytes(buf) if changed else None
 
-    def _solve_operand(self, seed: bytes, site: int, rec: SubgradientRecord) -> bytes | None:
-        """Root solving in reconstructed-operand space for integer guards.
+    def _solve_operand(self, site: int, rec: SubgradientRecord) -> bytes | None:
+        """Root solving in operand space for integer guards.
 
         Byte-space slopes diverge on multi-byte operands (a carry into a high
         byte moves the distance by thousands) and absolute-value distance
-        rows kink at the root, so two pieces are combined instead: the
-        operand-to-difference slope sampled between the seed and the witness
-        (the comparison is linear in the operand, so this is kink-free), and
-        the known row derivative at the witness.  The solved operand is
-        written back with the declared endianness.
+        rows kink at the root, so the step is taken on the operand instead.
+        An integer guard's difference is ``f = operand - constant``, so the
+        witness's operand is ``constant + f`` and the distance's slope in the
+        operand is the row's derivative at ``f``, which is +/-1: dividing
+        the distance by it is multiplying by it.  A witness whose operand
+        equals the seed's gives no step.  The solved operand is clamped to
+        the operand's range and written back with the declared endianness.
         """
-        if rec.seed_obs is None:
+        obs = rec.witness_obs
+        f = obs.f_value
+        if rec.seed_obs is None or f == rec.seed_obs.f_value:
             return None
         node = self.program.node(site)
-        op_seed = self._read_operand(seed, node)
-        op_wit = self._read_operand(rec.witness, node)
-        if op_wit == op_seed:
-            return None
-        f_seed = rec.seed_obs.f_value
-        f_wit = rec.witness_obs.f_value
-        linkage = Fraction(f_wit - f_seed, op_wit - op_seed)
-        if linkage == 0:
-            return None
-        slope = _row_slope(rec.witness_obs.outcome, rec.witness_obs.relation, f_wit) * linkage
-        d_wit = rec.witness_obs.key
-        solved = round_half_away(op_wit - Fraction(d_wit, 1) / slope)
+        solved = node.constant + f - obs.key * _row_slope(obs.outcome, obs.relation, f)
         bits = 8 * node.size
         lo, hi = (
             (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
@@ -511,19 +488,6 @@ class Mutator:
         order = "little" if node.endian == "le" else "big"
         buf[node.offset:end] = (solved & ((1 << bits) - 1)).to_bytes(node.size, order)
         return bytes(buf)
-
-    @staticmethod
-    def _read_operand(data: bytes, node) -> int:
-        chunk = data[node.offset : node.offset + node.size]
-        if len(chunk) < node.size:
-            chunk = chunk.ljust(node.size, b"\0")
-        order = "little" if node.endian == "le" else "big"
-        return int.from_bytes(chunk, order, signed=node.signed)
-
-
-def _scalarize(key) -> int:
-    """``BranchDistance.scalarize`` of a distance order key."""
-    return key[0] if key.__class__ is tuple else key
 
 
 def _row_slope(outcome: bool, relation: Relation, f: int) -> int:

@@ -165,7 +165,7 @@ def convexity_probe(harness: Harness, site: int, x1: bytes, x2: bytes,
                 if stats is not None:
                     stats._bump(stats.non_probes, site)
                 return None
-            values.append(observation_distance(obs).scalarize())
+            values.append(observation_distance(obs))
         d1, d2, dm = values[0], values[1], values[2]
         passed = 2 * dm <= d1 + d2
         if stats is not None:

@@ -5,8 +5,9 @@ document.  Executing an input walks the guards from the entry node: each guard
 reads an operand window out of the input, compares it against a constant, and
 transfers control along its taken or not-taken edge.  The walk records the
 exercised edges plus, for explicitly activated guard sites, the comparison
-feedback (outcome, relation, operand difference) and the branch distance that
-the rest of the engine consumes.
+feedback (outcome, relation, operand difference or per-byte differences) and
+the branch distance as an order key, the one form of it that the scheduler
+and the mutator read.
 
 Each guard is compiled once per program into a step function with its
 operands bound in; integer operands are read through ``struct`` readers built
@@ -110,8 +111,9 @@ class BranchObservation(NamedTuple):
 
     Integer and xor guards report the signed operand difference ``f_value``;
     string guards report signed per-byte differences over the zero-padded
-    comparison window instead.  ``key`` is the branch distance as an order
-    key: the row value for a scalar, ``(L1, values)`` for a vector.
+    comparison window instead, one per compared position.  ``key`` is the
+    branch distance, the only one the engine keeps, as an order key: the row
+    value for a scalar, ``(L1, values)`` for a vector.
     """
 
     site: int
@@ -119,7 +121,6 @@ class BranchObservation(NamedTuple):
     relation: Relation
     f_value: int | None = None
     byte_diffs: tuple[int, ...] | None = None
-    compared_length: int | None = None
     key: int | tuple[int, tuple[int, ...]] | None = None
 
 
@@ -180,7 +181,7 @@ def _int_step(n: GuardNode, observe: bool):
             f = read(data, off)[0] - const
             outcome = cmp(f, 0)
             edges.append(te if outcome else ne)
-            obs.append(new(cls, (site, outcome, rel, f, None, None, (rt if outcome else rf)(f))))
+            obs.append(new(cls, (site, outcome, rel, f, None, (rt if outcome else rf)(f))))
             return tk if outcome else ntk
     elif n.size == 1 and not signed:
         def step(data, edges, obs, off=off, const=const, cmp=cmp, te=te, ne=ne, tk=tk, ntk=ntk):
@@ -210,7 +211,7 @@ def _str_step(n: GuardNode, observe: bool):
     te, ne = 2 * n.node_id, 2 * n.node_id + 1
     if observe:
         def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
-                 te=te, ne=ne, tk=tk, ntk=ntk, site=n.node_id, rel=n.relation, cmplen=cmplen,
+                 te=te, ne=ne, tk=tk, ntk=ntk, site=n.node_id, rel=n.relation,
                  rt=_ROWS[True, n.relation], rf=_ROWS[False, n.relation],
                  sub=operator.sub, new=tuple.__new__, cls=BranchObservation):
             window = data[off:end] + pad
@@ -218,8 +219,7 @@ def _str_step(n: GuardNode, observe: bool):
             edges.append(te if outcome else ne)
             diffs = tuple(map(sub, window, const))
             values = tuple(map(rt if outcome else rf, diffs))
-            obs.append(new(cls, (site, outcome, rel, None, diffs, cmplen,
-                                 (sum(map(abs, values)), values))))
+            obs.append(new(cls, (site, outcome, rel, None, diffs, (sum(map(abs, values)), values))))
             return tk if outcome else ntk
     else:
         def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
@@ -244,7 +244,7 @@ def _xor_step(n: GuardNode, observe: bool):
             f = reduce(xor, data[off:end], 0) - const
             outcome = cmp(f, 0)
             edges.append(te if outcome else ne)
-            obs.append(new(cls, (site, outcome, rel, f, None, None, (rt if outcome else rf)(f))))
+            obs.append(new(cls, (site, outcome, rel, f, None, (rt if outcome else rf)(f))))
             return tk if outcome else ntk
     else:
         def step(data, edges, obs, off=off, end=end, const=const, cmp=cmp, te=te, ne=ne,

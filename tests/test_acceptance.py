@@ -86,13 +86,13 @@ def test_criterion_1_distance_table_conformance(verdict):
             if relation.holds(f) != outcome:
                 continue
             checked += 1
-            ok = ok and distance(outcome, relation, f).scalar == row(f)
+            ok = ok and distance(outcome, relation, f) == row(f)
     ok = ok and checked == 42  # 6 relations x 7 values, one outcome each
     verdict(1, f"distance table matches literal transcription on {checked} tuples", ok)
 
 
 def test_criterion_2_boundary_guard_worked_example(verdict):
-    ok = distance(True, Relation.LE, -10).scalar == 11
+    ok = distance(True, Relation.LE, -10) == 11
     program = builtin_targets.load("le15")
     executor = make_executor(program, frontier={0})
     mutator = Mutator(MutatorConfig(sample_size=64), program)
@@ -232,8 +232,7 @@ def test_criterion_7_convexity_introspection(verdict):
             harness.set_active_sites({site})
             for data in (x1, x2, bytes((a + b) // 2 for a, b in zip(x1, x2))):
                 obs = {o.site: o for o in harness.execute(data).observations}[site]
-                d = observation_distance(obs)
-                values.append(d.magnitude() if d.is_vector else d.scalar)
+                values.append(observation_distance(obs))
             if 2 * values[2] != values[0] + values[1]:
                 all_linear_ok = False
         if stats.passes.get(site, 0) != 100:
@@ -264,7 +263,7 @@ def test_criterion_8_hot_byte_inference(verdict):
         if record is None or record.witness == seed:
             continue
         hot = infer_hot_bytes(seed, record.witness, 0, executor)
-        hits += hot.offsets == expected
+        hits += hot == expected
     verdict(8, f"inferred hot-byte window matches the compared window in {hits}/10 seeds",
              hits >= 9)
 

@@ -295,6 +295,43 @@ class TestHavocBatchAgainstReference:
             _sched_outputs(program, _reference_havoc_batch, 800, 8, rng_seed)
 
 
+def _assert_run_end_invariants(program, campaign):
+    """The state a finished campaign leaves behind is consistent with
+    itself and with fresh replays of its corpus and findings."""
+    coverage = campaign.coverage
+    assert frozenset(coverage.frontier) == recompute_frontier(coverage)
+    for stats in campaign.scheduler.stats.values():
+        assert 1 <= stats.pt <= stats.tt
+    harness = Harness(program, synthetic_time=True)
+    covered = set()
+    for entry in campaign.corpus.entries:
+        assert entry.new_edges <= set(harness.execute(entry.data).edges)
+        covered |= entry.new_edges
+    assert covered == coverage.edge_hits
+    for _, data in campaign.findings:
+        assert harness.execute(data).bug_hits
+
+
+class TestInvariantsOnGeneratedPrograms:
+    """Short campaigns in every mode on generated programs, where fox runs
+    the operand, hot-byte and byte-space solvers on guards of any kind."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_documents(), st.data())
+    def test_run_end_invariants_and_rerun(self, doc, data):
+        program = program_from_dict(doc)
+        seed = data.draw(st.binary(min_size=1, max_size=program.max_input_len))
+        rng_seed = data.draw(st.integers(0, 3))
+        for mode in Mode:
+            logs = []
+            for _ in range(2):
+                campaign = Campaign(program, [seed], mode, Budget(max_execs=600),
+                                    MutatorConfig(sample_size=8), rng_seed=rng_seed)
+                logs.append(campaign.run().to_jsonl())
+            _assert_run_end_invariants(program, campaign)
+            assert logs[0] == logs[1]
+
+
 class TestFallback:
     def test_orphan_node_triggers_round_robin_fallback(self):
         # An orphan guard is valid but unreachable: the frontier empties
@@ -360,7 +397,7 @@ class TestFlipImpliesDecrease:
         flip_index = next(i for i, (flips, _) in enumerate(trajectory) if flips)
         pre_flip = [obs for _, obs in trajectory[:flip_index]]
         assert pre_flip
-        prior_min = min(observation_distance(o).scalar for o in pre_flip)
+        prior_min = min(observation_distance(o) for o in pre_flip)
         flip_obs = trajectory[flip_index][1]
         old_row = row_function(True, Relation.LE)
         assert old_row(flip_obs.f_value) < prior_min

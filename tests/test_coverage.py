@@ -167,8 +167,9 @@ def test_incremental_frontier_matches_on_generated_programs(doc, data):
 
 def test_generated_inputs_retire_deep_guards():
     # Derandomized, so the same examples run every time: the frontier check
-    # above must see guards past the first few leave the frontier.  About one
-    # generated program in five has a guard with id >= 3 on any path at all.
+    # above must see guards past the first few leave the frontier.  About two
+    # generated programs in three reach a guard with id >= 3 (their guards
+    # form a spine); about one in three of these examples retires one.
     deep = []
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -177,7 +178,7 @@ def test_generated_inputs_retire_deep_guards():
         deep.append(any(nid >= 3 for nid in _check_incremental_frontier(doc, data)))
 
     run()
-    assert sum(deep) >= 30, f"{sum(deep)} of {len(deep)} examples retire a guard with id >= 3"
+    assert sum(deep) >= 60, f"{sum(deep)} of {len(deep)} examples retire a guard with id >= 3"
 
 
 @pytest.mark.parametrize("name,max_len", [("chain6", 6), ("mixed_tree", 8)])

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontierfuzz.distance import distance, observation_distance, string_distance
+from frontierfuzz.distance import distance, observation_distance, scalarize, string_distance
 from frontierfuzz.target import Harness, Relation, program_from_dict
 from test_target import _documents
 
@@ -10,13 +10,13 @@ from test_target import _documents
 class TestScalarDistance:
     def test_true_le_example(self):
         # "byte <= 15" with input 5: f = -10, distance 1 - f = 11.
-        assert distance(True, Relation.LE, -10).scalar == 11
+        assert distance(True, Relation.LE, -10) == 11
 
     def test_false_lt_example(self):
-        assert distance(False, Relation.LT, 7).scalar == 6
+        assert distance(False, Relation.LT, 7) == 6
 
     def test_true_ne_example(self):
-        assert distance(True, Relation.NE, 5).scalar == 5
+        assert distance(True, Relation.NE, 5) == 5
 
     def test_inconsistent_tuple_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
@@ -33,19 +33,17 @@ class TestScalarDistance:
 
 class TestStringDistance:
     def test_per_byte_absolute(self):
-        d = string_distance(True, Relation.NE, (0, 0, -99))
-        assert d.values == (0, 0, 99)
-        assert d.is_vector
+        assert string_distance(True, Relation.NE, (0, 0, -99)) == (99, (0, 0, 99))
 
     def test_equality_root_is_all_zero(self):
-        assert string_distance(False, Relation.EQ, (0, 0, 0)).values == (0, 0, 0)
+        assert string_distance(False, Relation.EQ, (0, 0, 0)) == (0, (0, 0, 0))
 
     def test_single_component(self):
-        assert string_distance(False, Relation.EQ, (1,)).values == (1,)
+        assert string_distance(False, Relation.EQ, (1,)) == (1, (1,))
 
     def test_scalarize_keeps_scalar_sign_and_sums_vectors(self):
-        assert distance(True, Relation.GE, 0).scalarize() == -1
-        assert string_distance(False, Relation.EQ, (-2, 0, 5)).scalarize() == 7
+        assert scalarize(distance(True, Relation.GE, 0)) == -1
+        assert scalarize(string_distance(False, Relation.EQ, (-2, 0, 5))) == 7
 
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -54,17 +52,18 @@ class TestStringDistance:
     def test_matches_scalar_rule_per_index(self):
         # Oracle: the site's row formula applied independently per index.
         diffs = (3, -2, 0, 7)
-        vec = string_distance(False, Relation.EQ, diffs)
-        assert vec.values == tuple(abs(f) for f in diffs)
-        vec = string_distance(True, Relation.LE, diffs)
-        assert vec.values == tuple(1 - f for f in diffs)
+        _, values = string_distance(False, Relation.EQ, diffs)
+        assert values == tuple(abs(f) for f in diffs)
+        _, values = string_distance(True, Relation.LE, diffs)
+        assert values == tuple(1 - f for f in diffs)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_documents(), st.data())
 def test_observation_distance_matches_validating_distance(doc, data):
-    # The distance a guard's step computes equals the one the validating
-    # functions compute from the same observation's raw feedback.
+    # The distance key a guard's step computes equals the one the validating
+    # functions compute from the same observation's raw feedback, and
+    # observation_distance is its scalarized value.
     program = program_from_dict(doc)
     harness = Harness(program, synthetic_time=True)
     harness.set_active_sites(program.node_ids)
@@ -74,4 +73,5 @@ def test_observation_distance_matches_validating_distance(doc, data):
                 expected = distance(obs.outcome, obs.relation, obs.f_value)
             else:
                 expected = string_distance(obs.outcome, obs.relation, obs.byte_diffs)
-            assert observation_distance(obs) == expected
+            assert obs.key == expected
+            assert observation_distance(obs) == scalarize(expected)

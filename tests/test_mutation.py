@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_executor
 from frontierfuzz import builtin_targets, mutation
-from frontierfuzz.distance import BranchDistance, observation_distance
+from frontierfuzz.distance import observation_distance, scalarize
 from frontierfuzz.mutation import (
     _ARITH_MAX,
     _INTERESTING,
@@ -19,11 +19,12 @@ from frontierfuzz.mutation import (
     havoc_mutate,
     infer_hot_bytes,
     l1_norm,
+    _row_slope,
     newton_step,
     round_half_away,
 )
 from frontierfuzz.target import BranchObservation, Harness, program_from_dict
-from test_target import _documents
+from test_target import _BYTE_VALUES, _RELATION_TOKENS, _documents
 
 CFG = MutatorConfig()
 
@@ -199,57 +200,48 @@ class TestHavoc:
 
 class TestSubgradient:
     def test_single_byte_slope(self):
-        g = compute_subgradient(bytes([5]), bytes([7]),
-                                BranchDistance((11,)), BranchDistance((9,)))
+        g = compute_subgradient(bytes([5]), bytes([7]), 11, 9)
         assert g == {0: Fraction(-1)}
 
     def test_identical_inputs_zero_vector(self):
-        g = compute_subgradient(bytes([5]), bytes([5]),
-                                BranchDistance((11,)), BranchDistance((11,)))
+        g = compute_subgradient(bytes([5]), bytes([5]), 11, 11)
         assert g == {}
         assert l1_norm(g) == 0
 
     def test_elementwise_division(self):
-        g = compute_subgradient(bytes([5, 0]), bytes([7, 3]),
-                                BranchDistance((11,)), BranchDistance((9,)))
+        g = compute_subgradient(bytes([5, 0]), bytes([7, 3]), 11, 9)
         assert g == {0: Fraction(-1), 1: Fraction(-2, 3)}
 
     def test_vector_distances_use_l1(self):
-        d0 = BranchDistance((2, 2), is_vector=True)
-        d1 = BranchDistance((1, 1), is_vector=True)
+        d0 = scalarize((4, (2, 2)))
+        d1 = scalarize((2, (1, 1)))
         g = compute_subgradient(bytes([0, 0]), bytes([2, 0]), d0, d1)
         assert g == {0: Fraction(-1)}
 
-    def test_form_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="form"):
-            compute_subgradient(b"a", b"b", BranchDistance((1,)),
-                                BranchDistance((1, 2), is_vector=True))
-
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="equal-length"):
-            compute_subgradient(bytes([5]), bytes([5, 3]),
-                                BranchDistance((11,)), BranchDistance((9,)))
+            compute_subgradient(bytes([5]), bytes([5, 3]), 11, 9)
 
 
 class TestNewtonStep:
     def test_boundary_guard_lands_on_flip_input(self):
-        out = newton_step(bytes([5]), BranchDistance((11,)), {0: Fraction(-1)})
+        out = newton_step(bytes([5]), 11, {0: Fraction(-1)})
         assert out == bytes([16])
 
     def test_zero_distance_returns_witness(self):
-        out = newton_step(bytes([5]), BranchDistance((0,)), {0: Fraction(-1)})
+        out = newton_step(bytes([5]), 0, {0: Fraction(-1)})
         assert out == bytes([5])
 
     def test_clamps_to_byte_range(self):
-        out = newton_step(bytes([200]), BranchDistance((120,)), {0: Fraction(-1)})
+        out = newton_step(bytes([200]), 120, {0: Fraction(-1)})
         assert out == bytes([255])
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
-            newton_step(bytes([5]), BranchDistance((1,)), {})
+            newton_step(bytes([5]), 1, {})
 
     def test_length_preserved(self):
-        out = newton_step(bytes([5, 9, 9]), BranchDistance((4,)), {0: Fraction(-2)})
+        out = newton_step(bytes([5, 9, 9]), 4, {0: Fraction(-2)})
         assert out == bytes([7, 9, 9])
 
     @pytest.mark.parametrize(
@@ -320,7 +312,7 @@ class TestLocalSearch:
 
         def dist(x):
             (obs,) = harness.execute(bytes([x])).observations
-            return observation_distance(obs).scalar
+            return observation_distance(obs)
 
         d_seed = dist(5)
         for x in range(256):
@@ -444,6 +436,92 @@ class TestLocalSearchAgainstReference:
         assert 0 < replacements < 255  # fewer than one per sample, not 5 per sample
 
 
+def _reference_solve_operand(self, seed, site, rec):
+    """``Mutator._solve_operand`` as it was when it decoded the operand a
+    second time: both operands read with ``int.from_bytes`` on a zero-padded
+    slice, an operand-to-difference linkage sampled between them, and an
+    exact ``Fraction`` step.  Called with the mutator as ``self``; kept as
+    the oracle for the solver that takes the operand from ``f_value``."""
+    if rec.seed_obs is None:
+        return None
+    node = self.program.node(site)
+    order = "little" if node.endian == "le" else "big"
+
+    def read_operand(data):
+        chunk = data[node.offset : node.offset + node.size]
+        if len(chunk) < node.size:
+            chunk = chunk.ljust(node.size, b"\0")
+        return int.from_bytes(chunk, order, signed=node.signed)
+
+    op_seed = read_operand(seed)
+    op_wit = read_operand(rec.witness)
+    if op_wit == op_seed:
+        return None
+    f_seed = rec.seed_obs.f_value
+    f_wit = rec.witness_obs.f_value
+    linkage = Fraction(f_wit - f_seed, op_wit - op_seed)
+    if linkage == 0:
+        return None
+    slope = _row_slope(rec.witness_obs.outcome, rec.witness_obs.relation, f_wit) * linkage
+    solved = round_half_away(op_wit - Fraction(rec.witness_obs.key, 1) / slope)
+    bits = 8 * node.size
+    lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if node.signed else (0, (1 << bits) - 1)
+    solved = max(lo, min(hi, solved))
+    buf = bytearray(rec.witness)
+    end = node.offset + node.size
+    if end > len(buf):
+        buf.extend(b"\0" * (end - len(buf)))
+    buf[node.offset:end] = (solved & ((1 << bits) - 1)).to_bytes(node.size, order)
+    return bytes(buf)
+
+
+@st.composite
+def _operand_cases(draw, relation):
+    """A one-guard integer program of any width, endianness and signedness,
+    plus a seed and an equal-length witness that may stop short of the
+    operand window and may agree with the seed on it."""
+    width = draw(st.sampled_from([1, 2, 4, 8]))
+    signed = draw(st.booleans())
+    bits = 8 * width
+    lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if signed else (0, (1 << bits) - 1)
+    offset = draw(st.integers(0, 3))
+    doc = {"max_input_len": offset + width + 2, "entry": 0,
+           "nodes": [{"id": 0, "kind": "int", "offset": offset, "width": width,
+                      "endian": draw(st.sampled_from(["le", "be"])), "signed": signed,
+                      "relation": relation,
+                      "constant": draw(st.sampled_from([lo, lo + 1, hi - 1, hi, 0, 1])
+                                       | st.integers(lo, hi)),
+                      "taken": None, "nottaken": None}]}
+    length = draw(st.integers(1, doc["max_input_len"]))
+    inputs = st.lists(_BYTE_VALUES, min_size=length, max_size=length).map(bytes)
+    seed = draw(inputs)
+    witness = bytearray(draw(inputs))
+    window = slice(offset, offset + width)
+    if draw(st.booleans()):
+        witness[window] = seed[window]
+    elif offset < length and witness[window] == seed[window]:
+        witness[offset] ^= draw(st.integers(1, 0xFF))
+    return doc, seed, bytes(witness)
+
+
+class TestOperandSolverAgainstReference:
+    @pytest.mark.parametrize("relation", _RELATION_TOKENS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_same_candidate(self, relation, data):
+        doc, seed, witness = data.draw(_operand_cases(relation))
+        program = program_from_dict(doc)
+        harness = Harness(program, synthetic_time=True)
+        harness.set_active_sites({0})
+        (seed_obs,) = harness.execute(seed).observations
+        (witness_obs,) = harness.execute(witness).observations
+        with_seed = data.draw(st.booleans())
+        rec = SubgradientRecord({}, witness, witness_obs, seed_obs if with_seed else None)
+        mutator = Mutator(CFG, program)
+        want = _reference_solve_operand(mutator, seed, 0, rec)
+        assert mutator._solve_operand(0, rec) == want
+
+
 class TestHotBytes:
     MAGI_DOC = {
         "max_input_len": 12,
@@ -463,8 +541,7 @@ class TestHotBytes:
         mutant[5] = 66
         before = executor.execs
         hot = infer_hot_bytes(seed, bytes(mutant), 0, executor)
-        assert hot.offsets == (4, 5, 6, 7)
-        assert hot.compared_length == 4
+        assert hot == (4, 5, 6, 7)
         # Baseline plus at most one probe per differing byte.
         assert executor.execs - before <= 3
 
@@ -472,7 +549,7 @@ class TestHotBytes:
         program = program_from_dict(self.MAGI_DOC)
         executor = make_executor(program, frontier={0})
         hot = infer_hot_bytes(bytes(12), bytes(12), 0, executor)
-        assert hot.offsets == ()
+        assert hot == ()
 
     def test_differences_outside_window_yield_empty_set(self):
         program = program_from_dict(self.MAGI_DOC)
@@ -481,7 +558,7 @@ class TestHotBytes:
         mutant[1] = 7
         mutant[9] = 3  # past the compared window
         hot = infer_hot_bytes(bytes(12), bytes(mutant), 0, executor)
-        assert hot.offsets == ()
+        assert hot == ()
 
     def test_unequal_lengths_rejected_before_any_exec(self):
         program = program_from_dict(self.MAGI_DOC)
@@ -635,8 +712,8 @@ class TestNewtonTendency:
             harness = Harness(program, synthetic_time=True)
             harness.set_active_sites({0})
             (obs,) = harness.execute(out).observations
-            d_out = abs(observation_distance(obs).scalar)
-            d_wit = abs(observation_distance(rec.witness_obs).scalar)
+            d_out = abs(observation_distance(obs))
+            d_wit = abs(observation_distance(rec.witness_obs))
             wins += d_out <= d_wit
         assert trials > 0
         assert wins / trials >= 0.95

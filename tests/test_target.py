@@ -178,7 +178,6 @@ class TestExecute:
         harness.set_active_sites({0})
         (obs,) = harness.execute(b"ab").observations
         assert obs.byte_diffs == (0, 0, -99)
-        assert obs.compared_length == 3
         assert obs.outcome is False
 
     def test_string_window_padded_to_constant_length(self):
@@ -436,7 +435,7 @@ def _compile(n):
     extra = None
     if kind == 1:
         cmplen = max(n.size, len(n.constant))
-        extra = (bytes(n.constant).ljust(cmplen, b"\0"), cmplen)
+        extra = bytes(n.constant).ljust(cmplen, b"\0")
     return (
         kind,
         n.offset,
@@ -472,11 +471,10 @@ def _reference_execute(program, active, data: bytes) -> ExecutionTrace:
             f = int.from_bytes(chunk, byteorder, signed=signed) - const
             outcome = _rel_holds(rel_code, f)
             diffs = None
-            cmplen = None
             key = _row(outcome, rel_code, f)
         elif kind == 1:
-            op2, cmplen = extra
-            op1 = chunk.ljust(cmplen, b"\0")
+            op2 = extra
+            op1 = chunk.ljust(len(op2), b"\0")
             cmp = 0 if op1 == op2 else (-1 if op1 < op2 else 1)
             outcome = _rel_holds(rel_code, cmp)
             f = None
@@ -490,7 +488,6 @@ def _reference_execute(program, active, data: bytes) -> ExecutionTrace:
             f = x - const
             outcome = _rel_holds(rel_code, f)
             diffs = None
-            cmplen = None
             key = _row(outcome, rel_code, f)
         edges.append(nid + nid if outcome else nid + nid + 1)
         if nid in active:
@@ -501,7 +498,6 @@ def _reference_execute(program, active, data: bytes) -> ExecutionTrace:
                     relation=rel,
                     f_value=f,
                     byte_diffs=diffs,
-                    compared_length=cmplen,
                     key=key,
                 )
             )
@@ -541,17 +537,24 @@ def _guard(draw, nid):
 @st.composite
 def _documents(draw):
     """Acyclic programs whose children point at larger ids, so nodes may
-    share children; node 0 (the entry) is a guard, later ones may be bugs."""
-    n = draw(st.integers(1, 10))
+    share children; node 0 (the entry) is a guard, later ones may be bugs.
+
+    A spine keeps them deep: one child of each guard, on a drawn side, is
+    the next guard by id (a later bug when no guard follows), so the entry
+    reaches every guard; the other child is terminal or any later node."""
+    n = draw(st.integers(1, 12))
     nodes = [draw(_guard(0))]
     for nid in range(1, n):
         is_bug = draw(st.integers(0, 3)) == 0
         nodes.append({"id": nid, "kind": "bug"} if is_bug else draw(_guard(nid)))
-    for node in nodes:
-        if node["kind"] != "bug":
-            later = st.integers(node["id"] + 1, n - 1) if node["id"] + 1 < n else st.nothing()
-            node["taken"] = draw(st.none() | later)
-            node["nottaken"] = draw(st.none() | later)
+    guards = [node for node in nodes if node["kind"] != "bug"]
+    for node, following in zip(guards, guards[1:] + [None]):
+        nid = node["id"]
+        later = st.integers(nid + 1, n - 1) if nid + 1 < n else st.nothing()
+        spine = later if following is None else st.just(following["id"])
+        side = draw(st.sampled_from(["taken", "nottaken"]))
+        node[side] = draw(spine) if nid + 1 < n else None
+        node["nottaken" if side == "taken" else "taken"] = draw(st.none() | later)
     window_end = max(nd["offset"] + nd.get("width", nd.get("length", 0))
                      for nd in nodes if nd["kind"] != "bug")
     return {"max_input_len": window_end + draw(st.integers(0, 3)), "entry": 0, "nodes": nodes}
