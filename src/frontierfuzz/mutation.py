@@ -48,21 +48,26 @@ _INTERESTING = {
 
 _ARITH_MAX = 35
 
-# Draw widths: CPython's ``_randbelow(m)`` takes ``m.bit_length()`` random
-# bits per try and retries while the result is ``>= m``.  These are the widths
-# for the fixed ranges havoc draws from.
-_K_BYTE = (256).bit_length()
-_K_BIT = (8).bit_length()
-_K_COIN = (2).bit_length()
-_K_ARITH = _ARITH_MAX.bit_length()
-
 # Havoc operator tables keyed by (byte swap allowed, resize allowed).
 _HAVOC_OPS = {
     (swap, resize): (0, 1, 2, 3, 4) + ((5,) if swap else ()) + ((6, 7) if resize else ())
     for swap in (False, True) for resize in (False, True)
 }
-# Interesting-value widths that fit min(len, bytes_per_op), capped at 4.
-_WIDTHS = {1: (1,), 2: (1, 2), 3: (1, 2), 4: (1, 2, 4)}
+# An operator carves its ranged fields from its own 30-bit draw only while the
+# product of every range it takes from that draw stays at or below this.
+_CARVE = 1 << 20
+# Byte add/sub in one field: entry 2 * (delta - 1) + sign adds delta when sign
+# is 1 and subtracts it when sign is 0.
+_DELTAS = tuple(d if sign else -d for d in range(1, _ARITH_MAX + 1) for sign in (0, 1))
+# Interesting values pre-packed per width: entry 2 * i + e is value i of that
+# width in two's complement, little-endian for e = 0 and big-endian for e = 1.
+_PACKED = {
+    w: tuple((v & ((1 << (8 * w)) - 1)).to_bytes(w, order)
+             for v in values for order in ("little", "big"))
+    for w, values in _INTERESTING.items()
+}
+# The (width, packed values) choices that fit min(len, bytes_per_op), capped at 4.
+_CHOICES = {room: tuple((w, _PACKED[w]) for w in (1, 2, 4) if w <= room) for room in (1, 2, 3, 4)}
 
 # 1/δ in units of 1/L for each byte delta δ; L = lcm(1..255) makes each exact.
 _L = math.lcm(*range(1, 256))
@@ -128,158 +133,109 @@ def havoc_mutate(seed: bytes, cfg: MutatorConfig, rng: random.Random, *,
     mutant differs from the seed in at most ``stack * bytes_per_op`` bytes.
     Length-changing operators are off by default (local search needs aligned
     inputs) and, when enabled, never move the length more than
-    ``havoc_bytes_per_op`` away from the seed's.
+    ``havoc_bytes_per_op`` away from the seed's, nor above ``max_len``.
 
-    Draw contract: the function makes exactly the ``rng.getrandbits`` calls,
-    in the same order, that the plain formulation with ``rng.randint``,
-    ``rng.randrange`` and ``rng.choice`` makes on CPython, and so returns the
-    same mutant and leaves ``rng`` in the same state.  Each draw below
-    ``m`` inlines ``Random._randbelow(m)``: take ``m.bit_length()`` bits,
-    retry while the result is ``>= m``.  The differential test in
-    ``tests/test_mutation.py`` pins this against that formulation.
+    Draw contract.  The stack depth is ``rng.getrandbits(30) % stack_max + 1``.
+    Each operator then takes one ``rng.getrandbits(30)`` and carves its fields
+    from it in mixed radix (``r % m`` is the field, ``r // m`` the rest), in
+    this order: the operator index into ``_HAVOC_OPS``, then
+      bit flip:        bit (8), position (n);
+      byte set:        value (256), position (n);
+      byte add/sub:    sign and delta as one ``_DELTAS`` index (70), position (n);
+      interesting:     width (the widths that fit), endianness and value as one
+                       ``_PACKED`` index, position (n - width + 1);
+      block overwrite: length - 1 (m = min(bytes_per_op, n)), position
+                       (n - length + 1), then the block's bytes from one
+                       ``rng.getrandbits(8 * length)``, little-endian;
+      byte swap:       two positions (n each), skipped for n < 2;
+      delete block:    length - 1 (m, the room left to shrink), position
+                       (n - length + 1), skipped when m < 1;
+      insert block:    length - 1 (m, the room left to grow), position
+                       (n + 1), then its bytes as for block overwrite,
+                       skipped when m < 1.
+    Fields carved from one draw are read from it modulo the product ``M`` of
+    their ranges, so each combination has probability within ``2**-30`` of
+    ``1 / M``: a relative bias below ``M / 2**30``.  The stack depth's bias is
+    thus below ``stack_max / 2**30``.  An operator carves its length and
+    positions only while ``M``, taken with the largest position range, is at
+    most ``2**20``, so no bias exceeds ``2**-10``; otherwise each of them is an
+    exact ``rng.randrange`` draw, and every position stays reachable at any
+    length.
     """
     if not seed:
         raise ValueError("seed must be nonempty")
+    top = cfg.havoc_stack_max if stack_max is None else stack_max
+    if top < 1:
+        raise ValueError("stack_max must be >= 1")
     gb = rng.getrandbits
+    below = rng.randrange
     budget = cfg.havoc_bytes_per_op
     ops = _HAVOC_OPS[budget >= 2, allow_resize]
     n_ops = len(ops)
-    k_ops = n_ops.bit_length()
+    lim = _CARVE // n_ops  # a product of ranges m fits when n_ops * m <= _CARVE
     buf = bytearray(seed)
-    orig_len = len(seed)
-    top = stack_max if stack_max is not None else cfg.havoc_stack_max
-    k = top.bit_length()
-    stack = gb(k)
-    while stack >= top:
-        stack = gb(k)
-    for _ in range(stack + 1):
-        r = gb(k_ops)
-        while r >= n_ops:
-            r = gb(k_ops)
-        op = ops[r]
-        n = len(buf)
+    n = orig_len = len(seed)
+    for _ in range(gb(30) % top + 1):
+        r = gb(30)
+        op = ops[r % n_ops]
+        r //= n_ops
         if op == 0:  # bit flip
-            k = n.bit_length()
-            pos = gb(k)
-            while pos >= n:
-                pos = gb(k)
-            bit = gb(_K_BIT)
-            while bit >= 8:
-                bit = gb(_K_BIT)
-            buf[pos] ^= 1 << bit
-        elif op == 1:  # byte set: the value is drawn before the position
-            value = gb(_K_BYTE)
-            while value >= 256:
-                value = gb(_K_BYTE)
-            k = n.bit_length()
-            pos = gb(k)
-            while pos >= n:
-                pos = gb(k)
-            buf[pos] = value
-        elif op == 2:  # byte add/sub
-            k = n.bit_length()
-            pos = gb(k)
-            while pos >= n:
-                pos = gb(k)
-            delta = gb(_K_ARITH)
-            while delta >= _ARITH_MAX:
-                delta = gb(_K_ARITH)
-            delta += 1
-            sign = gb(_K_COIN)
-            while sign >= 2:
-                sign = gb(_K_COIN)
-            if sign:
-                buf[pos] = (buf[pos] + delta) & 0xFF
-            else:
-                buf[pos] = (buf[pos] - delta) & 0xFF
+            pos = (r >> 3) % n if n << 3 <= lim else below(n)
+            buf[pos] ^= 1 << (r & 7)
+        elif op == 1:  # byte set
+            buf[(r >> 8) % n if n << 8 <= lim else below(n)] = r & 255
+        elif op == 2:  # byte add/sub; 70 == len(_DELTAS)
+            pos = r // 70 % n if 70 * n <= lim else below(n)
+            buf[pos] = (buf[pos] + _DELTAS[r % 70]) & 255
         elif op == 3:  # interesting value substitution
-            widths = _WIDTHS[min(n, budget, 4)]
-            m = len(widths)
-            k = m.bit_length()
-            r = gb(k)
-            while r >= m:
-                r = gb(k)
-            w = widths[r]
+            choices = _CHOICES[min(n, budget, 4)]
+            c = len(choices)
+            w, packed = choices[r % c]
+            r //= c
+            k = len(packed)
             m = n - w + 1
-            k = m.bit_length()
-            pos = gb(k)
-            while pos >= m:
-                pos = gb(k)
-            values = _INTERESTING[w]
-            m = len(values)
-            k = m.bit_length()
-            r = gb(k)
-            while r >= m:
-                r = gb(k)
-            value = values[r]
-            sign = gb(_K_COIN)
-            while sign >= 2:
-                sign = gb(_K_COIN)
-            buf[pos:pos + w] = (value & ((1 << (8 * w)) - 1)).to_bytes(
-                w, "big" if sign else "little")
-        elif op == 4:  # short block overwrite
+            pos = r // k % m if c * k * m <= lim else below(m)
+            buf[pos:pos + w] = packed[r % k]
+        elif op == 4:  # block overwrite
             m = min(budget, n)
-            k = m.bit_length()
-            blen = gb(k)
-            while blen >= m:
-                blen = gb(k)
-            blen += 1
-            m = n - blen + 1
-            k = m.bit_length()
-            pos = gb(k)
-            while pos >= m:
-                pos = gb(k)
-            for i in range(pos, pos + blen):
-                value = gb(_K_BYTE)
-                while value >= 256:
-                    value = gb(_K_BYTE)
-                buf[i] = value
+            if m * n <= lim:
+                blen = r % m + 1
+                pos = r // m % (n - blen + 1)
+            else:
+                blen = below(m) + 1
+                pos = below(n - blen + 1)
+            buf[pos:pos + blen] = gb(8 * blen).to_bytes(blen, "little")
         elif op == 5:  # byte swap
             if n >= 2:
-                k = n.bit_length()
-                i = gb(k)
-                while i >= n:
-                    i = gb(k)
-                j = gb(k)
-                while j >= n:
-                    j = gb(k)
+                if n * n <= lim:
+                    i, j = r % n, r // n % n
+                else:
+                    i, j = below(n), below(n)
                 buf[i], buf[j] = buf[j], buf[i]
         elif op == 6:  # delete block
             m = min(budget + (n - orig_len), n - 1, budget)
             if m >= 1:
-                k = m.bit_length()
-                blen = gb(k)
-                while blen >= m:
-                    blen = gb(k)
-                blen += 1
-                m = n - blen + 1
-                k = m.bit_length()
-                pos = gb(k)
-                while pos >= m:
-                    pos = gb(k)
+                if m * n <= lim:
+                    blen = r % m + 1
+                    pos = r // m % (n - blen + 1)
+                else:
+                    blen = below(m) + 1
+                    pos = below(n - blen + 1)
                 del buf[pos:pos + blen]
+                n -= blen
         else:  # insert block
             m = budget - (n - orig_len)
             if max_len is not None:
                 m = min(m, max_len - n)
             if m >= 1:
-                k = m.bit_length()
-                blen = gb(k)
-                while blen >= m:
-                    blen = gb(k)
-                blen += 1
-                m = n + 1
-                k = m.bit_length()
-                pos = gb(k)
-                while pos >= m:
-                    pos = gb(k)
-                block = bytearray()
-                for _ in range(blen):
-                    value = gb(_K_BYTE)
-                    while value >= 256:
-                        value = gb(_K_BYTE)
-                    block.append(value)
-                buf[pos:pos] = block
+                if m * (n + 1) <= lim:
+                    blen = r % m + 1
+                    pos = r // m % (n + 1)
+                else:
+                    blen = below(m) + 1
+                    pos = below(n + 1)
+                buf[pos:pos] = gb(8 * blen).to_bytes(blen, "little")
+                n += blen
     return bytes(buf)
 
 

@@ -491,39 +491,39 @@ GOLDEN_LOG_SHA256 = {
     ("le15", "fox"): "28ae590ff09a575bc8617b70cb3a312eee14b206951947d056da598f5c0d25b6",
     ("le15", "sched"): "017ec98e7e6bc1c049b55dd661aacc40ac34f36c2c14854d210a32be53eea958",
     ("le15", "base"): "e06b34a01c5626e696665c9af89f3f6870e9a468c3e1183310e0eb5f48e15232",
-    ("chain6", "fox"): "d7d4cacde81f1eb2b5360caa7c01c14412906d01d50fa799fd40efedf3212603",
-    ("chain6", "sched"): "d459112891a50183d866fc6536ed8e493bb279730fad5ed6e96006369b808e3d",
-    ("chain6", "base"): "7dc26afcfea76e1fe971d288bf73f50d8b81172b6a45c8b926253584de59bb6b",
+    ("chain6", "fox"): "3fc94d5d6a774dacfa6719d671a4563adead65168378f9d4775a16cbece0c38e",
+    ("chain6", "sched"): "37448d5760df5d8302776d4f6ea00e5ad888eb0faa93d4ff91a52dcadbff6827",
+    ("chain6", "base"): "4262775b518f6f7561e38d74536a4fafd6028438cea24eb51b7006f9ed86078b",
     ("magic_str8", "fox"): "b9bdfe84e179aeadd484a4767f362b6ee30bc422c8ff8646ef570502e16d3251",
-    ("magic_str8", "sched"): "3f85b3e3f5f338cae01939671d80d116e56b0377a4a596aac4c90be98e1b2066",
+    ("magic_str8", "sched"): "91ce4333c69fce110885648db838582a5320ab58d1e39ad30ebe473fed7266d0",
     ("magic_str8", "base"): "7591416d2f5bfa219eb0d62bdd33349a8f2bff884d35a2dbfd63fa3600a2d206",
     # Fox on the big-endian operand solver, the xor Newton path and a mixed
     # tree.  The first two finish in one stage, so their logs match le15's.
     ("magic32_be", "fox"): "28ae590ff09a575bc8617b70cb3a312eee14b206951947d056da598f5c0d25b6",
     ("xor_guard", "fox"): "28ae590ff09a575bc8617b70cb3a312eee14b206951947d056da598f5c0d25b6",
-    ("mixed_tree", "fox"): "7d52264ec50d5029e7daa5c1acd8684b82e33ea208961cdeb1ebd16d092da35d",
+    ("mixed_tree", "fox"): "af98110a568ccff03d3790d2770039b6143ebfc1e23048d9cfae60d8f59a624b",
     # Sched on a tree where havoc batches switch off sites mid-batch.
-    ("mixed_tree", "sched"): "f8a0a8778f337ea6466b311aa20b240293a463245114aa734446e492619c1266",
+    ("mixed_tree", "sched"): "ccd141908c63819e3924db350a7707283a88d283b2fe5686dd18efd5f658a4a4",
 }
 
 
 # sha256 over every corpus entry's (exec_index, data, sorted new_edges), then
-# every finding's (exec_index, data), for the same runs; recorded with the
-# plain randrange/randint/choice formulation of havoc_mutate.
+# every finding's (exec_index, data), for the same runs; recorded under
+# havoc_mutate's 30-bit draw contract (one draw per operator).
 GOLDEN_OUTPUT_SHA256 = {
-    ("le15", "fox"): "84a025c4d40424af8a1dae54984d692bd58468726ea739e33b963c7713f92952",
-    ("le15", "sched"): "60529e83f94be21abac86a89c4c10f9df11fe63b385badefc2727dd746132bee",
-    ("le15", "base"): "a8a1b2684e4a50f4818e3d16a0e5703461335bc61d9d0b6518ab06eb90090af1",
-    ("chain6", "fox"): "bc9965458f8fb3a99a2773bc003c8d7d9c06684d0a7bf6eb8e00bfcf82ee64a0",
-    ("chain6", "sched"): "93049d286a7c88a9697199c5507f465c6f1c464d0ba3fb9d43bff5c75ab775a9",
-    ("chain6", "base"): "0560ffe1a71b52b2cd25ed0575d0ee83ebdbd73906c1e20791c1f756ece93812",
-    ("magic_str8", "fox"): "08eaa4257dabca7d5866b3a11292307047d472800f98c0ee4972e7e0b934f2b1",
+    ("le15", "fox"): "e0f731e92d306ca5eb99070bad7ff47febeda87d445c1c067b341d65c6172dd2",
+    ("le15", "sched"): "8872267370063b3db373892893a6500ee428ae6faea409ba9c4d21d75c725fe8",
+    ("le15", "base"): "41167d4c00db1fee768507af32b0131f5703dce99eca118fd5f3999eee647c8c",
+    ("chain6", "fox"): "99882344788a8d866d639c490f08d04afc96c281dda044dcbe55513531037e32",
+    ("chain6", "sched"): "2d64be8bfe462b98f9b7b5ab876e2dba7a599d8c91a5ba3208bf703e0b5d9ec1",
+    ("chain6", "base"): "5771e04e083257a615172769fb327acfb37d505a760d960716036bb482838517",
+    ("magic_str8", "fox"): "c0b74880a8e44d176517721b10351e5d8a7169fcdc7cb52f4acec1abecea182c",
     ("magic_str8", "sched"): "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf",
     ("magic_str8", "base"): "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf",
-    ("magic32_be", "fox"): "3888de09dff2699ecadeb2fe0b12a67f1ed123d902eb029e8069b1453a2b7373",
-    ("xor_guard", "fox"): "9bd09fae0c584d4b5dfe044fd37e1d914a775861fbb8679ccd02053e43309e56",
-    ("mixed_tree", "fox"): "b5ccbc35161f510dddf96a27040aae4beb0294e7b3fca9db2f0d87f1a3f3ea8c",
-    ("mixed_tree", "sched"): "17bdf2273c5b2f7182a201835a77a6ab8084cd14717c33f1a2ccea531954dcb0",
+    ("magic32_be", "fox"): "538ce2d4f37952d70d91d2a2c6a886fb433107e299917a7a925911a541054d16",
+    ("xor_guard", "fox"): "eee7eec01645cea798eff5d60571c7a30c0d78866c9b38995cbf2b2de59dc95a",
+    ("mixed_tree", "fox"): "04be7c91589310263d5e4b8a7d22943a1e1e6c18ae007baee3556f68beadffab",
+    ("mixed_tree", "sched"): "485ad67bcd63e950522d8a67c4e87e885230e5f2661930d67fd9bf2661647567",
 }
 
 
