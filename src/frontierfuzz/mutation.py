@@ -66,8 +66,12 @@ _PACKED = {
              for v in values for order in ("little", "big"))
     for w, values in _INTERESTING.items()
 }
-# The (width, packed values) choices that fit min(len, bytes_per_op), capped at 4.
-_CHOICES = {room: tuple((w, _PACKED[w]) for w in (1, 2, 4) if w <= room) for room in (1, 2, 3, 4)}
+# The (width, value count, packed values) choices that fit min(len, bytes_per_op),
+# capped at 4.
+_CHOICES = {
+    room: tuple((w, len(_PACKED[w]), _PACKED[w]) for w in (1, 2, 4) if w <= room)
+    for room in (1, 2, 3, 4)
+}
 
 # 1/δ in units of 1/L for each byte delta δ; L = lcm(1..255) makes each exact.
 _L = math.lcm(*range(1, 256))
@@ -133,12 +137,13 @@ def havoc_mutate(seed: bytes, cfg: MutatorConfig, rng: random.Random, *,
     mutant differs from the seed in at most ``stack * bytes_per_op`` bytes.
     Length-changing operators are off by default (local search needs aligned
     inputs) and, when enabled, never move the length more than
-    ``havoc_bytes_per_op`` away from the seed's, nor above ``max_len``.
+    ``havoc_bytes_per_op`` away from the seed's, and grow only up to ``max_len``.
 
     Draw contract.  The stack depth is ``rng.getrandbits(30) % stack_max + 1``.
-    Each operator then takes one ``rng.getrandbits(30)`` and carves its fields
-    from it in mixed radix (``r % m`` is the field, ``r // m`` the rest), in
-    this order: the operator index into ``_HAVOC_OPS``, then
+    Each operator then takes one ``rng.getrandbits(30)``, even one that is
+    skipped, and carves its fields from it in mixed radix (``r % m`` is the
+    field, ``r // m`` the rest), in this order: the operator index into
+    ``_HAVOC_OPS``, then
       bit flip:        bit (8), position (n);
       byte set:        value (256), position (n);
       byte add/sub:    sign and delta as one ``_DELTAS`` index (70), position (n);
@@ -168,72 +173,72 @@ def havoc_mutate(seed: bytes, cfg: MutatorConfig, rng: random.Random, *,
     if top < 1:
         raise ValueError("stack_max must be >= 1")
     gb = rng.getrandbits
-    below = rng.randrange
     budget = cfg.havoc_bytes_per_op
     ops = _HAVOC_OPS[budget >= 2, allow_resize]
     n_ops = len(ops)
     lim = _CARVE // n_ops  # a product of ranges m fits when n_ops * m <= _CARVE
+    room = budget if budget < 4 else 4  # the widest interesting value that fits
     buf = bytearray(seed)
-    n = orig_len = len(seed)
+    n = len(seed)
+    # Deletes and inserts keep the length within [low, high].
+    low = n - budget if n - budget > 1 else 1
+    high = n + budget if max_len is None or max_len > n + budget else max_len
     for _ in range(gb(30) % top + 1):
         r = gb(30)
         op = ops[r % n_ops]
         r //= n_ops
         if op == 0:  # bit flip
-            pos = (r >> 3) % n if n << 3 <= lim else below(n)
+            pos = (r >> 3) % n if n << 3 <= lim else rng.randrange(n)
             buf[pos] ^= 1 << (r & 7)
         elif op == 1:  # byte set
-            buf[(r >> 8) % n if n << 8 <= lim else below(n)] = r & 255
+            buf[(r >> 8) % n if n << 8 <= lim else rng.randrange(n)] = r & 255
         elif op == 2:  # byte add/sub; 70 == len(_DELTAS)
-            pos = r // 70 % n if 70 * n <= lim else below(n)
+            pos = r // 70 % n if 70 * n <= lim else rng.randrange(n)
             buf[pos] = (buf[pos] + _DELTAS[r % 70]) & 255
         elif op == 3:  # interesting value substitution
-            choices = _CHOICES[min(n, budget, 4)]
+            choices = _CHOICES[room if room < n else n]
             c = len(choices)
-            w, packed = choices[r % c]
+            w, k, packed = choices[r % c]
             r //= c
-            k = len(packed)
             m = n - w + 1
-            pos = r // k % m if c * k * m <= lim else below(m)
+            pos = r // k % m if c * k * m <= lim else rng.randrange(m)
             buf[pos:pos + w] = packed[r % k]
         elif op == 4:  # block overwrite
-            m = min(budget, n)
+            m = budget if budget < n else n
             if m * n <= lim:
                 blen = r % m + 1
                 pos = r // m % (n - blen + 1)
             else:
-                blen = below(m) + 1
-                pos = below(n - blen + 1)
+                blen = rng.randrange(m) + 1
+                pos = rng.randrange(n - blen + 1)
             buf[pos:pos + blen] = gb(8 * blen).to_bytes(blen, "little")
         elif op == 5:  # byte swap
             if n >= 2:
                 if n * n <= lim:
                     i, j = r % n, r // n % n
                 else:
-                    i, j = below(n), below(n)
+                    i, j = rng.randrange(n), rng.randrange(n)
                 buf[i], buf[j] = buf[j], buf[i]
         elif op == 6:  # delete block
-            m = min(budget + (n - orig_len), n - 1, budget)
+            m = n - low if n - low < budget else budget
             if m >= 1:
                 if m * n <= lim:
                     blen = r % m + 1
                     pos = r // m % (n - blen + 1)
                 else:
-                    blen = below(m) + 1
-                    pos = below(n - blen + 1)
+                    blen = rng.randrange(m) + 1
+                    pos = rng.randrange(n - blen + 1)
                 del buf[pos:pos + blen]
                 n -= blen
         else:  # insert block
-            m = budget - (n - orig_len)
-            if max_len is not None:
-                m = min(m, max_len - n)
+            m = high - n
             if m >= 1:
                 if m * (n + 1) <= lim:
                     blen = r % m + 1
                     pos = r // m % (n + 1)
                 else:
-                    blen = below(m) + 1
-                    pos = below(n + 1)
+                    blen = rng.randrange(m) + 1
+                    pos = rng.randrange(n + 1)
                 buf[pos:pos] = gb(8 * blen).to_bytes(blen, "little")
                 n += blen
     return bytes(buf)

@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import json
 import random
 import types
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import make_executor
 from frontierfuzz import builtin_targets
 from frontierfuzz.campaign import _BASE_HAVOC_STACK, Budget, Campaign, Mode
-from frontierfuzz.coverage import recompute_frontier
+from frontierfuzz.coverage import CoverageMap, recompute_frontier
 from frontierfuzz.distance import observation_distance, row_function
 from frontierfuzz.mutation import Mutator, MutatorConfig, havoc_mutate
 from frontierfuzz.oracle import ConvexityStats, convexity_probe
@@ -330,6 +332,110 @@ class TestInvariantsOnGeneratedPrograms:
                 logs.append(campaign.run().to_jsonl())
             _assert_run_end_invariants(program, campaign)
             assert logs[0] == logs[1]
+
+
+class StageInvariants:
+    """Checks a campaign's state after every stage record.
+
+    It wraps ``Campaign._append_record`` from the tests, so the engine keeps
+    no hook.  Each corpus entry and finding is replayed once, on the first
+    record after it appears.
+    """
+
+    def __init__(self, program):
+        self.harness = Harness(program, synthetic_time=True)
+        self.walked = []  # the nodes each corpus entry's replay walks through
+        self.findings_checked = 0
+        self.records = 0
+
+    @contextlib.contextmanager
+    def watching(self):
+        original = Campaign._append_record
+
+        def append_record(campaign, *args, **kwargs):
+            original(campaign, *args, **kwargs)
+            self.check(campaign)
+
+        with mock.patch.object(Campaign, "_append_record", append_record):
+            yield self
+
+    def check(self, campaign):
+        self.records += 1
+        coverage = campaign.coverage
+        frontier = frozenset(coverage.frontier)
+        assert frontier == recompute_frontier(coverage)
+
+        records = campaign.log.records
+        assert len(records) == self.records
+        assert records[-1].stage == len(records) - 1
+        if len(records) >= 2:
+            before, after = records[-2:]
+            for field in ("t_ns", "execs", "edges_covered", "corpus_size", "flips"):
+                assert getattr(before, field) <= getattr(after, field), field
+
+        entries = campaign.corpus.entries
+        for entry in entries[len(self.walked):]:
+            edges = set(self.harness.execute(entry.data).edges)
+            assert entry.new_edges <= edges
+            self.walked.append({edge >> 1 for edge in edges})
+        assert set().union(*(entry.new_edges for entry in entries)) == coverage.edge_hits
+        for _, data in campaign.findings[self.findings_checked:]:
+            assert self.harness.execute(data).bug_hits
+        self.findings_checked = len(campaign.findings)
+
+        stats = campaign.scheduler.stats
+        for branch_stats in stats.values():
+            assert 1 <= branch_stats.pt <= branch_stats.tt
+        # A branch gains stats when a corpus entry that reaches it replays
+        # with the branch active, at the refresh after the entry appears.  A
+        # refresh that the budget cuts short ends the run unscheduled.
+        executor = campaign._executor
+        if not executor.budget.exhausted(executor.execs, executor.t_ns):
+            reached = set().union(*self.walked[:campaign._calibrated])
+            assert frontier & reached <= set(stats)
+
+
+def _checked_run(program, seed, mode, max_execs, sample_size, rng_seed):
+    campaign = Campaign(program, [seed], mode, Budget(max_execs=max_execs),
+                        MutatorConfig(sample_size=sample_size), rng_seed=rng_seed)
+    with StageInvariants(program).watching() as checker:
+        log = campaign.run()
+    assert checker.records == len(log.records) >= 1
+    return campaign
+
+
+class TestInvariantsAfterEveryStage:
+    """Every stage record leaves the frontier, the branch stats, the log,
+    the corpus and the findings consistent, not only the run's end."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("name", builtin_targets.SUITE)
+    def test_builtin_targets(self, name, mode):
+        program = builtin_targets.load(name)
+        _checked_run(program, zero_seed(program), mode, 3_000, 16, rng_seed=1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(_documents(), st.data())
+    def test_generated_programs(self, doc, data):
+        program = program_from_dict(doc)
+        seed = data.draw(st.binary(min_size=1, max_size=program.max_input_len))
+        rng_seed = data.draw(st.integers(0, 3))
+        for mode in Mode:
+            _checked_run(program, seed, mode, 400, 8, rng_seed)
+
+    def test_checker_catches_a_stale_frontier(self, monkeypatch):
+        # The checker bites: a frontier that keeps a retired branch fails the
+        # first record after the retirement.
+        program = builtin_targets.load("le15")
+        real_absorb = CoverageMap.absorb_trace
+
+        def absorb_keeping_node_0(coverage, trace):
+            real_absorb(coverage, trace)
+            coverage.frontier.add(0)
+
+        monkeypatch.setattr(CoverageMap, "absorb_trace", absorb_keeping_node_0)
+        with pytest.raises(AssertionError):
+            _checked_run(program, zero_seed(program), Mode.BASE, 3_000, 16, rng_seed=0)
 
 
 class TestFallback:

@@ -1,4 +1,7 @@
 import base64
+import collections
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -29,11 +32,13 @@ from test_target import _BYTE_VALUES, _RELATION_TOKENS, _documents
 CFG = MutatorConfig()
 
 
-class ScriptedRng:
+class ScriptedRng(random.Random):
     """Deterministic rng double that plays back scripted ``getrandbits``
-    draws, each given as (expected bit width, value)."""
+    draws, each given as (expected bit width, value); ``randrange`` draws
+    through them too."""
 
     def __init__(self, draws):
+        super().__init__(0)
         self.draws = list(draws)
 
     def getrandbits(self, k):
@@ -42,11 +47,52 @@ class ScriptedRng:
         return value
 
 
+class OpPinnedRng(random.Random):
+    """A seeded rng whose every 30-bit draw has ``index`` as its residue
+    modulo ``n_ops``.  Under ``stack_max=1`` the stack depth ignores it, so
+    every havoc call applies operator ``index`` of its table with all other
+    fields drawn at random."""
+
+    def __init__(self, seed, index, n_ops):
+        super().__init__(seed)
+        self.index, self.n_ops = index, n_ops
+
+    def getrandbits(self, k):
+        r = super().getrandbits(k)
+        if k == 30:
+            r += self.index - r % self.n_ops
+            if r >= 1 << 30:
+                r -= self.n_ops
+        return r
+
+
+class _Word:
+    """One operator's 30-bit draw, read one field at a time."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.rest = rng.getrandbits(30)
+        self.span = 1  # product of the ranges read so far
+
+    def field(self, m):
+        self.span *= m
+        value = self.rest % m
+        self.rest //= m
+        return value
+
+    def fits(self, m):
+        return self.span * m <= 2 ** 20
+
+    def ranged(self, m, carve):
+        return self.field(m) if carve else self.rng.randrange(m)
+
+
 def _reference_havoc(seed, cfg, rng, *, stack_max=None, allow_resize=False, max_len=None):
-    """The plain ``randint``/``randrange``/``choice`` formulation of havoc,
-    kept as the oracle for ``havoc_mutate``'s draw contract."""
+    """``havoc_mutate``'s draw contract, one field at a time and with no
+    tables: the oracle for its carving order, ranges and carving bound."""
     if not seed:
         raise ValueError("seed must be nonempty")
+    top = cfg.havoc_stack_max if stack_max is None else stack_max
     budget = cfg.havoc_bytes_per_op
     ops = [0, 1, 2, 3, 4]
     if budget >= 2:
@@ -55,79 +101,155 @@ def _reference_havoc(seed, cfg, rng, *, stack_max=None, allow_resize=False, max_
         ops.extend((6, 7))
     buf = bytearray(seed)
     orig_len = len(seed)
-    stack = rng.randint(1, stack_max if stack_max is not None else cfg.havoc_stack_max)
-    for _ in range(stack):
-        op = ops[rng.randrange(len(ops))]
+    for _ in range(rng.getrandbits(30) % top + 1):
+        word = _Word(rng)
+        op = ops[word.field(len(ops))]
         n = len(buf)
         if op == 0:  # bit flip
-            pos = rng.randrange(n)
-            buf[pos] ^= 1 << rng.randrange(8)
+            bit = word.field(8)
+            buf[word.ranged(n, word.fits(n))] ^= 1 << bit
         elif op == 1:  # byte set
-            buf[rng.randrange(n)] = rng.randrange(256)
+            value = word.field(256)
+            buf[word.ranged(n, word.fits(n))] = value
         elif op == 2:  # byte add/sub
-            pos = rng.randrange(n)
-            delta = rng.randint(1, _ARITH_MAX)
-            if rng.randrange(2):
-                buf[pos] = (buf[pos] + delta) & 0xFF
-            else:
-                buf[pos] = (buf[pos] - delta) & 0xFF
+            sign = word.field(2)
+            delta = word.field(_ARITH_MAX) + 1
+            pos = word.ranged(n, word.fits(n))
+            buf[pos] = (buf[pos] + (delta if sign else -delta)) & 0xFF
         elif op == 3:  # interesting value substitution
             widths = [w for w in (1, 2, 4) if w <= n and w <= budget]
-            w = widths[rng.randrange(len(widths))] if widths else 1
-            pos = rng.randrange(n - w + 1)
-            value = rng.choice(_INTERESTING[w])
-            order = "big" if rng.randrange(2) else "little"
+            w = widths[word.field(len(widths))]
+            order = ("little", "big")[word.field(2)]
+            value = _INTERESTING[w][word.field(len(_INTERESTING[w]))]
+            pos = word.ranged(n - w + 1, word.fits(n - w + 1))
             buf[pos:pos + w] = (value & ((1 << (8 * w)) - 1)).to_bytes(w, order)
-        elif op == 4:  # short block overwrite
-            blen = rng.randint(1, min(budget, n))
-            pos = rng.randrange(n - blen + 1)
-            for i in range(blen):
-                buf[pos + i] = rng.randrange(256)
+        elif op == 4:  # block overwrite
+            m = min(budget, n)
+            carve = word.fits(m * n)
+            blen = word.ranged(m, carve) + 1
+            pos = word.ranged(n - blen + 1, carve)
+            buf[pos:pos + blen] = rng.getrandbits(8 * blen).to_bytes(blen, "little")
         elif op == 5:  # byte swap
             if n >= 2:
-                i = rng.randrange(n)
-                j = rng.randrange(n)
+                carve = word.fits(n * n)
+                i = word.ranged(n, carve)
+                j = word.ranged(n, carve)
                 buf[i], buf[j] = buf[j], buf[i]
         elif op == 6:  # delete block
-            shrink_room = min(budget + (len(buf) - orig_len), len(buf) - 1, budget)
-            if shrink_room >= 1:
-                blen = rng.randint(1, shrink_room)
-                pos = rng.randrange(len(buf) - blen + 1)
+            m = min(budget + (n - orig_len), n - 1, budget)
+            if m >= 1:
+                carve = word.fits(m * n)
+                blen = word.ranged(m, carve) + 1
+                pos = word.ranged(n - blen + 1, carve)
                 del buf[pos:pos + blen]
         else:  # insert block
-            grow_room = budget - (len(buf) - orig_len)
+            m = budget - (n - orig_len)
             if max_len is not None:
-                grow_room = min(grow_room, max_len - len(buf))
-            if grow_room >= 1:
-                blen = rng.randint(1, grow_room)
-                pos = rng.randrange(len(buf) + 1)
-                buf[pos:pos] = bytes(rng.randrange(256) for _ in range(blen))
+                m = min(m, max_len - n)
+            if m >= 1:
+                carve = word.fits(m * (n + 1))
+                blen = word.ranged(m, carve) + 1
+                pos = word.ranged(n + 1, carve)
+                buf[pos:pos] = rng.getrandbits(8 * blen).to_bytes(blen, "little")
+        assert word.span <= 2 ** 20
     return bytes(buf)
+
+
+def _single_op(seed, cfg, op, samples, *, allow_resize=False, max_len=None, rng_seed=0):
+    """``samples`` havoc mutants of ``seed`` that each apply operator ``op`` once."""
+    ops = mutation._HAVOC_OPS[cfg.havoc_bytes_per_op >= 2, allow_resize]
+    rng = OpPinnedRng(rng_seed, ops.index(op), len(ops))
+    return [havoc_mutate(seed, cfg, rng, stack_max=1, allow_resize=allow_resize,
+                         max_len=max_len) for _ in range(samples)]
+
+
+def _spec_outcomes(seed, budget, op):
+    """The exact distribution of one operator's mutant of ``seed``, enumerated
+    from its fields, each uniform over its documented range."""
+    n = len(seed)
+    out = collections.Counter()
+
+    def put(pos, new, p):
+        mutant = bytearray(seed)
+        mutant[pos:pos + len(new)] = new
+        out[bytes(mutant)] += p
+
+    if op == 0:
+        for pos, bit in itertools.product(range(n), range(8)):
+            put(pos, [seed[pos] ^ (1 << bit)], 1 / (8 * n))
+    elif op == 1:
+        for pos, value in itertools.product(range(n), range(256)):
+            put(pos, [value], 1 / (256 * n))
+    elif op == 2:
+        for pos, delta in itertools.product(range(n), range(1, _ARITH_MAX + 1)):
+            for step in (delta, -delta):
+                put(pos, [(seed[pos] + step) & 0xFF], 1 / (2 * _ARITH_MAX * n))
+    elif op == 3:
+        widths = [w for w in (1, 2, 4) if w <= min(n, budget)]
+        for w in widths:
+            values = _INTERESTING[w]
+            p = 1 / (len(widths) * len(values) * 2 * (n - w + 1))
+            for value, order, pos in itertools.product(values, ("little", "big"),
+                                                       range(n - w + 1)):
+                put(pos, (value & ((1 << (8 * w)) - 1)).to_bytes(w, order), p)
+    elif op == 5:
+        for i, j in itertools.product(range(n), repeat=2):
+            mutant = bytearray(seed)
+            mutant[i], mutant[j] = mutant[j], mutant[i]
+            out[bytes(mutant)] += 1 / n ** 2
+    elif op == 6:
+        m = min(budget, n - 1)
+        if m < 1:
+            out[bytes(seed)] = 1.0
+        for blen in range(1, m + 1):
+            for pos in range(n - blen + 1):
+                out[seed[:pos] + seed[pos + blen:]] += 1 / (m * (n - blen + 1))
+    return out
+
+
+def _assert_frequencies(samples, expected):
+    """Each outcome's count is within five standard deviations of its
+    expected count, and no unexpected outcome occurs."""
+    counts = collections.Counter(samples)
+    total = len(samples)
+    assert set(counts) <= set(expected)
+    for outcome, p in expected.items():
+        mean = total * p
+        assert abs(counts[outcome] - mean) <= 5 * math.sqrt(mean * (1 - p)) + 1, \
+            (outcome, counts[outcome], mean)
 
 
 class TestHavoc:
     def test_single_bit_flip(self):
-        # Stack of one (3-bit draw below 4), operator 0 (3-bit draw below 6,
-        # the bit flip), position 0 (3-bit draw below 4), bit 3 (4-bit draw
-        # below 8).
-        rng = ScriptedRng([(3, 0), (3, 0), (3, 0), (4, 3)])
+        # The stack draw 0 gives a stack of one.  The operator draw 114 reads,
+        # in mixed radix: operator 114 % 6 = 0 (the bit flip), then bit
+        # 19 % 8 = 3, then position 2 % 4 = 2.
+        rng = ScriptedRng([(30, 0), (30, 114)])
         mutant = havoc_mutate(bytes(4), CFG, rng)
-        assert mutant == bytes([8, 0, 0, 0])
+        assert mutant == bytes([0, 0, 8, 0])
         assert not rng.draws
 
-    @pytest.mark.parametrize("bytes_per_op", [1, 2, 3, 4, 8])
-    def test_matches_reference_draw_for_draw(self, bytes_per_op):
+    @pytest.mark.parametrize("stack_max", [0, -1, -7])
+    def test_stack_max_below_one_rejected(self, stack_max):
+        with pytest.raises(ValueError, match="stack_max must be >= 1"):
+            havoc_mutate(b"seed", CFG, random.Random(0), stack_max=stack_max)
+
+    @pytest.mark.parametrize("bytes_per_op", [1, 2, 3, 4, 8, 64])
+    def test_matches_reference(self, bytes_per_op):
         # Same output bytes and same rng state after every call, across
-        # stack depths, resize on and off, length caps and seed lengths.
+        # stack depths, resize on and off, length caps and seed lengths.  The
+        # long lengths straddle every carving threshold, so both the carved
+        # and the exact draws of every field are compared.
         cfg = MutatorConfig(havoc_bytes_per_op=bytes_per_op)
         pick = random.Random(bytes_per_op)
         fast, slow = random.Random(7 * bytes_per_op), random.Random(7 * bytes_per_op)
+        lengths = list(range(1, 41)) + [300, 419, 600, 1_500, 2_500, 20_000, 40_000]
         calls = 0
         for stack_max in (None, 1, 4, 16):
             for allow_resize in (False, True):
                 for cap in ("none", "len", "len+2", "64"):
-                    for length in range(1, 41):
-                        seed = bytes(pick.randrange(256) for _ in range(length))
+                    for length in lengths:
+                        seed = pick.randbytes(length)
                         max_len = {"none": None, "len": length, "len+2": length + 2,
                                    "64": 64}[cap]
                         kwargs = dict(stack_max=stack_max, allow_resize=allow_resize,
@@ -137,7 +259,156 @@ class TestHavoc:
                         assert got == want
                         assert fast.getstate() == slow.getstate()
                         calls += 1
-        assert calls == 4 * 2 * 4 * 40
+        assert calls == 4 * 2 * 4 * len(lengths)
+
+    @pytest.mark.parametrize("bytes_per_op,allow_resize", [
+        (1, False), (1, True), (4, False), (4, True),
+    ])
+    def test_operator_mix(self, bytes_per_op, allow_resize):
+        # On a seed of distinct bytes the delete, the insert and the byte
+        # swap (when its two positions differ) each show themselves; each
+        # operator is drawn with probability 1 / len(table).
+        cfg = MutatorConfig(havoc_bytes_per_op=bytes_per_op)
+        ops = mutation._HAVOC_OPS[bytes_per_op >= 2, allow_resize]
+        seed = bytes(range(16))
+        rng = random.Random(11)
+        total = 8_000
+        kinds = collections.Counter()
+        for _ in range(total):
+            mutant = havoc_mutate(seed, cfg, rng, stack_max=1, allow_resize=allow_resize)
+            if len(mutant) != len(seed):
+                kinds["delete" if len(mutant) < len(seed) else "insert"] += 1
+            elif mutant != seed and sorted(mutant) == sorted(seed):
+                kinds["swap"] += 1
+            else:
+                kinds["in place"] += 1
+        p = 1 / len(ops)
+        expected = {
+            "delete": p if 6 in ops else 0,
+            "insert": p if 7 in ops else 0,
+            "swap": p * 15 / 16 if 5 in ops else 0,
+        }
+        expected["in place"] = 1 - sum(expected.values())
+        _assert_frequencies(list(kinds.elements()),
+                            {kind: q for kind, q in expected.items() if q})
+
+    @pytest.mark.parametrize("op,length,bytes_per_op", [
+        (op, length, bytes_per_op)
+        for op, budgets in ((0, (1, 4)), (1, (1, 4)), (2, (1, 4)), (3, (1, 2, 4)), (5, (4,)),
+                            (6, (1, 4)))
+        for length in (1, 3, 6) for bytes_per_op in budgets
+    ])
+    def test_operator_fields_uniform(self, op, length, bytes_per_op):
+        # Every field an operator reads is uniform over its documented range:
+        # bit, byte value, delta 1..35 with both signs, the interesting values
+        # in both endiannesses for every width that fits, swap positions, and
+        # the delete's block length and position.
+        cfg = MutatorConfig(havoc_bytes_per_op=bytes_per_op)
+        seed = bytes(range(10, 10 + length))
+        expected = _spec_outcomes(seed, bytes_per_op, op)
+        total = min(40_000, max(2_000, round(30 / min(expected.values()))))
+        samples = _single_op(seed, cfg, op, total, allow_resize=op == 6,
+                             rng_seed=100 * op + length)
+        _assert_frequencies(samples, expected)
+
+    @pytest.mark.parametrize("op", [0, 1, 2])
+    @pytest.mark.parametrize("length", [5, 300, 1_000, 2**20 + 5])
+    def test_positions_uniform(self, op, length):
+        # Positions are uniform over the whole input, at lengths where they
+        # are carved from the operator's draw and where they are exact draws.
+        seed = bytes(length)
+        buckets = min(length, 64 if length < 2**20 else 16)
+        nonzero = bytes([0] + [1] * 255)
+        hits = []
+        for mutant in _single_op(seed, CFG, op, 30 * buckets, rng_seed=length + op):
+            pos = mutant.translate(nonzero).find(1)
+            if pos >= 0:  # a byte set may write the zero it found
+                hits.append(pos * buckets // length)
+        # Bucket b holds the positions from ceil(b * length / buckets) up.
+        starts = [-(-b * length // buckets) for b in range(buckets + 1)]
+        _assert_frequencies(hits, {b: (starts[b + 1] - starts[b]) / length
+                                   for b in range(buckets)})
+
+    @pytest.mark.parametrize("op,draw,changed", [
+        (0, 0, 1),  # bit 0 flipped
+        (1, 1 + 6 * 7, 7),  # byte value 7
+        (2, 2 + 6 * 1, 1),  # sign 1, delta 1
+    ])
+    def test_last_position_reachable_at_long_length(self, op, draw, changed):
+        # Past the carving bound a position is an exact rejection draw of
+        # n.bit_length() bits, so the last byte of a 1 MiB input is reachable.
+        length = 2**20 + 5
+        rng = ScriptedRng([(30, 0), (30, draw), (21, 2**21 - 1), (21, length - 1)])
+        mutant = havoc_mutate(bytes(length), CFG, rng)
+        assert mutant[-1] == changed
+        assert mutant.count(0) == length - 1
+        assert not rng.draws
+
+    @pytest.mark.parametrize("length,bytes_per_op", [(2, 4), (6, 4), (6, 1), (9, 8)])
+    def test_block_lengths(self, length, bytes_per_op):
+        # Block overwrite writes 1..min(budget, n) bytes and insert adds
+        # 1..min(budget, max_len - n), each uniformly.
+        cfg = MutatorConfig(havoc_bytes_per_op=bytes_per_op)
+        m = min(bytes_per_op, length)
+        spans = []
+        for mutant in _single_op(bytes(length), cfg, 4, 400 * m, rng_seed=length):
+            stripped = mutant.strip(b"\0")
+            if stripped:
+                spans.append(len(stripped))
+        # A span comes up short when the block's first or last random byte is
+        # zero, so the long spans lose about 2/256 of their share.
+        counts = collections.Counter(spans)
+        assert set(counts) == set(range(1, m + 1))
+        for blen in range(1, m + 1):
+            assert abs(counts[blen] - len(spans) / m) <= 0.1 * len(spans) / m
+        # An insert lands at any of the n + 1 gaps, the end included; on a
+        # seed of 0xFF bytes its first differing byte marks the gap unless
+        # the block starts with 0xFF.
+        max_len = length + 3
+        grow = min(bytes_per_op, max_len - length)
+        seed = b"\xff" * length
+        inserted = _single_op(seed, cfg, 7, 300 * max(grow, length + 1), allow_resize=True,
+                              max_len=max_len)
+        _assert_frequencies([len(mutant) - length for mutant in inserted],
+                            {blen: 1 / grow for blen in range(1, grow + 1)})
+        gaps = collections.Counter(
+            next((i for i, (a, b) in enumerate(zip(seed, mutant)) if a != b), length)
+            for mutant in inserted)
+        assert set(gaps) == set(range(length + 1))
+        share = len(inserted) / (length + 1)
+        for gap in range(length + 1):
+            assert abs(gaps[gap] - share) <= 0.15 * share
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cfg=st.builds(MutatorConfig, havoc_stack_max=st.integers(1, 16),
+                      havoc_bytes_per_op=st.integers(1, 8)),
+        stack_max=st.none() | st.integers(1, 32),
+        seed=st.binary(min_size=1, max_size=64),
+        rng_seed=st.integers(0, 2**32),
+        max_len=st.none() | st.integers(1, 128),
+    )
+    def test_length_bounds_with_resize(self, cfg, stack_max, seed, rng_seed, max_len):
+        # A resized mutant keeps at least one byte, stays within
+        # bytes_per_op of the seed's length, and grows only up to max_len.
+        rng = random.Random(rng_seed)
+        budget = cfg.havoc_bytes_per_op
+        low = max(1, len(seed) - budget)
+        high = len(seed) + budget
+        if max_len is not None:
+            high = min(high, max(max_len, len(seed)))
+        for _ in range(8):
+            mutant = havoc_mutate(seed, cfg, rng, stack_max=stack_max, allow_resize=True,
+                                  max_len=max_len)
+            assert low <= len(mutant) <= high
+
+    def test_length_bounds_reached(self):
+        # Both ends of the resize range are reachable.
+        seed = bytes(range(16))
+        rng = random.Random(8)
+        lengths = {len(havoc_mutate(seed, CFG, rng, stack_max=16, allow_resize=True, max_len=19))
+                   for _ in range(3_000)}
+        assert lengths == set(range(12, 20))
 
     def test_empty_seed_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
