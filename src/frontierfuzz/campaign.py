@@ -136,7 +136,7 @@ class _BudgetExceeded(Exception):
 
 
 class StepOutcome(NamedTuple):
-    """What one execution did to the campaign state."""
+    """Frontier branches one execution flipped, and its trace's observation map."""
 
     flips: int
     observations: dict[int, BranchObservation]
@@ -162,7 +162,7 @@ class _Executor:
         if not exempt_budget and self.budget.exhausted(self.execs, self.t_ns):
             raise _BudgetExceeded
         trace = self.harness.execute(data)
-        edges, trace_obs, exec_time, bug_hits = trace
+        edges, observations, exec_time, bug_hits = trace
         self.execs += 1
         self.t_ns += exec_time
         cov = self.coverage
@@ -178,13 +178,10 @@ class _Executor:
         if bug_hits and data not in self._finding_inputs:
             self._finding_inputs.add(data)
             self.findings.append((self.execs, data))
-        observations: dict[int, BranchObservation] = {}
-        if trace_obs:
+        if observations:
             frontier = cov.frontier
             record = self.scheduler.record_execution
-            for obs in trace_obs:
-                site = obs.site
-                observations[site] = obs
+            for site, obs in observations.items():
                 if site in frontier:
                     record(site, data, obs.key, exec_time, frontier)
         return StepOutcome(flips, observations)
@@ -292,10 +289,9 @@ class Campaign:
         # to establish their frontier observations.
         for seed in self.seeds:
             executor.run(seed, exempt_budget=True)
-        if self.mode is Mode.BASE:
-            frontier_size = len(self.coverage.frontier)
-        else:
-            frontier_size = len(self._refresh_active_sites(exempt_budget=True))
+        frontier_size = len(self.coverage.frontier)
+        if self.mode is not Mode.BASE:
+            self._refresh_active_sites(exempt_budget=True)
         self._append_record(stage=0, frontier_size=frontier_size, scheduled=None, fallback=False)
 
         stage = 0
@@ -307,7 +303,8 @@ class Campaign:
             stage += 1
             scheduled = None
             fallback = False
-            frontier = frozenset(self.coverage.frontier)
+            # The stage logs this size: a refresh's replays cover nothing new.
+            frontier_size = len(self.coverage.frontier)
             try:
                 if self.mode is Mode.BASE:
                     self._havoc_batch(self._next_round_robin())
@@ -325,9 +322,9 @@ class Campaign:
                         else:
                             self._havoc_batch(scheduled.seed)
             except _BudgetExceeded:
-                self._append_record(stage, len(frontier), scheduled, fallback)
+                self._append_record(stage, frontier_size, scheduled, fallback)
                 break
-            self._append_record(stage, len(frontier), scheduled, fallback)
+            self._append_record(stage, frontier_size, scheduled, fallback)
         return self.log
 
     def _next_round_robin(self) -> bytes:

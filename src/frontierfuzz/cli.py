@@ -161,13 +161,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> int:
     # Checked before any trial: the largest instance a trial can draw has
-    # --branches branches and --stages stages.
+    # --branches branches and --stages stages.  One branch is held to the
+    # two-branch --stages bound: its exact rationals grow with the stages.
     for flag in ("branches", "stages", "trials"):
         value = getattr(args, flag)
         if value < 1:
             raise SystemExit(f"frontierfuzz verify-theorem: --{flag} must be >= 1, got {value}")
     try:
-        check_enumerable(args.branches, args.stages)
+        check_enumerable(max(args.branches, 2), args.stages)
     except ValueError as exc:
         raise SystemExit(f"frontierfuzz verify-theorem: {exc}") from None
     rng = Random(args.rng_seed)

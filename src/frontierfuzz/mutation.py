@@ -318,10 +318,10 @@ class Mutator:
     """Stage driver: local search, then one root-finding input per branch.
 
     ``executor`` is any object with ``run(data) -> outcome``, where the
-    outcome exposes ``observations`` (site -> BranchObservation) and
-    ``flips`` (frontier branches the input flipped); the campaign supplies
-    one that also keeps coverage, the corpus and the scheduler's clocks up
-    to date.
+    outcome exposes ``observations`` (the trace's own site -> observation
+    map) and ``flips`` (frontier branches the input flipped); the campaign
+    supplies one that also keeps coverage, the corpus and the scheduler's
+    clocks up to date.  A site's relation is its program node's.
     """
 
     def __init__(self, config: MutatorConfig, program: GuardProgram):
@@ -401,14 +401,14 @@ class Mutator:
         if not offsets:
             return None
         obs = rec.witness_obs
+        node = self.program.node(site)
         buf = bytearray(rec.witness)
         changed = False
         # Positions past the window are padding, with no input byte to solve.
-        window = offsets[:self.program.node(site).size]
-        for offset, f, component in zip(window, obs.byte_diffs, obs.key[1]):
+        for offset, f, component in zip(offsets[:node.size], obs.byte_diffs, obs.key[1]):
             if component == 0:
                 continue
-            slope = _row_slope(obs.outcome, obs.relation, f)
+            slope = _row_slope(obs.outcome, node.relation, f)
             if offset >= len(buf):
                 buf.extend(b"\0" * (offset + 1 - len(buf)))
             # The slope is +/-1, so dividing by it is multiplying by it.
@@ -434,7 +434,7 @@ class Mutator:
         if rec.seed_obs is None or f == rec.seed_obs.f_value:
             return None
         node = self.program.node(site)
-        solved = node.constant + f - obs.key * _row_slope(obs.outcome, obs.relation, f)
+        solved = node.constant + f - obs.key * _row_slope(obs.outcome, node.relation, f)
         bits = 8 * node.size
         lo, hi = (
             (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)

@@ -160,7 +160,7 @@ def convexity_probe(harness: Harness, site: int, x1: bytes, x2: bytes,
         midpoint = bytes((a + b) // 2 for a, b in zip(x1, x2))
         values = []
         for data in (x1, x2, midpoint):
-            obs = {o.site: o for o in harness.execute(data).observations}.get(site)
+            obs = harness.execute(data).observations.get(site)
             if obs is None:
                 if stats is not None:
                     stats._bump(stats.non_probes, site)

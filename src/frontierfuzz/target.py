@@ -4,10 +4,9 @@ A target is a small tree (or DAG) of comparison guards compiled from a JSON
 document.  Executing an input walks the guards from the entry node: each guard
 reads an operand window out of the input, compares it against a constant, and
 transfers control along its taken or not-taken edge.  The walk records the
-exercised edges plus, for explicitly activated guard sites, the comparison
-feedback (outcome, relation, operand difference or per-byte differences) and
-the branch distance as an order key, the one form of it that the scheduler
-and the mutator read.
+exercised edges plus, for explicitly activated guard sites, a site-keyed map
+of comparison feedback (outcome, operand difference or per-byte differences)
+and the branch distance as an order key, the one map every layer reads as is.
 
 Each guard is compiled once per program into a step function with its
 operands bound in; integer operands are read through ``struct`` readers built
@@ -107,30 +106,29 @@ class GuardNode:
 
 
 class BranchObservation(NamedTuple):
-    """Comparison feedback emitted by one active guard site during a run.
+    """Comparison feedback of one active guard site, stored under the site.
 
     Integer and xor guards report the signed operand difference ``f_value``;
     string guards report signed per-byte differences over the zero-padded
     comparison window instead, one per compared position.  ``key`` is the
     branch distance, the only one the engine keeps, as an order key: the row
-    value for a scalar, ``(L1, values)`` for a vector.
+    value for a scalar, ``(L1, values)`` for a vector.  The relation is the
+    site's ``GuardNode``'s.
     """
 
-    site: int
     outcome: bool
-    relation: Relation
-    f_value: int | None = None
-    byte_diffs: tuple[int, ...] | None = None
-    key: int | tuple[int, tuple[int, ...]] | None = None
+    f_value: int | None
+    byte_diffs: tuple[int, ...] | None
+    key: int | tuple[int, tuple[int, ...]]
 
 
 class ExecutionTrace(NamedTuple):
-    """Record of one input execution: exercised edges in path order,
-    observations for active sites, execution time in nanoseconds, and any
-    reached bug nodes."""
+    """Record of one input execution: exercised edges in path order, active
+    sites' observations keyed by site in path order (the walk is acyclic, so
+    each at most once), execution time in nanoseconds, and any bug hits."""
 
     edges: tuple[int, ...]
-    observations: tuple[BranchObservation, ...]
+    observations: dict[int, BranchObservation]
     exec_time: int
     bug_hits: tuple[int, ...] = ()
 
@@ -162,11 +160,11 @@ _READERS = {
 
 # Step functions.  ``step(data, edges, obs)`` evaluates one guard on ``data``
 # (already zero-extended past every operand window, so no read comes up short),
-# appends the edge it takes to ``edges`` (and, for an observing step, its
-# observation with the distance key from the bound rows ``rt``/``rf`` to ``obs``)
-# and returns the next node id, or None at a terminal edge.  Operands are bound as
-# default arguments: closures over cells made loading a program slower.  Observing
-# steps use ``tuple.__new__``, skipping the NamedTuple's Python-level ``__new__``.
+# appends the edge it takes to ``edges`` (an observing step also sets ``obs[site]``,
+# with the distance key from its bound rows ``rt``/``rf``) and returns the next node
+# id, or None at a terminal edge.  Operands are bound as default arguments: closures
+# over cells made loading a program slower.  Observing steps use ``tuple.__new__``,
+# skipping the NamedTuple's Python-level ``__new__``.
 
 
 def _int_step(n: GuardNode, observe: bool):
@@ -176,12 +174,12 @@ def _int_step(n: GuardNode, observe: bool):
     te, ne = 2 * n.node_id, 2 * n.node_id + 1
     if observe:
         def step(data, edges, obs, off=off, read=read, const=const, cmp=cmp, te=te, ne=ne,
-                 tk=tk, ntk=ntk, site=n.node_id, rel=n.relation, rt=_ROWS[True, n.relation],
+                 tk=tk, ntk=ntk, site=n.node_id, rt=_ROWS[True, n.relation],
                  rf=_ROWS[False, n.relation], new=tuple.__new__, cls=BranchObservation):
             f = read(data, off)[0] - const
             outcome = cmp(f, 0)
             edges.append(te if outcome else ne)
-            obs.append(new(cls, (site, outcome, rel, f, None, (rt if outcome else rf)(f))))
+            obs[site] = new(cls, (outcome, f, None, (rt if outcome else rf)(f)))
             return tk if outcome else ntk
     elif n.size == 1 and not signed:
         def step(data, edges, obs, off=off, const=const, cmp=cmp, te=te, ne=ne, tk=tk, ntk=ntk):
@@ -211,15 +209,15 @@ def _str_step(n: GuardNode, observe: bool):
     te, ne = 2 * n.node_id, 2 * n.node_id + 1
     if observe:
         def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
-                 te=te, ne=ne, tk=tk, ntk=ntk, site=n.node_id, rel=n.relation,
-                 rt=_ROWS[True, n.relation], rf=_ROWS[False, n.relation],
-                 sub=operator.sub, new=tuple.__new__, cls=BranchObservation):
+                 te=te, ne=ne, tk=tk, ntk=ntk, site=n.node_id, rt=_ROWS[True, n.relation],
+                 rf=_ROWS[False, n.relation], sub=operator.sub, new=tuple.__new__,
+                 cls=BranchObservation):
             window = data[off:end] + pad
             outcome = cmp(window, const)
             edges.append(te if outcome else ne)
             diffs = tuple(map(sub, window, const))
             values = tuple(map(rt if outcome else rf, diffs))
-            obs.append(new(cls, (site, outcome, rel, None, diffs, (sum(map(abs, values)), values))))
+            obs[site] = new(cls, (outcome, None, diffs, (sum(map(abs, values)), values)))
             return tk if outcome else ntk
     else:
         def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
@@ -238,13 +236,13 @@ def _xor_step(n: GuardNode, observe: bool):
     te, ne = 2 * n.node_id, 2 * n.node_id + 1
     if observe:
         def step(data, edges, obs, off=off, end=end, const=const, cmp=cmp, te=te, ne=ne,
-                 tk=tk, ntk=ntk, site=n.node_id, rel=n.relation, rt=_ROWS[True, n.relation],
+                 tk=tk, ntk=ntk, site=n.node_id, rt=_ROWS[True, n.relation],
                  rf=_ROWS[False, n.relation], xor=operator.xor, new=tuple.__new__,
                  cls=BranchObservation):
             f = reduce(xor, data[off:end], 0) - const
             outcome = cmp(f, 0)
             edges.append(te if outcome else ne)
-            obs.append(new(cls, (site, outcome, rel, f, None, (rt if outcome else rf)(f))))
+            obs[site] = new(cls, (outcome, f, None, (rt if outcome else rf)(f)))
             return tk if outcome else ntk
     else:
         def step(data, edges, obs, off=off, end=end, const=const, cmp=cmp, te=te, ne=ne,
@@ -355,7 +353,7 @@ class Harness:
         data = data.ljust(program._window_end, b"\0")
         steps = self._steps
         edges: list[int] = []
-        observations: list[BranchObservation] = []
+        observations: dict[int, BranchObservation] = {}
         bug_hits: tuple[int, ...] = ()
         nid = program.entry
         while nid is not None:
@@ -366,7 +364,7 @@ class Harness:
             nid = step(data, edges, observations)
         # At least 1 ns: a zero reading would divide by zero in the scheduler's clocks.
         exec_time = 1 if synthetic else max(1, time.perf_counter_ns() - t0)
-        return ExecutionTrace(tuple(edges), tuple(observations), exec_time, bug_hits)
+        return ExecutionTrace(tuple(edges), observations, exec_time, bug_hits)
 
 
 _VALID_INT_WIDTHS = (1, 2, 4, 8)

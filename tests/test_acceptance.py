@@ -231,7 +231,7 @@ def test_criterion_7_convexity_introspection(verdict):
             values = []
             harness.set_active_sites({site})
             for data in (x1, x2, bytes((a + b) // 2 for a, b in zip(x1, x2))):
-                obs = {o.site: o for o in harness.execute(data).observations}[site]
+                obs = harness.execute(data).observations[site]
                 values.append(observation_distance(obs))
             if 2 * values[2] != values[0] + values[1]:
                 all_linear_ok = False

@@ -267,6 +267,7 @@ class TestVerifyTheoremCommand:
         (["--stages", "0"], "--stages must be >= 1"),
         (["--trials", "-1"], "--trials must be >= 1"),
         (["--branches", "30", "--stages", "30"], "instance too large"),
+        (["--branches", "1", "--stages", "5000"], "instance too large"),
     ])
     def test_bad_flags_rejected_before_any_trial(self, capsys, flags, why):
         with pytest.raises(SystemExit) as info:

@@ -68,10 +68,11 @@ def test_observation_distance_matches_validating_distance(doc, data):
     harness = Harness(program, synthetic_time=True)
     harness.set_active_sites(program.node_ids)
     for x in data.draw(st.lists(st.binary(max_size=program.max_input_len), max_size=8)):
-        for obs in harness.execute(x).observations:
+        for site, obs in harness.execute(x).observations.items():
+            relation = program.node(site).relation
             if obs.byte_diffs is None:
-                expected = distance(obs.outcome, obs.relation, obs.f_value)
+                expected = distance(obs.outcome, relation, obs.f_value)
             else:
-                expected = string_distance(obs.outcome, obs.relation, obs.byte_diffs)
+                expected = string_distance(obs.outcome, relation, obs.byte_diffs)
             assert obs.key == expected
             assert observation_distance(obs) == scalarize(expected)

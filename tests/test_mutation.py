@@ -582,7 +582,7 @@ class TestLocalSearch:
         harness.set_active_sites({0})
 
         def dist(x):
-            (obs,) = harness.execute(bytes([x])).observations
+            (obs,) = harness.execute(bytes([x])).observations.values()
             return observation_distance(obs)
 
         d_seed = dist(5)
@@ -682,17 +682,18 @@ class TestLocalSearchAgainstReference:
         seed = bytes([3, 60, 128, 200, 250])
         harness = Harness(program, synthetic_time=True)
         harness.set_active_sites(sites)
-        base = {o.site: observation_distance(o) for o in harness.execute(seed).observations}
+        base = {site: observation_distance(o)
+                for site, o in harness.execute(seed).observations.items()}
         best = dict.fromkeys(sites, Fraction(0))
         replacements = 0
         rng = random.Random(5)
         for _ in range(255):
             data = havoc_mutate(seed, CFG, rng)
-            for obs in harness.execute(data).observations:
+            for site, obs in harness.execute(data).observations.items():
                 norm = l1_norm(compute_subgradient(
-                    seed, data, base[obs.site], observation_distance(obs)))
-                if norm > best[obs.site]:
-                    best[obs.site] = norm
+                    seed, data, base[site], observation_distance(obs)))
+                if norm > best[site]:
+                    best[site] = norm
                     replacements += 1
         calls = []
 
@@ -733,7 +734,7 @@ def _reference_solve_operand(self, seed, site, rec):
     linkage = Fraction(f_wit - f_seed, op_wit - op_seed)
     if linkage == 0:
         return None
-    slope = _row_slope(rec.witness_obs.outcome, rec.witness_obs.relation, f_wit) * linkage
+    slope = _row_slope(rec.witness_obs.outcome, node.relation, f_wit) * linkage
     solved = round_half_away(op_wit - Fraction(rec.witness_obs.key, 1) / slope)
     bits = 8 * node.size
     lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if node.signed else (0, (1 << bits) - 1)
@@ -784,8 +785,8 @@ class TestOperandSolverAgainstReference:
         program = program_from_dict(doc)
         harness = Harness(program, synthetic_time=True)
         harness.set_active_sites({0})
-        (seed_obs,) = harness.execute(seed).observations
-        (witness_obs,) = harness.execute(witness).observations
+        (seed_obs,) = harness.execute(seed).observations.values()
+        (witness_obs,) = harness.execute(witness).observations.values()
         with_seed = data.draw(st.booleans())
         rec = SubgradientRecord({}, witness, witness_obs, seed_obs if with_seed else None)
         mutator = Mutator(CFG, program)
@@ -943,7 +944,7 @@ class TestLinearExactness:
         out = newton_step(rec.witness, observation_distance(rec.witness_obs), rec.g)
         harness = Harness(program, synthetic_time=True)
         harness.set_active_sites({0})
-        (obs,) = harness.execute(out).observations
+        (obs,) = harness.execute(out).observations.values()
         flipped = obs.outcome != rec.witness_obs.outcome
         assert flipped or abs(obs.f_value) <= 1
 
@@ -956,7 +957,7 @@ class TestRootCorrespondence:
         program = le15_program()
         harness = Harness(program, synthetic_time=True)
         harness.set_active_sites({0})
-        (obs,) = harness.execute(bytes([witness_byte])).observations
+        (obs,) = harness.execute(bytes([witness_byte])).observations.values()
         predicted = newton_step(
             bytes([witness_byte]), observation_distance(obs), {0: Fraction(-1)}
         )
@@ -982,7 +983,7 @@ class TestNewtonTendency:
             out = newton_step(rec.witness, observation_distance(rec.witness_obs), rec.g)
             harness = Harness(program, synthetic_time=True)
             harness.set_active_sites({0})
-            (obs,) = harness.execute(out).observations
+            (obs,) = harness.execute(out).observations.values()
             d_out = abs(observation_distance(obs))
             d_wit = abs(observation_distance(rec.witness_obs))
             wins += d_out <= d_wit

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_executor
 from frontierfuzz import builtin_targets
 from frontierfuzz.target import (
     _READERS,
@@ -34,6 +35,12 @@ def int_node(nid, offset=0, width=1, relation="le", constant=15, taken=None,
 
 
 LE15_DOC = {"max_input_len": 4, "entry": 0, "nodes": [int_node(0)]}
+
+
+def _active_path_sites(trace, active) -> list[int]:
+    """The active guard sites along the trace's path, in path order: the
+    keys its observation map must have, in that order."""
+    return [e >> 1 for e in trace.edges if e >> 1 in active]
 
 
 class TestLoadProgram:
@@ -148,9 +155,9 @@ class TestExecute:
         harness.set_active_sites({0})
         trace = harness.execute(bytes([5]))
         assert trace.edges == (0,)
-        (obs,) = trace.observations
+        (obs,) = trace.observations.values()
         assert obs.outcome is True
-        assert obs.relation is Relation.LE
+        assert harness.program.node(0).relation is Relation.LE
         assert obs.f_value == -10
 
     def test_real_clock_reading_is_at_least_one_ns(self, monkeypatch):
@@ -176,7 +183,7 @@ class TestExecute:
         }
         harness = Harness(program_from_dict(doc), synthetic_time=True)
         harness.set_active_sites({0})
-        (obs,) = harness.execute(b"ab").observations
+        (obs,) = harness.execute(b"ab").observations.values()
         assert obs.byte_diffs == (0, 0, -99)
         assert obs.outcome is False
 
@@ -206,7 +213,7 @@ class TestExecute:
         }
         harness = Harness(program_from_dict(doc), synthetic_time=True)
         harness.set_active_sites({0})
-        (obs,) = harness.execute(bytes([1, 2, 3, 4])).observations
+        (obs,) = harness.execute(bytes([1, 2, 3, 4])).observations.values()
         assert obs.f_value == (1 ^ 2 ^ 3 ^ 4) - 0x5D
         assert obs.outcome is False
 
@@ -254,7 +261,7 @@ class TestExecute:
                "nodes": [int_node(0, width=8, relation="eq", constant=0)]}
         harness = Harness(program_from_dict(doc), synthetic_time=True)
         harness.set_active_sites({0})
-        (obs,) = harness.execute(b"\xff" * 8).observations
+        (obs,) = harness.execute(b"\xff" * 8).observations.values()
         assert obs.f_value == 2**64 - 1
 
     def test_signed_64bit_negative_constant(self):
@@ -263,7 +270,7 @@ class TestExecute:
                                   constant=-(2**63), signed=True)]}
         harness = Harness(program_from_dict(doc), synthetic_time=True)
         harness.set_active_sites({0})
-        (obs,) = harness.execute(b"\x00" * 7 + b"\x80").observations
+        (obs,) = harness.execute(b"\x00" * 7 + b"\x80").observations.values()
         assert obs.f_value == 0  # the operand equals the minimum value
         assert obs.outcome is False
 
@@ -272,16 +279,25 @@ class TestActiveSites:
     def test_all_switches_off(self):
         harness = Harness(builtin_targets.load("chain6"), synthetic_time=True)
         trace = harness.execute(bytes(6))
-        assert trace.observations == ()
+        assert trace.observations == {}
         assert trace.edges != ()
 
     def test_all_switches_on(self):
         program = builtin_targets.load("chain6")
         harness = Harness(program, synthetic_time=True)
         harness.set_active_sites(program.node_ids)
-        # The all-taken input reaches every guard, so every guard reports.
-        trace = harness.execute(bytes([1, 2, 4, 8, 16, 32]))
+        # The all-taken input reaches every guard, so every guard reports,
+        # keyed by site in path order.
+        data = bytes([1, 2, 4, 8, 16, 32])
+        trace = harness.execute(data)
         assert len(trace.observations) == 6
+        assert list(trace.observations) == [0, 1, 2, 3, 4, 5]
+        # The executor hands on the very map the harness returned.
+        executor = make_executor(program, frontier=program.node_ids)
+        execute = executor.harness.execute
+        returned = []
+        executor.harness.execute = lambda x: returned.append(execute(x)) or returned[-1]
+        assert executor.run(data).observations is returned[0].observations
 
     def test_frontier_subset_bounds_observations(self):
         program = builtin_targets.load("chain6")
@@ -289,6 +305,7 @@ class TestActiveSites:
         harness.set_active_sites({0, 1})
         trace = harness.execute(bytes([1, 2, 4, 8, 16, 32]))
         assert len(trace.observations) <= 2
+        assert list(trace.observations) == _active_path_sites(trace, {0, 1})
 
     def test_unknown_site_rejected(self):
         harness = Harness(builtin_targets.load("le15"), synthetic_time=True)
@@ -306,7 +323,8 @@ class TestActiveSites:
         harness.set_active_sites(frontier)
         trace = harness.execute(bytes([1, 2, 4, 8, 16, 32]))
         assert len(trace.observations) <= len(frontier)
-        assert {o.site for o in trace.observations} <= frontier
+        assert set(trace.observations) <= frontier
+        assert list(trace.observations) == _active_path_sites(trace, frontier)
 
     def test_program_shared_across_independent_handles(self):
         program = builtin_targets.load("chain6")
@@ -315,8 +333,8 @@ class TestActiveSites:
         first.set_active_sites({0})
         second.set_active_sites({1, 2})
         data = bytes([1, 2, 4, 8, 16, 32])
-        assert {o.site for o in first.execute(data).observations} == {0}
-        assert {o.site for o in second.execute(data).observations} == {1, 2}
+        assert list(first.execute(data).observations) == [0]
+        assert list(second.execute(data).observations) == [1, 2]
         assert first.active_sites == {0}
 
 
@@ -335,15 +353,16 @@ class TestDeterminismAndConsistency:
         program = builtin_targets.load("mixed_tree")
         harness = Harness(program, synthetic_time=True)
         harness.set_active_sites(program.node_ids)
-        for obs in harness.execute(data).observations:
+        for site, obs in harness.execute(data).observations.items():
+            relation = program.node(site).relation
             if obs.f_value is not None:
-                assert obs.outcome == obs.relation.holds(obs.f_value)
+                assert obs.outcome == relation.holds(obs.f_value)
             else:
                 # String outcome follows the lexicographic comparison of the
                 # padded operands, i.e. the sign of the first nonzero diff.
                 cmp = next((d for d in obs.byte_diffs if d != 0), 0)
                 sign = 0 if cmp == 0 else (1 if cmp > 0 else -1)
-                assert obs.outcome == obs.relation.holds(sign)
+                assert obs.outcome == relation.holds(sign)
 
     @settings(max_examples=60, deadline=None)
     @given(st.binary(max_size=6))
@@ -430,7 +449,7 @@ def _row(outcome: bool, code: int, f: int) -> int:
 def _compile(n):
     kind = {GuardKind.INT: 0, GuardKind.STR: 1, GuardKind.XOR: 2, GuardKind.BUG: 3}[n.kind]
     if kind == 3:
-        return (3, 0, 0, "little", False, None, 0, None, None, None, None)
+        return (3, 0, 0, "little", False, None, 0, None, None, None)
     rel_code = _REL_CODE[n.relation]
     extra = None
     if kind == 1:
@@ -446,7 +465,6 @@ def _compile(n):
         rel_code,
         n.taken,
         n.nottaken,
-        n.relation,
         extra,
     )
 
@@ -456,11 +474,11 @@ def _reference_execute(program, active, data: bytes) -> ExecutionTrace:
     synthetic time."""
     rows = [_compile(program.node(i)) for i in range(len(program.nodes))]
     edges = []
-    observations = []
+    observations = {}
     bug_hits = ()
     nid = program.entry
     while nid is not None:
-        kind, off, size, byteorder, signed, const, rel_code, tk, ntk, rel, extra = rows[nid]
+        kind, off, size, byteorder, signed, const, rel_code, tk, ntk, extra = rows[nid]
         if kind == 3:
             bug_hits = (nid,)
             break
@@ -491,18 +509,11 @@ def _reference_execute(program, active, data: bytes) -> ExecutionTrace:
             key = _row(outcome, rel_code, f)
         edges.append(nid + nid if outcome else nid + nid + 1)
         if nid in active:
-            observations.append(
-                BranchObservation(
-                    site=nid,
-                    outcome=outcome,
-                    relation=rel,
-                    f_value=f,
-                    byte_diffs=diffs,
-                    key=key,
-                )
+            observations[nid] = BranchObservation(
+                outcome=outcome, f_value=f, byte_diffs=diffs, key=key
             )
         nid = tk if outcome else ntk
-    return ExecutionTrace(tuple(edges), tuple(observations), 1, bug_hits)
+    return ExecutionTrace(tuple(edges), observations, 1, bug_hits)
 
 
 _RELATION_TOKENS = [r.value for r in Relation]
@@ -570,7 +581,10 @@ def _assert_matches_reference(program, data):
         subset = data.draw(st.frozensets(st.sampled_from(ids)))
         for active in (frozenset(), frozenset(ids), subset):
             harness.set_active_sites(active)
-            assert harness.execute(raw) == _reference_execute(program, active, raw)
+            trace = harness.execute(raw)
+            assert trace == _reference_execute(program, active, raw)
+            # Dict equality ignores order: check the keys' path order too.
+            assert list(trace.observations) == _active_path_sites(trace, active)
 
 
 class TestDifferentialAgainstInterpreter:
