@@ -29,8 +29,9 @@ Modes:
 from __future__ import annotations
 
 import json
+import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -54,25 +55,25 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class Budget:
-    """Execution/time budget; at least one bound must be finite, and none negative."""
+    """Execution/time budget: int bounds, at least one set, none negative.
+    ``exec_cap`` and ``time_cap`` are the bounds, ``math.inf`` where absent."""
 
     max_execs: int | None = None
     max_time_ns: int | None = None
+    exec_cap: int | float = field(init=False, repr=False, compare=False)
+    time_cap: int | float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.max_execs is None and self.max_time_ns is None:
             raise ValueError("budget needs at least one finite bound")
-        for name in ("max_execs", "max_time_ns"):
+        for name, cap in (("max_execs", "exec_cap"), ("max_time_ns", "time_cap")):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            if value is not None and (value.__class__ is not int or value < 0):
+                raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+            object.__setattr__(self, cap, math.inf if value is None else value)
 
     def exhausted(self, execs: int, t_ns: int) -> bool:
-        if self.max_execs is not None and execs >= self.max_execs:
-            return True
-        if self.max_time_ns is not None and t_ns >= self.max_time_ns:
-            return True
-        return False
+        return execs >= self.exec_cap or t_ns >= self.time_cap
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,10 @@ class _Executor:
         self.execs = 0
         self.t_ns = 0
 
-    def run(self, data: bytes, exempt_budget: bool = False) -> StepOutcome:
-        if not exempt_budget and self.budget.exhausted(self.execs, self.t_ns):
+    def run(self, data: bytes, exempt_budget: bool = False,
+            new=tuple.__new__, cls=StepOutcome) -> StepOutcome:
+        budget = self.budget
+        if not exempt_budget and (self.execs >= budget.exec_cap or self.t_ns >= budget.time_cap):
             raise _BudgetExceeded
         trace = self.harness.execute(data)
         edges, observations, exec_time, bug_hits = trace
@@ -184,7 +187,7 @@ class _Executor:
             for site, obs in observations.items():
                 if site in frontier:
                     record(site, data, obs.key, exec_time, frontier)
-        return StepOutcome(flips, observations)
+        return new(cls, (flips, observations))
 
 
 class Campaign:

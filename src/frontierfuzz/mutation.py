@@ -338,7 +338,10 @@ class Mutator:
         depends only on the sample, so it is taken once, as an integer in
         units of 1/L (``_INV``), and records are compared by norm times L.
         Δd comes from the observations' scalarized distance keys; ``g`` is
-        built only for a record that wins with a nonzero norm.
+        built only for a record that wins with a nonzero norm.  A site whose
+        scalarized key equals its seed baseline has norm 0, which never beats
+        its record's, so it is skipped: the records stay the same, and the sum
+        is taken only at a sample's first site whose key moved.
         """
         k = self.config.sample_size if k is None else k
         if k < 1:
@@ -350,21 +353,21 @@ class Mutator:
         norms = dict.fromkeys(records, 0)
         for _ in range(k - 1):
             data = havoc_mutate(seed, self.config, rng)
-            observations = executor.run(data).observations
-            s = 0  # without allow_resize, havoc keeps the seed's length
-            for x, y in zip(seed, data):
-                if x != y:
-                    s += _INV[abs(y - x)]
-            for site, obs in observations.items():
-                if site not in frontier:
-                    continue
-                base = seed_v.get(site)
-                if base is None or not s:
-                    if site not in records:  # first reached without a seed baseline
+            s = None
+            for site, obs in executor.run(data).observations.items():
+                base = seed_v.get(site)  # every site in seed_v is in the frontier
+                if base is None:
+                    if site in frontier and site not in records:  # no seed baseline
                         records[site] = SubgradientRecord({}, data, obs)
-                        norms[site] = 0
                     continue
                 v = scalarize(obs.key)
+                if v == base:
+                    continue
+                if s is None:
+                    s = 0  # without allow_resize, havoc keeps the seed's length
+                    for x, y in zip(seed, data):
+                        if x != y:
+                            s += _INV[abs(y - x)]
                 norm = abs(v - base) * s
                 if norm > norms[site]:
                     norms[site] = norm

@@ -342,7 +342,7 @@ class Harness:
         self._active = sites
         self._steps = steps
 
-    def execute(self, data: bytes) -> ExecutionTrace:
+    def execute(self, data: bytes, new=tuple.__new__, cls=ExecutionTrace) -> ExecutionTrace:
         program = self.program
         if len(data) > program.max_input_len:
             raise ValueError(
@@ -364,7 +364,7 @@ class Harness:
             nid = step(data, edges, observations)
         # At least 1 ns: a zero reading would divide by zero in the scheduler's clocks.
         exec_time = 1 if synthetic else max(1, time.perf_counter_ns() - t0)
-        return ExecutionTrace(tuple(edges), observations, exec_time, bug_hits)
+        return new(cls, (tuple(edges), observations, exec_time, bug_hits))
 
 
 _VALID_INT_WIDTHS = (1, 2, 4, 8)

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import math
 import random
 import types
 from unittest import mock
@@ -43,6 +44,20 @@ class TestBudget:
             Budget(max_execs=-1)
         with pytest.raises(ValueError, match="max_time_ns"):
             Budget(max_time_ns=-1)
+
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 10.0, True, "10"])
+    def test_non_int_bounds_rejected(self, value):
+        # A NaN time bound is never reached: a campaign that cannot cover
+        # its target would never stop.
+        with pytest.raises(ValueError, match="max_execs"):
+            Budget(max_execs=value)
+        with pytest.raises(ValueError, match="max_time_ns"):
+            Budget(max_time_ns=value)
+
+    def test_absent_bound_is_an_infinite_cap(self):
+        budget = Budget(max_time_ns=7)
+        assert (budget.exec_cap, budget.time_cap) == (math.inf, 7)
+        assert not budget.exhausted(1 << 62, 6)
 
 
 class TestRun:
@@ -119,6 +134,21 @@ class TestRun:
         # The budget check runs before each execution, so overshoot is at
         # most one in-flight execution.
         assert log.records[-1].execs <= 5_001
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("max_execs, max_time_ns, stop", [
+        (None, 1_500, 1_500), (1_500, 2_500, 1_500), (2_500, 1_500, 1_500),
+    ])
+    def test_time_budget_stops_the_run(self, mode, max_execs, max_time_ns, stop):
+        # Synthetic time charges 1 ns per exec, and the budget is tested
+        # before each one, so a run that cannot finish ends exactly at the
+        # smaller bound.
+        program = builtin_targets.load("chain6")
+        log = Campaign(program, [zero_seed(program)], mode,
+                       Budget(max_execs=max_execs, max_time_ns=max_time_ns), rng_seed=0).run()
+        final = log.records[-1]
+        assert final.edges_covered < program.total_edges
+        assert final.execs == final.t_ns == stop
 
     def test_findings_collected_on_bug_target(self):
         program = builtin_targets.load("bug_chain")

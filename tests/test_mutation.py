@@ -664,8 +664,11 @@ class TestLocalSearchAgainstReference:
             else:
                 assert got[site].g == {}
         assert got_rng == want_rng
-        assert (got_ex.execs, got_ex.flips) == (want_ex.execs, want_ex.flips)
+        assert (got_ex.execs, got_ex.flips, got_ex.t_ns) == (
+            want_ex.execs, want_ex.flips, want_ex.t_ns)
         assert got_ex.corpus.entries == want_ex.corpus.entries
+        # best, best_input, pt and tt per site
+        assert got_ex.scheduler.stats == want_ex.scheduler.stats
 
     def test_subgradients_built_only_for_nonzero_replacements(self, monkeypatch):
         # Five always-true guards on every path: each sample reaches every
