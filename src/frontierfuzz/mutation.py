@@ -381,7 +381,7 @@ class Mutator:
         records = self.local_search(seed, frontier, executor, rng)
         for site in sorted(records):
             rec = records[site]
-            node = self.program.node(site)
+            node = self.program.nodes[site]
             candidate: bytes | None = None
             if node.kind is GuardKind.STR:
                 candidate = self._solve_string(seed, site, rec, executor)
@@ -404,7 +404,7 @@ class Mutator:
         if not offsets:
             return None
         obs = rec.witness_obs
-        node = self.program.node(site)
+        node = self.program.nodes[site]
         buf = bytearray(rec.witness)
         changed = False
         # Positions past the window are padding, with no input byte to solve.
@@ -436,7 +436,7 @@ class Mutator:
         f = obs.f_value
         if rec.seed_obs is None or f == rec.seed_obs.f_value:
             return None
-        node = self.program.node(site)
+        node = self.program.nodes[site]
         solved = node.constant + f - obs.key * _row_slope(obs.outcome, node.relation, f)
         bits = 8 * node.size
         lo, hi = (

@@ -15,6 +15,9 @@ guard's distance row, for each active site.  An input shorter than the
 furthest operand window is zero-extended up to it before the walk; loading
 rejects a window that ends past ``MAX_WINDOW_END`` bytes.
 
+Loading checks and builds each node in one pass over its fields, in a fixed
+order, so a document with several faults always reports the same first one;
+the cycle check runs only when some child id is not above its parent's.
 Edge ids are fixed as ``2 * node_id`` for the taken edge and
 ``2 * node_id + 1`` for the not-taken edge.
 """
@@ -26,7 +29,7 @@ import json
 import operator
 import struct
 import time
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import Enum
 from functools import reduce
 from typing import NamedTuple
@@ -67,14 +70,8 @@ class Relation(Enum):
         return _OPS[self](value, 0)
 
 
-_OPS = {
-    Relation.LT: operator.lt,
-    Relation.LE: operator.le,
-    Relation.GT: operator.gt,
-    Relation.GE: operator.ge,
-    Relation.EQ: operator.eq,
-    Relation.NE: operator.ne,
-}
+# Each relation's value names its comparison in ``operator``.
+_OPS = {r: getattr(operator, r.value) for r in Relation}
 
 
 class GuardKind(Enum):
@@ -83,26 +80,28 @@ class GuardKind(Enum):
     XOR = "xor"
     BUG = "bug"
 
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class GuardNode:
+
+class GuardNode(NamedTuple):
     """One comparison guard (or terminal bug marker) in a target program.
 
     ``size`` is the operand width in bytes for integer guards and the input
     window length for string and xor guards.  ``constant`` is an int for
-    integer/xor guards and a byte string for string guards.
+    integer/xor guards and a byte string for string guards.  The loader
+    builds nodes with ``tuple.__new__``.
     """
 
     node_id: int
     kind: GuardKind
-    offset: int = 0
-    size: int = 1
-    endian: str = "le"
-    signed: bool = False
-    relation: Relation | None = None
-    constant: int | bytes | None = None
-    taken: int | None = None
-    nottaken: int | None = None
+    offset: int
+    size: int
+    endian: str
+    signed: bool
+    relation: Relation | None
+    constant: int | bytes | None
+    taken: int | None
+    nottaken: int | None
 
 
 class BranchObservation(NamedTuple):
@@ -168,20 +167,19 @@ _READERS = {
 
 
 def _int_step(n: GuardNode, observe: bool):
-    off, signed, const = n.offset, n.signed, n.constant
-    read = _READERS[n.endian, n.size, signed]
-    cmp, tk, ntk = _OPS[n.relation], n.taken, n.nottaken
-    te, ne = 2 * n.node_id, 2 * n.node_id + 1
+    nid, _, off, size, endian, signed, rel, const, tk, ntk = n
+    read = _READERS[endian, size, signed]
+    cmp, te, ne = _OPS[rel], 2 * nid, 2 * nid + 1
     if observe:
         def step(data, edges, obs, off=off, read=read, const=const, cmp=cmp, te=te, ne=ne,
-                 tk=tk, ntk=ntk, site=n.node_id, rt=_ROWS[True, n.relation],
-                 rf=_ROWS[False, n.relation], new=tuple.__new__, cls=BranchObservation):
+                 tk=tk, ntk=ntk, site=nid, rt=_ROWS[True, rel], rf=_ROWS[False, rel],
+                 new=tuple.__new__, cls=BranchObservation):
             f = read(data, off)[0] - const
             outcome = cmp(f, 0)
             edges.append(te if outcome else ne)
             obs[site] = new(cls, (outcome, f, None, (rt if outcome else rf)(f)))
             return tk if outcome else ntk
-    elif n.size == 1 and not signed:
+    elif size == 1 and not signed:
         def step(data, edges, obs, off=off, const=const, cmp=cmp, te=te, ne=ne, tk=tk, ntk=ntk):
             if cmp(data[off], const):
                 edges.append(te)
@@ -202,15 +200,14 @@ def _int_step(n: GuardNode, observe: bool):
 def _str_step(n: GuardNode, observe: bool):
     # Window and constant are both zero-padded to the longer of the two and
     # compared as byte strings.
-    cmplen = max(n.size, len(n.constant))
-    off, end, pad = n.offset, n.offset + n.size, bytes(cmplen - n.size)
-    const = n.constant.ljust(cmplen, b"\0")
-    cmp, tk, ntk = _OPS[n.relation], n.taken, n.nottaken
-    te, ne = 2 * n.node_id, 2 * n.node_id + 1
+    nid, _, off, size, _, _, rel, const, tk, ntk = n
+    cmplen = max(size, len(const))
+    end, pad, const = off + size, bytes(cmplen - size), const.ljust(cmplen, b"\0")
+    cmp, te, ne = _OPS[rel], 2 * nid, 2 * nid + 1
     if observe:
         def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
-                 te=te, ne=ne, tk=tk, ntk=ntk, site=n.node_id, rt=_ROWS[True, n.relation],
-                 rf=_ROWS[False, n.relation], sub=operator.sub, new=tuple.__new__,
+                 te=te, ne=ne, tk=tk, ntk=ntk, site=nid, rt=_ROWS[True, rel],
+                 rf=_ROWS[False, rel], sub=operator.sub, new=tuple.__new__,
                  cls=BranchObservation):
             window = data[off:end] + pad
             outcome = cmp(window, const)
@@ -231,14 +228,12 @@ def _str_step(n: GuardNode, observe: bool):
 
 
 def _xor_step(n: GuardNode, observe: bool):
-    off, end, const = n.offset, n.offset + n.size, n.constant
-    cmp, tk, ntk = _OPS[n.relation], n.taken, n.nottaken
-    te, ne = 2 * n.node_id, 2 * n.node_id + 1
+    nid, _, off, size, _, _, rel, const, tk, ntk = n
+    end, cmp, te, ne = off + size, _OPS[rel], 2 * nid, 2 * nid + 1
     if observe:
         def step(data, edges, obs, off=off, end=end, const=const, cmp=cmp, te=te, ne=ne,
-                 tk=tk, ntk=ntk, site=n.node_id, rt=_ROWS[True, n.relation],
-                 rf=_ROWS[False, n.relation], xor=operator.xor, new=tuple.__new__,
-                 cls=BranchObservation):
+                 tk=tk, ntk=ntk, site=nid, rt=_ROWS[True, rel], rf=_ROWS[False, rel],
+                 xor=operator.xor, new=tuple.__new__, cls=BranchObservation):
             f = reduce(xor, data[off:end], 0) - const
             outcome = cmp(f, 0)
             edges.append(te if outcome else ne)
@@ -255,14 +250,8 @@ def _xor_step(n: GuardNode, observe: bool):
     return step
 
 
+# A guard kind's step factory, ``factory(node, observe)``; bug nodes have none.
 _STEP_FACTORIES = {GuardKind.INT: _int_step, GuardKind.STR: _str_step, GuardKind.XOR: _xor_step}
-
-
-def _step(node: GuardNode, observe: bool):
-    """The step function of ``node``; None for a bug node."""
-    if node.kind is GuardKind.BUG:
-        return None
-    return _STEP_FACTORIES[node.kind](node, observe)
 
 
 class GuardProgram:
@@ -272,28 +261,31 @@ class GuardProgram:
     in :class:`Harness`.
     """
 
-    def __init__(self, nodes: list[GuardNode], entry: int, max_input_len: int):
-        self.nodes = list(nodes)
+    def __init__(self, nodes: Iterable[GuardNode], entry: int, max_input_len: int):
+        # Ids are dense and ordered (``program_from_dict`` checks), so a node's
+        # id is its index; a bug node's step is None.
+        self.nodes = nodes = tuple(nodes)
         self.entry = entry
         self.max_input_len = max_input_len
-        self.node_ids = frozenset(n.node_id for n in self.nodes)
-        self.guard_ids = frozenset(
-            n.node_id for n in self.nodes if n.kind is not GuardKind.BUG
-        )
-        # Every guard node owns exactly its two outgoing edge ids.
-        self.all_edges = frozenset(
-            e for nid in self.guard_ids for e in (2 * nid, 2 * nid + 1)
-        )
-        # Ids are dense and ordered (``program_from_dict`` checks), so a node's
-        # id is its index.
-        self._steps = [_step(n, observe=False) for n in self.nodes]
+        self.node_ids = frozenset(range(len(nodes)))
+        self._steps = steps = []
+        bugs = []
         # Inputs are zero-extended to here: the furthest operand window end.
-        self._window_end = max(
-            (n.offset + n.size for n in self.nodes if n.kind is not GuardKind.BUG), default=0
+        window_end = 0
+        factories, BUG = _STEP_FACTORIES, GuardKind.BUG
+        for n in nodes:
+            if n.kind is BUG:
+                bugs.append(n.node_id)
+                steps.append(None)
+            else:
+                steps.append(factories[n.kind](n, False))
+                window_end = max(window_end, n.offset + n.size)
+        self._window_end = window_end
+        self.guard_ids = self.node_ids.difference(bugs)
+        # Every guard node owns exactly its two outgoing edge ids.
+        self.all_edges = frozenset(range(2 * len(nodes))).difference(
+            e for nid in bugs for e in (2 * nid, 2 * nid + 1)
         )
-
-    def node(self, node_id: int) -> GuardNode:
-        return self.nodes[node_id]
 
     def edge_endpoints(self, edge_id: int) -> tuple[int, int | None]:
         """(source node, destination node or None for a terminal edge)."""
@@ -337,7 +329,8 @@ class Harness:
         for nid in sites & program.guard_ids:
             step = observing.get(nid)
             if step is None:
-                step = observing[nid] = _step(program.node(nid), observe=True)
+                node = program.nodes[nid]
+                step = observing[nid] = _STEP_FACTORIES[node.kind](node, True)
             steps[nid] = step
         self._active = sites
         self._steps = steps
@@ -371,133 +364,144 @@ _VALID_INT_WIDTHS = (1, 2, 4, 8)
 # Inputs are zero-extended to the furthest operand window end: bound it.
 MAX_WINDOW_END = 1 << 24
 _RELATIONS = {r.value: r for r in Relation}
+_KINDS = {k.value: k for k in GuardKind}
 
 
-def _field(raw: dict, node_ref: str, name: str, types, required: bool = True, default=None):
-    value = raw.get(name)
-    if value is None:
-        if required:
-            raise DocumentError(f"{node_ref}: missing field '{name}'")
-        return default
-    if not isinstance(value, types) or (isinstance(value, bool) and types is int):
-        raise DocumentError(f"{node_ref}: field '{name}' has invalid type")
-    return value
+def _bad_field(raw: dict, ref: str, name: str):
+    """Raise the error for a field that failed its type test: missing or invalid."""
+    if raw.get(name) is None:
+        raise DocumentError(f"{ref}: missing field '{name}'")
+    raise DocumentError(f"{ref}: field '{name}' has invalid type")
 
 
 def program_from_dict(doc: dict) -> GuardProgram:
-    """Build and validate a :class:`GuardProgram` from a decoded document."""
+    """Build and validate a :class:`GuardProgram` from a decoded document,
+    checking each field once, in a fixed order, for exactly its JSON type
+    (``true`` is not an int); the first fault found is the one reported."""
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
-    max_input_len = _field(doc, "document", "max_input_len", int)
+    if (max_input_len := doc.get("max_input_len")).__class__ is not int:
+        _bad_field(doc, "document", "max_input_len")
     if max_input_len < 1:
         raise DocumentError("document: max_input_len must be >= 1")
-    entry = _field(doc, "document", "entry", int)
-    raw_nodes = _field(doc, "document", "nodes", list)
+    if (entry := doc.get("entry")).__class__ is not int:
+        _bad_field(doc, "document", "entry")
+    if not isinstance(raw_nodes := doc.get("nodes"), list):
+        _bad_field(doc, "document", "nodes")
     if not raw_nodes:
         raise DocumentError("document: nodes must be nonempty")
 
+    n = len(raw_nodes)
     nodes: dict[int, GuardNode] = {}
+    # Whether every child id lies between its parent's id and n; once the ids
+    # are dense, such children all exist and cannot close a cycle.
+    forward = True
+    new, BUG, INT, XOR = tuple.__new__, GuardKind.BUG, GuardKind.INT, GuardKind.XOR
     for raw in raw_nodes:
         if not isinstance(raw, dict):
             raise DocumentError("document: each node must be an object")
-        nid = _field(raw, "node", "id", int)
-        ref = f"node {nid}"
+        get = raw.get
+        if (nid := get("id")).__class__ is not int:
+            _bad_field(raw, "node", "id")
         if nid in nodes:
-            raise DocumentError(f"{ref}: duplicate node id")
-        kind_token = _field(raw, ref, "kind", str)
-        try:
-            kind = GuardKind(kind_token)
-        except ValueError:
-            raise DocumentError(f"{ref}: unknown kind '{kind_token}'") from None
+            raise DocumentError(f"node {nid}: duplicate node id")
+        if (token := get("kind")).__class__ is not str:
+            _bad_field(raw, f"node {nid}", "kind")
+        if (kind := _KINDS.get(token)) is None:
+            raise DocumentError(f"node {nid}: unknown kind '{token}'")
 
-        if kind is GuardKind.BUG:
-            if raw.get("taken") is not None or raw.get("nottaken") is not None:
-                raise DocumentError(f"{ref}: bug nodes are terminal and take no children")
-            nodes[nid] = GuardNode(node_id=nid, kind=kind)
+        if kind is BUG:
+            if get("taken") is not None or get("nottaken") is not None:
+                raise DocumentError(f"node {nid}: bug nodes are terminal and take no children")
+            nodes[nid] = new(GuardNode, (nid, kind, 0, 1, "le", False, None, None, None, None))
             continue
 
-        offset = _field(raw, ref, "offset", int)
+        if (offset := get("offset")).__class__ is not int:
+            _bad_field(raw, f"node {nid}", "offset")
         if offset < 0:
-            raise DocumentError(f"{ref}: offset must be >= 0")
-        relation_token = _field(raw, ref, "relation", str)
-        if relation_token not in _RELATIONS:
-            raise DocumentError(f"{ref}: unknown relation '{relation_token}'")
-        relation = _RELATIONS[relation_token]
-        taken = _field(raw, ref, "taken", int, required=False)
-        nottaken = _field(raw, ref, "nottaken", int, required=False)
+            raise DocumentError(f"node {nid}: offset must be >= 0")
+        if (token := get("relation")).__class__ is not str:
+            _bad_field(raw, f"node {nid}", "relation")
+        if (relation := _RELATIONS.get(token)) is None:
+            raise DocumentError(f"node {nid}: unknown relation '{token}'")
+        if (taken := get("taken")) is not None and taken.__class__ is not int:
+            _bad_field(raw, f"node {nid}", "taken")
+        if (nottaken := get("nottaken")) is not None and nottaken.__class__ is not int:
+            _bad_field(raw, f"node {nid}", "nottaken")
+        if not (taken is None or nid < taken < n) or not (nottaken is None or nid < nottaken < n):
+            forward = False
 
-        if kind is GuardKind.INT:
-            size = _field(raw, ref, "width", int)
+        if kind is INT:
+            if (size := get("width")).__class__ is not int:
+                _bad_field(raw, f"node {nid}", "width")
             if size not in _VALID_INT_WIDTHS:
-                raise DocumentError(f"{ref}: width must be one of {_VALID_INT_WIDTHS}")
-            endian = _field(raw, ref, "endian", str)
-            if endian not in ("le", "be"):
-                raise DocumentError(f"{ref}: endian must be 'le' or 'be'")
-            signed = _field(raw, ref, "signed", bool)
-            constant = _field(raw, ref, "constant", int)
+                raise DocumentError(f"node {nid}: width must be one of {_VALID_INT_WIDTHS}")
+            if (endian := get("endian")).__class__ is not str:
+                _bad_field(raw, f"node {nid}", "endian")
+            if endian != "le" and endian != "be":
+                raise DocumentError(f"node {nid}: endian must be 'le' or 'be'")
+            if (signed := get("signed")).__class__ is not bool:
+                _bad_field(raw, f"node {nid}", "signed")
+            if (constant := get("constant")).__class__ is not int:
+                _bad_field(raw, f"node {nid}", "constant")
             bits = 8 * size
             lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if signed else (0, (1 << bits) - 1)
             if not lo <= constant <= hi:
-                raise DocumentError(f"{ref}: constant {constant} does not fit width {size}")
-        elif kind is GuardKind.XOR:
-            size = _field(raw, ref, "length", int)
-            if size < 1:
-                raise DocumentError(f"{ref}: length must be >= 1")
-            endian = "le"
-            signed = False
-            constant = _field(raw, ref, "constant", int)
-            if not 0 <= constant <= 0xFF:
-                raise DocumentError(f"{ref}: xor constant must fit one byte")
+                raise DocumentError(f"node {nid}: constant {constant} does not fit width {size}")
         else:
-            size = _field(raw, ref, "length", int)
+            if (size := get("length")).__class__ is not int:
+                _bad_field(raw, f"node {nid}", "length")
             if size < 1:
-                raise DocumentError(f"{ref}: length must be >= 1")
-            endian = "le"
-            signed = False
-            encoded = _field(raw, ref, "constant", str)
-            try:
-                constant = base64.b64decode(encoded, validate=True)
-            except Exception:
-                raise DocumentError(f"{ref}: constant is not valid base64") from None
-            if not constant:
-                raise DocumentError(f"{ref}: string constant must be nonempty")
+                raise DocumentError(f"node {nid}: length must be >= 1")
+            endian, signed = "le", False
+            if (constant := get("constant")).__class__ is not (int if kind is XOR else str):
+                _bad_field(raw, f"node {nid}", "constant")
+            if kind is XOR:
+                if not 0 <= constant <= 0xFF:
+                    raise DocumentError(f"node {nid}: xor constant must fit one byte")
+            else:
+                try:
+                    constant = base64.b64decode(constant, validate=True)
+                except Exception:
+                    raise DocumentError(f"node {nid}: constant is not valid base64") from None
+                if not constant:
+                    raise DocumentError(f"node {nid}: string constant must be nonempty")
 
-        if offset + size > max_input_len:
-            raise DocumentError(
-                f"{ref}: operand window [{offset}, {offset + size}) exceeds "
-                f"max_input_len {max_input_len}"
-            )
-        if offset + size > MAX_WINDOW_END:
-            raise DocumentError(f"{ref}: operand window ends past the {MAX_WINDOW_END}-byte limit")
-        nodes[nid] = GuardNode(
-            node_id=nid,
-            kind=kind,
-            offset=offset,
-            size=size,
-            endian=endian,
-            signed=signed,
-            relation=relation,
-            constant=constant,
-            taken=taken,
-            nottaken=nottaken,
-        )
+        if (end := offset + size) > max_input_len:
+            raise DocumentError(f"node {nid}: operand window [{offset}, {end}) exceeds "
+                                f"max_input_len {max_input_len}")
+        if end > MAX_WINDOW_END:
+            raise DocumentError(f"node {nid}: operand window ends past the "
+                                f"{MAX_WINDOW_END}-byte limit")
+        nodes[nid] = new(GuardNode, (nid, kind, offset, size, endian, signed, relation,
+                                     constant, taken, nottaken))
 
-    ids = set(nodes)
-    if ids != set(range(len(nodes))):
+    # The ids are distinct, so they are dense when each lies in 0..n-1.
+    if min(nodes) < 0 or max(nodes) >= n:
         raise DocumentError("document: node ids must be dense 0..n-1")
-    if entry not in ids:
+    if not 0 <= entry < n:
         raise DocumentError(f"document: entry {entry} is not a node id")
-    if nodes[entry].kind is GuardKind.BUG:
+    if nodes[entry].kind is BUG:
         raise DocumentError("document: entry node may not be a bug node")
+    if not forward:
+        _check_children(nodes)
+    return GuardProgram(map(nodes.__getitem__, range(n)), entry, max_input_len)
+
+
+def _check_children(nodes: dict[int, GuardNode]) -> None:
+    """Reject the first dangling child in document order, then any cycle."""
+    n = len(nodes)
     for node in nodes.values():
         for child in (node.taken, node.nottaken):
-            if child is not None and child not in ids:
+            if child is not None and not 0 <= child < n:
                 raise DocumentError(f"node {node.node_id}: child {child} does not exist")
 
-    # Child references must be acyclic.
+    # An iterative DFS: a child on the current path (grey) closes a cycle.  A
+    # node's other stack entries lie below its done marker, so they pop once
+    # it is black; a popped node is never grey.
     WHITE, GREY, BLACK = 0, 1, 2
-    color = {nid: WHITE for nid in ids}
-    for start in sorted(ids):
+    color = [WHITE] * n
+    for start in range(n):
         if color[start] != WHITE:
             continue
         stack: list[tuple[int, bool]] = [(start, False)]
@@ -505,24 +509,15 @@ def program_from_dict(doc: dict) -> GuardProgram:
             nid, done = stack.pop()
             if done:
                 color[nid] = BLACK
-                continue
-            if color[nid] == BLACK:
-                continue
-            if color[nid] == GREY:
-                raise DocumentError(f"node {nid}: child references form a cycle")
-            color[nid] = GREY
-            stack.append((nid, True))
-            node = nodes[nid]
-            for child in (node.taken, node.nottaken):
-                if child is None:
-                    continue
-                if color[child] == GREY:
-                    raise DocumentError(f"node {child}: child references form a cycle")
-                if color[child] == WHITE:
-                    stack.append((child, False))
-
-    ordered = [nodes[i] for i in range(len(nodes))]
-    return GuardProgram(ordered, entry, max_input_len)
+            elif color[nid] == WHITE:
+                color[nid] = GREY
+                stack.append((nid, True))
+                node = nodes[nid]
+                for child in (node.taken, node.nottaken):
+                    if child is not None and color[child] == GREY:
+                        raise DocumentError(f"node {child}: child references form a cycle")
+                    if child is not None and color[child] == WHITE:
+                        stack.append((child, False))
 
 
 def load_program(document: bytes) -> GuardProgram:
@@ -535,4 +530,7 @@ def load_program(document: bytes) -> GuardProgram:
         raise DocumentError(f"document is not valid JSON: line {exc.lineno}: {exc.msg}") from None
     except RecursionError:
         raise DocumentError("document nests too deeply to parse") from None
+    except ValueError as exc:
+        # CPython's limit on int literal digits (4,300 by default).
+        raise DocumentError(f"document cannot be parsed: {exc}") from None
     return program_from_dict(doc)

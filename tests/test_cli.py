@@ -156,6 +156,15 @@ class TestRunSetupErrors:
         assert "nests too deeply" in message
         assert not ran
 
+    def test_integer_literal_past_the_digit_limit(self, tmp_path, monkeypatch):
+        # json.loads raises a plain ValueError past CPython's int digit limit.
+        ran = self.count_campaign_runs(monkeypatch)
+        target = tmp_path / "target.json"
+        target.write_bytes(b'{"max_input_len": ' + b"7" * 5000 + b', "entry": 0, "nodes": []}')
+        message = self.run_expecting_exit(tmp_path, "--target", str(target))
+        assert "document cannot be parsed" in message
+        assert not ran
+
     def test_infinite_time_budget(self, tmp_path):
         message = self.run_expecting_exit(
             tmp_path, "--target", "builtin:le15", "--budget-secs", "inf")

@@ -69,7 +69,7 @@ def test_observation_distance_matches_validating_distance(doc, data):
     harness.set_active_sites(program.node_ids)
     for x in data.draw(st.lists(st.binary(max_size=program.max_input_len), max_size=8)):
         for site, obs in harness.execute(x).observations.items():
-            relation = program.node(site).relation
+            relation = program.nodes[site].relation
             if obs.byte_diffs is None:
                 expected = distance(obs.outcome, relation, obs.f_value)
             else:

@@ -719,7 +719,7 @@ def _reference_solve_operand(self, seed, site, rec):
     the oracle for the solver that takes the operand from ``f_value``."""
     if rec.seed_obs is None:
         return None
-    node = self.program.node(site)
+    node = self.program.nodes[site]
     order = "little" if node.endian == "le" else "big"
 
     def read_operand(data):

@@ -1,5 +1,6 @@
 import base64
 import json
+from dataclasses import dataclass, fields
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import make_executor
 from frontierfuzz import builtin_targets
+from frontierfuzz.campaign import Budget, Campaign, Mode
+from frontierfuzz.coverage import recompute_frontier
 from frontierfuzz.target import (
     _READERS,
     MAX_WINDOW_END,
@@ -58,7 +61,7 @@ class TestLoadProgram:
     def test_bundled_magic32_round_trip(self):
         program = builtin_targets.load("magic32")
         assert len(program.nodes) == 1
-        node = program.node(0)
+        node = program.nodes[0]
         assert node.kind is GuardKind.INT
         assert node.size == 4
         assert node.endian == "le"
@@ -99,7 +102,7 @@ class TestLoadProgram:
                 load_program(doc_bytes(doc))
         doc = {"max_input_len": 2**62, "entry": 0,
                "nodes": [int_node(0, offset=MAX_WINDOW_END - 1)]}
-        assert load_program(doc_bytes(doc)).node(0).offset == MAX_WINDOW_END - 1
+        assert load_program(doc_bytes(doc)).nodes[0].offset == MAX_WINDOW_END - 1
 
     def test_constant_must_fit_width(self):
         doc = {"max_input_len": 4, "entry": 0, "nodes": [int_node(0, constant=300)]}
@@ -135,6 +138,12 @@ class TestLoadProgram:
         with pytest.raises(DocumentError, match="nests too deeply"):
             load_program(nested)
 
+    def test_integer_literal_past_the_digit_limit_rejected(self):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, here.
+        document = b'{"max_input_len": ' + b"7" * 5000 + b', "entry": 0, "nodes": []}'
+        with pytest.raises(DocumentError, match="document cannot be parsed"):
+            load_program(document)
+
     def test_dag_with_shared_child_is_legal(self):
         doc = {
             "max_input_len": 4,
@@ -157,7 +166,7 @@ class TestExecute:
         assert trace.edges == (0,)
         (obs,) = trace.observations.values()
         assert obs.outcome is True
-        assert harness.program.node(0).relation is Relation.LE
+        assert harness.program.nodes[0].relation is Relation.LE
         assert obs.f_value == -10
 
     def test_real_clock_reading_is_at_least_one_ns(self, monkeypatch):
@@ -354,7 +363,7 @@ class TestDeterminismAndConsistency:
         harness = Harness(program, synthetic_time=True)
         harness.set_active_sites(program.node_ids)
         for site, obs in harness.execute(data).observations.items():
-            relation = program.node(site).relation
+            relation = program.nodes[site].relation
             if obs.f_value is not None:
                 assert obs.outcome == relation.holds(obs.f_value)
             else:
@@ -472,7 +481,7 @@ def _compile(n):
 def _reference_execute(program, active, data: bytes) -> ExecutionTrace:
     """The trace of ``data`` with the sites in ``active`` observing, under
     synthetic time."""
-    rows = [_compile(program.node(i)) for i in range(len(program.nodes))]
+    rows = [_compile(node) for node in program.nodes]
     edges = []
     observations = {}
     bug_hits = ()
@@ -598,3 +607,477 @@ class TestDifferentialAgainstInterpreter:
     @given(data=st.data())
     def test_builtin_targets(self, name, data):
         _assert_matches_reference(builtin_targets.load(name), data)
+
+
+# -- loader reference ------------------------------------------------------------
+# The loader as it was before it checked and built each node in one pass, kept
+# verbatim as the reference for ``program_from_dict``: the same document must
+# give the same program, or the same first error.  Its node and program types
+# are the old frozen dataclass and the old derived sets, without steps.
+
+_VALID_INT_WIDTHS = (1, 2, 4, 8)
+_RELATIONS = {r.value: r for r in Relation}
+
+
+@dataclass(frozen=True)
+class _RefNode:
+    node_id: int
+    kind: GuardKind
+    offset: int = 0
+    size: int = 1
+    endian: str = "le"
+    signed: bool = False
+    relation: Relation | None = None
+    constant: int | bytes | None = None
+    taken: int | None = None
+    nottaken: int | None = None
+
+
+class _RefProgram:
+    def __init__(self, nodes, entry, max_input_len):
+        self.nodes = list(nodes)
+        self.entry = entry
+        self.max_input_len = max_input_len
+        self.node_ids = frozenset(n.node_id for n in self.nodes)
+        self.guard_ids = frozenset(
+            n.node_id for n in self.nodes if n.kind is not GuardKind.BUG
+        )
+        self.all_edges = frozenset(
+            e for nid in self.guard_ids for e in (2 * nid, 2 * nid + 1)
+        )
+        self._window_end = max(
+            (n.offset + n.size for n in self.nodes if n.kind is not GuardKind.BUG), default=0
+        )
+
+
+def _ref_field(raw: dict, node_ref: str, name: str, types, required: bool = True, default=None):
+    value = raw.get(name)
+    if value is None:
+        if required:
+            raise DocumentError(f"{node_ref}: missing field '{name}'")
+        return default
+    if not isinstance(value, types) or (isinstance(value, bool) and types is int):
+        raise DocumentError(f"{node_ref}: field '{name}' has invalid type")
+    return value
+
+
+def _reference_program_from_dict(doc: dict) -> _RefProgram:
+    """Build and validate a :class:`GuardProgram` from a decoded document."""
+    if not isinstance(doc, dict):
+        raise DocumentError("document root must be an object")
+    max_input_len = _ref_field(doc, "document", "max_input_len", int)
+    if max_input_len < 1:
+        raise DocumentError("document: max_input_len must be >= 1")
+    entry = _ref_field(doc, "document", "entry", int)
+    raw_nodes = _ref_field(doc, "document", "nodes", list)
+    if not raw_nodes:
+        raise DocumentError("document: nodes must be nonempty")
+
+    nodes: dict[int, _RefNode] = {}
+    for raw in raw_nodes:
+        if not isinstance(raw, dict):
+            raise DocumentError("document: each node must be an object")
+        nid = _ref_field(raw, "node", "id", int)
+        ref = f"node {nid}"
+        if nid in nodes:
+            raise DocumentError(f"{ref}: duplicate node id")
+        kind_token = _ref_field(raw, ref, "kind", str)
+        try:
+            kind = GuardKind(kind_token)
+        except ValueError:
+            raise DocumentError(f"{ref}: unknown kind '{kind_token}'") from None
+
+        if kind is GuardKind.BUG:
+            if raw.get("taken") is not None or raw.get("nottaken") is not None:
+                raise DocumentError(f"{ref}: bug nodes are terminal and take no children")
+            nodes[nid] = _RefNode(node_id=nid, kind=kind)
+            continue
+
+        offset = _ref_field(raw, ref, "offset", int)
+        if offset < 0:
+            raise DocumentError(f"{ref}: offset must be >= 0")
+        relation_token = _ref_field(raw, ref, "relation", str)
+        if relation_token not in _RELATIONS:
+            raise DocumentError(f"{ref}: unknown relation '{relation_token}'")
+        relation = _RELATIONS[relation_token]
+        taken = _ref_field(raw, ref, "taken", int, required=False)
+        nottaken = _ref_field(raw, ref, "nottaken", int, required=False)
+
+        if kind is GuardKind.INT:
+            size = _ref_field(raw, ref, "width", int)
+            if size not in _VALID_INT_WIDTHS:
+                raise DocumentError(f"{ref}: width must be one of {_VALID_INT_WIDTHS}")
+            endian = _ref_field(raw, ref, "endian", str)
+            if endian not in ("le", "be"):
+                raise DocumentError(f"{ref}: endian must be 'le' or 'be'")
+            signed = _ref_field(raw, ref, "signed", bool)
+            constant = _ref_field(raw, ref, "constant", int)
+            bits = 8 * size
+            lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if signed else (0, (1 << bits) - 1)
+            if not lo <= constant <= hi:
+                raise DocumentError(f"{ref}: constant {constant} does not fit width {size}")
+        elif kind is GuardKind.XOR:
+            size = _ref_field(raw, ref, "length", int)
+            if size < 1:
+                raise DocumentError(f"{ref}: length must be >= 1")
+            endian = "le"
+            signed = False
+            constant = _ref_field(raw, ref, "constant", int)
+            if not 0 <= constant <= 0xFF:
+                raise DocumentError(f"{ref}: xor constant must fit one byte")
+        else:
+            size = _ref_field(raw, ref, "length", int)
+            if size < 1:
+                raise DocumentError(f"{ref}: length must be >= 1")
+            endian = "le"
+            signed = False
+            encoded = _ref_field(raw, ref, "constant", str)
+            try:
+                constant = base64.b64decode(encoded, validate=True)
+            except Exception:
+                raise DocumentError(f"{ref}: constant is not valid base64") from None
+            if not constant:
+                raise DocumentError(f"{ref}: string constant must be nonempty")
+
+        if offset + size > max_input_len:
+            raise DocumentError(
+                f"{ref}: operand window [{offset}, {offset + size}) exceeds "
+                f"max_input_len {max_input_len}"
+            )
+        if offset + size > MAX_WINDOW_END:
+            raise DocumentError(f"{ref}: operand window ends past the {MAX_WINDOW_END}-byte limit")
+        nodes[nid] = _RefNode(
+            node_id=nid,
+            kind=kind,
+            offset=offset,
+            size=size,
+            endian=endian,
+            signed=signed,
+            relation=relation,
+            constant=constant,
+            taken=taken,
+            nottaken=nottaken,
+        )
+
+    ids = set(nodes)
+    if ids != set(range(len(nodes))):
+        raise DocumentError("document: node ids must be dense 0..n-1")
+    if entry not in ids:
+        raise DocumentError(f"document: entry {entry} is not a node id")
+    if nodes[entry].kind is GuardKind.BUG:
+        raise DocumentError("document: entry node may not be a bug node")
+    for node in nodes.values():
+        for child in (node.taken, node.nottaken):
+            if child is not None and child not in ids:
+                raise DocumentError(f"node {node.node_id}: child {child} does not exist")
+
+    # Child references must be acyclic.
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {nid: WHITE for nid in ids}
+    for start in sorted(ids):
+        if color[start] != WHITE:
+            continue
+        stack: list[tuple[int, bool]] = [(start, False)]
+        while stack:
+            nid, done = stack.pop()
+            if done:
+                color[nid] = BLACK
+                continue
+            if color[nid] == BLACK:
+                continue
+            if color[nid] == GREY:
+                raise DocumentError(f"node {nid}: child references form a cycle")
+            color[nid] = GREY
+            stack.append((nid, True))
+            node = nodes[nid]
+            for child in (node.taken, node.nottaken):
+                if child is None:
+                    continue
+                if color[child] == GREY:
+                    raise DocumentError(f"node {child}: child references form a cycle")
+                if color[child] == WHITE:
+                    stack.append((child, False))
+
+    ordered = [nodes[i] for i in range(len(nodes))]
+    return _RefProgram(ordered, entry, max_input_len)
+
+
+def _assert_loaders_agree(doc) -> bool:
+    """Both loaders raise ``DocumentError`` with the same message, or both
+    return equal programs; True when they loaded."""
+    try:
+        expected = _reference_program_from_dict(doc)
+    except DocumentError as exc:
+        with pytest.raises(DocumentError) as info:
+            program_from_dict(doc)
+        assert str(info.value) == str(exc)
+        return False
+    program = program_from_dict(doc)
+    assert isinstance(program.nodes, tuple)
+    assert len(program.nodes) == len(expected.nodes)
+    for node, ref in zip(program.nodes, expected.nodes):
+        for field in fields(_RefNode):
+            got, want = getattr(node, field.name), getattr(ref, field.name)
+            assert (type(got), got) == (type(want), want), (node.node_id, field.name)
+    for name in ("entry", "max_input_len", "node_ids", "guard_ids", "all_edges", "_window_end"):
+        assert getattr(program, name) == getattr(expected, name), name
+    return True
+
+
+def _relabelled(doc, perm):
+    """``doc`` with node ``i`` renamed ``perm[i]``, listed in the old order."""
+    def rename(child):
+        return None if child is None else perm[child]
+
+    nodes = []
+    for node in doc["nodes"]:
+        node = dict(node, id=perm[node["id"]])
+        if node["kind"] != "bug":
+            node.update(taken=rename(node.get("taken")), nottaken=rename(node.get("nottaken")))
+        nodes.append(node)
+    return dict(doc, entry=perm[doc["entry"]], nodes=nodes)
+
+
+# Values of every JSON type, some valid for some fields: a field set to one
+# may be missing (None), mistyped (``true`` for an int) or out of range.
+_JSON_VALUES = [None, True, False, -1, 0, 1, 3, 256, 2**64, 1.5, "", "x", "le", "eq", "int",
+                "bug", "QUJD", "!!", [], {}, [0]]
+_OUT_OF_RANGE = {
+    "offset": [-1, 2**24],
+    "width": [0, 3, 16],
+    "length": [0, -2],
+    "endian": ["me"],
+    "relation": ["lq"],
+    "kind": ["float"],
+    "constant": [-1, 256, 2**64, "!!", ""],
+    "taken": [-1, 99],
+    "nottaken": [-1, 99],
+}
+
+
+@st.composite
+def _corrupted(draw, doc):
+    """A copy of ``doc`` with one or two faults, often in the same node."""
+    doc = json.loads(json.dumps(doc))
+    nodes = doc["nodes"]
+    n = len(nodes)
+    index = draw(st.integers(0, n - 1))
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            index = draw(st.integers(0, n - 1))
+        node = nodes[index]
+        fault = draw(st.sampled_from(["delete", "retype", "range", "id", "dangling", "cycle"]))
+        if fault in ("delete", "retype"):
+            target = draw(st.sampled_from([doc, node]))
+            if not target:
+                continue
+            key = draw(st.sampled_from(sorted(target)))
+            if fault == "delete":
+                del target[key]
+            else:
+                target[key] = draw(st.sampled_from(_JSON_VALUES))
+        elif fault == "range":
+            key = draw(st.sampled_from(sorted(_OUT_OF_RANGE) + ["max_input_len", "entry"]))
+            if key == "max_input_len":
+                doc[key] = draw(st.sampled_from([0, -1, 1]))
+            elif key == "entry":
+                doc[key] = draw(st.sampled_from([-1, n, node.get("id")]))
+            elif key == "offset" and draw(st.booleans()):
+                node[key] = doc.get("max_input_len")  # the window ends past the input
+            else:
+                node[key] = draw(st.sampled_from(_OUT_OF_RANGE[key]))
+        elif fault == "id":
+            other = nodes[draw(st.integers(0, n - 1))].get("id")
+            node["id"] = draw(st.sampled_from([other, n, n + 3, -1]))
+        elif fault == "dangling":
+            node[draw(st.sampled_from(["taken", "nottaken"]))] = draw(st.sampled_from([-1, n, n + 5]))
+        else:
+            # A child reference to a node that reaches this one (itself included).
+            children = {nd.get("id"): (nd.get("taken"), nd.get("nottaken"))
+                        for nd in nodes if isinstance(nd, dict)}
+            target = node.get("id")
+
+            def reaches(start):
+                seen, stack = set(), [start]
+                while stack:
+                    nid = stack.pop()
+                    if nid == target:
+                        return True
+                    if nid in seen or nid not in children:
+                        continue
+                    seen.add(nid)
+                    stack.extend(c for c in children[nid] if c.__class__ is int)
+                return False
+
+            ancestors = sorted(nid for nid in children if nid.__class__ is int and reaches(nid))
+            if ancestors:
+                node[draw(st.sampled_from(["taken", "nottaken"]))] = draw(st.sampled_from(ancestors))
+    return doc
+
+
+@st.composite
+def _loader_cases(draw):
+    """A ``_documents()`` program, maybe relabelled so that children point at
+    smaller ids and the entry is not 0, maybe corrupted."""
+    doc = draw(_documents())
+    n = len(doc["nodes"])
+    if n > 1 and draw(st.booleans()):
+        perm = draw(st.just(list(range(n - 1, -1, -1))) | st.permutations(range(n)))
+        doc = _relabelled(doc, perm)
+    if draw(st.booleans()):
+        doc = draw(_corrupted(doc))
+    return doc
+
+
+# One node of each kind, bug included, with every field present.
+_PAIRWISE_DOC = {
+    "max_input_len": 8,
+    "entry": 0,
+    "nodes": [
+        int_node(0, width=2, taken=1, nottaken=2),
+        {"id": 1, "kind": "str", "offset": 1, "length": 2, "relation": "eq",
+         "constant": base64.b64encode(b"ab").decode(), "taken": 3, "nottaken": None},
+        {"id": 2, "kind": "xor", "offset": 0, "length": 3, "relation": "ne",
+         "constant": 7, "taken": None, "nottaken": 3},
+        {"id": 3, "kind": "bug", "taken": None, "nottaken": None},
+    ],
+}
+_DELETED = object()
+_PAIRWISE_VALUES = [_DELETED, None, True, -1, 0, 3, 256, 2**64, 1.5, "x", "le", []]
+
+
+def _set_fields(doc, changes):
+    """Apply ``(holder, key, value)`` changes; returns the undo list."""
+    undo = [(holder, key, holder.get(key, _DELETED)) for holder, key, _ in changes]
+    for holder, key, value in changes:
+        if value is _DELETED:
+            holder.pop(key, None)
+        else:
+            holder[key] = value
+    return undo
+
+
+class TestLoaderAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_loader_cases())
+    def test_generated_relabelled_and_corrupted_documents(self, doc):
+        _assert_loaders_agree(doc)
+
+    def test_relabelled_programs_take_the_cycle_check(self):
+        doc = {"max_input_len": 4, "entry": 0,
+               "nodes": [int_node(0, taken=1), int_node(1, offset=1, taken=2), int_node(2)]}
+        relabelled = _relabelled(doc, [2, 1, 0])
+        assert relabelled["entry"] == 2
+        assert _assert_loaders_agree(relabelled)
+        relabelled["nodes"][2]["taken"] = 2  # node 0 (the old 2) now leads to node 2
+        assert not _assert_loaders_agree(relabelled)
+        with pytest.raises(DocumentError, match="cycle"):
+            program_from_dict(relabelled)
+
+    def test_every_pair_of_faults_in_one_node(self):
+        # Each pair of fields of one node (or of the root and one node), each
+        # deleted or set to a value of another type or range: both loaders
+        # report the same first fault.  A negative offset beside a mistyped
+        # ``taken`` is among them.
+        doc = json.loads(json.dumps(_PAIRWISE_DOC))
+        assert _assert_loaders_agree(doc)
+        holders = [[(node, key) for key in node] for node in doc["nodes"]]
+        roots = [(doc, "max_input_len"), (doc, "entry")]
+        pairs = [(a, b) for fields in holders for i, a in enumerate(fields) for b in fields[i:]]
+        pairs += [(a, b) for a in roots for fields in holders for b in fields]
+        loaded = 0
+        for (h1, k1), (h2, k2) in pairs:
+            for v1 in _PAIRWISE_VALUES:
+                for v2 in _PAIRWISE_VALUES:
+                    undo = _set_fields(doc, [(h1, k1, v1), (h2, k2, v2)])
+                    loaded += _assert_loaders_agree(doc)
+                    _set_fields(doc, undo[::-1])
+        assert 0 < loaded < len(pairs) * len(_PAIRWISE_VALUES) ** 2
+
+
+_NODE_FIELDS = ["id", "kind", "offset", "width", "length", "endian", "signed", "relation",
+                "constant", "taken", "nottaken"]
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def _fuzz_documents(draw):
+    """1-4-node documents in which any field (any node, too) may hold
+    arbitrary JSON or be absent; the rest are valid."""
+    def scramble(holder, names):
+        for name in names:
+            fault = draw(st.integers(0, 23))
+            if fault == 22:
+                holder[name] = draw(_ANY_JSON)
+            elif fault == 23:
+                holder.pop(name, None)
+
+    n = draw(st.integers(1, 4))
+    nodes = []
+    for i in range(n):
+        if draw(st.integers(0, 19)) == 0:
+            nodes.append(draw(_ANY_JSON))
+            continue
+        if i and draw(st.integers(0, 3)) == 0:
+            node = {"id": i, "kind": "bug"}
+        else:
+            later = st.none() | st.integers(i + 1, n - 1) if i + 1 < n else st.none()
+            node = dict(draw(_guard(i)), taken=draw(later), nottaken=draw(later))
+        scramble(node, _NODE_FIELDS)
+        nodes.append(node)
+    doc = {"max_input_len": 16, "entry": 0, "nodes": nodes}
+    scramble(doc, list(doc))
+    return doc
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_fuzz_documents())
+    def test_only_document_errors_and_loaded_programs_run(self, doc):
+        try:
+            program = load_program(json.dumps(doc).encode("utf-8"))
+        except DocumentError:
+            return
+        seed = bytes(min(program.max_input_len, 8))
+        for mode in Mode:
+            Campaign(program, [seed], mode, Budget(max_execs=300), rng_seed=0,
+                     synthetic_time=True).run()
+
+
+def _chain_doc(depth):
+    """``depth`` one-byte ``eq 0`` guards in a chain: guard i reads byte i
+    and its taken edge leads to guard i + 1."""
+    nodes = [int_node(i, offset=i, relation="eq", constant=0,
+                      taken=i + 1 if i + 1 < depth else None) for i in range(depth)]
+    return {"max_input_len": depth, "entry": 0, "nodes": nodes}
+
+
+class TestDeepProgram:
+    DEPTH = 4096
+
+    def test_chain_loads_and_the_zero_input_walks_it(self):
+        program = load_program(doc_bytes(_chain_doc(self.DEPTH)))
+        assert len(program.guard_ids) == self.DEPTH
+        trace = Harness(program, synthetic_time=True).execute(bytes(self.DEPTH))
+        assert trace.edges == tuple(range(0, 2 * self.DEPTH, 2))
+
+    def test_back_edge_to_the_entry_rejected(self):
+        doc = _chain_doc(self.DEPTH)
+        doc["nodes"][-1]["nottaken"] = 0
+        with pytest.raises(DocumentError, match="cycle"):
+            load_program(doc_bytes(doc))
+
+    @pytest.mark.parametrize("mode", [Mode.BASE, Mode.SCHED])
+    def test_campaign_keeps_the_frontier(self, mode):
+        program = load_program(doc_bytes(_chain_doc(self.DEPTH)))
+        campaign = Campaign(program, [bytes(self.DEPTH)], mode, Budget(max_execs=200),
+                            rng_seed=0, synthetic_time=True)
+        campaign.run()
+        coverage = campaign.coverage
+        assert recompute_frontier(coverage) == coverage.frontier
