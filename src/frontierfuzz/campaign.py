@@ -12,10 +12,13 @@ Two objects split the work:
   append-only campaign log.  Its ``coverage``, ``corpus``, ``findings``,
   ``harness`` and ``scheduler`` attributes are the executor's objects.
 
-A stage is one scheduling decision plus its batch of executions; the log
-records the cumulative state after every stage.  A stage switches on the
-whole frontier; a havoc batch then switches off each site that leaves it, but a
-fox stage does not, since local search reads every stage-frontier site.
+Each exec's observation map (site -> distance order key) goes to the
+scheduler in one ``record_execution`` call, which folds in the frontier
+sites' minima and clocks.  A stage is one scheduling decision plus its batch
+of executions; the log records the cumulative state after every stage.  A
+stage switches on the whole frontier; a havoc batch then switches off each
+site that leaves it, but a fox stage does not, since local search reads
+every stage-frontier site.
 
 Modes:
 
@@ -38,7 +41,7 @@ from typing import NamedTuple
 from .coverage import CoverageMap
 from .mutation import Mutator, MutatorConfig, havoc_mutate
 from .scheduling import SchedulerState
-from .target import BranchObservation, GuardProgram, Harness
+from .target import GuardProgram, Harness
 
 __all__ = ["Mode", "Budget", "CorpusEntry", "Campaign"]
 
@@ -140,7 +143,7 @@ class StepOutcome(NamedTuple):
     """Frontier branches one execution flipped, and its trace's observation map."""
 
     flips: int
-    observations: dict[int, BranchObservation]
+    observations: dict[int, int | tuple[int, tuple[int, ...]]]
 
 
 class _Executor:
@@ -182,11 +185,7 @@ class _Executor:
             self._finding_inputs.add(data)
             self.findings.append((self.execs, data))
         if observations:
-            frontier = cov.frontier
-            record = self.scheduler.record_execution
-            for site, obs in observations.items():
-                if site in frontier:
-                    record(site, data, obs.key, exec_time, frontier)
+            self.scheduler.record_execution(data, observations, exec_time, cov.frontier)
         return new(cls, (flips, observations))
 
 

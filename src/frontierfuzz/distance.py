@@ -5,19 +5,18 @@ pair applied to the signed operand difference: the rows of ``target._ROWS``.
 A distance is kept as an order key: the row value for an integer or xor
 guard, and ``(L1, values)`` for a string guard, one value per compared byte.
 ``distance`` and ``string_distance`` validate and apply a row to raw
-feedback; a harness observation already carries its key, applied by the
-guard's step.  ``scalarize`` collapses a key to the one signed int the
-mutator's slopes and root steps work in.
+feedback; a harness observation is already a key, computed by the guard's
+step.  ``observation_distance`` collapses a key to the one signed int the
+mutator's slopes and root steps and the convexity probe work in.
 """
 
 from __future__ import annotations
 
-from .target import _ROWS, BranchObservation, Relation
+from .target import _ROWS, Relation
 
 __all__ = [
     "distance",
     "string_distance",
-    "scalarize",
     "observation_distance",
     "row_function",
 ]
@@ -49,12 +48,7 @@ def string_distance(outcome: bool, relation: Relation,
     return sum(abs(v) for v in values), values
 
 
-def scalarize(key) -> int:
-    """A distance key as one int: a scalar keeps its sign, a vector
+def observation_distance(key) -> int:
+    """A distance order key as one int: a scalar keeps its sign, a vector
     collapses to its L1 norm."""
     return key[0] if key.__class__ is tuple else key
-
-
-def observation_distance(obs: BranchObservation) -> int:
-    """The scalarized distance the harness computed for ``obs``."""
-    return scalarize(obs.key)

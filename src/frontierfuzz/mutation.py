@@ -8,13 +8,15 @@ pairs, and then jumps each branch toward its distance root:
 
     new_input = witness - distance / slope
 
-Every distance is the order key a guard's step stored on its observation
-(see ``distance``); slopes and steps use its scalarized value.  For integer
-guards the step is solved in operand space, where the operand is the
-constant plus the observed difference, and the result written back with the
-declared endianness; for string comparisons the compared window is located
-first by single-byte probing (hot-byte inference) and each window byte is
-solved independently from its component of the witness's distance key.
+Every distance is the order key a guard's step stored in the observation map
+(see ``distance``); slopes and steps use its scalarized value.  The root
+solvers read the raw feedback behind a key (``target.guard_feedback``) once
+per record, for its witness and seed.  For integer guards the step is solved
+in operand space, where the operand is the constant plus the observed
+difference, and the result written back with the declared endianness; for
+string comparisons the compared window is located first by single-byte
+probing (hot-byte inference) and each window byte is solved independently
+from its component of the witness's distance key.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distance import observation_distance, row_function, scalarize
-from .target import BranchObservation, GuardKind, GuardProgram, Relation
+from .distance import observation_distance, row_function
+from .target import GuardKind, GuardProgram, Relation, guard_feedback
 
 __all__ = [
     "MutatorConfig",
@@ -103,12 +105,14 @@ class SubgradientRecord:
     is the one whose ``g`` has the largest L1 norm among sampled candidates.
     ``g`` is built only for a record that won with a nonzero norm (see
     ``Mutator.local_search``), so it is nonempty exactly when that norm is.
+    ``witness_key`` and ``seed_key`` are the distance order keys of the
+    witness and of the stage's seed; a site the seed missed has no seed key.
     """
 
     g: dict[int, Fraction]
     witness: bytes
-    witness_obs: BranchObservation
-    seed_obs: BranchObservation | None = None
+    witness_key: int | tuple[int, tuple[int, ...]]
+    seed_key: int | tuple[int, tuple[int, ...]] | None = None
 
 
 def round_half_away(x) -> int:
@@ -293,24 +297,22 @@ def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> tuple[in
     """
     if len(seed) != len(mutant):
         raise ValueError("hot-byte inference requires equal-length inputs")
-    base = executor.run(seed)
-    base_obs = base.observations.get(site)
-    if base_obs is None or base_obs.byte_diffs is None:
+    base_key = executor.run(seed).observations.get(site)
+    if base_key.__class__ is not tuple:  # missed, or not a string site
         return ()
     differing = [j for j, (a, b) in enumerate(zip(seed, mutant)) if a != b]
     for pos in differing:
         probe = bytearray(seed)
         probe[pos] = mutant[pos]
-        outcome = executor.run(bytes(probe))
-        obs = outcome.observations.get(site)
-        if obs is None or obs.byte_diffs is None or obs.key == base_obs.key:
+        key = executor.run(bytes(probe)).observations.get(site)
+        if key.__class__ is not tuple or key == base_key:
             continue
         # The changed comparison index tells us where in the window this
-        # input byte landed; a vector key is (L1, values).
-        for j, (a, b) in enumerate(zip(base_obs.key[1], obs.key[1])):
+        # input byte landed; a vector key is (L1, values), one per position.
+        for j, (a, b) in enumerate(zip(base_key[1], key[1])):
             if a != b:
                 start = pos - j
-                return tuple(range(start, start + len(obs.byte_diffs)))
+                return tuple(range(start, start + len(key[1])))
     return ()
 
 
@@ -318,7 +320,7 @@ class Mutator:
     """Stage driver: local search, then one root-finding input per branch.
 
     ``executor`` is any object with ``run(data) -> outcome``, where the
-    outcome exposes ``observations`` (the trace's own site -> observation
+    outcome exposes ``observations`` (the trace's own site -> distance key
     map) and ``flips`` (frontier branches the input flipped); the campaign
     supplies one that also keeps coverage, the corpus and the scheduler's
     clocks up to date.  A site's relation is its program node's.
@@ -346,21 +348,22 @@ class Mutator:
         k = self.config.sample_size if k is None else k
         if k < 1:
             return {}
-        seed_obs = executor.run(seed).observations
-        seed_v = {site: scalarize(obs.key) for site, obs in seed_obs.items() if site in frontier}
-        records = {site: SubgradientRecord({}, seed, seed_obs[site], seed_obs[site])
+        seed_keys = executor.run(seed).observations
+        seed_v = {site: observation_distance(key)
+                  for site, key in seed_keys.items() if site in frontier}
+        records = {site: SubgradientRecord({}, seed, seed_keys[site], seed_keys[site])
                    for site in seed_v}
         norms = dict.fromkeys(records, 0)
         for _ in range(k - 1):
             data = havoc_mutate(seed, self.config, rng)
             s = None
-            for site, obs in executor.run(data).observations.items():
+            for site, key in executor.run(data).observations.items():
                 base = seed_v.get(site)  # every site in seed_v is in the frontier
                 if base is None:
                     if site in frontier and site not in records:  # no seed baseline
-                        records[site] = SubgradientRecord({}, data, obs)
+                        records[site] = SubgradientRecord({}, data, key)
                     continue
-                v = scalarize(obs.key)
+                v = observation_distance(key)
                 if v == base:
                     continue
                 if s is None:
@@ -372,7 +375,7 @@ class Mutator:
                 if norm > norms[site]:
                     norms[site] = norm
                     g = compute_subgradient(seed, data, base, v)
-                    records[site] = SubgradientRecord(g, data, obs, seed_obs[site])
+                    records[site] = SubgradientRecord(g, data, key, seed_keys[site])
         return records
 
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
@@ -386,9 +389,9 @@ class Mutator:
             if node.kind is GuardKind.STR:
                 candidate = self._solve_string(seed, site, rec, executor)
             elif node.kind is GuardKind.INT:
-                candidate = self._solve_operand(site, rec)
+                candidate = self._solve_operand(seed, site, rec)
             if candidate is None and rec.g:
-                candidate = newton_step(rec.witness, observation_distance(rec.witness_obs), rec.g)
+                candidate = newton_step(rec.witness, observation_distance(rec.witness_key), rec.g)
             if candidate is None or candidate == rec.witness:
                 continue
             executor.run(candidate)
@@ -396,22 +399,20 @@ class Mutator:
     def _solve_string(self, seed: bytes, site: int, rec: SubgradientRecord,
                       executor) -> bytes | None:
         """Per-byte root solving over the inferred hot window."""
-        if rec.seed_obs is None:
-            return None
-        if rec.witness_obs.key == rec.seed_obs.key:
+        if rec.seed_key is None or rec.witness_key == rec.seed_key:
             return None
         offsets = infer_hot_bytes(seed, rec.witness, site, executor)
         if not offsets:
             return None
-        obs = rec.witness_obs
         node = self.program.nodes[site]
+        outcome, diffs = guard_feedback(node, rec.witness)
         buf = bytearray(rec.witness)
         changed = False
         # Positions past the window are padding, with no input byte to solve.
-        for offset, f, component in zip(offsets[:node.size], obs.byte_diffs, obs.key[1]):
+        for offset, f, component in zip(offsets[:node.size], diffs, rec.witness_key[1]):
             if component == 0:
                 continue
-            slope = _row_slope(obs.outcome, node.relation, f)
+            slope = _row_slope(outcome, node.relation, f)
             if offset >= len(buf):
                 buf.extend(b"\0" * (offset + 1 - len(buf)))
             # The slope is +/-1, so dividing by it is multiplying by it.
@@ -419,7 +420,7 @@ class Mutator:
             changed = True
         return bytes(buf) if changed else None
 
-    def _solve_operand(self, site: int, rec: SubgradientRecord) -> bytes | None:
+    def _solve_operand(self, seed: bytes, site: int, rec: SubgradientRecord) -> bytes | None:
         """Root solving in operand space for integer guards.
 
         Byte-space slopes diverge on multi-byte operands (a carry into a high
@@ -432,12 +433,13 @@ class Mutator:
         equals the seed's gives no step.  The solved operand is clamped to
         the operand's range and written back with the declared endianness.
         """
-        obs = rec.witness_obs
-        f = obs.f_value
-        if rec.seed_obs is None or f == rec.seed_obs.f_value:
+        if rec.seed_key is None:
             return None
         node = self.program.nodes[site]
-        solved = node.constant + f - obs.key * _row_slope(obs.outcome, node.relation, f)
+        outcome, f = guard_feedback(node, rec.witness)
+        if f == guard_feedback(node, seed)[1]:
+            return None
+        solved = node.constant + f - rec.witness_key * _row_slope(outcome, node.relation, f)
         bits = 8 * node.size
         lo, hi = (
             (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)

@@ -160,12 +160,12 @@ def convexity_probe(harness: Harness, site: int, x1: bytes, x2: bytes,
         midpoint = bytes((a + b) // 2 for a, b in zip(x1, x2))
         values = []
         for data in (x1, x2, midpoint):
-            obs = harness.execute(data).observations.get(site)
-            if obs is None:
+            key = harness.execute(data).observations.get(site)
+            if key is None:
                 if stats is not None:
                     stats._bump(stats.non_probes, site)
                 return None
-            values.append(observation_distance(obs))
+            values.append(observation_distance(key))
         d1, d2, dm = values[0], values[1], values[2]
         passed = 2 * dm <= d1 + d2
         if stats is not None:

@@ -11,8 +11,9 @@ top seed recorded for it.  The schedule counter of the chosen seed is then
 incremented, which discounts repeat selections.
 
 ``record_execution`` owns each branch's distance minimum, kept as a plain
-order key.  The guard's step has already computed the observation's key, so
-folding it in costs one class check and one compare.
+order key.  It folds one execution's whole site-keyed map of keys, which the
+guards' steps computed, in one call: each frontier site costs one class
+check and one compare, and sites off the frontier are skipped.
 
 Scores are compared in exact rational arithmetic so selection is free of
 floating-point tie ambiguity; the equivalent log-probability is reported
@@ -29,8 +30,8 @@ __all__ = ["SchedulerState", "StaleSiteError"]
 
 
 class StaleSiteError(ValueError):
-    """An execution was recorded for a site that is not a frontier branch,
-    which signals a stale adaptive switch."""
+    """A frontier branch has never been reached, so it has no clocks to
+    score: the frontier and the recorded executions are out of step."""
 
 
 @dataclass(slots=True)
@@ -66,30 +67,35 @@ class SchedulerState:
         self.stats: dict[int, BranchStats] = {}
         self.sc: dict[bytes, int] = {}
 
-    def record_execution(self, site: int, data: bytes, key, exec_time: int, frontier) -> bool:
-        """Fold one reaching execution, with distance order key ``key`` (see
-        ``BranchObservation.key``), into the site's minimum and clocks.
+    def record_execution(self, data: bytes, observations, exec_time: int, frontier) -> int:
+        """Fold one execution's site-keyed map of distance order keys (see
+        ``ExecutionTrace.observations``) into each frontier site's minimum
+        and clocks; sites not on ``frontier`` are skipped.
 
-        Returns whether the execution strictly lowered the distance minimum
-        (a first reach always does).  A key of the other form than the site's
-        minimum raises before any clock moves.
+        Returns how many minima the execution strictly lowered (a first
+        reach always does).  A key of the other form than its site's minimum
+        raises before that site's clocks move.
         """
-        if site not in frontier:
-            raise StaleSiteError(f"site {site} is not a frontier branch")
-        stats = self.stats.get(site)
-        if stats is None:
-            self.stats[site] = BranchStats(key, data, exec_time, exec_time)
-            return True
-        best = stats.best
-        if key.__class__ is not best.__class__:
-            raise ValueError("distance form mismatch for site %d" % site)
-        stats.tt += exec_time
-        if key < best:
-            stats.best = key
-            stats.best_input = data
-            stats.pt += exec_time
-            return True
-        return False
+        all_stats = self.stats
+        lowered = 0
+        for site, key in observations.items():
+            if site not in frontier:
+                continue
+            stats = all_stats.get(site)
+            if stats is None:
+                all_stats[site] = BranchStats(key, data, exec_time, exec_time)
+                lowered += 1
+                continue
+            best = stats.best
+            if key.__class__ is not best.__class__:
+                raise ValueError("distance form mismatch for site %d" % site)
+            stats.tt += exec_time
+            if key < best:
+                stats.best = key
+                stats.best_input = data
+                stats.pt += exec_time
+                lowered += 1
+        return lowered
 
     def schedule_count(self, data: bytes) -> int:
         return self.sc.get(data, 1)

@@ -5,8 +5,8 @@ document.  Executing an input walks the guards from the entry node: each guard
 reads an operand window out of the input, compares it against a constant, and
 transfers control along its taken or not-taken edge.  The walk records the
 exercised edges plus, for explicitly activated guard sites, a site-keyed map
-of comparison feedback (outcome, operand difference or per-byte differences)
-and the branch distance as an order key, the one map every layer reads as is.
+of branch distances as order keys, the one map every layer reads as is; the
+root solvers recompute the raw feedback behind a key with ``guard_feedback``.
 
 Each guard is compiled once per program into a step function with its
 operands bound in; integer operands are read through ``struct`` readers built
@@ -40,9 +40,9 @@ __all__ = [
     "Relation",
     "GuardKind",
     "GuardProgram",
-    "BranchObservation",
     "ExecutionTrace",
     "Harness",
+    "guard_feedback",
     "load_program",
     "program_from_dict",
 ]
@@ -104,30 +104,13 @@ class GuardNode(NamedTuple):
     nottaken: int | None
 
 
-class BranchObservation(NamedTuple):
-    """Comparison feedback of one active guard site, stored under the site.
-
-    Integer and xor guards report the signed operand difference ``f_value``;
-    string guards report signed per-byte differences over the zero-padded
-    comparison window instead, one per compared position.  ``key`` is the
-    branch distance, the only one the engine keeps, as an order key: the row
-    value for a scalar, ``(L1, values)`` for a vector.  The relation is the
-    site's ``GuardNode``'s.
-    """
-
-    outcome: bool
-    f_value: int | None
-    byte_diffs: tuple[int, ...] | None
-    key: int | tuple[int, tuple[int, ...]]
-
-
 class ExecutionTrace(NamedTuple):
     """Record of one input execution: exercised edges in path order, active
-    sites' observations keyed by site in path order (the walk is acyclic, so
-    each at most once), execution time in nanoseconds, and any bug hits."""
+    sites' distance order keys (see ``distance``) by site in path order (the
+    walk is acyclic, so each at most once), exec time in ns, and bug hits."""
 
     edges: tuple[int, ...]
-    observations: dict[int, BranchObservation]
+    observations: dict[int, int | tuple[int, tuple[int, ...]]]
     exec_time: int
     bug_hits: tuple[int, ...] = ()
 
@@ -159,11 +142,10 @@ _READERS = {
 
 # Step functions.  ``step(data, edges, obs)`` evaluates one guard on ``data``
 # (already zero-extended past every operand window, so no read comes up short),
-# appends the edge it takes to ``edges`` (an observing step also sets ``obs[site]``,
-# with the distance key from its bound rows ``rt``/``rf``) and returns the next node
+# appends the edge it takes to ``edges`` (an observing step also sets ``obs[site]``
+# to the distance key from its bound rows ``rt``/``rf``) and returns the next node
 # id, or None at a terminal edge.  Operands are bound as default arguments: closures
-# over cells made loading a program slower.  Observing steps use ``tuple.__new__``,
-# skipping the NamedTuple's Python-level ``__new__``.
+# over cells made loading a program slower.
 
 
 def _int_step(n: GuardNode, observe: bool):
@@ -172,12 +154,11 @@ def _int_step(n: GuardNode, observe: bool):
     cmp, te, ne = _OPS[rel], 2 * nid, 2 * nid + 1
     if observe:
         def step(data, edges, obs, off=off, read=read, const=const, cmp=cmp, te=te, ne=ne,
-                 tk=tk, ntk=ntk, site=nid, rt=_ROWS[True, rel], rf=_ROWS[False, rel],
-                 new=tuple.__new__, cls=BranchObservation):
+                 tk=tk, ntk=ntk, site=nid, rt=_ROWS[True, rel], rf=_ROWS[False, rel]):
             f = read(data, off)[0] - const
             outcome = cmp(f, 0)
             edges.append(te if outcome else ne)
-            obs[site] = new(cls, (outcome, f, None, (rt if outcome else rf)(f)))
+            obs[site] = (rt if outcome else rf)(f)
             return tk if outcome else ntk
     elif size == 1 and not signed:
         def step(data, edges, obs, off=off, const=const, cmp=cmp, te=te, ne=ne, tk=tk, ntk=ntk):
@@ -207,14 +188,12 @@ def _str_step(n: GuardNode, observe: bool):
     if observe:
         def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
                  te=te, ne=ne, tk=tk, ntk=ntk, site=nid, rt=_ROWS[True, rel],
-                 rf=_ROWS[False, rel], sub=operator.sub, new=tuple.__new__,
-                 cls=BranchObservation):
+                 rf=_ROWS[False, rel], sub=operator.sub):
             window = data[off:end] + pad
             outcome = cmp(window, const)
             edges.append(te if outcome else ne)
-            diffs = tuple(map(sub, window, const))
-            values = tuple(map(rt if outcome else rf, diffs))
-            obs[site] = new(cls, (outcome, None, diffs, (sum(map(abs, values)), values)))
+            values = tuple(map(rt if outcome else rf, map(sub, window, const)))
+            obs[site] = (sum(map(abs, values)), values)
             return tk if outcome else ntk
     else:
         def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
@@ -233,11 +212,11 @@ def _xor_step(n: GuardNode, observe: bool):
     if observe:
         def step(data, edges, obs, off=off, end=end, const=const, cmp=cmp, te=te, ne=ne,
                  tk=tk, ntk=ntk, site=nid, rt=_ROWS[True, rel], rf=_ROWS[False, rel],
-                 xor=operator.xor, new=tuple.__new__, cls=BranchObservation):
+                 xor=operator.xor):
             f = reduce(xor, data[off:end], 0) - const
             outcome = cmp(f, 0)
             edges.append(te if outcome else ne)
-            obs[site] = new(cls, (outcome, f, None, (rt if outcome else rf)(f)))
+            obs[site] = (rt if outcome else rf)(f)
             return tk if outcome else ntk
     else:
         def step(data, edges, obs, off=off, end=end, const=const, cmp=cmp, te=te, ne=ne,
@@ -252,6 +231,23 @@ def _xor_step(n: GuardNode, observe: bool):
 
 # A guard kind's step factory, ``factory(node, observe)``; bug nodes have none.
 _STEP_FACTORIES = {GuardKind.INT: _int_step, GuardKind.STR: _str_step, GuardKind.XOR: _xor_step}
+
+
+def guard_feedback(node: GuardNode, data: bytes):
+    """The raw comparison feedback of guard ``node`` on ``data``, zero-extended
+    as the walk does: ``(outcome, f)`` with the signed operand difference for
+    an integer or xor guard, ``(outcome, diffs)`` with the signed per-byte
+    differences over the zero-padded window for a string guard."""
+    kind, off, size, const = node.kind, node.offset, node.size, node.constant
+    window, cmp = data[off:off + size].ljust(size, b"\0"), _OPS[node.relation]
+    if kind is GuardKind.STR:
+        window, const = window.ljust(len(const), b"\0"), const.ljust(size, b"\0")
+        return cmp(window, const), tuple(map(operator.sub, window, const))
+    if kind is GuardKind.INT:
+        f = _READERS[node.endian, size, node.signed](window, 0)[0] - const
+    else:
+        f = reduce(operator.xor, window, 0) - const
+    return cmp(f, 0), f
 
 
 class GuardProgram:
@@ -324,16 +320,19 @@ class Harness:
         unknown = sites - program.node_ids
         if unknown:
             raise ValueError(f"unknown node ids in active set: {sorted(unknown)}")
-        steps = list(program._steps)
-        observing = self._observing
-        for nid in sites & program.guard_ids:
-            step = observing.get(nid)
-            if step is None:
+        # Swap only the sites that enter or leave (a bug node's step stays
+        # None), copying the program's list once, on first activation.
+        plain, steps, observing = program._steps, self._steps, self._observing
+        if steps is plain:
+            steps = self._steps = list(plain)
+        for nid in self._active - sites:
+            steps[nid] = plain[nid]
+        for nid in sites - self._active:
+            if (step := observing.get(nid)) is None and plain[nid] is not None:
                 node = program.nodes[nid]
                 step = observing[nid] = _STEP_FACTORIES[node.kind](node, True)
             steps[nid] = step
         self._active = sites
-        self._steps = steps
 
     def execute(self, data: bytes, new=tuple.__new__, cls=ExecutionTrace) -> ExecutionTrace:
         program = self.program
@@ -346,7 +345,7 @@ class Harness:
         data = data.ljust(program._window_end, b"\0")
         steps = self._steps
         edges: list[int] = []
-        observations: dict[int, BranchObservation] = {}
+        observations: dict = {}
         bug_hits: tuple[int, ...] = ()
         nid = program.entry
         while nid is not None:

@@ -99,7 +99,7 @@ def test_criterion_2_boundary_guard_worked_example(verdict):
     records = mutator.local_search(bytes([5]), {0}, executor, random.Random(0), k=64)
     record = records[0]
     ok = ok and record.g == {0: Fraction(-1)}
-    solved = newton_step(record.witness, observation_distance(record.witness_obs), record.g)
+    solved = newton_step(record.witness, observation_distance(record.witness_key), record.g)
     ok = ok and solved == bytes([16])
     trace = executor.harness.execute(solved)
     ok = ok and trace.edges == (1,)  # the previously unexercised side
@@ -231,8 +231,8 @@ def test_criterion_7_convexity_introspection(verdict):
             values = []
             harness.set_active_sites({site})
             for data in (x1, x2, bytes((a + b) // 2 for a, b in zip(x1, x2))):
-                obs = harness.execute(data).observations[site]
-                values.append(observation_distance(obs))
+                key = harness.execute(data).observations[site]
+                values.append(observation_distance(key))
             if 2 * values[2] != values[0] + values[1]:
                 all_linear_ok = False
         if stats.passes.get(site, 0) != 100:

@@ -16,8 +16,7 @@ from frontierfuzz.campaign import _BASE_HAVOC_STACK, Budget, Campaign, Mode
 from frontierfuzz.coverage import CoverageMap, recompute_frontier
 from frontierfuzz.distance import observation_distance, row_function
 from frontierfuzz.mutation import Mutator, MutatorConfig, havoc_mutate
-from frontierfuzz.oracle import ConvexityStats, convexity_probe
-from frontierfuzz.target import Harness, Relation, program_from_dict
+from frontierfuzz.target import Harness, Relation, guard_feedback, program_from_dict
 from test_target import _documents
 
 
@@ -523,88 +522,20 @@ class TestFlipImpliesDecrease:
 
         def tracing_run(data):
             out = original(data)
-            obs = out.observations.get(0)
-            if obs is not None:
-                trajectory.append((out.flips, obs))
+            key = out.observations.get(0)
+            if key is not None:
+                trajectory.append((out.flips, key, data))
             return out
 
         executor.run = tracing_run
         mutator.mutate_stage(bytes([5]), {0}, executor, random.Random(0))
-        flip_index = next(i for i, (flips, _) in enumerate(trajectory) if flips)
-        pre_flip = [obs for _, obs in trajectory[:flip_index]]
+        flip_index = next(i for i, (flips, _, _) in enumerate(trajectory) if flips)
+        pre_flip = [key for _, key, _ in trajectory[:flip_index]]
         assert pre_flip
-        prior_min = min(observation_distance(o) for o in pre_flip)
-        flip_obs = trajectory[flip_index][1]
+        prior_min = min(observation_distance(key) for key in pre_flip)
+        _, f = guard_feedback(program.nodes[0], trajectory[flip_index][2])
         old_row = row_function(True, Relation.LE)
-        assert old_row(flip_obs.f_value) < prior_min
-
-
-def xor_gate_program():
-    # Child guard reachable only when the first two bytes xor to 0x10:
-    # a non-convex reach set for midpoint probing.
-    doc = {
-        "max_input_len": 4,
-        "entry": 0,
-        "nodes": [
-            {"id": 0, "kind": "xor", "offset": 0, "length": 2, "relation": "eq",
-             "constant": 0x10, "taken": 1, "nottaken": None},
-            {"id": 1, "kind": "int", "offset": 2, "width": 1, "endian": "le",
-             "signed": False, "relation": "le", "constant": 15,
-             "taken": None, "nottaken": None},
-        ],
-    }
-    return program_from_dict(doc)
-
-
-class TestConvexityProbe:
-    def test_linear_guard_passes_with_equality(self):
-        program = builtin_targets.load("le15")
-        harness = Harness(program, synthetic_time=True)
-        # Distances 4 and 8 around the boundary: the midpoint sits at 6.
-        assert convexity_probe(harness, 0, bytes([12]), bytes([8])) is True
-
-    def test_non_convex_pair_fails(self):
-        program = builtin_targets.load("xor_guard")
-        harness = Harness(program, synthetic_time=True)
-        # Both endpoints xor to the constant; their midpoint xors to zero.
-        x1 = bytes([0x40, 0x1D]) + bytes(6)
-        x2 = bytes([0x1D, 0x40]) + bytes(6)
-        stats = ConvexityStats()
-        assert convexity_probe(harness, 0, x1, x2, stats) is False
-        assert stats.fails[0] == 1
-
-    def test_midpoint_missing_site_is_non_probe(self):
-        program = xor_gate_program()
-        harness = Harness(program, synthetic_time=True)
-        x1 = bytes([0x10, 0x00, 5, 0])
-        x2 = bytes([0x00, 0x10, 5, 0])
-        stats = ConvexityStats()
-        assert convexity_probe(harness, 1, x1, x2, stats) is None
-        assert stats.non_probes[1] == 1
-
-    def test_unequal_lengths_rejected(self):
-        program = builtin_targets.load("le15")
-        harness = Harness(program, synthetic_time=True)
-        with pytest.raises(ValueError, match="equal-length"):
-            convexity_probe(harness, 0, bytes(1), bytes(2))
-
-    def test_xor_sampled_ratio_below_one(self):
-        program = builtin_targets.load("xor_guard")
-        harness = Harness(program, synthetic_time=True)
-        rng = random.Random(0)
-        stats = ConvexityStats()
-        for _ in range(100):
-            x1 = bytes(rng.randrange(256) for _ in range(8))
-            x2 = bytes(rng.randrange(256) for _ in range(8))
-            convexity_probe(harness, 0, x1, x2, stats)
-        assert stats.ratio(0) < 1.0
-
-    def test_probe_restores_active_sites(self):
-        program = builtin_targets.load("le15")
-        harness = Harness(program, synthetic_time=True)
-        harness.set_active_sites(set())
-        convexity_probe(harness, 0, bytes([1]), bytes([3]))
-        assert harness.active_sites == frozenset()
+        assert old_row(f) < prior_min
 
 
 class TestJsonl:

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontierfuzz.distance import distance, observation_distance, scalarize, string_distance
-from frontierfuzz.target import Harness, Relation, program_from_dict
+from frontierfuzz.distance import distance, observation_distance, string_distance
+from frontierfuzz.target import GuardKind, Harness, Relation, guard_feedback, program_from_dict
 from test_target import _documents
 
 
@@ -42,8 +42,8 @@ class TestStringDistance:
         assert string_distance(False, Relation.EQ, (1,)) == (1, (1,))
 
     def test_scalarize_keeps_scalar_sign_and_sums_vectors(self):
-        assert scalarize(distance(True, Relation.GE, 0)) == -1
-        assert scalarize(string_distance(False, Relation.EQ, (-2, 0, 5))) == 7
+        assert observation_distance(distance(True, Relation.GE, 0)) == -1
+        assert observation_distance(string_distance(False, Relation.EQ, (-2, 0, 5))) == 7
 
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -62,17 +62,19 @@ class TestStringDistance:
 @given(_documents(), st.data())
 def test_observation_distance_matches_validating_distance(doc, data):
     # The distance key a guard's step computes equals the one the validating
-    # functions compute from the same observation's raw feedback, and
-    # observation_distance is its scalarized value.
+    # functions compute from the same input's raw feedback (``guard_feedback``),
+    # and observation_distance is its scalarized value.
     program = program_from_dict(doc)
     harness = Harness(program, synthetic_time=True)
     harness.set_active_sites(program.node_ids)
     for x in data.draw(st.lists(st.binary(max_size=program.max_input_len), max_size=8)):
-        for site, obs in harness.execute(x).observations.items():
-            relation = program.nodes[site].relation
-            if obs.byte_diffs is None:
-                expected = distance(obs.outcome, relation, obs.f_value)
+        for site, key in harness.execute(x).observations.items():
+            node = program.nodes[site]
+            outcome, feedback = guard_feedback(node, x)
+            if node.kind is GuardKind.STR:
+                expected = string_distance(outcome, node.relation, feedback)
+                scalar = expected[0]
             else:
-                expected = string_distance(obs.outcome, relation, obs.byte_diffs)
-            assert obs.key == expected
-            assert observation_distance(obs) == scalarize(expected)
+                expected = scalar = distance(outcome, node.relation, feedback)
+            assert key == expected
+            assert observation_distance(key) == scalar

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_executor
 from frontierfuzz import builtin_targets, mutation
-from frontierfuzz.distance import observation_distance, scalarize
+from frontierfuzz.distance import observation_distance
 from frontierfuzz.mutation import (
     _ARITH_MAX,
     _INTERESTING,
@@ -26,7 +26,7 @@ from frontierfuzz.mutation import (
     newton_step,
     round_half_away,
 )
-from frontierfuzz.target import BranchObservation, Harness, program_from_dict
+from frontierfuzz.target import Harness, guard_feedback, program_from_dict
 from test_target import _BYTE_VALUES, _RELATION_TOKENS, _documents
 
 CFG = MutatorConfig()
@@ -484,8 +484,8 @@ class TestSubgradient:
         assert g == {0: Fraction(-1), 1: Fraction(-2, 3)}
 
     def test_vector_distances_use_l1(self):
-        d0 = scalarize((4, (2, 2)))
-        d1 = scalarize((2, (1, 1)))
+        d0 = observation_distance((4, (2, 2)))
+        d1 = observation_distance((2, (1, 1)))
         g = compute_subgradient(bytes([0, 0]), bytes([2, 0]), d0, d1)
         assert g == {0: Fraction(-1)}
 
@@ -582,8 +582,8 @@ class TestLocalSearch:
         harness.set_active_sites({0})
 
         def dist(x):
-            (obs,) = harness.execute(bytes([x])).observations.values()
-            return observation_distance(obs)
+            (key,) = harness.execute(bytes([x])).observations.values()
+            return observation_distance(key)
 
         d_seed = dist(5)
         for x in range(256):
@@ -598,27 +598,27 @@ def _reference_local_search(self, seed, frontier, executor, rng, k=None):
     k = self.config.sample_size if k is None else k
     records: dict[int, SubgradientRecord] = {}
     norms: dict[int, Fraction] = {}
-    seed_obs: dict[int, BranchObservation] = {}
+    seed_keys: dict[int, object] = {}
     for i in range(k):
         data = seed if i == 0 else havoc_mutate(seed, self.config, rng)
         outcome = executor.run(data)
         if i == 0:
-            seed_obs = dict(outcome.observations)
-        for site, obs in outcome.observations.items():
+            seed_keys = dict(outcome.observations)
+        for site, key in outcome.observations.items():
             if site not in frontier:
                 continue
-            base = seed_obs.get(site)
+            base = seed_keys.get(site)
             if data == seed or base is None:
                 g: dict[int, Fraction] = {}
             else:
                 g = compute_subgradient(
                     seed, data,
                     observation_distance(base),
-                    observation_distance(obs),
+                    observation_distance(key),
                 )
             norm = l1_norm(g)
             if site not in records or norm > norms[site]:
-                records[site] = SubgradientRecord(g, data, obs, base)
+                records[site] = SubgradientRecord(g, data, key, base)
                 norms[site] = norm
     return records
 
@@ -655,8 +655,8 @@ class TestLocalSearchAgainstReference:
         assert set(got) == set(want)
         for site, rec in want.items():
             assert got[site].witness == rec.witness
-            assert got[site].witness_obs == rec.witness_obs
-            assert got[site].seed_obs == rec.seed_obs
+            assert got[site].witness_key == rec.witness_key
+            assert got[site].seed_key == rec.seed_key
             norm = l1_norm(rec.g)
             assert l1_norm(got[site].g) == norm
             if norm > 0:
@@ -685,16 +685,16 @@ class TestLocalSearchAgainstReference:
         seed = bytes([3, 60, 128, 200, 250])
         harness = Harness(program, synthetic_time=True)
         harness.set_active_sites(sites)
-        base = {site: observation_distance(o)
-                for site, o in harness.execute(seed).observations.items()}
+        base = {site: observation_distance(key)
+                for site, key in harness.execute(seed).observations.items()}
         best = dict.fromkeys(sites, Fraction(0))
         replacements = 0
         rng = random.Random(5)
         for _ in range(255):
             data = havoc_mutate(seed, CFG, rng)
-            for site, obs in harness.execute(data).observations.items():
+            for site, key in harness.execute(data).observations.items():
                 norm = l1_norm(compute_subgradient(
-                    seed, data, base[site], observation_distance(obs)))
+                    seed, data, base[site], observation_distance(key)))
                 if norm > best[site]:
                     best[site] = norm
                     replacements += 1
@@ -715,9 +715,10 @@ def _reference_solve_operand(self, seed, site, rec):
     """``Mutator._solve_operand`` as it was when it decoded the operand a
     second time: both operands read with ``int.from_bytes`` on a zero-padded
     slice, an operand-to-difference linkage sampled between them, and an
-    exact ``Fraction`` step.  Called with the mutator as ``self``; kept as
-    the oracle for the solver that takes the operand from ``f_value``."""
-    if rec.seed_obs is None:
+    exact ``Fraction`` step; the differences and the outcome come from
+    ``guard_feedback``.  Called with the mutator as ``self``; kept as the
+    oracle for the solver that takes the operand from the difference."""
+    if rec.seed_key is None:
         return None
     node = self.program.nodes[site]
     order = "little" if node.endian == "le" else "big"
@@ -732,13 +733,13 @@ def _reference_solve_operand(self, seed, site, rec):
     op_wit = read_operand(rec.witness)
     if op_wit == op_seed:
         return None
-    f_seed = rec.seed_obs.f_value
-    f_wit = rec.witness_obs.f_value
+    f_seed = guard_feedback(node, seed)[1]
+    outcome, f_wit = guard_feedback(node, rec.witness)
     linkage = Fraction(f_wit - f_seed, op_wit - op_seed)
     if linkage == 0:
         return None
-    slope = _row_slope(rec.witness_obs.outcome, node.relation, f_wit) * linkage
-    solved = round_half_away(op_wit - Fraction(rec.witness_obs.key, 1) / slope)
+    slope = _row_slope(outcome, node.relation, f_wit) * linkage
+    solved = round_half_away(op_wit - Fraction(rec.witness_key, 1) / slope)
     bits = 8 * node.size
     lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if node.signed else (0, (1 << bits) - 1)
     solved = max(lo, min(hi, solved))
@@ -788,13 +789,13 @@ class TestOperandSolverAgainstReference:
         program = program_from_dict(doc)
         harness = Harness(program, synthetic_time=True)
         harness.set_active_sites({0})
-        (seed_obs,) = harness.execute(seed).observations.values()
-        (witness_obs,) = harness.execute(witness).observations.values()
+        (seed_key,) = harness.execute(seed).observations.values()
+        (witness_key,) = harness.execute(witness).observations.values()
         with_seed = data.draw(st.booleans())
-        rec = SubgradientRecord({}, witness, witness_obs, seed_obs if with_seed else None)
+        rec = SubgradientRecord({}, witness, witness_key, seed_key if with_seed else None)
         mutator = Mutator(CFG, program)
         want = _reference_solve_operand(mutator, seed, 0, rec)
-        assert mutator._solve_operand(0, rec) == want
+        assert mutator._solve_operand(seed, 0, rec) == want
 
 
 class TestHotBytes:
@@ -944,12 +945,11 @@ class TestLinearExactness:
         rec = records.get(0)
         if rec is None or l1_norm(rec.g) == 0:
             pytest.skip("no usable slope sampled")
-        out = newton_step(rec.witness, observation_distance(rec.witness_obs), rec.g)
-        harness = Harness(program, synthetic_time=True)
-        harness.set_active_sites({0})
-        (obs,) = harness.execute(out).observations.values()
-        flipped = obs.outcome != rec.witness_obs.outcome
-        assert flipped or abs(obs.f_value) <= 1
+        out = newton_step(rec.witness, observation_distance(rec.witness_key), rec.g)
+        node = program.nodes[0]
+        outcome, f = guard_feedback(node, out)
+        flipped = outcome != guard_feedback(node, rec.witness)[0]
+        assert flipped or abs(f) <= 1
 
 
 class TestRootCorrespondence:
@@ -960,9 +960,9 @@ class TestRootCorrespondence:
         program = le15_program()
         harness = Harness(program, synthetic_time=True)
         harness.set_active_sites({0})
-        (obs,) = harness.execute(bytes([witness_byte])).observations.values()
+        (key,) = harness.execute(bytes([witness_byte])).observations.values()
         predicted = newton_step(
-            bytes([witness_byte]), observation_distance(obs), {0: Fraction(-1)}
+            bytes([witness_byte]), observation_distance(key), {0: Fraction(-1)}
         )
         assert predicted == bytes([16])
         assert harness.execute(predicted).edges == (1,)
@@ -983,12 +983,12 @@ class TestNewtonTendency:
             if rec is None or l1_norm(rec.g) == 0:
                 continue
             trials += 1
-            out = newton_step(rec.witness, observation_distance(rec.witness_obs), rec.g)
+            out = newton_step(rec.witness, observation_distance(rec.witness_key), rec.g)
             harness = Harness(program, synthetic_time=True)
             harness.set_active_sites({0})
-            (obs,) = harness.execute(out).observations.values()
-            d_out = abs(observation_distance(obs))
-            d_wit = abs(observation_distance(rec.witness_obs))
+            (key,) = harness.execute(out).observations.values()
+            d_out = abs(observation_distance(key))
+            d_wit = abs(observation_distance(rec.witness_key))
             wins += d_out <= d_wit
         assert trials > 0
         assert wins / trials >= 0.95

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontierfuzz.scheduling import SchedulerState, StaleSiteError
+from frontierfuzz.scheduling import BranchStats, SchedulerState, StaleSiteError
 
 
 def vec(*values):
@@ -16,37 +16,49 @@ def vec(*values):
 class TestRecordExecution:
     def test_first_reach_is_productive(self):
         state = SchedulerState()
-        assert state.record_execution(0, b"s", 11, 100, {0}) is True
+        assert state.record_execution(b"s", {0: 11}, 100, {0}) == 1
         stats = state.stats[0]
         assert (stats.pt, stats.tt) == (100, 100)
 
     def test_non_lowering_reach_only_grows_total(self):
         state = SchedulerState()
-        state.record_execution(0, b"s", 11, 100, {0})
-        assert state.record_execution(0, b"t", 11, 50, {0}) is False
+        state.record_execution(b"s", {0: 11}, 100, {0})
+        assert state.record_execution(b"t", {0: 11}, 50, {0}) == 0
         stats = state.stats[0]
         assert (stats.pt, stats.tt) == (100, 150)
 
     def test_lowering_reach_grows_both(self):
         state = SchedulerState()
-        state.record_execution(0, b"s", 11, 100, {0})
-        state.record_execution(0, b"t", 11, 50, {0})
-        assert state.record_execution(0, b"u", 9, 50, {0}) is True
+        state.record_execution(b"s", {0: 11}, 100, {0})
+        state.record_execution(b"t", {0: 11}, 50, {0})
+        assert state.record_execution(b"u", {0: 9}, 50, {0}) == 1
         stats = state.stats[0]
         assert (stats.pt, stats.tt) == (150, 200)
         assert stats.best_input == b"u"
 
-    def test_stale_site_rejected(self):
+    def test_stale_site_skipped(self):
+        # A site off the frontier is skipped: no stats, no clock moves.
         state = SchedulerState()
-        with pytest.raises(StaleSiteError):
-            state.record_execution(3, b"s", 1, 1, frontier={0, 1})
+        assert state.record_execution(b"s", {3: 1}, 1, frontier={0, 1}) == 0
+        assert state.stats == {}
+        state.record_execution(b"s", {0: 5}, 1, {0, 1})
+        assert state.record_execution(b"t", {3: 1, 0: 5}, 7, frontier={0, 1}) == 0
+        assert 3 not in state.stats
+        assert (state.stats[0].pt, state.stats[0].tt) == (1, 8)
+
+    def test_counts_every_lowered_site(self):
+        state = SchedulerState()
+        observations = {0: 4, 1: vec(2, 1), 2: 7}
+        assert state.record_execution(b"s", observations, 3, {0, 1, 2}) == 3
+        assert state.record_execution(b"t", {0: 3, 1: vec(2, 1), 2: 6}, 3, {0, 1, 2}) == 2
+        assert [state.stats[s].best_input for s in (0, 1, 2)] == [b"t", b"s", b"t"]
 
     def test_clocks_monotone(self):
         state = SchedulerState()
-        state.record_execution(0, b"s", 5, 10, {0})
+        state.record_execution(b"s", {0: 5}, 10, {0})
         prev = (0, 0)
         for i, dist in enumerate((7, 4, 4, 2)):
-            state.record_execution(0, bytes([i]), dist, 10, {0})
+            state.record_execution(bytes([i]), {0: dist}, 10, {0})
             stats = state.stats[0]
             assert stats.pt >= prev[0] and stats.tt > prev[1]
             assert stats.pt <= stats.tt
@@ -59,25 +71,25 @@ class TestDistanceMinimum:
 
     @staticmethod
     def record(state, data, key):
-        return state.record_execution(0, data, key, 1, {0})
+        return state.record_execution(data, {0: key}, 1, {0})
 
     def test_first_observation_lowers(self):
         state = SchedulerState()
-        assert self.record(state, b"a", 11) is True
+        assert self.record(state, b"a", 11) == 1
         assert state.stats[0].best == 11
         assert state.stats[0].best_input == b"a"
 
     def test_strictly_lower_replaces(self):
         state = SchedulerState()
         self.record(state, b"a", 11)
-        assert self.record(state, b"b", 9) is True
+        assert self.record(state, b"b", 9) == 1
         assert state.stats[0].best == 9
         assert state.stats[0].best_input == b"b"
 
     def test_tie_keeps_earlier(self):
         state = SchedulerState()
         self.record(state, b"a", 9)
-        assert self.record(state, b"b", 9) is False
+        assert self.record(state, b"b", 9) == 0
         assert state.stats[0].best_input == b"a"
 
     def test_form_mismatch_rejected(self):
@@ -105,9 +117,9 @@ class TestDistanceMinimum:
         state = SchedulerState()
         self.record(state, b"a", vec(3, 3))
         # Same L1 norm: lexicographic tie-break, (2, 4) < (3, 3).
-        assert self.record(state, b"b", vec(2, 4)) is True
+        assert self.record(state, b"b", vec(2, 4)) == 1
         # Lower L1 always wins.
-        assert self.record(state, b"c", vec(5, 0)) is True
+        assert self.record(state, b"c", vec(5, 0)) == 1
         assert state.stats[0].best_input == b"c"
 
     @settings(max_examples=100, deadline=None)
@@ -129,11 +141,83 @@ class TestDistanceMinimum:
         assert state.stats[0].best_input == bytes([vectors.index(expected)])
 
 
+# -- per-site reference -----------------------------------------------------------
+# ``record_execution`` as it was when the executor called it once per observed
+# frontier site, kept verbatim (called with the state as ``self``) as the
+# reference for the fold; ``_reference_fold`` is the executor's old loop.
+
+def _reference_record_execution(self, site: int, data: bytes, key, exec_time: int,
+                                frontier) -> bool:
+    if site not in frontier:
+        raise StaleSiteError(f"site {site} is not a frontier branch")
+    stats = self.stats.get(site)
+    if stats is None:
+        self.stats[site] = BranchStats(key, data, exec_time, exec_time)
+        return True
+    best = stats.best
+    if key.__class__ is not best.__class__:
+        raise ValueError("distance form mismatch for site %d" % site)
+    stats.tt += exec_time
+    if key < best:
+        stats.best = key
+        stats.best_input = data
+        stats.pt += exec_time
+        return True
+    return False
+
+
+def _reference_fold(state, data, observations, exec_time, frontier) -> int:
+    lowered = 0
+    for site, key in observations.items():
+        if site in frontier:
+            lowered += _reference_record_execution(state, site, data, key, exec_time, frontier)
+    return lowered
+
+
+_SITES = range(6)
+_VECTORS = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(lambda v: vec(*v))
+
+
+@st.composite
+def _fold_calls(draw):
+    """A sequence of (data, observations, exec_time, frontier) calls.  Each
+    site keeps one key form, bar a rare mismatch; the maps hold sites off
+    the frontier."""
+    vector = draw(st.lists(st.booleans(), min_size=6, max_size=6))
+    calls = []
+    for _ in range(draw(st.integers(1, 12))):
+        observations = {}
+        for site in draw(st.lists(st.sampled_from(_SITES), unique=True, max_size=6)):
+            mismatch = draw(st.integers(0, 30)) == 0
+            keys = _VECTORS if vector[site] != mismatch else st.integers(-8, 8)
+            observations[site] = draw(keys)
+        calls.append((draw(st.binary(max_size=2)), observations,
+                      draw(st.integers(1, 1000)), draw(st.frozensets(st.sampled_from(_SITES)))))
+    return calls
+
+
+class TestFoldAgainstPerSiteReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_fold_calls())
+    def test_same_stats_and_lowered_count(self, calls):
+        got, want = SchedulerState(), SchedulerState()
+        for call in calls:
+            results = []
+            for state, fold in ((got, SchedulerState.record_execution), (want, _reference_fold)):
+                try:
+                    results.append(fold(state, *call))
+                except ValueError as exc:
+                    results.append(exc.__class__)
+            assert results[0] == results[1]
+            # best, best_input, pt and tt per site
+            assert got.stats == want.stats
+
+
 class TestSelectNext:
     def setup_branch(self, state, site, seed, pt, tt):
-        state.record_execution(site, seed, 10, pt, {site})
+        state.record_execution(seed, {site: 10}, pt, {site})
         if tt > pt:
-            state.record_execution(site, seed, 10, tt - pt, {site})
+            state.record_execution(seed, {site: 10}, tt - pt, {site})
 
     def test_higher_ratio_wins(self):
         state = SchedulerState()
@@ -212,9 +296,9 @@ def test_argmax_agrees_with_naive_rational_comparison(branches):
     expected_scores = {}
     for site, (pt, extra_tt, sc) in enumerate(branches):
         seed = bytes([site])
-        state.record_execution(site, seed, 10, pt, {site})
+        state.record_execution(seed, {site: 10}, pt, {site})
         if extra_tt:
-            state.record_execution(site, seed, 10, extra_tt, {site})
+            state.record_execution(seed, {site: 10}, extra_tt, {site})
         state.sc[seed] = sc
         frontier.add(site)
         expected_scores[site] = Fraction(pt, (pt + extra_tt) * sc)

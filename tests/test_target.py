@@ -13,12 +13,12 @@ from frontierfuzz.coverage import recompute_frontier
 from frontierfuzz.target import (
     _READERS,
     MAX_WINDOW_END,
-    BranchObservation,
     DocumentError,
     ExecutionTrace,
     GuardKind,
     Harness,
     Relation,
+    guard_feedback,
     load_program,
     program_from_dict,
 )
@@ -164,10 +164,11 @@ class TestExecute:
         harness.set_active_sites({0})
         trace = harness.execute(bytes([5]))
         assert trace.edges == (0,)
-        (obs,) = trace.observations.values()
-        assert obs.outcome is True
+        assert trace.observations == {0: 11}  # 1 - f on the true LE row
+        outcome, f = guard_feedback(harness.program.nodes[0], bytes([5]))
+        assert outcome is True
         assert harness.program.nodes[0].relation is Relation.LE
-        assert obs.f_value == -10
+        assert f == -10
 
     def test_real_clock_reading_is_at_least_one_ns(self, monkeypatch):
         # A clock that does not advance must not yield a zero exec time.
@@ -192,9 +193,10 @@ class TestExecute:
         }
         harness = Harness(program_from_dict(doc), synthetic_time=True)
         harness.set_active_sites({0})
-        (obs,) = harness.execute(b"ab").observations.values()
-        assert obs.byte_diffs == (0, 0, -99)
-        assert obs.outcome is False
+        assert harness.execute(b"ab").observations == {0: (99, (0, 0, 99))}
+        outcome, diffs = guard_feedback(harness.program.nodes[0], b"ab")
+        assert diffs == (0, 0, -99)
+        assert outcome is False
 
     def test_string_window_padded_to_constant_length(self):
         # A 2-byte window equals the constant "ab\0" once zero-padded, with
@@ -222,9 +224,11 @@ class TestExecute:
         }
         harness = Harness(program_from_dict(doc), synthetic_time=True)
         harness.set_active_sites({0})
-        (obs,) = harness.execute(bytes([1, 2, 3, 4])).observations.values()
-        assert obs.f_value == (1 ^ 2 ^ 3 ^ 4) - 0x5D
-        assert obs.outcome is False
+        (key,) = harness.execute(bytes([1, 2, 3, 4])).observations.values()
+        outcome, f = guard_feedback(harness.program.nodes[0], bytes([1, 2, 3, 4]))
+        assert f == (1 ^ 2 ^ 3 ^ 4) - 0x5D
+        assert outcome is False
+        assert key == abs(f)  # the false EQ row
 
     def test_short_input_zero_extended(self):
         doc = {"max_input_len": 8, "entry": 0,
@@ -270,8 +274,8 @@ class TestExecute:
                "nodes": [int_node(0, width=8, relation="eq", constant=0)]}
         harness = Harness(program_from_dict(doc), synthetic_time=True)
         harness.set_active_sites({0})
-        (obs,) = harness.execute(b"\xff" * 8).observations.values()
-        assert obs.f_value == 2**64 - 1
+        assert harness.execute(b"\xff" * 8).observations == {0: 2**64 - 1}
+        assert guard_feedback(harness.program.nodes[0], b"\xff" * 8) == (False, 2**64 - 1)
 
     def test_signed_64bit_negative_constant(self):
         doc = {"max_input_len": 8, "entry": 0,
@@ -279,9 +283,11 @@ class TestExecute:
                                   constant=-(2**63), signed=True)]}
         harness = Harness(program_from_dict(doc), synthetic_time=True)
         harness.set_active_sites({0})
-        (obs,) = harness.execute(b"\x00" * 7 + b"\x80").observations.values()
-        assert obs.f_value == 0  # the operand equals the minimum value
-        assert obs.outcome is False
+        data = b"\x00" * 7 + b"\x80"
+        assert harness.execute(data).observations == {0: -1}  # f - 1 on the false LT row
+        outcome, f = guard_feedback(harness.program.nodes[0], data)
+        assert f == 0  # the operand equals the minimum value
+        assert outcome is False
 
 
 class TestActiveSites:
@@ -346,6 +352,29 @@ class TestActiveSites:
         assert list(second.execute(data).observations) == [1, 2]
         assert first.active_sites == {0}
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_switching_matches_a_fresh_harness(self, data):
+        # A harness switched through a drawn sequence of active sets (bug
+        # ids included) runs like a fresh one switched once to the last set:
+        # the same edges and keys, in path order.  The program's own step
+        # list never changes.
+        program = program_from_dict(data.draw(_documents()))
+        plain = list(program._steps)
+        harness = Harness(program, synthetic_time=True)
+        subsets = st.frozensets(st.sampled_from(sorted(program.node_ids)))
+        inputs = st.lists(st.binary(max_size=program.max_input_len), max_size=3)
+        for active in data.draw(st.lists(subsets, min_size=1, max_size=8)):
+            harness.set_active_sites(active)
+            fresh = Harness(program, synthetic_time=True)
+            fresh.set_active_sites(active)
+            assert harness.active_sites == active
+            for raw in data.draw(inputs):
+                got, want = harness.execute(raw), fresh.execute(raw)
+                assert got == want
+                assert list(got.observations) == list(want.observations)
+        assert program._steps == plain
+
 
 class TestDeterminismAndConsistency:
     @settings(max_examples=60, deadline=None)
@@ -362,16 +391,20 @@ class TestDeterminismAndConsistency:
         program = builtin_targets.load("mixed_tree")
         harness = Harness(program, synthetic_time=True)
         harness.set_active_sites(program.node_ids)
-        for site, obs in harness.execute(data).observations.items():
-            relation = program.nodes[site].relation
-            if obs.f_value is not None:
-                assert obs.outcome == relation.holds(obs.f_value)
+        trace = harness.execute(data)
+        for site in trace.observations:
+            node = program.nodes[site]
+            outcome, feedback = guard_feedback(node, data)
+            # The outcome is the side the walk took.
+            assert (2 * site if outcome else 2 * site + 1) in trace.edges
+            if node.kind is not GuardKind.STR:
+                assert outcome == node.relation.holds(feedback)
             else:
                 # String outcome follows the lexicographic comparison of the
                 # padded operands, i.e. the sign of the first nonzero diff.
-                cmp = next((d for d in obs.byte_diffs if d != 0), 0)
+                cmp = next((d for d in feedback if d != 0), 0)
                 sign = 0 if cmp == 0 else (1 if cmp > 0 else -1)
-                assert obs.outcome == relation.holds(sign)
+                assert outcome == node.relation.holds(sign)
 
     @settings(max_examples=60, deadline=None)
     @given(st.binary(max_size=6))
@@ -478,6 +511,33 @@ def _compile(n):
     )
 
 
+def _reference_guard(row, data: bytes):
+    """(outcome, f, diffs, key) of one compiled guard row on ``data``: f for
+    an integer or xor guard, diffs for a string guard, the other None."""
+    kind, off, size, byteorder, signed, const, rel_code, _, _, extra = row
+    chunk = data[off : off + size]
+    if len(chunk) < size:
+        chunk = chunk.ljust(size, b"\0")
+    if kind == 0:
+        f = int.from_bytes(chunk, byteorder, signed=signed) - const
+        outcome = _rel_holds(rel_code, f)
+        return outcome, f, None, _row(outcome, rel_code, f)
+    if kind == 1:
+        op2 = extra
+        op1 = chunk.ljust(len(op2), b"\0")
+        cmp = 0 if op1 == op2 else (-1 if op1 < op2 else 1)
+        outcome = _rel_holds(rel_code, cmp)
+        diffs = tuple(a - b for a, b in zip(op1, op2))
+        values = tuple(_row(outcome, rel_code, x) for x in diffs)
+        return outcome, None, diffs, (sum(abs(v) for v in values), values)
+    x = 0
+    for b in chunk:
+        x ^= b
+    f = x - const
+    outcome = _rel_holds(rel_code, f)
+    return outcome, f, None, _row(outcome, rel_code, f)
+
+
 def _reference_execute(program, active, data: bytes) -> ExecutionTrace:
     """The trace of ``data`` with the sites in ``active`` observing, under
     synthetic time."""
@@ -487,41 +547,15 @@ def _reference_execute(program, active, data: bytes) -> ExecutionTrace:
     bug_hits = ()
     nid = program.entry
     while nid is not None:
-        kind, off, size, byteorder, signed, const, rel_code, tk, ntk, extra = rows[nid]
-        if kind == 3:
+        row = rows[nid]
+        if row[0] == 3:
             bug_hits = (nid,)
             break
-        chunk = data[off : off + size]
-        if len(chunk) < size:
-            chunk = chunk.ljust(size, b"\0")
-        if kind == 0:
-            f = int.from_bytes(chunk, byteorder, signed=signed) - const
-            outcome = _rel_holds(rel_code, f)
-            diffs = None
-            key = _row(outcome, rel_code, f)
-        elif kind == 1:
-            op2 = extra
-            op1 = chunk.ljust(len(op2), b"\0")
-            cmp = 0 if op1 == op2 else (-1 if op1 < op2 else 1)
-            outcome = _rel_holds(rel_code, cmp)
-            f = None
-            diffs = tuple(a - b for a, b in zip(op1, op2))
-            values = tuple(_row(outcome, rel_code, x) for x in diffs)
-            key = (sum(abs(v) for v in values), values)
-        else:
-            x = 0
-            for b in chunk:
-                x ^= b
-            f = x - const
-            outcome = _rel_holds(rel_code, f)
-            diffs = None
-            key = _row(outcome, rel_code, f)
+        outcome, _, _, key = _reference_guard(row, data)
         edges.append(nid + nid if outcome else nid + nid + 1)
         if nid in active:
-            observations[nid] = BranchObservation(
-                outcome=outcome, f_value=f, byte_diffs=diffs, key=key
-            )
-        nid = tk if outcome else ntk
+            observations[nid] = key
+        nid = row[7] if outcome else row[8]
     return ExecutionTrace(tuple(edges), observations, 1, bug_hits)
 
 
@@ -582,11 +616,17 @@ def _documents(draw):
 
 def _assert_matches_reference(program, data):
     """Runs on one harness, each input under no, all (bug ids included) and
-    a random subset of active sites, each equal to the reference trace."""
+    a random subset of active sites, each equal to the reference trace; and
+    every guard's ``guard_feedback`` on each input, on the path or off it,
+    equal to the reference's outcome and f or diffs."""
     harness = Harness(program, synthetic_time=True)
     ids = sorted(program.node_ids)
     raw_inputs = st.lists(_BYTE_VALUES, max_size=program.max_input_len).map(bytes)
     for raw in data.draw(st.lists(raw_inputs, min_size=1, max_size=8)):
+        for nid in program.guard_ids:
+            node = program.nodes[nid]
+            outcome, f, diffs, _ = _reference_guard(_compile(node), raw)
+            assert guard_feedback(node, raw) == (outcome, f if diffs is None else diffs)
         subset = data.draw(st.frozensets(st.sampled_from(ids)))
         for active in (frozenset(), frozenset(ids), subset):
             harness.set_active_sites(active)
