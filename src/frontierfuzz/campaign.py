@@ -18,7 +18,9 @@ sites' minima and clocks.  A stage is one scheduling decision plus its batch
 of executions; the log records the cumulative state after every stage.  A
 stage switches on the whole frontier; a havoc batch then switches off each
 site that leaves it, but a fox stage does not, since local search reads
-every stage-frontier site.
+every stage-frontier site.  A plain havoc batch is ``sample_size`` mutants
+of one seed, each from a stack of up to 16 havoc operators that may resize
+it within ``max_input_len``.
 
 Modes:
 
@@ -39,15 +41,11 @@ from enum import Enum
 from typing import NamedTuple
 
 from .coverage import CoverageMap
-from .mutation import Mutator, MutatorConfig, havoc_mutate
+from .mutation import _BATCH_STACK, Mutator, havoc_mutate
 from .scheduling import SchedulerState
 from .target import GuardProgram, Harness
 
 __all__ = ["Mode", "Budget", "CorpusEntry", "Campaign"]
-
-# Plain havoc (baseline mutator) uses a deeper stack than the locality-bound
-# local-search havoc.
-_BASE_HAVOC_STACK = 16
 
 
 class Mode(Enum):
@@ -192,13 +190,23 @@ class _Executor:
 class Campaign:
     """One fuzzing campaign over a guard program.
 
+    ``seeds`` is a collection of nonempty bytes-like inputs.  ``sample_size``
+    (an int >= 2) goes to the mutator: it is the local-search samples per fox
+    stage and the mutants per plain havoc batch.
+
     A campaign instance is single-use.  Parallel trials run fully disjoint
     Campaign instances.
     """
 
     def __init__(self, program: GuardProgram, seeds, mode: Mode, budget: Budget,
-                 config: MutatorConfig | None = None, rng_seed: int = 0,
+                 sample_size: int = 1024, rng_seed: int = 0,
                  synthetic_time: bool = True):
+        seeds = list(seeds)
+        for s in seeds:
+            # A bare bytes or str argument fails here too: its items are
+            # ints or strs.
+            if not isinstance(s, (bytes, bytearray, memoryview)):
+                raise ValueError(f"each seed must be bytes-like, got {type(s).__name__}")
         seeds = [bytes(s) for s in seeds]
         if not seeds:
             raise ValueError("at least one seed is required")
@@ -212,9 +220,8 @@ class Campaign:
         self.program = program
         self.seeds = seeds
         self.mode = Mode(mode)
-        self.config = config or MutatorConfig()
         self.rng = random.Random(rng_seed)
-        self.mutator = Mutator(self.config, program)
+        self.mutator = Mutator(program, sample_size)
         self.log = CampaignLog()
         self._executor = executor = _Executor(program, budget, synthetic_time)
         self.harness = executor.harness
@@ -247,17 +254,13 @@ class Campaign:
         """One batch of plain havoc on ``seed``.  Sites that leave the frontier
         are switched off after the exec that flips them (no other exec can);
         only sched has active sites here, base and the fox fallback have none."""
-        cfg = self.config
         rng = self.rng
         executor = self._executor
         harness = self.harness
         frontier = self.coverage.frontier
         max_len = self.program.max_input_len
-        for _ in range(cfg.sample_size):
-            data = havoc_mutate(
-                seed, cfg, rng,
-                stack_max=_BASE_HAVOC_STACK, allow_resize=True, max_len=max_len,
-            )
+        for _ in range(self.mutator.sample_size):
+            data = havoc_mutate(seed, rng, _BATCH_STACK, max_len)
             if executor.run(data).flips and harness.active_sites:
                 harness.set_active_sites(harness.active_sites & frontier)
 

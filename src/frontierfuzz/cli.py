@@ -12,7 +12,6 @@ from random import Random
 
 from . import builtin_targets
 from .campaign import Budget, Campaign, Mode
-from .mutation import MutatorConfig
 from .oracle import AbstractInstance, check_enumerable, verify
 from .target import GuardProgram, load_program
 
@@ -60,7 +59,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         campaign = Campaign(
             program, seeds, Mode(args.mode), budget,
-            MutatorConfig(sample_size=args.sample_size), args.rng_seed, args.synthetic_time,
+            args.sample_size, args.rng_seed, args.synthetic_time,
         )
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, OverflowError, ValueError) as exc:

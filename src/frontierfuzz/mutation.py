@@ -30,13 +30,11 @@ from .distance import observation_distance, row_function
 from .target import GuardKind, GuardProgram, Relation, guard_feedback
 
 __all__ = [
-    "MutatorConfig",
     "SubgradientRecord",
     "havoc_mutate",
     "compute_subgradient",
     "newton_step",
     "infer_hot_bytes",
-    "l1_norm",
     "round_half_away",
     "Mutator",
 ]
@@ -50,11 +48,15 @@ _INTERESTING = {
 
 _ARITH_MAX = 35
 
-# Havoc operator tables keyed by (byte swap allowed, resize allowed).
-_HAVOC_OPS = {
-    (swap, resize): (0, 1, 2, 3, 4) + ((5,) if swap else ()) + ((6, 7) if resize else ())
-    for swap in (False, True) for resize in (False, True)
-}
+# A havoc operator touches at most this many byte positions.
+_BYTES_PER_OP = 4
+# Havoc stack depths: local search stays near the seed so its samples give
+# slopes; plain havoc batches take the deeper stack.
+_SEARCH_STACK = 4
+_BATCH_STACK = 16
+
+# Havoc operator tables keyed by whether resizing is allowed.
+_HAVOC_OPS = {False: (0, 1, 2, 3, 4, 5), True: (0, 1, 2, 3, 4, 5, 6, 7)}
 # An operator carves its ranged fields from its own 30-bit draw only while the
 # product of every range it takes from that draw stays at or below this.
 _CARVE = 1 << 20
@@ -68,33 +70,15 @@ _PACKED = {
              for v in values for order in ("little", "big"))
     for w, values in _INTERESTING.items()
 }
-# The (width, value count, packed values) choices that fit min(len, bytes_per_op),
-# capped at 4.
+# The (width, value count, packed values) choices that fit min(len, 4).
 _CHOICES = {
-    room: tuple((w, len(_PACKED[w]), _PACKED[w]) for w in (1, 2, 4) if w <= room)
-    for room in (1, 2, 3, 4)
+    n: tuple((w, len(_PACKED[w]), _PACKED[w]) for w in (1, 2, 4) if w <= n)
+    for n in (1, 2, 3, 4)
 }
 
 # 1/δ in units of 1/L for each byte delta δ; L = lcm(1..255) makes each exact.
 _L = math.lcm(*range(1, 256))
 _INV = (0,) + tuple(_L // delta for delta in range(1, 256))
-
-
-@dataclass(frozen=True)
-class MutatorConfig:
-    """Sampling and havoc knobs for the guided mutator."""
-
-    sample_size: int = 1024
-    havoc_stack_max: int = 4
-    havoc_bytes_per_op: int = 4
-
-    def __post_init__(self):
-        if self.sample_size < 2:
-            raise ValueError("sample_size must be >= 2")
-        if self.havoc_stack_max < 1:
-            raise ValueError("havoc_stack_max must be >= 1")
-        if self.havoc_bytes_per_op < 1:
-            raise ValueError("havoc_bytes_per_op must be >= 1")
 
 
 @dataclass
@@ -128,20 +112,17 @@ def _clamp_byte(v: int) -> int:
     return 0 if v < 0 else (255 if v > 255 else v)
 
 
-def l1_norm(g: dict[int, Fraction]) -> Fraction:
-    return sum((abs(v) for v in g.values()), Fraction(0))
-
-
-def havoc_mutate(seed: bytes, cfg: MutatorConfig, rng: random.Random, *,
-                 stack_max: int | None = None, allow_resize: bool = False,
+def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
                  max_len: int | None = None) -> bytes:
-    """Apply a short random stack of havoc operators to the seed.
+    """Apply a random stack of 1 to ``stack_max`` havoc operators to the seed.
 
-    Every operator touches at most ``havoc_bytes_per_op`` byte positions, so a
-    mutant differs from the seed in at most ``stack * bytes_per_op`` bytes.
-    Length-changing operators are off by default (local search needs aligned
-    inputs) and, when enabled, never move the length more than
-    ``havoc_bytes_per_op`` away from the seed's, and grow only up to ``max_len``.
+    Every operator touches at most 4 byte positions (``_BYTES_PER_OP``), so a
+    mutant differs from the seed in at most ``4 * stack_max`` bytes.  Local
+    search passes ``_SEARCH_STACK`` (4) and plain havoc batches
+    ``_BATCH_STACK`` (16).  The length-changing operators are on exactly when
+    ``max_len`` is given (local search needs inputs aligned with the seed);
+    they never move the length more than 4 away from the seed's, and grow
+    only up to ``max_len``.
 
     Draw contract.  The stack depth is ``rng.getrandbits(30) % stack_max + 1``.
     Each operator then takes one ``rng.getrandbits(30)``, even one that is
@@ -153,7 +134,7 @@ def havoc_mutate(seed: bytes, cfg: MutatorConfig, rng: random.Random, *,
       byte add/sub:    sign and delta as one ``_DELTAS`` index (70), position (n);
       interesting:     width (the widths that fit), endianness and value as one
                        ``_PACKED`` index, position (n - width + 1);
-      block overwrite: length - 1 (m = min(bytes_per_op, n)), position
+      block overwrite: length - 1 (m = min(4, n)), position
                        (n - length + 1), then the block's bytes from one
                        ``rng.getrandbits(8 * length)``, little-endian;
       byte swap:       two positions (n each), skipped for n < 2;
@@ -173,21 +154,19 @@ def havoc_mutate(seed: bytes, cfg: MutatorConfig, rng: random.Random, *,
     """
     if not seed:
         raise ValueError("seed must be nonempty")
-    top = cfg.havoc_stack_max if stack_max is None else stack_max
-    if top < 1:
+    if stack_max < 1:
         raise ValueError("stack_max must be >= 1")
     gb = rng.getrandbits
-    budget = cfg.havoc_bytes_per_op
-    ops = _HAVOC_OPS[budget >= 2, allow_resize]
+    budget = _BYTES_PER_OP
+    ops = _HAVOC_OPS[max_len is not None]
     n_ops = len(ops)
     lim = _CARVE // n_ops  # a product of ranges m fits when n_ops * m <= _CARVE
-    room = budget if budget < 4 else 4  # the widest interesting value that fits
     buf = bytearray(seed)
     n = len(seed)
     # Deletes and inserts keep the length within [low, high].
     low = n - budget if n - budget > 1 else 1
     high = n + budget if max_len is None or max_len > n + budget else max_len
-    for _ in range(gb(30) % top + 1):
+    for _ in range(gb(30) % stack_max + 1):
         r = gb(30)
         op = ops[r % n_ops]
         r //= n_ops
@@ -200,7 +179,7 @@ def havoc_mutate(seed: bytes, cfg: MutatorConfig, rng: random.Random, *,
             pos = r // 70 % n if 70 * n <= lim else rng.randrange(n)
             buf[pos] = (buf[pos] + _DELTAS[r % 70]) & 255
         elif op == 3:  # interesting value substitution
-            choices = _CHOICES[room if room < n else n]
+            choices = _CHOICES[n if n < 4 else 4]
             c = len(choices)
             w, k, packed = choices[r % c]
             r //= c
@@ -275,7 +254,7 @@ def newton_step(witness: bytes, d: int, g: dict[int, Fraction]) -> bytes:
     moves by -d/slope, rounded half away from zero and clamped to the byte
     range; all other bytes and the input length are unchanged.
     """
-    if l1_norm(g) == 0:
+    if not any(g.values()):
         raise ValueError("newton step requires a nonzero-norm subgradient")
     out = bytearray(witness)
     for j, slope in g.items():
@@ -319,6 +298,10 @@ def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> tuple[in
 class Mutator:
     """Stage driver: local search, then one root-finding input per branch.
 
+    ``sample_size`` is the mutator's one setting, an int >= 2: the samples
+    local search takes per stage, the seed included.  The campaign's plain
+    havoc batches take the same number of mutants.
+
     ``executor`` is any object with ``run(data) -> outcome``, where the
     outcome exposes ``observations`` (the trace's own site -> distance key
     map) and ``flips`` (frontier branches the input flipped); the campaign
@@ -326,17 +309,20 @@ class Mutator:
     clocks up to date.  A site's relation is its program node's.
     """
 
-    def __init__(self, config: MutatorConfig, program: GuardProgram):
-        self.config = config
+    def __init__(self, program: GuardProgram, sample_size: int = 1024):
+        if sample_size.__class__ is not int or sample_size < 2:
+            raise ValueError(f"sample_size must be an int >= 2, got {sample_size!r}")
         self.program = program
+        self.sample_size = sample_size
 
     def local_search(self, seed: bytes, frontier, executor,
-                     rng: random.Random, k: int | None = None) -> dict[int, SubgradientRecord]:
+                     rng: random.Random) -> dict[int, SubgradientRecord]:
         """Sample the seed neighborhood and retain the best slope per branch.
 
-        The first of the k samples is the unmutated seed itself, which
-        establishes the baseline distances the slopes are measured against.
-        A sample's slope norm at a site is |Δd| · Σ_j 1/|Δbyte_j|; the sum
+        The first of the ``sample_size`` samples is the unmutated seed itself,
+        which establishes the baseline distances the slopes are measured
+        against; the rest are havoc mutants of stack ``_SEARCH_STACK``.  A
+        sample's slope norm at a site is |Δd| · Σ_j 1/|Δbyte_j|; the sum
         depends only on the sample, so it is taken once, as an integer in
         units of 1/L (``_INV``), and records are compared by norm times L.
         Δd comes from the observations' scalarized distance keys; ``g`` is
@@ -345,17 +331,14 @@ class Mutator:
         its record's, so it is skipped: the records stay the same, and the sum
         is taken only at a sample's first site whose key moved.
         """
-        k = self.config.sample_size if k is None else k
-        if k < 1:
-            return {}
         seed_keys = executor.run(seed).observations
         seed_v = {site: observation_distance(key)
                   for site, key in seed_keys.items() if site in frontier}
         records = {site: SubgradientRecord({}, seed, seed_keys[site], seed_keys[site])
                    for site in seed_v}
         norms = dict.fromkeys(records, 0)
-        for _ in range(k - 1):
-            data = havoc_mutate(seed, self.config, rng)
+        for _ in range(self.sample_size - 1):
+            data = havoc_mutate(seed, rng, _SEARCH_STACK)
             s = None
             for site, key in executor.run(data).observations.items():
                 base = seed_v.get(site)  # every site in seed_v is in the frontier
@@ -367,7 +350,7 @@ class Mutator:
                 if v == base:
                     continue
                 if s is None:
-                    s = 0  # without allow_resize, havoc keeps the seed's length
+                    s = 0  # with no max_len, havoc keeps the seed's length
                     for x, y in zip(seed, data):
                         if x != y:
                             s += _INV[abs(y - x)]

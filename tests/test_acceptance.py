@@ -15,7 +15,7 @@ from frontierfuzz import builtin_targets
 from frontierfuzz.campaign import Budget, Campaign, Mode
 from frontierfuzz.cli import main as cli_main
 from frontierfuzz.distance import distance, observation_distance
-from frontierfuzz.mutation import Mutator, MutatorConfig, infer_hot_bytes, newton_step
+from frontierfuzz.mutation import Mutator, infer_hot_bytes, newton_step
 from frontierfuzz.oracle import ConvexityStats, convexity_probe
 from frontierfuzz.target import Harness, Relation, program_from_dict
 
@@ -95,8 +95,8 @@ def test_criterion_2_boundary_guard_worked_example(verdict):
     ok = distance(True, Relation.LE, -10) == 11
     program = builtin_targets.load("le15")
     executor = make_executor(program, frontier={0})
-    mutator = Mutator(MutatorConfig(sample_size=64), program)
-    records = mutator.local_search(bytes([5]), {0}, executor, random.Random(0), k=64)
+    mutator = Mutator(program, 64)
+    records = mutator.local_search(bytes([5]), {0}, executor, random.Random(0))
     record = records[0]
     ok = ok and record.g == {0: Fraction(-1)}
     solved = newton_step(record.witness, observation_distance(record.witness_key), record.g)
@@ -256,9 +256,9 @@ def test_criterion_8_hot_byte_inference(verdict):
     hits = 0
     for rng_seed in RNG_SEEDS:
         executor = make_executor(program, frontier={0})
-        mutator = Mutator(MutatorConfig(sample_size=256), program)
+        mutator = Mutator(program, 256)
         seed = bytes(16)
-        records = mutator.local_search(seed, {0}, executor, random.Random(rng_seed), k=256)
+        records = mutator.local_search(seed, {0}, executor, random.Random(rng_seed))
         record = records.get(0)
         if record is None or record.witness == seed:
             continue

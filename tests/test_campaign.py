@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import make_executor
 from frontierfuzz import builtin_targets
-from frontierfuzz.campaign import _BASE_HAVOC_STACK, Budget, Campaign, Mode
+from frontierfuzz.campaign import Budget, Campaign, Mode
 from frontierfuzz.coverage import CoverageMap, recompute_frontier
 from frontierfuzz.distance import observation_distance, row_function
-from frontierfuzz.mutation import Mutator, MutatorConfig, havoc_mutate
+from frontierfuzz.mutation import _BATCH_STACK, Mutator, havoc_mutate
 from frontierfuzz.target import Harness, Relation, guard_feedback, program_from_dict
 from test_target import _documents
 
@@ -99,6 +99,30 @@ class TestRun:
         program = builtin_targets.load("le15")
         with pytest.raises(ValueError, match="max_input_len"):
             Campaign(program, [bytes(10)], Mode.FOX, Budget(max_execs=10))
+
+    @pytest.mark.parametrize("seeds", [b"\x03\x05", "ab", [4], [bytes([5]), "x"]])
+    def test_non_bytes_like_seeds_rejected(self, seeds):
+        # bytes(3) is three zero bytes: an int item, such as one of a bare
+        # bytes argument's, must not run as an all-zero seed.
+        program = builtin_targets.load("le15")
+        with pytest.raises(ValueError, match="bytes-like"):
+            Campaign(program, seeds, Mode.FOX, Budget(max_execs=10))
+
+    def test_bytes_like_seeds_accepted(self):
+        program = builtin_targets.load("le15")
+        seeds = [bytes([5]), bytearray([6]), memoryview(b"\x07")]
+        campaign = Campaign(program, seeds, Mode.FOX, Budget(max_execs=10))
+        assert campaign.seeds == [b"\x05", b"\x06", b"\x07"]
+
+    @pytest.mark.parametrize("sample_size", [3.0, 2.5, True, "8", 1])
+    def test_bad_sample_size_rejected(self, sample_size):
+        # Checked at construction: a float used to pass, then end the run
+        # mid-stage with a TypeError from range().
+        program = builtin_targets.load("le15")
+        for mode in Mode:
+            with pytest.raises(ValueError, match="sample_size must be an int >= 2"):
+                Campaign(program, [bytes([5])], mode, Budget(max_execs=10),
+                         sample_size=sample_size)
 
     def test_campaign_single_use(self):
         program = builtin_targets.load("le15")
@@ -232,7 +256,7 @@ class TestActiveSiteContract:
         for name in builtin_targets.names():
             program = builtin_targets.load(name)
             campaign = Campaign(program, [zero_seed(program)], Mode.SCHED,
-                                Budget(max_execs=6_000), MutatorConfig(sample_size=16),
+                                Budget(max_execs=6_000), sample_size=16,
                                 rng_seed=3)
             harness, coverage, executor = campaign.harness, campaign.coverage, campaign._executor
             in_batch = []
@@ -283,21 +307,17 @@ class TestActiveSiteContract:
 def _reference_havoc_batch(self, seed: bytes) -> None:
     """``Campaign._havoc_batch`` before it switched off sites that leave the
     frontier mid-batch: every site stays active until the next refresh."""
-    cfg = self.config
     rng = self.rng
     executor = self._executor
     max_len = self.program.max_input_len
-    for _ in range(cfg.sample_size):
-        data = havoc_mutate(
-            seed, cfg, rng,
-            stack_max=_BASE_HAVOC_STACK, allow_resize=True, max_len=max_len,
-        )
+    for _ in range(self.mutator.sample_size):
+        data = havoc_mutate(seed, rng, _BATCH_STACK, max_len)
         executor.run(data)
 
 
 def _sched_outputs(program, havoc_batch, max_execs, sample_size, rng_seed):
     campaign = Campaign(program, [zero_seed(program)], Mode.SCHED, Budget(max_execs=max_execs),
-                        MutatorConfig(sample_size=sample_size), rng_seed=rng_seed)
+                        sample_size=sample_size, rng_seed=rng_seed)
     campaign._havoc_batch = types.MethodType(havoc_batch, campaign)
     log = campaign.run()
     corpus = [(e.exec_index, e.data, e.new_edges) for e in campaign.corpus.entries]
@@ -357,7 +377,7 @@ class TestInvariantsOnGeneratedPrograms:
             logs = []
             for _ in range(2):
                 campaign = Campaign(program, [seed], mode, Budget(max_execs=600),
-                                    MutatorConfig(sample_size=8), rng_seed=rng_seed)
+                                    sample_size=8, rng_seed=rng_seed)
                 logs.append(campaign.run().to_jsonl())
             _assert_run_end_invariants(program, campaign)
             assert logs[0] == logs[1]
@@ -426,7 +446,7 @@ class StageInvariants:
 
 def _checked_run(program, seed, mode, max_execs, sample_size, rng_seed):
     campaign = Campaign(program, [seed], mode, Budget(max_execs=max_execs),
-                        MutatorConfig(sample_size=sample_size), rng_seed=rng_seed)
+                        sample_size=sample_size, rng_seed=rng_seed)
     with StageInvariants(program).watching() as checker:
         log = campaign.run()
     assert checker.records == len(log.records) >= 1
@@ -516,7 +536,7 @@ class TestFlipImpliesDecrease:
         # below the minimum seen before it.
         program = builtin_targets.load("le15")
         executor = make_executor(program, frontier={0})
-        mutator = Mutator(MutatorConfig(sample_size=256), program)
+        mutator = Mutator(program, 256)
         trajectory = []
         original = executor.run
 

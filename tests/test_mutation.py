@@ -14,14 +14,15 @@ from frontierfuzz import builtin_targets, mutation
 from frontierfuzz.distance import observation_distance
 from frontierfuzz.mutation import (
     _ARITH_MAX,
+    _BATCH_STACK,
+    _BYTES_PER_OP,
     _INTERESTING,
+    _SEARCH_STACK,
     Mutator,
-    MutatorConfig,
     SubgradientRecord,
     compute_subgradient,
     havoc_mutate,
     infer_hot_bytes,
-    l1_norm,
     _row_slope,
     newton_step,
     round_half_away,
@@ -29,7 +30,9 @@ from frontierfuzz.mutation import (
 from frontierfuzz.target import Harness, guard_feedback, program_from_dict
 from test_target import _BYTE_VALUES, _RELATION_TOKENS, _documents
 
-CFG = MutatorConfig()
+
+def l1_norm(g: dict[int, Fraction]) -> Fraction:
+    return sum((abs(v) for v in g.values()), Fraction(0))
 
 
 class ScriptedRng(random.Random):
@@ -87,21 +90,18 @@ class _Word:
         return self.field(m) if carve else self.rng.randrange(m)
 
 
-def _reference_havoc(seed, cfg, rng, *, stack_max=None, allow_resize=False, max_len=None):
+def _reference_havoc(seed, rng, stack_max, max_len=None):
     """``havoc_mutate``'s draw contract, one field at a time and with no
     tables: the oracle for its carving order, ranges and carving bound."""
     if not seed:
         raise ValueError("seed must be nonempty")
-    top = cfg.havoc_stack_max if stack_max is None else stack_max
-    budget = cfg.havoc_bytes_per_op
-    ops = [0, 1, 2, 3, 4]
-    if budget >= 2:
-        ops.append(5)
-    if allow_resize:
+    budget = 4
+    ops = [0, 1, 2, 3, 4, 5]
+    if max_len is not None:
         ops.extend((6, 7))
     buf = bytearray(seed)
     orig_len = len(seed)
-    for _ in range(rng.getrandbits(30) % top + 1):
+    for _ in range(rng.getrandbits(30) % stack_max + 1):
         word = _Word(rng)
         op = ops[word.field(len(ops))]
         n = len(buf)
@@ -155,12 +155,12 @@ def _reference_havoc(seed, cfg, rng, *, stack_max=None, allow_resize=False, max_
     return bytes(buf)
 
 
-def _single_op(seed, cfg, op, samples, *, allow_resize=False, max_len=None, rng_seed=0):
-    """``samples`` havoc mutants of ``seed`` that each apply operator ``op`` once."""
-    ops = mutation._HAVOC_OPS[cfg.havoc_bytes_per_op >= 2, allow_resize]
+def _single_op(seed, op, samples, *, max_len=None, rng_seed=0):
+    """``samples`` havoc mutants of ``seed`` that each apply operator ``op``
+    once; the resize operators are in the table exactly when ``max_len`` is."""
+    ops = mutation._HAVOC_OPS[max_len is not None]
     rng = OpPinnedRng(rng_seed, ops.index(op), len(ops))
-    return [havoc_mutate(seed, cfg, rng, stack_max=1, allow_resize=allow_resize,
-                         max_len=max_len) for _ in range(samples)]
+    return [havoc_mutate(seed, rng, 1, max_len) for _ in range(samples)]
 
 
 def _spec_outcomes(seed, budget, op):
@@ -225,57 +225,52 @@ class TestHavoc:
         # in mixed radix: operator 114 % 6 = 0 (the bit flip), then bit
         # 19 % 8 = 3, then position 2 % 4 = 2.
         rng = ScriptedRng([(30, 0), (30, 114)])
-        mutant = havoc_mutate(bytes(4), CFG, rng)
+        mutant = havoc_mutate(bytes(4), rng, _SEARCH_STACK)
         assert mutant == bytes([0, 0, 8, 0])
         assert not rng.draws
 
     @pytest.mark.parametrize("stack_max", [0, -1, -7])
     def test_stack_max_below_one_rejected(self, stack_max):
         with pytest.raises(ValueError, match="stack_max must be >= 1"):
-            havoc_mutate(b"seed", CFG, random.Random(0), stack_max=stack_max)
+            havoc_mutate(b"seed", random.Random(0), stack_max)
 
-    @pytest.mark.parametrize("bytes_per_op", [1, 2, 3, 4, 8, 64])
-    def test_matches_reference(self, bytes_per_op):
+    @pytest.mark.parametrize("stream", [1, 2, 3, 4, 8, 64])
+    def test_matches_reference(self, stream):
         # Same output bytes and same rng state after every call, across
-        # stack depths, resize on and off, length caps and seed lengths.  The
-        # long lengths straddle every carving threshold, so both the carved
-        # and the exact draws of every field are compared.
-        cfg = MutatorConfig(havoc_bytes_per_op=bytes_per_op)
-        pick = random.Random(bytes_per_op)
-        fast, slow = random.Random(7 * bytes_per_op), random.Random(7 * bytes_per_op)
+        # stack depths, resize off (no cap) and on (each cap), and seed
+        # lengths.  The long lengths straddle every carving threshold, so both
+        # the carved and the exact draws of every field are compared.  Each
+        # case seeds its own seed bytes and draw streams.
+        pick = random.Random(stream)
+        fast, slow = random.Random(7 * stream), random.Random(7 * stream)
         lengths = list(range(1, 41)) + [300, 419, 600, 1_500, 2_500, 20_000, 40_000]
         calls = 0
-        for stack_max in (None, 1, 4, 16):
-            for allow_resize in (False, True):
-                for cap in ("none", "len", "len+2", "64"):
-                    for length in lengths:
-                        seed = pick.randbytes(length)
-                        max_len = {"none": None, "len": length, "len+2": length + 2,
-                                   "64": 64}[cap]
-                        kwargs = dict(stack_max=stack_max, allow_resize=allow_resize,
-                                      max_len=max_len)
-                        got = havoc_mutate(seed, cfg, fast, **kwargs)
-                        want = _reference_havoc(seed, cfg, slow, **kwargs)
-                        assert got == want
-                        assert fast.getstate() == slow.getstate()
-                        calls += 1
-        assert calls == 4 * 2 * 4 * len(lengths)
+        for stack_max in (1, _SEARCH_STACK, _BATCH_STACK):
+            for cap in ("none", "len", "len+2", "64"):
+                for length in lengths:
+                    seed = pick.randbytes(length)
+                    max_len = {"none": None, "len": length, "len+2": length + 2,
+                               "64": 64}[cap]
+                    got = havoc_mutate(seed, fast, stack_max, max_len)
+                    want = _reference_havoc(seed, slow, stack_max, max_len)
+                    assert got == want
+                    assert fast.getstate() == slow.getstate()
+                    calls += 1
+        assert calls == 3 * 4 * len(lengths)
 
-    @pytest.mark.parametrize("bytes_per_op,allow_resize", [
-        (1, False), (1, True), (4, False), (4, True),
-    ])
-    def test_operator_mix(self, bytes_per_op, allow_resize):
+    @pytest.mark.parametrize("resize", [False, True])
+    def test_operator_mix(self, resize):
         # On a seed of distinct bytes the delete, the insert and the byte
         # swap (when its two positions differ) each show themselves; each
         # operator is drawn with probability 1 / len(table).
-        cfg = MutatorConfig(havoc_bytes_per_op=bytes_per_op)
-        ops = mutation._HAVOC_OPS[bytes_per_op >= 2, allow_resize]
+        ops = mutation._HAVOC_OPS[resize]
         seed = bytes(range(16))
+        max_len = 64 if resize else None
         rng = random.Random(11)
         total = 8_000
         kinds = collections.Counter()
         for _ in range(total):
-            mutant = havoc_mutate(seed, cfg, rng, stack_max=1, allow_resize=allow_resize)
+            mutant = havoc_mutate(seed, rng, 1, max_len)
             if len(mutant) != len(seed):
                 kinds["delete" if len(mutant) < len(seed) else "insert"] += 1
             elif mutant != seed and sorted(mutant) == sorted(seed):
@@ -293,21 +288,17 @@ class TestHavoc:
                             {kind: q for kind, q in expected.items() if q})
 
     @pytest.mark.parametrize("op,length,bytes_per_op", [
-        (op, length, bytes_per_op)
-        for op, budgets in ((0, (1, 4)), (1, (1, 4)), (2, (1, 4)), (3, (1, 2, 4)), (5, (4,)),
-                            (6, (1, 4)))
-        for length in (1, 3, 6) for bytes_per_op in budgets
+        (op, length, _BYTES_PER_OP) for op in (0, 1, 2, 3, 5, 6) for length in (1, 3, 6)
     ])
     def test_operator_fields_uniform(self, op, length, bytes_per_op):
         # Every field an operator reads is uniform over its documented range:
         # bit, byte value, delta 1..35 with both signs, the interesting values
         # in both endiannesses for every width that fits, swap positions, and
         # the delete's block length and position.
-        cfg = MutatorConfig(havoc_bytes_per_op=bytes_per_op)
         seed = bytes(range(10, 10 + length))
         expected = _spec_outcomes(seed, bytes_per_op, op)
         total = min(40_000, max(2_000, round(30 / min(expected.values()))))
-        samples = _single_op(seed, cfg, op, total, allow_resize=op == 6,
+        samples = _single_op(seed, op, total, max_len=length if op == 6 else None,
                              rng_seed=100 * op + length)
         _assert_frequencies(samples, expected)
 
@@ -320,7 +311,7 @@ class TestHavoc:
         buckets = min(length, 64 if length < 2**20 else 16)
         nonzero = bytes([0] + [1] * 255)
         hits = []
-        for mutant in _single_op(seed, CFG, op, 30 * buckets, rng_seed=length + op):
+        for mutant in _single_op(seed, op, 30 * buckets, rng_seed=length + op):
             pos = mutant.translate(nonzero).find(1)
             if pos >= 0:  # a byte set may write the zero it found
                 hits.append(pos * buckets // length)
@@ -339,19 +330,18 @@ class TestHavoc:
         # n.bit_length() bits, so the last byte of a 1 MiB input is reachable.
         length = 2**20 + 5
         rng = ScriptedRng([(30, 0), (30, draw), (21, 2**21 - 1), (21, length - 1)])
-        mutant = havoc_mutate(bytes(length), CFG, rng)
+        mutant = havoc_mutate(bytes(length), rng, _SEARCH_STACK)
         assert mutant[-1] == changed
         assert mutant.count(0) == length - 1
         assert not rng.draws
 
-    @pytest.mark.parametrize("length,bytes_per_op", [(2, 4), (6, 4), (6, 1), (9, 8)])
+    @pytest.mark.parametrize("length,bytes_per_op", [(2, _BYTES_PER_OP), (6, _BYTES_PER_OP)])
     def test_block_lengths(self, length, bytes_per_op):
         # Block overwrite writes 1..min(budget, n) bytes and insert adds
         # 1..min(budget, max_len - n), each uniformly.
-        cfg = MutatorConfig(havoc_bytes_per_op=bytes_per_op)
         m = min(bytes_per_op, length)
         spans = []
-        for mutant in _single_op(bytes(length), cfg, 4, 400 * m, rng_seed=length):
+        for mutant in _single_op(bytes(length), 4, 400 * m, rng_seed=length):
             stripped = mutant.strip(b"\0")
             if stripped:
                 spans.append(len(stripped))
@@ -367,8 +357,7 @@ class TestHavoc:
         max_len = length + 3
         grow = min(bytes_per_op, max_len - length)
         seed = b"\xff" * length
-        inserted = _single_op(seed, cfg, 7, 300 * max(grow, length + 1), allow_resize=True,
-                              max_len=max_len)
+        inserted = _single_op(seed, 7, 300 * max(grow, length + 1), max_len=max_len)
         _assert_frequencies([len(mutant) - length for mutant in inserted],
                             {blen: 1 / grow for blen in range(1, grow + 1)})
         gaps = collections.Counter(
@@ -381,92 +370,70 @@ class TestHavoc:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        cfg=st.builds(MutatorConfig, havoc_stack_max=st.integers(1, 16),
-                      havoc_bytes_per_op=st.integers(1, 8)),
-        stack_max=st.none() | st.integers(1, 32),
+        stack_max=st.integers(1, 32),
         seed=st.binary(min_size=1, max_size=64),
         rng_seed=st.integers(0, 2**32),
-        max_len=st.none() | st.integers(1, 128),
+        max_len=st.integers(1, 128),
     )
-    def test_length_bounds_with_resize(self, cfg, stack_max, seed, rng_seed, max_len):
-        # A resized mutant keeps at least one byte, stays within
-        # bytes_per_op of the seed's length, and grows only up to max_len.
+    def test_length_bounds_with_resize(self, stack_max, seed, rng_seed, max_len):
+        # A resized mutant keeps at least one byte, stays within 4 bytes of
+        # the seed's length, and grows only up to max_len.
         rng = random.Random(rng_seed)
-        budget = cfg.havoc_bytes_per_op
-        low = max(1, len(seed) - budget)
-        high = len(seed) + budget
-        if max_len is not None:
-            high = min(high, max(max_len, len(seed)))
+        low = max(1, len(seed) - 4)
+        high = min(len(seed) + 4, max(max_len, len(seed)))
         for _ in range(8):
-            mutant = havoc_mutate(seed, cfg, rng, stack_max=stack_max, allow_resize=True,
-                                  max_len=max_len)
+            mutant = havoc_mutate(seed, rng, stack_max, max_len)
             assert low <= len(mutant) <= high
 
     def test_length_bounds_reached(self):
         # Both ends of the resize range are reachable.
         seed = bytes(range(16))
         rng = random.Random(8)
-        lengths = {len(havoc_mutate(seed, CFG, rng, stack_max=16, allow_resize=True, max_len=19))
-                   for _ in range(3_000)}
+        lengths = {len(havoc_mutate(seed, rng, _BATCH_STACK, 19)) for _ in range(3_000)}
         assert lengths == set(range(12, 20))
 
     def test_empty_seed_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            havoc_mutate(b"", CFG, random.Random(0))
+            havoc_mutate(b"", random.Random(0), _SEARCH_STACK)
 
     def test_locality_bound(self):
-        # Every mutant stays within stack * bytes_per_op differing bytes.
+        # Every local-search mutant stays within stack * 4 differing bytes.
         seed = bytes(range(32))
         rng = random.Random(1234)
-        bound = CFG.havoc_stack_max * CFG.havoc_bytes_per_op
+        bound = _SEARCH_STACK * 4
         for _ in range(10_000):
-            mutant = havoc_mutate(seed, CFG, rng)
+            mutant = havoc_mutate(seed, rng, _SEARCH_STACK)
             assert len(mutant) == len(seed)
             hamming = sum(1 for a, b in zip(seed, mutant) if a != b)
             assert hamming <= bound
 
     @settings(max_examples=200, deadline=None)
     @given(
-        cfg=st.builds(MutatorConfig, havoc_stack_max=st.integers(1, 16),
-                      havoc_bytes_per_op=st.integers(1, 8)),
-        stack_max=st.none() | st.integers(1, 32),
+        stack_max=st.integers(1, 32),
         seed=st.binary(min_size=1, max_size=64),
         rng_seed=st.integers(0, 2**32),
-        max_len=st.none() | st.integers(1, 128),
     )
-    def test_fixed_length_without_resize(self, cfg, stack_max, seed, rng_seed, max_len):
+    def test_fixed_length_without_resize(self, stack_max, seed, rng_seed):
         # Local search relies on this: its samples align byte for byte with
         # the seed, so it never zero-extends.
         rng = random.Random(rng_seed)
         for _ in range(8):
-            mutant = havoc_mutate(seed, cfg, rng, stack_max=stack_max, allow_resize=False,
-                                  max_len=max_len)
+            mutant = havoc_mutate(seed, rng, stack_max)
             assert len(mutant) == len(seed)
 
     def test_determinism_across_runs(self):
         seed = bytes(range(16))
-        first = [havoc_mutate(seed, CFG, random.Random(99)) for _ in range(500)]
-        second = [havoc_mutate(seed, CFG, random.Random(99)) for _ in range(500)]
+        first = [havoc_mutate(seed, random.Random(99), _SEARCH_STACK) for _ in range(500)]
+        second = [havoc_mutate(seed, random.Random(99), _SEARCH_STACK) for _ in range(500)]
         assert first == second
 
     def test_resize_bounded(self):
         seed = bytes(range(16))
         rng = random.Random(5)
         for _ in range(5_000):
-            mutant = havoc_mutate(seed, CFG, rng, stack_max=16,
-                                  allow_resize=True, max_len=20)
-            assert abs(len(mutant) - len(seed)) <= CFG.havoc_bytes_per_op
+            mutant = havoc_mutate(seed, rng, _BATCH_STACK, 20)
+            assert abs(len(mutant) - len(seed)) <= 4
             assert len(mutant) <= 20
-
-    def test_tight_bytes_per_op_disables_swap(self):
-        # With a one-byte op budget every mutant differs in at most
-        # stack bytes, which a two-byte swap would violate.
-        cfg = MutatorConfig(havoc_bytes_per_op=1, havoc_stack_max=1)
-        seed = bytes(range(8))
-        rng = random.Random(3)
-        for _ in range(2_000):
-            mutant = havoc_mutate(seed, cfg, rng)
-            assert sum(1 for a, b in zip(seed, mutant) if a != b) <= 1
 
 
 class TestSubgradient:
@@ -532,8 +499,8 @@ class TestLocalSearch:
     def test_linear_guard_slope_sign(self):
         program = le15_program()
         executor = make_executor(program, frontier={0})
-        mutator = Mutator(MutatorConfig(sample_size=64), program)
-        records = mutator.local_search(bytes([5]), {0}, executor, random.Random(0), k=64)
+        mutator = Mutator(program, 64)
+        records = mutator.local_search(bytes([5]), {0}, executor, random.Random(0))
         g = records[0].g
         assert l1_norm(g) > 0
         # Distance 16 - x falls as the byte grows: the slope is negative.
@@ -545,15 +512,15 @@ class TestLocalSearch:
         # sampler will not hit with this rng seed.
         program = builtin_targets.load("bug_chain")
         executor = make_executor(program, frontier={1})
-        mutator = Mutator(MutatorConfig(sample_size=64), program)
-        records = mutator.local_search(bytes(8), {1}, executor, random.Random(0), k=64)
+        mutator = Mutator(program, 64)
+        records = mutator.local_search(bytes(8), {1}, executor, random.Random(0))
         assert records == {}
 
     def test_one_record_per_reached_branch(self):
         program = builtin_targets.load("mixed_tree")
         executor = make_executor(program, frontier={0, 2})
-        mutator = Mutator(MutatorConfig(sample_size=128), program)
-        records = mutator.local_search(bytes(8), {0, 2}, executor, random.Random(1), k=128)
+        mutator = Mutator(program, 128)
+        records = mutator.local_search(bytes(8), {0, 2}, executor, random.Random(1))
         assert set(records) <= {0, 2}
         assert len(records) <= 2
 
@@ -562,8 +529,8 @@ class TestLocalSearch:
         # reaches a live frontier branch and lands in its clocks.
         program = builtin_targets.load("magic32")
         executor = make_executor(program, frontier={0})
-        mutator = Mutator(MutatorConfig(sample_size=32), program)
-        mutator.local_search(bytes(8), {0}, executor, random.Random(0), k=32)
+        mutator = Mutator(program, 32)
+        mutator.local_search(bytes(8), {0}, executor, random.Random(0))
         stats = executor.scheduler.stats[0]
         # Synthetic time charges one unit per exec.
         assert stats.tt == executor.execs == 32
@@ -574,9 +541,9 @@ class TestLocalSearch:
         # value, measured through the harness.
         program = le15_program()
         executor = make_executor(program, frontier={0})
-        mutator = Mutator(MutatorConfig(sample_size=64), program)
+        mutator = Mutator(program, 64)
         seed = bytes([5])
-        records = mutator.local_search(seed, {0}, executor, random.Random(2), k=64)
+        records = mutator.local_search(seed, {0}, executor, random.Random(2))
         g = records[0].g[0]
         harness = Harness(program, synthetic_time=True)
         harness.set_active_sites({0})
@@ -590,17 +557,16 @@ class TestLocalSearch:
             assert g * (x - 5) <= dist(x) - d_seed
 
 
-def _reference_local_search(self, seed, frontier, executor, rng, k=None):
+def _reference_local_search(self, seed, frontier, executor, rng):
     """``Mutator.local_search`` as it was before the norm was factored: a
     ``Fraction`` slope dict and its L1 norm for every (sample, frontier site)
     pair.  Called with the mutator as ``self``; kept as the oracle for the
     records the factored version keeps."""
-    k = self.config.sample_size if k is None else k
     records: dict[int, SubgradientRecord] = {}
     norms: dict[int, Fraction] = {}
     seed_keys: dict[int, object] = {}
-    for i in range(k):
-        data = seed if i == 0 else havoc_mutate(seed, self.config, rng)
+    for i in range(self.sample_size):
+        data = seed if i == 0 else havoc_mutate(seed, rng, _SEARCH_STACK)
         outcome = executor.run(data)
         if i == 0:
             seed_keys = dict(outcome.observations)
@@ -640,16 +606,15 @@ def _search_setups(draw):
 
 class TestLocalSearchAgainstReference:
     @settings(max_examples=300, deadline=None)
-    @given(_search_setups(), st.integers(0, 2**32), st.integers(0, 40),
-           st.sampled_from([1, 2, 4, 8]))
-    def test_same_records_draws_and_state(self, setup, rng_seed, k, bytes_per_op):
+    @given(_search_setups(), st.integers(0, 2**32), st.integers(2, 40))
+    def test_same_records_draws_and_state(self, setup, rng_seed, sample_size):
         program, active, frontier, seed = setup
-        mutator = Mutator(MutatorConfig(havoc_bytes_per_op=bytes_per_op), program)
+        mutator = Mutator(program, sample_size)
         runs = []
         for search in (Mutator.local_search, _reference_local_search):
             executor = make_executor(program, frontier=active)
             rng = random.Random(rng_seed)
-            records = search(mutator, seed, frontier, executor, rng, k)
+            records = search(mutator, seed, frontier, executor, rng)
             runs.append((records, rng.getstate(), executor))
         (got, got_rng, got_ex), (want, want_rng, want_ex) = runs
         assert set(got) == set(want)
@@ -691,7 +656,7 @@ class TestLocalSearchAgainstReference:
         replacements = 0
         rng = random.Random(5)
         for _ in range(255):
-            data = havoc_mutate(seed, CFG, rng)
+            data = havoc_mutate(seed, rng, _SEARCH_STACK)
             for site, key in harness.execute(data).observations.items():
                 norm = l1_norm(compute_subgradient(
                     seed, data, base[site], observation_distance(key)))
@@ -706,7 +671,7 @@ class TestLocalSearchAgainstReference:
 
         monkeypatch.setattr(mutation, "compute_subgradient", counting)
         executor = make_executor(program, frontier=sites)
-        Mutator(CFG, program).local_search(seed, sites, executor, random.Random(5), k=256)
+        Mutator(program, 256).local_search(seed, sites, executor, random.Random(5))
         assert len(calls) == replacements
         assert 0 < replacements < 255  # fewer than one per sample, not 5 per sample
 
@@ -793,7 +758,7 @@ class TestOperandSolverAgainstReference:
         (witness_key,) = harness.execute(witness).observations.values()
         with_seed = data.draw(st.booleans())
         rec = SubgradientRecord({}, witness, witness_key, seed_key if with_seed else None)
-        mutator = Mutator(CFG, program)
+        mutator = Mutator(program)
         want = _reference_solve_operand(mutator, seed, 0, rec)
         assert mutator._solve_operand(seed, 0, rec) == want
 
@@ -850,7 +815,7 @@ class TestMutateStage:
         for rng_seed in range(10):
             program = builtin_targets.load("magic32")
             executor = make_executor(program, frontier={0})
-            mutator = Mutator(MutatorConfig(sample_size=1024), program)
+            mutator = Mutator(program, 1024)
             before = executor.execs
             mutator.mutate_stage(bytes(8), {0}, executor, random.Random(rng_seed))
             assert executor.execs - before <= 1024 + 4
@@ -862,7 +827,7 @@ class TestMutateStage:
         for rng_seed in range(10):
             program = builtin_targets.load("magic_str8")
             executor = make_executor(program, frontier={0})
-            mutator = Mutator(MutatorConfig(sample_size=1024), program)
+            mutator = Mutator(program, 1024)
             mutator.mutate_stage(bytes(16), {0}, executor, random.Random(rng_seed))
             flips += executor.coverage.complete
         assert flips >= 9
@@ -870,20 +835,20 @@ class TestMutateStage:
     def test_empty_frontier_runs_no_newton(self):
         program = builtin_targets.load("le15")
         executor = make_executor(program, frontier=frozenset())
-        mutator = Mutator(MutatorConfig(sample_size=32), program)
+        mutator = Mutator(program, 32)
         mutator.mutate_stage(bytes([5]), frozenset(), executor, random.Random(0))
         assert executor.execs == 32  # the samples alone, no root step
 
     def test_xor_stage_completes_without_guarantee(self, monkeypatch):
         program = builtin_targets.load("xor_guard")
         executor = make_executor(program, frontier={0})
-        mutator = Mutator(MutatorConfig(sample_size=64), program)
+        mutator = Mutator(program, 64)
         local_search = Mutator.local_search
         sampled = []
 
-        def counting_local_search(self, seed, frontier, executor, rng, k=None):
+        def counting_local_search(self, seed, frontier, executor, rng):
             before = executor.execs
-            records = local_search(self, seed, frontier, executor, rng, k)
+            records = local_search(self, seed, frontier, executor, rng)
             sampled.append(executor.execs - before)
             return records
 
@@ -894,7 +859,7 @@ class TestMutateStage:
     def test_budget_bound(self, monkeypatch):
         program = builtin_targets.load("mixed_tree")
         executor = make_executor(program, frontier={0, 2})
-        mutator = Mutator(MutatorConfig(sample_size=256), program)
+        mutator = Mutator(program, 256)
         infer = mutation.infer_hot_bytes
         probes = []
 
@@ -919,7 +884,7 @@ class TestMutateStage:
                           "constant": constant, "taken": None, "nottaken": None}]}
         program = program_from_dict(doc)
         executor = make_executor(program, frontier={0})
-        mutator = Mutator(MutatorConfig(sample_size=128), program)
+        mutator = Mutator(program, 128)
         mutator.mutate_stage(bytes(2), {0}, executor, random.Random(11))
         assert executor.coverage.complete
 
@@ -939,9 +904,9 @@ class TestLinearExactness:
                           "constant": constant, "taken": None, "nottaken": None}]}
         program = program_from_dict(doc)
         executor = make_executor(program, frontier={0})
-        mutator = Mutator(MutatorConfig(sample_size=64), program)
+        mutator = Mutator(program, 64)
         seed = bytes([seed_byte])
-        records = mutator.local_search(seed, {0}, executor, random.Random(17), k=64)
+        records = mutator.local_search(seed, {0}, executor, random.Random(17))
         rec = records.get(0)
         if rec is None or l1_norm(rec.g) == 0:
             pytest.skip("no usable slope sampled")
@@ -976,9 +941,9 @@ class TestNewtonTendency:
         wins = trials = 0
         for rng_seed in range(40):
             executor = make_executor(program, frontier={0})
-            mutator = Mutator(MutatorConfig(sample_size=32), program)
+            mutator = Mutator(program, 32)
             records = mutator.local_search(bytes([5]), {0}, executor,
-                                           random.Random(rng_seed), k=32)
+                                           random.Random(rng_seed))
             rec = records.get(0)
             if rec is None or l1_norm(rec.g) == 0:
                 continue

@@ -1,6 +1,7 @@
 """Source hygiene for ``src/frontierfuzz``, checked with the stdlib ``ast``:
-every module-level import is used, and every ``__all__`` name resolves.
-These are the leftovers a deletion tends to leave behind."""
+every module-level import is used, and every ``__all__`` name resolves and
+is used outside its own module.  These are the leftovers a deletion tends to
+leave behind."""
 
 import ast
 import importlib
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "frontierfuzz"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "frontierfuzz"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
@@ -57,3 +59,27 @@ def test_exported_names_resolve(module):
     loaded = importlib.import_module(f"frontierfuzz.{module}")
     missing = [name for name in exports if not hasattr(loaded, name)]
     assert not missing, f"{module}.__all__ names undefined attributes: {missing}"
+
+
+def _names_used(path: Path) -> set[str]:
+    """Every identifier a file reads, as a name, an attribute or an import."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_exported_names_used_elsewhere(module):
+    # Another engine module, a test or a benchmark must use each export.
+    own = SRC / f"{module}.py"
+    files = [p for d in (SRC, ROOT / "tests", ROOT / "benchmarks")
+             for p in sorted(d.glob("*.py")) if p != own]
+    used = set().union(*map(_names_used, files))
+    unused = [name for name in _exports(_tree(module)) if name not in used]
+    assert not unused, f"{module}.__all__ names nothing else uses: {unused}"
