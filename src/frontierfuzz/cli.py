@@ -64,7 +64,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, OverflowError, ValueError) as exc:
         raise SystemExit(f"frontierfuzz run: {exc}") from None
-    log = campaign.run()
+    # A Ctrl-C keeps the records of the finished stages and every input found.
+    interrupted = False
+    try:
+        campaign.run()
+    except KeyboardInterrupt:
+        interrupted = True
+    log = campaign.log
 
     (out / "stats.jsonl").write_text(log.to_jsonl(), encoding="utf-8")
     corpus_dir = out / "corpus"
@@ -76,12 +82,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for exec_index, data in campaign.findings:
         (findings_dir / f"{exec_index:08d}").write_bytes(data)
 
-    final = log.records[-1]
-    print(
-        f"mode={final.mode} execs={final.execs} edges={final.edges_covered}"
-        f"/{program.total_edges} corpus={final.corpus_size} flips={final.flips}"
-        f" findings={len(campaign.findings)}"
-    )
+    if log.records:
+        final = log.records[-1]
+        print(
+            f"mode={final.mode} execs={final.execs} edges={final.edges_covered}"
+            f"/{program.total_edges} corpus={final.corpus_size} flips={final.flips}"
+            f" findings={len(campaign.findings)}"
+        )
+    if interrupted:
+        print(f"frontierfuzz run: interrupted; wrote {len(log.records)} stage records",
+              file=sys.stderr)
+        return 130
     return 0
 
 

@@ -3,19 +3,15 @@
 A node is visited once any recorded edge touches it.  A frontier branch is a
 visited guard node with at least one unexercised outgoing edge; those are the
 only places where new coverage can be unlocked next, so they form the
-scheduler's control space.
-
-``CoverageMap`` maintains the frontier incrementally while traces are
-absorbed; :func:`recompute_frontier` derives the same set from scratch as a
-pure function of the recorded bits and is used as the oracle for the
-incremental path.
+scheduler's control space.  ``CoverageMap`` maintains the frontier
+incrementally while traces are absorbed.
 """
 
 from __future__ import annotations
 
 from .target import ExecutionTrace, GuardProgram
 
-__all__ = ["CoverageMap", "recompute_frontier"]
+__all__ = ["CoverageMap"]
 
 
 class CoverageMap:
@@ -56,16 +52,3 @@ class CoverageMap:
             else:
                 frontier.add(edge >> 1)
         return new_edges
-
-
-def recompute_frontier(cov: CoverageMap) -> frozenset[int]:
-    """Frontier derived from scratch: visited guard nodes missing an edge,
-    where a node is visited once a hit edge starts or ends at it."""
-    program = cov.program
-    hits = cov.edge_hits
-    visited = {nid for edge in hits for nid in program.edge_endpoints(edge)}
-    return frozenset(
-        nid
-        for nid in program.guard_ids
-        if nid in visited and (2 * nid not in hits or 2 * nid + 1 not in hits)
-    )

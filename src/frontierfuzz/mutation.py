@@ -2,16 +2,17 @@
 root-finding steps, and string hot-byte inference.
 
 A mutation stage samples the seed's neighborhood with a short stack of havoc
-operators, estimates for every reached frontier branch a linear lower bound
-(subgradient) of its distance from the sampled (input delta, distance delta)
-pairs, and then jumps each branch toward its distance root:
+operators, estimates a linear lower bound (subgradient) of the distance from
+the sampled (input delta, distance delta) pairs for every frontier branch
+that some sample moved away from the seed's distance, and then jumps each
+such branch toward its distance root:
 
     new_input = witness - distance / slope
 
 Every distance is the order key a guard's step stored in the observation map
 (see ``distance``); slopes and steps use its scalarized value.  The root
 solvers read the raw feedback behind a key (``target.guard_feedback``) once
-per record, for its witness and seed.  For integer guards the step is solved
+per record, for its witness.  For integer guards the step is solved
 in operand space, where the operand is the constant plus the observed
 difference, and the result written back with the declared endianness; for
 string comparisons the compared window is located first by single-byte
@@ -85,18 +86,17 @@ _INV = (0,) + tuple(_L // delta for delta in range(1, 256))
 class SubgradientRecord:
     """Best slope estimate retained for one frontier branch this stage.
 
-    ``g`` maps byte positions to exact rational slopes; the retained record
-    is the one whose ``g`` has the largest L1 norm among sampled candidates.
-    ``g`` is built only for a record that won with a nonzero norm (see
-    ``Mutator.local_search``), so it is nonempty exactly when that norm is.
-    ``witness_key`` and ``seed_key`` are the distance order keys of the
-    witness and of the stage's seed; a site the seed missed has no seed key.
+    ``g`` maps byte positions to exact rational slopes, one nonzero slope per
+    byte where ``witness`` differs from the seed; of the samples that reached
+    the branch, the witness is the first whose ``g`` has the largest L1 norm.
+    A record exists only for a nonzero norm (see ``Mutator.local_search``),
+    so ``witness_key``, the witness's distance order key, differs from the
+    seed's.
     """
 
     g: dict[int, Fraction]
     witness: bytes
     witness_key: int | tuple[int, tuple[int, ...]]
-    seed_key: int | tuple[int, tuple[int, ...]] | None = None
 
 
 def round_half_away(x) -> int:
@@ -325,29 +325,23 @@ class Mutator:
         sample's slope norm at a site is |Δd| · Σ_j 1/|Δbyte_j|; the sum
         depends only on the sample, so it is taken once, as an integer in
         units of 1/L (``_INV``), and records are compared by norm times L.
-        Δd comes from the observations' scalarized distance keys; ``g`` is
-        built only for a record that wins with a nonzero norm.  A site whose
-        scalarized key equals its seed baseline has norm 0, which never beats
-        its record's, so it is skipped: the records stay the same, and the sum
-        is taken only at a sample's first site whose key moved.
+        Δd comes from the observations' scalarized distance keys.  Only a
+        frontier site the seed reached has a baseline, and only a sample that
+        moves its scalarized key has a nonzero norm; the sum is taken at a
+        sample's first such site.  A site gets a record, with its ``g``, only
+        when a sample beats its best norm so far, which starts at 0: a site no
+        sample moved has no record, since no root step could use one.
         """
-        seed_keys = executor.run(seed).observations
         seed_v = {site: observation_distance(key)
-                  for site, key in seed_keys.items() if site in frontier}
-        records = {site: SubgradientRecord({}, seed, seed_keys[site], seed_keys[site])
-                   for site in seed_v}
-        norms = dict.fromkeys(records, 0)
+                  for site, key in executor.run(seed).observations.items() if site in frontier}
+        records: dict[int, SubgradientRecord] = {}
+        norms = dict.fromkeys(seed_v, 0)
         for _ in range(self.sample_size - 1):
             data = havoc_mutate(seed, rng, _SEARCH_STACK)
             s = None
             for site, key in executor.run(data).observations.items():
                 base = seed_v.get(site)  # every site in seed_v is in the frontier
-                if base is None:
-                    if site in frontier and site not in records:  # no seed baseline
-                        records[site] = SubgradientRecord({}, data, key)
-                    continue
-                v = observation_distance(key)
-                if v == base:
+                if base is None or (v := observation_distance(key)) == base:
                     continue
                 if s is None:
                     s = 0  # with no max_len, havoc keeps the seed's length
@@ -358,12 +352,14 @@ class Mutator:
                 if norm > norms[site]:
                     norms[site] = norm
                     g = compute_subgradient(seed, data, base, v)
-                    records[site] = SubgradientRecord(g, data, key, seed_keys[site])
+                    records[site] = SubgradientRecord(g, data, key)
         return records
 
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
         """One full stage: sample, estimate slopes, and fire one targeted
-        input per frontier branch that yielded a usable estimate."""
+        input per frontier branch that has a record.  A string or integer
+        guard's own solver goes first; the byte-space Newton step takes any
+        record it gives no candidate for."""
         records = self.local_search(seed, frontier, executor, rng)
         for site in sorted(records):
             rec = records[site]
@@ -372,18 +368,15 @@ class Mutator:
             if node.kind is GuardKind.STR:
                 candidate = self._solve_string(seed, site, rec, executor)
             elif node.kind is GuardKind.INT:
-                candidate = self._solve_operand(seed, site, rec)
-            if candidate is None and rec.g:
+                candidate = self._solve_operand(site, rec)
+            if candidate is None:
                 candidate = newton_step(rec.witness, observation_distance(rec.witness_key), rec.g)
-            if candidate is None or candidate == rec.witness:
-                continue
-            executor.run(candidate)
+            if candidate != rec.witness:
+                executor.run(candidate)
 
     def _solve_string(self, seed: bytes, site: int, rec: SubgradientRecord,
                       executor) -> bytes | None:
         """Per-byte root solving over the inferred hot window."""
-        if rec.seed_key is None or rec.witness_key == rec.seed_key:
-            return None
         offsets = infer_hot_bytes(seed, rec.witness, site, executor)
         if not offsets:
             return None
@@ -403,7 +396,7 @@ class Mutator:
             changed = True
         return bytes(buf) if changed else None
 
-    def _solve_operand(self, seed: bytes, site: int, rec: SubgradientRecord) -> bytes | None:
+    def _solve_operand(self, site: int, rec: SubgradientRecord) -> bytes:
         """Root solving in operand space for integer guards.
 
         Byte-space slopes diverge on multi-byte operands (a carry into a high
@@ -412,16 +405,12 @@ class Mutator:
         An integer guard's difference is ``f = operand - constant``, so the
         witness's operand is ``constant + f`` and the distance's slope in the
         operand is the row's derivative at ``f``, which is +/-1: dividing
-        the distance by it is multiplying by it.  A witness whose operand
-        equals the seed's gives no step.  The solved operand is clamped to
-        the operand's range and written back with the declared endianness.
+        the distance by it is multiplying by it.  The solved operand is
+        clamped to the operand's range and written back with the declared
+        endianness.
         """
-        if rec.seed_key is None:
-            return None
         node = self.program.nodes[site]
         outcome, f = guard_feedback(node, rec.witness)
-        if f == guard_feedback(node, seed)[1]:
-            return None
         solved = node.constant + f - rec.witness_key * _row_slope(outcome, node.relation, f)
         bits = 8 * node.size
         lo, hi = (

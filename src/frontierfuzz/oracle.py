@@ -1,8 +1,5 @@
-"""Executable checks of the two assumptions the scheduler rests on.
-
-``verify`` checks that the greedy schedule is optimal on abstract instances;
-``convexity_probe`` checks branch distances for midpoint convexity on a real
-harness.
+"""Executable check that the greedy schedule is optimal, the check
+``frontierfuzz verify-theorem`` runs.
 
 An abstract instance fixes, per branch, the probability that one mutation
 batch flips it, with one best seed per branch.  Scheduling branch ``b`` for
@@ -17,14 +14,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .distance import observation_distance
-from .target import Harness
-
 __all__ = ["AbstractInstance", "check_enumerable", "expected_coverage", "greedy_schedule",
-           "verify", "convexity_probe", "ConvexityStats"]
+           "verify"]
 
 _ENUMERATION_LIMIT = 10 ** 7
 
@@ -124,52 +118,3 @@ def verify(instance: AbstractInstance) -> VerifyResult:
         optimum_value=optimum,
         optimal=greedy_value == optimum,
     )
-
-
-@dataclass
-class ConvexityStats:
-    """Per-site tallies of midpoint probes: passes / fails / non-probes."""
-
-    passes: dict[int, int] = field(default_factory=dict)
-    fails: dict[int, int] = field(default_factory=dict)
-    non_probes: dict[int, int] = field(default_factory=dict)
-
-    def ratio(self, site: int) -> float:
-        p = self.passes.get(site, 0)
-        f = self.fails.get(site, 0)
-        return p / (p + f) if p + f else 0.0
-
-    def _bump(self, bucket: dict[int, int], site: int) -> None:
-        bucket[site] = bucket.get(site, 0) + 1
-
-
-def convexity_probe(harness: Harness, site: int, x1: bytes, x2: bytes,
-                    stats: ConvexityStats | None = None) -> bool | None:
-    """Midpoint convexity check for one branch and one input pair.
-
-    Executes both inputs and their byte-wise floor midpoint with the site
-    active; passes when the midpoint's distance is at most the average of the
-    endpoint distances (L1 for vectors, compared exactly).  Returns None when
-    any of the three runs misses the site (a non-probe).
-    """
-    if len(x1) != len(x2):
-        raise ValueError("convexity probe requires equal-length inputs")
-    saved = harness.active_sites
-    harness.set_active_sites({site})
-    try:
-        midpoint = bytes((a + b) // 2 for a, b in zip(x1, x2))
-        values = []
-        for data in (x1, x2, midpoint):
-            key = harness.execute(data).observations.get(site)
-            if key is None:
-                if stats is not None:
-                    stats._bump(stats.non_probes, site)
-                return None
-            values.append(observation_distance(key))
-        d1, d2, dm = values[0], values[1], values[2]
-        passed = 2 * dm <= d1 + d2
-        if stats is not None:
-            stats._bump(stats.passes if passed else stats.fails, site)
-        return passed
-    finally:
-        harness.set_active_sites(saved)

@@ -65,10 +65,6 @@ class Relation(Enum):
     # Members are singletons: hash by identity in C, not by name in Python.
     __hash__ = object.__hash__
 
-    def holds(self, value: int) -> bool:
-        """Whether ``value R 0`` is true for this relation."""
-        return _OPS[self](value, 0)
-
 
 # Each relation's value names its comparison in ``operator``.
 _OPS = {r: getattr(operator, r.value) for r in Relation}
@@ -277,18 +273,10 @@ class GuardProgram:
                 steps.append(factories[n.kind](n, False))
                 window_end = max(window_end, n.offset + n.size)
         self._window_end = window_end
-        self.guard_ids = self.node_ids.difference(bugs)
         # Every guard node owns exactly its two outgoing edge ids.
         self.all_edges = frozenset(range(2 * len(nodes))).difference(
             e for nid in bugs for e in (2 * nid, 2 * nid + 1)
         )
-
-    def edge_endpoints(self, edge_id: int) -> tuple[int, int | None]:
-        """(source node, destination node or None for a terminal edge)."""
-        if edge_id not in self.all_edges:
-            raise ValueError(f"unknown edge id {edge_id}")
-        node = self.nodes[edge_id >> 1]
-        return node.node_id, (node.taken if edge_id % 2 == 0 else node.nottaken)
 
     @property
     def total_edges(self) -> int:

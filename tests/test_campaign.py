@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from conftest import make_executor
 from frontierfuzz import builtin_targets
 from frontierfuzz.campaign import Budget, Campaign, Mode
-from frontierfuzz.coverage import CoverageMap, recompute_frontier
+from frontierfuzz.coverage import CoverageMap
 from frontierfuzz.distance import observation_distance, row_function
 from frontierfuzz.mutation import _BATCH_STACK, Mutator, havoc_mutate
 from frontierfuzz.target import Harness, Relation, guard_feedback, program_from_dict
+from reference import recompute_frontier
 from test_target import _documents
 
 

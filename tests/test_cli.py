@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from frontierfuzz import builtin_targets
+from frontierfuzz import builtin_targets, campaign
 from frontierfuzz.campaign import Campaign
 from frontierfuzz.cli import main
 
@@ -91,6 +91,56 @@ class TestRunCommand:
             "--rng-seed", "1", "--synthetic-time",
         ])
         assert list((out / "findings").iterdir())
+
+
+class TestInterrupt:
+    FLAGS = ["run", "--target", "builtin:chain6", "--mode", "base", "--sample-size", "64",
+             "--budget-execs", "20000", "--rng-seed", "3", "--synthetic-time"]
+
+    def test_ctrl_c_keeps_finished_stages(self, tmp_path, monkeypatch, capsys):
+        full = tmp_path / "full"
+        assert run_cli(self.FLAGS + ["--out", str(full)]) == 0
+        havoc_mutate = campaign.havoc_mutate
+        calls = 0
+
+        def interrupting(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 1000:  # mid-way through the 16th stage's batch of 64
+                raise KeyboardInterrupt
+            return havoc_mutate(*args)
+
+        monkeypatch.setattr(campaign, "havoc_mutate", interrupting)
+        capsys.readouterr()
+        cut = tmp_path / "cut"
+        assert run_cli(self.FLAGS + ["--out", str(cut)]) == 130
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert "interrupted; wrote 16 stage records" in err
+        assert out.startswith("mode=base execs=")
+        lines = (cut / "stats.jsonl").read_text().splitlines()
+        full_lines = (full / "stats.jsonl").read_text().splitlines()
+        assert len(lines) == 16 < len(full_lines)
+        assert lines == full_lines[:len(lines)]
+        # The corpus so far, the unfinished stage's entries included.
+        for name in ("corpus", "findings"):
+            got = {p.name: p.read_bytes() for p in (cut / name).iterdir()}
+            want = {p.name: p.read_bytes() for p in (full / name).iterdir()}
+            assert got.items() <= want.items()
+        assert any((cut / "corpus").iterdir())
+
+    def test_ctrl_c_before_the_first_record(self, tmp_path, monkeypatch, capsys):
+        def interrupted(self):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Campaign, "run", interrupted)
+        out_dir = tmp_path / "out"
+        assert run_cli(self.FLAGS + ["--out", str(out_dir)]) == 130
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "interrupted; wrote 0 stage records" in err
+        assert (out_dir / "stats.jsonl").read_text() == ""
+        assert (out_dir / "corpus").is_dir() and (out_dir / "findings").is_dir()
 
 
 class TestRunSetupErrors:

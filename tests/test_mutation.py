@@ -3,31 +3,36 @@ import collections
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_executor
 from frontierfuzz import builtin_targets, mutation
+from frontierfuzz.campaign import Budget, Campaign, Mode
 from frontierfuzz.distance import observation_distance
 from frontierfuzz.mutation import (
     _ARITH_MAX,
     _BATCH_STACK,
     _BYTES_PER_OP,
     _INTERESTING,
+    _INV,
     _SEARCH_STACK,
     Mutator,
     SubgradientRecord,
     compute_subgradient,
     havoc_mutate,
     infer_hot_bytes,
+    _clamp_byte,
     _row_slope,
     newton_step,
     round_half_away,
 )
-from frontierfuzz.target import Harness, guard_feedback, program_from_dict
+from frontierfuzz.target import GuardKind, Harness, guard_feedback, program_from_dict
+from reference import guard_ids
 from test_target import _BYTE_VALUES, _RELATION_TOKENS, _documents
 
 
@@ -557,12 +562,24 @@ class TestLocalSearch:
             assert g * (x - 5) <= dist(x) - d_seed
 
 
+@dataclass
+class _SeedKeyedRecord:
+    """``SubgradientRecord`` as it was when local search kept a record for
+    every frontier site a sample reached: the seed's key rode along, and a
+    site the seed missed had none."""
+
+    g: dict[int, Fraction]
+    witness: bytes
+    witness_key: int | tuple[int, tuple[int, ...]]
+    seed_key: int | tuple[int, tuple[int, ...]] | None = None
+
+
 def _reference_local_search(self, seed, frontier, executor, rng):
     """``Mutator.local_search`` as it was before the norm was factored: a
     ``Fraction`` slope dict and its L1 norm for every (sample, frontier site)
     pair.  Called with the mutator as ``self``; kept as the oracle for the
     records the factored version keeps."""
-    records: dict[int, SubgradientRecord] = {}
+    records: dict[int, _SeedKeyedRecord] = {}
     norms: dict[int, Fraction] = {}
     seed_keys: dict[int, object] = {}
     for i in range(self.sample_size):
@@ -584,7 +601,7 @@ def _reference_local_search(self, seed, frontier, executor, rng):
                 )
             norm = l1_norm(g)
             if site not in records or norm > norms[site]:
-                records[site] = SubgradientRecord(g, data, key, base)
+                records[site] = _SeedKeyedRecord(g, data, key, base)
                 norms[site] = norm
     return records
 
@@ -617,17 +634,14 @@ class TestLocalSearchAgainstReference:
             records = search(mutator, seed, frontier, executor, rng)
             runs.append((records, rng.getstate(), executor))
         (got, got_rng, got_ex), (want, want_rng, want_ex) = runs
+        # Local search keeps only the records a root step can fire from: those
+        # with a nonzero norm.
+        want = {site: rec for site, rec in want.items() if l1_norm(rec.g) > 0}
         assert set(got) == set(want)
         for site, rec in want.items():
             assert got[site].witness == rec.witness
             assert got[site].witness_key == rec.witness_key
-            assert got[site].seed_key == rec.seed_key
-            norm = l1_norm(rec.g)
-            assert l1_norm(got[site].g) == norm
-            if norm > 0:
-                assert got[site].g == rec.g
-            else:
-                assert got[site].g == {}
+            assert got[site].g == rec.g
         assert got_rng == want_rng
         assert (got_ex.execs, got_ex.flips, got_ex.t_ns) == (
             want_ex.execs, want_ex.flips, want_ex.t_ns)
@@ -646,7 +660,7 @@ class TestLocalSearchAgainstReference:
                        "taken": i + 1 if i < 4 else None, "nottaken": None}
                       for i in range(5)],
         })
-        sites = set(program.guard_ids)
+        sites = set(guard_ids(program))
         seed = bytes([3, 60, 128, 200, 250])
         harness = Harness(program, synthetic_time=True)
         harness.set_active_sites(sites)
@@ -683,8 +697,6 @@ def _reference_solve_operand(self, seed, site, rec):
     exact ``Fraction`` step; the differences and the outcome come from
     ``guard_feedback``.  Called with the mutator as ``self``; kept as the
     oracle for the solver that takes the operand from the difference."""
-    if rec.seed_key is None:
-        return None
     node = self.program.nodes[site]
     order = "little" if node.endian == "le" else "big"
 
@@ -719,8 +731,9 @@ def _reference_solve_operand(self, seed, site, rec):
 @st.composite
 def _operand_cases(draw, relation):
     """A one-guard integer program of any width, endianness and signedness,
-    plus a seed and an equal-length witness that may stop short of the
-    operand window and may agree with the seed on it."""
+    plus a seed and an equal-length witness that may stop short of the end of
+    the operand window but whose operand differs from the seed's, as every
+    witness local search keeps a record for does."""
     width = draw(st.sampled_from([1, 2, 4, 8]))
     signed = draw(st.booleans())
     bits = 8 * width
@@ -733,14 +746,12 @@ def _operand_cases(draw, relation):
                       "constant": draw(st.sampled_from([lo, lo + 1, hi - 1, hi, 0, 1])
                                        | st.integers(lo, hi)),
                       "taken": None, "nottaken": None}]}
-    length = draw(st.integers(1, doc["max_input_len"]))
+    length = draw(st.integers(offset + 1, doc["max_input_len"]))
     inputs = st.lists(_BYTE_VALUES, min_size=length, max_size=length).map(bytes)
     seed = draw(inputs)
     witness = bytearray(draw(inputs))
     window = slice(offset, offset + width)
-    if draw(st.booleans()):
-        witness[window] = seed[window]
-    elif offset < length and witness[window] == seed[window]:
+    if witness[window] == seed[window]:
         witness[offset] ^= draw(st.integers(1, 0xFF))
     return doc, seed, bytes(witness)
 
@@ -756,11 +767,226 @@ class TestOperandSolverAgainstReference:
         harness.set_active_sites({0})
         (seed_key,) = harness.execute(seed).observations.values()
         (witness_key,) = harness.execute(witness).observations.values()
-        with_seed = data.draw(st.booleans())
-        rec = SubgradientRecord({}, witness, witness_key, seed_key if with_seed else None)
+        d_seed, d_witness = observation_distance(seed_key), observation_distance(witness_key)
+        assume(d_witness != d_seed)  # a record needs a nonzero norm
+        rec = SubgradientRecord(compute_subgradient(seed, witness, d_seed, d_witness),
+                                witness, witness_key)
         mutator = Mutator(program)
         want = _reference_solve_operand(mutator, seed, 0, rec)
-        assert mutator._solve_operand(seed, 0, rec) == want
+        assert mutator._solve_operand(0, rec) == want
+
+
+class _ParentMutator(Mutator):
+    """The mutator as it was when local search kept a record for every
+    frontier site a sample reached, and the root solvers gated each record
+    on the seed's key and feedback: its ``local_search``, ``mutate_stage``,
+    ``_solve_string`` and ``_solve_operand`` are kept verbatim, records and
+    all.  Kept as the oracle for the stage that keeps only the records a root
+    step can fire from."""
+
+    def local_search(self, seed: bytes, frontier, executor,
+                     rng: random.Random) -> dict[int, _SeedKeyedRecord]:
+        """Sample the seed neighborhood and retain the best slope per branch.
+
+        The first of the ``sample_size`` samples is the unmutated seed itself,
+        which establishes the baseline distances the slopes are measured
+        against; the rest are havoc mutants of stack ``_SEARCH_STACK``.  A
+        sample's slope norm at a site is |Δd| · Σ_j 1/|Δbyte_j|; the sum
+        depends only on the sample, so it is taken once, as an integer in
+        units of 1/L (``_INV``), and records are compared by norm times L.
+        Δd comes from the observations' scalarized distance keys; ``g`` is
+        built only for a record that wins with a nonzero norm.  A site whose
+        scalarized key equals its seed baseline has norm 0, which never beats
+        its record's, so it is skipped: the records stay the same, and the sum
+        is taken only at a sample's first site whose key moved.
+        """
+        seed_keys = executor.run(seed).observations
+        seed_v = {site: observation_distance(key)
+                  for site, key in seed_keys.items() if site in frontier}
+        records = {site: _SeedKeyedRecord({}, seed, seed_keys[site], seed_keys[site])
+                   for site in seed_v}
+        norms = dict.fromkeys(records, 0)
+        for _ in range(self.sample_size - 1):
+            data = havoc_mutate(seed, rng, _SEARCH_STACK)
+            s = None
+            for site, key in executor.run(data).observations.items():
+                base = seed_v.get(site)  # every site in seed_v is in the frontier
+                if base is None:
+                    if site in frontier and site not in records:  # no seed baseline
+                        records[site] = _SeedKeyedRecord({}, data, key)
+                    continue
+                v = observation_distance(key)
+                if v == base:
+                    continue
+                if s is None:
+                    s = 0  # with no max_len, havoc keeps the seed's length
+                    for x, y in zip(seed, data):
+                        if x != y:
+                            s += _INV[abs(y - x)]
+                norm = abs(v - base) * s
+                if norm > norms[site]:
+                    norms[site] = norm
+                    g = compute_subgradient(seed, data, base, v)
+                    records[site] = _SeedKeyedRecord(g, data, key, seed_keys[site])
+        return records
+
+    def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
+        """One full stage: sample, estimate slopes, and fire one targeted
+        input per frontier branch that yielded a usable estimate."""
+        records = self.local_search(seed, frontier, executor, rng)
+        for site in sorted(records):
+            rec = records[site]
+            node = self.program.nodes[site]
+            candidate: bytes | None = None
+            if node.kind is GuardKind.STR:
+                candidate = self._solve_string(seed, site, rec, executor)
+            elif node.kind is GuardKind.INT:
+                candidate = self._solve_operand(seed, site, rec)
+            if candidate is None and rec.g:
+                candidate = newton_step(rec.witness, observation_distance(rec.witness_key), rec.g)
+            if candidate is None or candidate == rec.witness:
+                continue
+            executor.run(candidate)
+
+    def _solve_string(self, seed: bytes, site: int, rec: _SeedKeyedRecord,
+                      executor) -> bytes | None:
+        """Per-byte root solving over the inferred hot window."""
+        if rec.seed_key is None or rec.witness_key == rec.seed_key:
+            return None
+        offsets = infer_hot_bytes(seed, rec.witness, site, executor)
+        if not offsets:
+            return None
+        node = self.program.nodes[site]
+        outcome, diffs = guard_feedback(node, rec.witness)
+        buf = bytearray(rec.witness)
+        changed = False
+        # Positions past the window are padding, with no input byte to solve.
+        for offset, f, component in zip(offsets[:node.size], diffs, rec.witness_key[1]):
+            if component == 0:
+                continue
+            slope = _row_slope(outcome, node.relation, f)
+            if offset >= len(buf):
+                buf.extend(b"\0" * (offset + 1 - len(buf)))
+            # The slope is +/-1, so dividing by it is multiplying by it.
+            buf[offset] = _clamp_byte(buf[offset] - component * slope)
+            changed = True
+        return bytes(buf) if changed else None
+
+    def _solve_operand(self, seed: bytes, site: int, rec: _SeedKeyedRecord) -> bytes | None:
+        """Root solving in operand space for integer guards.
+
+        Byte-space slopes diverge on multi-byte operands (a carry into a high
+        byte moves the distance by thousands) and absolute-value distance
+        rows kink at the root, so the step is taken on the operand instead.
+        An integer guard's difference is ``f = operand - constant``, so the
+        witness's operand is ``constant + f`` and the distance's slope in the
+        operand is the row's derivative at ``f``, which is +/-1: dividing
+        the distance by it is multiplying by it.  A witness whose operand
+        equals the seed's gives no step.  The solved operand is clamped to
+        the operand's range and written back with the declared endianness.
+        """
+        if rec.seed_key is None:
+            return None
+        node = self.program.nodes[site]
+        outcome, f = guard_feedback(node, rec.witness)
+        if f == guard_feedback(node, seed)[1]:
+            return None
+        solved = node.constant + f - rec.witness_key * _row_slope(outcome, node.relation, f)
+        bits = 8 * node.size
+        lo, hi = (
+            (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
+            if node.signed
+            else (0, (1 << bits) - 1)
+        )
+        solved = max(lo, min(hi, solved))
+        buf = bytearray(rec.witness)
+        end = node.offset + node.size
+        if end > len(buf):
+            buf.extend(b"\0" * (end - len(buf)))
+        order = "little" if node.endian == "le" else "big"
+        buf[node.offset:end] = (solved & ((1 << bits) - 1)).to_bytes(node.size, order)
+        return bytes(buf)
+
+
+
+def _reference_mutate_stage(program, sample_size, seed, frontier, executor, rng):
+    _ParentMutator(program, sample_size).mutate_stage(seed, frontier, executor, rng)
+
+
+class TestMutateStageAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_search_setups(), st.integers(0, 2**32), st.integers(2, 40))
+    def test_same_execs_draws_and_state(self, setup, rng_seed, sample_size):
+        program, active, frontier, seed = setup
+        runs = []
+        for stage in (Mutator(program, sample_size).mutate_stage,
+                      lambda *args: _reference_mutate_stage(program, sample_size, *args)):
+            executor = make_executor(program, frontier=active)
+            ran = []
+            run = executor.run
+
+            def recording(data, *args, run=run, ran=ran):
+                ran.append(data)
+                return run(data, *args)
+
+            executor.run = recording
+            rng = random.Random(rng_seed)
+            stage(seed, frontier, executor, rng)
+            runs.append((ran, rng.getstate(), executor))
+        (got, got_rng, got_ex), (want, want_rng, want_ex) = runs
+        assert got == want
+        assert got_rng == want_rng
+        assert (got_ex.execs, got_ex.flips, got_ex.t_ns) == (
+            want_ex.execs, want_ex.flips, want_ex.t_ns)
+        assert got_ex.corpus.entries == want_ex.corpus.entries
+        assert got_ex.scheduler.stats == want_ex.scheduler.stats
+
+    # Whole fox campaigns reach the cases a lone stage rarely does: several
+    # records per stage, string records with no hot window, and root steps
+    # that land on their witness.
+    @pytest.mark.parametrize("name", builtin_targets.names())
+    def test_same_fox_campaigns_on_builtins(self, name):
+        program = builtin_targets.load(name)
+        for sample_size in (16, 64):
+            for rng_seed in range(3):
+                _assert_same_fox_campaign(program, sample_size, rng_seed, 5_000)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_documents(), st.integers(0, 2**32), st.integers(2, 40))
+    def test_same_fox_campaigns_on_generated_programs(self, doc, rng_seed, sample_size):
+        _assert_same_fox_campaign(program_from_dict(doc), sample_size, rng_seed, 2_000)
+
+
+def _assert_same_fox_campaign(program, sample_size, rng_seed, max_execs):
+    """A fox campaign runs the same inputs and ends in the same state with
+    the reference stage as with ``Mutator.mutate_stage``.  Both may stop on
+    the same error: the string solver can extend a candidate past
+    ``max_input_len`` when its hot window is misplaced, and the harness
+    rejects that input."""
+    runs = []
+    for mutator_class in (Mutator, _ParentMutator):
+        camp = Campaign(program, [bytes(program.max_input_len)], Mode.FOX,
+                        Budget(max_execs=max_execs), sample_size, rng_seed)
+        camp.mutator = mutator_class(program, sample_size)
+        executor = camp._executor
+        ran = []
+        run = executor.run
+
+        def recording(data, *args, run=run, ran=ran, **kwargs):
+            ran.append(data)
+            return run(data, *args, **kwargs)
+
+        executor.run = recording
+        try:
+            camp.run()
+            error = None
+        except ValueError as exc:
+            error = str(exc)
+        runs.append((ran, error, camp.log.to_jsonl(), camp.corpus.entries, camp.findings,
+                     camp.scheduler.stats))
+    got, want = runs
+    assert got[0] == want[0]
+    assert got[1:] == want[1:]
 
 
 class TestHotBytes:

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from frontierfuzz import builtin_targets
 from frontierfuzz.oracle import (
     AbstractInstance,
-    ConvexityStats,
     check_enumerable,
-    convexity_probe,
     expected_coverage,
     greedy_schedule,
     verify,
 )
 from frontierfuzz.target import Harness, program_from_dict
+from reference import ConvexityStats, convexity_probe
 
 
 def inst(probs, stages):

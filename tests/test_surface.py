@@ -1,7 +1,8 @@
 """Source hygiene for ``src/frontierfuzz``, checked with the stdlib ``ast``:
-every module-level import is used, and every ``__all__`` name resolves and
-is used outside its own module.  These are the leftovers a deletion tends to
-leave behind."""
+every module-level import is used, every ``__all__`` name resolves and is
+used outside its own module, and every public function, class and method is
+used by the engine itself, not only by tests.  These are the leftovers a
+deletion tends to leave behind, and the oracles that belong in ``tests/``."""
 
 import ast
 import importlib
@@ -12,6 +13,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "frontierfuzz"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+# The engine and the benchmark that drives it; tests are left out.
+ENGINE_FILES = sorted(SRC.glob("*.py")) + [
+    p for p in sorted((ROOT / "benchmarks").glob("*.py")) if not p.name.startswith("test_")
+]
 
 
 def _tree(module: str) -> ast.Module:
@@ -83,3 +88,24 @@ def test_exported_names_used_elsewhere(module):
     used = set().union(*map(_names_used, files))
     unused = [name for name in _exports(_tree(module)) if name not in used]
     assert not unused, f"{module}.__all__ names nothing else uses: {unused}"
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, name) of each public top-level function and class,
+    and of each public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.name
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_definitions_used_by_the_engine(module):
+    # A name only tests use is an oracle: it belongs in tests/reference.py.
+    used = set().union(*map(_names_used, ENGINE_FILES))
+    unused = [qualified for qualified, name in _public_definitions(_tree(module))
+              if name not in used]
+    assert not unused, f"{module}.py defines names only tests use: {unused}"

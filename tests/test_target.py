@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import make_executor
 from frontierfuzz import builtin_targets
 from frontierfuzz.campaign import Budget, Campaign, Mode
-from frontierfuzz.coverage import recompute_frontier
 from frontierfuzz.target import (
     _READERS,
     MAX_WINDOW_END,
@@ -22,6 +21,7 @@ from frontierfuzz.target import (
     load_program,
     program_from_dict,
 )
+from reference import edge_endpoints, guard_ids, holds, recompute_frontier
 
 
 def doc_bytes(doc: dict) -> bytes:
@@ -328,7 +328,7 @@ class TestActiveSites:
             harness.set_active_sites({9})
 
     def test_frontier_derived_active_set_bounds_observations(self):
-        from frontierfuzz.coverage import CoverageMap, recompute_frontier
+        from frontierfuzz.coverage import CoverageMap
 
         program = builtin_targets.load("chain6")
         harness = Harness(program, synthetic_time=True)
@@ -398,13 +398,13 @@ class TestDeterminismAndConsistency:
             # The outcome is the side the walk took.
             assert (2 * site if outcome else 2 * site + 1) in trace.edges
             if node.kind is not GuardKind.STR:
-                assert outcome == node.relation.holds(feedback)
+                assert outcome == holds(node.relation, feedback)
             else:
                 # String outcome follows the lexicographic comparison of the
                 # padded operands, i.e. the sign of the first nonzero diff.
                 cmp = next((d for d in feedback if d != 0), 0)
                 sign = 0 if cmp == 0 else (1 if cmp > 0 else -1)
-                assert outcome == node.relation.holds(sign)
+                assert outcome == holds(node.relation, sign)
 
     @settings(max_examples=60, deadline=None)
     @given(st.binary(max_size=6))
@@ -415,7 +415,7 @@ class TestDeterminismAndConsistency:
         harness = Harness(program, synthetic_time=True)
         trace = harness.execute(data)
         for prev, nxt in zip(trace.edges, trace.edges[1:]):
-            src, dst = program.edge_endpoints(prev)
+            src, dst = edge_endpoints(program, prev)
             assert dst == nxt // 2
 
 
@@ -623,7 +623,7 @@ def _assert_matches_reference(program, data):
     ids = sorted(program.node_ids)
     raw_inputs = st.lists(_BYTE_VALUES, max_size=program.max_input_len).map(bytes)
     for raw in data.draw(st.lists(raw_inputs, min_size=1, max_size=8)):
-        for nid in program.guard_ids:
+        for nid in guard_ids(program):
             node = program.nodes[nid]
             outcome, f, diffs, _ = _reference_guard(_compile(node), raw)
             assert guard_feedback(node, raw) == (outcome, f if diffs is None else diffs)
@@ -859,8 +859,9 @@ def _assert_loaders_agree(doc) -> bool:
         for field in fields(_RefNode):
             got, want = getattr(node, field.name), getattr(ref, field.name)
             assert (type(got), got) == (type(want), want), (node.node_id, field.name)
-    for name in ("entry", "max_input_len", "node_ids", "guard_ids", "all_edges", "_window_end"):
+    for name in ("entry", "max_input_len", "node_ids", "all_edges", "_window_end"):
         assert getattr(program, name) == getattr(expected, name), name
+    assert guard_ids(program) == expected.guard_ids
     return True
 
 
@@ -1103,7 +1104,7 @@ class TestDeepProgram:
 
     def test_chain_loads_and_the_zero_input_walks_it(self):
         program = load_program(doc_bytes(_chain_doc(self.DEPTH)))
-        assert len(program.guard_ids) == self.DEPTH
+        assert len(guard_ids(program)) == self.DEPTH
         trace = Harness(program, synthetic_time=True).execute(bytes(self.DEPTH))
         assert trace.edges == tuple(range(0, 2 * self.DEPTH, 2))
 
