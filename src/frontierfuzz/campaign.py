@@ -6,7 +6,7 @@ Two objects split the work:
   frontier, the per-branch clocks (``SchedulerState``), the corpus, the
   findings, and the flip, exec and time counters.  Every executed input,
   whether from the seed phase, a havoc batch, local search, a root step or a
-  hot-byte probe, flows through its one ``run`` path.
+  hot-byte probe, flows through its one ``run_batch`` loop.
 * ``Campaign`` owns the control loop and the log: the mode, the rng, the
   mutator, the round-robin and calibration cursors into the corpus, and the
   append-only campaign log.  Its ``coverage``, ``corpus``, ``findings``,
@@ -16,11 +16,11 @@ Each exec's observation map (site -> distance order key) goes to the
 scheduler in one ``record_execution`` call, which folds in the frontier
 sites' minima and clocks.  A stage is one scheduling decision plus its batch
 of executions; the log records the cumulative state after every stage.  A
-stage switches on the whole frontier; a havoc batch then switches off each
-site that leaves it, but a fox stage does not, since local search reads
-every stage-frontier site.  A plain havoc batch is ``sample_size`` mutants
-of one seed, each from a stack of up to 16 havoc operators that may resize
-it within ``max_input_len``.
+stage switches on the whole frontier; in sched the executor then switches
+off each site that leaves it, but not in fox, since local search reads every
+stage-frontier site (base has no active sites).  A plain havoc batch is
+``sample_size`` mutants of one seed, each from a stack of up to 16 havoc
+operators that may resize it within ``max_input_len``.
 
 Modes:
 
@@ -148,7 +148,8 @@ class _Executor:
     """Single bookkeeping path for every executed input; owns the per-exec
     state it updates."""
 
-    def __init__(self, program: GuardProgram, budget: Budget, synthetic_time: bool):
+    def __init__(self, program: GuardProgram, budget: Budget, synthetic_time: bool,
+                 narrow_on_flip: bool = False):
         self.budget = budget
         self.harness = Harness(program, synthetic_time=synthetic_time)
         self.coverage = CoverageMap(program)
@@ -156,35 +157,59 @@ class _Executor:
         self.corpus = Corpus()
         self.findings: list[tuple[int, bytes]] = []
         self._finding_inputs: set[bytes] = set()
+        self._narrow_on_flip = narrow_on_flip  # sched's switch-off after a flip
         self.flips = 0
         self.execs = 0
         self.t_ns = 0
 
-    def run(self, data: bytes, exempt_budget: bool = False,
-            new=tuple.__new__, cls=StepOutcome) -> StepOutcome:
-        budget = self.budget
-        if not exempt_budget and (self.execs >= budget.exec_cap or self.t_ns >= budget.time_cap):
-            raise _BudgetExceeded
-        trace = self.harness.execute(data)
-        edges, observations, exec_time, bug_hits = trace
-        self.execs += 1
-        self.t_ns += exec_time
-        cov = self.coverage
-        flips = 0
-        if not cov.edge_hits.issuperset(edges):
-            first_cover = [e for e in edges if e not in cov.edge_hits]
-            # A flip is a first-cover edge out of a node that was a frontier
-            # branch before this exec; an acyclic walk repeats no edge.
-            flips = sum(1 for e in first_cover if e >> 1 in cov.frontier)
-            self.flips += flips
-            cov.absorb_trace(trace)
-            self.corpus.add(data, first_cover, self.execs)
-        if bug_hits and data not in self._finding_inputs:
-            self._finding_inputs.add(data)
-            self.findings.append((self.execs, data))
-        if observations:
-            self.scheduler.record_execution(data, observations, exec_time, cov.frontier)
-        return new(cls, (flips, observations))
+    def run(self, data: bytes, exempt_budget: bool = False) -> StepOutcome:
+        """``run_batch`` on one input: its flips and observation map."""
+        flips = self.flips
+        observations = self.run_batch((data,), exempt_budget, [])[0]
+        return StepOutcome(self.flips - flips, observations)
+
+    def run_batch(self, inputs, exempt_budget: bool = False, maps: list | None = None):
+        """Execute ``inputs`` in order, append each one's observation map to
+        ``maps`` if given, and return ``maps``.  The first exec past the budget
+        raises ``_BudgetExceeded``, unless ``exempt_budget``; the counters
+        hold the execs made either way."""
+        b = self.budget
+        exec_cap, time_cap = (math.inf,) * 2 if exempt_budget else (b.exec_cap, b.time_cap)
+        execute = self.harness.execute
+        edge_hits, frontier = self.coverage.edge_hits, self.coverage.frontier
+        record = self.scheduler.record_execution
+        finding_inputs = self._finding_inputs
+        execs, t_ns, flips = self.execs, self.t_ns, self.flips
+        keep = None if maps is None else maps.append
+        try:
+            for data in inputs:
+                if execs >= exec_cap or t_ns >= time_cap:
+                    raise _BudgetExceeded
+                trace = execute(data)
+                edges, observations, exec_time, bug_hits = trace
+                execs += 1
+                t_ns += exec_time
+                if not edge_hits.issuperset(edges):
+                    first_cover = [e for e in edges if e not in edge_hits]
+                    # A flip is a first-cover edge out of a node that was a
+                    # frontier branch before this exec (an acyclic walk repeats
+                    # no edge); only a flip takes a site off the frontier.
+                    flipped = sum(1 for e in first_cover if e >> 1 in frontier)
+                    flips += flipped
+                    self.coverage.absorb_trace(trace)
+                    self.corpus.add(data, first_cover, execs)
+                    if flipped and self._narrow_on_flip and (active := self.harness.active_sites):
+                        self.harness.set_active_sites(active & frontier)
+                if bug_hits and data not in finding_inputs:
+                    finding_inputs.add(data)
+                    self.findings.append((execs, data))
+                if observations:
+                    record(data, observations, exec_time, frontier)
+                if keep:
+                    keep(observations)
+        finally:
+            self.execs, self.t_ns, self.flips = execs, t_ns, flips
+        return maps
 
 
 class Campaign:
@@ -223,7 +248,8 @@ class Campaign:
         self.rng = random.Random(rng_seed)
         self.mutator = Mutator(program, sample_size)
         self.log = CampaignLog()
-        self._executor = executor = _Executor(program, budget, synthetic_time)
+        self._executor = executor = _Executor(program, budget, synthetic_time,
+                                              narrow_on_flip=self.mode is Mode.SCHED)
         self.harness = executor.harness
         self.coverage = executor.coverage
         self.scheduler = executor.scheduler
@@ -244,25 +270,16 @@ class Campaign:
         new, so it adds no entry."""
         frontier = frozenset(self.coverage.frontier)
         self.harness.set_active_sites(frontier)
-        pending = self.corpus.entries[self._calibrated:]
+        pending = [entry.data for entry in self.corpus.entries[self._calibrated:]]
         self._calibrated = len(self.corpus.entries)
-        for entry in pending:
-            self._executor.run(entry.data, exempt_budget)
+        self._executor.run_batch(pending, exempt_budget)
         return frontier
 
     def _havoc_batch(self, seed: bytes) -> None:
-        """One batch of plain havoc on ``seed``.  Sites that leave the frontier
-        are switched off after the exec that flips them (no other exec can);
-        only sched has active sites here, base and the fox fallback have none."""
-        rng = self.rng
-        executor = self._executor
-        harness = self.harness
-        frontier = self.coverage.frontier
-        max_len = self.program.max_input_len
-        for _ in range(self.mutator.sample_size):
-            data = havoc_mutate(seed, rng, _BATCH_STACK, max_len)
-            if executor.run(data).flips and harness.active_sites:
-                harness.set_active_sites(harness.active_sites & frontier)
+        """One batch of plain havoc on ``seed``, each mutant made as it runs."""
+        rng, max_len = self.rng, self.program.max_input_len
+        self._executor.run_batch(havoc_mutate(seed, rng, _BATCH_STACK, max_len)
+                                 for _ in range(self.mutator.sample_size))
 
     def _append_record(self, stage: int, frontier_size: int, scheduled, fallback: bool) -> None:
         executor = self._executor
@@ -292,8 +309,7 @@ class Campaign:
         # Seed phase: every seed executes regardless of budget, then the
         # adaptive switch comes up and coverage-increasing seeds replay once
         # to establish their frontier observations.
-        for seed in self.seeds:
-            executor.run(seed, exempt_budget=True)
+        executor.run_batch(self.seeds, exempt_budget=True)
         frontier_size = len(self.coverage.frontier)
         if self.mode is not Mode.BASE:
             self._refresh_active_sites(exempt_budget=True)

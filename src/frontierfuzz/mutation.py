@@ -55,6 +55,8 @@ _BYTES_PER_OP = 4
 # slopes; plain havoc batches take the deeper stack.
 _SEARCH_STACK = 4
 _BATCH_STACK = 16
+# Local search runs its samples in batches of this many: memory stays bounded.
+_SEARCH_CHUNK = 64
 
 # Havoc operator tables keyed by whether resizing is allowed.
 _HAVOC_OPS = {False: (0, 1, 2, 3, 4, 5), True: (0, 1, 2, 3, 4, 5, 6, 7)}
@@ -302,11 +304,10 @@ class Mutator:
     local search takes per stage, the seed included.  The campaign's plain
     havoc batches take the same number of mutants.
 
-    ``executor`` is any object with ``run(data) -> outcome``, where the
-    outcome exposes ``observations`` (the trace's own site -> distance key
-    map) and ``flips`` (frontier branches the input flipped); the campaign
-    supplies one that also keeps coverage, the corpus and the scheduler's
-    clocks up to date.  A site's relation is its program node's.
+    ``executor`` is any object with ``run(data) -> outcome``, whose
+    ``observations`` is the trace's own site -> distance key map and ``flips``
+    the frontier branches the input flipped, and ``run_batch(inputs, maps=[])``,
+    the inputs' maps; the campaign's keeps coverage, corpus and clocks current.
     """
 
     def __init__(self, program: GuardProgram, sample_size: int = 1024):
@@ -336,23 +337,25 @@ class Mutator:
                   for site, key in executor.run(seed).observations.items() if site in frontier}
         records: dict[int, SubgradientRecord] = {}
         norms = dict.fromkeys(seed_v, 0)
-        for _ in range(self.sample_size - 1):
-            data = havoc_mutate(seed, rng, _SEARCH_STACK)
-            s = None
-            for site, key in executor.run(data).observations.items():
-                base = seed_v.get(site)  # every site in seed_v is in the frontier
-                if base is None or (v := observation_distance(key)) == base:
-                    continue
-                if s is None:
-                    s = 0  # with no max_len, havoc keeps the seed's length
-                    for x, y in zip(seed, data):
-                        if x != y:
-                            s += _INV[abs(y - x)]
-                norm = abs(v - base) * s
-                if norm > norms[site]:
-                    norms[site] = norm
-                    g = compute_subgradient(seed, data, base, v)
-                    records[site] = SubgradientRecord(g, data, key)
+        for start in range(1, self.sample_size, _SEARCH_CHUNK):
+            chunk = [havoc_mutate(seed, rng, _SEARCH_STACK)
+                     for _ in range(min(_SEARCH_CHUNK, self.sample_size - start))]
+            for data, observations in zip(chunk, executor.run_batch(chunk, maps=[])):
+                s = None
+                for site, key in observations.items():
+                    base = seed_v.get(site)  # every site in seed_v is in the frontier
+                    if base is None or (v := observation_distance(key)) == base:
+                        continue
+                    if s is None:
+                        s = 0  # with no max_len, havoc keeps the seed's length
+                        for x, y in zip(seed, data):
+                            if x != y:
+                                s += _INV[abs(y - x)]
+                    norm = abs(v - base) * s
+                    if norm > norms[site]:
+                        norms[site] = norm
+                        g = compute_subgradient(seed, data, base, v)
+                        records[site] = SubgradientRecord(g, data, key)
         return records
 
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
@@ -384,9 +387,9 @@ class Mutator:
         outcome, diffs = guard_feedback(node, rec.witness)
         buf = bytearray(rec.witness)
         changed = False
-        # Positions past the window are padding, with no input byte to solve.
+        # Positions past the window or max_input_len have no input byte to solve.
         for offset, f, component in zip(offsets[:node.size], diffs, rec.witness_key[1]):
-            if component == 0:
+            if component == 0 or offset >= self.program.max_input_len:
                 continue
             slope = _row_slope(outcome, node.relation, f)
             if offset >= len(buf):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import make_executor
 from frontierfuzz import builtin_targets
-from frontierfuzz.campaign import Budget, Campaign, Mode
+from frontierfuzz.campaign import Budget, Campaign, Mode, _BudgetExceeded, _Executor
 from frontierfuzz.coverage import CoverageMap
 from frontierfuzz.distance import observation_distance, row_function
 from frontierfuzz.mutation import _BATCH_STACK, Mutator, havoc_mutate
@@ -259,7 +259,7 @@ class TestActiveSiteContract:
             campaign = Campaign(program, [zero_seed(program)], Mode.SCHED,
                                 Budget(max_execs=6_000), sample_size=16,
                                 rng_seed=3)
-            harness, coverage, executor = campaign.harness, campaign.coverage, campaign._executor
+            harness, coverage = campaign.harness, campaign.coverage
             in_batch = []
             refreshes = []
 
@@ -278,12 +278,12 @@ class TestActiveSiteContract:
                     refreshes.append((sites, recompute_frontier(coverage)))
                 return original_set(sites)
 
-            original_run = executor.run
+            original_execute = harness.execute
 
-            def spy_run(data, *args, **kwargs):
+            def spy_execute(data):
                 if in_batch:
                     check()
-                return original_run(data, *args, **kwargs)
+                return original_execute(data)
 
             original_batch = campaign._havoc_batch
 
@@ -296,7 +296,7 @@ class TestActiveSiteContract:
                 check()
 
             harness.set_active_sites = spy_set
-            executor.run = spy_run
+            harness.execute = spy_execute
             campaign._havoc_batch = spy_batch
             campaign.run()
             assert refreshes
@@ -306,10 +306,11 @@ class TestActiveSiteContract:
 
 
 def _reference_havoc_batch(self, seed: bytes) -> None:
-    """``Campaign._havoc_batch`` before it switched off sites that leave the
-    frontier mid-batch: every site stays active until the next refresh."""
+    """``Campaign._havoc_batch`` before sched switched off sites that leave
+    the frontier mid-batch: every site stays active until the next refresh."""
     rng = self.rng
     executor = self._executor
+    executor._narrow_on_flip = False
     max_len = self.program.max_input_len
     for _ in range(self.mutator.sample_size):
         data = havoc_mutate(seed, rng, _BATCH_STACK, max_len)
@@ -345,6 +346,100 @@ class TestHavocBatchAgainstReference:
         program = program_from_dict(doc)
         assert _sched_outputs(program, Campaign._havoc_batch, 800, 8, rng_seed) == \
             _sched_outputs(program, _reference_havoc_batch, 800, 8, rng_seed)
+
+
+def _executor_state(executor):
+    return (executor.execs, executor.flips, executor.t_ns, executor.corpus.entries,
+            executor.findings, executor.scheduler.stats, executor.harness.active_sites,
+            executor.coverage.edge_hits, executor.coverage.frontier)
+
+
+def _batch_and_single_runs(program, prefix, inputs, budget=None, exempt_budget=False,
+                           narrow_on_flip=False, active=None):
+    """Two executors that run ``prefix`` one input at a time, then switch on
+    ``active`` (default: the frontier); then one runs ``inputs`` as a batch
+    and the other one input at a time.  Returns, per executor, the
+    observation maps (None when the budget stopped it) and its state."""
+    results = []
+    for batched in (True, False):
+        executor = _Executor(program, budget or Budget(max_execs=1 << 62), True,
+                             narrow_on_flip)
+        for data in prefix:
+            executor.run(data, exempt_budget=True)
+        executor.harness.set_active_sites(
+            executor.coverage.frontier if active is None else active)
+        try:
+            if batched:
+                maps = executor.run_batch(iter(inputs), exempt_budget, [])
+            else:
+                maps = [executor.run(data, exempt_budget).observations for data in inputs]
+        except _BudgetExceeded:
+            maps = None
+        results.append((maps, _executor_state(executor)))
+    return results
+
+
+class TestRunBatchAgainstSingleRuns:
+    """A batch leaves the executor as running its inputs through ``run`` one
+    at a time does."""
+
+    @pytest.mark.parametrize("name", builtin_targets.names())
+    def test_builtin_havoc_batches(self, name):
+        program = builtin_targets.load(name)
+        seed = zero_seed(program)
+        rng = random.Random(7)
+        inputs = [havoc_mutate(seed, rng, _BATCH_STACK, program.max_input_len)
+                  for _ in range(300)]
+        for narrow_on_flip in (False, True):
+            got, want = _batch_and_single_runs(program, [seed], inputs,
+                                               narrow_on_flip=narrow_on_flip)
+            assert got == want
+            assert got[1][0] == 1 + len(inputs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_documents(), st.integers(0, 2**32), st.integers(1, 60), st.booleans())
+    def test_generated_programs(self, doc, rng_seed, n, narrow_on_flip):
+        program = program_from_dict(doc)
+        seed = zero_seed(program)
+        rng = random.Random(rng_seed)
+        inputs = [havoc_mutate(seed, rng, _BATCH_STACK, program.max_input_len)
+                  for _ in range(n)]
+        got, want = _batch_and_single_runs(program, [], inputs, narrow_on_flip=narrow_on_flip,
+                                           active=program.node_ids)
+        assert got == want
+
+    @pytest.mark.parametrize("budget", [Budget(max_execs=5), Budget(max_time_ns=5)])
+    def test_budget_that_runs_out_partway(self, budget):
+        program = builtin_targets.load("chain6")
+        inputs = [bytes([1, 2, 4, 8, 16, 32][:k]).ljust(6, b"\0") for k in range(7)]
+        got, want = _batch_and_single_runs(program, [bytes(6)], inputs, budget=budget)
+        assert got == want
+        maps, state = got
+        # The prefix ran exempt; the batch made the 4 execs the cap left.
+        assert maps is None and state[0] == 5
+        assert state[2] == 5  # synthetic time: one ns per exec
+        assert state[3][-1].exec_index == 5  # corpus entries stop at the last exec made
+
+    def test_exempt_replays_run_past_the_cap(self):
+        program = builtin_targets.load("chain6")
+        inputs = [bytes([1, 2, 4, 8, 16, 32][:k]).ljust(6, b"\0") for k in range(7)]
+        got, want = _batch_and_single_runs(program, [], inputs, budget=Budget(max_execs=2),
+                                           exempt_budget=True)
+        assert got == want
+        assert got[1][0] == len(inputs)
+
+    def test_sched_batch_with_a_flip_in_the_middle(self):
+        # Every guard starts switched on.  The second input flips guard 0 and
+        # the third guard 1; from the first flip on, only frontier sites stay on.
+        program = builtin_targets.load("chain6")
+        inputs = [bytes(6), bytes([1, 0, 0, 0, 0, 0]), bytes([1, 2, 0, 0, 0, 0]), bytes(6),
+                  bytes([1, 2, 4, 0, 0, 0])]
+        got, want = _batch_and_single_runs(program, [bytes(6)], inputs, narrow_on_flip=True,
+                                           active=program.node_ids)
+        assert got == want
+        maps, state = got
+        assert state[1] > 0 and state[6] < program.node_ids
+        assert 0 in maps[0] and 0 not in maps[-1]
 
 
 def _assert_run_end_invariants(program, campaign):
@@ -539,16 +634,21 @@ class TestFlipImpliesDecrease:
         executor = make_executor(program, frontier={0})
         mutator = Mutator(program, 256)
         trajectory = []
-        original = executor.run
+        coverage = executor.coverage
+        original = executor.harness.execute
 
-        def tracing_run(data):
-            out = original(data)
-            key = out.observations.get(0)
+        def tracing_execute(data):
+            trace = original(data)
+            key = trace.observations.get(0)
             if key is not None:
-                trajectory.append((out.flips, key, data))
-            return out
+                # Read before the executor absorbs the trace: a flip is a
+                # first-cover edge out of a frontier branch.
+                flips = sum(1 for e in trace.edges
+                            if e not in coverage.edge_hits and e >> 1 in coverage.frontier)
+                trajectory.append((flips, key, data))
+            return trace
 
-        executor.run = tracing_run
+        executor.harness.execute = tracing_execute
         mutator.mutate_stage(bytes([5]), {0}, executor, random.Random(0))
         flip_index = next(i for i, (flips, _, _) in enumerate(trajectory) if flips)
         pre_flip = [key for _, key, _ in trajectory[:flip_index]]

@@ -781,7 +781,8 @@ class _ParentMutator(Mutator):
     frontier site a sample reached, and the root solvers gated each record
     on the seed's key and feedback: its ``local_search``, ``mutate_stage``,
     ``_solve_string`` and ``_solve_operand`` are kept verbatim, records and
-    all.  Kept as the oracle for the stage that keeps only the records a root
+    all, except that ``_solve_string`` writes no window byte at or past
+    ``max_input_len`` (as ``Mutator._solve_string`` does).  Kept as the oracle for the stage that keeps only the records a root
     step can fire from."""
 
     def local_search(self, seed: bytes, frontier, executor,
@@ -862,7 +863,7 @@ class _ParentMutator(Mutator):
         changed = False
         # Positions past the window are padding, with no input byte to solve.
         for offset, f, component in zip(offsets[:node.size], diffs, rec.witness_key[1]):
-            if component == 0:
+            if component == 0 or offset >= self.program.max_input_len:
                 continue
             slope = _row_slope(outcome, node.relation, f)
             if offset >= len(buf):
@@ -923,13 +924,13 @@ class TestMutateStageAgainstReference:
                       lambda *args: _reference_mutate_stage(program, sample_size, *args)):
             executor = make_executor(program, frontier=active)
             ran = []
-            run = executor.run
+            execute = executor.harness.execute
 
-            def recording(data, *args, run=run, ran=ran):
+            def recording(data, execute=execute, ran=ran):
                 ran.append(data)
-                return run(data, *args)
+                return execute(data)
 
-            executor.run = recording
+            executor.harness.execute = recording
             rng = random.Random(rng_seed)
             stage(seed, frontier, executor, rng)
             runs.append((ran, rng.getstate(), executor))
@@ -959,30 +960,25 @@ class TestMutateStageAgainstReference:
 
 def _assert_same_fox_campaign(program, sample_size, rng_seed, max_execs):
     """A fox campaign runs the same inputs and ends in the same state with
-    the reference stage as with ``Mutator.mutate_stage``.  Both may stop on
-    the same error: the string solver can extend a candidate past
-    ``max_input_len`` when its hot window is misplaced, and the harness
-    rejects that input."""
+    the reference stage as with ``Mutator.mutate_stage``.  Neither may stop
+    on an error: the string solver, whose hot window can be misplaced past
+    the input's end, must not build a candidate longer than
+    ``max_input_len``."""
     runs = []
     for mutator_class in (Mutator, _ParentMutator):
         camp = Campaign(program, [bytes(program.max_input_len)], Mode.FOX,
                         Budget(max_execs=max_execs), sample_size, rng_seed)
         camp.mutator = mutator_class(program, sample_size)
-        executor = camp._executor
         ran = []
-        run = executor.run
+        execute = camp.harness.execute
 
-        def recording(data, *args, run=run, ran=ran, **kwargs):
+        def recording(data, execute=execute, ran=ran):
             ran.append(data)
-            return run(data, *args, **kwargs)
+            return execute(data)
 
-        executor.run = recording
-        try:
-            camp.run()
-            error = None
-        except ValueError as exc:
-            error = str(exc)
-        runs.append((ran, error, camp.log.to_jsonl(), camp.corpus.entries, camp.findings,
+        camp.harness.execute = recording
+        camp.run()
+        runs.append((ran, camp.log.to_jsonl(), camp.corpus.entries, camp.findings,
                      camp.scheduler.stats))
     got, want = runs
     assert got[0] == want[0]
@@ -1113,6 +1109,20 @@ class TestMutateStage:
         mutator = Mutator(program, 128)
         mutator.mutate_stage(bytes(2), {0}, executor, random.Random(11))
         assert executor.coverage.complete
+
+    def test_string_window_past_the_input_end_builds_no_overlong_candidate(self):
+        # A probe that flips the guard changes every key component, so the
+        # inferred window starts at the probed byte, the last one here; its
+        # second byte lies past max_input_len and must stay unsolved.
+        doc = {"max_input_len": 2, "entry": 0,
+               "nodes": [{"id": 0, "kind": "str", "offset": 0, "relation": "le",
+                          "length": 2, "constant": "AA==", "taken": 1, "nottaken": None},
+                         {"id": 1, "kind": "bug"}]}
+        program = program_from_dict(doc)
+        camp = Campaign(program, [bytes(2)], Mode.FOX, Budget(max_execs=2000),
+                        sample_size=2, rng_seed=1)
+        camp.run()
+        assert camp.coverage.complete
 
 
 class TestLinearExactness:
