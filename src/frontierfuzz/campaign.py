@@ -16,11 +16,11 @@ Each exec's observation map (site -> distance order key) goes to the
 scheduler in one ``record_execution`` call, which folds in the frontier
 sites' minima and clocks.  A stage is one scheduling decision plus its batch
 of executions; the log records the cumulative state after every stage.  A
-stage switches on the whole frontier; in sched the executor then switches
-off each site that leaves it, but not in fox, since local search reads every
-stage-frontier site (base has no active sites).  A plain havoc batch is
-``sample_size`` mutants of one seed, each from a stack of up to 16 havoc
-operators that may resize it within ``max_input_len``.
+stage switches on the whole frontier, and the executor switches off each site
+that flips off it (base has none on).  After the seed phase, the run ends at
+the exec that covers the last edge or runs past the budget.  A plain havoc
+batch is ``sample_size`` mutants of one seed, each from a stack of up to 16
+havoc operators that may resize it within ``max_input_len``.
 
 Modes:
 
@@ -73,9 +73,6 @@ class Budget:
                 raise ValueError(f"{name} must be an int >= 0, got {value!r}")
             object.__setattr__(self, cap, math.inf if value is None else value)
 
-    def exhausted(self, execs: int, t_ns: int) -> bool:
-        return execs >= self.exec_cap or t_ns >= self.time_cap
-
 
 @dataclass(frozen=True)
 class LogRecord:
@@ -92,9 +89,6 @@ class LogRecord:
     sched_sc: int | None = None
     fallback: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))  # keys in field order
-
 
 class CampaignLog:
     """Append-only stats stream; execs and coverage are monotone."""
@@ -110,7 +104,7 @@ class CampaignLog:
         self.records.append(record)
 
     def to_jsonl(self) -> str:
-        return "".join(r.to_json() + "\n" for r in self.records)
+        return "".join(json.dumps(asdict(r)) + "\n" for r in self.records)  # keys in field order
 
 
 @dataclass(frozen=True)
@@ -133,8 +127,8 @@ class Corpus:
         return len(self.entries)
 
 
-class _BudgetExceeded(Exception):
-    pass
+class _RunEnded(Exception):
+    """The budget ran out, or a campaign covered its last edge."""
 
 
 class StepOutcome(NamedTuple):
@@ -146,10 +140,12 @@ class StepOutcome(NamedTuple):
 
 class _Executor:
     """Single bookkeeping path for every executed input; owns the per-exec
-    state it updates."""
+    state it updates.  A campaign's executor also switches off each site a flip
+    takes off the frontier, and ends the run at the exec that covers the last
+    edge; a bare one does neither."""
 
     def __init__(self, program: GuardProgram, budget: Budget, synthetic_time: bool,
-                 narrow_on_flip: bool = False):
+                 campaign: bool = False):
         self.budget = budget
         self.harness = Harness(program, synthetic_time=synthetic_time)
         self.coverage = CoverageMap(program)
@@ -157,7 +153,7 @@ class _Executor:
         self.corpus = Corpus()
         self.findings: list[tuple[int, bytes]] = []
         self._finding_inputs: set[bytes] = set()
-        self._narrow_on_flip = narrow_on_flip  # sched's switch-off after a flip
+        self._campaign = campaign
         self.flips = 0
         self.execs = 0
         self.t_ns = 0
@@ -170,12 +166,12 @@ class _Executor:
 
     def run_batch(self, inputs, exempt_budget: bool = False, maps: list | None = None):
         """Execute ``inputs`` in order, append each one's observation map to
-        ``maps`` if given, and return ``maps``.  The first exec past the budget
-        raises ``_BudgetExceeded``, unless ``exempt_budget``; the counters
-        hold the execs made either way."""
+        ``maps`` if given, and return ``maps``.  Unless ``exempt_budget``, the
+        first exec past the budget and a campaign's exec that covers the last
+        edge raise ``_RunEnded``; the counters hold the execs made either way."""
         b = self.budget
         exec_cap, time_cap = (math.inf,) * 2 if exempt_budget else (b.exec_cap, b.time_cap)
-        execute = self.harness.execute
+        execute, switch_off = self.harness.execute, self.harness.switch_off
         edge_hits, frontier = self.coverage.edge_hits, self.coverage.frontier
         record = self.scheduler.record_execution
         finding_inputs = self._finding_inputs
@@ -184,25 +180,28 @@ class _Executor:
         try:
             for data in inputs:
                 if execs >= exec_cap or t_ns >= time_cap:
-                    raise _BudgetExceeded
+                    raise _RunEnded
                 trace = execute(data)
                 edges, observations, exec_time, bug_hits = trace
                 execs += 1
                 t_ns += exec_time
+                if bug_hits and data not in finding_inputs:
+                    finding_inputs.add(data)
+                    self.findings.append((execs, data))
                 if not edge_hits.issuperset(edges):
                     first_cover = [e for e in edges if e not in edge_hits]
                     # A flip is a first-cover edge out of a node that was a
                     # frontier branch before this exec (an acyclic walk repeats
-                    # no edge); only a flip takes a site off the frontier.
-                    flipped = sum(1 for e in first_cover if e >> 1 in frontier)
-                    flips += flipped
+                    # no edge); only a flip takes a site off the frontier or
+                    # covers the last edge.
+                    flipped = [e >> 1 for e in first_cover if e >> 1 in frontier]
                     self.coverage.absorb_trace(trace)
                     self.corpus.add(data, first_cover, execs)
-                    if flipped and self._narrow_on_flip and (active := self.harness.active_sites):
-                        self.harness.set_active_sites(active & frontier)
-                if bug_hits and data not in finding_inputs:
-                    finding_inputs.add(data)
-                    self.findings.append((execs, data))
+                    flips += len(flipped)
+                    if flipped and self._campaign:
+                        switch_off(flipped)
+                        if self.coverage.complete and not exempt_budget:
+                            raise _RunEnded  # no frontier site is left to record it
                 if observations:
                     record(data, observations, exec_time, frontier)
                 if keep:
@@ -248,8 +247,7 @@ class Campaign:
         self.rng = random.Random(rng_seed)
         self.mutator = Mutator(program, sample_size)
         self.log = CampaignLog()
-        self._executor = executor = _Executor(program, budget, synthetic_time,
-                                              narrow_on_flip=self.mode is Mode.SCHED)
+        self._executor = executor = _Executor(program, budget, synthetic_time, campaign=True)
         self.harness = executor.harness
         self.coverage = executor.coverage
         self.scheduler = executor.scheduler
@@ -306,20 +304,17 @@ class Campaign:
         self._ran = True
         executor = self._executor
 
-        # Seed phase: every seed executes regardless of budget, then the
-        # adaptive switch comes up and coverage-increasing seeds replay once
-        # to establish their frontier observations.
+        # Seed phase: every seed executes regardless of budget and coverage,
+        # then the adaptive switch comes up and coverage-increasing seeds
+        # replay once to establish their frontier observations.
         executor.run_batch(self.seeds, exempt_budget=True)
-        frontier_size = len(self.coverage.frontier)
         if self.mode is not Mode.BASE:
             self._refresh_active_sites(exempt_budget=True)
-        self._append_record(stage=0, frontier_size=frontier_size, scheduled=None, fallback=False)
+        self._append_record(0, len(self.coverage.frontier), scheduled=None, fallback=False)
 
-        stage = 0
-        while True:
-            if self.coverage.complete:
-                break
-            if executor.budget.exhausted(executor.execs, executor.t_ns):
+        stage, budget = 0, executor.budget
+        while not self.coverage.complete:
+            if executor.execs >= budget.exec_cap or executor.t_ns >= budget.time_cap:
                 break
             stage += 1
             scheduled = None
@@ -342,7 +337,7 @@ class Campaign:
                             )
                         else:
                             self._havoc_batch(scheduled.seed)
-            except _BudgetExceeded:
+            except _RunEnded:
                 self._append_record(stage, frontier_size, scheduled, fallback)
                 break
             self._append_record(stage, frontier_size, scheduled, fallback)

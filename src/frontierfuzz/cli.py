@@ -84,10 +84,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if log.records:
         final = log.records[-1]
+        end = "covered" if campaign.coverage.complete else "budget"
         print(
             f"mode={final.mode} execs={final.execs} edges={final.edges_covered}"
             f"/{program.total_edges} corpus={final.corpus_size} flips={final.flips}"
             f" findings={len(campaign.findings)}"
+            f" ended={'interrupted' if interrupted else end}"
         )
     if interrupted:
         print(f"frontierfuzz run: interrupted; wrote {len(log.records)} stage records",

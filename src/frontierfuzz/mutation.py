@@ -306,8 +306,8 @@ class Mutator:
 
     ``executor`` is any object with ``run(data) -> outcome``, whose
     ``observations`` is the trace's own site -> distance key map and ``flips``
-    the frontier branches the input flipped, and ``run_batch(inputs, maps=[])``,
-    the inputs' maps; the campaign's keeps coverage, corpus and clocks current.
+    the frontier branches the input flipped, ``run_batch(inputs, maps=[])``,
+    the inputs' maps, and a ``coverage.frontier`` that its runs keep current.
     """
 
     def __init__(self, program: GuardProgram, sample_size: int = 1024):
@@ -360,11 +360,13 @@ class Mutator:
 
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
         """One full stage: sample, estimate slopes, and fire one targeted
-        input per frontier branch that has a record.  A string or integer
-        guard's own solver goes first; the byte-space Newton step takes any
-        record it gives no candidate for."""
+        input per frontier branch that has a record and no earlier exec of the
+        stage flipped.  A string or integer guard's own solver goes first; the
+        byte-space Newton step takes any record it gives no candidate for."""
         records = self.local_search(seed, frontier, executor, rng)
         for site in sorted(records):
+            if site not in executor.coverage.frontier:
+                continue
             rec = records[site]
             node = self.program.nodes[site]
             candidate: bytes | None = None

@@ -293,34 +293,35 @@ class Harness:
     def __init__(self, program: GuardProgram, synthetic_time: bool = False):
         self.program = program
         self.synthetic_time = synthetic_time
-        self._active: frozenset[int] = frozenset()
+        self.active_sites: set[int] = set()  # switch_off changes it in place
         # The program's steps, with the observing step of each active site.
-        self._steps = program._steps
+        self._steps = list(program._steps)
         self._observing: dict[int, object] = {}
 
-    @property
-    def active_sites(self) -> frozenset[int]:
-        return self._active
-
     def set_active_sites(self, sites) -> None:
-        sites = frozenset(sites)
+        sites = set(sites)
         program = self.program
         unknown = sites - program.node_ids
         if unknown:
             raise ValueError(f"unknown node ids in active set: {sorted(unknown)}")
-        # Swap only the sites that enter or leave (a bug node's step stays
-        # None), copying the program's list once, on first activation.
+        # Swap only the sites that enter or leave (a bug node's step stays None).
         plain, steps, observing = program._steps, self._steps, self._observing
-        if steps is plain:
-            steps = self._steps = list(plain)
-        for nid in self._active - sites:
+        for nid in self.active_sites - sites:
             steps[nid] = plain[nid]
-        for nid in sites - self._active:
+        for nid in sites - self.active_sites:
             if (step := observing.get(nid)) is None and plain[nid] is not None:
                 node = program.nodes[nid]
                 step = observing[nid] = _STEP_FACTORIES[node.kind](node, True)
             steps[nid] = step
-        self._active = sites
+        self.active_sites = sites
+
+    def switch_off(self, sites) -> None:
+        """Switch off each of ``sites`` that is active, in O(len(sites))."""
+        active, steps, plain = self.active_sites, self._steps, self.program._steps
+        for nid in sites:
+            if nid in active:
+                active.remove(nid)
+                steps[nid] = plain[nid]
 
     def execute(self, data: bytes, new=tuple.__new__, cls=ExecutionTrace) -> ExecutionTrace:
         program = self.program

@@ -105,7 +105,7 @@ def convexity_probe(harness: Harness, site: int, x1: bytes, x2: bytes,
     """
     if len(x1) != len(x2):
         raise ValueError("convexity probe requires equal-length inputs")
-    saved = harness.active_sites
+    saved = set(harness.active_sites)
     harness.set_active_sites({site})
     try:
         midpoint = bytes((a + b) // 2 for a, b in zip(x1, x2))

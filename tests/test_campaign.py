@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import random
-import types
 from unittest import mock
 
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_executor
 from frontierfuzz import builtin_targets
-from frontierfuzz.campaign import Budget, Campaign, Mode, _BudgetExceeded, _Executor
+from frontierfuzz.campaign import Budget, Campaign, Mode, _Executor, _RunEnded
 from frontierfuzz.coverage import CoverageMap
 from frontierfuzz.distance import observation_distance, row_function
 from frontierfuzz.mutation import _BATCH_STACK, Mutator, havoc_mutate
@@ -32,12 +31,11 @@ class TestBudget:
 
     def test_exec_bound(self):
         budget = Budget(max_execs=10)
-        assert not budget.exhausted(9, 0)
-        assert budget.exhausted(10, 0)
+        assert (budget.exec_cap, budget.time_cap) == (10, math.inf)
 
     def test_time_bound(self):
         budget = Budget(max_time_ns=100)
-        assert budget.exhausted(0, 100)
+        assert (budget.exec_cap, budget.time_cap) == (math.inf, 100)
 
     def test_negative_bounds_rejected(self):
         with pytest.raises(ValueError, match="max_execs"):
@@ -57,7 +55,7 @@ class TestBudget:
     def test_absent_bound_is_an_infinite_cap(self):
         budget = Budget(max_time_ns=7)
         assert (budget.exec_cap, budget.time_cap) == (math.inf, 7)
-        assert not budget.exhausted(1 << 62, 6)
+        assert 1 << 62 < budget.exec_cap
 
 
 class TestRun:
@@ -249,18 +247,18 @@ class TestActiveSiteContract:
         for requested, pure in calls:
             assert requested == pure
 
-    def test_sched_batches_keep_active_sites_on_the_frontier(self):
-        # Refreshes point the switch at the whole frontier; inside a havoc
-        # batch it only narrows, and after every exec no active site is off
-        # the frontier.
+    @pytest.mark.parametrize("mode", [Mode.FOX, Mode.SCHED])
+    def test_guided_stages_keep_active_sites_on_the_frontier(self, mode):
+        # A refresh points the switch at the whole frontier; between
+        # refreshes it only narrows, and after every exec no active site is
+        # off the frontier.
         narrowings = []
         for name in builtin_targets.names():
             program = builtin_targets.load(name)
-            campaign = Campaign(program, [zero_seed(program)], Mode.SCHED,
+            campaign = Campaign(program, [zero_seed(program)], mode,
                                 Budget(max_execs=6_000), sample_size=16,
                                 rng_seed=3)
             harness, coverage = campaign.harness, campaign.coverage
-            in_batch = []
             refreshes = []
 
             def check():
@@ -269,58 +267,42 @@ class TestActiveSiteContract:
             original_set = harness.set_active_sites
 
             def spy_set(sites):
-                sites = frozenset(sites)
-                if in_batch:
-                    assert sites <= harness.active_sites
-                    if sites != harness.active_sites:
-                        narrowings.append(sites)
-                else:
-                    refreshes.append((sites, recompute_frontier(coverage)))
+                refreshes.append((frozenset(sites), recompute_frontier(coverage)))
                 return original_set(sites)
+
+            original_switch_off = harness.switch_off
+
+            def spy_switch_off(sites):
+                before = set(harness.active_sites)
+                original_switch_off(sites)
+                assert harness.active_sites <= before
+                if harness.active_sites != before:
+                    narrowings.append(before - harness.active_sites)
 
             original_execute = harness.execute
 
             def spy_execute(data):
-                if in_batch:
-                    check()
+                check()
                 return original_execute(data)
 
-            original_batch = campaign._havoc_batch
-
-            def spy_batch(seed):
-                in_batch.append(seed)
-                try:
-                    original_batch(seed)
-                finally:
-                    in_batch.pop()
-                check()
-
             harness.set_active_sites = spy_set
+            harness.switch_off = spy_switch_off
             harness.execute = spy_execute
-            campaign._havoc_batch = spy_batch
             campaign.run()
+            check()
             assert refreshes
             for requested, pure in refreshes:
                 assert requested == pure
         assert narrowings
 
 
-def _reference_havoc_batch(self, seed: bytes) -> None:
-    """``Campaign._havoc_batch`` before sched switched off sites that leave
-    the frontier mid-batch: every site stays active until the next refresh."""
-    rng = self.rng
-    executor = self._executor
-    executor._narrow_on_flip = False
-    max_len = self.program.max_input_len
-    for _ in range(self.mutator.sample_size):
-        data = havoc_mutate(seed, rng, _BATCH_STACK, max_len)
-        executor.run(data)
-
-
-def _sched_outputs(program, havoc_batch, max_execs, sample_size, rng_seed):
-    campaign = Campaign(program, [zero_seed(program)], Mode.SCHED, Budget(max_execs=max_execs),
+def _outputs(program, mode, max_execs, sample_size, rng_seed, narrow=True):
+    """A campaign's log, corpus, findings and per-site scheduler state; with
+    ``narrow=False``, every site stays active until the next refresh."""
+    campaign = Campaign(program, [zero_seed(program)], mode, Budget(max_execs=max_execs),
                         sample_size=sample_size, rng_seed=rng_seed)
-    campaign._havoc_batch = types.MethodType(havoc_batch, campaign)
+    if not narrow:
+        campaign.harness.switch_off = lambda sites: None
     log = campaign.run()
     corpus = [(e.exec_index, e.data, e.new_edges) for e in campaign.corpus.entries]
     stats = {site: (s.best_input, s.pt, s.tt)
@@ -329,23 +311,29 @@ def _sched_outputs(program, havoc_batch, max_execs, sample_size, rng_seed):
 
 
 class TestHavocBatchAgainstReference:
-    """Switching sites off mid-batch drops only observations nobody reads:
-    logs, corpus, findings and per-site scheduler state are unchanged."""
+    """Switching sites off as they flip drops only observations nobody reads:
+    in sched and fox alike, logs, corpus, findings and per-site scheduler
+    state are those of a run that keeps every site on until the next
+    refresh."""
 
     @pytest.mark.parametrize("name", builtin_targets.names())
     def test_builtin_targets(self, name):
         program = builtin_targets.load(name)
         for sample_size in (16, 256):
-            args = (6_000, sample_size, 3)
-            assert _sched_outputs(program, Campaign._havoc_batch, *args) == \
-                _sched_outputs(program, _reference_havoc_batch, *args)
+            args = (program, Mode.SCHED, 6_000, sample_size, 3)
+            assert _outputs(*args) == _outputs(*args, narrow=False)
+        for sample_size in (8, 64):
+            for rng_seed in range(3):
+                args = (program, Mode.FOX, 6_000, sample_size, rng_seed)
+                assert _outputs(*args) == _outputs(*args, narrow=False)
 
     @settings(max_examples=60, deadline=None)
     @given(_documents(), st.integers(0, 3))
     def test_generated_programs(self, doc, rng_seed):
         program = program_from_dict(doc)
-        assert _sched_outputs(program, Campaign._havoc_batch, 800, 8, rng_seed) == \
-            _sched_outputs(program, _reference_havoc_batch, 800, 8, rng_seed)
+        for mode in (Mode.SCHED, Mode.FOX):
+            args = (program, mode, 800, 8, rng_seed)
+            assert _outputs(*args) == _outputs(*args, narrow=False)
 
 
 def _executor_state(executor):
@@ -355,15 +343,15 @@ def _executor_state(executor):
 
 
 def _batch_and_single_runs(program, prefix, inputs, budget=None, exempt_budget=False,
-                           narrow_on_flip=False, active=None):
+                           campaign=False, active=None):
     """Two executors that run ``prefix`` one input at a time, then switch on
     ``active`` (default: the frontier); then one runs ``inputs`` as a batch
     and the other one input at a time.  Returns, per executor, the
-    observation maps (None when the budget stopped it) and its state."""
+    observation maps (None when the budget or full coverage stopped it) and
+    its state."""
     results = []
     for batched in (True, False):
-        executor = _Executor(program, budget or Budget(max_execs=1 << 62), True,
-                             narrow_on_flip)
+        executor = _Executor(program, budget or Budget(max_execs=1 << 62), True, campaign)
         for data in prefix:
             executor.run(data, exempt_budget=True)
         executor.harness.set_active_sites(
@@ -373,7 +361,7 @@ def _batch_and_single_runs(program, prefix, inputs, budget=None, exempt_budget=F
                 maps = executor.run_batch(iter(inputs), exempt_budget, [])
             else:
                 maps = [executor.run(data, exempt_budget).observations for data in inputs]
-        except _BudgetExceeded:
+        except _RunEnded:
             maps = None
         results.append((maps, _executor_state(executor)))
     return results
@@ -390,21 +378,25 @@ class TestRunBatchAgainstSingleRuns:
         rng = random.Random(7)
         inputs = [havoc_mutate(seed, rng, _BATCH_STACK, program.max_input_len)
                   for _ in range(300)]
-        for narrow_on_flip in (False, True):
-            got, want = _batch_and_single_runs(program, [seed], inputs,
-                                               narrow_on_flip=narrow_on_flip)
+        for campaign in (False, True):
+            got, want = _batch_and_single_runs(program, [seed], inputs, campaign=campaign)
             assert got == want
-            assert got[1][0] == 1 + len(inputs)
+            maps, state = got
+            if maps is None:  # a campaign's batch ends at the exec that covers the last edge
+                assert campaign and len(state[7]) == program.total_edges
+                assert state[3][-1].exec_index == state[0] < 1 + len(inputs)
+            else:
+                assert state[0] == 1 + len(inputs)
 
     @settings(max_examples=60, deadline=None)
     @given(_documents(), st.integers(0, 2**32), st.integers(1, 60), st.booleans())
-    def test_generated_programs(self, doc, rng_seed, n, narrow_on_flip):
+    def test_generated_programs(self, doc, rng_seed, n, campaign):
         program = program_from_dict(doc)
         seed = zero_seed(program)
         rng = random.Random(rng_seed)
         inputs = [havoc_mutate(seed, rng, _BATCH_STACK, program.max_input_len)
                   for _ in range(n)]
-        got, want = _batch_and_single_runs(program, [], inputs, narrow_on_flip=narrow_on_flip,
+        got, want = _batch_and_single_runs(program, [], inputs, campaign=campaign,
                                            active=program.node_ids)
         assert got == want
 
@@ -434,7 +426,7 @@ class TestRunBatchAgainstSingleRuns:
         program = builtin_targets.load("chain6")
         inputs = [bytes(6), bytes([1, 0, 0, 0, 0, 0]), bytes([1, 2, 0, 0, 0, 0]), bytes(6),
                   bytes([1, 2, 4, 0, 0, 0])]
-        got, want = _batch_and_single_runs(program, [bytes(6)], inputs, narrow_on_flip=True,
+        got, want = _batch_and_single_runs(program, [bytes(6)], inputs, campaign=True,
                                            active=program.node_ids)
         assert got == want
         maps, state = got
@@ -535,7 +527,7 @@ class StageInvariants:
         # with the branch active, at the refresh after the entry appears.  A
         # refresh that the budget cuts short ends the run unscheduled.
         executor = campaign._executor
-        if not executor.budget.exhausted(executor.execs, executor.t_ns):
+        if executor.execs < executor.budget.exec_cap and executor.t_ns < executor.budget.time_cap:
             reached = set().union(*self.walked[:campaign._calibrated])
             assert frontier & reached <= set(stats)
 
@@ -581,6 +573,70 @@ class TestInvariantsAfterEveryStage:
         monkeypatch.setattr(CoverageMap, "absorb_trace", absorb_keeping_node_0)
         with pytest.raises(AssertionError):
             _checked_run(program, zero_seed(program), Mode.BASE, 3_000, 16, rng_seed=0)
+
+
+def _assert_run_end(campaign, max_execs):
+    """A run from one seed ends at the exec that covers the last edge, or
+    else at the budget, with the final record on that exec."""
+    final = campaign.log.records[-1]
+    if campaign.coverage.complete:
+        assert final.execs == campaign.corpus.entries[-1].exec_index
+        assert final.edges_covered == campaign.program.total_edges
+    else:
+        assert final.execs == max_execs  # synthetic time: the exec cap stops it
+
+
+class TestEndOfRun:
+    """A campaign pays for no exec after its last edge is covered."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("name", builtin_targets.SUITE)
+    def test_builtin_targets(self, name, mode):
+        program = builtin_targets.load(name)
+        campaign = _checked_run(program, zero_seed(program), mode, 20_000, 16, rng_seed=1)
+        _assert_run_end(campaign, 20_000)
+        if mode is Mode.FOX:
+            assert campaign.coverage.complete
+
+    @settings(max_examples=30, deadline=None)
+    @given(_documents(), st.data())
+    def test_generated_programs(self, doc, data):
+        program = program_from_dict(doc)
+        seed = data.draw(st.binary(min_size=1, max_size=program.max_input_len))
+        rng_seed = data.draw(st.integers(0, 3))
+        for mode in Mode:
+            _assert_run_end(_checked_run(program, seed, mode, 600, 8, rng_seed), 600)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_seeds_that_cover_everything_all_run(self, mode):
+        # The seed phase is exempt: the third seed runs after the first two
+        # covered both edges, and no stage follows the seed record.
+        program = builtin_targets.load("le15")
+        seeds = [bytes([5]), bytes([20]), bytes([3])]
+        campaign = Campaign(program, seeds, mode, Budget(max_execs=1), rng_seed=0)
+        log = campaign.run()
+        assert [r.stage for r in log.records] == [0]
+        # Base runs the seeds once; a guided mode replays the two corpus
+        # entries with the (empty) frontier switched on.
+        assert log.records[0].execs == (3 if mode is Mode.BASE else 5)
+
+    @pytest.mark.parametrize("rng_seed, witness, key", [
+        (0, b"\x01", 15), (1, b"\x03", 13), (2, b"\x0c", 4), (3, b"\x00", 16),
+    ])
+    def test_bare_executor_local_search_is_unchanged(self, rng_seed, witness, key):
+        # Each search flips the guard with a sample; a bare executor keeps it
+        # switched on and runs every sample, so its records are those it gave
+        # before campaigns settled flipped sites.
+        program = builtin_targets.load("le15")
+        executor = make_executor(program, frontier={0})
+        records = Mutator(program, 64).local_search(bytes([5]), {0}, executor,
+                                                    random.Random(rng_seed))
+        assert executor.coverage.complete and executor.flips == 1
+        assert executor.execs == 64
+        assert executor.harness.active_sites == {0}
+        assert list(records) == [0]
+        assert (records[0].witness, records[0].witness_key, records[0].g) == (
+            witness, key, {0: -1})
 
 
 class TestFallback:
@@ -673,23 +729,24 @@ class TestJsonl:
 
 
 # sha256 of CampaignLog.to_jsonl() at 3k execs, rng seed 0, all-zero seed.
-# A change that alters the RNG draws or any scheduling decision changes these;
-# such a change must update them and say so.
+# A change that alters the RNG draws, any scheduling decision or where a run
+# ends changes these; such a change must update them and say so.
 GOLDEN_LOG_SHA256 = {
-    ("le15", "fox"): "28ae590ff09a575bc8617b70cb3a312eee14b206951947d056da598f5c0d25b6",
-    ("le15", "sched"): "017ec98e7e6bc1c049b55dd661aacc40ac34f36c2c14854d210a32be53eea958",
-    ("le15", "base"): "e06b34a01c5626e696665c9af89f3f6870e9a468c3e1183310e0eb5f48e15232",
-    ("chain6", "fox"): "3fc94d5d6a774dacfa6719d671a4563adead65168378f9d4775a16cbece0c38e",
+    ("le15", "fox"): "e3fa3aa7b5d2609095bac0c372b5c54fd82a28e3a80b0ec0113c5eb8b26167a6",
+    ("le15", "sched"): "41d5c23f8642378bc3207a0c9f794482e7995df7540b25668ddddf1fa57740b1",
+    ("le15", "base"): "ee694aa55d83bae2e986a61631a658c94884fade82f59bc0a4d92de3c7f32dbf",
+    ("chain6", "fox"): "a503704ef457fa1b1e5432ff03659ffe602971a4fb58df81ebffc99f3929689a",
     ("chain6", "sched"): "37448d5760df5d8302776d4f6ea00e5ad888eb0faa93d4ff91a52dcadbff6827",
     ("chain6", "base"): "4262775b518f6f7561e38d74536a4fafd6028438cea24eb51b7006f9ed86078b",
     ("magic_str8", "fox"): "b9bdfe84e179aeadd484a4767f362b6ee30bc422c8ff8646ef570502e16d3251",
     ("magic_str8", "sched"): "91ce4333c69fce110885648db838582a5320ab58d1e39ad30ebe473fed7266d0",
     ("magic_str8", "base"): "7591416d2f5bfa219eb0d62bdd33349a8f2bff884d35a2dbfd63fa3600a2d206",
     # Fox on the big-endian operand solver, the xor Newton path and a mixed
-    # tree.  The first two finish in one stage, so their logs match le15's.
+    # tree.  The first two finish in one stage: magic32_be at its root
+    # candidate, xor_guard at a local-search sample.
     ("magic32_be", "fox"): "28ae590ff09a575bc8617b70cb3a312eee14b206951947d056da598f5c0d25b6",
-    ("xor_guard", "fox"): "28ae590ff09a575bc8617b70cb3a312eee14b206951947d056da598f5c0d25b6",
-    ("mixed_tree", "fox"): "af98110a568ccff03d3790d2770039b6143ebfc1e23048d9cfae60d8f59a624b",
+    ("xor_guard", "fox"): "c61b824c348a4ee55edf72d259c2e3eaa86141356db81eed0eb376a4455fd88f",
+    ("mixed_tree", "fox"): "de2babd130c7019485b0a4c4096f95f78841c674e6149615a3553b23edb8584c",
     # Sched on a tree where havoc batches switch off sites mid-batch.
     ("mixed_tree", "sched"): "ccd141908c63819e3924db350a7707283a88d283b2fe5686dd18efd5f658a4a4",
 }
@@ -702,7 +759,7 @@ GOLDEN_OUTPUT_SHA256 = {
     ("le15", "fox"): "e0f731e92d306ca5eb99070bad7ff47febeda87d445c1c067b341d65c6172dd2",
     ("le15", "sched"): "8872267370063b3db373892893a6500ee428ae6faea409ba9c4d21d75c725fe8",
     ("le15", "base"): "41167d4c00db1fee768507af32b0131f5703dce99eca118fd5f3999eee647c8c",
-    ("chain6", "fox"): "99882344788a8d866d639c490f08d04afc96c281dda044dcbe55513531037e32",
+    ("chain6", "fox"): "35284b3e95f519c7ab3b8ac54d0026f10fcbaa6b3c45e02b84238cc999f3a485",
     ("chain6", "sched"): "2d64be8bfe462b98f9b7b5ab876e2dba7a599d8c91a5ba3208bf703e0b5d9ec1",
     ("chain6", "base"): "5771e04e083257a615172769fb327acfb37d505a760d960716036bb482838517",
     ("magic_str8", "fox"): "c0b74880a8e44d176517721b10351e5d8a7169fcdc7cb52f4acec1abecea182c",
@@ -710,7 +767,7 @@ GOLDEN_OUTPUT_SHA256 = {
     ("magic_str8", "base"): "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf",
     ("magic32_be", "fox"): "538ce2d4f37952d70d91d2a2c6a886fb433107e299917a7a925911a541054d16",
     ("xor_guard", "fox"): "eee7eec01645cea798eff5d60571c7a30c0d78866c9b38995cbf2b2de59dc95a",
-    ("mixed_tree", "fox"): "04be7c91589310263d5e4b8a7d22943a1e1e6c18ae007baee3556f68beadffab",
+    ("mixed_tree", "fox"): "da85dacf7baa029c207682001e9986daee28c2a5b288f907461db76190fd51bf",
     ("mixed_tree", "sched"): "485ad67bcd63e950522d8a67c4e87e885230e5f2661930d67fd9bf2661647567",
 }
 

@@ -62,6 +62,26 @@ class TestRunCommand:
         # One synthetic nanosecond per execution: the budget caps the loop.
         assert records[-1]["t_ns"] <= 1001
 
+    @pytest.mark.parametrize("target, mode, ended", [
+        ("builtin:le15", "fox", "covered"), ("builtin:le15", "base", "covered"),
+        ("builtin:magic32", "base", "budget"),
+    ])
+    def test_summary_says_why_the_run_ended(self, tmp_path, capsys, target, mode, ended):
+        out = tmp_path / "out"
+        code = run_cli([
+            "run", "--target", target, "--mode", mode, "--budget-execs", "2000",
+            "--out", str(out), "--rng-seed", "0", "--synthetic-time",
+        ])
+        assert code == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.endswith(f" ended={ended}")
+        final = json.loads((out / "stats.jsonl").read_text().splitlines()[-1])
+        assert f" execs={final['execs']} " in summary
+        if ended == "covered":  # the run stops at the exec that covers the last edge
+            assert final["execs"] == max(int(p.name) for p in (out / "corpus").iterdir())
+        else:
+            assert final["execs"] == 2000
+
     def test_budget_required(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli(["run", "--target", "builtin:le15", "--out", str(tmp_path / "o")])
@@ -118,6 +138,7 @@ class TestInterrupt:
         assert "Traceback" not in err
         assert "interrupted; wrote 16 stage records" in err
         assert out.startswith("mode=base execs=")
+        assert out.rstrip().endswith(" ended=interrupted")
         lines = (cut / "stats.jsonl").read_text().splitlines()
         full_lines = (full / "stats.jsonl").read_text().splitlines()
         assert len(lines) == 16 < len(full_lines)

@@ -782,8 +782,11 @@ class _ParentMutator(Mutator):
     on the seed's key and feedback: its ``local_search``, ``mutate_stage``,
     ``_solve_string`` and ``_solve_operand`` are kept verbatim, records and
     all, except that ``_solve_string`` writes no window byte at or past
-    ``max_input_len`` (as ``Mutator._solve_string`` does).  Kept as the oracle for the stage that keeps only the records a root
-    step can fire from."""
+    ``max_input_len`` (as ``Mutator._solve_string`` does) and that
+    ``mutate_stage`` builds no candidate for a site that left the live
+    frontier earlier in the stage (as ``Mutator.mutate_stage`` does).  Kept
+    as the oracle for the stage that keeps only the records a root step can
+    fire from."""
 
     def local_search(self, seed: bytes, frontier, executor,
                      rng: random.Random) -> dict[int, _SeedKeyedRecord]:
@@ -833,9 +836,12 @@ class _ParentMutator(Mutator):
 
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
         """One full stage: sample, estimate slopes, and fire one targeted
-        input per frontier branch that yielded a usable estimate."""
+        input per frontier branch that yielded a usable estimate and is still
+        on the live frontier."""
         records = self.local_search(seed, frontier, executor, rng)
         for site in sorted(records):
+            if site not in executor.coverage.frontier:
+                continue
             rec = records[site]
             node = self.program.nodes[site]
             candidate: bytes | None = None

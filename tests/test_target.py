@@ -355,17 +355,24 @@ class TestActiveSites:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_switching_matches_a_fresh_harness(self, data):
-        # A harness switched through a drawn sequence of active sets (bug
-        # ids included) runs like a fresh one switched once to the last set:
-        # the same edges and keys, in path order.  The program's own step
-        # list never changes.
+        # A harness switched through a drawn sequence of active sets and
+        # switch-offs (bug ids and inactive sites included) runs like a fresh
+        # one switched once to the resulting set: the same edges and keys, in
+        # path order.  The program's own step list never changes.
         program = program_from_dict(data.draw(_documents()))
         plain = list(program._steps)
         harness = Harness(program, synthetic_time=True)
         subsets = st.frozensets(st.sampled_from(sorted(program.node_ids)))
         inputs = st.lists(st.binary(max_size=program.max_input_len), max_size=3)
-        for active in data.draw(st.lists(subsets, min_size=1, max_size=8)):
-            harness.set_active_sites(active)
+        active = frozenset()
+        for sites, narrow in data.draw(st.lists(st.tuples(subsets, st.booleans()),
+                                                min_size=1, max_size=8)):
+            if narrow:
+                harness.switch_off(sites)
+                active -= sites
+            else:
+                harness.set_active_sites(sites)
+                active = sites
             fresh = Harness(program, synthetic_time=True)
             fresh.set_active_sites(active)
             assert harness.active_sites == active
