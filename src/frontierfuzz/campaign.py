@@ -158,10 +158,10 @@ class _Executor:
         self.execs = 0
         self.t_ns = 0
 
-    def run(self, data: bytes, exempt_budget: bool = False) -> StepOutcome:
+    def run(self, data: bytes) -> StepOutcome:
         """``run_batch`` on one input: its flips and observation map."""
         flips = self.flips
-        observations = self.run_batch((data,), exempt_budget, [])[0]
+        observations = self.run_batch((data,), False, [])[0]
         return StepOutcome(self.flips - flips, observations)
 
     def run_batch(self, inputs, exempt_budget: bool = False, maps: list | None = None):
@@ -262,12 +262,13 @@ class Campaign:
     # -- stage helpers -----------------------------------------------------
 
     def _refresh_active_sites(self, exempt_budget: bool = False) -> frozenset[int]:
-        """Point the adaptive switch at the current frontier and replay the
-        corpus entries added since the last refresh so fresh frontier
-        branches get their baseline observations.  A replay covers nothing
-        new, so it adds no entry."""
+        """Switch on the frontier sites found since the last refresh and
+        replay the corpus entries added since then so fresh frontier branches
+        get their baseline observations.  A replay covers nothing new, so it
+        adds no entry.  The executor switched off each site that left the
+        frontier, so the active set is now the frontier."""
         frontier = frozenset(self.coverage.frontier)
-        self.harness.set_active_sites(frontier)
+        self.harness.switch_on(frontier)
         pending = [entry.data for entry in self.corpus.entries[self._calibrated:]]
         self._calibrated = len(self.corpus.entries)
         self._executor.run_batch(pending, exempt_budget)

@@ -47,8 +47,8 @@ def _load_seeds(seeds_dir: str | None, program: GuardProgram) -> list[bytes]:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.budget_execs is None and args.budget_secs is None:
         raise SystemExit("one of --budget-execs / --budget-secs is required")
-    # Set-up errors (bad target, seeds, knobs or --out) end the command with
-    # one line; the campaign itself is not wrapped.
+    # Set-up errors (bad target, seeds, knobs or --out) and a blocked output
+    # path end the command with one line; the campaign itself is not wrapped.
     out = Path(args.out)
     try:
         program = _load_target(args.target)
@@ -61,7 +61,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             program, seeds, Mode(args.mode), budget,
             args.sample_size, args.rng_seed, args.synthetic_time,
         )
-        out.mkdir(parents=True, exist_ok=True)
+        for sub in ("corpus", "findings"):
+            (out / sub).mkdir(parents=True, exist_ok=True)
     except (OSError, OverflowError, ValueError) as exc:
         raise SystemExit(f"frontierfuzz run: {exc}") from None
     # A Ctrl-C keeps the records of the finished stages and every input found.
@@ -72,15 +73,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         interrupted = True
     log = campaign.log
 
-    (out / "stats.jsonl").write_text(log.to_jsonl(), encoding="utf-8")
-    corpus_dir = out / "corpus"
-    corpus_dir.mkdir(exist_ok=True)
-    for entry in campaign.corpus.entries:
-        (corpus_dir / f"{entry.exec_index:08d}").write_bytes(entry.data)
-    findings_dir = out / "findings"
-    findings_dir.mkdir(exist_ok=True)
-    for exec_index, data in campaign.findings:
-        (findings_dir / f"{exec_index:08d}").write_bytes(data)
+    try:
+        (out / "stats.jsonl").write_text(log.to_jsonl(), encoding="utf-8")
+        for entry in campaign.corpus.entries:
+            (out / "corpus" / f"{entry.exec_index:08d}").write_bytes(entry.data)
+        for exec_index, data in campaign.findings:
+            (out / "findings" / f"{exec_index:08d}").write_bytes(data)
+    except OSError as exc:
+        raise SystemExit(f"frontierfuzz run: {exc}") from None
 
     if log.records:
         final = log.records[-1]
@@ -99,11 +99,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _percentile(sorted_values: list[int], q: float) -> float:
-    """Linear-interpolation percentile over pre-sorted values."""
-    if not sorted_values:
-        return 0.0
-    if len(sorted_values) == 1:
-        return float(sorted_values[0])
+    """Linear-interpolation percentile over pre-sorted, nonempty values."""
     pos = q * (len(sorted_values) - 1)
     lo = int(pos)
     hi = min(lo + 1, len(sorted_values) - 1)
@@ -166,7 +162,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f"{_percentile(at_t, 0.25):.1f},{_percentile(at_t, 0.75):.1f}"
             )
     report_path = out / "report.csv"
-    report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(f"frontierfuzz report: {exc}") from None
     print(f"wrote {report_path} ({len(lines) - 1} rows)")
     return 0
 

@@ -6,20 +6,12 @@ A distance is kept as an order key: the row value for an integer or xor
 guard, and ``(L1, values)`` for a string guard, one value per compared byte.
 A harness observation is already a key, computed by the guard's step.
 ``observation_distance`` collapses a key to the one signed int the mutator's
-slopes and root steps work in; ``row_function`` gives the root solvers a
-row's formula.
+slopes and root steps work in.
 """
 
 from __future__ import annotations
 
-from .target import _ROWS, Relation
-
-__all__ = ["observation_distance", "row_function"]
-
-
-def row_function(outcome: bool, relation: Relation):
-    """The distance formula selected by an (outcome, relation) pair."""
-    return _ROWS[(outcome, relation)]
+__all__ = ["observation_distance"]
 
 
 def observation_distance(key) -> int:

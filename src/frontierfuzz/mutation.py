@@ -27,8 +27,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distance import observation_distance, row_function
-from .target import GuardKind, GuardProgram, Relation, guard_feedback
+from .distance import observation_distance
+from .target import _ROWS, GuardKind, GuardProgram, Relation, guard_feedback
 
 __all__ = [
     "SubgradientRecord",
@@ -58,8 +58,6 @@ _BATCH_STACK = 16
 # Local search runs its samples in batches of this many: memory stays bounded.
 _SEARCH_CHUNK = 64
 
-# Havoc operator tables keyed by whether resizing is allowed.
-_HAVOC_OPS = {False: (0, 1, 2, 3, 4, 5), True: (0, 1, 2, 3, 4, 5, 6, 7)}
 # An operator carves its ranged fields from its own 30-bit draw only while the
 # product of every range it takes from that draw stays at or below this.
 _CARVE = 1 << 20
@@ -129,8 +127,8 @@ def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
     Draw contract.  The stack depth is ``rng.getrandbits(30) % stack_max + 1``.
     Each operator then takes one ``rng.getrandbits(30)``, even one that is
     skipped, and carves its fields from it in mixed radix (``r % m`` is the
-    field, ``r // m`` the rest), in this order: the operator index into
-    ``_HAVOC_OPS``, then
+    field, ``r // m`` the rest), in this order: the operator index (8 with
+    ``max_len``, else 6; the last two resize), then
       bit flip:        bit (8), position (n);
       byte set:        value (256), position (n);
       byte add/sub:    sign and delta as one ``_DELTAS`` index (70), position (n);
@@ -160,8 +158,7 @@ def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
         raise ValueError("stack_max must be >= 1")
     gb = rng.getrandbits
     budget = _BYTES_PER_OP
-    ops = _HAVOC_OPS[max_len is not None]
-    n_ops = len(ops)
+    n_ops = 8 if max_len is not None else 6  # operators 6 and 7 resize
     lim = _CARVE // n_ops  # a product of ranges m fits when n_ops * m <= _CARVE
     buf = bytearray(seed)
     n = len(seed)
@@ -170,7 +167,7 @@ def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
     high = n + budget if max_len is None or max_len > n + budget else max_len
     for _ in range(gb(30) % stack_max + 1):
         r = gb(30)
-        op = ops[r % n_ops]
+        op = r % n_ops
         r //= n_ops
         if op == 0:  # bit flip
             pos = (r >> 3) % n if n << 3 <= lim else rng.randrange(n)
@@ -270,11 +267,15 @@ def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> tuple[in
     """Locate the input window feeding a string comparison.
 
     Replays the seed with each differing mutant byte applied in isolation;
-    the first probe that moves the site's distance pins one hot byte, and the
-    rest of the window follows from the changed comparison index plus the
-    compared length (string windows are contiguous).  Returns the window's
-    input offsets, one per compared position, or ``()`` when no probe moves
-    the distance.  The inputs must have the same length.
+    the first probe that changes exactly one component of the site's
+    distance key pins one hot byte, and the rest of the window follows from
+    that component's index plus the compared length (string windows are
+    contiguous).  A probe that flips the comparison switches the distance
+    row, and no two rows agree at any difference, so it changes the
+    component of every position it left alone: on a window of three or more
+    bytes it pins nothing, and probing goes on.  Returns the window's input
+    offsets, one per compared position, or ``()`` when no probe pins one.
+    The inputs must have the same length.
     """
     if len(seed) != len(mutant):
         raise ValueError("hot-byte inference requires equal-length inputs")
@@ -286,14 +287,14 @@ def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> tuple[in
         probe = bytearray(seed)
         probe[pos] = mutant[pos]
         key = executor.run(bytes(probe)).observations.get(site)
-        if key.__class__ is not tuple or key == base_key:
+        if key.__class__ is not tuple:
             continue
         # The changed comparison index tells us where in the window this
         # input byte landed; a vector key is (L1, values), one per position.
-        for j, (a, b) in enumerate(zip(base_key[1], key[1])):
-            if a != b:
-                start = pos - j
-                return tuple(range(start, start + len(key[1])))
+        changed = [j for j, (a, b) in enumerate(zip(base_key[1], key[1])) if a != b]
+        if len(changed) == 1:
+            start = pos - changed[0]
+            return tuple(range(start, start + len(key[1])))
     return ()
 
 
@@ -436,5 +437,5 @@ class Mutator:
 def _row_slope(outcome: bool, relation: Relation, f: int) -> int:
     """Derivative of the distance row with respect to the operand difference:
     the forward difference, which is +/-1 for every row at every integer."""
-    row = row_function(outcome, relation)
+    row = _ROWS[outcome, relation]
     return row(f + 1) - row(f)

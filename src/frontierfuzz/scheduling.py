@@ -4,11 +4,12 @@ Each frontier branch carries two monotone clocks: total time spent by
 executions that reached it, and the productive fraction that lowered its
 running distance minimum.  The branch score is
 
-    productive_time / (total_time * schedule_count_of_top_seed)
+    productive_time / (total_time * sc[top_seed])
 
 and the stage picks the branch with the highest score, handing back the
-top seed recorded for it.  The schedule counter of the chosen seed is then
-incremented, which discounts repeat selections.
+top seed recorded for it.  A seed's schedule counter ``sc`` starts at 1 and
+is incremented each time it is handed back, which discounts repeat
+selections.
 
 ``record_execution`` owns each branch's distance minimum, kept as a plain
 order key.  It folds one execution's whole site-keyed map of keys, which the
@@ -97,9 +98,6 @@ class SchedulerState:
                 lowered += 1
         return lowered
 
-    def schedule_count(self, data: bytes) -> int:
-        return self.sc.get(data, 1)
-
     def select_next(self, frontier) -> Selection:
         """Greedy argmax of the discounted score over the frontier.
 
@@ -114,14 +112,14 @@ class SchedulerState:
             stats = self.stats.get(site)
             if stats is None:
                 raise StaleSiteError(f"frontier branch {site} has never been reached")
-            sc = self.schedule_count(stats.best_input)
+            sc = self.sc.get(stats.best_input, 1)
             score = Fraction(stats.pt, stats.tt * sc)
             if best_score is None or score > best_score:
                 best_site = site
                 best_score = score
         stats = self.stats[best_site]
         seed = stats.best_input
-        sc = self.schedule_count(seed)
+        sc = self.sc.get(seed, 1)
         logprob = math.log(stats.pt) - math.log(stats.tt) - math.log(sc)
         self.sc[seed] = sc + 1
         return Selection(branch=best_site, seed=seed, logprob=logprob, sc=sc)

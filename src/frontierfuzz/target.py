@@ -10,10 +10,12 @@ root solvers recompute the raw feedback behind a key with ``guard_feedback``.
 
 Each guard is compiled once per program into a step function with its
 operands bound in; integer operands are read through ``struct`` readers built
-at import.  A harness swaps in an observing step, which also applies the
-guard's distance row, for each active site.  An input shorter than the
-furthest operand window is zero-extended up to it before the walk; loading
-rejects a window that ends past ``MAX_WINDOW_END`` bytes.
+at import.  A harness copies the program's step list when it is made; its
+``switch_on`` builds an observing step, which also applies the guard's
+distance row, for each site it turns on, and ``switch_off`` puts the plain
+step back.  An input shorter than the furthest operand window is
+zero-extended up to it before the walk; loading rejects a window that ends
+past ``MAX_WINDOW_END`` bytes.
 
 Loading checks and builds each node in one pass over its fields, in a fixed
 order, so a document with several faults always reports the same first one;
@@ -286,34 +288,29 @@ class GuardProgram:
 class Harness:
     """Mutable execution handle over a shared :class:`GuardProgram`.
 
-    The active-site switch controls which guard sites emit observations;
-    distinct handles over the same program are independent.
+    ``switch_on`` and ``switch_off`` control which guard sites emit
+    observations; distinct handles over the same program are independent.
     """
 
     def __init__(self, program: GuardProgram, synthetic_time: bool = False):
         self.program = program
         self.synthetic_time = synthetic_time
-        self.active_sites: set[int] = set()  # switch_off changes it in place
+        self.active_sites: set[int] = set()  # the two switches change it in place
         # The program's steps, with the observing step of each active site.
         self._steps = list(program._steps)
-        self._observing: dict[int, object] = {}
 
-    def set_active_sites(self, sites) -> None:
-        sites = set(sites)
-        program = self.program
-        unknown = sites - program.node_ids
-        if unknown:
-            raise ValueError(f"unknown node ids in active set: {sorted(unknown)}")
-        # Swap only the sites that enter or leave (a bug node's step stays None).
-        plain, steps, observing = program._steps, self._steps, self._observing
-        for nid in self.active_sites - sites:
-            steps[nid] = plain[nid]
-        for nid in sites - self.active_sites:
-            if (step := observing.get(nid)) is None and plain[nid] is not None:
+    def switch_on(self, sites) -> None:
+        """Switch on each of ``sites`` that is off, building its observing
+        step; an unknown id raises before any site changes."""
+        program, active, steps = self.program, self.active_sites, self._steps
+        new = {nid for nid in sites if nid not in active}
+        if not new <= program.node_ids:
+            raise ValueError(f"unknown node ids in active set: {sorted(new - program.node_ids)}")
+        for nid in new:
+            if steps[nid] is not None:  # a bug node has no step
                 node = program.nodes[nid]
-                step = observing[nid] = _STEP_FACTORIES[node.kind](node, True)
-            steps[nid] = step
-        self.active_sites = sites
+                steps[nid] = _STEP_FACTORIES[node.kind](node, True)
+        active |= new
 
     def switch_off(self, sites) -> None:
         """Switch off each of ``sites`` that is active, in O(len(sites))."""

@@ -8,5 +8,5 @@ from frontierfuzz.campaign import Budget, _Executor
 
 def make_executor(program, frontier=()) -> _Executor:
     executor = _Executor(program, Budget(max_execs=1 << 62), synthetic_time=True)
-    executor.harness.set_active_sites(frontier)
+    executor.harness.switch_on(frontier)
     return executor

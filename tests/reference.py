@@ -20,8 +20,8 @@ import operator
 from dataclasses import dataclass, field
 
 from frontierfuzz.coverage import CoverageMap
-from frontierfuzz.distance import observation_distance, row_function
-from frontierfuzz.target import GuardKind, GuardProgram, Harness, Relation
+from frontierfuzz.distance import observation_distance
+from frontierfuzz.target import _ROWS, GuardKind, GuardProgram, Harness, Relation
 
 
 def holds(relation: Relation, value: int) -> bool:
@@ -36,7 +36,7 @@ def distance(outcome: bool, relation: Relation, f: int) -> int:
         raise ValueError(
             f"inconsistent observation: outcome={outcome} but f={f} under {relation.value}"
         )
-    return row_function(outcome, relation)(f)
+    return _ROWS[outcome, relation](f)
 
 
 def string_distance(outcome: bool, relation: Relation,
@@ -46,7 +46,7 @@ def string_distance(outcome: bool, relation: Relation,
     diffs = tuple(byte_diffs)
     if not diffs:
         raise ValueError("byte_diffs must be nonempty")
-    row = row_function(outcome, relation)
+    row = _ROWS[outcome, relation]
     values = tuple(row(f) for f in diffs)
     return sum(abs(v) for v in values), values
 
@@ -106,7 +106,8 @@ def convexity_probe(harness: Harness, site: int, x1: bytes, x2: bytes,
     if len(x1) != len(x2):
         raise ValueError("convexity probe requires equal-length inputs")
     saved = set(harness.active_sites)
-    harness.set_active_sites({site})
+    harness.switch_off(saved)
+    harness.switch_on({site})
     try:
         midpoint = bytes((a + b) // 2 for a, b in zip(x1, x2))
         values = []
@@ -123,4 +124,5 @@ def convexity_probe(harness: Harness, site: int, x1: bytes, x2: bytes,
             stats._bump(stats.passes if passed else stats.fails, site)
         return passed
     finally:
-        harness.set_active_sites(saved)
+        harness.switch_off({site})
+        harness.switch_on(saved)

@@ -229,7 +229,7 @@ def test_criterion_7_convexity_introspection(verdict):
                 all_linear_ok = False
             # Equality check: twice the midpoint distance equals the sum.
             values = []
-            harness.set_active_sites({site})
+            harness.switch_on({site})
             for data in (x1, x2, bytes((a + b) // 2 for a, b in zip(x1, x2))):
                 key = harness.execute(data).observations[site]
                 values.append(observation_distance(key))

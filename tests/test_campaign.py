@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -13,9 +14,9 @@ from conftest import make_executor
 from frontierfuzz import builtin_targets
 from frontierfuzz.campaign import Budget, Campaign, Mode, _Executor, _RunEnded
 from frontierfuzz.coverage import CoverageMap
-from frontierfuzz.distance import observation_distance, row_function
+from frontierfuzz.distance import observation_distance
 from frontierfuzz.mutation import _BATCH_STACK, Mutator, havoc_mutate
-from frontierfuzz.target import Harness, Relation, guard_feedback, program_from_dict
+from frontierfuzz.target import _ROWS, Harness, Relation, guard_feedback, program_from_dict
 from reference import recompute_frontier
 from test_target import _documents
 
@@ -199,11 +200,12 @@ class TestRun:
         campaign = Campaign(program, [zero_seed(program)], Mode.BASE,
                             Budget(max_execs=3_000), rng_seed=0)
         calls = []
-        original = campaign.harness.set_active_sites
-        campaign.harness.set_active_sites = lambda sites: (calls.append(set(sites)),
-                                                           original(sites))[1]
+        original = campaign.harness.switch_on
+        campaign.harness.switch_on = lambda sites: (calls.append(set(sites)),
+                                                    original(sites))[1]
         campaign.run()
         assert not calls
+        assert not campaign.harness.active_sites
         assert not campaign.scheduler.stats
 
     def test_top_seed_inputs_reach_their_branches(self):
@@ -231,27 +233,32 @@ class TestRun:
 
 class TestActiveSiteContract:
     def test_active_sites_always_equal_recomputed_frontier(self):
+        # After every refresh the active set is the frontier, recomputed from
+        # scratch: switch_on only widens it, and it never has to narrow.
         program = builtin_targets.load("chain6")
         campaign = Campaign(program, [zero_seed(program)], Mode.FOX,
                             Budget(max_execs=30_000), rng_seed=5)
+        harness = campaign.harness
         calls = []
-        original = campaign.harness.set_active_sites
+        original = harness.switch_on
 
         def spy(sites):
-            calls.append((frozenset(sites), recompute_frontier(campaign.coverage)))
-            return original(sites)
+            before = set(harness.active_sites)
+            original(sites)
+            assert harness.active_sites == before | set(sites)
+            calls.append((set(harness.active_sites), recompute_frontier(campaign.coverage)))
 
-        campaign.harness.set_active_sites = spy
+        harness.switch_on = spy
         campaign.run()
         assert calls
-        for requested, pure in calls:
-            assert requested == pure
+        for active, pure in calls:
+            assert active == pure
 
     @pytest.mark.parametrize("mode", [Mode.FOX, Mode.SCHED])
     def test_guided_stages_keep_active_sites_on_the_frontier(self, mode):
-        # A refresh points the switch at the whole frontier; between
-        # refreshes it only narrows, and after every exec no active site is
-        # off the frontier.
+        # A refresh only widens the active set, to the whole frontier;
+        # between refreshes it only narrows, and after every exec no active
+        # site is off the frontier.
         narrowings = []
         for name in builtin_targets.names():
             program = builtin_targets.load(name)
@@ -264,11 +271,13 @@ class TestActiveSiteContract:
             def check():
                 assert harness.active_sites <= coverage.frontier
 
-            original_set = harness.set_active_sites
+            original_switch_on = harness.switch_on
 
-            def spy_set(sites):
-                refreshes.append((frozenset(sites), recompute_frontier(coverage)))
-                return original_set(sites)
+            def spy_switch_on(sites):
+                before = set(harness.active_sites)
+                original_switch_on(sites)
+                assert harness.active_sites >= before
+                refreshes.append((set(harness.active_sites), recompute_frontier(coverage)))
 
             original_switch_off = harness.switch_off
 
@@ -285,14 +294,14 @@ class TestActiveSiteContract:
                 check()
                 return original_execute(data)
 
-            harness.set_active_sites = spy_set
+            harness.switch_on = spy_switch_on
             harness.switch_off = spy_switch_off
             harness.execute = spy_execute
             campaign.run()
             check()
             assert refreshes
-            for requested, pure in refreshes:
-                assert requested == pure
+            for active, pure in refreshes:
+                assert active == pure
         assert narrowings
 
 
@@ -344,23 +353,24 @@ def _executor_state(executor):
 
 def _batch_and_single_runs(program, prefix, inputs, budget=None, exempt_budget=False,
                            campaign=False, active=None):
-    """Two executors that run ``prefix`` one input at a time, then switch on
-    ``active`` (default: the frontier); then one runs ``inputs`` as a batch
-    and the other one input at a time.  Returns, per executor, the
-    observation maps (None when the budget or full coverage stopped it) and
-    its state."""
+    """Two executors that run ``prefix`` exempt from the budget, then switch
+    on ``active`` (default: the frontier); then one runs ``inputs`` as a
+    batch and the other one input at a time (through ``run``, or a batch of
+    one when exempt).  Returns, per executor, the observation maps (None when
+    the budget or full coverage stopped it) and its state."""
     results = []
     for batched in (True, False):
         executor = _Executor(program, budget or Budget(max_execs=1 << 62), True, campaign)
-        for data in prefix:
-            executor.run(data, exempt_budget=True)
-        executor.harness.set_active_sites(
+        executor.run_batch(prefix, True)
+        executor.harness.switch_on(
             executor.coverage.frontier if active is None else active)
         try:
             if batched:
                 maps = executor.run_batch(iter(inputs), exempt_budget, [])
+            elif exempt_budget:
+                maps = [executor.run_batch((data,), True, [])[0] for data in inputs]
             else:
-                maps = [executor.run(data, exempt_budget).observations for data in inputs]
+                maps = [executor.run(data).observations for data in inputs]
         except _RunEnded:
             maps = None
         results.append((maps, _executor_state(executor)))
@@ -711,7 +721,7 @@ class TestFlipImpliesDecrease:
         assert pre_flip
         prior_min = min(observation_distance(key) for key in pre_flip)
         _, f = guard_feedback(program.nodes[0], trajectory[flip_index][2])
-        old_row = row_function(True, Relation.LE)
+        old_row = _ROWS[True, Relation.LE]
         assert old_row(f) < prior_min
 
 
@@ -728,70 +738,67 @@ class TestJsonl:
         ]
 
 
-# sha256 of CampaignLog.to_jsonl() at 3k execs, rng seed 0, all-zero seed.
-# A change that alters the RNG draws, any scheduling decision or where a run
-# ends changes these; such a change must update them and say so.
-GOLDEN_LOG_SHA256 = {
-    ("le15", "fox"): "e3fa3aa7b5d2609095bac0c372b5c54fd82a28e3a80b0ec0113c5eb8b26167a6",
-    ("le15", "sched"): "41d5c23f8642378bc3207a0c9f794482e7995df7540b25668ddddf1fa57740b1",
-    ("le15", "base"): "ee694aa55d83bae2e986a61631a658c94884fade82f59bc0a4d92de3c7f32dbf",
-    ("chain6", "fox"): "a503704ef457fa1b1e5432ff03659ffe602971a4fb58df81ebffc99f3929689a",
-    ("chain6", "sched"): "37448d5760df5d8302776d4f6ea00e5ad888eb0faa93d4ff91a52dcadbff6827",
-    ("chain6", "base"): "4262775b518f6f7561e38d74536a4fafd6028438cea24eb51b7006f9ed86078b",
-    ("magic_str8", "fox"): "b9bdfe84e179aeadd484a4767f362b6ee30bc422c8ff8646ef570502e16d3251",
-    ("magic_str8", "sched"): "91ce4333c69fce110885648db838582a5320ab58d1e39ad30ebe473fed7266d0",
-    ("magic_str8", "base"): "7591416d2f5bfa219eb0d62bdd33349a8f2bff884d35a2dbfd63fa3600a2d206",
+# (log, output) sha256 pairs of golden campaigns: 3k execs, rng seed 0,
+# all-zero seed.  The log digest is over CampaignLog.to_jsonl(); the output
+# digest over every corpus entry's (exec_index, data, sorted new_edges), then
+# every finding's (exec_index, data).  A change that alters the RNG draws, any
+# scheduling decision or where a run ends changes these; such a change must
+# update them and say so.
+GOLDEN_SHA256 = {
+    ("le15", "fox"): ("e3fa3aa7b5d2609095bac0c372b5c54fd82a28e3a80b0ec0113c5eb8b26167a6",
+                      "e0f731e92d306ca5eb99070bad7ff47febeda87d445c1c067b341d65c6172dd2"),
+    ("le15", "sched"): ("41d5c23f8642378bc3207a0c9f794482e7995df7540b25668ddddf1fa57740b1",
+                        "8872267370063b3db373892893a6500ee428ae6faea409ba9c4d21d75c725fe8"),
+    ("le15", "base"): ("ee694aa55d83bae2e986a61631a658c94884fade82f59bc0a4d92de3c7f32dbf",
+                       "41167d4c00db1fee768507af32b0131f5703dce99eca118fd5f3999eee647c8c"),
+    ("chain6", "fox"): ("a503704ef457fa1b1e5432ff03659ffe602971a4fb58df81ebffc99f3929689a",
+                        "35284b3e95f519c7ab3b8ac54d0026f10fcbaa6b3c45e02b84238cc999f3a485"),
+    ("chain6", "sched"): ("37448d5760df5d8302776d4f6ea00e5ad888eb0faa93d4ff91a52dcadbff6827",
+                          "2d64be8bfe462b98f9b7b5ab876e2dba7a599d8c91a5ba3208bf703e0b5d9ec1"),
+    ("chain6", "base"): ("4262775b518f6f7561e38d74536a4fafd6028438cea24eb51b7006f9ed86078b",
+                         "5771e04e083257a615172769fb327acfb37d505a760d960716036bb482838517"),
+    ("magic_str8", "fox"): ("b9bdfe84e179aeadd484a4767f362b6ee30bc422c8ff8646ef570502e16d3251",
+                            "c0b74880a8e44d176517721b10351e5d8a7169fcdc7cb52f4acec1abecea182c"),
+    ("magic_str8", "sched"): ("91ce4333c69fce110885648db838582a5320ab58d1e39ad30ebe473fed7266d0",
+                              "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf"),
+    ("magic_str8", "base"): ("7591416d2f5bfa219eb0d62bdd33349a8f2bff884d35a2dbfd63fa3600a2d206",
+                             "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf"),
     # Fox on the big-endian operand solver, the xor Newton path and a mixed
     # tree.  The first two finish in one stage: magic32_be at its root
     # candidate, xor_guard at a local-search sample.
-    ("magic32_be", "fox"): "28ae590ff09a575bc8617b70cb3a312eee14b206951947d056da598f5c0d25b6",
-    ("xor_guard", "fox"): "c61b824c348a4ee55edf72d259c2e3eaa86141356db81eed0eb376a4455fd88f",
-    ("mixed_tree", "fox"): "de2babd130c7019485b0a4c4096f95f78841c674e6149615a3553b23edb8584c",
+    ("magic32_be", "fox"): ("28ae590ff09a575bc8617b70cb3a312eee14b206951947d056da598f5c0d25b6",
+                            "538ce2d4f37952d70d91d2a2c6a886fb433107e299917a7a925911a541054d16"),
+    ("xor_guard", "fox"): ("c61b824c348a4ee55edf72d259c2e3eaa86141356db81eed0eb376a4455fd88f",
+                           "eee7eec01645cea798eff5d60571c7a30c0d78866c9b38995cbf2b2de59dc95a"),
+    ("mixed_tree", "fox"): ("de2babd130c7019485b0a4c4096f95f78841c674e6149615a3553b23edb8584c",
+                            "da85dacf7baa029c207682001e9986daee28c2a5b288f907461db76190fd51bf"),
     # Sched on a tree where havoc batches switch off sites mid-batch.
-    ("mixed_tree", "sched"): "ccd141908c63819e3924db350a7707283a88d283b2fe5686dd18efd5f658a4a4",
+    ("mixed_tree", "sched"): ("ccd141908c63819e3924db350a7707283a88d283b2fe5686dd18efd5f658a4a4",
+                              "485ad67bcd63e950522d8a67c4e87e885230e5f2661930d67fd9bf2661647567"),
 }
 
 
-# sha256 over every corpus entry's (exec_index, data, sorted new_edges), then
-# every finding's (exec_index, data), for the same runs; recorded under
-# havoc_mutate's 30-bit draw contract (one draw per operator).
-GOLDEN_OUTPUT_SHA256 = {
-    ("le15", "fox"): "e0f731e92d306ca5eb99070bad7ff47febeda87d445c1c067b341d65c6172dd2",
-    ("le15", "sched"): "8872267370063b3db373892893a6500ee428ae6faea409ba9c4d21d75c725fe8",
-    ("le15", "base"): "41167d4c00db1fee768507af32b0131f5703dce99eca118fd5f3999eee647c8c",
-    ("chain6", "fox"): "35284b3e95f519c7ab3b8ac54d0026f10fcbaa6b3c45e02b84238cc999f3a485",
-    ("chain6", "sched"): "2d64be8bfe462b98f9b7b5ab876e2dba7a599d8c91a5ba3208bf703e0b5d9ec1",
-    ("chain6", "base"): "5771e04e083257a615172769fb327acfb37d505a760d960716036bb482838517",
-    ("magic_str8", "fox"): "c0b74880a8e44d176517721b10351e5d8a7169fcdc7cb52f4acec1abecea182c",
-    ("magic_str8", "sched"): "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf",
-    ("magic_str8", "base"): "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf",
-    ("magic32_be", "fox"): "538ce2d4f37952d70d91d2a2c6a886fb433107e299917a7a925911a541054d16",
-    ("xor_guard", "fox"): "eee7eec01645cea798eff5d60571c7a30c0d78866c9b38995cbf2b2de59dc95a",
-    ("mixed_tree", "fox"): "da85dacf7baa029c207682001e9986daee28c2a5b288f907461db76190fd51bf",
-    ("mixed_tree", "sched"): "485ad67bcd63e950522d8a67c4e87e885230e5f2661930d67fd9bf2661647567",
-}
-
-
-def golden_campaign(name, mode):
+@functools.cache
+def golden_digests(name, mode):
+    """The (log, output) digests of one golden campaign; each key runs once,
+    and both tests read its result."""
     program = builtin_targets.load(name)
-    return Campaign(program, [zero_seed(program)], Mode(mode), Budget(max_execs=3_000),
-                    rng_seed=0)
-
-
-@pytest.mark.parametrize("name,mode", sorted(GOLDEN_LOG_SHA256))
-def test_golden_log_digest(name, mode):
-    log = golden_campaign(name, mode).run()
-    digest = hashlib.sha256(log.to_jsonl().encode("utf-8")).hexdigest()
-    assert digest == GOLDEN_LOG_SHA256[(name, mode)]
-
-
-@pytest.mark.parametrize("name,mode", sorted(GOLDEN_OUTPUT_SHA256))
-def test_golden_output_digest(name, mode):
-    campaign = golden_campaign(name, mode)
-    campaign.run()
+    campaign = Campaign(program, [zero_seed(program)], Mode(mode), Budget(max_execs=3_000),
+                        rng_seed=0)
+    log = campaign.run()
     h = hashlib.sha256()
     for entry in campaign.corpus.entries:
         h.update(repr((entry.exec_index, entry.data, sorted(entry.new_edges))).encode("utf-8"))
     for exec_index, data in campaign.findings:
         h.update(repr((exec_index, data)).encode("utf-8"))
-    assert h.hexdigest() == GOLDEN_OUTPUT_SHA256[(name, mode)]
+    return hashlib.sha256(log.to_jsonl().encode("utf-8")).hexdigest(), h.hexdigest()
+
+
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN_SHA256))
+def test_golden_log_digest(name, mode):
+    assert golden_digests(name, mode)[0] == GOLDEN_SHA256[name, mode][0]
+
+
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN_SHA256))
+def test_golden_output_digest(name, mode):
+    assert golden_digests(name, mode)[1] == GOLDEN_SHA256[name, mode][1]

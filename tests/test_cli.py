@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -278,6 +279,21 @@ class TestRunSetupErrors:
         assert out.read_bytes() == b"keep"
         assert not ran
 
+    def test_corpus_path_is_an_existing_file(self, tmp_path, monkeypatch):
+        # A blocked output path ends the command before the campaign runs.
+        ran = self.count_campaign_runs(monkeypatch)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "corpus").write_bytes(b"keep")
+        with pytest.raises(SystemExit) as info:
+            run_cli(["run", "--target", "builtin:le15", "--budget-execs", "10",
+                     "--out", str(out)])
+        message = str(info.value.code)
+        assert message.startswith("frontierfuzz run: ") and "\n" not in message
+        assert str(out / "corpus") in message
+        assert (out / "corpus").read_bytes() == b"keep"
+        assert not ran
+
     @staticmethod
     def count_campaign_runs(monkeypatch):
         ran = []
@@ -300,6 +316,43 @@ class TestReportCommand:
         assert lines[0] == "mode,t_ns,edges_median,edges_p25,edges_p75"
         modes = {line.split(",")[0] for line in lines[1:]}
         assert modes == {"fox", "base"}
+
+    # Two hand-made runs per mode; the digests were recorded before the
+    # percentile lost its branches for no values and for one value.
+    SERIES = {"fox": [[(0, 1), (7, 3), (20, 4)], [(0, 1), (12, 2), (15, 4)]],
+              "base": [[(0, 1), (20, 2)], [(0, 2), (9, 3), (18, 3)]]}
+
+    @pytest.mark.parametrize("runs,digest,rows", [
+        (1, "5b4c65bbb08404202fab42129b352f0d6e9edffdc27f3b0fe6648ee082600ef5",
+         ["base,9,1.0,1.0,1.0", "fox,7,3.0,3.0,3.0", "fox,12,3.0,3.0,3.0"]),
+        (2, "7b46f8c623aa72416034a947b6161a6a659b5ff1988069afa9014a2ee6bfbd76",
+         ["base,9,2.0,1.5,2.5", "fox,7,2.0,1.5,2.5", "fox,12,2.5,2.2,2.8"]),
+    ])
+    def test_report_text_is_pinned(self, tmp_path, runs, digest, rows):
+        for mode, run_list in self.SERIES.items():
+            for i, records in enumerate(run_list[:runs]):
+                stats = tmp_path / f"{mode}-{i}" / "stats.jsonl"
+                stats.parent.mkdir()
+                stats.write_text("".join(
+                    json.dumps({"t_ns": t, "edges_covered": e, "mode": mode}) + "\n"
+                    for t, e in records))
+        assert run_cli(["report", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "report.csv").read_text()
+        lines = text.splitlines()
+        assert len(lines) == 1 + 2 * 21
+        assert set(rows) <= set(lines)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_report_path_is_a_directory(self, tmp_path):
+        stats = tmp_path / "run" / "stats.jsonl"
+        stats.parent.mkdir()
+        stats.write_text(self.GOOD + "\n", encoding="utf-8")
+        (tmp_path / "report.csv").mkdir()
+        with pytest.raises(SystemExit) as info:
+            run_cli(["report", "--out", str(tmp_path)])
+        message = str(info.value.code)
+        assert message.startswith("frontierfuzz report: ") and "\n" not in message
+        assert str(tmp_path / "report.csv") in message
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

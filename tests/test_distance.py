@@ -67,7 +67,7 @@ def test_observation_distance_matches_validating_distance(doc, data):
     # and observation_distance is its scalarized value.
     program = program_from_dict(doc)
     harness = Harness(program, synthetic_time=True)
-    harness.set_active_sites(program.node_ids)
+    harness.switch_on(program.node_ids)
     for x in data.draw(st.lists(st.binary(max_size=program.max_input_len), max_size=8)):
         for site, key in harness.execute(x).observations.items():
             node = program.nodes[site]

@@ -58,8 +58,8 @@ class ScriptedRng(random.Random):
 class OpPinnedRng(random.Random):
     """A seeded rng whose every 30-bit draw has ``index`` as its residue
     modulo ``n_ops``.  Under ``stack_max=1`` the stack depth ignores it, so
-    every havoc call applies operator ``index`` of its table with all other
-    fields drawn at random."""
+    every havoc call applies operator ``index`` with all other fields drawn
+    at random."""
 
     def __init__(self, seed, index, n_ops):
         super().__init__(seed)
@@ -162,9 +162,9 @@ def _reference_havoc(seed, rng, stack_max, max_len=None):
 
 def _single_op(seed, op, samples, *, max_len=None, rng_seed=0):
     """``samples`` havoc mutants of ``seed`` that each apply operator ``op``
-    once; the resize operators are in the table exactly when ``max_len`` is."""
-    ops = mutation._HAVOC_OPS[max_len is not None]
-    rng = OpPinnedRng(rng_seed, ops.index(op), len(ops))
+    once; the resize operators 6 and 7 are drawn exactly when ``max_len`` is
+    given."""
+    rng = OpPinnedRng(rng_seed, op, 8 if max_len is not None else 6)
     return [havoc_mutate(seed, rng, 1, max_len) for _ in range(samples)]
 
 
@@ -267,8 +267,8 @@ class TestHavoc:
     def test_operator_mix(self, resize):
         # On a seed of distinct bytes the delete, the insert and the byte
         # swap (when its two positions differ) each show themselves; each
-        # operator is drawn with probability 1 / len(table).
-        ops = mutation._HAVOC_OPS[resize]
+        # operator is drawn with probability 1 / n_ops.
+        ops = range(8 if resize else 6)
         seed = bytes(range(16))
         max_len = 64 if resize else None
         rng = random.Random(11)
@@ -551,7 +551,7 @@ class TestLocalSearch:
         records = mutator.local_search(seed, {0}, executor, random.Random(2))
         g = records[0].g[0]
         harness = Harness(program, synthetic_time=True)
-        harness.set_active_sites({0})
+        harness.switch_on({0})
 
         def dist(x):
             (key,) = harness.execute(bytes([x])).observations.values()
@@ -663,7 +663,7 @@ class TestLocalSearchAgainstReference:
         sites = set(guard_ids(program))
         seed = bytes([3, 60, 128, 200, 250])
         harness = Harness(program, synthetic_time=True)
-        harness.set_active_sites(sites)
+        harness.switch_on(sites)
         base = {site: observation_distance(key)
                 for site, key in harness.execute(seed).observations.items()}
         best = dict.fromkeys(sites, Fraction(0))
@@ -764,7 +764,7 @@ class TestOperandSolverAgainstReference:
         doc, seed, witness = data.draw(_operand_cases(relation))
         program = program_from_dict(doc)
         harness = Harness(program, synthetic_time=True)
-        harness.set_active_sites({0})
+        harness.switch_on({0})
         (seed_key,) = harness.execute(seed).observations.values()
         (witness_key,) = harness.execute(witness).observations.values()
         d_seed, d_witness = observation_distance(seed_key), observation_distance(witness_key)
@@ -1029,6 +1029,28 @@ class TestHotBytes:
         hot = infer_hot_bytes(bytes(12), bytes(mutant), 0, executor)
         assert hot == ()
 
+    LT_DOC = {
+        "max_input_len": 12,
+        "entry": 0,
+        "nodes": [{"id": 0, "kind": "str", "offset": 4, "length": 4,
+                   "relation": "lt",
+                   "constant": base64.b64encode(b"MMMM").decode(),
+                   "taken": None, "nottaken": None}],
+    }
+
+    def test_flipping_probe_pins_no_window(self):
+        # Probing byte 6 flips "MMMM" < "MMMM" to "MMAM" < "MMMM": the
+        # distance row switches, every key component changes, and the first
+        # changed one (index 0) says nothing about where byte 6 landed.
+        program = program_from_dict(self.LT_DOC)
+        executor = make_executor(program, frontier={0})
+        seed = bytes(4) + b"MMMM" + bytes(4)
+        assert infer_hot_bytes(seed, bytes(4) + b"MMAM" + bytes(4), 0, executor) == ()
+        # A probe that keeps the outcome changes one component and pins the
+        # window, also after a flipping probe.
+        assert infer_hot_bytes(seed, bytes(4) + b"MMMZ" + bytes(4), 0, executor) == (4, 5, 6, 7)
+        assert infer_hot_bytes(seed, bytes(4) + b"MMAZ" + bytes(4), 0, executor) == (4, 5, 6, 7)
+
     def test_unequal_lengths_rejected_before_any_exec(self):
         program = program_from_dict(self.MAGI_DOC)
         executor = make_executor(program, frontier={0})
@@ -1166,7 +1188,7 @@ class TestRootCorrespondence:
         # -1, so the root prediction is 16 from anywhere on the true side.
         program = le15_program()
         harness = Harness(program, synthetic_time=True)
-        harness.set_active_sites({0})
+        harness.switch_on({0})
         (key,) = harness.execute(bytes([witness_byte])).observations.values()
         predicted = newton_step(
             bytes([witness_byte]), observation_distance(key), {0: Fraction(-1)}
@@ -1192,7 +1214,7 @@ class TestNewtonTendency:
             trials += 1
             out = newton_step(rec.witness, observation_distance(rec.witness_key), rec.g)
             harness = Harness(program, synthetic_time=True)
-            harness.set_active_sites({0})
+            harness.switch_on({0})
             (key,) = harness.execute(out).observations.values()
             d_out = abs(observation_distance(key))
             d_wit = abs(observation_distance(rec.witness_key))

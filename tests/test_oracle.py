@@ -200,8 +200,11 @@ class TestConvexityProbe:
         assert stats.ratio(0) < 1.0
 
     def test_probe_restores_active_sites(self):
-        program = builtin_targets.load("le15")
+        program = builtin_targets.load("chain6")
         harness = Harness(program, synthetic_time=True)
-        harness.set_active_sites(set())
-        convexity_probe(harness, 0, bytes([1]), bytes([3]))
-        assert harness.active_sites == frozenset()
+        harness.switch_on({1, 2})
+        convexity_probe(harness, 0, bytes(6), bytes([3, 0, 0, 0, 0, 0]))
+        assert harness.active_sites == {1, 2}
+        # The saved sites observe again, and the probed one no longer does.
+        trace = harness.execute(bytes([1, 2, 4, 8, 16, 32]))
+        assert list(trace.observations) == [1, 2]

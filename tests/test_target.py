@@ -161,7 +161,7 @@ class TestExecute:
     def test_le_guard_true_side(self):
         # Guard "byte <= 15" on a reaching input of 5.
         harness = Harness(program_from_dict(LE15_DOC), synthetic_time=True)
-        harness.set_active_sites({0})
+        harness.switch_on({0})
         trace = harness.execute(bytes([5]))
         assert trace.edges == (0,)
         assert trace.observations == {0: 11}  # 1 - f on the true LE row
@@ -192,7 +192,7 @@ class TestExecute:
                        "taken": None, "nottaken": None}],
         }
         harness = Harness(program_from_dict(doc), synthetic_time=True)
-        harness.set_active_sites({0})
+        harness.switch_on({0})
         assert harness.execute(b"ab").observations == {0: (99, (0, 0, 99))}
         outcome, diffs = guard_feedback(harness.program.nodes[0], b"ab")
         assert diffs == (0, 0, -99)
@@ -211,7 +211,7 @@ class TestExecute:
         }
         harness = Harness(program_from_dict(doc), synthetic_time=True)
         assert harness.execute(b"ab").edges == (0,)
-        harness.set_active_sites({0})
+        harness.switch_on({0})
         assert harness.execute(b"ab").edges == (0,)
 
     def test_xor_observation(self):
@@ -223,7 +223,7 @@ class TestExecute:
                        "taken": None, "nottaken": None}],
         }
         harness = Harness(program_from_dict(doc), synthetic_time=True)
-        harness.set_active_sites({0})
+        harness.switch_on({0})
         (key,) = harness.execute(bytes([1, 2, 3, 4])).observations.values()
         outcome, f = guard_feedback(harness.program.nodes[0], bytes([1, 2, 3, 4]))
         assert f == (1 ^ 2 ^ 3 ^ 4) - 0x5D
@@ -273,7 +273,7 @@ class TestExecute:
         doc = {"max_input_len": 8, "entry": 0,
                "nodes": [int_node(0, width=8, relation="eq", constant=0)]}
         harness = Harness(program_from_dict(doc), synthetic_time=True)
-        harness.set_active_sites({0})
+        harness.switch_on({0})
         assert harness.execute(b"\xff" * 8).observations == {0: 2**64 - 1}
         assert guard_feedback(harness.program.nodes[0], b"\xff" * 8) == (False, 2**64 - 1)
 
@@ -282,7 +282,7 @@ class TestExecute:
                "nodes": [int_node(0, width=8, relation="lt",
                                   constant=-(2**63), signed=True)]}
         harness = Harness(program_from_dict(doc), synthetic_time=True)
-        harness.set_active_sites({0})
+        harness.switch_on({0})
         data = b"\x00" * 7 + b"\x80"
         assert harness.execute(data).observations == {0: -1}  # f - 1 on the false LT row
         outcome, f = guard_feedback(harness.program.nodes[0], data)
@@ -300,7 +300,7 @@ class TestActiveSites:
     def test_all_switches_on(self):
         program = builtin_targets.load("chain6")
         harness = Harness(program, synthetic_time=True)
-        harness.set_active_sites(program.node_ids)
+        harness.switch_on(program.node_ids)
         # The all-taken input reaches every guard, so every guard reports,
         # keyed by site in path order.
         data = bytes([1, 2, 4, 8, 16, 32])
@@ -317,15 +317,18 @@ class TestActiveSites:
     def test_frontier_subset_bounds_observations(self):
         program = builtin_targets.load("chain6")
         harness = Harness(program, synthetic_time=True)
-        harness.set_active_sites({0, 1})
+        harness.switch_on({0, 1})
         trace = harness.execute(bytes([1, 2, 4, 8, 16, 32]))
         assert len(trace.observations) <= 2
         assert list(trace.observations) == _active_path_sites(trace, {0, 1})
 
     def test_unknown_site_rejected(self):
         harness = Harness(builtin_targets.load("le15"), synthetic_time=True)
-        with pytest.raises(ValueError, match="unknown node"):
-            harness.set_active_sites({9})
+        with pytest.raises(ValueError, match=r"unknown node ids in active set: \[9\]"):
+            harness.switch_on({0, 9})
+        # Nothing switched on: the known site stays off.
+        assert harness.active_sites == set()
+        assert harness.execute(bytes([5])).observations == {}
 
     def test_frontier_derived_active_set_bounds_observations(self):
         from frontierfuzz.coverage import CoverageMap
@@ -335,7 +338,7 @@ class TestActiveSites:
         cov = CoverageMap(program)
         cov.absorb_trace(harness.execute(bytes([1, 2, 0, 0, 0, 0])))
         frontier = recompute_frontier(cov)
-        harness.set_active_sites(frontier)
+        harness.switch_on(frontier)
         trace = harness.execute(bytes([1, 2, 4, 8, 16, 32]))
         assert len(trace.observations) <= len(frontier)
         assert set(trace.observations) <= frontier
@@ -345,8 +348,8 @@ class TestActiveSites:
         program = builtin_targets.load("chain6")
         first = Harness(program, synthetic_time=True)
         second = Harness(program, synthetic_time=True)
-        first.set_active_sites({0})
-        second.set_active_sites({1, 2})
+        first.switch_on({0})
+        second.switch_on({1, 2})
         data = bytes([1, 2, 4, 8, 16, 32])
         assert list(first.execute(data).observations) == [0]
         assert list(second.execute(data).observations) == [1, 2]
@@ -355,26 +358,27 @@ class TestActiveSites:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_switching_matches_a_fresh_harness(self, data):
-        # A harness switched through a drawn sequence of active sets and
-        # switch-offs (bug ids and inactive sites included) runs like a fresh
-        # one switched once to the resulting set: the same edges and keys, in
-        # path order.  The program's own step list never changes.
+        # A harness switched through a drawn sequence of switch-ons and
+        # switch-offs (bug ids, active and inactive sites included) holds the
+        # model set and runs like a fresh one switched on once to it: the
+        # same edges and keys, in path order.  The program's own step list
+        # never changes.
         program = program_from_dict(data.draw(_documents()))
         plain = list(program._steps)
         harness = Harness(program, synthetic_time=True)
         subsets = st.frozensets(st.sampled_from(sorted(program.node_ids)))
         inputs = st.lists(st.binary(max_size=program.max_input_len), max_size=3)
         active = frozenset()
-        for sites, narrow in data.draw(st.lists(st.tuples(subsets, st.booleans()),
-                                                min_size=1, max_size=8)):
-            if narrow:
+        for sites, on in data.draw(st.lists(st.tuples(subsets, st.booleans()),
+                                            min_size=1, max_size=8)):
+            if on:
+                harness.switch_on(sites)
+                active |= sites
+            else:
                 harness.switch_off(sites)
                 active -= sites
-            else:
-                harness.set_active_sites(sites)
-                active = sites
             fresh = Harness(program, synthetic_time=True)
-            fresh.set_active_sites(active)
+            fresh.switch_on(active)
             assert harness.active_sites == active
             for raw in data.draw(inputs):
                 got, want = harness.execute(raw), fresh.execute(raw)
@@ -389,7 +393,7 @@ class TestDeterminismAndConsistency:
     def test_identical_runs_identical_traces(self, data):
         program = builtin_targets.load("mixed_tree")
         harness = Harness(program, synthetic_time=True)
-        harness.set_active_sites(program.node_ids)
+        harness.switch_on(program.node_ids)
         assert harness.execute(data) == harness.execute(data)
 
     @settings(max_examples=60, deadline=None)
@@ -397,7 +401,7 @@ class TestDeterminismAndConsistency:
     def test_observation_consistency(self, data):
         program = builtin_targets.load("mixed_tree")
         harness = Harness(program, synthetic_time=True)
-        harness.set_active_sites(program.node_ids)
+        harness.switch_on(program.node_ids)
         trace = harness.execute(data)
         for site in trace.observations:
             node = program.nodes[site]
@@ -636,7 +640,8 @@ def _assert_matches_reference(program, data):
             assert guard_feedback(node, raw) == (outcome, f if diffs is None else diffs)
         subset = data.draw(st.frozensets(st.sampled_from(ids)))
         for active in (frozenset(), frozenset(ids), subset):
-            harness.set_active_sites(active)
+            harness.switch_off(ids)
+            harness.switch_on(active)
             trace = harness.execute(raw)
             assert trace == _reference_execute(program, active, raw)
             # Dict equality ignores order: check the keys' path order too.
