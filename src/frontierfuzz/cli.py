@@ -217,7 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seeds", default=None, help="directory of seed files")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--rng-seed", type=int, default=0)
-    p_run.add_argument("--sample-size", type=int, default=1024)
+    p_run.add_argument("--sample-size", type=int, default=1024,
+                       help="most local-search samples per fox stage (a search stops "
+                            "after a chunk of 64 that improves no record), and the "
+                            "mutants per plain havoc batch")
     p_run.add_argument("--synthetic-time", action="store_true",
                        help="count one deterministic time unit per execution")
     p_run.set_defaults(func=_cmd_run)

@@ -2,10 +2,11 @@
 root-finding steps, and string hot-byte inference.
 
 A mutation stage samples the seed's neighborhood with a short stack of havoc
-operators, estimates a linear lower bound (subgradient) of the distance from
-the sampled (input delta, distance delta) pairs for every frontier branch
-that some sample moved away from the seed's distance, and then jumps each
-such branch toward its distance root:
+operators, until a chunk of samples improves no estimate, estimates a linear
+lower bound (subgradient) of the distance from the sampled (input delta,
+distance delta) pairs for every frontier branch that some sample moved away
+from the seed's distance, and then jumps each such branch toward its
+distance root:
 
     new_input = witness - distance / slope
 
@@ -55,7 +56,9 @@ _BYTES_PER_OP = 4
 # slopes; plain havoc batches take the deeper stack.
 _SEARCH_STACK = 4
 _BATCH_STACK = 16
-# Local search runs its samples in batches of this many: memory stays bounded.
+# Local search runs its samples in chunks of this many, the seed included in
+# the first: memory stays bounded, and a chunk that improves no record ends
+# the search.
 _SEARCH_CHUNK = 64
 
 # An operator carves its ranged fields from its own 30-bit draw only while the
@@ -271,24 +274,27 @@ def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> tuple[in
     distance key pins one hot byte, and the rest of the window follows from
     that component's index plus the compared length (string windows are
     contiguous).  A probe that flips the comparison switches the distance
-    row, and no two rows agree at any difference, so it changes the
-    component of every position it left alone: on a window of three or more
-    bytes it pins nothing, and probing goes on.  Returns the window's input
-    offsets, one per compared position, or ``()`` when no probe pins one.
-    The inputs must have the same length.
+    row, so its changed components say nothing about where the probed byte
+    landed, and it covers the branch, which leaves the frontier: probing
+    ends there, with no window.  Returns the window's input offsets, one per
+    compared position, or ``()`` when no probe pins one.  The inputs must
+    have the same length.
     """
     if len(seed) != len(mutant):
         raise ValueError("hot-byte inference requires equal-length inputs")
     base_key = executor.run(seed).observations.get(site)
     if base_key.__class__ is not tuple:  # missed, or not a string site
         return ()
+    node = executor.harness.program.nodes[site]
+    outcome = guard_feedback(node, seed)[0]
     differing = [j for j, (a, b) in enumerate(zip(seed, mutant)) if a != b]
     for pos in differing:
-        probe = bytearray(seed)
-        probe[pos] = mutant[pos]
-        key = executor.run(bytes(probe)).observations.get(site)
+        probe = seed[:pos] + mutant[pos:pos + 1] + seed[pos + 1:]
+        key = executor.run(probe).observations.get(site)
         if key.__class__ is not tuple:
             continue
+        if guard_feedback(node, probe)[0] != outcome:
+            return ()  # the probe flipped the branch
         # The changed comparison index tells us where in the window this
         # input byte landed; a vector key is (L1, values), one per position.
         changed = [j for j, (a, b) in enumerate(zip(base_key[1], key[1])) if a != b]
@@ -298,17 +304,31 @@ def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> tuple[in
     return ()
 
 
+def _mutants(seed: bytes, rng: random.Random, count: int, made: list):
+    """Yield ``count`` local-search mutants of ``seed``, each made only when
+    ``run_batch`` asks for it and appended to ``made``: a run that ends
+    mid-chunk makes no mutant past its last exec, bar the one ``run_batch``
+    takes before it finds the budget spent."""
+    for _ in range(count):
+        data = havoc_mutate(seed, rng, _SEARCH_STACK)
+        made.append(data)
+        yield data
+
+
 class Mutator:
     """Stage driver: local search, then one root-finding input per branch.
 
-    ``sample_size`` is the mutator's one setting, an int >= 2: the samples
-    local search takes per stage, the seed included.  The campaign's plain
-    havoc batches take the same number of mutants.
+    ``sample_size`` is the mutator's one setting, an int >= 2: the most
+    samples local search takes per stage, the seed included.  Local search
+    stops sooner, at the end of the first chunk of ``_SEARCH_CHUNK`` (64)
+    samples that improves no record of a branch still on the frontier.  The campaign's plain havoc batches
+    take exactly ``sample_size`` mutants.
 
     ``executor`` is any object with ``run(data) -> outcome``, whose
     ``observations`` is the trace's own site -> distance key map and ``flips``
     the frontier branches the input flipped, ``run_batch(inputs, maps=[])``,
-    the inputs' maps, and a ``coverage.frontier`` that its runs keep current.
+    the inputs' maps, a ``coverage.frontier`` that its runs keep current,
+    and a ``harness.program``, the program it runs.
     """
 
     def __init__(self, program: GuardProgram, sample_size: int = 1024):
@@ -321,31 +341,42 @@ class Mutator:
                      rng: random.Random) -> dict[int, SubgradientRecord]:
         """Sample the seed neighborhood and retain the best slope per branch.
 
-        The first of the ``sample_size`` samples is the unmutated seed itself,
-        which establishes the baseline distances the slopes are measured
-        against; the rest are havoc mutants of stack ``_SEARCH_STACK``.  A
-        sample's slope norm at a site is |Δd| · Σ_j 1/|Δbyte_j|; the sum
-        depends only on the sample, so it is taken once, as an integer in
-        units of 1/L (``_INV``), and records are compared by norm times L.
-        Δd comes from the observations' scalarized distance keys.  Only a
-        frontier site the seed reached has a baseline, and only a sample that
-        moves its scalarized key has a nonzero norm; the sum is taken at a
-        sample's first such site.  A site gets a record, with its ``g``, only
-        when a sample beats its best norm so far, which starts at 0: a site no
-        sample moved has no record, since no root step could use one.
+        The first sample is the unmutated seed itself, which establishes the
+        baseline distances the slopes are measured against; the rest are
+        havoc mutants of stack ``_SEARCH_STACK``, each made when its exec
+        comes up.  They run in chunks of ``_SEARCH_CHUNK`` samples, the first
+        chunk holding the seed, and sampling stops at ``sample_size`` samples
+        or after the first chunk in which no sample raised the best norm of a
+        site still on the frontier when the chunk ends.  A sample's slope
+        norm at a site is |Δd| · Σ_j 1/|Δbyte_j|; the sum depends only on the
+        sample, so it is taken once, as an integer in units of 1/L
+        (``_INV``), and records are compared by norm times L.  Δd comes from the observations' scalarized distance keys.
+        Only a frontier site the seed reached has a baseline, and only a
+        sample that moves its scalarized key has a nonzero norm; the sum is
+        taken at a sample's first such site.  A site's best norm starts at
+        0, and its record is the first sample that reached its best, with
+        ``g`` built once, for that sample: a site no sample moved has no
+        record, since no root step could use one.
         """
-        seed_v = {site: observation_distance(key)
-                  for site, key in executor.run(seed).observations.items() if site in frontier}
-        records: dict[int, SubgradientRecord] = {}
+        seed_keys = {site: key for site, key in executor.run(seed).observations.items()
+                     if site in frontier}
+        seed_v = {site: observation_distance(key) for site, key in seed_keys.items()}
         norms = dict.fromkeys(seed_v, 0)
-        for start in range(1, self.sample_size, _SEARCH_CHUNK):
-            chunk = [havoc_mutate(seed, rng, _SEARCH_STACK)
-                     for _ in range(min(_SEARCH_CHUNK, self.sample_size - start))]
-            for data, observations in zip(chunk, executor.run_batch(chunk, maps=[])):
+        best: dict[int, tuple[bytes, int | tuple[int, tuple[int, ...]]]] = {}
+        live = executor.coverage.frontier
+        for start in range(0, self.sample_size, _SEARCH_CHUNK):
+            made: list[bytes] = []
+            count = min(start + _SEARCH_CHUNK, self.sample_size) - max(start, 1)
+            maps = executor.run_batch(_mutants(seed, rng, count, made), maps=[])
+            improved = False
+            for data, observations in zip(made, maps):
                 s = None
                 for site, key in observations.items():
-                    base = seed_v.get(site)  # every site in seed_v is in the frontier
-                    if base is None or (v := observation_distance(key)) == base:
+                    seed_key = seed_keys.get(site)  # every such site is in the frontier
+                    if seed_key is None or key == seed_key:
+                        continue
+                    base = seed_v[site]
+                    if (v := observation_distance(key)) == base:
                         continue
                     if s is None:
                         s = 0  # with no max_len, havoc keeps the seed's length
@@ -355,9 +386,14 @@ class Mutator:
                     norm = abs(v - base) * s
                     if norm > norms[site]:
                         norms[site] = norm
-                        g = compute_subgradient(seed, data, base, v)
-                        records[site] = SubgradientRecord(g, data, key)
-        return records
+                        best[site] = data, key
+                        improved = improved or site in live
+            if not improved:
+                break
+        return {site: SubgradientRecord(
+                    compute_subgradient(seed, data, seed_v[site], observation_distance(key)),
+                    data, key)
+                for site, (data, key) in best.items()}
 
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
         """One full stage: sample, estimate slopes, and fire one targeted

@@ -13,9 +13,12 @@ operands bound in; integer operands are read through ``struct`` readers built
 at import.  A harness copies the program's step list when it is made; its
 ``switch_on`` builds an observing step, which also applies the guard's
 distance row, for each site it turns on, and ``switch_off`` puts the plain
-step back.  An input shorter than the furthest operand window is
-zero-extended up to it before the walk; loading rejects a window that ends
-past ``MAX_WINDOW_END`` bytes.
+step back.  A string guard's observing step keeps its last window, outcome
+and key, and reuses them when the same window comes back; ``switch_on``
+builds a fresh step, so a site's memo starts empty each time it is turned
+on, and no two harnesses share one.  An input shorter than the furthest
+operand window is zero-extended up to it before the walk; loading rejects a
+window that ends past ``MAX_WINDOW_END`` bytes.
 
 Loading checks and builds each node in one pass over its fields, in a fixed
 order, so a document with several faults always reports the same first one;
@@ -184,14 +187,22 @@ def _str_step(n: GuardNode, observe: bool):
     end, pad, const = off + size, bytes(cmplen - size), const.ljust(cmplen, b"\0")
     cmp, te, ne = _OPS[rel], 2 * nid, 2 * nid + 1
     if observe:
+        # ``memo`` holds the last window seen, its outcome and its key; each
+        # step built here gets a fresh one, and a repeated window reuses them.
         def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
                  te=te, ne=ne, tk=tk, ntk=ntk, site=nid, rt=_ROWS[True, rel],
-                 rf=_ROWS[False, rel], sub=operator.sub):
-            window = data[off:end] + pad
-            outcome = cmp(window, const)
+                 rf=_ROWS[False, rel], sub=operator.sub, memo=[None, False, None]):
+            window = data[off:end]
+            if window == memo[0]:
+                outcome, key = memo[1], memo[2]
+            else:
+                padded = window + pad
+                outcome = cmp(padded, const)
+                values = tuple(map(rt if outcome else rf, map(sub, padded, const)))
+                key = (sum(map(abs, values)), values)
+                memo[:] = window, outcome, key
             edges.append(te if outcome else ne)
-            values = tuple(map(rt if outcome else rf, map(sub, window, const)))
-            obs[site] = (sum(map(abs, values)), values)
+            obs[site] = key
             return tk if outcome else ntk
     else:
         def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
@@ -300,8 +311,9 @@ class Harness:
         self._steps = list(program._steps)
 
     def switch_on(self, sites) -> None:
-        """Switch on each of ``sites`` that is off, building its observing
-        step; an unknown id raises before any site changes."""
+        """Switch on each of ``sites`` that is off, building a fresh
+        observing step (a string step's memo starts empty); an unknown id
+        raises before any site changes."""
         program, active, steps = self.program, self.active_sites, self._steps
         new = {nid for nid in sites if nid not in active}
         if not new <= program.node_ids:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import make_executor
 from frontierfuzz import builtin_targets, mutation
-from frontierfuzz.campaign import Budget, Campaign, Mode
+from frontierfuzz.campaign import Budget, Campaign, Mode, _RunEnded
 from frontierfuzz.distance import observation_distance
 from frontierfuzz.mutation import (
     _ARITH_MAX,
@@ -20,6 +20,7 @@ from frontierfuzz.mutation import (
     _BYTES_PER_OP,
     _INTERESTING,
     _INV,
+    _SEARCH_CHUNK,
     _SEARCH_STACK,
     Mutator,
     SubgradientRecord,
@@ -577,12 +578,21 @@ class _SeedKeyedRecord:
 def _reference_local_search(self, seed, frontier, executor, rng):
     """``Mutator.local_search`` as it was before the norm was factored: a
     ``Fraction`` slope dict and its L1 norm for every (sample, frontier site)
-    pair.  Called with the mutator as ``self``; kept as the oracle for the
-    records the factored version keeps."""
+    pair, one ``run`` per sample, and samples counted one at a time: sample
+    ``i`` ends a chunk when ``i % _SEARCH_CHUNK`` is the last index, and the
+    search stops after a chunk in which no norm rose above its site's best
+    (0 before any) at a site still on the executor's frontier at the chunk's
+    end.  Called with the mutator as ``self``; kept as the oracle
+    for the records the factored version keeps."""
     records: dict[int, _SeedKeyedRecord] = {}
     norms: dict[int, Fraction] = {}
     seed_keys: dict[int, object] = {}
+    raised: set[int] = set()
     for i in range(self.sample_size):
+        if i and i % _SEARCH_CHUNK == 0:
+            if not raised & executor.coverage.frontier:
+                break
+            raised = set()
         data = seed if i == 0 else havoc_mutate(seed, rng, _SEARCH_STACK)
         outcome = executor.run(data)
         if i == 0:
@@ -600,6 +610,8 @@ def _reference_local_search(self, seed, frontier, executor, rng):
                     observation_distance(key),
                 )
             norm = l1_norm(g)
+            if norm > norms.get(site, 0):
+                raised.add(site)
             if site not in records or norm > norms[site]:
                 records[site] = _SeedKeyedRecord(g, data, key, base)
                 norms[site] = norm
@@ -622,8 +634,10 @@ def _search_setups(draw):
 
 
 class TestLocalSearchAgainstReference:
+    # Up to 300 samples: several chunks, so the search can stop at any of
+    # the first four chunk boundaries or run to its cap mid-chunk.
     @settings(max_examples=300, deadline=None)
-    @given(_search_setups(), st.integers(0, 2**32), st.integers(2, 40))
+    @given(_search_setups(), st.integers(0, 2**32), st.integers(2, 300))
     def test_same_records_draws_and_state(self, setup, rng_seed, sample_size):
         program, active, frontier, seed = setup
         mutator = Mutator(program, sample_size)
@@ -651,8 +665,9 @@ class TestLocalSearchAgainstReference:
 
     def test_subgradients_built_only_for_nonzero_replacements(self, monkeypatch):
         # Five always-true guards on every path: each sample reaches every
-        # site.  Count the strict nonzero-norm improvements the sample stream
-        # makes per site, then the slope dicts local search builds.
+        # site, and many samples raise some site's best norm.  A slope dict
+        # is built once per returned record, for its witness, and never for
+        # a record a later sample replaced.
         program = program_from_dict({
             "max_input_len": 5, "entry": 0,
             "nodes": [{"id": i, "kind": "int", "offset": i, "width": 1, "endian": "le",
@@ -662,21 +677,6 @@ class TestLocalSearchAgainstReference:
         })
         sites = set(guard_ids(program))
         seed = bytes([3, 60, 128, 200, 250])
-        harness = Harness(program, synthetic_time=True)
-        harness.switch_on(sites)
-        base = {site: observation_distance(key)
-                for site, key in harness.execute(seed).observations.items()}
-        best = dict.fromkeys(sites, Fraction(0))
-        replacements = 0
-        rng = random.Random(5)
-        for _ in range(255):
-            data = havoc_mutate(seed, rng, _SEARCH_STACK)
-            for site, key in harness.execute(data).observations.items():
-                norm = l1_norm(compute_subgradient(
-                    seed, data, base[site], observation_distance(key)))
-                if norm > best[site]:
-                    best[site] = norm
-                    replacements += 1
         calls = []
 
         def counting(*args):
@@ -685,9 +685,50 @@ class TestLocalSearchAgainstReference:
 
         monkeypatch.setattr(mutation, "compute_subgradient", counting)
         executor = make_executor(program, frontier=sites)
-        Mutator(program, 256).local_search(seed, sites, executor, random.Random(5))
-        assert len(calls) == replacements
-        assert 0 < replacements < 255  # fewer than one per sample, not 5 per sample
+        records = Mutator(program, 256).local_search(seed, sites, executor, random.Random(5))
+        assert set(records) == sites
+        assert len(calls) == len(records)
+        assert sorted(call[1] for call in calls) == sorted(rec.witness for rec in records.values())
+
+    def test_stage_with_no_baseline_stops_after_one_chunk(self):
+        # The zero seed misses bug_chain's site 1 (it fails the 0xDEAD guard),
+        # so no sample can raise a norm there: local search stops after its
+        # first chunk, the seed and 63 mutants, and no record fires a root
+        # step.
+        program = builtin_targets.load("bug_chain")
+        executor = make_executor(program, frontier={1})
+        Mutator(program, 1024).mutate_stage(bytes(8), {1}, executor, random.Random(0))
+        assert executor.execs == _SEARCH_CHUNK == 64
+
+    def test_campaign_ending_mid_chunk_makes_only_the_mutants_it_runs(self, monkeypatch):
+        # bug_chain at rng seed 0 covers its last edge with the 28th sample
+        # of a stage's first chunk; the rest of that chunk is never made.
+        search, havoc = Mutator.local_search, mutation.havoc_mutate
+        samples, made, ended = [], [], []
+
+        def counting_search(self, seed, frontier, executor, rng):
+            before = executor.execs
+            try:
+                return search(self, seed, frontier, executor, rng)
+            except _RunEnded:
+                ended.append(executor.execs)
+                raise
+            finally:
+                samples.append(executor.execs - before - 1)  # the seed's run is no sample
+
+        def counting_havoc(*args):
+            made.append(args)
+            return havoc(*args)
+
+        monkeypatch.setattr(Mutator, "local_search", counting_search)
+        monkeypatch.setattr(mutation, "havoc_mutate", counting_havoc)
+        program = builtin_targets.load("bug_chain")
+        camp = Campaign(program, [bytes(8)], Mode.FOX, Budget(max_execs=100_000), rng_seed=0)
+        camp.run()
+        assert camp.coverage.complete
+        assert ended == [camp.log.records[-1].execs]
+        assert (samples[-1] + 1) % _SEARCH_CHUNK != 0  # mid-chunk
+        assert len(made) == sum(samples)
 
 
 def _reference_solve_operand(self, seed, site, rec):
@@ -784,9 +825,10 @@ class _ParentMutator(Mutator):
     all, except that ``_solve_string`` writes no window byte at or past
     ``max_input_len`` (as ``Mutator._solve_string`` does) and that
     ``mutate_stage`` builds no candidate for a site that left the live
-    frontier earlier in the stage (as ``Mutator.mutate_stage`` does).  Kept
-    as the oracle for the stage that keeps only the records a root step can
-    fire from."""
+    frontier earlier in the stage (as ``Mutator.mutate_stage`` does), and
+    that its local search, which runs one sample at a time, stops as
+    ``Mutator.local_search`` does.  Kept as the oracle for the stage that
+    keeps only the records a root step can fire from."""
 
     def local_search(self, seed: bytes, frontier, executor,
                      rng: random.Random) -> dict[int, _SeedKeyedRecord]:
@@ -802,7 +844,10 @@ class _ParentMutator(Mutator):
         built only for a record that wins with a nonzero norm.  A site whose
         scalarized key equals its seed baseline has norm 0, which never beats
         its record's, so it is skipped: the records stay the same, and the sum
-        is taken only at a sample's first site whose key moved.
+        is taken only at a sample's first site whose key moved.  Sample ``i``
+        ends a chunk when ``i % _SEARCH_CHUNK`` is the last index, and the
+        search stops after a chunk that raised no norm of a site still on the
+        executor's frontier.
         """
         seed_keys = executor.run(seed).observations
         seed_v = {site: observation_distance(key)
@@ -810,7 +855,12 @@ class _ParentMutator(Mutator):
         records = {site: _SeedKeyedRecord({}, seed, seed_keys[site], seed_keys[site])
                    for site in seed_v}
         norms = dict.fromkeys(records, 0)
-        for _ in range(self.sample_size - 1):
+        raised: set[int] = set()
+        for i in range(1, self.sample_size):
+            if i % _SEARCH_CHUNK == 0:
+                if not raised & executor.coverage.frontier:
+                    break
+                raised = set()
             data = havoc_mutate(seed, rng, _SEARCH_STACK)
             s = None
             for site, key in executor.run(data).observations.items():
@@ -830,6 +880,7 @@ class _ParentMutator(Mutator):
                 norm = abs(v - base) * s
                 if norm > norms[site]:
                     norms[site] = norm
+                    raised.add(site)
                     g = compute_subgradient(seed, data, base, v)
                     records[site] = _SeedKeyedRecord(g, data, key, seed_keys[site])
         return records
@@ -922,7 +973,7 @@ def _reference_mutate_stage(program, sample_size, seed, frontier, executor, rng)
 
 class TestMutateStageAgainstReference:
     @settings(max_examples=200, deadline=None)
-    @given(_search_setups(), st.integers(0, 2**32), st.integers(2, 40))
+    @given(_search_setups(), st.integers(0, 2**32), st.integers(2, 300))
     def test_same_execs_draws_and_state(self, setup, rng_seed, sample_size):
         program, active, frontier, seed = setup
         runs = []
@@ -954,12 +1005,12 @@ class TestMutateStageAgainstReference:
     @pytest.mark.parametrize("name", builtin_targets.names())
     def test_same_fox_campaigns_on_builtins(self, name):
         program = builtin_targets.load(name)
-        for sample_size in (16, 64):
+        for sample_size in (16, 64, 1024):
             for rng_seed in range(3):
                 _assert_same_fox_campaign(program, sample_size, rng_seed, 5_000)
 
     @settings(max_examples=60, deadline=None)
-    @given(_documents(), st.integers(0, 2**32), st.integers(2, 40))
+    @given(_documents(), st.integers(0, 2**32), st.integers(2, 300))
     def test_same_fox_campaigns_on_generated_programs(self, doc, rng_seed, sample_size):
         _assert_same_fox_campaign(program_from_dict(doc), sample_size, rng_seed, 2_000)
 
@@ -1047,9 +1098,32 @@ class TestHotBytes:
         seed = bytes(4) + b"MMMM" + bytes(4)
         assert infer_hot_bytes(seed, bytes(4) + b"MMAM" + bytes(4), 0, executor) == ()
         # A probe that keeps the outcome changes one component and pins the
-        # window, also after a flipping probe.
+        # window.
         assert infer_hot_bytes(seed, bytes(4) + b"MMMZ" + bytes(4), 0, executor) == (4, 5, 6, 7)
-        assert infer_hot_bytes(seed, bytes(4) + b"MMAZ" + bytes(4), 0, executor) == (4, 5, 6, 7)
+        # A flipping probe covers the branch and ends probing: in a campaign
+        # the executor switches the site off at that exec, so no later probe
+        # could observe it.
+        before = executor.execs
+        assert infer_hot_bytes(seed, bytes(4) + b"MMAZ" + bytes(4), 0, executor) == ()
+        assert executor.execs - before == 2  # the seed, then the probe at byte 6
+
+    def test_flipping_probe_pins_no_two_byte_window(self):
+        # "MO" < "MM" is false; probing byte 5 gives "ML" < "MM", which is
+        # true.  The row switches and the keys go from (2, (-1, 1)) to
+        # (1, (0, 1)): only component 1 changes, which would put the window
+        # at (5, 6) instead of (4, 5).  The probe flipped the guard, so it
+        # pins nothing.
+        program = program_from_dict({
+            "max_input_len": 8, "entry": 0,
+            "nodes": [{"id": 0, "kind": "str", "offset": 4, "length": 2, "relation": "lt",
+                       "constant": base64.b64encode(b"MM").decode(),
+                       "taken": None, "nottaken": None}],
+        })
+        executor = make_executor(program, frontier={0})
+        seed = bytes(4) + b"MO" + bytes(2)
+        assert infer_hot_bytes(seed, bytes(4) + b"ML" + bytes(2), 0, executor) == ()
+        # A probe that keeps the outcome still pins the window.
+        assert infer_hot_bytes(seed, bytes(4) + b"MP" + bytes(2), 0, executor) == (4, 5)
 
     def test_unequal_lengths_rejected_before_any_exec(self):
         program = program_from_dict(self.MAGI_DOC)

@@ -386,6 +386,31 @@ class TestActiveSites:
                 assert list(got.observations) == list(want.observations)
         assert program._steps == plain
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_string_memo_matches_a_fresh_harness(self, data):
+        # A string site's observing step reuses the outcome and key of the
+        # last window it saw.  One harness runs a drawn input sequence, drawn
+        # from a small pool so windows repeat, and switches drawn sites off
+        # and on again between inputs; each trace must equal a fresh
+        # harness's, whose memos are empty, and the reference interpreter's,
+        # which has no steps.
+        program = program_from_dict(data.draw(_documents()))
+        ids = sorted(program.node_ids)
+        harness = Harness(program, synthetic_time=True)
+        harness.switch_on(ids)
+        raw_inputs = st.lists(_BYTE_VALUES, max_size=program.max_input_len).map(bytes)
+        pool = data.draw(st.lists(raw_inputs, min_size=1, max_size=4))
+        for raw in data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12)):
+            toggled = data.draw(st.frozensets(st.sampled_from(ids)))
+            harness.switch_off(toggled)
+            harness.switch_on(toggled)
+            fresh = Harness(program, synthetic_time=True)
+            fresh.switch_on(ids)
+            got, want = harness.execute(raw), fresh.execute(raw)
+            assert got == want == _reference_execute(program, frozenset(ids), raw)
+            assert list(got.observations) == list(want.observations)
+
 
 class TestDeterminismAndConsistency:
     @settings(max_examples=60, deadline=None)
