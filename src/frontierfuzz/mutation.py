@@ -2,11 +2,11 @@
 root-finding steps, and string hot-byte inference.
 
 A mutation stage samples the seed's neighborhood with a short stack of havoc
-operators, until a chunk of samples improves no estimate, estimates a linear
-lower bound (subgradient) of the distance from the sampled (input delta,
-distance delta) pairs for every frontier branch that some sample moved away
-from the seed's distance, and then jumps each such branch toward its
-distance root:
+operators, until a chunk of samples improves no estimate or every live branch
+has one, estimates a linear lower bound (subgradient) of the distance from the
+sampled (input delta, distance delta) pairs for every frontier branch that
+some sample moved away from the seed's distance, and then jumps each such
+branch toward its distance root:
 
     new_input = witness - distance / slope
 
@@ -57,8 +57,8 @@ _BYTES_PER_OP = 4
 _SEARCH_STACK = 4
 _BATCH_STACK = 16
 # Local search runs its samples in chunks of this many, the seed included in
-# the first: memory stays bounded, and a chunk that improves no record ends
-# the search.
+# the first: memory stays bounded, and the search ends after a chunk that
+# improves no record or leaves every live branch with one.
 _SEARCH_CHUNK = 64
 
 # An operator carves its ranged fields from its own 30-bit draw only while the
@@ -90,8 +90,9 @@ class SubgradientRecord:
     """Best slope estimate retained for one frontier branch this stage.
 
     ``g`` maps byte positions to exact rational slopes, one nonzero slope per
-    byte where ``witness`` differs from the seed; of the samples that reached
-    the branch, the witness is the first whose ``g`` has the largest L1 norm.
+    byte where ``witness`` differs from the seed; of the samples local search
+    took before it stopped that reached the branch, the witness is the first
+    whose ``g`` has the largest L1 norm.
     A record exists only for a nonzero norm (see ``Mutator.local_search``),
     so ``witness_key``, the witness's distance order key, differs from the
     seed's.
@@ -321,8 +322,9 @@ class Mutator:
     ``sample_size`` is the mutator's one setting, an int >= 2: the most
     samples local search takes per stage, the seed included.  Local search
     stops sooner, at the end of the first chunk of ``_SEARCH_CHUNK`` (64)
-    samples that improves no record of a branch still on the frontier.  The campaign's plain havoc batches
-    take exactly ``sample_size`` mutants.
+    samples that improves no record of a branch still on the frontier, or
+    after which every such branch the seed reached has a record.  The
+    campaign's plain havoc batches take exactly ``sample_size`` mutants.
 
     ``executor`` is any object with ``run(data) -> outcome``, whose
     ``observations`` is the trace's own site -> distance key map and ``flips``
@@ -346,17 +348,20 @@ class Mutator:
         havoc mutants of stack ``_SEARCH_STACK``, each made when its exec
         comes up.  They run in chunks of ``_SEARCH_CHUNK`` samples, the first
         chunk holding the seed, and sampling stops at ``sample_size`` samples
-        or after the first chunk in which no sample raised the best norm of a
-        site still on the frontier when the chunk ends.  A sample's slope
-        norm at a site is |Δd| · Σ_j 1/|Δbyte_j|; the sum depends only on the
-        sample, so it is taken once, as an integer in units of 1/L
-        (``_INV``), and records are compared by norm times L.  Δd comes from the observations' scalarized distance keys.
-        Only a frontier site the seed reached has a baseline, and only a
-        sample that moves its scalarized key has a nonzero norm; the sum is
-        taken at a sample's first such site.  A site's best norm starts at
-        0, and its record is the first sample that reached its best, with
-        ``g`` built once, for that sample: a site no sample moved has no
-        record, since no root step could use one.
+        or after the first chunk at whose end either no sample of the chunk
+        raised the best norm of a site still on the frontier, or every site
+        with a baseline that is still on the frontier has a record (the
+        operand and string solvers need only one, as they recompute the
+        witness's raw feedback).  A sample's slope norm at a site is
+        |Δd| · Σ_j 1/|Δbyte_j|; the sum depends only on the sample, so it is
+        taken once, as an integer in units of 1/L (``_INV``), and records are
+        compared by norm times L.  Δd comes from the observations' scalarized
+        distance keys.  Only a frontier site the seed reached has a baseline,
+        and only a sample that moves its scalarized key has a nonzero norm;
+        the sum is taken at a sample's first such site.  A site's best norm
+        starts at 0, and its record is the first sample that reached its
+        best, with ``g`` built once, for that sample: a site no sample moved
+        has no record, since no root step could use one.
         """
         seed_keys = {site: key for site, key in executor.run(seed).observations.items()
                      if site in frontier}
@@ -388,7 +393,7 @@ class Mutator:
                         norms[site] = norm
                         best[site] = data, key
                         improved = improved or site in live
-            if not improved:
+            if not improved or all(site in best for site in seed_v if site in live):
                 break
         return {site: SubgradientRecord(
                     compute_subgradient(seed, data, seed_v[site], observation_distance(key)),

@@ -758,27 +758,27 @@ GOLDEN_SHA256 = {
                         "8872267370063b3db373892893a6500ee428ae6faea409ba9c4d21d75c725fe8"),
     ("le15", "base"): ("ee694aa55d83bae2e986a61631a658c94884fade82f59bc0a4d92de3c7f32dbf",
                        "41167d4c00db1fee768507af32b0131f5703dce99eca118fd5f3999eee647c8c"),
-    ("chain6", "fox"): ("11dd64f32c67d6b52be7f1e9da0a34dfdf4a5a28914b92ec752dc7dc58a75419",
-                        "f177a2a4142a5a413add0289199455af270682d5f7c1d081e23aae82cfc71865"),
+    ("chain6", "fox"): ("a40e4269aa1bf1f5e5d2cad291f71ab695bfd176b1275a04e94f9d05aa078de6",
+                        "dba649a6c1c801ea16d857065b4c927976843f236d6967bd89e81e15af528964"),
     ("chain6", "sched"): ("37448d5760df5d8302776d4f6ea00e5ad888eb0faa93d4ff91a52dcadbff6827",
                           "2d64be8bfe462b98f9b7b5ab876e2dba7a599d8c91a5ba3208bf703e0b5d9ec1"),
     ("chain6", "base"): ("4262775b518f6f7561e38d74536a4fafd6028438cea24eb51b7006f9ed86078b",
                          "5771e04e083257a615172769fb327acfb37d505a760d960716036bb482838517"),
-    ("magic_str8", "fox"): ("6337bea73e5f1d324863811cf2b67db1aaa3d2751088651bf4be4abf340d0e5b",
-                            "ad9a2c4bd02a87893561b4fea1b62166839082eb5d494d9a9b0bf6f603933a60"),
+    ("magic_str8", "fox"): ("089c148060811d033606697da2d37d1a160f694946fa109119fecefdb82d053f",
+                            "52a219aca89356678c43f347a83aba1bee04ca2472fa6ff66087daa22affe3dd"),
     ("magic_str8", "sched"): ("91ce4333c69fce110885648db838582a5320ab58d1e39ad30ebe473fed7266d0",
                               "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf"),
     ("magic_str8", "base"): ("7591416d2f5bfa219eb0d62bdd33349a8f2bff884d35a2dbfd63fa3600a2d206",
                              "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf"),
     # Fox on the big-endian operand solver, the xor Newton path and a mixed
     # tree.  magic32_be finishes in one stage, at its root candidate;
-    # xor_guard in its second, at a local-search sample mid-chunk.
-    ("magic32_be", "fox"): ("b525b121ecabe2ed9cfec8b68c9e91f44b1164f209062d3a802cb209e09b3543",
-                            "001002b61dca16c60ea16fe17ec1a9246cb29ed4c9e22160003ad3870efc3f64"),
-    ("xor_guard", "fox"): ("ab6f2b65f74acf2f70d2162e311f38f65b28df2d23e686ad25a8c382b2bd655a",
-                           "41c1909d95883d8e9bae7b0982b6652de0d3b3f67fb75f942e1d47fedb0ca17b"),
-    ("mixed_tree", "fox"): ("86cfe6fcbe2d950f9c83e81c228033bad03f2d44acac3e956a7ac04fb7cad24f",
-                            "abe4bf6c5548956f3bde4154a8c2a53876c28299ea34acb3e5c1e98faa6e1486"),
+    # xor_guard in its third, at a local-search sample mid-chunk.
+    ("magic32_be", "fox"): ("2687f21d8d2520f55127dc65b92cbbc7fa12ecb9c187355eb5bc755b6c2b65ea",
+                            "0e647404ad44d2ee6e3b2d881bb61e3f2b7cf6a49e4293d0a521310bc3ac1bb8"),
+    ("xor_guard", "fox"): ("32a2f8b7d84916c9c9c048d2fb2967331cf328fce56795fe083b2df646bf33b8",
+                           "169e682134b2322f4e4f71f45b9224dc5c89cb74d3fa834ba697f3b81691484c"),
+    ("mixed_tree", "fox"): ("14880fce0afc545f2232fdce7497ee7cbb7a809312b7ea5c35b69f2dd4292376",
+                            "3a7eee5d0920c044dcb98ebe9f2e3c1b3bff9ccba08f1c76d9a366c97b849354"),
     # Sched on a tree where havoc batches switch off sites mid-batch.
     ("mixed_tree", "sched"): ("ccd141908c63819e3924db350a7707283a88d283b2fe5686dd18efd5f658a4a4",
                               "485ad67bcd63e950522d8a67c4e87e885230e5f2661930d67fd9bf2661647567"),

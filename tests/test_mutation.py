@@ -582,15 +582,18 @@ def _reference_local_search(self, seed, frontier, executor, rng):
     ``i`` ends a chunk when ``i % _SEARCH_CHUNK`` is the last index, and the
     search stops after a chunk in which no norm rose above its site's best
     (0 before any) at a site still on the executor's frontier at the chunk's
-    end.  Called with the mutator as ``self``; kept as the oracle
-    for the records the factored version keeps."""
+    end, or once every frontier site the seed reached that is still on that
+    frontier has a nonzero best.  Called with the mutator as ``self``; kept
+    as the oracle for the records the factored version keeps."""
     records: dict[int, _SeedKeyedRecord] = {}
     norms: dict[int, Fraction] = {}
     seed_keys: dict[int, object] = {}
     raised: set[int] = set()
     for i in range(self.sample_size):
         if i and i % _SEARCH_CHUNK == 0:
-            if not raised & executor.coverage.frontier:
+            live = executor.coverage.frontier
+            if not raised & live or all(norms.get(site, 0) > 0 for site in seed_keys
+                                        if site in frontier and site in live):
                 break
             raised = set()
         data = seed if i == 0 else havoc_mutate(seed, rng, _SEARCH_STACK)
@@ -699,6 +702,60 @@ class TestLocalSearchAgainstReference:
         executor = make_executor(program, frontier={1})
         Mutator(program, 1024).mutate_stage(bytes(8), {1}, executor, random.Random(0))
         assert executor.execs == _SEARCH_CHUNK == 64
+
+    def test_search_stops_once_every_live_site_has_a_record(self):
+        # The zero seed's first chunk gives magic32's one guard a record.  That
+        # chunk raised the guard's norm, so the first rule alone would run on;
+        # with nothing left to record, the search stops there instead.
+        program = builtin_targets.load("magic32")
+        executor = make_executor(program, frontier={0})
+        records = Mutator(program, 1024).local_search(bytes(8), {0}, executor,
+                                                      random.Random(0))
+        assert set(records) == {0}
+        assert executor.execs == _SEARCH_CHUNK
+
+    # Two 1-byte guards on one path: site 0 is always true (byte 0 <= 255) and
+    # stays on the frontier; site 1 is false at the seed (byte 1 = 10 > 9), at
+    # distance 1.  Byte 1 = 9 flips it at distance 1 again, so the flip gives
+    # it no record.
+    TWO_SITES = {
+        "max_input_len": 2, "entry": 0,
+        "nodes": [{"id": i, "kind": "int", "offset": i, "width": 1, "endian": "le",
+                   "signed": False, "relation": "le", "constant": constant,
+                   "taken": taken, "nottaken": None}
+                  for i, constant, taken in ((0, 255, 1), (1, 9, None))],
+    }
+
+    def _scripted_search(self, monkeypatch, mutants):
+        """Local search on ``TWO_SITES`` from seed (0, 10), sample size 1024,
+        with havoc replaced by the given mutants, then the seed forever."""
+        script = iter(mutants)
+        monkeypatch.setattr(mutation, "havoc_mutate",
+                            lambda seed, rng, stack_max: next(script, seed))
+        program = program_from_dict(self.TWO_SITES)
+        executor = make_executor(program, frontier={0, 1})
+        records = Mutator(program, 1024).local_search(bytes([0, 10]), {0, 1}, executor,
+                                                      random.Random(0))
+        return records, executor
+
+    def test_live_site_with_no_record_keeps_the_search_going(self, monkeypatch):
+        # Chunk 1 improves site 0 but never moves site 1, which is still on
+        # the frontier: the search goes on into chunk 2, which improves
+        # nothing and ends it.
+        records, executor = self._scripted_search(monkeypatch, [bytes([1, 10])])
+        assert set(records) == {0}
+        assert 1 in executor.coverage.frontier
+        assert executor.execs == 2 * _SEARCH_CHUNK
+
+    def test_site_flipped_mid_chunk_with_no_record_ends_the_search(self, monkeypatch):
+        # Site 1 flips at the third sample with no record and leaves the
+        # frontier; site 0, the one live site, has a record, so the search
+        # ends with chunk 1.
+        records, executor = self._scripted_search(monkeypatch,
+                                                  [bytes([1, 10]), bytes([0, 9])])
+        assert set(records) == {0}
+        assert 1 not in executor.coverage.frontier
+        assert executor.execs == _SEARCH_CHUNK
 
     def test_campaign_ending_mid_chunk_makes_only_the_mutants_it_runs(self, monkeypatch):
         # bug_chain at rng seed 0 covers its last edge with the 28th sample
@@ -847,7 +904,8 @@ class _ParentMutator(Mutator):
         is taken only at a sample's first site whose key moved.  Sample ``i``
         ends a chunk when ``i % _SEARCH_CHUNK`` is the last index, and the
         search stops after a chunk that raised no norm of a site still on the
-        executor's frontier.
+        executor's frontier, or once every site of ``seed_v`` still on that
+        frontier has a nonzero norm.
         """
         seed_keys = executor.run(seed).observations
         seed_v = {site: observation_distance(key)
@@ -858,7 +916,8 @@ class _ParentMutator(Mutator):
         raised: set[int] = set()
         for i in range(1, self.sample_size):
             if i % _SEARCH_CHUNK == 0:
-                if not raised & executor.coverage.frontier:
+                live = executor.coverage.frontier
+                if not raised & live or all(norms[site] for site in seed_v if site in live):
                     break
                 raised = set()
             data = havoc_mutate(seed, rng, _SEARCH_STACK)
