@@ -8,17 +8,21 @@ exercised edges plus, for explicitly activated guard sites, a site-keyed map
 of branch distances as order keys, the one map every layer reads as is; the
 root solvers recompute the raw feedback behind a key with ``guard_feedback``.
 
-Each guard is compiled once per program into a step function with its
-operands bound in; integer operands are read through ``struct`` readers built
-at import.  A harness copies the program's step list when it is made; its
-``switch_on`` builds an observing step, which also applies the guard's
-distance row, for each site it turns on, and ``switch_off`` puts the plain
-step back.  A string guard's observing step keeps its last window, outcome
-and key, and reuses them when the same window comes back; ``switch_on``
-builds a fresh step, so a site's memo starts empty each time it is turned
-on, and no two harnesses share one.  An input shorter than the furthest
-operand window is zero-extended up to it before the walk; loading rejects a
-window that ends past ``MAX_WINDOW_END`` bytes.
+Each node's step function binds its operands into a template compiled once at
+import, one per guard variant, relation and plain or observing step, with the
+comparison and the distance row written inline; loading a program compiles
+nothing.  Integer operands are read through ``struct`` readers built at
+import.  A harness copies the program's step list when it is made; its
+``switch_on`` builds an observing step, which also stores the guard's
+distance key, for each site it turns on, and ``switch_off`` puts the plain
+step back.  A string guard's observing step keeps its last window, key, edge
+and next node, and reuses them when the same window comes back;
+``switch_on`` builds a fresh step, so a site's memo starts empty each time
+it is turned on, and no two harnesses share one.  A step returns the next
+node id, or a negative number where the walk ends, so the walk loop tests
+nothing per node.  An input shorter than the furthest operand window is
+zero-extended up to it before the walk; loading rejects a window that ends
+past ``MAX_WINDOW_END`` bytes.
 
 Loading checks and builds each node in one pass over its fields, in a fixed
 order, so a document with several faults always reports the same first one;
@@ -37,6 +41,7 @@ import time
 from collections.abc import Iterable
 from enum import Enum
 from functools import reduce
+from types import FunctionType
 from typing import NamedTuple
 
 __all__ = [
@@ -69,10 +74,6 @@ class Relation(Enum):
 
     # Members are singletons: hash by identity in C, not by name in Python.
     __hash__ = object.__hash__
-
-
-# Each relation's value names its comparison in ``operator``.
-_OPS = {r: getattr(operator, r.value) for r in Relation}
 
 
 class GuardKind(Enum):
@@ -116,22 +117,37 @@ class ExecutionTrace(NamedTuple):
     bug_hits: tuple[int, ...] = ()
 
 
+# Each relation's comparison, as the symbol its steps are written with.
+_SYMBOLS = {Relation.LT: "<", Relation.LE: "<=", Relation.GT: ">", Relation.GE: ">=",
+            Relation.EQ: "==", Relation.NE: "!="}
+
 # Distance rows keyed by (outcome, relation): how far the operand difference f
-# is from flipping the comparison.  Pairs sharing a formula share a function.
-_ROWS = {
-    (False, Relation.LT): lambda f: f - 1,
-    (True, Relation.GE): lambda f: f - 1,
-    (False, Relation.LE): lambda f: f,
-    (True, Relation.GT): lambda f: f,
-    (False, Relation.GT): lambda f: 1 - f,
-    (True, Relation.LE): lambda f: 1 - f,
-    (False, Relation.GE): lambda f: -f,
-    (True, Relation.LT): lambda f: -f,
-    (False, Relation.EQ): lambda f: abs(f),
-    (True, Relation.NE): lambda f: abs(f),
-    (False, Relation.NE): lambda f: 1 - abs(f),
-    (True, Relation.EQ): lambda f: 1 - abs(f),
+# is from flipping the comparison, as a formula in f.
+_FORMULAS = {
+    (False, Relation.LT): "f - 1", (True, Relation.GE): "f - 1",
+    (False, Relation.LE): "f", (True, Relation.GT): "f",
+    (False, Relation.GT): "1 - f", (True, Relation.LE): "1 - f",
+    (False, Relation.GE): "-f", (True, Relation.LT): "-f",
+    (False, Relation.EQ): "abs(f)", (True, Relation.NE): "abs(f)",
+    (False, Relation.NE): "1 - abs(f)", (True, Relation.EQ): "1 - abs(f)",
 }
+
+# Each row formula over a string guard's padded window ``w``, a value per
+# byte, as a chain of C-level maps: ``cp1`` holds the constant's bytes plus
+# one, and ``ones`` a 1 per byte.
+_STRING_ROWS = {
+    "f - 1": "map(sub, w, cp1)",
+    "f": "map(sub, w, const)",
+    "1 - f": "map(sub, cp1, w)",
+    "-f": "map(sub, const, w)",
+    "abs(f)": "map(abs, map(sub, w, const))",
+    "1 - abs(f)": "map(sub, ones, map(abs, map(sub, w, const)))",
+}
+
+# The same comparisons and rows as callables, for ``guard_feedback`` and the
+# root solvers.
+_OPS = {r: eval(f"lambda a, b: a {s} b") for r, s in _SYMBOLS.items()}
+_ROWS = {key: eval(f"lambda f: {formula}") for key, formula in _FORMULAS.items()}
 
 # Integer operand readers keyed by (endian, width, signed): ``read(data, off)[0]``.
 _READERS = {
@@ -144,102 +160,106 @@ _READERS = {
 # Step functions.  ``step(data, edges, obs)`` evaluates one guard on ``data``
 # (already zero-extended past every operand window, so no read comes up short),
 # appends the edge it takes to ``edges`` (an observing step also sets ``obs[site]``
-# to the distance key from its bound rows ``rt``/``rf``) and returns the next node
-# id, or None at a terminal edge.  Operands are bound as default arguments: closures
-# over cells made loading a program slower.
+# to the distance key) and returns the next node id, or -1 at a terminal edge; a
+# bug node's step returns ``-2 - node_id``, so the walk ends at any negative id.
+#
+# Each step is the code of a template built at import, one per (variant,
+# relation, observing), with the guard's operands bound in as default arguments:
+# closures over cells made loading a program slower, and compiling per program
+# cost more than the walks it saved.  A variant is the operand expression and the
+# parameters it reads: an int guard reads a lone unsigned byte straight and any
+# other operand through a reader, and a string window is padded only where its
+# constant is longer (an observing string step always pads, on a memo miss).
+_VARIANTS = {
+    "byte": ("data[off]", "off"),
+    "int": ("read(data, off)[0]", "off, read"),
+    "xor": ("reduce(xor, data[off:end], 0)", "off, end"),
+    "str": ("data[off:end]", "off, end"),
+    "pad": ("data[off:end] + pad", "off, end, pad"),
+}
+_PLAIN = """def step(data, edges, obs, {params}, const, te, ne, tk, ntk):
+    if {operand} {sym} const:
+        edges.append(te)
+        return tk
+    edges.append(ne)
+    return ntk"""
+_SCALAR = """def step(data, edges, obs, {params}, const, te, ne, tk, ntk, site):
+    f = {operand} - const
+    if f {sym} 0:
+        edges.append(te)
+        obs[site] = {rt}
+        return tk
+    edges.append(ne)
+    obs[site] = {rf}
+    return ntk"""
+# ``memo`` holds the last window seen, its key, edge and next node id; each
+# step bound here gets a fresh one, and a repeated window reuses them.
+_STRING = """def step(data, edges, obs, off, end, pad, const, te, ne, tk, ntk, site, cp1, ones,
+         memo):
+    window = data[off:end]
+    if window != memo[0]:
+        w = window + pad
+        if w {sym} const:
+            values = tuple({rt})
+            memo[:] = window, (sum(map(abs, values)), values), te, tk
+        else:
+            values = tuple({rf})
+            memo[:] = window, (sum(map(abs, values)), values), ne, ntk
+    _, obs[site], edge, nid = memo
+    edges.append(edge)
+    return nid"""
+_NAMESPACE = {"reduce": reduce, "xor": operator.xor, "sub": operator.sub}
 
 
-def _int_step(n: GuardNode, observe: bool):
-    nid, _, off, size, endian, signed, rel, const, tk, ntk = n
-    read = _READERS[endian, size, signed]
-    cmp, te, ne = _OPS[rel], 2 * nid, 2 * nid + 1
-    if observe:
-        def step(data, edges, obs, off=off, read=read, const=const, cmp=cmp, te=te, ne=ne,
-                 tk=tk, ntk=ntk, site=nid, rt=_ROWS[True, rel], rf=_ROWS[False, rel]):
-            f = read(data, off)[0] - const
-            outcome = cmp(f, 0)
-            edges.append(te if outcome else ne)
-            obs[site] = (rt if outcome else rf)(f)
-            return tk if outcome else ntk
-    elif size == 1 and not signed:
-        def step(data, edges, obs, off=off, const=const, cmp=cmp, te=te, ne=ne, tk=tk, ntk=ntk):
-            if cmp(data[off], const):
-                edges.append(te)
-                return tk
-            edges.append(ne)
-            return ntk
+def _templates() -> dict:
+    """Every step template's code, keyed by (variant, relation, observing),
+    and the bug node's by ``GuardKind.BUG``."""
+    def code(source):
+        exec(source, _NAMESPACE)
+        return _NAMESPACE.pop("step").__code__
+
+    templates = {GuardKind.BUG: code("def step(data, edges, obs, ret):\n    return ret")}
+    for rel, sym in _SYMBOLS.items():
+        rt, rf = _FORMULAS[True, rel], _FORMULAS[False, rel]
+        for variant, (operand, params) in _VARIANTS.items():
+            fill = dict(operand=operand, params=params, sym=sym)
+            templates[variant, rel, False] = code(_PLAIN.format(**fill))
+            if variant == "str":
+                rt_w, rf_w = _STRING_ROWS[rt], _STRING_ROWS[rf]
+                templates[variant, rel, True] = code(_STRING.format(sym=sym, rt=rt_w, rf=rf_w))
+            elif variant != "pad":
+                templates[variant, rel, True] = code(_SCALAR.format(rt=rt, rf=rf, **fill))
+    return templates
+
+
+_TEMPLATES = _templates()
+
+
+def _step(n: GuardNode, observe: bool, BUG=GuardKind.BUG, INT=GuardKind.INT, XOR=GuardKind.XOR):
+    """Node ``n``'s step: its template's code with the operands bound in."""
+    nid, kind, off, size, endian, signed, rel, const, tk, ntk = n
+    if kind is BUG:
+        return FunctionType(_TEMPLATES[BUG], _NAMESPACE, None, (-2 - nid,))
+    end, extra = off + size, (nid,) if observe else ()
+    if kind is INT:
+        if size == 1 and not signed:
+            variant, head = "byte", (off,)
+        else:
+            variant, head = "int", (off, _READERS[endian, size, signed])
+    elif kind is XOR:
+        variant, head = "xor", (off, end)
     else:
-        def step(data, edges, obs, off=off, read=read, const=const, cmp=cmp, te=te, ne=ne,
-                 tk=tk, ntk=ntk):
-            if cmp(read(data, off)[0], const):
-                edges.append(te)
-                return tk
-            edges.append(ne)
-            return ntk
-    return step
-
-
-def _str_step(n: GuardNode, observe: bool):
-    # Window and constant are both zero-padded to the longer of the two and
-    # compared as byte strings.
-    nid, _, off, size, _, _, rel, const, tk, ntk = n
-    cmplen = max(size, len(const))
-    end, pad, const = off + size, bytes(cmplen - size), const.ljust(cmplen, b"\0")
-    cmp, te, ne = _OPS[rel], 2 * nid, 2 * nid + 1
-    if observe:
-        # ``memo`` holds the last window seen, its outcome and its key; each
-        # step built here gets a fresh one, and a repeated window reuses them.
-        def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
-                 te=te, ne=ne, tk=tk, ntk=ntk, site=nid, rt=_ROWS[True, rel],
-                 rf=_ROWS[False, rel], sub=operator.sub, memo=[None, False, None]):
-            window = data[off:end]
-            if window == memo[0]:
-                outcome, key = memo[1], memo[2]
-            else:
-                padded = window + pad
-                outcome = cmp(padded, const)
-                values = tuple(map(rt if outcome else rf, map(sub, padded, const)))
-                key = (sum(map(abs, values)), values)
-                memo[:] = window, outcome, key
-            edges.append(te if outcome else ne)
-            obs[site] = key
-            return tk if outcome else ntk
-    else:
-        def step(data, edges, obs, off=off, end=end, pad=pad, const=const, cmp=cmp,
-                 te=te, ne=ne, tk=tk, ntk=ntk):
-            if cmp(data[off:end] + pad, const):
-                edges.append(te)
-                return tk
-            edges.append(ne)
-            return ntk
-    return step
-
-
-def _xor_step(n: GuardNode, observe: bool):
-    nid, _, off, size, _, _, rel, const, tk, ntk = n
-    end, cmp, te, ne = off + size, _OPS[rel], 2 * nid, 2 * nid + 1
-    if observe:
-        def step(data, edges, obs, off=off, end=end, const=const, cmp=cmp, te=te, ne=ne,
-                 tk=tk, ntk=ntk, site=nid, rt=_ROWS[True, rel], rf=_ROWS[False, rel],
-                 xor=operator.xor):
-            f = reduce(xor, data[off:end], 0) - const
-            outcome = cmp(f, 0)
-            edges.append(te if outcome else ne)
-            obs[site] = (rt if outcome else rf)(f)
-            return tk if outcome else ntk
-    else:
-        def step(data, edges, obs, off=off, end=end, const=const, cmp=cmp, te=te, ne=ne,
-                 tk=tk, ntk=ntk, xor=operator.xor):
-            if cmp(reduce(xor, data[off:end], 0), const):
-                edges.append(te)
-                return tk
-            edges.append(ne)
-            return ntk
-    return step
-
-
-# A guard kind's step factory, ``factory(node, observe)``; bug nodes have none.
-_STEP_FACTORIES = {GuardKind.INT: _int_step, GuardKind.STR: _str_step, GuardKind.XOR: _xor_step}
+        # Window and constant are both zero-padded to the longer of the two and
+        # compared as byte strings.
+        cmplen = max(size, len(const))
+        pad, const = bytes(cmplen - size), const.ljust(cmplen, b"\0")
+        if observe:
+            variant, head = "str", (off, end, pad)
+            extra = (nid, tuple(map((1).__add__, const)), (1,) * cmplen, [None] * 4)
+        else:
+            variant, head = ("pad", (off, end, pad)) if pad else ("str", (off, end))
+    tail = (const, 2 * nid, 2 * nid + 1, -1 if tk is None else tk, -1 if ntk is None else ntk)
+    return FunctionType(_TEMPLATES[variant, rel, observe], _NAMESPACE, None, head + tail + extra)
 
 
 def guard_feedback(node: GuardNode, data: bytes):
@@ -268,22 +288,20 @@ class GuardProgram:
 
     def __init__(self, nodes: Iterable[GuardNode], entry: int, max_input_len: int):
         # Ids are dense and ordered (``program_from_dict`` checks), so a node's
-        # id is its index; a bug node's step is None.
+        # id is its index.
         self.nodes = nodes = tuple(nodes)
         self.entry = entry
         self.max_input_len = max_input_len
         self.node_ids = frozenset(range(len(nodes)))
-        self._steps = steps = []
+        self._steps = [_step(n, False) for n in nodes]
         bugs = []
         # Inputs are zero-extended to here: the furthest operand window end.
         window_end = 0
-        factories, BUG = _STEP_FACTORIES, GuardKind.BUG
+        BUG = GuardKind.BUG
         for n in nodes:
             if n.kind is BUG:
                 bugs.append(n.node_id)
-                steps.append(None)
             else:
-                steps.append(factories[n.kind](n, False))
                 window_end = max(window_end, n.offset + n.size)
         self._window_end = window_end
         # Every guard node owns exactly its two outgoing edge ids.
@@ -318,10 +336,10 @@ class Harness:
         new = {nid for nid in sites if nid not in active}
         if not new <= program.node_ids:
             raise ValueError(f"unknown node ids in active set: {sorted(new - program.node_ids)}")
+        nodes, BUG = program.nodes, GuardKind.BUG
         for nid in new:
-            if steps[nid] is not None:  # a bug node has no step
-                node = program.nodes[nid]
-                steps[nid] = _STEP_FACTORIES[node.kind](node, True)
+            if nodes[nid].kind is not BUG:  # a bug node observes nothing
+                steps[nid] = _step(nodes[nid], True)
         active |= new
 
     def switch_off(self, sites) -> None:
@@ -346,12 +364,10 @@ class Harness:
         observations: dict = {}
         bug_hits: tuple[int, ...] = ()
         nid = program.entry
-        while nid is not None:
-            step = steps[nid]
-            if step is None:
-                bug_hits = (nid,)
-                break
-            nid = step(data, edges, observations)
+        while nid >= 0:
+            nid = steps[nid](data, edges, observations)
+        if nid < -1:
+            bug_hits = (-2 - nid,)
         # At least 1 ns: a zero reading would divide by zero in the scheduler's clocks.
         exec_time = 1 if synthetic else max(1, time.perf_counter_ns() - t0)
         return new(cls, (tuple(edges), observations, exec_time, bug_hits))

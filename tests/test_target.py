@@ -1,4 +1,5 @@
 import base64
+import builtins
 import json
 from dataclasses import dataclass, fields
 
@@ -11,6 +12,8 @@ from frontierfuzz import builtin_targets
 from frontierfuzz.campaign import Budget, Campaign, Mode
 from frontierfuzz.target import (
     _READERS,
+    _ROWS,
+    _TEMPLATES,
     MAX_WINDOW_END,
     DocumentError,
     ExecutionTrace,
@@ -684,6 +687,129 @@ class TestDifferentialAgainstInterpreter:
     @given(data=st.data())
     def test_builtin_targets(self, name, data):
         _assert_matches_reference(builtin_targets.load(name), data)
+
+
+class TestStepsAtBoundaries:
+    """Every step template on operands at the edges of its comparison: f in
+    -2..2 around the constant and each type's extremes, where drawn programs
+    rarely land.  For each case the plain and the observing step take the
+    edge of ``guard_feedback``'s outcome and the reference's, return the same
+    next id, and the observing step's key is ``_ROWS`` applied to the
+    feedback, which must agree with the transcribed table too."""
+
+    @staticmethod
+    def check(node: dict, inputs, seen: set) -> None:
+        # The taken edge leads to a bug node, the other is terminal.
+        node.update(id=0, offset=1, taken=1, nottaken=None)
+        for rel in Relation:
+            node["relation"] = rel.value
+            program = program_from_dict({"max_input_len": 16, "entry": 0,
+                                         "nodes": [node, {"id": 1, "kind": "bug"}]})
+            harness = Harness(program, synthetic_time=True)
+            harness.switch_on({0})
+            guard, plain, observing = program.nodes[0], program._steps[0], harness._steps[0]
+            for window in inputs:
+                # Bytes on both sides of the window, which no step may read.
+                data = (b"\xaa" + window + b"\x55").ljust(program._window_end, b"\0")
+                outcome, feedback = guard_feedback(guard, data)
+                ref_outcome, _, _, ref_key = _reference_guard(_compile(guard), data)
+                assert outcome == ref_outcome
+                row = _ROWS[outcome, rel]
+                if guard.kind is GuardKind.STR:
+                    values = tuple(map(row, feedback))
+                    want = (sum(map(abs, values)), values)
+                else:
+                    want = row(feedback)
+                assert want == ref_key
+                edge, nxt = (0, 1) if outcome else (1, -1)
+                edges, obs = [], {}
+                assert plain(data, edges, obs) == nxt
+                assert edges == [edge] and obs == {}
+                # Twice: a string step's second call is a memo hit.
+                for _ in range(2):
+                    edges, obs = [], {}
+                    assert observing(data, edges, obs) == nxt
+                    assert edges == [edge] and obs == {0: want}
+                seen.add((guard.kind, rel, outcome))
+
+    def test_every_kind_relation_and_outcome(self):
+        seen = set()
+        for width in (1, 2, 4, 8):
+            for endian in ("le", "be"):
+                order = "little" if endian == "le" else "big"
+                for signed in (False, True):
+                    bits = 8 * width
+                    lo, hi = ((-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if signed
+                              else (0, (1 << bits) - 1))
+                    for const in (lo, lo + 1, 0, 1, hi - 1, hi):
+                        values = {const + f for f in range(-2, 3)} | {lo, hi}
+                        inputs = [v.to_bytes(width, order, signed=signed)
+                                  for v in sorted(values) if lo <= v <= hi]
+                        self.check({"kind": "int", "width": width, "endian": endian,
+                                    "signed": signed, "constant": const}, inputs, seen)
+        for length in (1, 2, 3, 4):
+            # ``length - 1`` copies of 0x5A xor to 0x5A or 0; the last byte
+            # brings the window's xor to ``x``.
+            rest = 0x5A if (length - 1) % 2 else 0
+            for const in (0, 1, 0x7F, 0x80, 0xFE, 0xFF):
+                values = {const + f for f in range(-2, 3)} | {0, 0xFF}
+                inputs = [bytes([0x5A] * (length - 1) + [x ^ rest])
+                          for x in sorted(values) if 0 <= x <= 0xFF]
+                self.check({"kind": "xor", "length": length, "constant": const}, inputs, seen)
+        for length in (2, 3):
+            # Constants shorter than, as long as and longer than the window,
+            # one with a zero tail that a padded window can equal.
+            for const in (b"\x00" * (length - 1), b"\xff" * (length - 1), bytes(length),
+                          b"\xff" * length, b"\x01\x80\xfe"[:length],
+                          b"\x01\x02\x00\x00"[:length + 1], b"\xff" * (length + 1)):
+                base = const.ljust(length, b"\0")[:length]
+                inputs = {bytes(length), b"\xff" * length}
+                for i in range(length):
+                    for f in range(-2, 3):
+                        if 0 <= base[i] + f <= 0xFF:
+                            inputs.add(base[:i] + bytes([base[i] + f]) + base[i + 1:])
+                self.check({"kind": "str", "length": length,
+                            "constant": base64.b64encode(const).decode()}, sorted(inputs), seen)
+        assert seen == {(kind, rel, outcome)
+                        for kind in (GuardKind.INT, GuardKind.XOR, GuardKind.STR)
+                        for rel in Relation for outcome in (False, True)}
+
+    def test_bug_node_zero_is_not_a_terminal_edge(self):
+        # A bug node's step returns -2 - id, so node 0's is not the -1 of a
+        # terminal edge.
+        doc = {"max_input_len": 4, "entry": 1,
+               "nodes": [{"id": 0, "kind": "bug"}, int_node(1, taken=0)]}
+        harness = Harness(program_from_dict(doc), synthetic_time=True)
+        assert harness.execute(bytes([5])).bug_hits == (0,)
+        assert harness.execute(bytes([16])).bug_hits == ()
+
+
+class TestNoPerProgramCompilation:
+    def test_steps_share_import_time_templates(self, monkeypatch):
+        # Loading programs and switching sites on binds operands into the
+        # templates built at import: nothing is compiled, and steps of one
+        # template share its code object.
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled at load or switch-on")
+
+        documents = [builtin_targets.document(name)
+                     for name in ("mixed_tree", "xor_guard", "bug_chain", "magic_str8")]
+        steps = []
+        for name in ("compile", "exec", "eval"):
+            monkeypatch.setattr(builtins, name, refuse)
+        # Restore them before a failure reaches pytest, which compiles too.
+        try:
+            for document in documents:
+                program = load_program(document)
+                harness = Harness(program, synthetic_time=True)
+                harness.switch_on(program.node_ids)
+                harness.execute(bytes(program.max_input_len))
+                steps += program._steps + harness._steps
+        finally:
+            monkeypatch.undo()
+        codes = {id(step.__code__) for step in steps}
+        assert codes <= {id(code) for code in _TEMPLATES.values()}
+        assert len(codes) < len(steps)
 
 
 # -- loader reference ------------------------------------------------------------
