@@ -114,10 +114,6 @@ SUITE = (
     "le15",
 )
 
-# Targets in SUITE whose guards are all linear or string comparisons
-# (everything except the xor guard).
-LINEAR_SUITE = tuple(n for n in SUITE if n != "xor_guard")
-
 
 def names() -> list[str]:
     return sorted(_DOCS)

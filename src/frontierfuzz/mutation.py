@@ -74,9 +74,11 @@ _PACKED = {
              for v in values for order in ("little", "big"))
     for w, values in _INTERESTING.items()
 }
-# The (width, value count, packed values) choices that fit min(len, 4).
+# The count and the (width, value count, packed values) choices that fit
+# min(len, 4).
 _CHOICES = {
-    n: tuple((w, len(_PACKED[w]), _PACKED[w]) for w in (1, 2, 4) if w <= n)
+    n: (sum(w <= n for w in (1, 2, 4)),
+        tuple((w, len(_PACKED[w]), _PACKED[w]) for w in (1, 2, 4) if w <= n))
     for n in (1, 2, 3, 4)
 }
 
@@ -154,7 +156,9 @@ def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
     positions only while ``M``, taken with the largest position range, is at
     most ``2**20``, so no bias exceeds ``2**-10``; otherwise each of them is an
     exact ``rng.randrange`` draw, and every position stays reachable at any
-    length.
+    length.  Whether every operator carves is decided once per call, from
+    the largest length the call can reach; only when some might not are the
+    products tested per operator.  The draws are the same either way.
     """
     if not seed:
         raise ValueError("seed must be nonempty")
@@ -169,38 +173,47 @@ def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
     # Deletes and inserts keep the length within [low, high].
     low = n - budget if n - budget > 1 else 1
     high = n + budget if max_len is None or max_len > n + budget else max_len
+    # No length this call reaches exceeds top, and the byte set's and the
+    # swap's products at top bound every operator's: when both fit, every
+    # field carves and the per-operator tests are skipped.
+    top = n if n > high else high
+    carve = top << 8 <= lim and top * top <= lim
     for _ in range(gb(30) % stack_max + 1):
         r = gb(30)
         op = r % n_ops
         r //= n_ops
-        if op == 0:  # bit flip
-            pos = (r >> 3) % n if n << 3 <= lim else rng.randrange(n)
-            buf[pos] ^= 1 << (r & 7)
-        elif op == 1:  # byte set
-            buf[(r >> 8) % n if n << 8 <= lim else rng.randrange(n)] = r & 255
-        elif op == 2:  # byte add/sub; 70 == len(_DELTAS)
-            pos = r // 70 % n if 70 * n <= lim else rng.randrange(n)
-            buf[pos] = (buf[pos] + _DELTAS[r % 70]) & 255
-        elif op == 3:  # interesting value substitution
-            choices = _CHOICES[n if n < 4 else 4]
-            c = len(choices)
-            w, k, packed = choices[r % c]
-            r //= c
-            m = n - w + 1
-            pos = r // k % m if c * k * m <= lim else rng.randrange(m)
-            buf[pos:pos + w] = packed[r % k]
-        elif op == 4:  # block overwrite
-            m = budget if budget < n else n
-            if m * n <= lim:
-                blen = r % m + 1
-                pos = r // m % (n - blen + 1)
-            else:
-                blen = rng.randrange(m) + 1
-                pos = rng.randrange(n - blen + 1)
-            buf[pos:pos + blen] = gb(8 * blen).to_bytes(blen, "little")
-        elif op == 5:  # byte swap
-            if n >= 2:
-                if n * n <= lim:
+        if op < 4:
+            if op < 2:
+                if op == 0:  # bit flip
+                    pos = (r >> 3) % n if carve or n << 3 <= lim else rng.randrange(n)
+                    buf[pos] ^= 1 << (r & 7)
+                else:  # byte set
+                    buf[(r >> 8) % n if carve or n << 8 <= lim else rng.randrange(n)] = r & 255
+            elif op == 2:  # byte add/sub; 70 == len(_DELTAS)
+                pos = r // 70 % n if carve or 70 * n <= lim else rng.randrange(n)
+                buf[pos] = (buf[pos] + _DELTAS[r % 70]) & 255
+            else:  # interesting value substitution
+                c, choices = _CHOICES[n if n < 4 else 4]
+                w, k, packed = choices[r % c]
+                r //= c
+                m = n - w + 1
+                pos = r // k % m if carve or c * k * m <= lim else rng.randrange(m)
+                buf[pos:pos + w] = packed[r % k]
+        elif op < 6:
+            if op == 4:  # block overwrite
+                m = budget if budget < n else n
+                if carve or m * n <= lim:
+                    blen = r % m + 1
+                    pos = r // m % (n - blen + 1)
+                else:
+                    blen = rng.randrange(m) + 1
+                    pos = rng.randrange(n - blen + 1)
+                if blen == 1:
+                    buf[pos] = gb(8)
+                else:
+                    buf[pos:pos + blen] = gb(8 * blen).to_bytes(blen, "little")
+            elif n >= 2:  # byte swap
+                if carve or n * n <= lim:
                     i, j = r % n, r // n % n
                 else:
                     i, j = rng.randrange(n), rng.randrange(n)
@@ -208,7 +221,7 @@ def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
         elif op == 6:  # delete block
             m = n - low if n - low < budget else budget
             if m >= 1:
-                if m * n <= lim:
+                if carve or m * n <= lim:
                     blen = r % m + 1
                     pos = r // m % (n - blen + 1)
                 else:
@@ -219,13 +232,16 @@ def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
         else:  # insert block
             m = high - n
             if m >= 1:
-                if m * (n + 1) <= lim:
+                if carve or m * (n + 1) <= lim:
                     blen = r % m + 1
                     pos = r // m % (n + 1)
                 else:
                     blen = rng.randrange(m) + 1
                     pos = rng.randrange(n + 1)
-                buf[pos:pos] = gb(8 * blen).to_bytes(blen, "little")
+                if blen == 1:
+                    buf.insert(pos, gb(8))
+                else:
+                    buf[pos:pos] = gb(8 * blen).to_bytes(blen, "little")
                 n += blen
     return bytes(buf)
 

@@ -16,16 +16,15 @@ order key.  It folds one execution's whole site-keyed map of keys, which the
 guards' steps computed, in one call: each frontier site costs one class
 check and one compare, and sites off the frontier are skipped.
 
-Scores are compared in exact rational arithmetic so selection is free of
-floating-point tie ambiguity; the equivalent log-probability is reported
-for the campaign log.
+Scores are compared exactly, by integer cross-multiplication, so selection
+is free of floating-point tie ambiguity; the equivalent log-probability is
+reported for the campaign log.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = ["SchedulerState", "StaleSiteError"]
 
@@ -107,16 +106,16 @@ class SchedulerState:
         if not frontier:
             raise ValueError("cannot select from an empty frontier")
         best_site = None
-        best_score: Fraction | None = None
+        best_pt, best_den = 0, 1
         for site in sorted(frontier):
             stats = self.stats.get(site)
             if stats is None:
                 raise StaleSiteError(f"frontier branch {site} has never been reached")
-            sc = self.sc.get(stats.best_input, 1)
-            score = Fraction(stats.pt, stats.tt * sc)
-            if best_score is None or score > best_score:
+            den = stats.tt * self.sc.get(stats.best_input, 1)
+            # pt / den > best_pt / best_den, both denominators positive.
+            if best_site is None or stats.pt * best_den > best_pt * den:
                 best_site = site
-                best_score = score
+                best_pt, best_den = stats.pt, den
         stats = self.stats[best_site]
         seed = stats.best_input
         sc = self.sc.get(seed, 1)

@@ -12,15 +12,25 @@ the two.
   keeps it incrementally.
 * ``convexity_probe`` and ``ConvexityStats`` check a branch's distance for
   midpoint convexity over an input pair on a real harness.
+* ``havoc`` restates ``havoc_mutate``'s draw contract one field at a time,
+  and ``compare_havoc`` checks the two against each other.  Both need
+  nothing beyond the standard library and the engine, so the check runs
+  without pytest:
+
+      PYTHONPATH=src:tests python -c "import reference; reference.compare_havoc([600], 5, 1)"
 """
 
 from __future__ import annotations
 
 import operator
+import random
 from dataclasses import dataclass, field
 
 from frontierfuzz.coverage import CoverageMap
 from frontierfuzz.distance import observation_distance
+from frontierfuzz.mutation import (
+    _ARITH_MAX, _BATCH_STACK, _INTERESTING, _SEARCH_STACK, havoc_mutate,
+)
 from frontierfuzz.target import _ROWS, GuardKind, GuardProgram, Harness, Relation
 
 
@@ -126,3 +136,114 @@ def convexity_probe(harness: Harness, site: int, x1: bytes, x2: bytes,
     finally:
         harness.switch_off({site})
         harness.switch_on(saved)
+
+
+class _Word:
+    """One operator's 30-bit draw, read one field at a time."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.rest = rng.getrandbits(30)
+        self.span = 1  # product of the ranges read so far
+
+    def field(self, m):
+        self.span *= m
+        value = self.rest % m
+        self.rest //= m
+        return value
+
+    def fits(self, m):
+        return self.span * m <= 2 ** 20
+
+    def ranged(self, m, carve):
+        return self.field(m) if carve else self.rng.randrange(m)
+
+
+def havoc(seed, rng, stack_max, max_len=None):
+    """``havoc_mutate``'s draw contract, one field at a time and with no
+    tables: the oracle for its carving order, ranges and carving bound."""
+    if not seed:
+        raise ValueError("seed must be nonempty")
+    budget = 4
+    ops = [0, 1, 2, 3, 4, 5]
+    if max_len is not None:
+        ops.extend((6, 7))
+    buf = bytearray(seed)
+    orig_len = len(seed)
+    for _ in range(rng.getrandbits(30) % stack_max + 1):
+        word = _Word(rng)
+        op = ops[word.field(len(ops))]
+        n = len(buf)
+        if op == 0:  # bit flip
+            bit = word.field(8)
+            buf[word.ranged(n, word.fits(n))] ^= 1 << bit
+        elif op == 1:  # byte set
+            value = word.field(256)
+            buf[word.ranged(n, word.fits(n))] = value
+        elif op == 2:  # byte add/sub
+            sign = word.field(2)
+            delta = word.field(_ARITH_MAX) + 1
+            pos = word.ranged(n, word.fits(n))
+            buf[pos] = (buf[pos] + (delta if sign else -delta)) & 0xFF
+        elif op == 3:  # interesting value substitution
+            widths = [w for w in (1, 2, 4) if w <= n and w <= budget]
+            w = widths[word.field(len(widths))]
+            order = ("little", "big")[word.field(2)]
+            value = _INTERESTING[w][word.field(len(_INTERESTING[w]))]
+            pos = word.ranged(n - w + 1, word.fits(n - w + 1))
+            buf[pos:pos + w] = (value & ((1 << (8 * w)) - 1)).to_bytes(w, order)
+        elif op == 4:  # block overwrite
+            m = min(budget, n)
+            carve = word.fits(m * n)
+            blen = word.ranged(m, carve) + 1
+            pos = word.ranged(n - blen + 1, carve)
+            buf[pos:pos + blen] = rng.getrandbits(8 * blen).to_bytes(blen, "little")
+        elif op == 5:  # byte swap
+            if n >= 2:
+                carve = word.fits(n * n)
+                i = word.ranged(n, carve)
+                j = word.ranged(n, carve)
+                buf[i], buf[j] = buf[j], buf[i]
+        elif op == 6:  # delete block
+            m = min(budget + (n - orig_len), n - 1, budget)
+            if m >= 1:
+                carve = word.fits(m * n)
+                blen = word.ranged(m, carve) + 1
+                pos = word.ranged(n - blen + 1, carve)
+                del buf[pos:pos + blen]
+        else:  # insert block
+            m = budget - (n - orig_len)
+            if max_len is not None:
+                m = min(m, max_len - n)
+            if m >= 1:
+                carve = word.fits(m * (n + 1))
+                blen = word.ranged(m, carve) + 1
+                pos = word.ranged(n + 1, carve)
+                buf[pos:pos] = rng.getrandbits(8 * blen).to_bytes(blen, "little")
+        if word.span > 2 ** 20:
+            raise AssertionError(f"operator {op} carved a product of {word.span}")
+    return bytes(buf)
+
+
+def compare_havoc(lengths, calls: int, stream: int) -> int:
+    """Check ``havoc_mutate`` against ``havoc``, ``calls`` times for each
+    seed length, stack depth (1, 4, 16) and resize cap (none, the seed's
+    length, its length + 2, 64): each call must give the same bytes and
+    leave the same rng state.  ``stream`` seeds the seed bytes and the draws.
+    Raises AssertionError at the first difference; returns the call count."""
+    pick = random.Random(stream)
+    fast, slow = random.Random(7 * stream), random.Random(7 * stream)
+    count = 0
+    for stack_max in (1, _SEARCH_STACK, _BATCH_STACK):
+        for cap in ("none", "len", "len+2", "64"):
+            for length in lengths:
+                max_len = {"none": None, "len": length, "len+2": length + 2, "64": 64}[cap]
+                for _ in range(calls):
+                    seed = pick.randbytes(length)
+                    got = havoc_mutate(seed, fast, stack_max, max_len)
+                    want = havoc(seed, slow, stack_max, max_len)
+                    if got != want or fast.getstate() != slow.getstate():
+                        raise AssertionError(f"havoc_mutate differs from its reference at "
+                                             f"stack {stack_max}, cap {cap}, length {length}")
+                    count += 1
+    return count

@@ -33,7 +33,7 @@ from frontierfuzz.mutation import (
     round_half_away,
 )
 from frontierfuzz.target import GuardKind, Harness, guard_feedback, program_from_dict
-from reference import guard_ids
+from reference import compare_havoc, guard_ids
 from test_target import _BYTE_VALUES, _RELATION_TOKENS, _documents
 
 
@@ -73,92 +73,6 @@ class OpPinnedRng(random.Random):
             if r >= 1 << 30:
                 r -= self.n_ops
         return r
-
-
-class _Word:
-    """One operator's 30-bit draw, read one field at a time."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.rest = rng.getrandbits(30)
-        self.span = 1  # product of the ranges read so far
-
-    def field(self, m):
-        self.span *= m
-        value = self.rest % m
-        self.rest //= m
-        return value
-
-    def fits(self, m):
-        return self.span * m <= 2 ** 20
-
-    def ranged(self, m, carve):
-        return self.field(m) if carve else self.rng.randrange(m)
-
-
-def _reference_havoc(seed, rng, stack_max, max_len=None):
-    """``havoc_mutate``'s draw contract, one field at a time and with no
-    tables: the oracle for its carving order, ranges and carving bound."""
-    if not seed:
-        raise ValueError("seed must be nonempty")
-    budget = 4
-    ops = [0, 1, 2, 3, 4, 5]
-    if max_len is not None:
-        ops.extend((6, 7))
-    buf = bytearray(seed)
-    orig_len = len(seed)
-    for _ in range(rng.getrandbits(30) % stack_max + 1):
-        word = _Word(rng)
-        op = ops[word.field(len(ops))]
-        n = len(buf)
-        if op == 0:  # bit flip
-            bit = word.field(8)
-            buf[word.ranged(n, word.fits(n))] ^= 1 << bit
-        elif op == 1:  # byte set
-            value = word.field(256)
-            buf[word.ranged(n, word.fits(n))] = value
-        elif op == 2:  # byte add/sub
-            sign = word.field(2)
-            delta = word.field(_ARITH_MAX) + 1
-            pos = word.ranged(n, word.fits(n))
-            buf[pos] = (buf[pos] + (delta if sign else -delta)) & 0xFF
-        elif op == 3:  # interesting value substitution
-            widths = [w for w in (1, 2, 4) if w <= n and w <= budget]
-            w = widths[word.field(len(widths))]
-            order = ("little", "big")[word.field(2)]
-            value = _INTERESTING[w][word.field(len(_INTERESTING[w]))]
-            pos = word.ranged(n - w + 1, word.fits(n - w + 1))
-            buf[pos:pos + w] = (value & ((1 << (8 * w)) - 1)).to_bytes(w, order)
-        elif op == 4:  # block overwrite
-            m = min(budget, n)
-            carve = word.fits(m * n)
-            blen = word.ranged(m, carve) + 1
-            pos = word.ranged(n - blen + 1, carve)
-            buf[pos:pos + blen] = rng.getrandbits(8 * blen).to_bytes(blen, "little")
-        elif op == 5:  # byte swap
-            if n >= 2:
-                carve = word.fits(n * n)
-                i = word.ranged(n, carve)
-                j = word.ranged(n, carve)
-                buf[i], buf[j] = buf[j], buf[i]
-        elif op == 6:  # delete block
-            m = min(budget + (n - orig_len), n - 1, budget)
-            if m >= 1:
-                carve = word.fits(m * n)
-                blen = word.ranged(m, carve) + 1
-                pos = word.ranged(n - blen + 1, carve)
-                del buf[pos:pos + blen]
-        else:  # insert block
-            m = budget - (n - orig_len)
-            if max_len is not None:
-                m = min(m, max_len - n)
-            if m >= 1:
-                carve = word.fits(m * (n + 1))
-                blen = word.ranged(m, carve) + 1
-                pos = word.ranged(n + 1, carve)
-                buf[pos:pos] = rng.getrandbits(8 * blen).to_bytes(blen, "little")
-        assert word.span <= 2 ** 20
-    return bytes(buf)
 
 
 def _single_op(seed, op, samples, *, max_len=None, rng_seed=0):
@@ -245,24 +159,17 @@ class TestHavoc:
         # Same output bytes and same rng state after every call, across
         # stack depths, resize off (no cap) and on (each cap), and seed
         # lengths.  The long lengths straddle every carving threshold, so both
-        # the carved and the exact draws of every field are compared.  Each
-        # case seeds its own seed bytes and draw streams.
-        pick = random.Random(stream)
-        fast, slow = random.Random(7 * stream), random.Random(7 * stream)
+        # the carved and the exact draws of every field are compared.  At
+        # 359-364 (8 operators) and 413-419 (6) the largest length a call can
+        # reach crosses the bound below which every field carves, so each
+        # such call must still test each operator's product.  A call whose
+        # insert grows the buffer past the bound shows a bound taken from the
+        # seed's length only if a swap follows, so these lengths take many
+        # calls each.
         lengths = list(range(1, 41)) + [300, 419, 600, 1_500, 2_500, 20_000, 40_000]
-        calls = 0
-        for stack_max in (1, _SEARCH_STACK, _BATCH_STACK):
-            for cap in ("none", "len", "len+2", "64"):
-                for length in lengths:
-                    seed = pick.randbytes(length)
-                    max_len = {"none": None, "len": length, "len+2": length + 2,
-                               "64": 64}[cap]
-                    got = havoc_mutate(seed, fast, stack_max, max_len)
-                    want = _reference_havoc(seed, slow, stack_max, max_len)
-                    assert got == want
-                    assert fast.getstate() == slow.getstate()
-                    calls += 1
-        assert calls == 3 * 4 * len(lengths)
+        assert compare_havoc(lengths, 1, stream) == 3 * 4 * len(lengths)
+        bound = list(range(359, 365)) + list(range(413, 420))
+        assert compare_havoc(bound, 25, stream) == 3 * 4 * len(bound) * 25
 
     @pytest.mark.parametrize("resize", [False, True])
     def test_operator_mix(self, resize):

@@ -1,8 +1,9 @@
 """Source hygiene for ``src/frontierfuzz``, checked with the stdlib ``ast``:
 every module-level import is used, every ``__all__`` name resolves and is
-used outside its own module, and every public function, class and method is
-used by the engine itself, not only by tests.  These are the leftovers a
-deletion tends to leave behind, and the oracles that belong in ``tests/``."""
+used outside its own module, and every public function, class, method and
+module-level constant is used by the engine itself, not only by tests.
+These are the leftovers a deletion tends to leave behind, and the oracles
+that belong in ``tests/``."""
 
 import ast
 import importlib
@@ -67,12 +68,13 @@ def test_exported_names_resolve(module):
 
 
 def _names_used(path: Path) -> set[str]:
-    """Every identifier a file reads, as a name, an attribute or an import."""
+    """Every identifier a file reads, as a name or an attribute in load
+    context, or as an import; an assignment's target is not a use."""
     used = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             used.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             used.update(alias.name for alias in node.names)
@@ -91,9 +93,14 @@ def test_exported_names_used_elsewhere(module):
 
 
 def _public_definitions(tree: ast.Module):
-    """(qualified name, name) of each public top-level function and class,
-    and of each public method of a top-level class."""
+    """(qualified name, name) of each public top-level function, class and
+    constant, and of each public method of a top-level class."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, target.id
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node.name
             if isinstance(node, ast.ClassDef):
