@@ -102,17 +102,9 @@ _DOCS: dict[str, dict] = {
     },
 }
 
-# Benchmark suite used by the desk-scale coverage comparisons.
-SUITE = (
-    "magic32",
-    "magic32_be",
-    "magic_str8",
-    "chain6",
-    "mixed_tree",
-    "xor_guard",
-    "bug_chain",
-    "le15",
-)
+# Benchmark suite used by the desk-scale coverage comparisons: every builtin,
+# in definition order.
+SUITE = tuple(_DOCS)
 
 
 def names() -> list[str]:

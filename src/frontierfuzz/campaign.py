@@ -6,21 +6,24 @@ Two objects split the work:
   frontier, the per-branch clocks (``SchedulerState``), the corpus, the
   findings, and the flip, exec and time counters.  Every executed input,
   whether from the seed phase, a havoc batch, local search, a root step or a
-  hot-byte probe, flows through its one ``run_batch`` loop.
-* ``Campaign`` owns the control loop and the log: the mode, the rng, the
-  mutator, the round-robin and calibration cursors into the corpus, and the
-  append-only campaign log.  Its ``coverage``, ``corpus``, ``findings``,
-  ``harness`` and ``scheduler`` attributes are the executor's objects.
+  hot-byte probe, flows through its one ``run_batch`` loop, which hands back
+  each input it ran with its observation map when asked.
+* ``Campaign`` owns the control loop and the log: the mode, the budget, the
+  rng, the mutator, the round-robin and calibration cursors into the corpus,
+  and the append-only campaign log.  Its ``coverage``, ``corpus``,
+  ``findings``, ``harness`` and ``scheduler`` attributes are the executor's
+  objects.
 
 Each exec's observation map (site -> distance order key) goes to the
 scheduler in one ``record_execution`` call, which folds in the frontier
 sites' minima and clocks.  A stage is one scheduling decision plus its batch
 of executions; the log records the cumulative state after every stage.  A
 stage switches on the whole frontier, and the executor switches off each site
-that flips off it (base has none on).  After the seed phase, the run ends at
-the exec that covers the last edge or runs past the budget.  A plain havoc
-batch is ``sample_size`` mutants of one seed, each from a stack of up to 16
-havoc operators that may resize it within ``max_input_len``.
+that flips off it (base has none on).  The campaign hands the executor its
+budget after the seed phase, which runs every seed and replay; from then on
+the run ends at the exec that covers the last edge or runs past the budget.
+A plain havoc batch is ``sample_size`` mutants of one seed, each from a stack
+of up to 16 havoc operators that may resize it within ``max_input_len``.
 
 Modes:
 
@@ -140,20 +143,19 @@ class StepOutcome(NamedTuple):
 
 class _Executor:
     """Single bookkeeping path for every executed input; owns the per-exec
-    state it updates.  A campaign's executor also switches off each site a flip
-    takes off the frontier, and ends the run at the exec that covers the last
-    edge; a bare one does neither."""
+    state it updates.  While ``budget`` is None it runs every input it is
+    given.  Once a campaign sets it, the executor also switches off each site
+    a flip takes off the frontier, and ends the run at the exec past the
+    budget or the one that covers the last edge."""
 
-    def __init__(self, program: GuardProgram, budget: Budget, synthetic_time: bool,
-                 campaign: bool = False):
-        self.budget = budget
+    def __init__(self, program: GuardProgram, synthetic_time: bool):
+        self.budget: Budget | None = None
         self.harness = Harness(program, synthetic_time=synthetic_time)
         self.coverage = CoverageMap(program)
         self.scheduler = SchedulerState()
         self.corpus = Corpus()
         self.findings: list[tuple[int, bytes]] = []
         self._finding_inputs: set[bytes] = set()
-        self._campaign = campaign
         self.flips = 0
         self.execs = 0
         self.t_ns = 0
@@ -161,22 +163,22 @@ class _Executor:
     def run(self, data: bytes) -> StepOutcome:
         """``run_batch`` on one input: its flips and observation map."""
         flips = self.flips
-        observations = self.run_batch((data,), False, [])[0]
+        observations = self.run_batch((data,), [])[0][1]
         return StepOutcome(self.flips - flips, observations)
 
-    def run_batch(self, inputs, exempt_budget: bool = False, maps: list | None = None):
-        """Execute ``inputs`` in order, append each one's observation map to
-        ``maps`` if given, and return ``maps``.  Unless ``exempt_budget``, the
-        first exec past the budget and a campaign's exec that covers the last
-        edge raise ``_RunEnded``; the counters hold the execs made either way."""
+    def run_batch(self, inputs, ran: list | None = None):
+        """Execute ``inputs`` in order, append each ``(input, observation
+        map)`` pair to ``ran`` if given, and return ``ran``.  Under a budget,
+        the first exec past it and the exec that covers the last edge raise
+        ``_RunEnded``; the counters hold the execs made either way."""
         b = self.budget
-        exec_cap, time_cap = (math.inf,) * 2 if exempt_budget else (b.exec_cap, b.time_cap)
+        exec_cap, time_cap = (math.inf,) * 2 if b is None else (b.exec_cap, b.time_cap)
         execute, switch_off = self.harness.execute, self.harness.switch_off
         edge_hits, frontier = self.coverage.edge_hits, self.coverage.frontier
         record = self.scheduler.record_execution
         finding_inputs = self._finding_inputs
         execs, t_ns, flips = self.execs, self.t_ns, self.flips
-        keep = None if maps is None else maps.append
+        keep = None if ran is None else ran.append
         try:
             for data in inputs:
                 if execs >= exec_cap or t_ns >= time_cap:
@@ -198,17 +200,17 @@ class _Executor:
                     self.coverage.absorb_trace(trace)
                     self.corpus.add(data, first_cover, execs)
                     flips += len(flipped)
-                    if flipped and self._campaign:
+                    if flipped and b is not None:
                         switch_off(flipped)
-                        if self.coverage.complete and not exempt_budget:
+                        if self.coverage.complete:
                             raise _RunEnded  # no frontier site is left to record it
                 if observations:
                     record(data, observations, exec_time, frontier)
                 if keep:
-                    keep(observations)
+                    keep((data, observations))
         finally:
             self.execs, self.t_ns, self.flips = execs, t_ns, flips
-        return maps
+        return ran
 
 
 class Campaign:
@@ -247,7 +249,8 @@ class Campaign:
         self.rng = random.Random(rng_seed)
         self.mutator = Mutator(program, sample_size)
         self.log = CampaignLog()
-        self._executor = executor = _Executor(program, budget, synthetic_time, campaign=True)
+        self.budget = budget
+        self._executor = executor = _Executor(program, synthetic_time)
         self.harness = executor.harness
         self.coverage = executor.coverage
         self.scheduler = executor.scheduler
@@ -261,7 +264,7 @@ class Campaign:
 
     # -- stage helpers -----------------------------------------------------
 
-    def _refresh_active_sites(self, exempt_budget: bool = False) -> frozenset[int]:
+    def _refresh_active_sites(self) -> frozenset[int]:
         """Switch on the frontier sites found since the last refresh and
         replay the corpus entries added since then so fresh frontier branches
         get their baseline observations.  A replay covers nothing new, so it
@@ -271,7 +274,7 @@ class Campaign:
         self.harness.switch_on(frontier)
         pending = [entry.data for entry in self.corpus.entries[self._calibrated:]]
         self._calibrated = len(self.corpus.entries)
-        self._executor.run_batch(pending, exempt_budget)
+        self._executor.run_batch(pending)
         return frontier
 
     def _havoc_batch(self, seed: bytes) -> None:
@@ -305,15 +308,18 @@ class Campaign:
         self._ran = True
         executor = self._executor
 
-        # Seed phase: every seed executes regardless of budget and coverage,
-        # then the adaptive switch comes up and coverage-increasing seeds
-        # replay once to establish their frontier observations.
-        executor.run_batch(self.seeds, exempt_budget=True)
+        # Seed phase, before the budget is in force: every seed executes
+        # regardless of budget and coverage, then the adaptive switch comes
+        # up and coverage-increasing seeds replay once to establish their
+        # frontier observations.  No site is on while the seeds run, and the
+        # replays cover nothing new, so no site is switched off here either.
+        executor.run_batch(self.seeds)
         if self.mode is not Mode.BASE:
-            self._refresh_active_sites(exempt_budget=True)
+            self._refresh_active_sites()
+        executor.budget = budget = self.budget
         self._append_record(0, len(self.coverage.frontier), scheduled=None, fallback=False)
 
-        stage, budget = 0, executor.budget
+        stage = 0
         while not self.coverage.complete:
             if executor.execs >= budget.exec_cap or executor.t_ns >= budget.time_cap:
                 break

@@ -170,9 +170,13 @@ def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
     lim = _CARVE // n_ops  # a product of ranges m fits when n_ops * m <= _CARVE
     buf = bytearray(seed)
     n = len(seed)
-    # Deletes and inserts keep the length within [low, high].
+    # Deletes and inserts keep the length within [low, high]; with no
+    # max_len nothing resizes.
     low = n - budget if n - budget > 1 else 1
-    high = n + budget if max_len is None or max_len > n + budget else max_len
+    if max_len is None:
+        high = n
+    else:
+        high = n + budget if max_len > n + budget else max_len
     # No length this call reaches exceeds top, and the byte set's and the
     # swap's products at top bound every operator's: when both fit, every
     # field carves and the per-operator tests are skipped.
@@ -321,17 +325,6 @@ def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> tuple[in
     return ()
 
 
-def _mutants(seed: bytes, rng: random.Random, count: int, made: list):
-    """Yield ``count`` local-search mutants of ``seed``, each made only when
-    ``run_batch`` asks for it and appended to ``made``: a run that ends
-    mid-chunk makes no mutant past its last exec, bar the one ``run_batch``
-    takes before it finds the budget spent."""
-    for _ in range(count):
-        data = havoc_mutate(seed, rng, _SEARCH_STACK)
-        made.append(data)
-        yield data
-
-
 class Mutator:
     """Stage driver: local search, then one root-finding input per branch.
 
@@ -344,9 +337,10 @@ class Mutator:
 
     ``executor`` is any object with ``run(data) -> outcome``, whose
     ``observations`` is the trace's own site -> distance key map and ``flips``
-    the frontier branches the input flipped, ``run_batch(inputs, maps=[])``,
-    the inputs' maps, a ``coverage.frontier`` that its runs keep current,
-    and a ``harness.program``, the program it runs.
+    the frontier branches the input flipped, ``run_batch(inputs, ran=[])``,
+    the ``(input, observation map)`` pair of each input it ran, a
+    ``coverage.frontier`` that its runs keep current, and a
+    ``harness.program``, the program it runs.
     """
 
     def __init__(self, program: GuardProgram, sample_size: int = 1024):
@@ -362,13 +356,15 @@ class Mutator:
         The first sample is the unmutated seed itself, which establishes the
         baseline distances the slopes are measured against; the rest are
         havoc mutants of stack ``_SEARCH_STACK``, each made when its exec
-        comes up.  They run in chunks of ``_SEARCH_CHUNK`` samples, the first
-        chunk holding the seed, and sampling stops at ``sample_size`` samples
-        or after the first chunk at whose end either no sample of the chunk
-        raised the best norm of a site still on the frontier, or every site
-        with a baseline that is still on the frontier has a record (the
-        operand and string solvers need only one, as they recompute the
-        witness's raw feedback).  A sample's slope norm at a site is
+        comes up (a run that ends mid-chunk makes none past its last exec,
+        bar the one ``run_batch`` takes before it finds the budget spent) and
+        handed back by ``run_batch`` with its map.  They run in chunks of
+        ``_SEARCH_CHUNK`` samples, the first chunk holding the seed, and
+        sampling stops at ``sample_size`` samples or after the first chunk at
+        whose end either no sample of the chunk raised the best norm of a
+        site still on the frontier, or every site with a baseline that is
+        still on the frontier has a record (the operand and string solvers
+        need only one, as they recompute the witness's raw feedback).  A sample's slope norm at a site is
         |Δd| · Σ_j 1/|Δbyte_j|; the sum depends only on the sample, so it is
         taken once, as an integer in units of 1/L (``_INV``), and records are
         compared by norm times L.  Δd comes from the observations' scalarized
@@ -386,11 +382,11 @@ class Mutator:
         best: dict[int, tuple[bytes, int | tuple[int, tuple[int, ...]]]] = {}
         live = executor.coverage.frontier
         for start in range(0, self.sample_size, _SEARCH_CHUNK):
-            made: list[bytes] = []
             count = min(start + _SEARCH_CHUNK, self.sample_size) - max(start, 1)
-            maps = executor.run_batch(_mutants(seed, rng, count, made), maps=[])
+            ran = executor.run_batch(
+                (havoc_mutate(seed, rng, _SEARCH_STACK) for _ in range(count)), [])
             improved = False
-            for data, observations in zip(made, maps):
+            for data, observations in ran:
                 s = None
                 for site, key in observations.items():
                     seed_key = seed_keys.get(site)  # every such site is in the frontier

@@ -358,24 +358,24 @@ def _executor_state(executor):
             executor.coverage.edge_hits, executor.coverage.frontier)
 
 
-def _batch_and_single_runs(program, prefix, inputs, budget=None, exempt_budget=False,
-                           campaign=False, active=None):
-    """Two executors that run ``prefix`` exempt from the budget, then switch
-    on ``active`` (default: the frontier); then one runs ``inputs`` as a
-    batch and the other one input at a time (through ``run``, or a batch of
-    one when exempt).  Returns, per executor, the observation maps (None when
-    the budget or full coverage stopped it) and its state."""
+def _batch_and_single_runs(program, prefix, inputs, budget=None, active=None):
+    """Two executors that run ``prefix`` with no budget, then take ``budget``
+    (None keeps them without one) and switch on ``active`` (default: the
+    frontier); then one runs ``inputs`` as a batch and the other one input at
+    a time through ``run``.  Returns, per executor, the observation maps
+    (None when the budget or full coverage stopped it) and its state."""
     results = []
     for batched in (True, False):
-        executor = _Executor(program, budget or Budget(max_execs=1 << 62), True, campaign)
-        executor.run_batch(prefix, True)
+        executor = _Executor(program, True)
+        executor.run_batch(prefix)
+        executor.budget = budget
         executor.harness.switch_on(
             executor.coverage.frontier if active is None else active)
         try:
             if batched:
-                maps = executor.run_batch(iter(inputs), exempt_budget, [])
-            elif exempt_budget:
-                maps = [executor.run_batch((data,), True, [])[0] for data in inputs]
+                ran = executor.run_batch(iter(inputs), [])
+                assert [data for data, _ in ran] == inputs
+                maps = [observations for _, observations in ran]
             else:
                 maps = [executor.run(data).observations for data in inputs]
         except _RunEnded:
@@ -395,25 +395,26 @@ class TestRunBatchAgainstSingleRuns:
         rng = random.Random(7)
         inputs = [havoc_mutate(seed, rng, _BATCH_STACK, program.max_input_len)
                   for _ in range(300)]
-        for campaign in (False, True):
-            got, want = _batch_and_single_runs(program, [seed], inputs, campaign=campaign)
+        for budget in (None, Budget(max_execs=1 << 62)):
+            got, want = _batch_and_single_runs(program, [seed], inputs, budget)
             assert got == want
             maps, state = got
-            if maps is None:  # a campaign's batch ends at the exec that covers the last edge
-                assert campaign and len(state[7]) == program.total_edges
+            if maps is None:  # under a budget, the exec that covers the last edge ends it
+                assert budget and len(state[7]) == program.total_edges
                 assert state[3][-1].exec_index == state[0] < 1 + len(inputs)
             else:
                 assert state[0] == 1 + len(inputs)
 
     @settings(max_examples=60, deadline=None)
     @given(_documents(), st.integers(0, 2**32), st.integers(1, 60), st.booleans())
-    def test_generated_programs(self, doc, rng_seed, n, campaign):
+    def test_generated_programs(self, doc, rng_seed, n, budgeted):
         program = program_from_dict(doc)
         seed = zero_seed(program)
         rng = random.Random(rng_seed)
         inputs = [havoc_mutate(seed, rng, _BATCH_STACK, program.max_input_len)
                   for _ in range(n)]
-        got, want = _batch_and_single_runs(program, [], inputs, campaign=campaign,
+        got, want = _batch_and_single_runs(program, [], inputs,
+                                           Budget(max_execs=1 << 62) if budgeted else None,
                                            active=program.node_ids)
         assert got == want
 
@@ -424,18 +425,24 @@ class TestRunBatchAgainstSingleRuns:
         got, want = _batch_and_single_runs(program, [bytes(6)], inputs, budget=budget)
         assert got == want
         maps, state = got
-        # The prefix ran exempt; the batch made the 4 execs the cap left.
+        # The prefix ran before the budget; the batch made the 4 execs the
+        # cap left.
         assert maps is None and state[0] == 5
         assert state[2] == 5  # synthetic time: one ns per exec
         assert state[3][-1].exec_index == 5  # corpus entries stop at the last exec made
 
     def test_exempt_replays_run_past_the_cap(self):
+        # With no budget, as in the seed phase, every input runs: the
+        # staircase covers the last edge with no _RunEnded, and each of the
+        # six sites it flips stays switched on.
         program = builtin_targets.load("chain6")
         inputs = [bytes([1, 2, 4, 8, 16, 32][:k]).ljust(6, b"\0") for k in range(7)]
-        got, want = _batch_and_single_runs(program, [], inputs, budget=Budget(max_execs=2),
-                                           exempt_budget=True)
+        got, want = _batch_and_single_runs(program, [], inputs, active=program.node_ids)
         assert got == want
-        assert got[1][0] == len(inputs)
+        maps, state = got
+        assert maps is not None and state[0] == len(inputs)
+        assert len(state[7]) == program.total_edges and state[1] == 6
+        assert state[6] == program.node_ids
 
     def test_sched_batch_with_a_flip_in_the_middle(self):
         # Every guard starts switched on.  The second input flips guard 0 and
@@ -443,7 +450,8 @@ class TestRunBatchAgainstSingleRuns:
         program = builtin_targets.load("chain6")
         inputs = [bytes(6), bytes([1, 0, 0, 0, 0, 0]), bytes([1, 2, 0, 0, 0, 0]), bytes(6),
                   bytes([1, 2, 4, 0, 0, 0])]
-        got, want = _batch_and_single_runs(program, [bytes(6)], inputs, campaign=True,
+        got, want = _batch_and_single_runs(program, [bytes(6)], inputs,
+                                           Budget(max_execs=1 << 62),
                                            active=program.node_ids)
         assert got == want
         maps, state = got
@@ -540,10 +548,12 @@ class StageInvariants:
         stats = campaign.scheduler.stats
         for branch_stats in stats.values():
             assert 1 <= branch_stats.pt <= branch_stats.tt
+        # The budget is in force from the seed record on.
+        executor = campaign._executor
+        assert executor.budget is campaign.budget
         # A branch gains stats when a corpus entry that reaches it replays
         # with the branch active, at the refresh after the entry appears.  A
         # refresh that the budget cuts short ends the run unscheduled.
-        executor = campaign._executor
         if executor.execs < executor.budget.exec_cap and executor.t_ns < executor.budget.time_cap:
             reached = set().union(*self.walked[:campaign._calibrated])
             assert frontier & reached <= set(stats)
@@ -626,8 +636,9 @@ class TestEndOfRun:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_seeds_that_cover_everything_all_run(self, mode):
-        # The seed phase is exempt: the third seed runs after the first two
-        # covered both edges, and no stage follows the seed record.
+        # The budget takes effect after the seed phase: the third seed runs
+        # after the first two covered both edges, and no stage follows the
+        # seed record.
         program = builtin_targets.load("le15")
         seeds = [bytes([5]), bytes([20]), bytes([3])]
         campaign = Campaign(program, seeds, mode, Budget(max_execs=1), rng_seed=0)
@@ -641,9 +652,9 @@ class TestEndOfRun:
         (0, b"\x01", 15), (1, b"\x03", 13), (2, b"\x0c", 4), (3, b"\x00", 16),
     ])
     def test_bare_executor_local_search_is_unchanged(self, rng_seed, witness, key):
-        # Each search flips the guard with a sample; a bare executor keeps it
-        # switched on and runs every sample, so its records are those it gave
-        # before campaigns settled flipped sites.
+        # Each search flips the guard with a sample; an executor with no
+        # budget keeps it switched on and runs every sample, so its records
+        # are those it gave before campaigns settled flipped sites.
         program = builtin_targets.load("le15")
         executor = make_executor(program, frontier={0})
         records = Mutator(program, 64).local_search(bytes([5]), {0}, executor,
