@@ -13,12 +13,13 @@ branch toward its distance root:
 Every distance is the order key a guard's step stored in the observation map
 (see ``distance``); slopes and steps use its scalarized value.  The root
 solvers read the raw feedback behind a key (``target.guard_feedback``) once
-per record, for its witness.  For integer guards the step is solved
-in operand space, where the operand is the constant plus the observed
-difference, and the result written back with the declared endianness; for
-string comparisons the compared window is located first by single-byte
-probing (hot-byte inference) and each window byte is solved independently
-from its component of the witness's distance key.
+per record, for its witness, and nowhere else.  For integer guards the step
+is solved in operand space, where the operand is the constant plus the
+observed difference, and the result written back with the declared
+endianness; for string comparisons the compared window is located first by
+single-byte probing (hot-byte inference), which reads a probe's flip off the
+executor's frontier, and each window byte is solved independently from its
+component of the witness's distance key.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distance import observation_distance
-from .target import _ROWS, GuardKind, GuardProgram, Relation, guard_feedback
+from .target import _ROWS, GuardKind, GuardNode, GuardProgram, Relation, guard_feedback
 
 __all__ = [
     "SubgradientRecord",
@@ -290,32 +291,32 @@ def newton_step(witness: bytes, d: int, g: dict[int, Fraction]) -> bytes:
 def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> tuple[int, ...]:
     """Locate the input window feeding a string comparison.
 
-    Replays the seed with each differing mutant byte applied in isolation;
-    the first probe that changes exactly one component of the site's
-    distance key pins one hot byte, and the rest of the window follows from
-    that component's index plus the compared length (string windows are
-    contiguous).  A probe that flips the comparison switches the distance
-    row, so its changed components say nothing about where the probed byte
-    landed, and it covers the branch, which leaves the frontier: probing
-    ends there, with no window.  Returns the window's input offsets, one per
+    Replays the seed, then the seed with each differing mutant byte applied
+    in isolation; the first probe that changes exactly one component of the
+    site's distance key pins one hot byte, and the rest of the window
+    follows from that component's index plus the compared length (string
+    windows are contiguous).  The site must be on the executor's
+    ``coverage.frontier`` after the seed's run, and a probe flips it exactly
+    when its run takes it off: a flip switches the distance row, so its
+    changed components say nothing about where the probed byte landed, and
+    probing ends there.  Returns the window's input offsets, one per
     compared position, or ``()`` when no probe pins one.  The inputs must
     have the same length.
     """
     if len(seed) != len(mutant):
         raise ValueError("hot-byte inference requires equal-length inputs")
     base_key = executor.run(seed).observations.get(site)
-    if base_key.__class__ is not tuple:  # missed, or not a string site
-        return ()
-    node = executor.harness.program.nodes[site]
-    outcome = guard_feedback(node, seed)[0]
+    frontier = executor.coverage.frontier
+    if base_key.__class__ is not tuple or site not in frontier:
+        return ()  # missed, not a string site, or already covered
     differing = [j for j, (a, b) in enumerate(zip(seed, mutant)) if a != b]
     for pos in differing:
         probe = seed[:pos] + mutant[pos:pos + 1] + seed[pos + 1:]
         key = executor.run(probe).observations.get(site)
+        if site not in frontier:
+            return ()  # the probe flipped the branch
         if key.__class__ is not tuple:
             continue
-        if guard_feedback(node, probe)[0] != outcome:
-            return ()  # the probe flipped the branch
         # The changed comparison index tells us where in the window this
         # input byte landed; a vector key is (L1, values), one per position.
         changed = [j for j, (a, b) in enumerate(zip(base_key[1], key[1])) if a != b]
@@ -335,12 +336,11 @@ class Mutator:
     after which every such branch the seed reached has a record.  The
     campaign's plain havoc batches take exactly ``sample_size`` mutants.
 
-    ``executor`` is any object with ``run(data) -> outcome``, whose
-    ``observations`` is the trace's own site -> distance key map and ``flips``
-    the frontier branches the input flipped, ``run_batch(inputs, ran=[])``,
-    the ``(input, observation map)`` pair of each input it ran, a
-    ``coverage.frontier`` that its runs keep current, and a
-    ``harness.program``, the program it runs.
+    ``executor`` is any object with three names: ``run(data)``, whose
+    result's ``observations`` is the trace's own site -> distance key map;
+    ``run_batch(inputs, ran=[])``, which returns the ``(input, observation
+    map)`` pair of each input it ran; and ``coverage.frontier``, the set of
+    frontier branches, which each run keeps current.
     """
 
     def __init__(self, program: GuardProgram, sample_size: int = 1024):
@@ -418,28 +418,26 @@ class Mutator:
         stage flipped.  A string or integer guard's own solver goes first; the
         byte-space Newton step takes any record it gives no candidate for."""
         records = self.local_search(seed, frontier, executor, rng)
-        for site in sorted(records):
+        for site, rec in sorted(records.items()):
             if site not in executor.coverage.frontier:
                 continue
-            rec = records[site]
             node = self.program.nodes[site]
             candidate: bytes | None = None
             if node.kind is GuardKind.STR:
-                candidate = self._solve_string(seed, site, rec, executor)
+                candidate = self._solve_string(seed, node, rec, executor)
             elif node.kind is GuardKind.INT:
-                candidate = self._solve_operand(site, rec)
+                candidate = self._solve_operand(node, rec)
             if candidate is None:
                 candidate = newton_step(rec.witness, observation_distance(rec.witness_key), rec.g)
             if candidate != rec.witness:
                 executor.run(candidate)
 
-    def _solve_string(self, seed: bytes, site: int, rec: SubgradientRecord,
+    def _solve_string(self, seed: bytes, node: GuardNode, rec: SubgradientRecord,
                       executor) -> bytes | None:
         """Per-byte root solving over the inferred hot window."""
-        offsets = infer_hot_bytes(seed, rec.witness, site, executor)
+        offsets = infer_hot_bytes(seed, rec.witness, node.node_id, executor)
         if not offsets:
             return None
-        node = self.program.nodes[site]
         outcome, diffs = guard_feedback(node, rec.witness)
         buf = bytearray(rec.witness)
         changed = False
@@ -455,7 +453,7 @@ class Mutator:
             changed = True
         return bytes(buf) if changed else None
 
-    def _solve_operand(self, site: int, rec: SubgradientRecord) -> bytes:
+    def _solve_operand(self, node: GuardNode, rec: SubgradientRecord) -> bytes:
         """Root solving in operand space for integer guards.
 
         Byte-space slopes diverge on multi-byte operands (a carry into a high
@@ -468,15 +466,11 @@ class Mutator:
         clamped to the operand's range and written back with the declared
         endianness.
         """
-        node = self.program.nodes[site]
         outcome, f = guard_feedback(node, rec.witness)
         solved = node.constant + f - rec.witness_key * _row_slope(outcome, node.relation, f)
         bits = 8 * node.size
-        lo, hi = (
-            (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
-            if node.signed
-            else (0, (1 << bits) - 1)
-        )
+        half = 1 << (bits - 1)
+        lo, hi = (-half, half - 1) if node.signed else (0, 2 * half - 1)
         solved = max(lo, min(hi, solved))
         buf = bytearray(rec.witness)
         end = node.offset + node.size

@@ -4,9 +4,12 @@ rng seeds) is executed once and shared by the coverage-ordering, ablation,
 and control-space criteria."""
 
 import json
+import os
 import random
 import statistics
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from multiprocessing import get_context
 
 import pytest
 
@@ -40,27 +43,38 @@ def verdict(capsys):
     return _verdict
 
 
+def _grid_cell(spec):
+    """The final edge count and serialized log of one grid campaign; ``spec``
+    is a picklable (target name, mode value, rng seed) triple."""
+    name, mode, rng_seed = spec
+    program = builtin_targets.load(name)
+    campaign = Campaign(
+        program, [bytes(program.max_input_len)], Mode(mode), Budget(max_execs=BUDGET_EXECS),
+        rng_seed=rng_seed, synthetic_time=True,
+    )
+    log = campaign.run()
+    return log.records[-1].edges_covered, log.to_jsonl()
+
+
+def run_grid(specs):
+    """``_grid_cell`` over ``specs``, in order, in a pool of one process per
+    CPU.  Each campaign is an independent instance and the engine stays
+    single-process; the logs are the same as from a serial loop.  Workers
+    are spawned, so each starts from a fresh import of this module."""
+    with ProcessPoolExecutor(os.cpu_count(), mp_context=get_context("spawn")) as pool:
+        return list(pool.map(_grid_cell, specs))
+
+
 @pytest.fixture(scope="session")
 def campaign_grid():
     """Final edge counts and serialized logs for every (target, mode, seed)."""
+    specs = [(name, mode.value, rng_seed)
+             for name in SUITE for mode in Mode for rng_seed in RNG_SEEDS]
     results = {}
     logs = {}
-    for name in SUITE:
-        program = builtin_targets.load(name)
-        seed_input = bytes(program.max_input_len)
-        for mode in Mode:
-            finals = []
-            jsonls = []
-            for rng_seed in RNG_SEEDS:
-                campaign = Campaign(
-                    program, [seed_input], mode, Budget(max_execs=BUDGET_EXECS),
-                    rng_seed=rng_seed, synthetic_time=True,
-                )
-                log = campaign.run()
-                finals.append(log.records[-1].edges_covered)
-                jsonls.append(log.to_jsonl())
-            results[(name, mode)] = finals
-            logs[(name, mode)] = jsonls
+    for (name, mode, _), (final, jsonl) in zip(specs, run_grid(specs)):
+        results.setdefault((name, Mode(mode)), []).append(final)
+        logs.setdefault((name, Mode(mode)), []).append(jsonl)
     return results, logs
 
 

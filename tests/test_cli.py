@@ -365,6 +365,12 @@ class TestReportCommand:
         (json.dumps({"t_ns": 2, "edges_covered": 1}), "'mode' missing"),
         (json.dumps({"t_ns": "2", "edges_covered": 1, "mode": "fox"}), "'t_ns' missing or not int"),
         (json.dumps([2, 1, "fox"]), "not a JSON object"),
+        # A record that goes backwards would bend the time grid or the scan
+        # over each run's sorted times.
+        (json.dumps({"t_ns": 0, "edges_covered": 1, "mode": "fox"}),
+         "'t_ns' goes backwards (0 < 1)"),
+        (json.dumps({"t_ns": 2, "edges_covered": 0, "mode": "fox"}),
+         "'edges_covered' goes backwards (0 < 1)"),
     ])
     def test_malformed_record_names_file_and_line(self, tmp_path, bad, why):
         stats = tmp_path / "run" / "stats.jsonl"
@@ -375,6 +381,16 @@ class TestReportCommand:
         message = str(info.value.code)
         assert message.startswith(f"frontierfuzz report: {stats}:2: {why}")
         assert "\n" not in message
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("key", ["t_ns", "edges_covered"])
+    def test_negative_first_record_rejected(self, tmp_path, key):
+        stats = tmp_path / "run" / "stats.jsonl"
+        stats.parent.mkdir()
+        stats.write_text(json.dumps({**json.loads(self.GOOD), key: -1}) + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as info:
+            run_cli(["report", "--out", str(tmp_path)])
+        assert str(info.value.code) == f"frontierfuzz report: {stats}:1: {key!r} goes backwards (-1 < 0)"
         assert not (tmp_path / "report.csv").exists()
 
     def test_undecodable_file_names_file(self, tmp_path):

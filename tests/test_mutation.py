@@ -19,7 +19,6 @@ from frontierfuzz.mutation import (
     _BATCH_STACK,
     _BYTES_PER_OP,
     _INTERESTING,
-    _INV,
     _SEARCH_CHUNK,
     _SEARCH_STACK,
     Mutator,
@@ -778,84 +777,54 @@ class TestOperandSolverAgainstReference:
                                 witness, witness_key)
         mutator = Mutator(program)
         want = _reference_solve_operand(mutator, seed, 0, rec)
-        assert mutator._solve_operand(0, rec) == want
+        assert mutator._solve_operand(program.nodes[0], rec) == want
+
+
+def _reference_infer_hot_bytes(seed, mutant, site, executor):
+    """``infer_hot_bytes`` as it was when it decided a probe's flip itself:
+    the guard's outcome from ``guard_feedback`` on the seed and on each
+    probe, with no look at the executor's frontier.  Kept as the oracle for
+    the version that reads the flip off the frontier."""
+    if len(seed) != len(mutant):
+        raise ValueError("hot-byte inference requires equal-length inputs")
+    base_key = executor.run(seed).observations.get(site)
+    if base_key.__class__ is not tuple:  # missed, or not a string site
+        return ()
+    node = executor.harness.program.nodes[site]
+    outcome = guard_feedback(node, seed)[0]
+    differing = [j for j, (a, b) in enumerate(zip(seed, mutant)) if a != b]
+    for pos in differing:
+        probe = seed[:pos] + mutant[pos:pos + 1] + seed[pos + 1:]
+        key = executor.run(probe).observations.get(site)
+        if key.__class__ is not tuple:
+            continue
+        if guard_feedback(node, probe)[0] != outcome:
+            return ()  # the probe flipped the branch
+        changed = [j for j, (a, b) in enumerate(zip(base_key[1], key[1])) if a != b]
+        if len(changed) == 1:
+            start = pos - changed[0]
+            return tuple(range(start, start + len(key[1])))
+    return ()
 
 
 class _ParentMutator(Mutator):
     """The mutator as it was when local search kept a record for every
     frontier site a sample reached, and the root solvers gated each record
-    on the seed's key and feedback: its ``local_search``, ``mutate_stage``,
-    ``_solve_string`` and ``_solve_operand`` are kept verbatim, records and
-    all, except that ``_solve_string`` writes no window byte at or past
-    ``max_input_len`` (as ``Mutator._solve_string`` does) and that
-    ``mutate_stage`` builds no candidate for a site that left the live
-    frontier earlier in the stage (as ``Mutator.mutate_stage`` does), and
-    that its local search, which runs one sample at a time, stops as
-    ``Mutator.local_search`` does.  Kept as the oracle for the stage that
-    keeps only the records a root step can fire from."""
-
-    def local_search(self, seed: bytes, frontier, executor,
-                     rng: random.Random) -> dict[int, _SeedKeyedRecord]:
-        """Sample the seed neighborhood and retain the best slope per branch.
-
-        The first of the ``sample_size`` samples is the unmutated seed itself,
-        which establishes the baseline distances the slopes are measured
-        against; the rest are havoc mutants of stack ``_SEARCH_STACK``.  A
-        sample's slope norm at a site is |Δd| · Σ_j 1/|Δbyte_j|; the sum
-        depends only on the sample, so it is taken once, as an integer in
-        units of 1/L (``_INV``), and records are compared by norm times L.
-        Δd comes from the observations' scalarized distance keys; ``g`` is
-        built only for a record that wins with a nonzero norm.  A site whose
-        scalarized key equals its seed baseline has norm 0, which never beats
-        its record's, so it is skipped: the records stay the same, and the sum
-        is taken only at a sample's first site whose key moved.  Sample ``i``
-        ends a chunk when ``i % _SEARCH_CHUNK`` is the last index, and the
-        search stops after a chunk that raised no norm of a site still on the
-        executor's frontier, or once every site of ``seed_v`` still on that
-        frontier has a nonzero norm.
-        """
-        seed_keys = executor.run(seed).observations
-        seed_v = {site: observation_distance(key)
-                  for site, key in seed_keys.items() if site in frontier}
-        records = {site: _SeedKeyedRecord({}, seed, seed_keys[site], seed_keys[site])
-                   for site in seed_v}
-        norms = dict.fromkeys(records, 0)
-        raised: set[int] = set()
-        for i in range(1, self.sample_size):
-            if i % _SEARCH_CHUNK == 0:
-                live = executor.coverage.frontier
-                if not raised & live or all(norms[site] for site in seed_v if site in live):
-                    break
-                raised = set()
-            data = havoc_mutate(seed, rng, _SEARCH_STACK)
-            s = None
-            for site, key in executor.run(data).observations.items():
-                base = seed_v.get(site)  # every site in seed_v is in the frontier
-                if base is None:
-                    if site in frontier and site not in records:  # no seed baseline
-                        records[site] = _SeedKeyedRecord({}, data, key)
-                    continue
-                v = observation_distance(key)
-                if v == base:
-                    continue
-                if s is None:
-                    s = 0  # with no max_len, havoc keeps the seed's length
-                    for x, y in zip(seed, data):
-                        if x != y:
-                            s += _INV[abs(y - x)]
-                norm = abs(v - base) * s
-                if norm > norms[site]:
-                    norms[site] = norm
-                    raised.add(site)
-                    g = compute_subgradient(seed, data, base, v)
-                    records[site] = _SeedKeyedRecord(g, data, key, seed_keys[site])
-        return records
+    on the seed's key and feedback: its ``mutate_stage`` and
+    ``_solve_string`` are kept verbatim, except that ``_solve_string`` writes
+    no window byte at or past ``max_input_len`` (as ``Mutator._solve_string``
+    does) and that ``mutate_stage`` builds no candidate for a site that left
+    the live frontier earlier in the stage (as ``Mutator.mutate_stage``
+    does).  Its local search is ``_reference_local_search``, its operand
+    solver ``_reference_solve_operand`` behind the seed-key gate, and its
+    hot-byte rule ``_reference_infer_hot_bytes``.  Kept as the oracle for
+    the stage that keeps only the records a root step can fire from."""
 
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
         """One full stage: sample, estimate slopes, and fire one targeted
         input per frontier branch that yielded a usable estimate and is still
         on the live frontier."""
-        records = self.local_search(seed, frontier, executor, rng)
+        records = _reference_local_search(self, seed, frontier, executor, rng)
         for site in sorted(records):
             if site not in executor.coverage.frontier:
                 continue
@@ -877,7 +846,7 @@ class _ParentMutator(Mutator):
         """Per-byte root solving over the inferred hot window."""
         if rec.seed_key is None or rec.witness_key == rec.seed_key:
             return None
-        offsets = infer_hot_bytes(seed, rec.witness, site, executor)
+        offsets = _reference_infer_hot_bytes(seed, rec.witness, site, executor)
         if not offsets:
             return None
         node = self.program.nodes[site]
@@ -897,40 +866,10 @@ class _ParentMutator(Mutator):
         return bytes(buf) if changed else None
 
     def _solve_operand(self, seed: bytes, site: int, rec: _SeedKeyedRecord) -> bytes | None:
-        """Root solving in operand space for integer guards.
-
-        Byte-space slopes diverge on multi-byte operands (a carry into a high
-        byte moves the distance by thousands) and absolute-value distance
-        rows kink at the root, so the step is taken on the operand instead.
-        An integer guard's difference is ``f = operand - constant``, so the
-        witness's operand is ``constant + f`` and the distance's slope in the
-        operand is the row's derivative at ``f``, which is +/-1: dividing
-        the distance by it is multiplying by it.  A witness whose operand
-        equals the seed's gives no step.  The solved operand is clamped to
-        the operand's range and written back with the declared endianness.
-        """
+        """No step for a record whose site the seed missed."""
         if rec.seed_key is None:
             return None
-        node = self.program.nodes[site]
-        outcome, f = guard_feedback(node, rec.witness)
-        if f == guard_feedback(node, seed)[1]:
-            return None
-        solved = node.constant + f - rec.witness_key * _row_slope(outcome, node.relation, f)
-        bits = 8 * node.size
-        lo, hi = (
-            (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
-            if node.signed
-            else (0, (1 << bits) - 1)
-        )
-        solved = max(lo, min(hi, solved))
-        buf = bytearray(rec.witness)
-        end = node.offset + node.size
-        if end > len(buf):
-            buf.extend(b"\0" * (end - len(buf)))
-        order = "little" if node.endian == "le" else "big"
-        buf[node.offset:end] = (solved & ((1 << bits) - 1)).to_bytes(node.size, order)
-        return bytes(buf)
-
+        return _reference_solve_operand(self, seed, site, rec)
 
 
 def _reference_mutate_stage(program, sample_size, seed, frontier, executor, rng):
@@ -1060,18 +999,19 @@ class TestHotBytes:
         # distance row switches, every key component changes, and the first
         # changed one (index 0) says nothing about where byte 6 landed.
         program = program_from_dict(self.LT_DOC)
-        executor = make_executor(program, frontier={0})
         seed = bytes(4) + b"MMMM" + bytes(4)
+        executor = make_executor(program, frontier={0})
         assert infer_hot_bytes(seed, bytes(4) + b"MMAM" + bytes(4), 0, executor) == ()
         # A probe that keeps the outcome changes one component and pins the
         # window.
+        executor = make_executor(program, frontier={0})
         assert infer_hot_bytes(seed, bytes(4) + b"MMMZ" + bytes(4), 0, executor) == (4, 5, 6, 7)
         # A flipping probe covers the branch and ends probing: in a campaign
         # the executor switches the site off at that exec, so no later probe
         # could observe it.
-        before = executor.execs
+        executor = make_executor(program, frontier={0})
         assert infer_hot_bytes(seed, bytes(4) + b"MMAZ" + bytes(4), 0, executor) == ()
-        assert executor.execs - before == 2  # the seed, then the probe at byte 6
+        assert executor.execs == 2  # the seed, then the probe at byte 6
 
     def test_flipping_probe_pins_no_two_byte_window(self):
         # "MO" < "MM" is false; probing byte 5 gives "ML" < "MM", which is
@@ -1085,11 +1025,25 @@ class TestHotBytes:
                        "constant": base64.b64encode(b"MM").decode(),
                        "taken": None, "nottaken": None}],
         })
-        executor = make_executor(program, frontier={0})
         seed = bytes(4) + b"MO" + bytes(2)
+        executor = make_executor(program, frontier={0})
         assert infer_hot_bytes(seed, bytes(4) + b"ML" + bytes(2), 0, executor) == ()
         # A probe that keeps the outcome still pins the window.
+        executor = make_executor(program, frontier={0})
         assert infer_hot_bytes(seed, bytes(4) + b"MP" + bytes(2), 0, executor) == (4, 5)
+
+    def test_covered_branch_gets_no_window_after_the_seed_run(self):
+        # Both edges of the guard are covered before the call, so the branch
+        # is off the frontier: no probe could flip it, and the seed's run is
+        # the only exec.  Probing on would pin (4, 5, 6, 7) from byte 7.
+        program = program_from_dict(self.LT_DOC)
+        seed = bytes(4) + b"MMMM" + bytes(4)
+        executor = make_executor(program, frontier={0})
+        executor.run_batch([seed, bytes(4) + b"MMAM" + bytes(4)])
+        assert 0 not in executor.coverage.frontier
+        before = executor.execs
+        assert infer_hot_bytes(seed, bytes(4) + b"MMMZ" + bytes(4), 0, executor) == ()
+        assert executor.execs - before == 1
 
     def test_unequal_lengths_rejected_before_any_exec(self):
         program = program_from_dict(self.MAGI_DOC)
