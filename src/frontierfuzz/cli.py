@@ -109,9 +109,9 @@ def _percentile(sorted_values: list[int], q: float) -> float:
 
 def _read_stats(path: Path) -> tuple[str | None, list[tuple[int, int]]]:
     """The mode and the (t_ns, edges_covered) series of one stats file.  An
-    unreadable file, a malformed record, or a record whose ``t_ns`` or
-    ``edges_covered`` falls below 0 or the previous record's ends the command
-    with one line."""
+    unreadable file, a malformed record, a record whose ``mode`` differs from
+    the previous record's, or one whose ``t_ns`` or ``edges_covered`` falls
+    below 0 or the previous record's ends the command with one line."""
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -129,6 +129,8 @@ def _read_stats(path: Path) -> tuple[str | None, list[tuple[int, int]]]:
         for key, kind in (("mode", str), ("t_ns", int), ("edges_covered", int)):
             if type(rec.get(key)) is not kind:
                 raise SystemExit(f"{where}: {key!r} missing or not {kind.__name__}")
+        if series and rec["mode"] != mode:
+            raise SystemExit(f"{where}: 'mode' changes from {mode!r} to {rec['mode']!r}")
         for key, last in zip(("t_ns", "edges_covered"), series[-1] if series else (0, 0)):
             if rec[key] < last:
                 raise SystemExit(f"{where}: {key!r} goes backwards ({rec[key]} < {last})")

@@ -62,9 +62,6 @@ _BATCH_STACK = 16
 # improves no record or leaves every live branch with one.
 _SEARCH_CHUNK = 64
 
-# An operator carves its ranged fields from its own 30-bit draw only while the
-# product of every range it takes from that draw stays at or below this.
-_CARVE = 1 << 20
 # Byte add/sub in one field: entry 2 * (delta - 1) + sign adds delta when sign
 # is 1 and subtracts it when sign is 0.
 _DELTAS = tuple(d if sign else -d for d in range(1, _ARITH_MAX + 1) for sign in (0, 1))
@@ -132,7 +129,7 @@ def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
     only up to ``max_len``.
 
     Draw contract.  The stack depth is ``rng.getrandbits(30) % stack_max + 1``.
-    Each operator then takes one ``rng.getrandbits(30)``, even one that is
+    Each operator then takes one ``rng.getrandbits(width)``, even one that is
     skipped, and carves its fields from it in mixed radix (``r % m`` is the
     field, ``r // m`` the rest), in this order: the operator index (8 with
     ``max_len``, else 6; the last two resize), then
@@ -151,15 +148,15 @@ def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
                        (n + 1), then its bytes as for block overwrite,
                        skipped when m < 1.
     Fields carved from one draw are read from it modulo the product ``M`` of
-    their ranges, so each combination has probability within ``2**-30`` of
-    ``1 / M``: a relative bias below ``M / 2**30``.  The stack depth's bias is
-    thus below ``stack_max / 2**30``.  An operator carves its length and
-    positions only while ``M``, taken with the largest position range, is at
-    most ``2**20``, so no bias exceeds ``2**-10``; otherwise each of them is an
-    exact ``rng.randrange`` draw, and every position stays reachable at any
-    length.  Whether every operator carves is decided once per call, from
-    the largest length the call can reach; only when some might not are the
-    products tested per operator.  The draws are the same either way.
+    their ranges, so each combination has probability within
+    ``2**-width`` of ``1 / M``: a relative bias below ``M / 2**width``.
+    ``width`` is fixed once per call from the largest length ``top`` the
+    call can reach: with ``bound = n_ops * top * max(top, 256)``, which no
+    operator's ``M`` exceeds, it is ``max(30, 10 + (bound - 1).bit_length())``.
+    So no field's bias reaches ``2**-10``, every position stays reachable at
+    any length, and a call whose ``bound`` is at most ``2**20`` (a top length
+    up to 362 with ``max_len``, 418 without) draws 30 bits per operator.
+    The stack depth's bias is below ``stack_max / 2**30``.
     """
     if not seed:
         raise ValueError("seed must be nonempty")
@@ -168,7 +165,6 @@ def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
     gb = rng.getrandbits
     budget = _BYTES_PER_OP
     n_ops = 8 if max_len is not None else 6  # operators 6 and 7 resize
-    lim = _CARVE // n_ops  # a product of ranges m fits when n_ops * m <= _CARVE
     buf = bytearray(seed)
     n = len(seed)
     # Deletes and inserts keep the length within [low, high]; with no
@@ -179,70 +175,54 @@ def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
     else:
         high = n + budget if max_len > n + budget else max_len
     # No length this call reaches exceeds top, and the byte set's and the
-    # swap's products at top bound every operator's: when both fit, every
-    # field carves and the per-operator tests are skipped.
+    # swap's products at top bound every operator's.
     top = n if n > high else high
-    carve = top << 8 <= lim and top * top <= lim
+    width = (n_ops * top * (top if top > 256 else 256) - 1).bit_length() + 10
+    if width < 30:
+        width = 30
     for _ in range(gb(30) % stack_max + 1):
-        r = gb(30)
+        r = gb(width)
         op = r % n_ops
         r //= n_ops
         if op < 4:
             if op < 2:
                 if op == 0:  # bit flip
-                    pos = (r >> 3) % n if carve or n << 3 <= lim else rng.randrange(n)
-                    buf[pos] ^= 1 << (r & 7)
+                    buf[(r >> 3) % n] ^= 1 << (r & 7)
                 else:  # byte set
-                    buf[(r >> 8) % n if carve or n << 8 <= lim else rng.randrange(n)] = r & 255
+                    buf[(r >> 8) % n] = r & 255
             elif op == 2:  # byte add/sub; 70 == len(_DELTAS)
-                pos = r // 70 % n if carve or 70 * n <= lim else rng.randrange(n)
+                pos = r // 70 % n
                 buf[pos] = (buf[pos] + _DELTAS[r % 70]) & 255
             else:  # interesting value substitution
                 c, choices = _CHOICES[n if n < 4 else 4]
                 w, k, packed = choices[r % c]
                 r //= c
-                m = n - w + 1
-                pos = r // k % m if carve or c * k * m <= lim else rng.randrange(m)
+                pos = r // k % (n - w + 1)
                 buf[pos:pos + w] = packed[r % k]
         elif op < 6:
             if op == 4:  # block overwrite
                 m = budget if budget < n else n
-                if carve or m * n <= lim:
-                    blen = r % m + 1
-                    pos = r // m % (n - blen + 1)
-                else:
-                    blen = rng.randrange(m) + 1
-                    pos = rng.randrange(n - blen + 1)
+                blen = r % m + 1
+                pos = r // m % (n - blen + 1)
                 if blen == 1:
                     buf[pos] = gb(8)
                 else:
                     buf[pos:pos + blen] = gb(8 * blen).to_bytes(blen, "little")
             elif n >= 2:  # byte swap
-                if carve or n * n <= lim:
-                    i, j = r % n, r // n % n
-                else:
-                    i, j = rng.randrange(n), rng.randrange(n)
+                i, j = r % n, r // n % n
                 buf[i], buf[j] = buf[j], buf[i]
         elif op == 6:  # delete block
             m = n - low if n - low < budget else budget
             if m >= 1:
-                if carve or m * n <= lim:
-                    blen = r % m + 1
-                    pos = r // m % (n - blen + 1)
-                else:
-                    blen = rng.randrange(m) + 1
-                    pos = rng.randrange(n - blen + 1)
+                blen = r % m + 1
+                pos = r // m % (n - blen + 1)
                 del buf[pos:pos + blen]
                 n -= blen
         else:  # insert block
             m = high - n
             if m >= 1:
-                if carve or m * (n + 1) <= lim:
-                    blen = r % m + 1
-                    pos = r // m % (n + 1)
-                else:
-                    blen = rng.randrange(m) + 1
-                    pos = rng.randrange(n + 1)
+                blen = r % m + 1
+                pos = r // m % (n + 1)
                 if blen == 1:
                     buf.insert(pos, gb(8))
                 else:
@@ -343,7 +323,7 @@ class Mutator:
     frontier branches, which each run keeps current.
     """
 
-    def __init__(self, program: GuardProgram, sample_size: int = 1024):
+    def __init__(self, program: GuardProgram, sample_size: int):
         if sample_size.__class__ is not int or sample_size < 2:
             raise ValueError(f"sample_size must be an int >= 2, got {sample_size!r}")
         self.program = program

@@ -13,7 +13,8 @@ the two.
 * ``convexity_probe`` and ``ConvexityStats`` check a branch's distance for
   midpoint convexity over an input pair on a real harness.
 * ``havoc`` restates ``havoc_mutate``'s draw contract one field at a time,
-  and ``compare_havoc`` checks the two against each other.  Both need
+  with ``word_width`` giving the width of each operator's word, and
+  ``compare_havoc`` checks the two against each other.  Both need
   nothing beyond the standard library and the engine, so the check runs
   without pytest:
 
@@ -139,11 +140,10 @@ def convexity_probe(harness: Harness, site: int, x1: bytes, x2: bytes,
 
 
 class _Word:
-    """One operator's 30-bit draw, read one field at a time."""
+    """One operator's ``width``-bit draw, read one field at a time."""
 
-    def __init__(self, rng):
-        self.rng = rng
-        self.rest = rng.getrandbits(30)
+    def __init__(self, rng, width):
+        self.rest = rng.getrandbits(width)
         self.span = 1  # product of the ranges read so far
 
     def field(self, m):
@@ -152,16 +152,20 @@ class _Word:
         self.rest //= m
         return value
 
-    def fits(self, m):
-        return self.span * m <= 2 ** 20
 
-    def ranged(self, m, carve):
-        return self.field(m) if carve else self.rng.randrange(m)
+def word_width(length, max_len):
+    """The width of ``havoc_mutate``'s operator word on a seed of ``length``
+    bytes: 10 bits more than the largest product of ranges an operator can
+    carve at the longest input the call can reach (the byte set's or the
+    swap's, with the operator index), and at least 30."""
+    n_ops = 6 if max_len is None else 8
+    top = length if max_len is None else max(length, min(length + 4, max_len))
+    return max(30, 10 + (n_ops * max(256 * top, top * top) - 1).bit_length())
 
 
 def havoc(seed, rng, stack_max, max_len=None):
     """``havoc_mutate``'s draw contract, one field at a time and with no
-    tables: the oracle for its carving order, ranges and carving bound."""
+    tables: the oracle for its carving order, ranges and word width."""
     if not seed:
         raise ValueError("seed must be nonempty")
     budget = 4
@@ -170,58 +174,55 @@ def havoc(seed, rng, stack_max, max_len=None):
         ops.extend((6, 7))
     buf = bytearray(seed)
     orig_len = len(seed)
+    width = word_width(orig_len, max_len)
     for _ in range(rng.getrandbits(30) % stack_max + 1):
-        word = _Word(rng)
+        word = _Word(rng, width)
         op = ops[word.field(len(ops))]
         n = len(buf)
         if op == 0:  # bit flip
             bit = word.field(8)
-            buf[word.ranged(n, word.fits(n))] ^= 1 << bit
+            buf[word.field(n)] ^= 1 << bit
         elif op == 1:  # byte set
             value = word.field(256)
-            buf[word.ranged(n, word.fits(n))] = value
+            buf[word.field(n)] = value
         elif op == 2:  # byte add/sub
             sign = word.field(2)
             delta = word.field(_ARITH_MAX) + 1
-            pos = word.ranged(n, word.fits(n))
+            pos = word.field(n)
             buf[pos] = (buf[pos] + (delta if sign else -delta)) & 0xFF
         elif op == 3:  # interesting value substitution
             widths = [w for w in (1, 2, 4) if w <= n and w <= budget]
             w = widths[word.field(len(widths))]
             order = ("little", "big")[word.field(2)]
             value = _INTERESTING[w][word.field(len(_INTERESTING[w]))]
-            pos = word.ranged(n - w + 1, word.fits(n - w + 1))
+            pos = word.field(n - w + 1)
             buf[pos:pos + w] = (value & ((1 << (8 * w)) - 1)).to_bytes(w, order)
         elif op == 4:  # block overwrite
-            m = min(budget, n)
-            carve = word.fits(m * n)
-            blen = word.ranged(m, carve) + 1
-            pos = word.ranged(n - blen + 1, carve)
+            blen = word.field(min(budget, n)) + 1
+            pos = word.field(n - blen + 1)
             buf[pos:pos + blen] = rng.getrandbits(8 * blen).to_bytes(blen, "little")
         elif op == 5:  # byte swap
             if n >= 2:
-                carve = word.fits(n * n)
-                i = word.ranged(n, carve)
-                j = word.ranged(n, carve)
+                i = word.field(n)
+                j = word.field(n)
                 buf[i], buf[j] = buf[j], buf[i]
         elif op == 6:  # delete block
             m = min(budget + (n - orig_len), n - 1, budget)
             if m >= 1:
-                carve = word.fits(m * n)
-                blen = word.ranged(m, carve) + 1
-                pos = word.ranged(n - blen + 1, carve)
+                blen = word.field(m) + 1
+                pos = word.field(n - blen + 1)
                 del buf[pos:pos + blen]
         else:  # insert block
             m = budget - (n - orig_len)
             if max_len is not None:
                 m = min(m, max_len - n)
             if m >= 1:
-                carve = word.fits(m * (n + 1))
-                blen = word.ranged(m, carve) + 1
-                pos = word.ranged(n + 1, carve)
+                blen = word.field(m) + 1
+                pos = word.field(n + 1)
                 buf[pos:pos] = rng.getrandbits(8 * blen).to_bytes(blen, "little")
-        if word.span > 2 ** 20:
-            raise AssertionError(f"operator {op} carved a product of {word.span}")
+        if word.span > 2 ** (width - 10):
+            raise AssertionError(f"operator {op} carved a product of {word.span} "
+                                 f"from a {width}-bit word")
     return bytes(buf)
 
 

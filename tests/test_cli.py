@@ -371,6 +371,9 @@ class TestReportCommand:
          "'t_ns' goes backwards (0 < 1)"),
         (json.dumps({"t_ns": 2, "edges_covered": 0, "mode": "fox"}),
          "'edges_covered' goes backwards (0 < 1)"),
+        # One run has one mode; the file would be filed under its last.
+        (json.dumps({"t_ns": 2, "edges_covered": 1, "mode": "base"}),
+         "'mode' changes from 'fox' to 'base'"),
     ])
     def test_malformed_record_names_file_and_line(self, tmp_path, bad, why):
         stats = tmp_path / "run" / "stats.jsonl"

@@ -32,7 +32,7 @@ from frontierfuzz.mutation import (
     round_half_away,
 )
 from frontierfuzz.target import GuardKind, Harness, guard_feedback, program_from_dict
-from reference import compare_havoc, guard_ids
+from reference import compare_havoc, guard_ids, word_width
 from test_target import _BYTE_VALUES, _RELATION_TOKENS, _documents
 
 
@@ -42,8 +42,9 @@ def l1_norm(g: dict[int, Fraction]) -> Fraction:
 
 class ScriptedRng(random.Random):
     """Deterministic rng double that plays back scripted ``getrandbits``
-    draws, each given as (expected bit width, value); ``randrange`` draws
-    through them too."""
+    draws, each given as (expected bit width, value): a havoc call takes one
+    30-bit draw for its stack depth and one word per operator, whose width
+    depends on the longest input the call can reach."""
 
     def __init__(self, draws):
         super().__init__(0)
@@ -56,20 +57,20 @@ class ScriptedRng(random.Random):
 
 
 class OpPinnedRng(random.Random):
-    """A seeded rng whose every 30-bit draw has ``index`` as its residue
-    modulo ``n_ops``.  Under ``stack_max=1`` the stack depth ignores it, so
-    every havoc call applies operator ``index`` with all other fields drawn
-    at random."""
+    """A seeded rng whose every ``width``-bit draw has ``index`` as its
+    residue modulo ``n_ops``.  Under ``stack_max=1`` the stack depth ignores
+    it, so when ``width`` is the call's operator word, every havoc call
+    applies operator ``index`` with all other fields drawn at random."""
 
-    def __init__(self, seed, index, n_ops):
+    def __init__(self, seed, index, n_ops, width):
         super().__init__(seed)
-        self.index, self.n_ops = index, n_ops
+        self.index, self.n_ops, self.width = index, n_ops, width
 
     def getrandbits(self, k):
         r = super().getrandbits(k)
-        if k == 30:
+        if k == self.width:
             r += self.index - r % self.n_ops
-            if r >= 1 << 30:
+            if r >= 1 << k:
                 r -= self.n_ops
         return r
 
@@ -78,7 +79,8 @@ def _single_op(seed, op, samples, *, max_len=None, rng_seed=0):
     """``samples`` havoc mutants of ``seed`` that each apply operator ``op``
     once; the resize operators 6 and 7 are drawn exactly when ``max_len`` is
     given."""
-    rng = OpPinnedRng(rng_seed, op, 8 if max_len is not None else 6)
+    rng = OpPinnedRng(rng_seed, op, 8 if max_len is not None else 6,
+                      word_width(len(seed), max_len))
     return [havoc_mutate(seed, rng, 1, max_len) for _ in range(samples)]
 
 
@@ -157,14 +159,12 @@ class TestHavoc:
     def test_matches_reference(self, stream):
         # Same output bytes and same rng state after every call, across
         # stack depths, resize off (no cap) and on (each cap), and seed
-        # lengths.  The long lengths straddle every carving threshold, so both
-        # the carved and the exact draws of every field are compared.  At
-        # 359-364 (8 operators) and 413-419 (6) the largest length a call can
-        # reach crosses the bound below which every field carves, so each
-        # such call must still test each operator's product.  A call whose
-        # insert grows the buffer past the bound shows a bound taken from the
-        # seed's length only if a swap follows, so these lengths take many
-        # calls each.
+        # lengths.  The long lengths take operator words from 30 up to 44
+        # bits wide.  At 359-364 (8 operators) and 413-419 (6) the largest
+        # length a call can reach crosses the bound past which the word
+        # grows from 30 to 31 bits.  A call whose insert grows the buffer
+        # past the bound shows a width taken from the seed's length only if
+        # a swap follows, so these lengths take many calls each.
         lengths = list(range(1, 41)) + [300, 419, 600, 1_500, 2_500, 20_000, 40_000]
         assert compare_havoc(lengths, 1, stream) == 3 * 4 * len(lengths)
         bound = list(range(359, 365)) + list(range(413, 420))
@@ -217,8 +217,9 @@ class TestHavoc:
     @pytest.mark.parametrize("op", [0, 1, 2])
     @pytest.mark.parametrize("length", [5, 300, 1_000, 2**20 + 5])
     def test_positions_uniform(self, op, length):
-        # Positions are uniform over the whole input, at lengths where they
-        # are carved from the operator's draw and where they are exact draws.
+        # Positions are uniform over the whole input, at lengths whose
+        # operator words are 30 bits wide (5 and 300) and wider (33 bits at
+        # 1,000, 53 at 2**20 + 5).
         seed = bytes(length)
         buckets = min(length, 64 if length < 2**20 else 16)
         nonzero = bytes([0] + [1] * 255)
@@ -238,13 +239,35 @@ class TestHavoc:
         (2, 2 + 6 * 1, 1),  # sign 1, delta 1
     ])
     def test_last_position_reachable_at_long_length(self, op, draw, changed):
-        # Past the carving bound a position is an exact rejection draw of
-        # n.bit_length() bits, so the last byte of a 1 MiB input is reachable.
+        # On a 1 MiB input the operator word is 53 bits wide, so the last
+        # byte is a position its mixed radix reaches: ``draw`` holds the
+        # operator and the field below the position, whose range is
+        # 8 (bit), 256 (value) or 70 (sign and delta).
         length = 2**20 + 5
-        rng = ScriptedRng([(30, 0), (30, draw), (21, 2**21 - 1), (21, length - 1)])
+        word = draw + 6 * (8, 256, 70)[op] * (length - 1)
+        rng = ScriptedRng([(30, 0), (53, word)])
         mutant = havoc_mutate(bytes(length), rng, _SEARCH_STACK)
         assert mutant[-1] == changed
         assert mutant.count(0) == length - 1
+        assert not rng.draws
+
+    @pytest.mark.parametrize("length,max_len,width", [
+        (362, 362, 30), (363, 363, 31),  # resizing: 8 * 363 * 363 > 2**20
+        (418, None, 30), (419, None, 31),  # plain: 6 * 419 * 419 > 2**20
+    ])
+    def test_word_width_at_the_bound(self, length, max_len, width):
+        # The word widens by one bit where the largest product of ranges
+        # passes 2**20.  The byte set reads the word's top bit too: raising
+        # its position field by a multiple of the length leaves the byte
+        # on the last position.
+        n_ops = 8 if max_len is not None else 6
+        step = n_ops * 256 * length
+        word = 1 + n_ops * (7 + 256 * (length - 1))
+        word += (2**width - 1 - word) // step * step
+        assert 2**(width - 1) <= word < 2**width
+        rng = ScriptedRng([(30, 0), (width, word)])
+        mutant = havoc_mutate(bytes(length), rng, 1, max_len)
+        assert mutant == bytes(length - 1) + bytes([7])
         assert not rng.draws
 
     @pytest.mark.parametrize("length,bytes_per_op", [(2, _BYTES_PER_OP), (6, _BYTES_PER_OP)])
@@ -775,7 +798,7 @@ class TestOperandSolverAgainstReference:
         assume(d_witness != d_seed)  # a record needs a nonzero norm
         rec = SubgradientRecord(compute_subgradient(seed, witness, d_seed, d_witness),
                                 witness, witness_key)
-        mutator = Mutator(program)
+        mutator = Mutator(program, 1024)
         want = _reference_solve_operand(mutator, seed, 0, rec)
         assert mutator._solve_operand(program.nodes[0], rec) == want
 
