@@ -142,12 +142,17 @@ def _read_stats(path: Path) -> tuple[str | None, list[tuple[int, int]]]:
 def _cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
     runs: dict[str, list[list[tuple[int, int]]]] = {}
-    for stats_path in sorted(out.rglob("stats.jsonl")):
+    paths = sorted(out.rglob("stats.jsonl"))
+    for stats_path in paths:
         mode, series = _read_stats(stats_path)
         if mode is not None:
             runs.setdefault(mode, []).append(series)
     if not runs:
-        raise SystemExit(f"no stats.jsonl files under {out}")
+        # A run stopped during its seed phase leaves an empty stats file.
+        if paths:
+            raise SystemExit(
+                f"frontierfuzz report: the stats.jsonl files under {out} hold no records")
+        raise SystemExit(f"frontierfuzz report: no stats.jsonl files under {out}")
 
     max_t = max(s[-1][0] for run_list in runs.values() for s in run_list)
     grid = [max_t * i // 20 for i in range(21)]

@@ -11,15 +11,14 @@ branch toward its distance root:
     new_input = witness - distance / slope
 
 Every distance is the order key a guard's step stored in the observation map
-(see ``distance``); slopes and steps use its scalarized value.  The root
-solvers read the raw feedback behind a key (``target.guard_feedback``) once
-per record, for its witness, and nowhere else.  For integer guards the step
-is solved in operand space, where the operand is the constant plus the
-observed difference, and the result written back with the declared
-endianness; for string comparisons the compared window is located first by
-single-byte probing (hot-byte inference), which reads a probe's flip off the
-executor's frontier, and each window byte is solved independently from its
-component of the witness's distance key.
+(see ``distance``); slopes and steps use its scalarized value.  Every
+distance row has slope +/-1 at every integer, so for integer and string
+guards the step has a closed form: it lands on the comparison's constant
+plus the root of the witness's (outcome, relation) row (``_ROOTS``), and
+coverage gives the outcome.  An integer operand is written back with the
+declared endianness; for string comparisons the compared window is located
+first by single-byte probing (hot-byte inference), which reads a probe's
+flip off the executor's frontier, and each window byte is solved alone.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distance import observation_distance
-from .target import _ROWS, GuardKind, GuardNode, GuardProgram, Relation, guard_feedback
+from .target import _ROWS, GuardKind, GuardNode, GuardProgram
 
 __all__ = [
     "SubgradientRecord",
@@ -83,6 +82,8 @@ _CHOICES = {
 # 1/δ in units of 1/L for each byte delta δ; L = lcm(1..255) makes each exact.
 _L = math.lcm(*range(1, 256))
 _INV = (0,) + tuple(_L // delta for delta in range(1, 256))
+# Each distance row's root, keyed by (outcome, relation): where its step lands.
+_ROOTS = {key: next(f for f in (0, 1, -1) if row(f) == 0) for key, row in _ROWS.items()}
 
 
 @dataclass
@@ -316,11 +317,12 @@ class Mutator:
     after which every such branch the seed reached has a record.  The
     campaign's plain havoc batches take exactly ``sample_size`` mutants.
 
-    ``executor`` is any object with three names: ``run(data)``, whose
+    ``executor`` is any object with four names: ``run(data)``, whose
     result's ``observations`` is the trace's own site -> distance key map;
     ``run_batch(inputs, ran=[])``, which returns the ``(input, observation
-    map)`` pair of each input it ran; and ``coverage.frontier``, the set of
-    frontier branches, which each run keeps current.
+    map)`` pair of each input it ran; and ``coverage.frontier`` and
+    ``coverage.edge_hits``, the sets of frontier branches and covered edge
+    ids, which each run keeps current.
     """
 
     def __init__(self, program: GuardProgram, sample_size: int):
@@ -344,10 +346,11 @@ class Mutator:
         whose end either no sample of the chunk raised the best norm of a
         site still on the frontier, or every site with a baseline that is
         still on the frontier has a record (the operand and string solvers
-        need only one, as they recompute the witness's raw feedback).  A sample's slope norm at a site is
-        |Δd| · Σ_j 1/|Δbyte_j|; the sum depends only on the sample, so it is
-        taken once, as an integer in units of 1/L (``_INV``), and records are
-        compared by norm times L.  Δd comes from the observations' scalarized
+        need only one: their step lands on the row's root whatever the
+        witness).  A sample's slope norm at a site is |Δd| · Σ_j 1/|Δbyte_j|;
+        the sum depends only on the sample, so it is taken once, as an
+        integer in units of 1/L (``_INV``), and records are compared by norm
+        times L.  Δd comes from the observations' scalarized
         distance keys.  Only a frontier site the seed reached has a baseline,
         and only a sample that moves its scalarized key has a nonzero norm;
         the sum is taken at a sample's first such site.  A site's best norm
@@ -396,73 +399,66 @@ class Mutator:
         """One full stage: sample, estimate slopes, and fire one targeted
         input per frontier branch that has a record and no earlier exec of the
         stage flipped.  A string or integer guard's own solver goes first; the
-        byte-space Newton step takes any record it gives no candidate for."""
+        byte-space Newton step takes any record it gives no candidate for.
+        A branch still on the frontier has exactly one edge covered, the one
+        its witness took, so coverage gives the witness's outcome."""
         records = self.local_search(seed, frontier, executor, rng)
+        coverage = executor.coverage
         for site, rec in sorted(records.items()):
-            if site not in executor.coverage.frontier:
+            if site not in coverage.frontier:
                 continue
             node = self.program.nodes[site]
+            root = _ROOTS[2 * site in coverage.edge_hits, node.relation]
             candidate: bytes | None = None
             if node.kind is GuardKind.STR:
-                candidate = self._solve_string(seed, node, rec, executor)
+                candidate = self._solve_string(seed, node, rec, root, executor)
             elif node.kind is GuardKind.INT:
-                candidate = self._solve_operand(node, rec)
+                candidate = self._solve_operand(node, rec.witness, root)
             if candidate is None:
                 candidate = newton_step(rec.witness, observation_distance(rec.witness_key), rec.g)
             if candidate != rec.witness:
                 executor.run(candidate)
 
     def _solve_string(self, seed: bytes, node: GuardNode, rec: SubgradientRecord,
-                      executor) -> bytes | None:
-        """Per-byte root solving over the inferred hot window."""
+                      root: int, executor) -> bytes | None:
+        """Per-byte root solving over the inferred hot window, which is the
+        guard's own: only a byte inside it changes exactly one component."""
         offsets = infer_hot_bytes(seed, rec.witness, node.node_id, executor)
         if not offsets:
             return None
-        outcome, diffs = guard_feedback(node, rec.witness)
         buf = bytearray(rec.witness)
         changed = False
         # Positions past the window or max_input_len have no input byte to solve.
-        for offset, f, component in zip(offsets[:node.size], diffs, rec.witness_key[1]):
+        const = node.constant.ljust(node.size, b"\0")
+        for offset, c, component in zip(offsets[:node.size], const, rec.witness_key[1]):
             if component == 0 or offset >= self.program.max_input_len:
                 continue
-            slope = _row_slope(outcome, node.relation, f)
             if offset >= len(buf):
                 buf.extend(b"\0" * (offset + 1 - len(buf)))
-            # The slope is +/-1, so dividing by it is multiplying by it.
-            buf[offset] = _clamp_byte(buf[offset] - component * slope)
+            buf[offset] = _clamp_byte(c + root)
             changed = True
         return bytes(buf) if changed else None
 
-    def _solve_operand(self, node: GuardNode, rec: SubgradientRecord) -> bytes:
+    def _solve_operand(self, node: GuardNode, witness: bytes, root: int) -> bytes:
         """Root solving in operand space for integer guards.
 
         Byte-space slopes diverge on multi-byte operands (a carry into a high
         byte moves the distance by thousands) and absolute-value distance
         rows kink at the root, so the step is taken on the operand instead.
-        An integer guard's difference is ``f = operand - constant``, so the
-        witness's operand is ``constant + f`` and the distance's slope in the
-        operand is the row's derivative at ``f``, which is +/-1: dividing
-        the distance by it is multiplying by it.  The solved operand is
-        clamped to the operand's range and written back with the declared
-        endianness.
+        An integer guard's difference is ``f = operand - constant`` and its
+        distance's slope in ``f`` is +/-1, so the step lands on the operand
+        ``constant + root`` for the row's ``root``, whatever the witness's
+        operand.  The solved operand is clamped to the operand's range and
+        written over the witness's with the declared endianness.
         """
-        outcome, f = guard_feedback(node, rec.witness)
-        solved = node.constant + f - rec.witness_key * _row_slope(outcome, node.relation, f)
         bits = 8 * node.size
         half = 1 << (bits - 1)
         lo, hi = (-half, half - 1) if node.signed else (0, 2 * half - 1)
-        solved = max(lo, min(hi, solved))
-        buf = bytearray(rec.witness)
+        solved = max(lo, min(hi, node.constant + root))
+        buf = bytearray(witness)
         end = node.offset + node.size
         if end > len(buf):
             buf.extend(b"\0" * (end - len(buf)))
         order = "little" if node.endian == "le" else "big"
         buf[node.offset:end] = (solved & ((1 << bits) - 1)).to_bytes(node.size, order)
         return bytes(buf)
-
-
-def _row_slope(outcome: bool, relation: Relation, f: int) -> int:
-    """Derivative of the distance row with respect to the operand difference:
-    the forward difference, which is +/-1 for every row at every integer."""
-    row = _ROWS[outcome, relation]
-    return row(f + 1) - row(f)

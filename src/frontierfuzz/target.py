@@ -5,8 +5,7 @@ document.  Executing an input walks the guards from the entry node: each guard
 reads an operand window out of the input, compares it against a constant, and
 transfers control along its taken or not-taken edge.  The walk records the
 exercised edges plus, for explicitly activated guard sites, a site-keyed map
-of branch distances as order keys, the one map every layer reads as is; the
-root solvers recompute the raw feedback behind a key with ``guard_feedback``.
+of branch distances as order keys, the one map every layer reads as is.
 
 Each node's step function binds its operands into a template compiled once at
 import, one per guard variant, relation and plain or observing step, with the
@@ -52,7 +51,6 @@ __all__ = [
     "GuardProgram",
     "ExecutionTrace",
     "Harness",
-    "guard_feedback",
     "load_program",
     "program_from_dict",
 ]
@@ -144,9 +142,7 @@ _STRING_ROWS = {
     "1 - abs(f)": "map(sub, ones, map(abs, map(sub, w, const)))",
 }
 
-# The same comparisons and rows as callables, for ``guard_feedback`` and the
-# root solvers.
-_OPS = {r: eval(f"lambda a, b: a {s} b") for r, s in _SYMBOLS.items()}
+# The same rows as callables, for the root solvers.
 _ROWS = {key: eval(f"lambda f: {formula}") for key, formula in _FORMULAS.items()}
 
 # Integer operand readers keyed by (endian, width, signed): ``read(data, off)[0]``.
@@ -262,23 +258,6 @@ def _step(n: GuardNode, observe: bool, BUG=GuardKind.BUG, INT=GuardKind.INT, XOR
     return FunctionType(_TEMPLATES[variant, rel, observe], _NAMESPACE, None, head + tail + extra)
 
 
-def guard_feedback(node: GuardNode, data: bytes):
-    """The raw comparison feedback of guard ``node`` on ``data``, zero-extended
-    as the walk does: ``(outcome, f)`` with the signed operand difference for
-    an integer or xor guard, ``(outcome, diffs)`` with the signed per-byte
-    differences over the zero-padded window for a string guard."""
-    kind, off, size, const = node.kind, node.offset, node.size, node.constant
-    window, cmp = data[off:off + size].ljust(size, b"\0"), _OPS[node.relation]
-    if kind is GuardKind.STR:
-        window, const = window.ljust(len(const), b"\0"), const.ljust(size, b"\0")
-        return cmp(window, const), tuple(map(operator.sub, window, const))
-    if kind is GuardKind.INT:
-        f = _READERS[node.endian, size, node.signed](window, 0)[0] - const
-    else:
-        f = reduce(operator.xor, window, 0) - const
-    return cmp(f, 0), f
-
-
 class GuardProgram:
     """Validated, immutable guard-tree program.
 
@@ -321,7 +300,7 @@ class Harness:
     observations; distinct handles over the same program are independent.
     """
 
-    def __init__(self, program: GuardProgram, synthetic_time: bool = False):
+    def __init__(self, program: GuardProgram, synthetic_time: bool):
         self.program = program
         self.synthetic_time = synthetic_time
         self.active_sites: set[int] = set()  # the two switches change it in place

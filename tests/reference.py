@@ -7,6 +7,10 @@ the two.
 * ``holds``, ``distance`` and ``string_distance`` validate raw comparison
   feedback and apply its distance row; a harness observation is already the
   key they compute.
+* ``guard_feedback`` reads a guard's raw comparison feedback off an input,
+  which the step templates compute and fold into a key, and ``row_slope``
+  gives a distance row's slope, which the root solvers' closed form takes
+  as +/-1.
 * ``guard_ids``, ``edge_endpoints`` and ``recompute_frontier`` derive the
   frontier from scratch from a coverage map's hit edges; ``CoverageMap``
   keeps it incrementally.
@@ -32,7 +36,7 @@ from frontierfuzz.distance import observation_distance
 from frontierfuzz.mutation import (
     _ARITH_MAX, _BATCH_STACK, _INTERESTING, _SEARCH_STACK, havoc_mutate,
 )
-from frontierfuzz.target import _ROWS, GuardKind, GuardProgram, Harness, Relation
+from frontierfuzz.target import _ROWS, GuardKind, GuardNode, GuardProgram, Harness, Relation
 
 
 def holds(relation: Relation, value: int) -> bool:
@@ -60,6 +64,37 @@ def string_distance(outcome: bool, relation: Relation,
     row = _ROWS[outcome, relation]
     values = tuple(row(f) for f in diffs)
     return sum(abs(v) for v in values), values
+
+
+def row_slope(outcome: bool, relation: Relation, f: int) -> int:
+    """Derivative of the distance row with respect to the operand difference:
+    the forward difference, which is +/-1 for every row at every integer."""
+    row = _ROWS[outcome, relation]
+    return row(f + 1) - row(f)
+
+
+def guard_feedback(node: GuardNode, data: bytes):
+    """The raw comparison feedback of guard ``node`` on ``data``, zero-extended
+    as the walk does: ``(outcome, f)`` with the signed operand difference for
+    an integer or xor guard, ``(outcome, diffs)`` with the signed per-byte
+    differences over the zero-padded window for a string guard.  Operands
+    are read with ``int.from_bytes`` and outcomes decided by ``holds``."""
+    off, size, const = node.offset, node.size, node.constant
+    window = data[off:off + size].ljust(size, b"\0")
+    if node.kind is GuardKind.STR:
+        window, const = window.ljust(len(const), b"\0"), const.ljust(size, b"\0")
+        # ``window R const`` holds exactly when ``sign R 0`` does.
+        sign = (window > const) - (window < const)
+        return holds(node.relation, sign), tuple(a - b for a, b in zip(window, const))
+    if node.kind is GuardKind.INT:
+        order = "little" if node.endian == "le" else "big"
+        f = int.from_bytes(window, order, signed=node.signed) - const
+    else:
+        folded = 0
+        for byte in window:
+            folded ^= byte
+        f = folded - const
+    return holds(node.relation, f), f
 
 
 def guard_ids(program: GuardProgram) -> frozenset[int]:

@@ -355,8 +355,23 @@ class TestReportCommand:
         assert str(tmp_path / "report.csv") in message
 
     def test_empty_directory_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as info:
             run_cli(["report", "--out", str(tmp_path)])
+        message = str(info.value.code)
+        assert message.startswith("frontierfuzz report: no stats.jsonl files under ")
+        assert "\n" not in message
+
+    def test_empty_stats_files_rejected(self, tmp_path):
+        # A run stopped during its seed phase writes an empty stats.jsonl.
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "stats.jsonl").write_text("", encoding="utf-8")
+        with pytest.raises(SystemExit) as info:
+            run_cli(["report", "--out", str(tmp_path)])
+        message = str(info.value.code)
+        assert message == (
+            f"frontierfuzz report: the stats.jsonl files under {tmp_path} hold no records")
+        assert not (tmp_path / "report.csv").exists()
 
     GOOD = json.dumps({"t_ns": 1, "execs": 1, "edges_covered": 1, "mode": "fox"})
 

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontierfuzz.distance import observation_distance
-from frontierfuzz.target import GuardKind, Harness, Relation, guard_feedback, program_from_dict
-from reference import distance, holds, string_distance
+from frontierfuzz.target import GuardKind, Harness, Relation, program_from_dict
+from reference import distance, guard_feedback, holds, string_distance
 from test_target import _documents
 
 

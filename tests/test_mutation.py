@@ -26,13 +26,13 @@ from frontierfuzz.mutation import (
     compute_subgradient,
     havoc_mutate,
     infer_hot_bytes,
+    _ROOTS,
     _clamp_byte,
-    _row_slope,
     newton_step,
     round_half_away,
 )
-from frontierfuzz.target import GuardKind, Harness, guard_feedback, program_from_dict
-from reference import compare_havoc, guard_ids, word_width
+from frontierfuzz.target import _ROWS, GuardKind, Harness, Relation, program_from_dict
+from reference import compare_havoc, guard_feedback, guard_ids, holds, row_slope, word_width
 from test_target import _BYTE_VALUES, _RELATION_TOKENS, _documents
 
 
@@ -742,7 +742,7 @@ def _reference_solve_operand(self, seed, site, rec):
     linkage = Fraction(f_wit - f_seed, op_wit - op_seed)
     if linkage == 0:
         return None
-    slope = _row_slope(outcome, node.relation, f_wit) * linkage
+    slope = row_slope(outcome, node.relation, f_wit) * linkage
     solved = round_half_away(op_wit - Fraction(rec.witness_key, 1) / slope)
     bits = 8 * node.size
     lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if node.signed else (0, (1 << bits) - 1)
@@ -793,14 +793,29 @@ class TestOperandSolverAgainstReference:
         harness = Harness(program, synthetic_time=True)
         harness.switch_on({0})
         (seed_key,) = harness.execute(seed).observations.values()
-        (witness_key,) = harness.execute(witness).observations.values()
+        trace = harness.execute(witness)
+        (witness_key,) = trace.observations.values()
         d_seed, d_witness = observation_distance(seed_key), observation_distance(witness_key)
         assume(d_witness != d_seed)  # a record needs a nonzero norm
         rec = SubgradientRecord(compute_subgradient(seed, witness, d_seed, d_witness),
                                 witness, witness_key)
         mutator = Mutator(program, 1024)
         want = _reference_solve_operand(mutator, seed, 0, rec)
-        assert mutator._solve_operand(program.nodes[0], rec) == want
+        # The witness's outcome is the edge it took: edge 0 is the taken one.
+        root = _ROOTS[0 in trace.edges, program.nodes[0].relation]
+        assert mutator._solve_operand(program.nodes[0], witness, root) == want
+
+
+def test_roots_are_the_newton_step_from_every_consistent_difference():
+    # From every difference f the row holds for, the Newton step
+    # f - row(f) / slope(f), with the slope +/-1, lands on the row's root.
+    cases = [(outcome, relation, f) for outcome in (False, True) for relation in Relation
+             for f in range(-3, 4) if holds(relation, f) == outcome]
+    assert len(cases) == 42
+    for outcome, relation, f in cases:
+        row, root = _ROWS[outcome, relation], _ROOTS[outcome, relation]
+        assert f - row(f) * (row(f + 1) - row(f)) == root, (outcome, relation, f)
+        assert row(root) == 0
 
 
 def _reference_infer_hot_bytes(seed, mutant, site, executor):
@@ -880,7 +895,7 @@ class _ParentMutator(Mutator):
         for offset, f, component in zip(offsets[:node.size], diffs, rec.witness_key[1]):
             if component == 0 or offset >= self.program.max_input_len:
                 continue
-            slope = _row_slope(outcome, node.relation, f)
+            slope = row_slope(outcome, node.relation, f)
             if offset >= len(buf):
                 buf.extend(b"\0" * (offset + 1 - len(buf)))
             # The slope is +/-1, so dividing by it is multiplying by it.

@@ -20,11 +20,10 @@ from frontierfuzz.target import (
     GuardKind,
     Harness,
     Relation,
-    guard_feedback,
     load_program,
     program_from_dict,
 )
-from reference import edge_endpoints, guard_ids, holds, recompute_frontier
+from reference import edge_endpoints, guard_feedback, guard_ids, holds, recompute_frontier
 
 
 def doc_bytes(doc: dict) -> bytes:
