@@ -1,7 +1,7 @@
 """Branch distance: how close a guard's comparison is to flipping.
 
 The distance of an observation is a fixed function of the (outcome, relation)
-pair applied to the signed operand difference: the rows of ``target._ROWS``.
+pair applied to the signed operand difference: the rows of ``target._FORMULAS``.
 A distance is kept as an order key: the row value for an integer or xor
 guard, and ``(L1, values)`` for a string guard, one value per compared byte.
 A harness observation is already a key, computed by the guard's step.

@@ -11,25 +11,26 @@ branch toward its distance root:
     new_input = witness - distance / slope
 
 Every distance is the order key a guard's step stored in the observation map
-(see ``distance``); slopes and steps use its scalarized value.  Every
-distance row has slope +/-1 at every integer, so for integer and string
-guards the step has a closed form: it lands on the comparison's constant
-plus the root of the witness's (outcome, relation) row (``_ROOTS``), and
-coverage gives the outcome.  An integer operand is written back with the
-declared endianness; for string comparisons the compared window is located
-first by single-byte probing (hot-byte inference), which reads a probe's
-flip off the executor's frontier, and each window byte is solved alone.
+(see ``distance``); slopes and steps use its scalarized value.  For integer
+and string guards the step has a closed form: it lands on the comparison's
+constant plus the operand difference nearest 0 at which the witness's
+relation no longer gives its outcome (``_ROOTS``), and coverage gives the
+outcome.  An integer operand is written back with the declared endianness;
+for string comparisons the compared window is located first by single-byte
+probing (hot-byte inference), which reads a probe's flip off the
+executor's frontier, and each window byte is solved alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .distance import observation_distance
-from .target import _ROWS, GuardKind, GuardNode, GuardProgram
+from .target import GuardKind, GuardNode, GuardProgram, Relation
 
 __all__ = [
     "SubgradientRecord",
@@ -82,8 +83,12 @@ _CHOICES = {
 # 1/δ in units of 1/L for each byte delta δ; L = lcm(1..255) makes each exact.
 _L = math.lcm(*range(1, 256))
 _INV = (0,) + tuple(_L // delta for delta in range(1, 256))
-# Each distance row's root, keyed by (outcome, relation): where its step lands.
-_ROOTS = {key: next(f for f in (0, 1, -1) if row(f) == 0) for key, row in _ROWS.items()}
+# Where a root step lands, keyed by (outcome, relation): the operand
+# difference nearest 0, 1 before -1, at which the relation, the ``operator``
+# function its value names, no longer gives the outcome.
+_ROOTS = {(outcome, rel): next(f for f in (0, 1, -1)
+                               if getattr(operator, rel.value)(f, 0) != outcome)
+          for outcome in (False, True) for rel in Relation}
 
 
 @dataclass
@@ -346,12 +351,12 @@ class Mutator:
         whose end either no sample of the chunk raised the best norm of a
         site still on the frontier, or every site with a baseline that is
         still on the frontier has a record (the operand and string solvers
-        need only one: their step lands on the row's root whatever the
-        witness).  A sample's slope norm at a site is |Δd| · Σ_j 1/|Δbyte_j|;
-        the sum depends only on the sample, so it is taken once, as an
-        integer in units of 1/L (``_INV``), and records are compared by norm
-        times L.  Δd comes from the observations' scalarized
-        distance keys.  Only a frontier site the seed reached has a baseline,
+        need only one: their step lands where the comparison flips, whatever
+        the witness).  A sample's slope norm at a site is
+        |Δd| · Σ_j 1/|Δbyte_j|; the sum depends only on the sample, so it is
+        taken once, as an integer in units of 1/L (``_INV``), and records are
+        compared by norm times L.  Δd comes from the observations'
+        scalarized distance keys.  Only a frontier site the seed reached has a baseline,
         and only a sample that moves its scalarized key has a nonzero norm;
         the sum is taken at a sample's first such site.  A site's best norm
         starts at 0, and its record is the first sample that reached its
@@ -411,7 +416,8 @@ class Mutator:
             root = _ROOTS[2 * site in coverage.edge_hits, node.relation]
             candidate: bytes | None = None
             if node.kind is GuardKind.STR:
-                candidate = self._solve_string(seed, node, rec, root, executor)
+                offsets = infer_hot_bytes(seed, rec.witness, site, executor)
+                candidate = self._solve_string(node, rec.witness, offsets, root)
             elif node.kind is GuardKind.INT:
                 candidate = self._solve_operand(node, rec.witness, root)
             if candidate is None:
@@ -419,25 +425,19 @@ class Mutator:
             if candidate != rec.witness:
                 executor.run(candidate)
 
-    def _solve_string(self, seed: bytes, node: GuardNode, rec: SubgradientRecord,
-                      root: int, executor) -> bytes | None:
-        """Per-byte root solving over the inferred hot window, which is the
-        guard's own: only a byte inside it changes exactly one component."""
-        offsets = infer_hot_bytes(seed, rec.witness, node.node_id, executor)
+    def _solve_string(self, node: GuardNode, witness: bytes, offsets,
+                      root: int) -> bytes | None:
+        """Per-byte root solving over the hot window ``offsets`` (contiguous,
+        from ``infer_hot_bytes``): each window byte below ``max_input_len``
+        becomes the constant's byte there plus ``root``, clamped to the byte
+        range.  None when no window byte is below ``max_input_len``."""
+        offsets = [o for o in offsets[:node.size] if o < self.program.max_input_len]
         if not offsets:
             return None
-        buf = bytearray(rec.witness)
-        changed = False
-        # Positions past the window or max_input_len have no input byte to solve.
-        const = node.constant.ljust(node.size, b"\0")
-        for offset, c, component in zip(offsets[:node.size], const, rec.witness_key[1]):
-            if component == 0 or offset >= self.program.max_input_len:
-                continue
-            if offset >= len(buf):
-                buf.extend(b"\0" * (offset + 1 - len(buf)))
+        buf = bytearray(witness.ljust(offsets[-1] + 1, b"\0"))
+        for offset, c in zip(offsets, node.constant.ljust(node.size, b"\0")):
             buf[offset] = _clamp_byte(c + root)
-            changed = True
-        return bytes(buf) if changed else None
+        return bytes(buf)
 
     def _solve_operand(self, node: GuardNode, witness: bytes, root: int) -> bytes:
         """Root solving in operand space for integer guards.
@@ -445,20 +445,18 @@ class Mutator:
         Byte-space slopes diverge on multi-byte operands (a carry into a high
         byte moves the distance by thousands) and absolute-value distance
         rows kink at the root, so the step is taken on the operand instead.
-        An integer guard's difference is ``f = operand - constant`` and its
-        distance's slope in ``f`` is +/-1, so the step lands on the operand
-        ``constant + root`` for the row's ``root``, whatever the witness's
-        operand.  The solved operand is clamped to the operand's range and
-        written over the witness's with the declared endianness.
+        An integer guard's difference is ``f = operand - constant``, so the
+        step lands on the operand ``constant + root``, whatever the witness's
+        operand: ``root`` is the difference where the comparison flips.  The
+        solved operand is clamped to the operand's range and written over
+        the witness's with the declared endianness.
         """
         bits = 8 * node.size
         half = 1 << (bits - 1)
         lo, hi = (-half, half - 1) if node.signed else (0, 2 * half - 1)
         solved = max(lo, min(hi, node.constant + root))
-        buf = bytearray(witness)
         end = node.offset + node.size
-        if end > len(buf):
-            buf.extend(b"\0" * (end - len(buf)))
+        buf = bytearray(witness.ljust(end, b"\0"))
         order = "little" if node.endian == "le" else "big"
         buf[node.offset:end] = (solved & ((1 << bits) - 1)).to_bytes(node.size, order)
         return bytes(buf)

@@ -142,9 +142,6 @@ _STRING_ROWS = {
     "1 - abs(f)": "map(sub, ones, map(abs, map(sub, w, const)))",
 }
 
-# The same rows as callables, for the root solvers.
-_ROWS = {key: eval(f"lambda f: {formula}") for key, formula in _FORMULAS.items()}
-
 # Integer operand readers keyed by (endian, width, signed): ``read(data, off)[0]``.
 _READERS = {
     (endian, width, signed): struct.Struct(prefix + (code.lower() if signed else code)).unpack_from

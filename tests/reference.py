@@ -4,13 +4,14 @@ None of these is on a fuzzing run's path: each restates, from the
 definitions, a fact the engine keeps another way, so that a test can compare
 the two.
 
-* ``holds``, ``distance`` and ``string_distance`` validate raw comparison
-  feedback and apply its distance row; a harness observation is already the
-  key they compute.
+* ``_ROWS`` holds the distance rows of ``target._FORMULAS`` as callables,
+  and ``holds``, ``distance`` and ``string_distance`` validate raw
+  comparison feedback and apply its row; a harness observation is already
+  the key they compute, with the row written inline in its step.
 * ``guard_feedback`` reads a guard's raw comparison feedback off an input,
   which the step templates compute and fold into a key, and ``row_slope``
-  gives a distance row's slope, which the root solvers' closed form takes
-  as +/-1.
+  gives a distance row's slope, from which a Newton step finds the row's
+  zero; the root solvers' closed form lands where the comparison flips.
 * ``guard_ids``, ``edge_endpoints`` and ``recompute_frontier`` derive the
   frontier from scratch from a coverage map's hit edges; ``CoverageMap``
   keeps it incrementally.
@@ -36,7 +37,10 @@ from frontierfuzz.distance import observation_distance
 from frontierfuzz.mutation import (
     _ARITH_MAX, _BATCH_STACK, _INTERESTING, _SEARCH_STACK, havoc_mutate,
 )
-from frontierfuzz.target import _ROWS, GuardKind, GuardNode, GuardProgram, Harness, Relation
+from frontierfuzz.target import _FORMULAS, GuardKind, GuardNode, GuardProgram, Harness, Relation
+
+# Each (outcome, relation) distance row as a callable of the operand difference.
+_ROWS = {key: eval(f"lambda f: {formula}") for key, formula in _FORMULAS.items()}
 
 
 def holds(relation: Relation, value: int) -> bool:

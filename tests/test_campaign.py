@@ -16,8 +16,8 @@ from frontierfuzz.campaign import Budget, Campaign, Mode, _Executor, _RunEnded
 from frontierfuzz.coverage import CoverageMap
 from frontierfuzz.distance import observation_distance
 from frontierfuzz.mutation import _BATCH_STACK, Mutator, havoc_mutate
-from frontierfuzz.target import _ROWS, Harness, Relation, program_from_dict
-from reference import guard_feedback, recompute_frontier
+from frontierfuzz.target import Harness, Relation, program_from_dict
+from reference import _ROWS, guard_feedback, recompute_frontier
 from test_target import _documents
 
 

@@ -31,8 +31,10 @@ from frontierfuzz.mutation import (
     newton_step,
     round_half_away,
 )
-from frontierfuzz.target import _ROWS, GuardKind, Harness, Relation, program_from_dict
-from reference import compare_havoc, guard_feedback, guard_ids, holds, row_slope, word_width
+from frontierfuzz.target import GuardKind, Harness, Relation, program_from_dict
+from reference import (
+    _ROWS, compare_havoc, guard_feedback, guard_ids, holds, row_slope, word_width,
+)
 from test_target import _BYTE_VALUES, _RELATION_TOKENS, _documents
 
 
@@ -721,9 +723,12 @@ def _reference_solve_operand(self, seed, site, rec):
     """``Mutator._solve_operand`` as it was when it decoded the operand a
     second time: both operands read with ``int.from_bytes`` on a zero-padded
     slice, an operand-to-difference linkage sampled between them, and an
-    exact ``Fraction`` step; the differences and the outcome come from
-    ``guard_feedback``.  Called with the mutator as ``self``; kept as the
-    oracle for the solver that takes the operand from the difference."""
+    exact ``Fraction`` Newton step to the row's zero; the differences and
+    the outcome come from ``guard_feedback``.  On the two rows ``f - 1``,
+    whose zero the witness's outcome still holds at, the step then descends
+    the row until the comparison flips.  Called with the mutator as
+    ``self``; kept as the oracle for the solver that takes the operand from
+    the difference."""
     node = self.program.nodes[site]
     order = "little" if node.endian == "le" else "big"
 
@@ -744,6 +749,12 @@ def _reference_solve_operand(self, seed, site, rec):
         return None
     slope = row_slope(outcome, node.relation, f_wit) * linkage
     solved = round_half_away(op_wit - Fraction(rec.witness_key, 1) / slope)
+    # Where the row's zero still gives the witness's outcome, descend the
+    # row past it until the comparison flips.
+    f = f_wit + (solved - op_wit) * linkage
+    while holds(node.relation, f) == outcome:
+        f -= row_slope(outcome, node.relation, f)
+    solved = round_half_away(op_wit + (f - f_wit) / linkage)
     bits = 8 * node.size
     lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if node.signed else (0, (1 << bits) - 1)
     solved = max(lo, min(hi, solved))
@@ -808,14 +819,74 @@ class TestOperandSolverAgainstReference:
 
 def test_roots_are_the_newton_step_from_every_consistent_difference():
     # From every difference f the row holds for, the Newton step
-    # f - row(f) / slope(f), with the slope +/-1, lands on the row's root.
+    # f - row(f) / slope(f), with the slope +/-1, lands on the row's zero.
+    # Where the comparison still gives the outcome there, descending the
+    # row on until it flips lands on the root.
     cases = [(outcome, relation, f) for outcome in (False, True) for relation in Relation
              for f in range(-3, 4) if holds(relation, f) == outcome]
     assert len(cases) == 42
     for outcome, relation, f in cases:
-        row, root = _ROWS[outcome, relation], _ROOTS[outcome, relation]
-        assert f - row(f) * (row(f + 1) - row(f)) == root, (outcome, relation, f)
-        assert row(root) == 0
+        row = _ROWS[outcome, relation]
+        zero = f - row(f) * row_slope(outcome, relation, f)
+        assert row(zero) == 0, (outcome, relation, f)
+        root = zero
+        while holds(relation, root) == outcome:
+            root -= row_slope(outcome, relation, root)
+        assert root == _ROOTS[outcome, relation], (outcome, relation, f)
+    # Only the two rows f - 1 have their zero on the witness's side.
+    assert {key for key, root in _ROOTS.items() if _ROWS[key](root) != 0} == {
+        (False, Relation.LT), (True, Relation.GE)}
+    assert {key: root for key, root in _ROOTS.items() if key[1] in (Relation.LT, Relation.GE)
+            } == {(False, Relation.LT): -1, (True, Relation.LT): 0,
+                  (False, Relation.GE): 0, (True, Relation.GE): -1}
+
+
+class TestRootsFlipTheirBranch:
+    """A closed-form step takes the edge its witness did not, also on the
+    two rows ``f - 1``, whose zero lies on the witness's side."""
+
+    @pytest.mark.parametrize("relation,outcome", [("lt", False), ("ge", True)])
+    def test_operand_steps_past_the_rows_zero(self, relation, outcome):
+        program = program_from_dict({
+            "max_input_len": 2, "entry": 0,
+            "nodes": [{"id": 0, "kind": "int", "offset": 0, "width": 2, "endian": "le",
+                       "signed": False, "relation": relation, "constant": 1000,
+                       "taken": None, "nottaken": None}]})
+        harness = Harness(program, synthetic_time=True)
+        witness = (5000).to_bytes(2, "little")
+        assert harness.execute(witness).edges == ((0,) if outcome else (1,))
+        node = program.nodes[0]
+        candidate = Mutator(program, 64)._solve_operand(node, witness,
+                                                        _ROOTS[outcome, node.relation])
+        assert int.from_bytes(candidate, "little") == 999
+        assert harness.execute(candidate).edges == ((1,) if outcome else (0,))
+
+    @pytest.mark.parametrize("window", [b"MMMM", b"MMMN", b"NMMM", b"ZZZZ"])
+    def test_string_window_steps_below_the_constant(self, window):
+        program = program_from_dict(TestHotBytes.LT_DOC)
+        harness = Harness(program, synthetic_time=True)
+        witness = bytes(4) + window + bytes(4)
+        assert harness.execute(witness).edges == (1,)
+        candidate = Mutator(program, 64)._solve_string(
+            program.nodes[0], witness, (4, 5, 6, 7), _ROOTS[False, Relation.LT])
+        assert candidate[4:8] < b"MMMM"
+        assert harness.execute(candidate).edges == (0,)
+
+    @pytest.mark.parametrize("relation", _RELATION_TOKENS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_operand_candidate_takes_the_other_edge(self, relation, data):
+        doc, _, witness = data.draw(_operand_cases(relation))
+        program = program_from_dict(doc)
+        node = program.nodes[0]
+        harness = Harness(program, synthetic_time=True)
+        (edge,) = harness.execute(witness).edges
+        root = _ROOTS[edge == 0, node.relation]
+        half = 1 << (8 * node.size - 1)
+        lo, hi = (-half, half - 1) if node.signed else (0, 2 * half - 1)
+        assume(lo <= node.constant + root <= hi)
+        candidate = Mutator(program, 64)._solve_operand(node, witness, root)
+        assert harness.execute(candidate).edges == (1 - edge,)
 
 
 def _reference_infer_hot_bytes(seed, mutant, site, executor):
@@ -850,8 +921,10 @@ class _ParentMutator(Mutator):
     frontier site a sample reached, and the root solvers gated each record
     on the seed's key and feedback: its ``mutate_stage`` and
     ``_solve_string`` are kept verbatim, except that ``_solve_string`` writes
-    no window byte at or past ``max_input_len`` (as ``Mutator._solve_string``
-    does) and that ``mutate_stage`` builds no candidate for a site that left
+    no window byte at or past ``max_input_len`` and solves every other one
+    (as ``Mutator._solve_string`` does), stepping on past a row's zero that
+    does not flip the byte's comparison (as ``_reference_solve_operand``
+    does), and that ``mutate_stage`` builds no candidate for a site that left
     the live frontier earlier in the stage (as ``Mutator.mutate_stage``
     does).  Its local search is ``_reference_local_search``, its operand
     solver ``_reference_solve_operand`` behind the seed-key gate, and its
@@ -881,7 +954,10 @@ class _ParentMutator(Mutator):
 
     def _solve_string(self, seed: bytes, site: int, rec: _SeedKeyedRecord,
                       executor) -> bytes | None:
-        """Per-byte root solving over the inferred hot window."""
+        """Per-byte root solving over the inferred hot window: each byte
+        takes the Newton step to its row's zero and, where its comparison
+        still gives the witness's outcome there, descends the row until it
+        flips.  None when no window byte is below ``max_input_len``."""
         if rec.seed_key is None or rec.witness_key == rec.seed_key:
             return None
         offsets = _reference_infer_hot_bytes(seed, rec.witness, site, executor)
@@ -890,18 +966,20 @@ class _ParentMutator(Mutator):
         node = self.program.nodes[site]
         outcome, diffs = guard_feedback(node, rec.witness)
         buf = bytearray(rec.witness)
-        changed = False
+        written = False
         # Positions past the window are padding, with no input byte to solve.
         for offset, f, component in zip(offsets[:node.size], diffs, rec.witness_key[1]):
-            if component == 0 or offset >= self.program.max_input_len:
+            if offset >= self.program.max_input_len:
                 continue
-            slope = row_slope(outcome, node.relation, f)
+            # The slope is +/-1, so dividing by it is multiplying by it.
+            root = f - component * row_slope(outcome, node.relation, f)
+            while holds(node.relation, root) == outcome:
+                root -= row_slope(outcome, node.relation, root)
             if offset >= len(buf):
                 buf.extend(b"\0" * (offset + 1 - len(buf)))
-            # The slope is +/-1, so dividing by it is multiplying by it.
-            buf[offset] = _clamp_byte(buf[offset] - component * slope)
-            changed = True
-        return bytes(buf) if changed else None
+            buf[offset] = _clamp_byte(buf[offset] + root - f)
+            written = True
+        return bytes(buf) if written else None
 
     def _solve_operand(self, seed: bytes, site: int, rec: _SeedKeyedRecord) -> bytes | None:
         """No step for a record whose site the seed missed."""

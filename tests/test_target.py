@@ -12,7 +12,6 @@ from frontierfuzz import builtin_targets
 from frontierfuzz.campaign import Budget, Campaign, Mode
 from frontierfuzz.target import (
     _READERS,
-    _ROWS,
     _TEMPLATES,
     MAX_WINDOW_END,
     DocumentError,
@@ -23,7 +22,7 @@ from frontierfuzz.target import (
     load_program,
     program_from_dict,
 )
-from reference import edge_endpoints, guard_feedback, guard_ids, holds, recompute_frontier
+from reference import _ROWS, edge_endpoints, guard_feedback, guard_ids, holds, recompute_frontier
 
 
 def doc_bytes(doc: dict) -> bytes:
