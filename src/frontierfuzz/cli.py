@@ -41,6 +41,9 @@ def _load_seeds(seeds_dir: str | None, program: GuardProgram) -> list[bytes]:
     paths = sorted(p for p in Path(seeds_dir).iterdir() if p.is_file())
     if not paths:
         raise ValueError(f"no seed files in {seeds_dir}")
+    for p in paths:
+        if p.stat().st_size > program.max_input_len:
+            raise ValueError(f"seed file {p} is longer than max_input_len {program.max_input_len}")
     return [p.read_bytes() for p in paths]
 
 

@@ -10,18 +10,19 @@ of branch distances as order keys, the one map every layer reads as is.
 Each node's step function binds its operands into a template compiled once at
 import, one per guard variant, relation and plain or observing step, with the
 comparison and the distance row written inline; loading a program compiles
-nothing.  Integer operands are read through ``struct`` readers built at
-import.  A harness copies the program's step list when it is made; its
-``switch_on`` builds an observing step, which also stores the guard's
-distance key, for each site it turns on, and ``switch_off`` puts the plain
-step back.  A string guard's observing step keeps its last window, key, edge
-and next node, and reuses them when the same window comes back;
-``switch_on`` builds a fresh step, so a site's memo starts empty each time
-it is turned on, and no two harnesses share one.  A step returns the next
-node id, or a negative number where the walk ends, so the walk loop tests
-nothing per node.  An input shorter than the furthest operand window is
-zero-extended up to it before the walk; loading rejects a window that ends
-past ``MAX_WINDOW_END`` bytes.
+nothing.  Lone bytes and xor windows of up to four bytes are read by indexing
+the input, longer xor windows are folded with ``reduce``, and other integer
+operands are read through ``struct`` readers built at import.  A harness
+copies the program's step list when it is made; its ``switch_on`` builds an
+observing step, which also stores the guard's distance key, for each site it
+turns on, and ``switch_off`` puts the plain step back.  A string guard's
+observing step keeps its last window, key, edge and next node, and reuses them
+when the same window comes back; ``switch_on`` builds a fresh step, so a
+site's memo starts empty each time it is turned on, and no two harnesses share
+one.  A step returns the next node id, or a negative number where the walk
+ends, so the walk loop tests nothing per node.  An input shorter than the
+furthest operand window is zero-extended up to it before the walk; loading
+rejects a window that ends past ``MAX_WINDOW_END`` bytes.
 
 Loading checks and builds each node in one pass over its fields, in a fixed
 order, so a document with several faults always reports the same first one;
@@ -160,12 +161,19 @@ _READERS = {
 # relation, observing), with the guard's operands bound in as default arguments:
 # closures over cells made loading a program slower, and compiling per program
 # cost more than the walks it saved.  A variant is the operand expression and the
-# parameters it reads: an int guard reads a lone unsigned byte straight and any
-# other operand through a reader, and a string window is padded only where its
-# constant is longer (an observing string step always pads, on a memo miss).
+# parameters it reads: an int guard reads a lone byte straight (less 256 past
+# 127 if signed) and any other operand through a reader; an xor window of up to
+# four bytes xors its bytes by index, in parentheses since ``^`` binds looser
+# than ``_SCALAR``'s ``-``, and a longer one folds its slice with ``reduce``; a
+# string window is padded only where its constant is longer (an observing string
+# step always pads, on a memo miss).
 _VARIANTS = {
     "byte": ("data[off]", "off"),
+    "sbyte": ("(data[off] ^ 128) - 128", "off"),
     "int": ("read(data, off)[0]", "off, read"),
+    "xor2": ("(data[off] ^ data[o1])", "off, o1"),
+    "xor3": ("(data[off] ^ data[o1] ^ data[o2])", "off, o1, o2"),
+    "xor4": ("(data[off] ^ data[o1] ^ data[o2] ^ data[o3])", "off, o1, o2, o3"),
     "xor": ("reduce(xor, data[off:end], 0)", "off, end"),
     "str": ("data[off:end]", "off, end"),
     "pad": ("data[off:end] + pad", "off, end, pad"),
@@ -235,10 +243,12 @@ def _step(n: GuardNode, observe: bool, BUG=GuardKind.BUG, INT=GuardKind.INT, XOR
         return FunctionType(_TEMPLATES[BUG], _NAMESPACE, None, (-2 - nid,))
     end, extra = off + size, (nid,) if observe else ()
     if kind is INT:
-        if size == 1 and not signed:
-            variant, head = "byte", (off,)
+        if size == 1:
+            variant, head = "sbyte" if signed else "byte", (off,)
         else:
             variant, head = "int", (off, _READERS[endian, size, signed])
+    elif kind is XOR and size <= 4:
+        variant, head = ("byte", "xor2", "xor3", "xor4")[size - 1], tuple(range(off, end))
     elif kind is XOR:
         variant, head = "xor", (off, end)
     else:

@@ -12,6 +12,9 @@ the two.
   which the step templates compute and fold into a key, and ``row_slope``
   gives a distance row's slope, from which a Newton step finds the row's
   zero; the root solvers' closed form lands where the comparison flips.
+  ``compare_steps`` runs every step template on the operands of
+  ``step_cases``, at the edges of its comparison, and checks its edge and
+  key against ``guard_feedback`` and ``_ROWS``.
 * ``guard_ids``, ``edge_endpoints`` and ``recompute_frontier`` derive the
   frontier from scratch from a coverage map's hit edges; ``CoverageMap``
   keeps it incrementally.
@@ -19,15 +22,18 @@ the two.
   midpoint convexity over an input pair on a real harness.
 * ``havoc`` restates ``havoc_mutate``'s draw contract one field at a time,
   with ``word_width`` giving the width of each operator's word, and
-  ``compare_havoc`` checks the two against each other.  Both need
-  nothing beyond the standard library and the engine, so the check runs
-  without pytest:
+  ``compare_havoc`` checks the two against each other.
 
-      PYTHONPATH=src:tests python -c "import reference; reference.compare_havoc([600], 5, 1)"
+``compare_steps`` and ``compare_havoc`` need nothing beyond the standard
+library and the engine, so they run without pytest:
+
+    PYTHONPATH=src:tests python -c "import reference; reference.compare_havoc([600], 5, 1)"
+    PYTHONPATH=src:tests python -c "import reference; reference.compare_steps()"
 """
 
 from __future__ import annotations
 
+import base64
 import operator
 import random
 from dataclasses import dataclass, field
@@ -37,7 +43,9 @@ from frontierfuzz.distance import observation_distance
 from frontierfuzz.mutation import (
     _ARITH_MAX, _BATCH_STACK, _INTERESTING, _SEARCH_STACK, havoc_mutate,
 )
-from frontierfuzz.target import _FORMULAS, GuardKind, GuardNode, GuardProgram, Harness, Relation
+from frontierfuzz.target import (
+    _FORMULAS, GuardKind, GuardNode, GuardProgram, Harness, Relation, program_from_dict,
+)
 
 # Each (outcome, relation) distance row as a callable of the operand difference.
 _ROWS = {key: eval(f"lambda f: {formula}") for key, formula in _FORMULAS.items()}
@@ -99,6 +107,101 @@ def guard_feedback(node: GuardNode, data: bytes):
             folded ^= byte
         f = folded - const
     return holds(node.relation, f), f
+
+
+def step_cases():
+    """``compare_steps``' cases: ``(node, windows)``, a guard document
+    without id, offset, relation or children, and the operand windows to run
+    it on, where f is -2..2 around the constant and at each type's extremes,
+    which drawn programs rarely reach.  Xor windows run from 1 to 8 bytes, so
+    both the windows xored by index and the folded ones come up."""
+    for width in (1, 2, 4, 8):
+        for endian in ("le", "be"):
+            order = "little" if endian == "le" else "big"
+            for signed in (False, True):
+                bits = 8 * width
+                lo, hi = ((-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if signed
+                          else (0, (1 << bits) - 1))
+                for const in (lo, lo + 1, 0, 1, hi - 1, hi):
+                    values = {const + f for f in range(-2, 3)} | {lo, hi}
+                    yield ({"kind": "int", "width": width, "endian": endian, "signed": signed,
+                            "constant": const},
+                           [v.to_bytes(width, order, signed=signed)
+                            for v in sorted(values) if lo <= v <= hi])
+    for length in range(1, 9):
+        # ``length - 1`` distinct bytes xor to ``rest``; the last byte brings
+        # the window's xor to ``x``.
+        head = bytes(range(0x31, 0x30 + length))
+        rest = 0
+        for byte in head:
+            rest ^= byte
+        for const in (0, 1, 0x7F, 0x80, 0xFE, 0xFF):
+            values = {const + f for f in range(-2, 3)} | {0, 0xFF}
+            yield ({"kind": "xor", "length": length, "constant": const},
+                   [head + bytes([x ^ rest]) for x in sorted(values) if 0 <= x <= 0xFF])
+    for length in (2, 3):
+        # Constants shorter than, as long as and longer than the window, one
+        # with a zero tail that a padded window can equal.
+        for const in (b"\x00" * (length - 1), b"\xff" * (length - 1), bytes(length),
+                      b"\xff" * length, b"\x01\x80\xfe"[:length],
+                      b"\x01\x02\x00\x00"[:length + 1], b"\xff" * (length + 1)):
+            base = const.ljust(length, b"\0")[:length]
+            windows = {bytes(length), b"\xff" * length}
+            for i in range(length):
+                for f in range(-2, 3):
+                    if 0 <= base[i] + f <= 0xFF:
+                        windows.add(base[:i] + bytes([base[i] + f]) + base[i + 1:])
+            yield ({"kind": "str", "length": length,
+                    "constant": base64.b64encode(const).decode()}, sorted(windows))
+
+
+def compare_steps(cross_check=None) -> int:
+    """Run every step template on ``step_cases`` under each relation.  On
+    each window the plain and the observing step take the edge of
+    ``guard_feedback``'s outcome and return the same next id, and the
+    observing step stores ``_ROWS`` applied to the feedback, twice (a string
+    step's second call is a memo hit).  ``cross_check(guard, data, outcome,
+    key)``, if given, sees each case.  Every (kind, relation, outcome) must
+    come up.  Raises AssertionError at the first difference; returns the
+    number of windows run."""
+    seen = set()
+    count = 0
+    for node, windows in step_cases():
+        # The taken edge leads to a bug node, the other is terminal.
+        node = dict(node, id=0, offset=1, taken=1, nottaken=None)
+        for rel in Relation:
+            node["relation"] = rel.value
+            program = program_from_dict({"max_input_len": 16, "entry": 0,
+                                         "nodes": [node, {"id": 1, "kind": "bug"}]})
+            harness = Harness(program, synthetic_time=True)
+            harness.switch_on({0})
+            guard, plain, observing = program.nodes[0], program._steps[0], harness._steps[0]
+            for window in windows:
+                # Bytes on both sides of the window, which no step may read.
+                data = b"\xaa" + window + b"\x55"
+                outcome, feedback = guard_feedback(guard, data)
+                row = _ROWS[outcome, rel]
+                if guard.kind is GuardKind.STR:
+                    values = tuple(map(row, feedback))
+                    key = (sum(map(abs, values)), values)
+                else:
+                    key = row(feedback)
+                if cross_check is not None:
+                    cross_check(guard, data, outcome, key)
+                edge, nxt = (0, 1) if outcome else (1, -1)
+                for step, want in ((plain, {}), (observing, {0: key}), (observing, {0: key})):
+                    edges, obs = [], {}
+                    if step(data, edges, obs) != nxt or edges != [edge] or obs != want:
+                        raise AssertionError(f"{guard.kind.value} step of size {guard.size} under "
+                                             f"{rel.value} differs from its reference on "
+                                             f"window {window.hex()}")
+                seen.add((guard.kind, rel, outcome))
+                count += 1
+    missing = {(kind, rel, outcome) for kind in (GuardKind.INT, GuardKind.XOR, GuardKind.STR)
+               for rel in Relation for outcome in (False, True)} - seen
+    if missing:
+        raise AssertionError(f"no case reached {len(missing)} (kind, relation, outcome) triples")
+    return count
 
 
 def guard_ids(program: GuardProgram) -> frozenset[int]:

@@ -185,6 +185,18 @@ class TestRunSetupErrors:
             tmp_path, "--target", "builtin:le15", "--seeds", str(seeds))
         assert "nonempty" in message
 
+    def test_seed_file_past_max_input_len(self, tmp_path, monkeypatch):
+        # A 1 TiB sparse file: its size is checked before it is read.
+        ran = self.count_campaign_runs(monkeypatch)
+        seeds = tmp_path / "seeds"
+        seeds.mkdir()
+        with open(seeds / "huge", "wb") as f:
+            f.truncate(2**40)
+        message = self.run_expecting_exit(
+            tmp_path, "--target", "builtin:le15", "--seeds", str(seeds))
+        assert str(seeds / "huge") in message and "max_input_len" in message
+        assert not ran
+
     def test_missing_seeds_directory(self, tmp_path):
         message = self.run_expecting_exit(
             tmp_path, "--target", "builtin:le15", "--seeds", str(tmp_path / "absent"))

@@ -22,7 +22,9 @@ from frontierfuzz.target import (
     load_program,
     program_from_dict,
 )
-from reference import _ROWS, edge_endpoints, guard_feedback, guard_ids, holds, recompute_frontier
+from reference import (
+    compare_steps, edge_endpoints, guard_feedback, guard_ids, holds, recompute_frontier,
+)
 
 
 def doc_bytes(doc: dict) -> bytes:
@@ -688,89 +690,37 @@ class TestDifferentialAgainstInterpreter:
 
 
 class TestStepsAtBoundaries:
-    """Every step template on operands at the edges of its comparison: f in
-    -2..2 around the constant and each type's extremes, where drawn programs
-    rarely land.  For each case the plain and the observing step take the
-    edge of ``guard_feedback``'s outcome and the reference's, return the same
-    next id, and the observing step's key is ``_ROWS`` applied to the
-    feedback, which must agree with the transcribed table too."""
-
-    @staticmethod
-    def check(node: dict, inputs, seen: set) -> None:
-        # The taken edge leads to a bug node, the other is terminal.
-        node.update(id=0, offset=1, taken=1, nottaken=None)
-        for rel in Relation:
-            node["relation"] = rel.value
-            program = program_from_dict({"max_input_len": 16, "entry": 0,
-                                         "nodes": [node, {"id": 1, "kind": "bug"}]})
-            harness = Harness(program, synthetic_time=True)
-            harness.switch_on({0})
-            guard, plain, observing = program.nodes[0], program._steps[0], harness._steps[0]
-            for window in inputs:
-                # Bytes on both sides of the window, which no step may read.
-                data = (b"\xaa" + window + b"\x55").ljust(program._window_end, b"\0")
-                outcome, feedback = guard_feedback(guard, data)
-                ref_outcome, _, _, ref_key = _reference_guard(_compile(guard), data)
-                assert outcome == ref_outcome
-                row = _ROWS[outcome, rel]
-                if guard.kind is GuardKind.STR:
-                    values = tuple(map(row, feedback))
-                    want = (sum(map(abs, values)), values)
-                else:
-                    want = row(feedback)
-                assert want == ref_key
-                edge, nxt = (0, 1) if outcome else (1, -1)
-                edges, obs = [], {}
-                assert plain(data, edges, obs) == nxt
-                assert edges == [edge] and obs == {}
-                # Twice: a string step's second call is a memo hit.
-                for _ in range(2):
-                    edges, obs = [], {}
-                    assert observing(data, edges, obs) == nxt
-                    assert edges == [edge] and obs == {0: want}
-                seen.add((guard.kind, rel, outcome))
+    """Every step template on operands at the edges of its comparison
+    (``reference.compare_steps``), with each case's outcome and key checked
+    against the loader reference as well."""
 
     def test_every_kind_relation_and_outcome(self):
-        seen = set()
-        for width in (1, 2, 4, 8):
-            for endian in ("le", "be"):
-                order = "little" if endian == "le" else "big"
-                for signed in (False, True):
-                    bits = 8 * width
-                    lo, hi = ((-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if signed
-                              else (0, (1 << bits) - 1))
-                    for const in (lo, lo + 1, 0, 1, hi - 1, hi):
-                        values = {const + f for f in range(-2, 3)} | {lo, hi}
-                        inputs = [v.to_bytes(width, order, signed=signed)
-                                  for v in sorted(values) if lo <= v <= hi]
-                        self.check({"kind": "int", "width": width, "endian": endian,
-                                    "signed": signed, "constant": const}, inputs, seen)
-        for length in (1, 2, 3, 4):
-            # ``length - 1`` copies of 0x5A xor to 0x5A or 0; the last byte
-            # brings the window's xor to ``x``.
-            rest = 0x5A if (length - 1) % 2 else 0
-            for const in (0, 1, 0x7F, 0x80, 0xFE, 0xFF):
-                values = {const + f for f in range(-2, 3)} | {0, 0xFF}
-                inputs = [bytes([0x5A] * (length - 1) + [x ^ rest])
-                          for x in sorted(values) if 0 <= x <= 0xFF]
-                self.check({"kind": "xor", "length": length, "constant": const}, inputs, seen)
-        for length in (2, 3):
-            # Constants shorter than, as long as and longer than the window,
-            # one with a zero tail that a padded window can equal.
-            for const in (b"\x00" * (length - 1), b"\xff" * (length - 1), bytes(length),
-                          b"\xff" * length, b"\x01\x80\xfe"[:length],
-                          b"\x01\x02\x00\x00"[:length + 1], b"\xff" * (length + 1)):
-                base = const.ljust(length, b"\0")[:length]
-                inputs = {bytes(length), b"\xff" * length}
-                for i in range(length):
-                    for f in range(-2, 3):
-                        if 0 <= base[i] + f <= 0xFF:
-                            inputs.add(base[:i] + bytes([base[i] + f]) + base[i + 1:])
-                self.check({"kind": "str", "length": length,
-                            "constant": base64.b64encode(const).decode()}, sorted(inputs), seen)
-        assert seen == {(kind, rel, outcome)
-                        for kind in (GuardKind.INT, GuardKind.XOR, GuardKind.STR)
-                        for rel in Relation for outcome in (False, True)}
+        def cross_check(guard, data, outcome, key):
+            ref_outcome, _, _, ref_key = _reference_guard(_compile(guard), data)
+            assert (outcome, key) == (ref_outcome, ref_key)
+
+        assert compare_steps(cross_check) > 0
+
+    def test_short_xor_windows_and_signed_bytes_read_by_index(self):
+        # The operands on the hot path of deep programs: a later edit must not
+        # send them back through ``reduce`` or a struct reader.
+        def names(node):
+            node.update(id=0, offset=1, relation="le", taken=None, nottaken=None)
+            program = program_from_dict({"max_input_len": 16, "entry": 0, "nodes": [node]})
+            harness = Harness(program, synthetic_time=True)
+            harness.switch_on({0})
+            for step in (program._steps[0], harness._steps[0]):
+                code = step.__code__
+                yield set(code.co_names) | set(code.co_varnames)
+
+        fast = [{"kind": "xor", "length": length, "constant": 7} for length in (1, 2, 3, 4)]
+        fast += [{"kind": "int", "width": 1, "endian": endian, "signed": True, "constant": -7}
+                 for endian in ("le", "be")]
+        for node in fast:
+            for used in names(node):
+                assert "reduce" not in used and "read" not in used, node
+        for used in names({"kind": "xor", "length": 5, "constant": 7}):
+            assert "reduce" in used
 
     def test_bug_node_zero_is_not_a_terminal_edge(self):
         # A bug node's step returns -2 - id, so node 0's is not the -1 of a
