@@ -421,7 +421,11 @@ class Mutator:
             elif node.kind is GuardKind.INT:
                 candidate = self._solve_operand(node, rec.witness, root)
             if candidate is None:
-                candidate = newton_step(rec.witness, observation_distance(rec.witness_key), rec.g)
+                # An xor record aims at its row's value at the root, -2 on the
+                # rows f - 1 and 0 on the rest; a string's L1 norm aims at 0.
+                aim = -2 if node.kind is GuardKind.XOR and root == -1 else 0
+                d = observation_distance(rec.witness_key) - aim
+                candidate = newton_step(rec.witness, d, rec.g)
             if candidate != rec.witness:
                 executor.run(candidate)
 

@@ -4,17 +4,18 @@ None of these is on a fuzzing run's path: each restates, from the
 definitions, a fact the engine keeps another way, so that a test can compare
 the two.
 
-* ``_ROWS`` holds the distance rows of ``target._FORMULAS`` as callables,
-  and ``holds``, ``distance`` and ``string_distance`` validate raw
-  comparison feedback and apply its row; a harness observation is already
-  the key they compute, with the row written inline in its step.
-* ``guard_feedback`` reads a guard's raw comparison feedback off an input,
-  which the step templates compute and fold into a key, and ``row_slope``
-  gives a distance row's slope, from which a Newton step finds the row's
-  zero; the root solvers' closed form lands where the comparison flips.
+* The one reading of what a guard does, shared by every test.  ``_ROWS``
+  and ``holds`` transcribe the twelve distance rows and the six relations
+  by hand, sharing nothing with the step templates.  ``guard_feedback``
+  reads a guard's raw comparison feedback off an input, ``distance_key``
+  turns it into the key an observing step stores (``distance`` and
+  ``string_distance`` validate it first), and ``execute`` walks a program
+  with them, giving the trace a harness must give.  ``row_slope`` gives a
+  row's slope, from which a Newton step finds the row's zero; the root
+  solvers' closed form lands where the comparison flips.
   ``compare_steps`` runs every step template on the operands of
   ``step_cases``, at the edges of its comparison, and checks its edge and
-  key against ``guard_feedback`` and ``_ROWS``.
+  key against ``guard_feedback`` and ``distance_key``.
 * ``guard_ids``, ``edge_endpoints`` and ``recompute_frontier`` derive the
   frontier from scratch from a coverage map's hit edges; ``CoverageMap``
   keeps it incrementally.
@@ -34,7 +35,6 @@ library and the engine, so they run without pytest:
 from __future__ import annotations
 
 import base64
-import operator
 import random
 from dataclasses import dataclass, field
 
@@ -44,17 +44,40 @@ from frontierfuzz.mutation import (
     _ARITH_MAX, _BATCH_STACK, _INTERESTING, _SEARCH_STACK, havoc_mutate,
 )
 from frontierfuzz.target import (
-    _FORMULAS, GuardKind, GuardNode, GuardProgram, Harness, Relation, program_from_dict,
+    ExecutionTrace, GuardKind, GuardNode, GuardProgram, Harness, Relation, program_from_dict,
 )
 
-# Each (outcome, relation) distance row as a callable of the operand difference.
-_ROWS = {key: eval(f"lambda f: {formula}") for key, formula in _FORMULAS.items()}
+# The distance rows, transcribed from the definitions rather than taken from
+# the engine: how far a comparison with operand difference f is from
+# flipping, by (outcome, relation).
+_ROWS = {
+    (False, Relation.LT): lambda f: f - 1, (True, Relation.GE): lambda f: f - 1,
+    (False, Relation.LE): lambda f: f, (True, Relation.GT): lambda f: f,
+    (False, Relation.GT): lambda f: 1 - f, (True, Relation.LE): lambda f: 1 - f,
+    (False, Relation.GE): lambda f: -f, (True, Relation.LT): lambda f: -f,
+    (False, Relation.EQ): lambda f: abs(f), (True, Relation.NE): lambda f: abs(f),
+    (False, Relation.NE): lambda f: 1 - abs(f), (True, Relation.EQ): lambda f: 1 - abs(f),
+}
+# Each relation's predicate on a value compared with 0.
+_HOLDS = {Relation.LT: lambda v: v < 0, Relation.LE: lambda v: v <= 0,
+          Relation.GT: lambda v: v > 0, Relation.GE: lambda v: v >= 0,
+          Relation.EQ: lambda v: v == 0, Relation.NE: lambda v: v != 0}
 
 
 def holds(relation: Relation, value: int) -> bool:
-    """Whether ``value R 0`` is true for the relation, by the ``operator``
-    function its value names."""
-    return getattr(operator, relation.value)(value, 0)
+    """Whether ``value R 0`` is true for the relation."""
+    return _HOLDS[relation](value)
+
+
+def distance_key(outcome: bool, relation: Relation, feedback):
+    """The distance key of raw comparison feedback: the (outcome, relation)
+    row applied to f, or for a string's per-byte differences ``(L1,
+    values)`` with the row applied to each."""
+    row = _ROWS[outcome, relation]
+    if feedback.__class__ is not tuple:
+        return row(feedback)
+    values = tuple(map(row, feedback))
+    return sum(map(abs, values)), values
 
 
 def distance(outcome: bool, relation: Relation, f: int) -> int:
@@ -63,7 +86,7 @@ def distance(outcome: bool, relation: Relation, f: int) -> int:
         raise ValueError(
             f"inconsistent observation: outcome={outcome} but f={f} under {relation.value}"
         )
-    return _ROWS[outcome, relation](f)
+    return distance_key(outcome, relation, f)
 
 
 def string_distance(outcome: bool, relation: Relation,
@@ -73,9 +96,7 @@ def string_distance(outcome: bool, relation: Relation,
     diffs = tuple(byte_diffs)
     if not diffs:
         raise ValueError("byte_diffs must be nonempty")
-    row = _ROWS[outcome, relation]
-    values = tuple(row(f) for f in diffs)
-    return sum(abs(v) for v in values), values
+    return distance_key(outcome, relation, diffs)
 
 
 def row_slope(outcome: bool, relation: Relation, f: int) -> int:
@@ -107,6 +128,24 @@ def guard_feedback(node: GuardNode, data: bytes):
             folded ^= byte
         f = folded - const
     return holds(node.relation, f), f
+
+
+def execute(program: GuardProgram, active, data: bytes) -> ExecutionTrace:
+    """The trace of ``data`` under synthetic time with the sites in
+    ``active`` observing, walked node by node from the entry: each guard's
+    edge from ``guard_feedback`` and its key from ``distance_key``."""
+    edges, observations = [], {}
+    nid = program.entry
+    while nid is not None:
+        node = program.nodes[nid]
+        if node.kind is GuardKind.BUG:
+            return ExecutionTrace(tuple(edges), observations, 1, (nid,))
+        outcome, feedback = guard_feedback(node, data)
+        edges.append(2 * nid if outcome else 2 * nid + 1)
+        if nid in active:
+            observations[nid] = distance_key(outcome, node.relation, feedback)
+        nid = node.taken if outcome else node.nottaken
+    return ExecutionTrace(tuple(edges), observations, 1)
 
 
 def step_cases():
@@ -155,13 +194,12 @@ def step_cases():
                     "constant": base64.b64encode(const).decode()}, sorted(windows))
 
 
-def compare_steps(cross_check=None) -> int:
+def compare_steps() -> int:
     """Run every step template on ``step_cases`` under each relation.  On
     each window the plain and the observing step take the edge of
     ``guard_feedback``'s outcome and return the same next id, and the
-    observing step stores ``_ROWS`` applied to the feedback, twice (a string
-    step's second call is a memo hit).  ``cross_check(guard, data, outcome,
-    key)``, if given, sees each case.  Every (kind, relation, outcome) must
+    observing step stores ``distance_key`` of the feedback, twice (a string
+    step's second call is a memo hit).  Every (kind, relation, outcome) must
     come up.  Raises AssertionError at the first difference; returns the
     number of windows run."""
     seen = set()
@@ -180,14 +218,7 @@ def compare_steps(cross_check=None) -> int:
                 # Bytes on both sides of the window, which no step may read.
                 data = b"\xaa" + window + b"\x55"
                 outcome, feedback = guard_feedback(guard, data)
-                row = _ROWS[outcome, rel]
-                if guard.kind is GuardKind.STR:
-                    values = tuple(map(row, feedback))
-                    key = (sum(map(abs, values)), values)
-                else:
-                    key = row(feedback)
-                if cross_check is not None:
-                    cross_check(guard, data, outcome, key)
+                key = distance_key(outcome, rel, feedback)
                 edge, nxt = (0, 1) if outcome else (1, -1)
                 for step, want in ((plain, {}), (observing, {0: key}), (observing, {0: key})):
                     edges, obs = [], {}

@@ -79,30 +79,23 @@ def campaign_grid():
 
 
 def test_criterion_1_distance_table_conformance(verdict):
-    # Independent transcription of the distance table, checked exhaustively
-    # against the implementation for every consistent pair and f in [-3, 3].
-    table = {
-        (False, Relation.LT): lambda f: f - 1,
-        (True, Relation.GE): lambda f: f - 1,
-        (False, Relation.LE): lambda f: f,
-        (True, Relation.GT): lambda f: f,
-        (False, Relation.GT): lambda f: 1 - f,
-        (True, Relation.LE): lambda f: 1 - f,
-        (False, Relation.GE): lambda f: -f,
-        (True, Relation.LT): lambda f: -f,
-        (False, Relation.EQ): lambda f: abs(f),
-        (True, Relation.NE): lambda f: abs(f),
-        (False, Relation.NE): lambda f: 1 - abs(f),
-        (True, Relation.EQ): lambda f: 1 - abs(f),
-    }
+    # The engine's distance rows, as its observing steps store them, checked
+    # exhaustively against the literal transcription in ``reference`` for
+    # every relation and f in [-3, 3]: a signed byte compared with 0 reads f.
     checked = 0
     ok = True
-    for (outcome, relation), row in table.items():
+    for relation in Relation:
+        program = program_from_dict({"max_input_len": 1, "entry": 0, "nodes": [
+            {"id": 0, "kind": "int", "offset": 0, "width": 1, "endian": "le", "signed": True,
+             "relation": relation.value, "constant": 0, "taken": None, "nottaken": None}]})
+        harness = Harness(program, synthetic_time=True)
+        harness.switch_on({0})
         for f in range(-3, 4):
-            if holds(relation, f) != outcome:
-                continue
             checked += 1
-            ok = ok and distance(outcome, relation, f) == row(f)
+            outcome = holds(relation, f)
+            trace = harness.execute(bytes([f & 0xFF]))
+            ok = ok and trace.edges == ((0,) if outcome else (1,))
+            ok = ok and trace.observations == {0: distance(outcome, relation, f)}
     ok = ok and checked == 42  # 6 relations x 7 values, one outcome each
     verdict(1, f"distance table matches literal transcription on {checked} tuples", ok)
 

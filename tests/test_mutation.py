@@ -33,7 +33,8 @@ from frontierfuzz.mutation import (
 )
 from frontierfuzz.target import GuardKind, Harness, Relation, program_from_dict
 from reference import (
-    _ROWS, compare_havoc, guard_feedback, guard_ids, holds, row_slope, word_width,
+    _ROWS, compare_havoc, distance_key, execute, guard_feedback, guard_ids, holds, row_slope,
+    word_width,
 )
 from test_target import _BYTE_VALUES, _RELATION_TOKENS, _documents
 
@@ -872,6 +873,32 @@ class TestRootsFlipTheirBranch:
         assert candidate[4:8] < b"MMMM"
         assert harness.execute(candidate).edges == (0,)
 
+    @pytest.mark.parametrize("relation,outcome", [("lt", False), ("ge", True)])
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_xor_newton_step_past_the_rows_zero(self, relation, outcome, length, monkeypatch):
+        # The window xors to 150 against the constant 100 (f = 50), and the
+        # row f - 1 has slope 1 in the first byte.  Aiming at the row's zero
+        # would land on f = 1, the witness's own edge.
+        program = program_from_dict({
+            "max_input_len": length, "entry": 0,
+            "nodes": [{"id": 0, "kind": "xor", "offset": 0, "length": length,
+                       "relation": relation, "constant": 100, "taken": None, "nottaken": None}]})
+        node = program.nodes[0]
+        witness = bytes([150]) + bytes(length - 1)
+        f = guard_feedback(node, witness)[1]
+        rec = SubgradientRecord({0: Fraction(row_slope(outcome, node.relation, f))}, witness,
+                                distance_key(outcome, node.relation, f))
+        monkeypatch.setattr(Mutator, "local_search", lambda *args: {0: rec})
+        executor = make_executor(program, frontier={0})
+        ran = []
+        run = executor.run
+        executor.run = lambda data: ran.append(data) or run(data)
+        executor.run(witness)
+        Mutator(program, 64).mutate_stage(witness, {0}, executor, random.Random(0))
+        assert execute(program, {0}, ran[0]).edges == ((0,) if outcome else (1,))
+        assert execute(program, {0}, ran[1]).edges == ((1,) if outcome else (0,))
+        assert executor.coverage.complete
+
     @pytest.mark.parametrize("relation", _RELATION_TOKENS)
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -916,6 +943,16 @@ def _reference_infer_hot_bytes(seed, mutant, site, executor):
     return ()
 
 
+def _flip_root(outcome, relation, f):
+    """The Newton step from the difference ``f`` to its row's zero (every
+    row's slope is +/-1), then on down the row while the comparison still
+    gives the outcome."""
+    root = f - _ROWS[outcome, relation](f) * row_slope(outcome, relation, f)
+    while holds(relation, root) == outcome:
+        root -= row_slope(outcome, relation, root)
+    return root
+
+
 class _ParentMutator(Mutator):
     """The mutator as it was when local search kept a record for every
     frontier site a sample reached, and the root solvers gated each record
@@ -925,7 +962,8 @@ class _ParentMutator(Mutator):
     (as ``Mutator._solve_string`` does), stepping on past a row's zero that
     does not flip the byte's comparison (as ``_reference_solve_operand``
     does), and that ``mutate_stage`` builds no candidate for a site that left
-    the live frontier earlier in the stage (as ``Mutator.mutate_stage``
+    the live frontier earlier in the stage and aims an xor record's Newton
+    step at its row's value at ``_flip_root`` (as ``Mutator.mutate_stage``
     does).  Its local search is ``_reference_local_search``, its operand
     solver ``_reference_solve_operand`` behind the seed-key gate, and its
     hot-byte rule ``_reference_infer_hot_bytes``.  Kept as the oracle for
@@ -947,7 +985,11 @@ class _ParentMutator(Mutator):
             elif node.kind is GuardKind.INT:
                 candidate = self._solve_operand(seed, site, rec)
             if candidate is None and rec.g:
-                candidate = newton_step(rec.witness, observation_distance(rec.witness_key), rec.g)
+                d = observation_distance(rec.witness_key)
+                if node.kind is GuardKind.XOR:
+                    outcome, f = guard_feedback(node, rec.witness)
+                    d -= _ROWS[outcome, node.relation](_flip_root(outcome, node.relation, f))
+                candidate = newton_step(rec.witness, d, rec.g)
             if candidate is None or candidate == rec.witness:
                 continue
             executor.run(candidate)
@@ -968,13 +1010,10 @@ class _ParentMutator(Mutator):
         buf = bytearray(rec.witness)
         written = False
         # Positions past the window are padding, with no input byte to solve.
-        for offset, f, component in zip(offsets[:node.size], diffs, rec.witness_key[1]):
+        for offset, f in zip(offsets[:node.size], diffs):
             if offset >= self.program.max_input_len:
                 continue
-            # The slope is +/-1, so dividing by it is multiplying by it.
-            root = f - component * row_slope(outcome, node.relation, f)
-            while holds(node.relation, root) == outcome:
-                root -= row_slope(outcome, node.relation, root)
+            root = _flip_root(outcome, node.relation, f)
             if offset >= len(buf):
                 buf.extend(b"\0" * (offset + 1 - len(buf)))
             buf[offset] = _clamp_byte(buf[offset] + root - f)

@@ -15,7 +15,6 @@ from frontierfuzz.target import (
     _TEMPLATES,
     MAX_WINDOW_END,
     DocumentError,
-    ExecutionTrace,
     GuardKind,
     Harness,
     Relation,
@@ -23,7 +22,7 @@ from frontierfuzz.target import (
     program_from_dict,
 )
 from reference import (
-    compare_steps, edge_endpoints, guard_feedback, guard_ids, holds, recompute_frontier,
+    compare_steps, edge_endpoints, execute, guard_feedback, guard_ids, holds, recompute_frontier,
 )
 
 
@@ -396,8 +395,8 @@ class TestActiveSites:
         # last window it saw.  One harness runs a drawn input sequence, drawn
         # from a small pool so windows repeat, and switches drawn sites off
         # and on again between inputs; each trace must equal a fresh
-        # harness's, whose memos are empty, and the reference interpreter's,
-        # which has no steps.
+        # harness's, whose memos are empty, and the reference walk's, which
+        # has no steps.
         program = program_from_dict(data.draw(_documents()))
         ids = sorted(program.node_ids)
         harness = Harness(program, synthetic_time=True)
@@ -411,7 +410,7 @@ class TestActiveSites:
             fresh = Harness(program, synthetic_time=True)
             fresh.switch_on(ids)
             got, want = harness.execute(raw), fresh.execute(raw)
-            assert got == want == _reference_execute(program, frozenset(ids), raw)
+            assert got == want == execute(program, frozenset(ids), raw)
             assert list(got.observations) == list(want.observations)
 
 
@@ -481,123 +480,6 @@ class TestOperandReaders:
             assert read(data, 1)[0] == int.from_bytes(window, order, signed=signed)
 
 
-# -- differential oracle -------------------------------------------------------
-# The row interpreter that executed guard programs before each guard was
-# compiled into a step function, kept as the reference for the harness: it reads
-# operands with ``int.from_bytes`` and computes each observation's distance key
-# from its own copy of the distance table.
-
-_REL_CODE = {
-    Relation.LT: 0,
-    Relation.LE: 1,
-    Relation.GT: 2,
-    Relation.GE: 3,
-    Relation.EQ: 4,
-    Relation.NE: 5,
-}
-
-
-def _rel_holds(code: int, v: int) -> bool:
-    if code == 4:
-        return v == 0
-    if code == 5:
-        return v != 0
-    if code == 0:
-        return v < 0
-    if code == 1:
-        return v <= 0
-    if code == 2:
-        return v > 0
-    return v >= 0
-
-
-# The distance table, transcribed row by row: how far a comparison with
-# operand difference f is from flipping, given its outcome and relation.
-def _row(outcome: bool, code: int, f: int) -> int:
-    if code == 4:  # eq
-        return 1 - abs(f) if outcome else abs(f)
-    if code == 5:  # ne
-        return abs(f) if outcome else 1 - abs(f)
-    if code == 0:  # lt
-        return -f if outcome else f - 1
-    if code == 1:  # le
-        return 1 - f if outcome else f
-    if code == 2:  # gt
-        return f if outcome else 1 - f
-    return f - 1 if outcome else -f  # ge
-
-
-def _compile(n):
-    kind = {GuardKind.INT: 0, GuardKind.STR: 1, GuardKind.XOR: 2, GuardKind.BUG: 3}[n.kind]
-    if kind == 3:
-        return (3, 0, 0, "little", False, None, 0, None, None, None)
-    rel_code = _REL_CODE[n.relation]
-    extra = None
-    if kind == 1:
-        cmplen = max(n.size, len(n.constant))
-        extra = bytes(n.constant).ljust(cmplen, b"\0")
-    return (
-        kind,
-        n.offset,
-        n.size,
-        "little" if n.endian == "le" else "big",
-        n.signed,
-        n.constant,
-        rel_code,
-        n.taken,
-        n.nottaken,
-        extra,
-    )
-
-
-def _reference_guard(row, data: bytes):
-    """(outcome, f, diffs, key) of one compiled guard row on ``data``: f for
-    an integer or xor guard, diffs for a string guard, the other None."""
-    kind, off, size, byteorder, signed, const, rel_code, _, _, extra = row
-    chunk = data[off : off + size]
-    if len(chunk) < size:
-        chunk = chunk.ljust(size, b"\0")
-    if kind == 0:
-        f = int.from_bytes(chunk, byteorder, signed=signed) - const
-        outcome = _rel_holds(rel_code, f)
-        return outcome, f, None, _row(outcome, rel_code, f)
-    if kind == 1:
-        op2 = extra
-        op1 = chunk.ljust(len(op2), b"\0")
-        cmp = 0 if op1 == op2 else (-1 if op1 < op2 else 1)
-        outcome = _rel_holds(rel_code, cmp)
-        diffs = tuple(a - b for a, b in zip(op1, op2))
-        values = tuple(_row(outcome, rel_code, x) for x in diffs)
-        return outcome, None, diffs, (sum(abs(v) for v in values), values)
-    x = 0
-    for b in chunk:
-        x ^= b
-    f = x - const
-    outcome = _rel_holds(rel_code, f)
-    return outcome, f, None, _row(outcome, rel_code, f)
-
-
-def _reference_execute(program, active, data: bytes) -> ExecutionTrace:
-    """The trace of ``data`` with the sites in ``active`` observing, under
-    synthetic time."""
-    rows = [_compile(node) for node in program.nodes]
-    edges = []
-    observations = {}
-    bug_hits = ()
-    nid = program.entry
-    while nid is not None:
-        row = rows[nid]
-        if row[0] == 3:
-            bug_hits = (nid,)
-            break
-        outcome, _, _, key = _reference_guard(row, data)
-        edges.append(nid + nid if outcome else nid + nid + 1)
-        if nid in active:
-            observations[nid] = key
-        nid = row[7] if outcome else row[8]
-    return ExecutionTrace(tuple(edges), observations, 1, bug_hits)
-
-
 _RELATION_TOKENS = [r.value for r in Relation]
 # Byte values that sit on either side of sign and width boundaries.
 _BYTE_VALUES = st.sampled_from([0, 1, 0x7F, 0x80, 0xFF]) | st.integers(0, 0xFF)
@@ -655,23 +537,17 @@ def _documents(draw):
 
 def _assert_matches_reference(program, data):
     """Runs on one harness, each input under no, all (bug ids included) and
-    a random subset of active sites, each equal to the reference trace; and
-    every guard's ``guard_feedback`` on each input, on the path or off it,
-    equal to the reference's outcome and f or diffs."""
+    a random subset of active sites, each equal to the reference trace."""
     harness = Harness(program, synthetic_time=True)
     ids = sorted(program.node_ids)
     raw_inputs = st.lists(_BYTE_VALUES, max_size=program.max_input_len).map(bytes)
     for raw in data.draw(st.lists(raw_inputs, min_size=1, max_size=8)):
-        for nid in guard_ids(program):
-            node = program.nodes[nid]
-            outcome, f, diffs, _ = _reference_guard(_compile(node), raw)
-            assert guard_feedback(node, raw) == (outcome, f if diffs is None else diffs)
         subset = data.draw(st.frozensets(st.sampled_from(ids)))
         for active in (frozenset(), frozenset(ids), subset):
             harness.switch_off(ids)
             harness.switch_on(active)
             trace = harness.execute(raw)
-            assert trace == _reference_execute(program, active, raw)
+            assert trace == execute(program, active, raw)
             # Dict equality ignores order: check the keys' path order too.
             assert list(trace.observations) == _active_path_sites(trace, active)
 
@@ -691,15 +567,10 @@ class TestDifferentialAgainstInterpreter:
 
 class TestStepsAtBoundaries:
     """Every step template on operands at the edges of its comparison
-    (``reference.compare_steps``), with each case's outcome and key checked
-    against the loader reference as well."""
+    (``reference.compare_steps``)."""
 
     def test_every_kind_relation_and_outcome(self):
-        def cross_check(guard, data, outcome, key):
-            ref_outcome, _, _, ref_key = _reference_guard(_compile(guard), data)
-            assert (outcome, key) == (ref_outcome, ref_key)
-
-        assert compare_steps(cross_check) > 0
+        assert compare_steps() > 0
 
     def test_short_xor_windows_and_signed_bytes_read_by_index(self):
         # The operands on the hot path of deep programs: a later edit must not
