@@ -12,6 +12,7 @@ from random import Random
 
 from . import builtin_targets
 from .campaign import Budget, Campaign, Mode
+from .mutation import _SEARCH_CHUNK
 from .oracle import AbstractInstance, check_enumerable, verify
 from .target import GuardProgram, load_program
 
@@ -234,8 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--rng-seed", type=int, default=0)
     p_run.add_argument("--sample-size", type=int, default=1024,
                        help="most local-search samples per fox stage (a search stops "
-                            "after a chunk of 64 that improves no record, or once every "
-                            "live branch has one), and the mutants per plain havoc batch")
+                            f"after a chunk of {_SEARCH_CHUNK} that improves no record, or "
+                            "once every live branch has one), and the mutants per plain "
+                            "havoc batch")
     p_run.add_argument("--synthetic-time", action="store_true",
                        help="count one deterministic time unit per execution")
     p_run.set_defaults(func=_cmd_run)

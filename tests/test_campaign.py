@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import statistics
 from unittest import mock
 
 import pytest
@@ -652,19 +653,39 @@ class TestEndOfRun:
         (0, b"\x01", 15), (1, b"\x03", 13), (2, b"\x0c", 4), (3, b"\x00", 16),
     ])
     def test_bare_executor_local_search_is_unchanged(self, rng_seed, witness, key):
-        # Each search flips the guard with a sample; an executor with no
-        # budget keeps it switched on and runs every sample, so its records
-        # are those it gave before campaigns settled flipped sites.
+        # Each search flips the guard with a sample of its first chunk; an
+        # executor with no budget keeps it switched on and runs every sample,
+        # so its records are those it gave before campaigns settled flipped
+        # sites.  The flip leaves no live site, so the search ends with that
+        # chunk.
         program = builtin_targets.load("le15")
         executor = make_executor(program, frontier={0})
         records = Mutator(program, 64).local_search(bytes([5]), {0}, executor,
                                                     random.Random(rng_seed))
         assert executor.coverage.complete and executor.flips == 1
-        assert executor.execs == 64
+        assert executor.execs == 32
         assert executor.harness.active_sites == {0}
         assert list(records) == [0]
         assert (records[0].witness, records[0].witness_key, records[0].g) == (
             witness, key, {0: -1})
+
+    @pytest.mark.parametrize("name, chunks_of_64", [
+        ("magic32", 67), ("magic_str8", 69.5), ("chain6", 406.5),
+    ])
+    def test_stop_rules_read_every_32_samples(self, name, chunks_of_64):
+        # Median execs to full coverage, fox, zero seed, rng seeds 0-9, sample
+        # size 1024.  With the stop rules read only every 64 samples they were
+        # ``chunks_of_64``; a stage whose one record is in hand by sample 32
+        # stops there, so the medians sit well below those.
+        program = builtin_targets.load(name)
+        execs = []
+        for rng_seed in range(10):
+            campaign = Campaign(program, [zero_seed(program)], Mode.FOX,
+                                Budget(max_execs=20_000), sample_size=1024,
+                                rng_seed=rng_seed)
+            execs.append(campaign.run().records[-1].execs)
+            assert campaign.coverage.complete
+        assert statistics.median(execs) <= 0.75 * chunks_of_64
 
 
 class TestFallback:
@@ -769,27 +790,27 @@ GOLDEN_SHA256 = {
                         "8872267370063b3db373892893a6500ee428ae6faea409ba9c4d21d75c725fe8"),
     ("le15", "base"): ("ee694aa55d83bae2e986a61631a658c94884fade82f59bc0a4d92de3c7f32dbf",
                        "41167d4c00db1fee768507af32b0131f5703dce99eca118fd5f3999eee647c8c"),
-    ("chain6", "fox"): ("a40e4269aa1bf1f5e5d2cad291f71ab695bfd176b1275a04e94f9d05aa078de6",
-                        "dba649a6c1c801ea16d857065b4c927976843f236d6967bd89e81e15af528964"),
+    ("chain6", "fox"): ("884b532f98b803c559fd70da706a244ced312e48212d271a2ca8b1692f8940db",
+                        "8a0072b52571a47c7d9a3293057ffc942027f58a0a32b67cc336d50a17709360"),
     ("chain6", "sched"): ("37448d5760df5d8302776d4f6ea00e5ad888eb0faa93d4ff91a52dcadbff6827",
                           "2d64be8bfe462b98f9b7b5ab876e2dba7a599d8c91a5ba3208bf703e0b5d9ec1"),
     ("chain6", "base"): ("4262775b518f6f7561e38d74536a4fafd6028438cea24eb51b7006f9ed86078b",
                          "5771e04e083257a615172769fb327acfb37d505a760d960716036bb482838517"),
-    ("magic_str8", "fox"): ("089c148060811d033606697da2d37d1a160f694946fa109119fecefdb82d053f",
-                            "52a219aca89356678c43f347a83aba1bee04ca2472fa6ff66087daa22affe3dd"),
+    ("magic_str8", "fox"): ("f06c6c878212d76f0cf1ec40acc390e6933005c201ecbe0520368bd058f844d1",
+                            "17a0246cce25d15eba36e3480574c15aeee03eb9a95ce9c2a0ec018239f1448a"),
     ("magic_str8", "sched"): ("91ce4333c69fce110885648db838582a5320ab58d1e39ad30ebe473fed7266d0",
                               "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf"),
     ("magic_str8", "base"): ("7591416d2f5bfa219eb0d62bdd33349a8f2bff884d35a2dbfd63fa3600a2d206",
                              "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf"),
     # Fox on the big-endian operand solver, the xor Newton path and a mixed
     # tree.  magic32_be finishes in one stage, at its root candidate;
-    # xor_guard in its third, at a local-search sample mid-chunk.
-    ("magic32_be", "fox"): ("2687f21d8d2520f55127dc65b92cbbc7fa12ecb9c187355eb5bc755b6c2b65ea",
-                            "0e647404ad44d2ee6e3b2d881bb61e3f2b7cf6a49e4293d0a521310bc3ac1bb8"),
-    ("xor_guard", "fox"): ("32a2f8b7d84916c9c9c048d2fb2967331cf328fce56795fe083b2df646bf33b8",
-                           "169e682134b2322f4e4f71f45b9224dc5c89cb74d3fa834ba697f3b81691484c"),
-    ("mixed_tree", "fox"): ("14880fce0afc545f2232fdce7497ee7cbb7a809312b7ea5c35b69f2dd4292376",
-                            "3a7eee5d0920c044dcb98ebe9f2e3c1b3bff9ccba08f1c76d9a366c97b849354"),
+    # xor_guard in its second, at a local-search sample mid-chunk.
+    ("magic32_be", "fox"): ("98b8b8192c9c3d83f27768db81cf4ab4fb335bf6dcfb3c7a1ca0a0755d75244e",
+                            "fcfd8417cf90fb49d7600c1f30ee7b001689cd745ea75fda60dcd1e0acd02163"),
+    ("xor_guard", "fox"): ("87197409cd212776e415037e0f5004cca503a4686ea5ba8ad2f955ee60589cc0",
+                           "3afe913b0051a980f9d1a37a8762c05df65e2ab771cbf92a1d1f2bcdc2218c24"),
+    ("mixed_tree", "fox"): ("49ec3808735207477f183277e0332ef744ad89429178a470de2f3137b822ad20",
+                            "e326e8caf92beb343e7c1d7bebb63bcf4ffc2d027fd479617afe40ebf9b1de09"),
     # Sched on a tree where havoc batches switch off sites mid-batch.
     ("mixed_tree", "sched"): ("ccd141908c63819e3924db350a7707283a88d283b2fe5686dd18efd5f658a4a4",
                               "485ad67bcd63e950522d8a67c4e87e885230e5f2661930d67fd9bf2661647567"),

@@ -628,12 +628,12 @@ class TestLocalSearchAgainstReference:
     def test_stage_with_no_baseline_stops_after_one_chunk(self):
         # The zero seed misses bug_chain's site 1 (it fails the 0xDEAD guard),
         # so no sample can raise a norm there: local search stops after its
-        # first chunk, the seed and 63 mutants, and no record fires a root
+        # first chunk, the seed and 31 mutants, and no record fires a root
         # step.
         program = builtin_targets.load("bug_chain")
         executor = make_executor(program, frontier={1})
         Mutator(program, 1024).mutate_stage(bytes(8), {1}, executor, random.Random(0))
-        assert executor.execs == _SEARCH_CHUNK == 64
+        assert executor.execs == _SEARCH_CHUNK == 32
 
     def test_search_stops_once_every_live_site_has_a_record(self):
         # The zero seed's first chunk gives magic32's one guard a record.  That
@@ -690,7 +690,7 @@ class TestLocalSearchAgainstReference:
         assert executor.execs == _SEARCH_CHUNK
 
     def test_campaign_ending_mid_chunk_makes_only_the_mutants_it_runs(self, monkeypatch):
-        # bug_chain at rng seed 0 covers its last edge with the 28th sample
+        # bug_chain at rng seed 0 covers its last edge with the 14th sample
         # of a stage's first chunk; the rest of that chunk is never made.
         search, havoc = Mutator.local_search, mutation.havoc_mutate
         samples, made, ended = [], [], []
@@ -1253,7 +1253,9 @@ class TestMutateStage:
 
         monkeypatch.setattr(Mutator, "local_search", counting_local_search)
         mutator.mutate_stage(bytes(8), {0}, executor, random.Random(0))
-        assert sampled == [64]
+        # The first chunk gives the one live guard a record, which ends the
+        # search there; the stage's root step does not flip the guard.
+        assert sampled == [32]
 
     def test_budget_bound(self, monkeypatch):
         program = builtin_targets.load("mixed_tree")
