@@ -272,9 +272,9 @@ class Campaign:
         frontier, so the active set is now the frontier."""
         frontier = frozenset(self.coverage.frontier)
         self.harness.switch_on(frontier)
-        pending = [entry.data for entry in self.corpus.entries[self._calibrated:]]
-        self._calibrated = len(self.corpus.entries)
-        self._executor.run_batch(pending)
+        start, self._calibrated = self._calibrated, len(self.corpus.entries)
+        if start < self._calibrated:  # a corpus entry is pending
+            self._executor.run_batch([entry.data for entry in self.corpus.entries[start:]])
         return frontier
 
     def _havoc_batch(self, seed: bytes) -> None:

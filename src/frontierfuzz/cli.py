@@ -26,7 +26,10 @@ def _load_target(ref: str) -> GuardProgram:
             return builtin_targets.load(ref.split(":", 1)[1])
         except KeyError as exc:  # unknown name; the message is args[0]
             raise ValueError(exc.args[0]) from None
-    return load_program(Path(ref).read_bytes())
+    try:
+        return load_program(Path(ref).read_bytes())
+    except MemoryError:
+        raise ValueError(f"target document {ref} is too large to load") from None
 
 
 def _load_seeds(seeds_dir: str | None, program: GuardProgram) -> list[bytes]:

@@ -38,7 +38,6 @@ __all__ = [
     "compute_subgradient",
     "newton_step",
     "infer_hot_bytes",
-    "round_half_away",
     "Mutator",
 ]
 
@@ -113,15 +112,6 @@ class SubgradientRecord:
     witness_key: int | tuple[int, tuple[int, ...]]
 
 
-def round_half_away(x) -> int:
-    """Round to nearest integer, halves away from zero."""
-    frac = Fraction(x)
-    n, d = frac.numerator, frac.denominator
-    if n >= 0:
-        return (2 * n + d) // (2 * d)
-    return -((-2 * n + d) // (2 * d))
-
-
 def _clamp_byte(v: int) -> int:
     return 0 if v < 0 else (255 if v > 255 else v)
 
@@ -161,35 +151,46 @@ def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
     their ranges, so each combination has probability within
     ``2**-width`` of ``1 / M``: a relative bias below ``M / 2**width``.
     ``width`` is fixed once per call from the largest length ``top`` the
-    call can reach: with ``bound = n_ops * top * max(top, 256)``, which no
-    operator's ``M`` exceeds, it is ``max(30, 10 + (bound - 1).bit_length())``.
-    So no field's bias reaches ``2**-10``, every position stays reachable at
-    any length, and a call whose ``bound`` is at most ``2**20`` (a top length
-    up to 362 with ``max_len``, 418 without) draws 30 bits per operator.
-    The stack depth's bias is below ``stack_max / 2**30``.
+    call can reach (``_word_width``): with ``bound = n_ops * top * max(top,
+    256)``, which no operator's ``M`` exceeds, it is ``max(30, 10 + (bound -
+    1).bit_length())``.  So no field's bias reaches ``2**-10``, every
+    position stays reachable at any length, and a call whose ``bound`` is at
+    most ``2**20`` (a top length up to 362 with ``max_len``, 418 without)
+    draws 30 bits per operator.  The stack depth's bias is below
+    ``stack_max / 2**30``.  A call plans (the operator count, the resize
+    bounds and the width) and runs ``_havoc_loop``; local search plans once
+    per stage and calls the loop for each sample.
     """
     if not seed:
         raise ValueError("seed must be nonempty")
     if stack_max < 1:
         raise ValueError("stack_max must be >= 1")
-    gb = rng.getrandbits
-    budget = _BYTES_PER_OP
     n_ops = 8 if max_len is not None else 6  # operators 6 and 7 resize
-    buf = bytearray(seed)
     n = len(seed)
     # Deletes and inserts keep the length within [low, high]; with no
     # max_len nothing resizes.
-    low = n - budget if n - budget > 1 else 1
+    low = n - _BYTES_PER_OP if n - _BYTES_PER_OP > 1 else 1
     if max_len is None:
         high = n
     else:
-        high = n + budget if max_len > n + budget else max_len
-    # No length this call reaches exceeds top, and the byte set's and the
-    # swap's products at top bound every operator's.
-    top = n if n > high else high
-    width = (n_ops * top * (top if top > 256 else 256) - 1).bit_length() + 10
-    if width < 30:
-        width = 30
+        high = n + _BYTES_PER_OP if max_len > n + _BYTES_PER_OP else max_len
+    top = n if n > high else high  # no length this call reaches exceeds top
+    width = 30 if top <= 256 else _word_width(n_ops, top)
+    return _havoc_loop(seed, rng.getrandbits, stack_max, n_ops, low, high, width)
+
+
+def _word_width(n_ops: int, top: int) -> int:
+    """The operator word's width at top length ``top`` (30 up to 256)."""
+    return max(30, (n_ops * top * (top if top > 256 else 256) - 1).bit_length() + 10)
+
+
+def _havoc_loop(seed: bytes, gb, stack_max: int, n_ops: int, low: int, high: int,
+                width: int) -> bytes:
+    """``havoc_mutate``'s operator loop under its plan; ``gb`` is the rng's
+    ``getrandbits``."""
+    budget = _BYTES_PER_OP
+    buf = bytearray(seed)
+    n = len(seed)
     for _ in range(gb(30) % stack_max + 1):
         r = gb(width)
         op = r % n_ops
@@ -264,17 +265,20 @@ def compute_subgradient(seed: bytes, mutant: bytes, d_seed: int,
 def newton_step(witness: bytes, d: int, g: dict[int, Fraction]) -> bytes:
     """Jump toward the distance root along the estimated slope.
 
-    ``d`` is the witness's scalarized distance.  Each nonzero-slope byte
-    moves by -d/slope, rounded half away from zero and clamped to the byte
-    range; all other bytes and the input length are unchanged.
+    ``d`` is the witness's scalarized distance, an int.  Each nonzero-slope
+    byte moves by -d/slope, rounded half away from zero and clamped to the
+    byte range; all other bytes and the input length are unchanged.  In
+    exact integers, for a slope p/q the byte w becomes ``(w*p - d*q) / p``
+    rounded half up by floor division: that is half away from zero at or
+    above 0, and any value below 0 clamps to 0.
     """
     if not any(g.values()):
         raise ValueError("newton step requires a nonzero-norm subgradient")
     out = bytearray(witness)
     for j, slope in g.items():
-        if slope == 0 or j >= len(out):
-            continue
-        out[j] = _clamp_byte(round_half_away(witness[j] - Fraction(d) / slope))
+        p = slope.numerator
+        if p and j < len(out):
+            out[j] = _clamp_byte((2 * (witness[j] * p - d * slope.denominator) + p) // (2 * p))
     return bytes(out)
 
 
@@ -373,10 +377,12 @@ class Mutator:
         norms = dict.fromkeys(seed_v, 0)
         best: dict[int, tuple[bytes, int | tuple[int, tuple[int, ...]]]] = {}
         live = executor.coverage.frontier
+        # The plan of havoc_mutate(seed, rng, _SEARCH_STACK), made once.
+        n, gb, loop, width = len(seed), rng.getrandbits, _havoc_loop, _word_width(6, len(seed))
         for start in range(0, self.sample_size, _SEARCH_CHUNK):
             count = min(start + _SEARCH_CHUNK, self.sample_size) - max(start, 1)
             ran = executor.run_batch(
-                (havoc_mutate(seed, rng, _SEARCH_STACK) for _ in range(count)), [])
+                (loop(seed, gb, _SEARCH_STACK, 6, n, n, width) for _ in range(count)), [])
             improved = False
             for data, observations in ran:
                 s = None

@@ -13,6 +13,9 @@ the two.
   with them, giving the trace a harness must give.  ``row_slope`` gives a
   row's slope, from which a Newton step finds the row's zero; the root
   solvers' closed form lands where the comparison flips.
+  ``fraction_newton_step`` is the byte-space Newton step in ``Fraction``
+  arithmetic with ``round_half_away``, the formula ``newton_step`` keeps in
+  exact integers.
   ``compare_steps`` runs every step template on the operands of
   ``step_cases``, at the edges of its comparison, and checks its edge and
   key against ``guard_feedback`` and ``distance_key``.
@@ -23,7 +26,8 @@ the two.
   midpoint convexity over an input pair on a real harness.
 * ``havoc`` restates ``havoc_mutate``'s draw contract one field at a time,
   with ``word_width`` giving the width of each operator's word, and
-  ``compare_havoc`` checks the two against each other.
+  ``compare_havoc`` checks the two against each other, and against the
+  havoc loop that ``Mutator.local_search`` plans once per stage.
 
 ``compare_steps`` and ``compare_havoc`` need nothing beyond the standard
 library and the engine, so they run without pytest:
@@ -37,11 +41,13 @@ from __future__ import annotations
 import base64
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
+from types import SimpleNamespace
 
 from frontierfuzz.coverage import CoverageMap
 from frontierfuzz.distance import observation_distance
 from frontierfuzz.mutation import (
-    _ARITH_MAX, _BATCH_STACK, _INTERESTING, _SEARCH_STACK, havoc_mutate,
+    _ARITH_MAX, _BATCH_STACK, _INTERESTING, _SEARCH_CHUNK, _SEARCH_STACK, Mutator, havoc_mutate,
 )
 from frontierfuzz.target import (
     ExecutionTrace, GuardKind, GuardNode, GuardProgram, Harness, Relation, program_from_dict,
@@ -104,6 +110,26 @@ def row_slope(outcome: bool, relation: Relation, f: int) -> int:
     the forward difference, which is +/-1 for every row at every integer."""
     row = _ROWS[outcome, relation]
     return row(f + 1) - row(f)
+
+
+def round_half_away(x) -> int:
+    """Round to nearest integer, halves away from zero."""
+    frac = Fraction(x)
+    n, d = frac.numerator, frac.denominator
+    if n >= 0:
+        return (2 * n + d) // (2 * d)
+    return -((-2 * n + d) // (2 * d))
+
+
+def fraction_newton_step(witness: bytes, d: int, g) -> bytes:
+    """The byte-space Newton step in ``Fraction`` arithmetic: each byte with
+    a nonzero slope below the witness's length becomes ``w - d / slope``,
+    rounded half away from zero and clamped to the byte range."""
+    out = bytearray(witness)
+    for j, slope in g.items():
+        if slope != 0 and j < len(out):
+            out[j] = max(0, min(255, round_half_away(witness[j] - Fraction(d) / slope)))
+    return bytes(out)
 
 
 def guard_feedback(node: GuardNode, data: bytes):
@@ -399,12 +425,40 @@ def havoc(seed, rng, stack_max, max_len=None):
     return bytes(buf)
 
 
+class _SearchDraws:
+    """An executor for ``Mutator.local_search`` that runs nothing and checks
+    each sample the search pulls against ``havoc(seed, twin,
+    _SEARCH_STACK)``: the same bytes and the same rng state.  The seed
+    reaches no site, so every search ends after its first chunk."""
+
+    def __init__(self, rng, twin):
+        self.rng, self.twin = rng, twin
+        self.coverage = SimpleNamespace(frontier=set())
+        self.seed, self.count = None, 0
+
+    def run(self, data):
+        self.seed = data  # a search runs its seed first
+        return SimpleNamespace(observations={})
+
+    def run_batch(self, inputs, ran):
+        for data in inputs:
+            if (data != havoc(self.seed, self.twin, _SEARCH_STACK)
+                    or self.rng.getstate() != self.twin.getstate()):
+                raise AssertionError(f"local search's havoc differs from its reference "
+                                     f"at length {len(self.seed)}")
+            self.count += 1
+        return ran
+
+
 def compare_havoc(lengths, calls: int, stream: int) -> int:
     """Check ``havoc_mutate`` against ``havoc``, ``calls`` times for each
     seed length, stack depth (1, 4, 16) and resize cap (none, the seed's
-    length, its length + 2, 64): each call must give the same bytes and
-    leave the same rng state.  ``stream`` seeds the seed bytes and the draws.
-    Raises AssertionError at the first difference; returns the call count."""
+    length, its length + 2, 64), and ``calls`` samples for each seed length
+    of local search's planned havoc loop against ``havoc`` at stack 4 with
+    no cap, over searches of one chunk each: each call and each sample must
+    give the same bytes and leave the same rng state.  ``stream`` seeds the
+    seed bytes and the draws.  Raises AssertionError at the first
+    difference; returns the count of calls and samples checked."""
     pick = random.Random(stream)
     fast, slow = random.Random(7 * stream), random.Random(7 * stream)
     count = 0
@@ -420,4 +474,12 @@ def compare_havoc(lengths, calls: int, stream: int) -> int:
                         raise AssertionError(f"havoc_mutate differs from its reference at "
                                              f"stack {stack_max}, cap {cap}, length {length}")
                     count += 1
+    for length in lengths:
+        draws = _SearchDraws(fast, slow)
+        while draws.count < calls:
+            # Sample size k + 1: the seed and k samples, in one chunk.  Local
+            # search reads no program.
+            k = min(calls - draws.count, _SEARCH_CHUNK - 1)
+            Mutator(None, k + 1).local_search(pick.randbytes(length), set(), draws, fast)
+        count += draws.count
     return count

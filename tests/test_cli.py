@@ -197,6 +197,16 @@ class TestRunSetupErrors:
         assert str(seeds / "huge") in message and "max_input_len" in message
         assert not ran
 
+    def test_target_document_too_large_to_load(self, tmp_path, monkeypatch):
+        # A 1 TiB sparse file: no buffer for it can be allocated.
+        ran = self.count_campaign_runs(monkeypatch)
+        target = tmp_path / "huge.json"
+        with open(target, "wb") as f:
+            f.truncate(2**40)
+        message = self.run_expecting_exit(tmp_path, "--target", str(target))
+        assert str(target) in message and "too large" in message
+        assert not ran
+
     def test_missing_seeds_directory(self, tmp_path):
         message = self.run_expecting_exit(
             tmp_path, "--target", "builtin:le15", "--seeds", str(tmp_path / "absent"))

@@ -29,12 +29,11 @@ from frontierfuzz.mutation import (
     _ROOTS,
     _clamp_byte,
     newton_step,
-    round_half_away,
 )
 from frontierfuzz.target import GuardKind, Harness, Relation, program_from_dict
 from reference import (
-    _ROWS, compare_havoc, distance_key, execute, guard_feedback, guard_ids, holds, row_slope,
-    word_width,
+    _ROWS, compare_havoc, distance_key, execute, fraction_newton_step, guard_feedback, guard_ids,
+    holds, round_half_away, row_slope, word_width,
 )
 from test_target import _BYTE_VALUES, _RELATION_TOKENS, _documents
 
@@ -167,11 +166,14 @@ class TestHavoc:
         # length a call can reach crosses the bound past which the word
         # grows from 30 to 31 bits.  A call whose insert grows the buffer
         # past the bound shows a width taken from the seed's length only if
-        # a swap follows, so these lengths take many calls each.
+        # a swap follows, so these lengths take many calls each.  At 255-258
+        # the largest length crosses 256, up to which havoc_mutate takes 30
+        # bits without computing the width.  Each length also checks as many
+        # samples of local search's planned loop (stack 4, no cap).
         lengths = list(range(1, 41)) + [300, 419, 600, 1_500, 2_500, 20_000, 40_000]
-        assert compare_havoc(lengths, 1, stream) == 3 * 4 * len(lengths)
-        bound = list(range(359, 365)) + list(range(413, 420))
-        assert compare_havoc(bound, 25, stream) == 3 * 4 * len(bound) * 25
+        assert compare_havoc(lengths, 1, stream) == (3 * 4 + 1) * len(lengths)
+        bound = list(range(255, 259)) + list(range(359, 365)) + list(range(413, 420))
+        assert compare_havoc(bound, 25, stream) == (3 * 4 + 1) * len(bound) * 25
 
     @pytest.mark.parametrize("resize", [False, True])
     def test_operator_mix(self, resize):
@@ -420,6 +422,35 @@ class TestNewtonStep:
         out = newton_step(bytes([5, 9, 9]), 4, {0: Fraction(-2)})
         assert out == bytes([7, 9, 9])
 
+    def test_matches_the_fraction_formula(self):
+        # Random witnesses, signed d, int and Fraction slopes of either sign
+        # or zero, and keys past the witness's end; exact halves inside the
+        # byte range and both clamps must come up.
+        rng = random.Random(5)
+        seen = collections.Counter()
+        for _ in range(4_000):
+            witness = rng.randbytes(rng.randint(1, 6))
+            d = rng.randint(-600, 600)
+            g = {}
+            for j in rng.sample(range(8), rng.randint(1, 4)):
+                p = rng.choice((0, rng.randint(-40, 40)))
+                g[j] = p if rng.random() < 0.3 else Fraction(p, rng.randint(1, 40))
+            if not any(g.values()):
+                with pytest.raises(ValueError, match="nonzero"):
+                    newton_step(witness, d, g)
+                continue
+            want = fraction_newton_step(witness, d, g)
+            assert newton_step(witness, d, g) == want
+            for j, slope in g.items():
+                if slope and j < len(witness):
+                    x = witness[j] - Fraction(d) / slope
+                    seen["half"] += x.denominator == 2 and 0 < x < 255
+                    seen["low"] += x < 0
+                    seen["high"] += x > 255
+                else:
+                    seen["zero" if j < len(witness) else "past"] += 1
+        assert all(seen[k] > 20 for k in ("half", "low", "high", "zero", "past")), seen
+
     @pytest.mark.parametrize(
         "value,expected",
         [(Fraction(5, 2), 3), (Fraction(-5, 2), -3), (Fraction(12, 5), 2),
@@ -660,10 +691,11 @@ class TestLocalSearchAgainstReference:
 
     def _scripted_search(self, monkeypatch, mutants):
         """Local search on ``TWO_SITES`` from seed (0, 10), sample size 1024,
-        with havoc replaced by the given mutants, then the seed forever."""
+        with its planned havoc loop replaced by the given mutants, then the
+        seed forever."""
         script = iter(mutants)
-        monkeypatch.setattr(mutation, "havoc_mutate",
-                            lambda seed, rng, stack_max: next(script, seed))
+        monkeypatch.setattr(mutation, "_havoc_loop",
+                            lambda seed, gb, stack_max, *plan: next(script, seed))
         program = program_from_dict(self.TWO_SITES)
         executor = make_executor(program, frontier={0, 1})
         records = Mutator(program, 1024).local_search(bytes([0, 10]), {0, 1}, executor,
@@ -692,7 +724,7 @@ class TestLocalSearchAgainstReference:
     def test_campaign_ending_mid_chunk_makes_only_the_mutants_it_runs(self, monkeypatch):
         # bug_chain at rng seed 0 covers its last edge with the 14th sample
         # of a stage's first chunk; the rest of that chunk is never made.
-        search, havoc = Mutator.local_search, mutation.havoc_mutate
+        search, havoc = Mutator.local_search, mutation._havoc_loop
         samples, made, ended = [], [], []
 
         def counting_search(self, seed, frontier, executor, rng):
@@ -710,7 +742,7 @@ class TestLocalSearchAgainstReference:
             return havoc(*args)
 
         monkeypatch.setattr(Mutator, "local_search", counting_search)
-        monkeypatch.setattr(mutation, "havoc_mutate", counting_havoc)
+        monkeypatch.setattr(mutation, "_havoc_loop", counting_havoc)
         program = builtin_targets.load("bug_chain")
         camp = Campaign(program, [bytes(8)], Mode.FOX, Budget(max_execs=100_000), rng_seed=0)
         camp.run()
