@@ -5,9 +5,9 @@ Two objects split the work:
 * ``_Executor`` owns the per-exec state: the harness, the coverage map and
   frontier, the per-branch clocks (``SchedulerState``), the corpus, the
   findings, and the flip, exec and time counters.  Every executed input,
-  whether from the seed phase, a havoc batch, local search, a root step or a
-  hot-byte probe, flows through its one ``run_batch`` loop, which hands back
-  each input it ran with its observation map when asked.
+  whether from the seed phase, a havoc batch, local search or a root step,
+  flows through its one ``run_batch`` loop, which hands back each input it
+  ran with its observation map when asked.
 * ``Campaign`` owns the control loop and the log: the mode, the budget, the
   rng, the mutator, the round-robin and calibration cursors into the corpus,
   and the append-only campaign log.  Its ``coverage``, ``corpus``,

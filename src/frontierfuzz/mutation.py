@@ -1,5 +1,5 @@
 """Distance-guided mutation: bounded havoc sampling, subgradient estimation,
-root-finding steps, and string hot-byte inference.
+and root-finding steps at operands located with no exec.
 
 A mutation stage samples the seed's neighborhood with a short stack of havoc
 operators, until a chunk of samples improves no estimate or every live branch
@@ -15,10 +15,10 @@ Every distance is the order key a guard's step stored in the observation map
 and string guards the step has a closed form: it lands on the comparison's
 constant plus the operand difference nearest 0 at which the witness's
 relation no longer gives its outcome (``_ROOTS``), and coverage gives the
-outcome.  An integer operand is written back with the declared endianness;
-for string comparisons the compared window is located first by single-byte
-probing (hot-byte inference), which reads a probe's flip off the
-executor's frontier, and each window byte is solved alone.
+outcome.  The operand's place in the input is found as input-to-state
+correspondence finds it, not read off the guard: ``infer_hot_bytes`` places
+it at each window around a changed byte whose contents give the witness's
+key.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 
 from .distance import observation_distance
-from .target import GuardKind, GuardNode, GuardProgram, Relation
+from .target import _FORMULAS, GuardKind, GuardNode, GuardProgram, Relation
 
 __all__ = [
     "SubgradientRecord",
@@ -282,46 +283,76 @@ def newton_step(witness: bytes, d: int, g: dict[int, Fraction]) -> bytes:
     return bytes(out)
 
 
-def infer_hot_bytes(seed: bytes, mutant: bytes, site: int, executor) -> tuple[int, ...]:
-    """Locate the input window feeding a string comparison.
+# Each distance row of ``target._FORMULAS`` as (a, b, folded), read off its
+# values at f = -1, 0 and 1: the row is a + b * f, or a + b * abs(f) where
+# folded.  b is +/-1, so a row value v inverts to f, or abs(f), = (v - a) * b.
+_LINES = {key: (at0, at1 - at0, below == at1) for key, formula in _FORMULAS.items()
+          for below, at0, at1 in [[eval(formula, {"f": f}) for f in (-1, 0, 1)]]}
 
-    Replays the seed, then the seed with each differing mutant byte applied
-    in isolation; the first probe that changes exactly one component of the
-    site's distance key pins one hot byte, and the rest of the window
-    follows from that component's index plus the compared length (string
-    windows are contiguous).  The site must be on the executor's
-    ``coverage.frontier`` after the seed's run, and a probe flips it exactly
-    when its run takes it off: a flip switches the distance row, so its
-    changed components say nothing about where the probed byte landed, and
-    probing ends there.  Returns the window's input offsets, one per
-    compared position, or ``()`` when no probe pins one.  The inputs must
+
+def infer_hot_bytes(node: GuardNode, outcome: bool, seed: bytes, witness: bytes, key,
+                    max_input_len: int) -> list[tuple[int, ...]]:
+    """Place a string or integer guard's operand in the witness, with no exec.
+
+    A placement is the input offsets of the operand's bytes, in compare order
+    for a string and least significant byte first for an integer.  Returns,
+    by start and little-endian first, each one that covers a byte the witness
+    changed from the seed, ends at or below ``max_input_len``, and gives the
+    witness's ``key`` under the row of ``outcome`` on the zero-extended
+    witness; the guard's offset and byte order are not read.  The row is
+    inverted once, to the operand difference (per byte for a string) or its
+    magnitude, which each window is then checked against.  The inputs must
     have the same length.
     """
-    if len(seed) != len(mutant):
-        raise ValueError("hot-byte inference requires equal-length inputs")
-    base_key = executor.run(seed).observations.get(site)
-    frontier = executor.coverage.frontier
-    if base_key.__class__ is not tuple or site not in frontier:
-        return ()  # missed, not a string site, or already covered
-    differing = [j for j, (a, b) in enumerate(zip(seed, mutant)) if a != b]
-    for pos in differing:
-        probe = seed[:pos] + mutant[pos:pos + 1] + seed[pos + 1:]
-        key = executor.run(probe).observations.get(site)
-        if site not in frontier:
-            return ()  # the probe flipped the branch
-        if key.__class__ is not tuple:
-            continue
-        # The changed comparison index tells us where in the window this
-        # input byte landed; a vector key is (L1, values), one per position.
-        changed = [j for j, (a, b) in enumerate(zip(base_key[1], key[1])) if a != b]
-        if len(changed) == 1:
-            start = pos - changed[0]
-            return tuple(range(start, start + len(key[1])))
-    return ()
+    if len(seed) != len(witness):
+        raise ValueError("operand location requires equal-length inputs")
+    a, b, folded = _LINES[outcome, node.relation]
+    size, signed, const, string = node.size, node.signed, node.constant, node.kind is GuardKind.STR
+    fold = abs if folded else operator.pos
+    if string:
+        # The key's tail past the window is the padding's at every start.
+        const, want = const[:size].ljust(size, b"\0"), [(v - a) * b for v in key[1][:size]]
+    else:
+        want = (key - a) * b
+    data = witness + bytes(size - 1)  # zero-extended, as the walk reads it
+    placements, first = [], 0  # the first start not yet tried
+    for j in compress(count(), map(operator.ne, seed, witness)):  # each changed byte
+        for s in range(max(first, j - size + 1), min(j, max_input_len - size) + 1):
+            window = data[s:s + size]
+            if string:
+                if all(map(operator.eq, map(fold, map(operator.sub, window, const)), want)):
+                    placements.append(tuple(range(s, s + size)))
+                continue
+            if fold(int.from_bytes(window, "little", signed=signed) - const) == want:
+                placements.append(tuple(range(s, s + size)))
+            if size > 1 and fold(int.from_bytes(window, "big", signed=signed) - const) == want:
+                placements.append(tuple(range(s + size - 1, s - 1, -1)))
+        first = j + 1
+    return placements
+
+
+def _solve(node: GuardNode, witness: bytes, offsets, root: int) -> bytes:
+    """The witness with the operand at the placement ``offsets`` solved: its
+    difference from the constant (per byte for a string) becomes ``root``,
+    clamped to the operand's range.  Byte-space slopes diverge on multi-byte
+    operands (a carry moves the distance by thousands) and absolute-value
+    rows kink at the root, so the step is taken on the operand instead."""
+    size = node.size
+    if node.kind is GuardKind.STR:
+        solved = bytes(_clamp_byte(c + root) for c in node.constant[:size].ljust(size, b"\0"))
+    else:
+        bits = 8 * size
+        low = -(1 << (bits - 1)) if node.signed else 0
+        operand = max(low, min(low + (1 << bits) - 1, node.constant + root))
+        solved = (operand & ((1 << bits) - 1)).to_bytes(size, "little")
+    buf = bytearray(witness.ljust(max(offsets) + 1, b"\0"))
+    for offset, byte in zip(offsets, solved):
+        buf[offset] = byte
+    return bytes(buf)
 
 
 class Mutator:
-    """Stage driver: local search, then one root-finding input per branch.
+    """Stage driver: local search, then root-finding inputs per branch.
 
     ``sample_size`` is the mutator's one setting, an int >= 2: the most
     samples local search takes per stage, the seed included.  Local search
@@ -354,22 +385,19 @@ class Mutator:
         comes up (a run that ends mid-chunk makes none past its last exec,
         bar the one ``run_batch`` takes before it finds the budget spent) and
         handed back by ``run_batch`` with its map.  They run in chunks of
-        ``_SEARCH_CHUNK`` (32) samples, the first chunk holding the seed, and
+        ``_SEARCH_CHUNK`` (32) samples, the first holding the seed, and
         sampling stops at ``sample_size`` samples or after the first chunk at
         whose end either no sample of the chunk raised the best norm of a
         site still on the frontier, or every site with a baseline that is
-        still on the frontier has a record (the operand and string solvers
-        need only one: their step lands where the comparison flips, whatever
-        the witness).  A sample's slope norm at a site is
-        |Δd| · Σ_j 1/|Δbyte_j|; the sum depends only on the sample, so it is
-        taken once, as an integer in units of 1/L (``_INV``), and records are
-        compared by norm times L.  Δd comes from the observations'
-        scalarized distance keys.  Only a frontier site the seed reached has a baseline,
-        and only a sample that moves its scalarized key has a nonzero norm;
-        the sum is taken at a sample's first such site.  A site's best norm
-        starts at 0, and its record is the first sample that reached its
-        best, with ``g`` built once, for that sample: a site no sample moved
-        has no record, since no root step could use one.
+        still on the frontier has a record (a root step needs only one: it
+        lands where the comparison flips, whatever the witness).  A sample's
+        slope norm at a site is |Δd| · Σ_j 1/|Δbyte_j|, with Δd from the
+        scalarized keys; the sum depends only on the sample, so it is taken
+        once, at the sample's first site with a baseline whose scalarized
+        key it moves, as an integer in units of 1/L (``_INV``), and records
+        are compared by norm times L.  A site's best norm starts at 0, and
+        its record is the first sample that reached its best, with ``g``
+        built once, for that sample: a site no sample moved has no record.
         """
         seed_keys = {site: key for site, key in executor.run(seed).observations.items()
                      if site in frontier}
@@ -411,66 +439,32 @@ class Mutator:
                 for site, (data, key) in best.items()}
 
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
-        """One full stage: sample, estimate slopes, and fire one targeted
-        input per frontier branch that has a record and no earlier exec of the
-        stage flipped.  A string or integer guard's own solver goes first; the
-        byte-space Newton step takes any record it gives no candidate for.
-        A branch still on the frontier has exactly one edge covered, the one
-        its witness took, so coverage gives the witness's outcome."""
+        """One full stage: sample, estimate slopes, and fire targeted inputs
+        for each frontier branch, in site order, while it stays on the
+        frontier.  A string or integer guard's record fires one ``_solve``
+        candidate per placement of its operand, in ``infer_hot_bytes``'s
+        order; a record with no placement, an xor guard's always, takes the
+        byte-space Newton step.  A branch still on the frontier has exactly
+        one edge covered, its witness's, so coverage gives the outcome."""
         records = self.local_search(seed, frontier, executor, rng)
-        coverage = executor.coverage
+        coverage, program = executor.coverage, self.program
         for site, rec in sorted(records.items()):
             if site not in coverage.frontier:
                 continue
-            node = self.program.nodes[site]
-            root = _ROOTS[2 * site in coverage.edge_hits, node.relation]
-            candidate: bytes | None = None
-            if node.kind is GuardKind.STR:
-                offsets = infer_hot_bytes(seed, rec.witness, site, executor)
-                candidate = self._solve_string(node, rec.witness, offsets, root)
-            elif node.kind is GuardKind.INT:
-                candidate = self._solve_operand(node, rec.witness, root)
-            if candidate is None:
-                # An xor record aims at its row's value at the root, -2 on the
-                # rows f - 1 and 0 on the rest; a string's L1 norm aims at 0.
+            node = program.nodes[site]
+            outcome = 2 * site in coverage.edge_hits
+            root = _ROOTS[outcome, node.relation]
+            placements = () if node.kind is GuardKind.XOR else infer_hot_bytes(
+                node, outcome, seed, rec.witness, rec.witness_key, program.max_input_len)
+            candidates = (_solve(node, rec.witness, offsets, root) for offsets in placements)
+            if not placements:
+                # The step aims at the row's value at the root: -2 on an xor
+                # guard's rows f - 1, else 0 (a string's L1 norm too).
                 aim = -2 if node.kind is GuardKind.XOR and root == -1 else 0
                 d = observation_distance(rec.witness_key) - aim
-                candidate = newton_step(rec.witness, d, rec.g)
-            if candidate != rec.witness:
-                executor.run(candidate)
-
-    def _solve_string(self, node: GuardNode, witness: bytes, offsets,
-                      root: int) -> bytes | None:
-        """Per-byte root solving over the hot window ``offsets`` (contiguous,
-        from ``infer_hot_bytes``): each window byte below ``max_input_len``
-        becomes the constant's byte there plus ``root``, clamped to the byte
-        range.  None when no window byte is below ``max_input_len``."""
-        offsets = [o for o in offsets[:node.size] if o < self.program.max_input_len]
-        if not offsets:
-            return None
-        buf = bytearray(witness.ljust(offsets[-1] + 1, b"\0"))
-        for offset, c in zip(offsets, node.constant.ljust(node.size, b"\0")):
-            buf[offset] = _clamp_byte(c + root)
-        return bytes(buf)
-
-    def _solve_operand(self, node: GuardNode, witness: bytes, root: int) -> bytes:
-        """Root solving in operand space for integer guards.
-
-        Byte-space slopes diverge on multi-byte operands (a carry into a high
-        byte moves the distance by thousands) and absolute-value distance
-        rows kink at the root, so the step is taken on the operand instead.
-        An integer guard's difference is ``f = operand - constant``, so the
-        step lands on the operand ``constant + root``, whatever the witness's
-        operand: ``root`` is the difference where the comparison flips.  The
-        solved operand is clamped to the operand's range and written over
-        the witness's with the declared endianness.
-        """
-        bits = 8 * node.size
-        half = 1 << (bits - 1)
-        lo, hi = (-half, half - 1) if node.signed else (0, 2 * half - 1)
-        solved = max(lo, min(hi, node.constant + root))
-        end = node.offset + node.size
-        buf = bytearray(witness.ljust(end, b"\0"))
-        order = "little" if node.endian == "le" else "big"
-        buf[node.offset:end] = (solved & ((1 << bits) - 1)).to_bytes(node.size, order)
-        return bytes(buf)
+                candidates = (newton_step(rec.witness, d, rec.g),)
+            for candidate in candidates:
+                if site not in coverage.frontier:
+                    break
+                if candidate != rec.witness:
+                    executor.run(candidate)

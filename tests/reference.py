@@ -24,16 +24,21 @@ the two.
   keeps it incrementally.
 * ``convexity_probe`` and ``ConvexityStats`` check a branch's distance for
   midpoint convexity over an input pair on a real harness.
+* ``locate`` places a string or integer guard's operand in a witness by
+  brute force, at every start and in both byte orders through
+  ``guard_feedback`` and ``distance_key``; ``compare_locator`` checks
+  ``infer_hot_bytes`` against it.
 * ``havoc`` restates ``havoc_mutate``'s draw contract one field at a time,
   with ``word_width`` giving the width of each operator's word, and
   ``compare_havoc`` checks the two against each other, and against the
   havoc loop that ``Mutator.local_search`` plans once per stage.
 
-``compare_steps`` and ``compare_havoc`` need nothing beyond the standard
-library and the engine, so they run without pytest:
+``compare_steps``, ``compare_locator`` and ``compare_havoc`` need nothing
+beyond the standard library and the engine, so they run without pytest:
 
     PYTHONPATH=src:tests python -c "import reference; reference.compare_havoc([600], 5, 1)"
     PYTHONPATH=src:tests python -c "import reference; reference.compare_steps()"
+    PYTHONPATH=src:tests python -c "import reference; reference.compare_locator(2000, 1)"
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from frontierfuzz.coverage import CoverageMap
 from frontierfuzz.distance import observation_distance
 from frontierfuzz.mutation import (
     _ARITH_MAX, _BATCH_STACK, _INTERESTING, _SEARCH_CHUNK, _SEARCH_STACK, Mutator, havoc_mutate,
+    infer_hot_bytes,
 )
 from frontierfuzz.target import (
     ExecutionTrace, GuardKind, GuardNode, GuardProgram, Harness, Relation, program_from_dict,
@@ -258,6 +264,115 @@ def compare_steps() -> int:
                for rel in Relation for outcome in (False, True)} - seen
     if missing:
         raise AssertionError(f"no case reached {len(missing)} (kind, relation, outcome) triples")
+    return count
+
+
+def locate(node: GuardNode, outcome: bool, seed: bytes, witness: bytes, key,
+           max_input_len: int) -> list[tuple[int, ...]]:
+    """Every placement of guard ``node``'s operand in ``witness``, by brute
+    force: each start whose window ends at or below ``max_input_len`` and
+    holds a byte the witness changed from the seed, in each byte order for
+    an integer, is tried by moving the guard there (``node._replace``) and
+    reading its feedback off the witness; it places the operand when the
+    (outcome, relation) row gives ``key`` there.  A placement lists the
+    window's offsets in compare order, least significant byte first for an
+    integer; by start, the little-endian one first."""
+    changed = {j for j, (a, b) in enumerate(zip(seed, witness)) if a != b}
+    endians = ("le", "be") if node.kind is GuardKind.INT else ("le",)
+    placements = []
+    for start in range(max_input_len - node.size + 1):
+        offsets = tuple(range(start, start + node.size))
+        if changed.isdisjoint(offsets):
+            continue
+        for endian in endians:
+            moved = node._replace(offset=start, endian=endian)
+            placement = offsets if endian == "le" else offsets[::-1]
+            if (distance_key(outcome, node.relation, guard_feedback(moved, witness)[1]) == key
+                    and placement not in placements):
+                placements.append(placement)
+    return placements
+
+
+def _locator_case(pick: random.Random):
+    """One ``compare_locator`` case: a string or integer guard, a seed and a
+    witness of the same length, and the guard's outcome and key on the
+    witness.  Bytes come from a small alphabet and the operand's encoding is
+    copied around the witness, so that placements besides the guard's own
+    come up."""
+    max_input_len = pick.randint(1, 20)
+    if pick.random() < 0.5:
+        width = pick.choice([w for w in (1, 2, 4, 8) if w <= max_input_len])
+        signed = pick.random() < 0.5
+        bits = 8 * width
+        lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if signed else (0, (1 << bits) - 1)
+        const = pick.choice([lo, lo + 1, 0, 1, hi - 1, hi, pick.randint(lo, hi)])
+        endian = pick.choice(["le", "be"])
+        value = min(hi, max(lo, const + pick.randint(-2, 2)))
+        order = "little" if endian == "le" else "big"
+        operand = value.to_bytes(width, order, signed=signed)
+        twin = value.to_bytes(width, "big" if endian == "le" else "little", signed=signed)
+        node = GuardNode(0, GuardKind.INT, 0, width, endian, signed, None, const, None, None)
+    else:
+        width = pick.randint(1, min(4, max_input_len))
+        const = bytes(pick.choice(b"\x00\x01AZ\xff") for _ in range(pick.randint(1, width + 2)))
+        base = const.ljust(width, b"\0")[:width]
+        operand = bytes(min(255, max(0, c + pick.randint(-1, 1))) for c in base)
+        twin = base
+        node = GuardNode(0, GuardKind.STR, 0, width, "le", False, None, const, None, None)
+    node = node._replace(offset=pick.randint(0, max_input_len - width),
+                         relation=pick.choice(list(Relation)))
+    length = pick.randint(1, max_input_len)
+    alphabet = bytes({0, 1, 0x7F, 0x80, 0xFF, *operand})
+    seed = bytes(pick.choice(alphabet) for _ in range(length))
+    witness = bytearray(seed.ljust(max_input_len, b"\0"))
+    for chunk in (operand, twin):  # copies elsewhere, which may place the operand too
+        start = pick.randint(0, max_input_len - width)
+        witness[start:start + width] = chunk
+    witness[node.offset:node.offset + width] = operand
+    for _ in range(pick.randint(0, 3)):
+        witness[pick.randrange(max_input_len)] = pick.choice(alphabet)
+    if pick.random() < 0.3:
+        witness[length - 1] ^= pick.randint(1, 255)
+    witness = bytes(witness[:length])
+    outcome, feedback = guard_feedback(node, witness)
+    key = distance_key(outcome, node.relation, feedback)
+    return node, outcome, seed, witness, key, max_input_len
+
+
+def compare_locator(cases: int, stream: int) -> int:
+    """Check ``infer_hot_bytes`` against ``locate`` on ``cases`` drawn guards
+    and witnesses (``stream`` seeds the draws): the same placements in the
+    same order.  Every (kind, relation, outcome) must come up, as must each
+    integer width, signed operands, both byte orders, string constants
+    shorter and longer than their window, witnesses that change their last
+    byte, and cases with more than one placement.  Raises AssertionError at
+    the first difference; returns the number of placements compared."""
+    pick = random.Random(stream)
+    seen = set()
+    count = 0
+    for _ in range(cases):
+        node, outcome, seed, witness, key, max_input_len = _locator_case(pick)
+        got = infer_hot_bytes(node, outcome, seed, witness, key, max_input_len)
+        want = locate(node, outcome, seed, witness, key, max_input_len)
+        if got != want:
+            raise AssertionError(f"the locator gives {got}, its reference {want}, for a "
+                                 f"{node.kind.value} guard of size {node.size} under "
+                                 f"{node.relation.value} on witness {witness.hex()} "
+                                 f"(seed {seed.hex()})")
+        count += len(want)
+        seen.add((node.kind, node.relation, outcome))
+        if node.kind is GuardKind.INT:
+            seen |= {("width", node.size), ("signed", node.signed), ("endian", node.endian)}
+        else:
+            longer = len(node.constant) - node.size
+            seen.add(("constant", (longer > 0) - (longer < 0)))
+        seen |= {("last byte", seed[-1] != witness[-1]), ("several", len(want) > 1)}
+    wanted = ({(kind, rel, outcome) for kind in (GuardKind.INT, GuardKind.STR)
+               for rel in Relation for outcome in (False, True)}
+              | {("width", w) for w in (1, 2, 4, 8)} | {("signed", True), ("endian", "be")}
+              | {("constant", -1), ("constant", 1), ("last byte", True), ("several", True)})
+    if not wanted <= seen:
+        raise AssertionError(f"no case reached {sorted(map(str, wanted - seen))}")
     return count
 
 

@@ -271,8 +271,10 @@ def test_criterion_8_hot_byte_inference(verdict):
         record = records.get(0)
         if record is None or record.witness == seed:
             continue
-        hot = infer_hot_bytes(seed, record.witness, 0, executor)
-        hits += hot == expected
+        outcome = 0 in executor.coverage.edge_hits
+        placements = infer_hot_bytes(program.nodes[0], outcome, seed, record.witness,
+                                     record.witness_key, program.max_input_len)
+        hits += placements == [expected]
     verdict(8, f"inferred hot-byte window matches the compared window in {hits}/10 seeds",
              hits >= 9)
 

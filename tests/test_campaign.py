@@ -479,7 +479,8 @@ def _assert_run_end_invariants(program, campaign):
 
 class TestInvariantsOnGeneratedPrograms:
     """Short campaigns in every mode on generated programs, where fox runs
-    the operand, hot-byte and byte-space solvers on guards of any kind."""
+    the locator, the operand solver and the byte-space Newton step on
+    guards of any kind."""
 
     @settings(max_examples=60, deadline=None)
     @given(_documents(), st.data())
@@ -796,21 +797,21 @@ GOLDEN_SHA256 = {
                           "2d64be8bfe462b98f9b7b5ab876e2dba7a599d8c91a5ba3208bf703e0b5d9ec1"),
     ("chain6", "base"): ("4262775b518f6f7561e38d74536a4fafd6028438cea24eb51b7006f9ed86078b",
                          "5771e04e083257a615172769fb327acfb37d505a760d960716036bb482838517"),
-    ("magic_str8", "fox"): ("f06c6c878212d76f0cf1ec40acc390e6933005c201ecbe0520368bd058f844d1",
-                            "17a0246cce25d15eba36e3480574c15aeee03eb9a95ce9c2a0ec018239f1448a"),
+    ("magic_str8", "fox"): ("98b8b8192c9c3d83f27768db81cf4ab4fb335bf6dcfb3c7a1ca0a0755d75244e",
+                            "4a904046201f4d8d816fd43c308bbcb0282e6dd25e038e4f344891994ab5d914"),
     ("magic_str8", "sched"): ("91ce4333c69fce110885648db838582a5320ab58d1e39ad30ebe473fed7266d0",
                               "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf"),
     ("magic_str8", "base"): ("7591416d2f5bfa219eb0d62bdd33349a8f2bff884d35a2dbfd63fa3600a2d206",
                              "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf"),
-    # Fox on the big-endian operand solver, the xor Newton path and a mixed
+    # Fox on a big-endian operand, the xor Newton path and a mixed
     # tree.  magic32_be finishes in one stage, at its root candidate;
     # xor_guard in its second, at a local-search sample mid-chunk.
     ("magic32_be", "fox"): ("98b8b8192c9c3d83f27768db81cf4ab4fb335bf6dcfb3c7a1ca0a0755d75244e",
                             "fcfd8417cf90fb49d7600c1f30ee7b001689cd745ea75fda60dcd1e0acd02163"),
     ("xor_guard", "fox"): ("87197409cd212776e415037e0f5004cca503a4686ea5ba8ad2f955ee60589cc0",
                            "3afe913b0051a980f9d1a37a8762c05df65e2ab771cbf92a1d1f2bcdc2218c24"),
-    ("mixed_tree", "fox"): ("49ec3808735207477f183277e0332ef744ad89429178a470de2f3137b822ad20",
-                            "e326e8caf92beb343e7c1d7bebb63bcf4ffc2d027fd479617afe40ebf9b1de09"),
+    ("mixed_tree", "fox"): ("4eca71cdcffbd6630e909fdbdf9cd0c01ef4dc9876a9a7177fc57c9f4a1b3325",
+                            "bc427e0d9133c1e855f420d04e94c6cdaacf0eefc41b70819bbf70a99ad1381c"),
     # Sched on a tree where havoc batches switch off sites mid-batch.
     ("mixed_tree", "sched"): ("ccd141908c63819e3924db350a7707283a88d283b2fe5686dd18efd5f658a4a4",
                               "485ad67bcd63e950522d8a67c4e87e885230e5f2661930d67fd9bf2661647567"),

@@ -28,12 +28,13 @@ from frontierfuzz.mutation import (
     infer_hot_bytes,
     _ROOTS,
     _clamp_byte,
+    _solve,
     newton_step,
 )
-from frontierfuzz.target import GuardKind, Harness, Relation, program_from_dict
+from frontierfuzz.target import GuardKind, GuardProgram, Harness, Relation, program_from_dict
 from reference import (
-    _ROWS, compare_havoc, distance_key, execute, fraction_newton_step, guard_feedback, guard_ids,
-    holds, round_half_away, row_slope, word_width,
+    _ROWS, compare_havoc, compare_locator, distance_key, execute, fraction_newton_step,
+    guard_feedback, guard_ids, holds, locate, round_half_away, row_slope, word_width,
 )
 from test_target import _BYTE_VALUES, _RELATION_TOKENS, _documents
 
@@ -752,17 +753,17 @@ class TestLocalSearchAgainstReference:
         assert len(made) == sum(samples)
 
 
-def _reference_solve_operand(self, seed, site, rec):
-    """``Mutator._solve_operand`` as it was when it decoded the operand a
-    second time: both operands read with ``int.from_bytes`` on a zero-padded
-    slice, an operand-to-difference linkage sampled between them, and an
-    exact ``Fraction`` Newton step to the row's zero; the differences and
-    the outcome come from ``guard_feedback``.  On the two rows ``f - 1``,
-    whose zero the witness's outcome still holds at, the step then descends
-    the row until the comparison flips.  Called with the mutator as
-    ``self``; kept as the oracle for the solver that takes the operand from
-    the difference."""
-    node = self.program.nodes[site]
+def _reference_solve_operand(node, seed, rec):
+    """The operand solver as it was when it decoded the operand a second
+    time: both operands read with ``int.from_bytes`` on a zero-padded slice,
+    an operand-to-difference linkage sampled between them, and an exact
+    ``Fraction`` Newton step to the row's zero; the differences and the
+    outcome come from ``guard_feedback``.  On the two rows ``f - 1``, whose
+    zero the witness's outcome still holds at, the step then descends the
+    row until the comparison flips.  The operand is read and written at
+    ``node``'s offset in its byte order; kept as the oracle for the solver
+    that takes the operand from the difference and writes it at a
+    placement."""
     order = "little" if node.endian == "le" else "big"
 
     def read_operand(data):
@@ -797,6 +798,13 @@ def _reference_solve_operand(self, seed, site, rec):
         buf.extend(b"\0" * (end - len(buf)))
     buf[node.offset:end] = (solved & ((1 << bits) - 1)).to_bytes(node.size, order)
     return bytes(buf)
+
+
+def _placement(node):
+    """Guard ``node``'s own placement: its window's offsets in compare
+    order, least significant byte first for an integer."""
+    offsets = tuple(range(node.offset, node.offset + node.size))
+    return offsets[::-1] if node.endian == "be" else offsets
 
 
 @st.composite
@@ -843,11 +851,11 @@ class TestOperandSolverAgainstReference:
         assume(d_witness != d_seed)  # a record needs a nonzero norm
         rec = SubgradientRecord(compute_subgradient(seed, witness, d_seed, d_witness),
                                 witness, witness_key)
-        mutator = Mutator(program, 1024)
-        want = _reference_solve_operand(mutator, seed, 0, rec)
+        node = program.nodes[0]
+        want = _reference_solve_operand(node, seed, rec)
         # The witness's outcome is the edge it took: edge 0 is the taken one.
-        root = _ROOTS[0 in trace.edges, program.nodes[0].relation]
-        assert mutator._solve_operand(program.nodes[0], witness, root) == want
+        root = _ROOTS[0 in trace.edges, node.relation]
+        assert _solve(node, witness, _placement(node), root) == want
 
 
 def test_roots_are_the_newton_step_from_every_consistent_difference():
@@ -889,8 +897,7 @@ class TestRootsFlipTheirBranch:
         witness = (5000).to_bytes(2, "little")
         assert harness.execute(witness).edges == ((0,) if outcome else (1,))
         node = program.nodes[0]
-        candidate = Mutator(program, 64)._solve_operand(node, witness,
-                                                        _ROOTS[outcome, node.relation])
+        candidate = _solve(node, witness, (0, 1), _ROOTS[outcome, node.relation])
         assert int.from_bytes(candidate, "little") == 999
         assert harness.execute(candidate).edges == ((1,) if outcome else (0,))
 
@@ -900,8 +907,7 @@ class TestRootsFlipTheirBranch:
         harness = Harness(program, synthetic_time=True)
         witness = bytes(4) + window + bytes(4)
         assert harness.execute(witness).edges == (1,)
-        candidate = Mutator(program, 64)._solve_string(
-            program.nodes[0], witness, (4, 5, 6, 7), _ROOTS[False, Relation.LT])
+        candidate = _solve(program.nodes[0], witness, (4, 5, 6, 7), _ROOTS[False, Relation.LT])
         assert candidate[4:8] < b"MMMM"
         assert harness.execute(candidate).edges == (0,)
 
@@ -944,35 +950,8 @@ class TestRootsFlipTheirBranch:
         half = 1 << (8 * node.size - 1)
         lo, hi = (-half, half - 1) if node.signed else (0, 2 * half - 1)
         assume(lo <= node.constant + root <= hi)
-        candidate = Mutator(program, 64)._solve_operand(node, witness, root)
+        candidate = _solve(node, witness, _placement(node), root)
         assert harness.execute(candidate).edges == (1 - edge,)
-
-
-def _reference_infer_hot_bytes(seed, mutant, site, executor):
-    """``infer_hot_bytes`` as it was when it decided a probe's flip itself:
-    the guard's outcome from ``guard_feedback`` on the seed and on each
-    probe, with no look at the executor's frontier.  Kept as the oracle for
-    the version that reads the flip off the frontier."""
-    if len(seed) != len(mutant):
-        raise ValueError("hot-byte inference requires equal-length inputs")
-    base_key = executor.run(seed).observations.get(site)
-    if base_key.__class__ is not tuple:  # missed, or not a string site
-        return ()
-    node = executor.harness.program.nodes[site]
-    outcome = guard_feedback(node, seed)[0]
-    differing = [j for j, (a, b) in enumerate(zip(seed, mutant)) if a != b]
-    for pos in differing:
-        probe = seed[:pos] + mutant[pos:pos + 1] + seed[pos + 1:]
-        key = executor.run(probe).observations.get(site)
-        if key.__class__ is not tuple:
-            continue
-        if guard_feedback(node, probe)[0] != outcome:
-            return ()  # the probe flipped the branch
-        changed = [j for j, (a, b) in enumerate(zip(base_key[1], key[1])) if a != b]
-        if len(changed) == 1:
-            start = pos - changed[0]
-            return tuple(range(start, start + len(key[1])))
-    return ()
 
 
 def _flip_root(outcome, relation, f):
@@ -988,75 +967,66 @@ def _flip_root(outcome, relation, f):
 class _ParentMutator(Mutator):
     """The mutator as it was when local search kept a record for every
     frontier site a sample reached, and the root solvers gated each record
-    on the seed's key and feedback: its ``mutate_stage`` and
-    ``_solve_string`` are kept verbatim, except that ``_solve_string`` writes
-    no window byte at or past ``max_input_len`` and solves every other one
-    (as ``Mutator._solve_string`` does), stepping on past a row's zero that
-    does not flip the byte's comparison (as ``_reference_solve_operand``
-    does), and that ``mutate_stage`` builds no candidate for a site that left
-    the live frontier earlier in the stage and aims an xor record's Newton
-    step at its row's value at ``_flip_root`` (as ``Mutator.mutate_stage``
-    does).  Its local search is ``_reference_local_search``, its operand
-    solver ``_reference_solve_operand`` behind the seed-key gate, and its
-    hot-byte rule ``_reference_infer_hot_bytes``.  Kept as the oracle for
-    the stage that keeps only the records a root step can fire from."""
+    on the seed's key and feedback, with two changes: its operand is placed
+    by the brute-force ``locate`` rather than read off the guard, and a
+    record fires one candidate per placement, in ``locate``'s order, until
+    its site leaves the live frontier (as ``Mutator.mutate_stage`` does).
+    ``_solve_string`` takes each window byte's Newton step to its row's zero
+    and, where its comparison still gives the witness's outcome there,
+    descends the row until it flips (as ``_reference_solve_operand`` does),
+    and ``mutate_stage`` aims an xor record's Newton step at its row's value
+    at ``_flip_root``.  Its local search is ``_reference_local_search`` and
+    its operand solver ``_reference_solve_operand`` at the placement; both
+    solvers sit behind the seed-key gate.  Kept as the oracle for the stage
+    that keeps only the records a root step can fire from and places
+    operands with no exec."""
 
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
-        """One full stage: sample, estimate slopes, and fire one targeted
-        input per frontier branch that yielded a usable estimate and is still
-        on the live frontier."""
+        """One full stage: sample, estimate slopes, and fire the targeted
+        inputs of each frontier branch that yielded a usable estimate while
+        it is still on the live frontier."""
         records = _reference_local_search(self, seed, frontier, executor, rng)
         for site in sorted(records):
             if site not in executor.coverage.frontier:
                 continue
             rec = records[site]
             node = self.program.nodes[site]
-            candidate: bytes | None = None
-            if node.kind is GuardKind.STR:
-                candidate = self._solve_string(seed, site, rec, executor)
-            elif node.kind is GuardKind.INT:
-                candidate = self._solve_operand(seed, site, rec)
-            if candidate is None and rec.g:
+            outcome, f = guard_feedback(node, rec.witness)
+            candidates = []
+            if node.kind is not GuardKind.XOR and rec.seed_key is not None:
+                for offsets in locate(node, outcome, seed, rec.witness, rec.witness_key,
+                                      self.program.max_input_len):
+                    if node.kind is GuardKind.STR:
+                        candidates.append(self._solve_string(node, outcome, rec, offsets))
+                    else:
+                        candidates.append(self._solve_operand(node, seed, rec, offsets))
+            if not candidates and rec.g:
                 d = observation_distance(rec.witness_key)
                 if node.kind is GuardKind.XOR:
-                    outcome, f = guard_feedback(node, rec.witness)
                     d -= _ROWS[outcome, node.relation](_flip_root(outcome, node.relation, f))
-                candidate = newton_step(rec.witness, d, rec.g)
-            if candidate is None or candidate == rec.witness:
-                continue
-            executor.run(candidate)
+                candidates.append(newton_step(rec.witness, d, rec.g))
+            for candidate in candidates:
+                if site not in executor.coverage.frontier:
+                    break
+                if candidate != rec.witness:
+                    executor.run(candidate)
 
-    def _solve_string(self, seed: bytes, site: int, rec: _SeedKeyedRecord,
-                      executor) -> bytes | None:
-        """Per-byte root solving over the inferred hot window: each byte
-        takes the Newton step to its row's zero and, where its comparison
-        still gives the witness's outcome there, descends the row until it
-        flips.  None when no window byte is below ``max_input_len``."""
-        if rec.seed_key is None or rec.witness_key == rec.seed_key:
-            return None
-        offsets = _reference_infer_hot_bytes(seed, rec.witness, site, executor)
-        if not offsets:
-            return None
-        node = self.program.nodes[site]
-        outcome, diffs = guard_feedback(node, rec.witness)
-        buf = bytearray(rec.witness)
-        written = False
+    def _solve_string(self, node, outcome, rec: _SeedKeyedRecord, offsets) -> bytes:
+        """Per-byte root solving over the window at ``offsets``, from the
+        witness's outcome."""
+        diffs = guard_feedback(node._replace(offset=offsets[0]), rec.witness)[1]
+        buf = bytearray(rec.witness.ljust(offsets[-1] + 1, b"\0"))
         # Positions past the window are padding, with no input byte to solve.
-        for offset, f in zip(offsets[:node.size], diffs):
-            if offset >= self.program.max_input_len:
-                continue
+        for offset, f in zip(offsets, diffs):
             root = _flip_root(outcome, node.relation, f)
-            if offset >= len(buf):
-                buf.extend(b"\0" * (offset + 1 - len(buf)))
             buf[offset] = _clamp_byte(buf[offset] + root - f)
-            written = True
-        return bytes(buf) if written else None
+        return bytes(buf)
 
-    def _solve_operand(self, seed: bytes, site: int, rec: _SeedKeyedRecord) -> bytes | None:
-        """No step for a record whose site the seed missed."""
-        if rec.seed_key is None:
-            return None
-        return _reference_solve_operand(self, seed, site, rec)
+    def _solve_operand(self, node, seed: bytes, rec: _SeedKeyedRecord, offsets) -> bytes:
+        """The operand solver with the guard moved to the placement."""
+        endian = "le" if offsets[0] == min(offsets) else "be"
+        return _reference_solve_operand(node._replace(offset=min(offsets), endian=endian),
+                                        seed, rec)
 
 
 def _reference_mutate_stage(program, sample_size, seed, frontier, executor, rng):
@@ -1135,6 +1105,10 @@ def _assert_same_fox_campaign(program, sample_size, rng_seed, max_execs):
 
 
 class TestHotBytes:
+    """The locator places an operand with no exec: each case runs the true
+    guard once for the witness's outcome and key, and then any exec fails
+    the test."""
+
     MAGI_DOC = {
         "max_input_len": 12,
         "entry": 0,
@@ -1143,34 +1117,6 @@ class TestHotBytes:
                    "constant": base64.b64encode(b"MAGI").decode(),
                    "taken": None, "nottaken": None}],
     }
-
-    def test_window_inferred_from_single_probe(self):
-        program = program_from_dict(self.MAGI_DOC)
-        executor = make_executor(program, frontier={0})
-        seed = bytes(12)
-        mutant = bytearray(seed)
-        mutant[1] = 7
-        mutant[5] = 66
-        before = executor.execs
-        hot = infer_hot_bytes(seed, bytes(mutant), 0, executor)
-        assert hot == (4, 5, 6, 7)
-        # Baseline plus at most one probe per differing byte.
-        assert executor.execs - before <= 3
-
-    def test_identical_mutant_yields_empty_set(self):
-        program = program_from_dict(self.MAGI_DOC)
-        executor = make_executor(program, frontier={0})
-        hot = infer_hot_bytes(bytes(12), bytes(12), 0, executor)
-        assert hot == ()
-
-    def test_differences_outside_window_yield_empty_set(self):
-        program = program_from_dict(self.MAGI_DOC)
-        executor = make_executor(program, frontier={0})
-        mutant = bytearray(bytes(12))
-        mutant[1] = 7
-        mutant[9] = 3  # past the compared window
-        hot = infer_hot_bytes(bytes(12), bytes(mutant), 0, executor)
-        assert hot == ()
 
     LT_DOC = {
         "max_input_len": 12,
@@ -1181,63 +1127,130 @@ class TestHotBytes:
                    "taken": None, "nottaken": None}],
     }
 
-    def test_flipping_probe_pins_no_window(self):
-        # Probing byte 6 flips "MMMM" < "MMMM" to "MMAM" < "MMMM": the
-        # distance row switches, every key component changes, and the first
-        # changed one (index 0) says nothing about where byte 6 landed.
-        program = program_from_dict(self.LT_DOC)
-        seed = bytes(4) + b"MMMM" + bytes(4)
-        executor = make_executor(program, frontier={0})
-        assert infer_hot_bytes(seed, bytes(4) + b"MMAM" + bytes(4), 0, executor) == ()
-        # A probe that keeps the outcome changes one component and pins the
-        # window.
-        executor = make_executor(program, frontier={0})
-        assert infer_hot_bytes(seed, bytes(4) + b"MMMZ" + bytes(4), 0, executor) == (4, 5, 6, 7)
-        # A flipping probe covers the branch and ends probing: in a campaign
-        # the executor switches the site off at that exec, so no later probe
-        # could observe it.
-        executor = make_executor(program, frontier={0})
-        assert infer_hot_bytes(seed, bytes(4) + b"MMAZ" + bytes(4), 0, executor) == ()
-        assert executor.execs == 2  # the seed, then the probe at byte 6
+    @staticmethod
+    def locate(doc, seed, witness, monkeypatch, node=None):
+        """The placements of guard 0 of ``doc`` (or of ``node``, a copy of it
+        that the locator reads instead) in ``witness``."""
+        program = program_from_dict(doc)
+        harness = Harness(program, synthetic_time=True)
+        harness.switch_on({0})
+        trace = harness.execute(witness)
 
-    def test_flipping_probe_pins_no_two_byte_window(self):
-        # "MO" < "MM" is false; probing byte 5 gives "ML" < "MM", which is
-        # true.  The row switches and the keys go from (2, (-1, 1)) to
-        # (1, (0, 1)): only component 1 changes, which would put the window
-        # at (5, 6) instead of (4, 5).  The probe flipped the guard, so it
-        # pins nothing.
-        program = program_from_dict({
-            "max_input_len": 8, "entry": 0,
-            "nodes": [{"id": 0, "kind": "str", "offset": 4, "length": 2, "relation": "lt",
-                       "constant": base64.b64encode(b"MM").decode(),
-                       "taken": None, "nottaken": None}],
-        })
+        def no_exec(*args):
+            raise AssertionError("the locator ran an input")
+
+        monkeypatch.setattr(Harness, "execute", no_exec)
+        return infer_hot_bytes(node or program.nodes[0], 0 in trace.edges, seed, witness,
+                               trace.observations[0], program.max_input_len)
+
+    def test_window_located_with_no_exec(self, monkeypatch):
+        mutant = bytearray(12)
+        mutant[1] = 7
+        mutant[5] = 66
+        assert self.locate(self.MAGI_DOC, bytes(12), bytes(mutant), monkeypatch) == [(4, 5, 6, 7)]
+
+    def test_identical_mutant_yields_empty_set(self, monkeypatch):
+        assert self.locate(self.MAGI_DOC, bytes(12), bytes(12), monkeypatch) == []
+
+    def test_differences_outside_window_yield_empty_set(self, monkeypatch):
+        mutant = bytearray(bytes(12))
+        mutant[1] = 7
+        mutant[9] = 3  # past the compared window
+        assert self.locate(self.MAGI_DOC, bytes(12), bytes(mutant), monkeypatch) == []
+
+    @pytest.mark.parametrize("window", [b"MMAM", b"MMMZ", b"MMAZ"])
+    def test_flipped_witness_gets_its_window(self, window, monkeypatch):
+        # "MMAM" and "MMAZ" are below "MMMM" and "MMMZ" is not: the locator
+        # reads each key under its own row, whichever edge the seed took.
+        seed = bytes(4) + b"MMMM" + bytes(4)
+        assert self.locate(self.LT_DOC, seed, bytes(4) + window + bytes(4),
+                           monkeypatch) == [(4, 5, 6, 7)]
+
+    @pytest.mark.parametrize("window", [b"ML", b"MP"])
+    def test_flipped_witness_gets_its_two_byte_window(self, window, monkeypatch):
+        # "MO" < "MM" is false, "ML" < "MM" true and "MP" < "MM" false.  The
+        # keys are (1, (0, 1)) and (3, (-1, 2)): the window at (5, 6) would
+        # need an "M" at byte 5.
+        doc = {"max_input_len": 8, "entry": 0,
+               "nodes": [{"id": 0, "kind": "str", "offset": 4, "length": 2, "relation": "lt",
+                          "constant": base64.b64encode(b"MM").decode(),
+                          "taken": None, "nottaken": None}]}
         seed = bytes(4) + b"MO" + bytes(2)
-        executor = make_executor(program, frontier={0})
-        assert infer_hot_bytes(seed, bytes(4) + b"ML" + bytes(2), 0, executor) == ()
-        # A probe that keeps the outcome still pins the window.
-        executor = make_executor(program, frontier={0})
-        assert infer_hot_bytes(seed, bytes(4) + b"MP" + bytes(2), 0, executor) == (4, 5)
+        assert self.locate(doc, seed, bytes(4) + window + bytes(2), monkeypatch) == [(4, 5)]
 
-    def test_covered_branch_gets_no_window_after_the_seed_run(self):
-        # Both edges of the guard are covered before the call, so the branch
-        # is off the frontier: no probe could flip it, and the seed's run is
-        # the only exec.  Probing on would pin (4, 5, 6, 7) from byte 7.
-        program = program_from_dict(self.LT_DOC)
+    def test_every_matching_window_is_placed_in_start_order(self, monkeypatch):
+        # The guard reads "MAGJ", one off "MAGI" in its last byte, and so
+        # does "MAGH" at byte 0: an equality's row folds the sign away.
+        witness = b"MAGHMAGJ" + bytes(4)
+        assert self.locate(self.MAGI_DOC, bytes(12), witness, monkeypatch) == [
+            (0, 1, 2, 3), (4, 5, 6, 7)]
+
+    def test_integer_placed_in_both_byte_orders(self, monkeypatch):
+        # The guard reads 0x0103, one above its constant 0x0102, and so does
+        # the big-endian window at byte 2; 0x0101, one below, reads the same
+        # in both byte orders, so its window gives two placements.
+        doc = {"max_input_len": 6, "entry": 0,
+               "nodes": [{"id": 0, "kind": "int", "offset": 0, "width": 2, "endian": "le",
+                          "signed": False, "relation": "eq", "constant": 0x0102,
+                          "taken": None, "nottaken": None}]}
+        witness = b"\x03\x01\x01\x03\x00\x00"
+        assert self.locate(doc, bytes(6), witness, monkeypatch) == [
+            (0, 1), (1, 2), (2, 1), (3, 2)]
+
+    def test_guard_offset_and_byte_order_are_not_read(self, monkeypatch):
+        # The locator is handed the guard at the wrong offset and in the
+        # wrong byte order, and still places it where the walk reads it.
+        doc = {"max_input_len": 8, "entry": 0,
+               "nodes": [{"id": 0, "kind": "int", "offset": 3, "width": 4, "endian": "be",
+                          "signed": True, "relation": "lt", "constant": -5,
+                          "taken": None, "nottaken": None}]}
+        node = program_from_dict(doc).nodes[0]._replace(offset=0, endian="le")
+        witness = bytes(3) + (1234).to_bytes(4, "big") + bytes(1)
+        assert self.locate(doc, bytes(8), witness, monkeypatch, node) == [(6, 5, 4, 3)]
+
+    def test_placement_past_max_input_len_is_dropped(self, monkeypatch):
+        # A big-endian u16 below 256 reads as (0, x); read little-endian
+        # from x, the zero-extended window (x, 0) gives it too, but ends at
+        # byte 3, past max_input_len.
+        doc = {"max_input_len": 2, "entry": 0,
+               "nodes": [{"id": 0, "kind": "int", "offset": 0, "width": 2, "endian": "be",
+                          "signed": False, "relation": "lt", "constant": 0,
+                          "taken": None, "nottaken": None}]}
+        assert self.locate(doc, bytes(2), b"\x00\x07", monkeypatch) == [(1, 0)]
+        node = program_from_dict(doc).nodes[0]
+        key = distance_key(False, Relation.LT, 7)
+        assert infer_hot_bytes(node, False, bytes(2), b"\x00\x07", key, 3) == [(1, 0), (1, 2)]
+
+    def test_covered_branch_still_gets_its_window(self, monkeypatch):
+        # The locator reads no coverage: a branch off the frontier gets its
+        # window too, and ``mutate_stage`` is what skips it.
         seed = bytes(4) + b"MMMM" + bytes(4)
-        executor = make_executor(program, frontier={0})
-        executor.run_batch([seed, bytes(4) + b"MMAM" + bytes(4)])
-        assert 0 not in executor.coverage.frontier
-        before = executor.execs
-        assert infer_hot_bytes(seed, bytes(4) + b"MMMZ" + bytes(4), 0, executor) == ()
-        assert executor.execs - before == 1
+        assert self.locate(self.LT_DOC, seed, bytes(4) + b"MMMZ" + bytes(4),
+                           monkeypatch) == [(4, 5, 6, 7)]
 
-    def test_unequal_lengths_rejected_before_any_exec(self):
-        program = program_from_dict(self.MAGI_DOC)
-        executor = make_executor(program, frontier={0})
+    def test_unequal_lengths_rejected_before_any_exec(self, monkeypatch):
         with pytest.raises(ValueError, match="equal-length"):
-            infer_hot_bytes(bytes(8), bytes(12), 0, executor)
-        assert executor.execs == 0
+            self.locate(self.MAGI_DOC, bytes(8), bytes(12), monkeypatch)
+
+    @pytest.mark.parametrize("stream", range(4))
+    def test_matches_the_reference_locator(self, stream):
+        # Widths 1/2/4/8, signed operands, both byte orders, all twelve rows,
+        # string constants shorter and longer than their window and witnesses
+        # that change their last byte: compare_locator checks that each
+        # comes up.
+        assert compare_locator(2000, stream) > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(_operand_cases("eq"), st.sampled_from(_RELATION_TOKENS))
+    def test_matches_the_reference_locator_on_drawn_operands(self, case, relation):
+        doc, seed, witness = case
+        doc["nodes"][0]["relation"] = relation
+        node = program_from_dict(doc).nodes[0]
+        outcome, feedback = guard_feedback(node, witness)
+        key = distance_key(outcome, node.relation, feedback)
+        placements = infer_hot_bytes(node, outcome, seed, witness, key, doc["max_input_len"])
+        assert placements == locate(node, outcome, seed, witness, key, doc["max_input_len"])
+        assert _placement(node) in placements
 
 
 class TestMutateStage:
@@ -1290,22 +1303,54 @@ class TestMutateStage:
         assert sampled == [32]
 
     def test_budget_bound(self, monkeypatch):
+        # Local search takes at most sample_size execs, and every other exec
+        # of the stage is a candidate fired at a placement the locator found.
+        # The seed takes the root's taken edge to the string guard, which
+        # local search cannot flip alone.
         program = builtin_targets.load("mixed_tree")
-        executor = make_executor(program, frontier={0, 2})
+        executor = make_executor(program, frontier={0, 1, 2})
         mutator = Mutator(program, 256)
         infer = mutation.infer_hot_bytes
-        probes = []
+        placed, sampled, fired = [], [], []
 
-        def counting_infer(seed, mutant, site, executor):
-            before = executor.execs
-            hot = infer(seed, mutant, site, executor)
-            probes.append(executor.execs - before)
-            return hot
+        def counting_infer(*args):
+            placed.append(infer(*args))
+            return placed[-1]
+
+        local_search = Mutator.local_search
+
+        def counting_local_search(self, seed, frontier, executor, rng):
+            records = local_search(self, seed, frontier, executor, rng)
+            sampled.append(executor.execs)
+            run = executor.run
+            executor.run = lambda data: fired.append(data) or run(data)
+            return records
 
         monkeypatch.setattr(mutation, "infer_hot_bytes", counting_infer)
-        mutator.mutate_stage(bytes(8), {0, 2}, executor, random.Random(3))
-        reached = 2
-        assert executor.execs <= 256 + reached + sum(probes)
+        monkeypatch.setattr(Mutator, "local_search", counting_local_search)
+        mutator.mutate_stage(b"\xe8\x03" + bytes(6), {0, 1, 2}, executor, random.Random(3))
+        assert sampled[0] <= 256
+        assert executor.execs == sampled[0] + len(fired)
+        assert 1 <= len(fired) <= sum(map(len, placed))
+
+    @pytest.mark.parametrize("name", ["magic32", "magic32_be", "mixed_tree"])
+    def test_wrong_offset_and_endian_still_flip_within_one_stage(self, name):
+        # The mutator is handed the program with every guard moved one byte
+        # on and its byte order swapped, while the executor walks the true
+        # one: the locator, not the guard, says where the operand lies.
+        program = builtin_targets.load(name)
+        room = program.max_input_len
+        misplaced = GuardProgram(
+            [n._replace(offset=(n.offset + 1) % (room - n.size + 1),
+                        endian="be" if n.endian == "le" else "le") for n in program.nodes],
+            program.entry, room)
+        flips = 0
+        for rng_seed in range(10):
+            executor = make_executor(program, frontier={0})
+            Mutator(misplaced, 1024).mutate_stage(bytes(room), {0}, executor,
+                                                   random.Random(rng_seed))
+            flips += 0 not in executor.coverage.frontier
+        assert flips >= 9
 
     @pytest.mark.parametrize("relation,constant", [
         ("lt", 40), ("le", 40), ("gt", 200), ("ge", 200), ("eq", 77), ("ne", 0),
@@ -1322,9 +1367,8 @@ class TestMutateStage:
         assert executor.coverage.complete
 
     def test_string_window_past_the_input_end_builds_no_overlong_candidate(self):
-        # A probe that flips the guard changes every key component, so the
-        # inferred window starts at the probed byte, the last one here; its
-        # second byte lies past max_input_len and must stay unsolved.
+        # A window starting at the input's last byte would end past
+        # max_input_len; the locator places none there.
         doc = {"max_input_len": 2, "entry": 0,
                "nodes": [{"id": 0, "kind": "str", "offset": 0, "relation": "le",
                           "length": 2, "constant": "AA==", "taken": 1, "nottaken": None},
@@ -1334,6 +1378,25 @@ class TestMutateStage:
                         sample_size=2, rng_seed=1)
         camp.run()
         assert camp.coverage.complete
+
+    def test_integer_window_past_the_input_end_builds_no_overlong_candidate(self):
+        # Guard 1 reads a big-endian u16 (0, x) that never flips; read
+        # little-endian from x, the zero-extended window (x, 0) gives the
+        # same key but ends past max_input_len.  Firing it would end the
+        # run with an overlong input.
+        doc = {"max_input_len": 2, "entry": 0,
+               "nodes": [{"id": 0, "kind": "int", "offset": 0, "width": 1, "endian": "le",
+                          "signed": False, "relation": "eq", "constant": 0,
+                          "taken": 1, "nottaken": None},
+                         {"id": 1, "kind": "int", "offset": 0, "width": 2, "endian": "be",
+                          "signed": False, "relation": "lt", "constant": 0,
+                          "taken": None, "nottaken": None}]}
+        program = program_from_dict(doc)
+        camp = Campaign(program, [bytes(2)], Mode.FOX, Budget(max_execs=2000),
+                        sample_size=2, rng_seed=1)
+        camp.run()
+        assert camp.log.records[-1].execs == 2000
+        assert camp.coverage.edge_hits == {0, 1, 3}
 
 
 class TestLinearExactness:
