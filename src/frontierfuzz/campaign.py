@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -77,8 +77,7 @@ class Budget:
             object.__setattr__(self, cap, math.inf if value is None else value)
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     t_ns: int
     execs: int
     edges_covered: int
@@ -107,7 +106,7 @@ class CampaignLog:
         self.records.append(record)
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(asdict(r)) + "\n" for r in self.records)  # keys in field order
+        return "".join(json.dumps(r._asdict()) + "\n" for r in self.records)  # keys in field order
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,14 @@ branch toward its distance root:
     new_input = witness - distance / slope
 
 Every distance is the order key a guard's step stored in the observation map
-(see ``distance``); slopes and steps use its scalarized value.  For integer
-and string guards the step has a closed form: it lands on the comparison's
-constant plus the operand difference nearest 0 at which the witness's
-relation no longer gives its outcome (``_ROOTS``), and coverage gives the
-outcome.  The operand's place in the input is found as input-to-state
-correspondence finds it, not read off the guard: ``infer_hot_bytes`` places
-it at each window around a changed byte whose contents give the witness's
-key.
+(see ``distance``); slopes and steps use its scalarized value.  Every guard
+kind's step has a closed form: it lands on the comparison's constant plus the
+operand difference nearest 0 at which the witness's relation no longer gives
+its outcome (``_ROOTS``), and coverage gives the outcome.  The operand's place
+in the input is found as input-to-state correspondence finds it, not read off
+the guard: ``infer_hot_bytes`` places it at each window around a changed byte
+whose contents give the witness's key.  Only a record with no placement takes
+the byte-space step above.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import compress, count
 
 from .distance import observation_distance
@@ -292,22 +293,24 @@ _LINES = {key: (at0, at1 - at0, below == at1) for key, formula in _FORMULAS.item
 
 def infer_hot_bytes(node: GuardNode, outcome: bool, seed: bytes, witness: bytes, key,
                     max_input_len: int) -> list[tuple[int, ...]]:
-    """Place a string or integer guard's operand in the witness, with no exec.
+    """Place a guard's operand in the witness, with no exec.
 
     A placement is the input offsets of the operand's bytes, in compare order
-    for a string and least significant byte first for an integer.  Returns,
-    by start and little-endian first, each one that covers a byte the witness
-    changed from the seed, ends at or below ``max_input_len``, and gives the
-    witness's ``key`` under the row of ``outcome`` on the zero-extended
-    witness; the guard's offset and byte order are not read.  The row is
-    inverted once, to the operand difference (per byte for a string) or its
-    magnitude, which each window is then checked against.  The inputs must
-    have the same length.
+    for a string, least significant byte first for an integer, and for an xor
+    window (``reduce(operator.xor, window, 0)``) its first changed byte, then
+    the rest in order.  Returns, by start and little-endian first, each one
+    that covers a byte the witness changed from the seed, ends at or below
+    ``max_input_len``, and gives the witness's ``key`` under the row of
+    ``outcome`` on the zero-extended witness; the guard's offset and byte
+    order are not read.  The row is inverted once, to the operand difference
+    (per byte for a string) or its magnitude, which each window is then
+    checked against.  The inputs must have the same length.
     """
     if len(seed) != len(witness):
         raise ValueError("operand location requires equal-length inputs")
     a, b, folded = _LINES[outcome, node.relation]
     size, signed, const, string = node.size, node.signed, node.constant, node.kind is GuardKind.STR
+    xor = node.kind is GuardKind.XOR
     fold = abs if folded else operator.pos
     if string:
         # The key's tail past the window is the padding's at every start.
@@ -323,6 +326,10 @@ def infer_hot_bytes(node: GuardNode, outcome: bool, seed: bytes, witness: bytes,
                 if all(map(operator.eq, map(fold, map(operator.sub, window, const)), want)):
                     placements.append(tuple(range(s, s + size)))
                 continue
+            if xor:
+                if fold(reduce(operator.xor, window, 0) - const) == want:
+                    placements.append((j, *range(s, j), *range(j + 1, s + size)))
+                continue
             if fold(int.from_bytes(window, "little", signed=signed) - const) == want:
                 placements.append(tuple(range(s, s + size)))
             if size > 1 and fold(int.from_bytes(window, "big", signed=signed) - const) == want:
@@ -334,10 +341,15 @@ def infer_hot_bytes(node: GuardNode, outcome: bool, seed: bytes, witness: bytes,
 def _solve(node: GuardNode, witness: bytes, offsets, root: int) -> bytes:
     """The witness with the operand at the placement ``offsets`` solved: its
     difference from the constant (per byte for a string) becomes ``root``,
-    clamped to the operand's range.  Byte-space slopes diverge on multi-byte
-    operands (a carry moves the distance by thousands) and absolute-value
-    rows kink at the root, so the step is taken on the operand instead."""
+    clamped to the operand's range; for an xor window, by its first byte
+    alone.  Byte-space slopes diverge on multi-byte operands (a carry moves
+    the distance by thousands) and absolute-value rows kink at the root, so
+    the step is taken on the operand instead."""
     size = node.size
+    if node.kind is GuardKind.XOR:  # the input keeps its length
+        buf, rest = bytearray(witness), map((witness + bytes(size)).__getitem__, offsets[1:])
+        buf[offsets[0]] = reduce(operator.xor, rest, _clamp_byte(node.constant + root))
+        return bytes(buf)
     if node.kind is GuardKind.STR:
         solved = bytes(_clamp_byte(c + root) for c in node.constant[:size].ljust(size, b"\0"))
     else:
@@ -441,11 +453,11 @@ class Mutator:
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
         """One full stage: sample, estimate slopes, and fire targeted inputs
         for each frontier branch, in site order, while it stays on the
-        frontier.  A string or integer guard's record fires one ``_solve``
-        candidate per placement of its operand, in ``infer_hot_bytes``'s
-        order; a record with no placement, an xor guard's always, takes the
-        byte-space Newton step.  A branch still on the frontier has exactly
-        one edge covered, its witness's, so coverage gives the outcome."""
+        frontier.  A record fires one ``_solve`` candidate per placement of
+        its operand, in ``infer_hot_bytes``'s order; only a record with no
+        placement takes the byte-space Newton step.  A branch still on the
+        frontier has exactly one edge covered, its witness's, so coverage
+        gives the outcome."""
         records = self.local_search(seed, frontier, executor, rng)
         coverage, program = executor.coverage, self.program
         for site, rec in sorted(records.items()):
@@ -454,8 +466,8 @@ class Mutator:
             node = program.nodes[site]
             outcome = 2 * site in coverage.edge_hits
             root = _ROOTS[outcome, node.relation]
-            placements = () if node.kind is GuardKind.XOR else infer_hot_bytes(
-                node, outcome, seed, rec.witness, rec.witness_key, program.max_input_len)
+            placements = infer_hot_bytes(node, outcome, seed, rec.witness, rec.witness_key,
+                                         program.max_input_len)
             candidates = (_solve(node, rec.witness, offsets, root) for offsets in placements)
             if not placements:
                 # The step aims at the row's value at the root: -2 on an xor

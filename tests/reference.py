@@ -24,10 +24,10 @@ the two.
   keeps it incrementally.
 * ``convexity_probe`` and ``ConvexityStats`` check a branch's distance for
   midpoint convexity over an input pair on a real harness.
-* ``locate`` places a string or integer guard's operand in a witness by
-  brute force, at every start and in both byte orders through
-  ``guard_feedback`` and ``distance_key``; ``compare_locator`` checks
-  ``infer_hot_bytes`` against it.
+* ``locate`` places a guard's operand in a witness by brute force, at every
+  start, and in both byte orders for an integer, through ``guard_feedback``
+  and ``distance_key``; ``compare_locator`` checks ``infer_hot_bytes``
+  against it.
 * ``havoc`` restates ``havoc_mutate``'s draw contract one field at a time,
   with ``word_width`` giving the width of each operator's word, and
   ``compare_havoc`` checks the two against each other, and against the
@@ -276,7 +276,8 @@ def locate(node: GuardNode, outcome: bool, seed: bytes, witness: bytes, key,
     reading its feedback off the witness; it places the operand when the
     (outcome, relation) row gives ``key`` there.  A placement lists the
     window's offsets in compare order, least significant byte first for an
-    integer; by start, the little-endian one first."""
+    integer, and for an xor the window's first changed byte and then the
+    rest in order; by start, the little-endian one first."""
     changed = {j for j, (a, b) in enumerate(zip(seed, witness)) if a != b}
     endians = ("le", "be") if node.kind is GuardKind.INT else ("le",)
     placements = []
@@ -287,6 +288,9 @@ def locate(node: GuardNode, outcome: bool, seed: bytes, witness: bytes, key,
         for endian in endians:
             moved = node._replace(offset=start, endian=endian)
             placement = offsets if endian == "le" else offsets[::-1]
+            if node.kind is GuardKind.XOR:
+                first = min(changed.intersection(offsets))
+                placement = (first,) + tuple(o for o in offsets if o != first)
             if (distance_key(outcome, node.relation, guard_feedback(moved, witness)[1]) == key
                     and placement not in placements):
                 placements.append(placement)
@@ -294,13 +298,14 @@ def locate(node: GuardNode, outcome: bool, seed: bytes, witness: bytes, key,
 
 
 def _locator_case(pick: random.Random):
-    """One ``compare_locator`` case: a string or integer guard, a seed and a
-    witness of the same length, and the guard's outcome and key on the
+    """One ``compare_locator`` case: a string, integer or xor guard, a seed
+    and a witness of the same length, and the guard's outcome and key on the
     witness.  Bytes come from a small alphabet and the operand's encoding is
-    copied around the witness, so that placements besides the guard's own
-    come up."""
+    copied around the witness (an xor window's bytes reversed as its twin),
+    so that placements besides the guard's own come up."""
     max_input_len = pick.randint(1, 20)
-    if pick.random() < 0.5:
+    kind = pick.random()
+    if kind < 0.4:
         width = pick.choice([w for w in (1, 2, 4, 8) if w <= max_input_len])
         signed = pick.random() < 0.5
         bits = 8 * width
@@ -312,6 +317,17 @@ def _locator_case(pick: random.Random):
         operand = value.to_bytes(width, order, signed=signed)
         twin = value.to_bytes(width, "big" if endian == "le" else "little", signed=signed)
         node = GuardNode(0, GuardKind.INT, 0, width, endian, signed, None, const, None, None)
+    elif kind < 0.7:
+        # Up to 8 bytes: the walk xors up to four by index and folds longer ones.
+        width = pick.randint(1, min(8, max_input_len))
+        const = pick.choice([0, 1, 0xFE, 0xFF, pick.randint(0, 0xFF)])
+        head = bytes(pick.choice(b"\x00\x01\x5a\xff") for _ in range(width - 1))
+        value = min(0xFF, max(0, const + pick.randint(-2, 2)))
+        for byte in head:
+            value ^= byte
+        operand = head + bytes([value])
+        twin = operand[::-1]
+        node = GuardNode(0, GuardKind.XOR, 0, width, "le", False, None, const, None, None)
     else:
         width = pick.randint(1, min(4, max_input_len))
         const = bytes(pick.choice(b"\x00\x01AZ\xff") for _ in range(pick.randint(1, width + 2)))
@@ -344,8 +360,9 @@ def compare_locator(cases: int, stream: int) -> int:
     and witnesses (``stream`` seeds the draws): the same placements in the
     same order.  Every (kind, relation, outcome) must come up, as must each
     integer width, signed operands, both byte orders, string constants
-    shorter and longer than their window, witnesses that change their last
-    byte, and cases with more than one placement.  Raises AssertionError at
+    shorter and longer than their window, xor windows of at most and of more
+    than four bytes, witnesses that change their last byte, and cases with
+    more than one placement.  Raises AssertionError at
     the first difference; returns the number of placements compared."""
     pick = random.Random(stream)
     seen = set()
@@ -363,12 +380,15 @@ def compare_locator(cases: int, stream: int) -> int:
         seen.add((node.kind, node.relation, outcome))
         if node.kind is GuardKind.INT:
             seen |= {("width", node.size), ("signed", node.signed), ("endian", node.endian)}
+        elif node.kind is GuardKind.XOR:
+            seen.add(("xor folded", node.size > 4))
         else:
             longer = len(node.constant) - node.size
             seen.add(("constant", (longer > 0) - (longer < 0)))
         seen |= {("last byte", seed[-1] != witness[-1]), ("several", len(want) > 1)}
-    wanted = ({(kind, rel, outcome) for kind in (GuardKind.INT, GuardKind.STR)
+    wanted = ({(kind, rel, outcome) for kind in (GuardKind.INT, GuardKind.STR, GuardKind.XOR)
                for rel in Relation for outcome in (False, True)}
+              | {("xor folded", False), ("xor folded", True)}
               | {("width", w) for w in (1, 2, 4, 8)} | {("signed", True), ("endian", "be")}
               | {("constant", -1), ("constant", 1), ("last byte", True), ("several", True)})
     if not wanted <= seen:

@@ -803,13 +803,14 @@ GOLDEN_SHA256 = {
                               "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf"),
     ("magic_str8", "base"): ("7591416d2f5bfa219eb0d62bdd33349a8f2bff884d35a2dbfd63fa3600a2d206",
                              "a95c1c6398574451e2b86e37aa51e962cc4476cf94c070bc888ff71d23b36abf"),
-    # Fox on a big-endian operand, the xor Newton path and a mixed
-    # tree.  magic32_be finishes in one stage, at its root candidate;
-    # xor_guard in its second, at a local-search sample mid-chunk.
+    # Fox on a big-endian operand, an xor window and a mixed tree.
+    # magic32_be and xor_guard each finish in one stage, at a root
+    # candidate fired at a placement the locator found, so their logs are
+    # magic_str8's.
     ("magic32_be", "fox"): ("98b8b8192c9c3d83f27768db81cf4ab4fb335bf6dcfb3c7a1ca0a0755d75244e",
                             "fcfd8417cf90fb49d7600c1f30ee7b001689cd745ea75fda60dcd1e0acd02163"),
-    ("xor_guard", "fox"): ("87197409cd212776e415037e0f5004cca503a4686ea5ba8ad2f955ee60589cc0",
-                           "3afe913b0051a980f9d1a37a8762c05df65e2ab771cbf92a1d1f2bcdc2218c24"),
+    ("xor_guard", "fox"): ("98b8b8192c9c3d83f27768db81cf4ab4fb335bf6dcfb3c7a1ca0a0755d75244e",
+                           "a2f891df1024b8e7691bb71bc5f5818111160e1c4db02c173fc6e27945b23903"),
     ("mixed_tree", "fox"): ("4eca71cdcffbd6630e909fdbdf9cd0c01ef4dc9876a9a7177fc57c9f4a1b3325",
                             "bc427e0d9133c1e855f420d04e94c6cdaacf0eefc41b70819bbf70a99ad1381c"),
     # Sched on a tree where havoc batches switch off sites mid-batch.

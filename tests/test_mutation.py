@@ -2,6 +2,7 @@ import base64
 import collections
 import itertools
 import math
+import pathlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -916,7 +917,9 @@ class TestRootsFlipTheirBranch:
     def test_xor_newton_step_past_the_rows_zero(self, relation, outcome, length, monkeypatch):
         # The window xors to 150 against the constant 100 (f = 50), and the
         # row f - 1 has slope 1 in the first byte.  Aiming at the row's zero
-        # would land on f = 1, the witness's own edge.
+        # would land on f = 1, the witness's own edge.  The stage's seed is
+        # its witness, so the locator places nothing and the record takes
+        # the Newton step.
         program = program_from_dict({
             "max_input_len": length, "entry": 0,
             "nodes": [{"id": 0, "kind": "xor", "offset": 0, "length": length,
@@ -967,16 +970,19 @@ def _flip_root(outcome, relation, f):
 class _ParentMutator(Mutator):
     """The mutator as it was when local search kept a record for every
     frontier site a sample reached, and the root solvers gated each record
-    on the seed's key and feedback, with two changes: its operand is placed
-    by the brute-force ``locate`` rather than read off the guard, and a
-    record fires one candidate per placement, in ``locate``'s order, until
-    its site leaves the live frontier (as ``Mutator.mutate_stage`` does).
-    ``_solve_string`` takes each window byte's Newton step to its row's zero
-    and, where its comparison still gives the witness's outcome there,
-    descends the row until it flips (as ``_reference_solve_operand`` does),
-    and ``mutate_stage`` aims an xor record's Newton step at its row's value
-    at ``_flip_root``.  Its local search is ``_reference_local_search`` and
-    its operand solver ``_reference_solve_operand`` at the placement; both
+    on the seed's key and feedback, with two changes: its operand, an xor
+    window's too, is placed by the brute-force ``locate`` rather than read
+    off the guard, and a record fires one candidate per placement, in
+    ``locate``'s order, until its site leaves the live frontier (as
+    ``Mutator.mutate_stage`` does).  ``_solve_string`` takes each window
+    byte's Newton step to its row's zero and, where its comparison still
+    gives the witness's outcome there, descends the row until it flips (as
+    ``_reference_solve_operand`` does), and ``_solve_xor`` brings the
+    window's xor to the constant plus ``_flip_root`` through the
+    placement's first byte.  Only a record with no placement takes the
+    Newton step, an xor record's aimed at its row's value at
+    ``_flip_root``.  Its local search is ``_reference_local_search`` and its
+    operand solver ``_reference_solve_operand`` at the placement; all three
     solvers sit behind the seed-key gate.  Kept as the oracle for the stage
     that keeps only the records a root step can fire from and places
     operands with no exec."""
@@ -993,11 +999,13 @@ class _ParentMutator(Mutator):
             node = self.program.nodes[site]
             outcome, f = guard_feedback(node, rec.witness)
             candidates = []
-            if node.kind is not GuardKind.XOR and rec.seed_key is not None:
+            if rec.seed_key is not None:
                 for offsets in locate(node, outcome, seed, rec.witness, rec.witness_key,
                                       self.program.max_input_len):
                     if node.kind is GuardKind.STR:
                         candidates.append(self._solve_string(node, outcome, rec, offsets))
+                    elif node.kind is GuardKind.XOR:
+                        candidates.append(self._solve_xor(node, outcome, rec, offsets))
                     else:
                         candidates.append(self._solve_operand(node, seed, rec, offsets))
             if not candidates and rec.g:
@@ -1020,6 +1028,16 @@ class _ParentMutator(Mutator):
         for offset, f in zip(offsets, diffs):
             root = _flip_root(outcome, node.relation, f)
             buf[offset] = _clamp_byte(buf[offset] + root - f)
+        return bytes(buf)
+
+    def _solve_xor(self, node, outcome, rec: _SeedKeyedRecord, offsets) -> bytes:
+        """The witness with the xor window at ``offsets`` brought to the
+        constant plus its difference's flip root, clamped to a byte, by
+        changing the placement's first byte alone."""
+        f = guard_feedback(node._replace(offset=min(offsets)), rec.witness)[1]
+        target = max(0, min(255, node.constant + _flip_root(outcome, node.relation, f)))
+        buf = bytearray(rec.witness)
+        buf[offsets[0]] ^= (node.constant + f) ^ target
         return bytes(buf)
 
     def _solve_operand(self, node, seed: bytes, rec: _SeedKeyedRecord, offsets) -> bytes:
@@ -1228,6 +1246,72 @@ class TestHotBytes:
         assert self.locate(self.LT_DOC, seed, bytes(4) + b"MMMZ" + bytes(4),
                            monkeypatch) == [(4, 5, 6, 7)]
 
+    @staticmethod
+    def xor_doc(offset, length, relation, constant, max_input_len):
+        return {"max_input_len": max_input_len, "entry": 0,
+                "nodes": [{"id": 0, "kind": "xor", "offset": offset, "length": length,
+                           "relation": relation, "constant": constant,
+                           "taken": None, "nottaken": None}]}
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 6])
+    def test_xor_window_placed_and_solved(self, length, monkeypatch):
+        # Windows of up to four bytes are xored by index in the walk, and a
+        # 6-byte one is folded with reduce; the locator folds every window.
+        # The window xors to 0x5E, one off its constant.
+        doc = self.xor_doc(2, length, "eq", 0x5D, length + 4)
+        head = bytes(0x11 * (i + 1) for i in range(length - 1))
+        last = 0x5E
+        for byte in head:
+            last ^= byte
+        witness = bytes(2) + head + bytes([last]) + bytes(2)
+        window = tuple(range(2, 2 + length))
+        assert self.locate(doc, bytes(length + 4), witness, monkeypatch) == [window]
+        program = program_from_dict(doc)
+        candidate = _solve(program.nodes[0], witness, window, _ROOTS[False, Relation.EQ])
+        # Only the placement's first byte moves, and the input keeps its length.
+        assert len(candidate) == len(witness)
+        assert [j for j, (a, b) in enumerate(zip(witness, candidate)) if a != b] == [2]
+        assert execute(program, {0}, candidate).edges == (0,)
+
+    @pytest.mark.parametrize("relation", list(Relation))
+    @pytest.mark.parametrize("outcome", [False, True])
+    def test_xor_window_placed_under_every_row(self, relation, outcome, monkeypatch):
+        # The window at 1..3 xors to 100 + f against the constant 100; no
+        # other window around a changed byte gives the same key.
+        f = next(f for f in (0, 1, -1, 2, -2) if holds(relation, f) == outcome)
+        doc = self.xor_doc(1, 3, relation.value, 100, 6)
+        witness = bytes([0, 0x11, 0x22, (100 + f) ^ 0x33, 0, 0])
+        assert guard_feedback(program_from_dict(doc).nodes[0], witness) == (outcome, f)
+        assert self.locate(doc, bytes(6), witness, monkeypatch) == [(1, 2, 3)]
+
+    def test_xor_placement_lists_its_first_changed_byte_first(self, monkeypatch):
+        # The guard's window (1, 2) holds an unchanged 7 before the changed
+        # byte 2, which comes first, and is the one byte the solver rewrites.
+        doc = self.xor_doc(1, 2, "eq", 0x37, 4)
+        witness = b"\x00\x07\x30\x00"
+        assert self.locate(doc, b"\x00\x07\x00\x00", witness, monkeypatch) == [(2, 1)]
+        program = program_from_dict(doc)
+        candidate = _solve(program.nodes[0], witness, (2, 1), _ROOTS[True, Relation.EQ])
+        assert candidate == b"\x00\x07\x3f\x00"
+        assert execute(program, {0}, candidate).edges == (1,)
+
+    def test_every_matching_xor_window_is_placed_in_start_order(self, monkeypatch):
+        # The guard's window (4, 5) xors to 0x40, one below its constant
+        # 0x41, and the window (0, 1) to 0x42, one above: an equality's row
+        # folds the sign away.
+        doc = self.xor_doc(4, 2, "eq", 0x41, 8)
+        witness = b"\x42\x00\x00\x00\x20\x60\x00\x00"
+        assert self.locate(doc, bytes(8), witness, monkeypatch) == [(0, 1), (4, 5)]
+
+    def test_xor_placement_past_max_input_len_is_dropped(self, monkeypatch):
+        # The zero-extended window (1, 2) xors to 7, as the guard's own
+        # window (0, 1) does, but ends at byte 3, past max_input_len.
+        doc = self.xor_doc(0, 2, "eq", 0x10, 2)
+        assert self.locate(doc, bytes(2), b"\x00\x07", monkeypatch) == [(1, 0)]
+        node = program_from_dict(doc).nodes[0]
+        key = distance_key(False, Relation.EQ, 7 - 0x10)
+        assert infer_hot_bytes(node, False, bytes(2), b"\x00\x07", key, 3) == [(1, 0), (1, 2)]
+
     def test_unequal_lengths_rejected_before_any_exec(self, monkeypatch):
         with pytest.raises(ValueError, match="equal-length"):
             self.locate(self.MAGI_DOC, bytes(8), bytes(12), monkeypatch)
@@ -1299,8 +1383,47 @@ class TestMutateStage:
         monkeypatch.setattr(Mutator, "local_search", counting_local_search)
         mutator.mutate_stage(bytes(8), {0}, executor, random.Random(0))
         # The first chunk gives the one live guard a record, which ends the
-        # search there; the stage's root step does not flip the guard.
+        # search there; the stage's root steps then flip the guard.
         assert sampled == [32]
+        assert executor.coverage.complete
+
+    def test_xor_flips_within_one_stage(self):
+        for rng_seed in range(10):
+            program = builtin_targets.load("xor_guard")
+            executor = make_executor(program, frontier={0})
+            Mutator(program, 1024).mutate_stage(bytes(8), {0}, executor, random.Random(rng_seed))
+            assert executor.coverage.complete, rng_seed
+
+    def test_every_record_places_its_own_window(self, monkeypatch):
+        # In fox campaigns on the suite and on two generated programs, the
+        # locator places every record local search keeps, at its guard's own
+        # window among others, so no record falls back to the Newton step.
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "benchmarks"))
+        import genprog
+
+        search, kinds = Mutator.local_search, collections.Counter()
+
+        def checked_search(self, seed, frontier, executor, rng):
+            records = search(self, seed, frontier, executor, rng)
+            for site, rec in records.items():
+                node = self.program.nodes[site]
+                outcome = guard_feedback(node, rec.witness)[0]
+                own = _placement(node)
+                placements = infer_hot_bytes(node, outcome, seed, rec.witness, rec.witness_key,
+                                             self.program.max_input_len)
+                assert own in placements or node.kind is GuardKind.XOR and any(
+                    sorted(p) == list(own) for p in placements), (site, placements)
+                kinds[node.kind] += 1
+            return records
+
+        monkeypatch.setattr(Mutator, "local_search", checked_search)
+        programs = [builtin_targets.load(name) for name in builtin_targets.SUITE]
+        programs += [program_from_dict(genprog.program(seed)) for seed in (1, 2)]
+        for program in programs:
+            for rng_seed in range(3):
+                Campaign(program, [bytes(program.max_input_len)], Mode.FOX,
+                         Budget(max_execs=3_000), rng_seed=rng_seed).run()
+        assert set(kinds) == {GuardKind.INT, GuardKind.STR, GuardKind.XOR}
 
     def test_budget_bound(self, monkeypatch):
         # Local search takes at most sample_size execs, and every other exec
