@@ -3,22 +3,20 @@ and root-finding steps at operands located with no exec.
 
 A mutation stage samples the seed's neighborhood with a short stack of havoc
 operators, until a chunk of samples improves no estimate or every live branch
-has one, estimates a linear lower bound (subgradient) of the distance from the
-sampled (input delta, distance delta) pairs for every frontier branch that
-some sample moved away from the seed's distance, and then jumps each such
-branch toward its distance root:
+has one, and keeps, for every frontier branch that some sample moved away from
+the seed's distance, the sample with the largest slope estimate (its
+witness).  It then jumps each such branch to its distance root on the
+operand itself, not in byte space:
 
-    new_input = witness - distance / slope
+    operand = constant + root
 
 Every distance is the order key a guard's step stored in the observation map
-(see ``distance``); slopes and steps use its scalarized value.  Every guard
-kind's step has a closed form: it lands on the comparison's constant plus the
-operand difference nearest 0 at which the witness's relation no longer gives
-its outcome (``_ROOTS``), and coverage gives the outcome.  The operand's place
-in the input is found as input-to-state correspondence finds it, not read off
-the guard: ``infer_hot_bytes`` places it at each window around a changed byte
-whose contents give the witness's key.  Only a record with no placement takes
-the byte-space step above.
+(see ``distance``).  The root is the operand difference nearest 0 at which
+the witness's relation no longer gives its outcome (``_ROOTS``), and coverage
+gives the outcome.  The operand's place in the input is found as
+input-to-state correspondence finds it, not read off the guard:
+``infer_hot_bytes`` places it at each window around a changed byte whose
+contents give the witness's key, and ``_solve`` writes the root there.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ __all__ = [
     "SubgradientRecord",
     "havoc_mutate",
     "compute_subgradient",
-    "newton_step",
     "infer_hot_bytes",
     "Mutator",
 ]
@@ -106,7 +103,9 @@ class SubgradientRecord:
     whose ``g`` has the largest L1 norm.
     A record exists only for a nonzero norm (see ``Mutator.local_search``),
     so ``witness_key``, the witness's distance order key, differs from the
-    seed's.
+    seed's.  The stage reads only ``witness`` and ``witness_key``; ``g`` is
+    kept for the worked example of the acceptance suite and the benchmark's
+    trace of ``compute_subgradient``.
     """
 
     g: dict[int, Fraction]
@@ -262,26 +261,6 @@ def compute_subgradient(seed: bytes, mutant: bytes, d_seed: int,
         if a != b:
             g[j] = Fraction(delta_d, b - a)
     return g
-
-
-def newton_step(witness: bytes, d: int, g: dict[int, Fraction]) -> bytes:
-    """Jump toward the distance root along the estimated slope.
-
-    ``d`` is the witness's scalarized distance, an int.  Each nonzero-slope
-    byte moves by -d/slope, rounded half away from zero and clamped to the
-    byte range; all other bytes and the input length are unchanged.  In
-    exact integers, for a slope p/q the byte w becomes ``(w*p - d*q) / p``
-    rounded half up by floor division: that is half away from zero at or
-    above 0, and any value below 0 clamps to 0.
-    """
-    if not any(g.values()):
-        raise ValueError("newton step requires a nonzero-norm subgradient")
-    out = bytearray(witness)
-    for j, slope in g.items():
-        p = slope.numerator
-        if p and j < len(out):
-            out[j] = _clamp_byte((2 * (witness[j] * p - d * slope.denominator) + p) // (2 * p))
-    return bytes(out)
 
 
 # Each distance row of ``target._FORMULAS`` as (a, b, folded), read off its
@@ -451,32 +430,29 @@ class Mutator:
                 for site, (data, key) in best.items()}
 
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
-        """One full stage: sample, estimate slopes, and fire targeted inputs
-        for each frontier branch, in site order, while it stays on the
-        frontier.  A record fires one ``_solve`` candidate per placement of
-        its operand, in ``infer_hot_bytes``'s order; only a record with no
-        placement takes the byte-space Newton step.  A branch still on the
-        frontier has exactly one edge covered, its witness's, so coverage
-        gives the outcome."""
+        """One full stage: sample, then fire targeted inputs for each frontier
+        branch, in site order, while it stays on the frontier.  The seed is
+        first zero-extended to the furthest operand window end, as
+        ``Harness.execute`` extends every input, so that local search, which
+        never resizes, can move a window past a short seed's end.  A record
+        fires one ``_solve`` candidate per placement of its operand, in
+        ``infer_hot_bytes``'s order, and only its ``witness`` and
+        ``witness_key`` are read.  A branch still on the frontier has exactly
+        one edge covered, its witness's, so coverage gives the outcome."""
+        program = self.program
+        seed = seed.ljust(program._window_end, b"\0")
         records = self.local_search(seed, frontier, executor, rng)
-        coverage, program = executor.coverage, self.program
+        coverage = executor.coverage
         for site, rec in sorted(records.items()):
             if site not in coverage.frontier:
                 continue
             node = program.nodes[site]
             outcome = 2 * site in coverage.edge_hits
             root = _ROOTS[outcome, node.relation]
-            placements = infer_hot_bytes(node, outcome, seed, rec.witness, rec.witness_key,
-                                         program.max_input_len)
-            candidates = (_solve(node, rec.witness, offsets, root) for offsets in placements)
-            if not placements:
-                # The step aims at the row's value at the root: -2 on an xor
-                # guard's rows f - 1, else 0 (a string's L1 norm too).
-                aim = -2 if node.kind is GuardKind.XOR and root == -1 else 0
-                d = observation_distance(rec.witness_key) - aim
-                candidates = (newton_step(rec.witness, d, rec.g),)
-            for candidate in candidates:
+            for offsets in infer_hot_bytes(node, outcome, seed, rec.witness, rec.witness_key,
+                                           program.max_input_len):
                 if site not in coverage.frontier:
                     break
+                candidate = _solve(node, rec.witness, offsets, root)
                 if candidate != rec.witness:
                     executor.run(candidate)

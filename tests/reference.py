@@ -13,9 +13,10 @@ the two.
   with them, giving the trace a harness must give.  ``row_slope`` gives a
   row's slope, from which a Newton step finds the row's zero; the root
   solvers' closed form lands where the comparison flips.
-  ``fraction_newton_step`` is the byte-space Newton step in ``Fraction``
-  arithmetic with ``round_half_away``, the formula ``newton_step`` keeps in
-  exact integers.
+  ``fraction_newton_step`` is the byte-space Newton step along a record's
+  slopes, in ``Fraction`` arithmetic with ``round_half_away``: the tests'
+  one Newton step, which criterion 2's worked example checks the stage's
+  closed-form candidate against (the engine takes no byte-space step).
   ``compare_steps`` runs every step template on the operands of
   ``step_cases``, at the edges of its comparison, and checks its edge and
   key against ``guard_feedback`` and ``distance_key``.

@@ -18,9 +18,9 @@ from frontierfuzz import builtin_targets
 from frontierfuzz.campaign import Budget, Campaign, Mode
 from frontierfuzz.cli import main as cli_main
 from frontierfuzz.distance import observation_distance
-from frontierfuzz.mutation import Mutator, infer_hot_bytes, newton_step
+from frontierfuzz.mutation import _ROOTS, Mutator, _solve, infer_hot_bytes
 from frontierfuzz.target import Harness, Relation, program_from_dict
-from reference import ConvexityStats, convexity_probe, distance, holds
+from reference import ConvexityStats, convexity_probe, distance, fraction_newton_step, holds
 
 BUDGET_EXECS = 200_000
 RNG_SEEDS = range(10)
@@ -108,10 +108,20 @@ def test_criterion_2_boundary_guard_worked_example(verdict):
     records = mutator.local_search(bytes([5]), {0}, executor, random.Random(0))
     record = records[0]
     ok = ok and record.g == {0: Fraction(-1)}
-    solved = newton_step(record.witness, observation_distance(record.witness_key), record.g)
+    solved = fraction_newton_step(record.witness, observation_distance(record.witness_key),
+                                  record.g)
     ok = ok and solved == bytes([16])
     trace = executor.harness.execute(solved)
     ok = ok and trace.edges == (1,)  # the previously unexercised side
+    # The engine's candidate, the operand solved at the one placement the
+    # locator finds from the witness's outcome (edge 0 is the taken one),
+    # lands there too.
+    node, outcome = program.nodes[0], executor.harness.execute(record.witness).edges == (0,)
+    root = _ROOTS[outcome, node.relation]
+    candidates = [_solve(node, record.witness, offsets, root) for offsets in infer_hot_bytes(
+        node, outcome, bytes([5]), record.witness, record.witness_key, program.max_input_len)]
+    ok = ok and candidates == [bytes([16])]
+    ok = ok and executor.harness.execute(candidates[0]).edges == (1,)
     verdict(2, "input 5 has distance 11 and the root step lands on 16, flipping", ok)
 
 

@@ -479,8 +479,8 @@ def _assert_run_end_invariants(program, campaign):
 
 class TestInvariantsOnGeneratedPrograms:
     """Short campaigns in every mode on generated programs, where fox runs
-    the locator, the operand solver and the byte-space Newton step on
-    guards of any kind."""
+    the locator and the operand solver on guards of any kind, from seeds
+    shorter than the guards' windows too."""
 
     @settings(max_examples=60, deadline=None)
     @given(_documents(), st.data())

@@ -1,9 +1,12 @@
 import base64
 import collections
+import functools
 import itertools
 import math
+import operator
 import pathlib
 import random
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,14 +33,13 @@ from frontierfuzz.mutation import (
     _ROOTS,
     _clamp_byte,
     _solve,
-    newton_step,
 )
 from frontierfuzz.target import GuardKind, GuardProgram, Harness, Relation, program_from_dict
 from reference import (
     _ROWS, compare_havoc, compare_locator, distance_key, execute, fraction_newton_step,
     guard_feedback, guard_ids, holds, locate, round_half_away, row_slope, word_width,
 )
-from test_target import _BYTE_VALUES, _RELATION_TOKENS, _documents
+from test_target import _BYTE_VALUES, _RELATION_TOKENS, _documents, _guard
 
 
 def l1_norm(g: dict[int, Fraction]) -> Fraction:
@@ -404,54 +406,25 @@ class TestSubgradient:
 
 
 class TestNewtonStep:
+    """The tests' one byte-space Newton step, ``fraction_newton_step``, on
+    which criterion 2's worked example rests."""
+
     def test_boundary_guard_lands_on_flip_input(self):
-        out = newton_step(bytes([5]), 11, {0: Fraction(-1)})
+        out = fraction_newton_step(bytes([5]), 11, {0: Fraction(-1)})
         assert out == bytes([16])
 
     def test_zero_distance_returns_witness(self):
-        out = newton_step(bytes([5]), 0, {0: Fraction(-1)})
+        out = fraction_newton_step(bytes([5]), 0, {0: Fraction(-1)})
         assert out == bytes([5])
 
     def test_clamps_to_byte_range(self):
-        out = newton_step(bytes([200]), 120, {0: Fraction(-1)})
-        assert out == bytes([255])
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            newton_step(bytes([5]), 1, {})
+        assert fraction_newton_step(bytes([200]), 120, {0: Fraction(-1)}) == bytes([255])
+        assert fraction_newton_step(bytes([5]), -20, {0: Fraction(-1)}) == bytes([0])
 
     def test_length_preserved(self):
-        out = newton_step(bytes([5, 9, 9]), 4, {0: Fraction(-2)})
+        # A slope past the witness's end moves nothing.
+        out = fraction_newton_step(bytes([5, 9, 9]), 4, {0: Fraction(-2), 5: Fraction(1)})
         assert out == bytes([7, 9, 9])
-
-    def test_matches_the_fraction_formula(self):
-        # Random witnesses, signed d, int and Fraction slopes of either sign
-        # or zero, and keys past the witness's end; exact halves inside the
-        # byte range and both clamps must come up.
-        rng = random.Random(5)
-        seen = collections.Counter()
-        for _ in range(4_000):
-            witness = rng.randbytes(rng.randint(1, 6))
-            d = rng.randint(-600, 600)
-            g = {}
-            for j in rng.sample(range(8), rng.randint(1, 4)):
-                p = rng.choice((0, rng.randint(-40, 40)))
-                g[j] = p if rng.random() < 0.3 else Fraction(p, rng.randint(1, 40))
-            if not any(g.values()):
-                with pytest.raises(ValueError, match="nonzero"):
-                    newton_step(witness, d, g)
-                continue
-            want = fraction_newton_step(witness, d, g)
-            assert newton_step(witness, d, g) == want
-            for j, slope in g.items():
-                if slope and j < len(witness):
-                    x = witness[j] - Fraction(d) / slope
-                    seen["half"] += x.denominator == 2 and 0 < x < 255
-                    seen["low"] += x < 0
-                    seen["high"] += x > 255
-                else:
-                    seen["zero" if j < len(witness) else "past"] += 1
-        assert all(seen[k] > 20 for k in ("half", "low", "high", "zero", "past")), seen
 
     @pytest.mark.parametrize(
         "value,expected",
@@ -915,28 +888,31 @@ class TestRootsFlipTheirBranch:
     @pytest.mark.parametrize("relation,outcome", [("lt", False), ("ge", True)])
     @pytest.mark.parametrize("length", [1, 3, 5])
     def test_xor_newton_step_past_the_rows_zero(self, relation, outcome, length, monkeypatch):
-        # The window xors to 150 against the constant 100 (f = 50), and the
-        # row f - 1 has slope 1 in the first byte.  Aiming at the row's zero
-        # would land on f = 1, the witness's own edge.  The stage's seed is
-        # its witness, so the locator places nothing and the record takes
-        # the Newton step.
+        # The seed's window xors to 150 and the witness's to 140 against the
+        # constant 100 (f = 40), on a row f - 1, whose zero f = 1 is the
+        # witness's own edge.  The stage's one step, at the window the
+        # locator places around the changed first byte, goes on past it to
+        # f = -1 by rewriting that byte alone.
         program = program_from_dict({
             "max_input_len": length, "entry": 0,
             "nodes": [{"id": 0, "kind": "xor", "offset": 0, "length": length,
                        "relation": relation, "constant": 100, "taken": None, "nottaken": None}]})
         node = program.nodes[0]
-        witness = bytes([150]) + bytes(length - 1)
-        f = guard_feedback(node, witness)[1]
-        rec = SubgradientRecord({0: Fraction(row_slope(outcome, node.relation, f))}, witness,
-                                distance_key(outcome, node.relation, f))
+        rest = bytes(range(7, 6 + length))
+        fold = functools.reduce(operator.xor, rest, 0)
+        seed, witness = bytes([150 ^ fold]) + rest, bytes([140 ^ fold]) + rest
+        keys = [distance_key(outcome, node.relation, f) for f in (50, 40)]
+        rec = SubgradientRecord(compute_subgradient(seed, witness, *keys), witness, keys[1])
         monkeypatch.setattr(Mutator, "local_search", lambda *args: {0: rec})
         executor = make_executor(program, frontier={0})
         ran = []
         run = executor.run
         executor.run = lambda data: ran.append(data) or run(data)
-        executor.run(witness)
-        Mutator(program, 64).mutate_stage(witness, {0}, executor, random.Random(0))
+        executor.run(seed)
+        Mutator(program, 64).mutate_stage(seed, {0}, executor, random.Random(0))
         assert execute(program, {0}, ran[0]).edges == ((0,) if outcome else (1,))
+        assert len(ran) == 2 and ran[1][1:] == rest
+        assert functools.reduce(operator.xor, ran[1], 0) == 99
         assert execute(program, {0}, ran[1]).edges == ((1,) if outcome else (0,))
         assert executor.coverage.complete
 
@@ -970,8 +946,9 @@ def _flip_root(outcome, relation, f):
 class _ParentMutator(Mutator):
     """The mutator as it was when local search kept a record for every
     frontier site a sample reached, and the root solvers gated each record
-    on the seed's key and feedback, with two changes: its operand, an xor
-    window's too, is placed by the brute-force ``locate`` rather than read
+    on the seed's key and feedback, with three changes: the seed is first
+    zero-extended to the furthest end of a guard's window, its operand, an
+    xor window's too, is placed by the brute-force ``locate`` rather than read
     off the guard, and a record fires one candidate per placement, in
     ``locate``'s order, until its site leaves the live frontier (as
     ``Mutator.mutate_stage`` does).  ``_solve_string`` takes each window
@@ -979,25 +956,27 @@ class _ParentMutator(Mutator):
     gives the witness's outcome there, descends the row until it flips (as
     ``_reference_solve_operand`` does), and ``_solve_xor`` brings the
     window's xor to the constant plus ``_flip_root`` through the
-    placement's first byte.  Only a record with no placement takes the
-    Newton step, an xor record's aimed at its row's value at
-    ``_flip_root``.  Its local search is ``_reference_local_search`` and its
-    operand solver ``_reference_solve_operand`` at the placement; all three
-    solvers sit behind the seed-key gate.  Kept as the oracle for the stage
-    that keeps only the records a root step can fire from and places
-    operands with no exec."""
+    placement's first byte.  A record with no placement fires nothing.  Its
+    local search is ``_reference_local_search`` and its operand solver
+    ``_reference_solve_operand`` at the placement; all three solvers sit
+    behind the seed-key gate.  Kept as the oracle for the stage that keeps
+    only the records a root step can fire from and places operands with no
+    exec."""
 
     def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
         """One full stage: sample, estimate slopes, and fire the targeted
         inputs of each frontier branch that yielded a usable estimate while
         it is still on the live frontier."""
+        window_end = max((n.offset + n.size for n in self.program.nodes
+                          if n.kind is not GuardKind.BUG), default=0)
+        seed = seed.ljust(window_end, b"\0")
         records = _reference_local_search(self, seed, frontier, executor, rng)
         for site in sorted(records):
             if site not in executor.coverage.frontier:
                 continue
             rec = records[site]
             node = self.program.nodes[site]
-            outcome, f = guard_feedback(node, rec.witness)
+            outcome = guard_feedback(node, rec.witness)[0]
             candidates = []
             if rec.seed_key is not None:
                 for offsets in locate(node, outcome, seed, rec.witness, rec.witness_key,
@@ -1008,11 +987,6 @@ class _ParentMutator(Mutator):
                         candidates.append(self._solve_xor(node, outcome, rec, offsets))
                     else:
                         candidates.append(self._solve_operand(node, seed, rec, offsets))
-            if not candidates and rec.g:
-                d = observation_distance(rec.witness_key)
-                if node.kind is GuardKind.XOR:
-                    d -= _ROWS[outcome, node.relation](_flip_root(outcome, node.relation, f))
-                candidates.append(newton_step(rec.witness, d, rec.g))
             for candidate in candidates:
                 if site not in executor.coverage.frontier:
                     break
@@ -1337,6 +1311,33 @@ class TestHotBytes:
         assert _placement(node) in placements
 
 
+def _own_window_checked_search(kinds):
+    """``Mutator.local_search``, checking that the locator places each
+    record it returns at its guard's own window (an xor window's bytes in
+    any order), with the witness's outcome, which for a site still on the
+    frontier is also the one coverage gives; ``kinds`` counts the records
+    by guard kind."""
+    search = Mutator.local_search
+
+    def checked_search(self, seed, frontier, executor, rng):
+        records = search(self, seed, frontier, executor, rng)
+        coverage = executor.coverage
+        for site, rec in records.items():
+            node = self.program.nodes[site]
+            outcome = guard_feedback(node, rec.witness)[0]
+            if site in coverage.frontier:
+                assert outcome == (2 * site in coverage.edge_hits)
+            own = _placement(node)
+            placements = infer_hot_bytes(node, outcome, seed, rec.witness, rec.witness_key,
+                                         self.program.max_input_len)
+            assert own in placements or node.kind is GuardKind.XOR and any(
+                sorted(p) == list(own) for p in placements), (site, placements)
+            kinds[node.kind] += 1
+        return records
+
+    return checked_search
+
+
 class TestMutateStage:
     def test_magic32_flips_within_one_stage(self):
         flips = 0
@@ -1397,26 +1398,12 @@ class TestMutateStage:
     def test_every_record_places_its_own_window(self, monkeypatch):
         # In fox campaigns on the suite and on two generated programs, the
         # locator places every record local search keeps, at its guard's own
-        # window among others, so no record falls back to the Newton step.
+        # window among others: the stage's one root step has a placement.
         monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "benchmarks"))
         import genprog
 
-        search, kinds = Mutator.local_search, collections.Counter()
-
-        def checked_search(self, seed, frontier, executor, rng):
-            records = search(self, seed, frontier, executor, rng)
-            for site, rec in records.items():
-                node = self.program.nodes[site]
-                outcome = guard_feedback(node, rec.witness)[0]
-                own = _placement(node)
-                placements = infer_hot_bytes(node, outcome, seed, rec.witness, rec.witness_key,
-                                             self.program.max_input_len)
-                assert own in placements or node.kind is GuardKind.XOR and any(
-                    sorted(p) == list(own) for p in placements), (site, placements)
-                kinds[node.kind] += 1
-            return records
-
-        monkeypatch.setattr(Mutator, "local_search", checked_search)
+        kinds = collections.Counter()
+        monkeypatch.setattr(Mutator, "local_search", _own_window_checked_search(kinds))
         programs = [builtin_targets.load(name) for name in builtin_targets.SUITE]
         programs += [program_from_dict(genprog.program(seed)) for seed in (1, 2)]
         for program in programs:
@@ -1424,6 +1411,36 @@ class TestMutateStage:
                 Campaign(program, [bytes(program.max_input_len)], Mode.FOX,
                          Budget(max_execs=3_000), rng_seed=rng_seed).run()
         assert set(kinds) == {GuardKind.INT, GuardKind.STR, GuardKind.XOR}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_record_places_its_own_window_on_drawn_guards(self, data):
+        # One guard of any kind, relation, width, byte order and signedness,
+        # whose window may end at max_input_len, and a seed of any length up
+        # to it: the stage zero-extends the seed, so every record's witness
+        # moved a byte of the guard's own window.
+        node = data.draw(_guard(0))
+        node.update(taken=None, nottaken=None)
+        window_end = node["offset"] + node.get("width", node.get("length"))
+        doc = {"max_input_len": window_end + data.draw(st.integers(0, 2)), "entry": 0,
+               "nodes": [node]}
+        program = program_from_dict(doc)
+        seed = data.draw(st.binary(min_size=1, max_size=doc["max_input_len"]))
+        mutator = Mutator(program, data.draw(st.integers(2, 64)))
+        mutator.local_search = types.MethodType(
+            _own_window_checked_search(collections.Counter()), mutator)
+        executor = make_executor(program, frontier={0})
+        mutator.mutate_stage(seed, {0}, executor, random.Random(data.draw(st.integers(0, 2**32))))
+
+    @pytest.mark.parametrize("name", builtin_targets.SUITE)
+    def test_fox_covers_from_a_one_byte_seed(self, name):
+        # Local search never resizes: from a seed that stops short of a
+        # guard's window, the stage must zero-extend it first, or no sample
+        # moves that guard and fox never falls back to havoc.
+        program = builtin_targets.load(name)
+        camp = Campaign(program, [b"\0"], Mode.FOX, Budget(max_execs=20_000))
+        camp.run()
+        assert camp.coverage.complete
 
     def test_budget_bound(self, monkeypatch):
         # Local search takes at most sample_size execs, and every other exec
@@ -1522,6 +1539,17 @@ class TestMutateStage:
         assert camp.coverage.edge_hits == {0, 1, 3}
 
 
+def _stage_candidate(program, seed, rec):
+    """The stage's candidate for a record of guard 0 of a one-guard
+    ``program`` from ``seed``: ``_solve`` at the one placement
+    ``infer_hot_bytes`` finds, with ``_ROOTS``, from the witness's outcome."""
+    node = program.nodes[0]
+    outcome = guard_feedback(node, rec.witness)[0]
+    (offsets,) = infer_hot_bytes(node, outcome, seed, rec.witness, rec.witness_key,
+                                 program.max_input_len)
+    return _solve(node, rec.witness, offsets, _ROOTS[outcome, node.relation])
+
+
 class TestLinearExactness:
     @pytest.mark.parametrize("relation,constant", [
         ("lt", 60), ("le", 60), ("gt", 180), ("ge", 180),
@@ -1529,8 +1557,8 @@ class TestLinearExactness:
     @pytest.mark.parametrize("seed_byte", [0, 59, 61, 130, 255])
     def test_affine_one_byte_guard_step_lands_at_boundary(self, relation, constant, seed_byte):
         # Whenever local search finds a nonzero slope on a guard whose
-        # distance is affine in one byte, the root step either flips the
-        # guard or lands within one unit of the boundary.
+        # distance is affine in one byte, the root step flips the guard and
+        # lands within one unit of the boundary.
         doc = {"max_input_len": 1, "entry": 0,
                "nodes": [{"id": 0, "kind": "int", "offset": 0, "width": 1,
                           "endian": "le", "signed": False, "relation": relation,
@@ -1541,29 +1569,32 @@ class TestLinearExactness:
         seed = bytes([seed_byte])
         records = mutator.local_search(seed, {0}, executor, random.Random(17))
         rec = records.get(0)
-        if rec is None or l1_norm(rec.g) == 0:
+        if rec is None:
             pytest.skip("no usable slope sampled")
-        out = newton_step(rec.witness, observation_distance(rec.witness_key), rec.g)
+        out = _stage_candidate(program, seed, rec)
         node = program.nodes[0]
         outcome, f = guard_feedback(node, out)
-        flipped = outcome != guard_feedback(node, rec.witness)[0]
-        assert flipped or abs(f) <= 1
+        assert outcome != guard_feedback(node, rec.witness)[0]
+        assert abs(f) <= 1
 
 
 class TestRootCorrespondence:
     @pytest.mark.parametrize("witness_byte", [0, 3, 5, 11, 15])
     def test_prediction_lands_on_flip_boundary(self, witness_byte):
         # On the boundary guard the pre-flip distance is 16 - x with slope
-        # -1, so the root prediction is 16 from anywhere on the true side.
+        # -1, so the Newton root prediction is 16 from anywhere on the true
+        # side, and the stage's candidate lands there too.
         program = le15_program()
         harness = Harness(program, synthetic_time=True)
         harness.switch_on({0})
-        (key,) = harness.execute(bytes([witness_byte])).observations.values()
-        predicted = newton_step(
-            bytes([witness_byte]), observation_distance(key), {0: Fraction(-1)}
-        )
+        witness = bytes([witness_byte])
+        (key,) = harness.execute(witness).observations.values()
+        predicted = fraction_newton_step(witness, observation_distance(key), {0: Fraction(-1)})
         assert predicted == bytes([16])
-        assert harness.execute(predicted).edges == (1,)
+        rec = SubgradientRecord({0: Fraction(-1)}, witness, key)
+        candidate = _stage_candidate(program, bytes([witness_byte + 1]), rec)
+        assert candidate == predicted
+        assert harness.execute(candidate).edges == (1,)
 
 
 class TestNewtonTendency:
@@ -1578,10 +1609,10 @@ class TestNewtonTendency:
             records = mutator.local_search(bytes([5]), {0}, executor,
                                            random.Random(rng_seed))
             rec = records.get(0)
-            if rec is None or l1_norm(rec.g) == 0:
+            if rec is None:
                 continue
             trials += 1
-            out = newton_step(rec.witness, observation_distance(rec.witness_key), rec.g)
+            out = _stage_candidate(program, bytes([5]), rec)
             harness = Harness(program, synthetic_time=True)
             harness.switch_on({0})
             (key,) = harness.execute(out).observations.values()
