@@ -166,16 +166,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     lines = ["mode,t_ns,edges_median,edges_p25,edges_p75"]
     for mode in sorted(runs):
         for t in grid:
-            at_t = []
-            for series in runs[mode]:
-                covered = 0
-                for t_ns, edges in series:
-                    if t_ns <= t:
-                        covered = edges
-                    else:
-                        break
-                at_t.append(covered)
-            at_t.sort()
+            # Each run's edges at its last record by t (t_ns never falls).
+            at_t = sorted(next((e for t_ns, e in reversed(series) if t_ns <= t), 0)
+                          for series in runs[mode])
             lines.append(
                 f"{mode},{t},{_percentile(at_t, 0.5):.1f},"
                 f"{_percentile(at_t, 0.25):.1f},{_percentile(at_t, 0.75):.1f}"

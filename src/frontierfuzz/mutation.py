@@ -30,7 +30,7 @@ from functools import reduce
 from itertools import compress, count
 
 from .distance import observation_distance
-from .target import _FORMULAS, GuardKind, GuardNode, GuardProgram, Relation
+from .target import _FORMULAS, _INT_BOUNDS, GuardKind, GuardNode, GuardProgram, Relation
 
 __all__ = [
     "SubgradientRecord",
@@ -81,6 +81,7 @@ _CHOICES = {
         tuple((w, len(_PACKED[w]), _PACKED[w]) for w in (1, 2, 4) if w <= n))
     for n in (1, 2, 3, 4)
 }
+_EMPTY = bytearray()  # ``_EMPTY + seed`` copies faster than ``bytearray(seed)``
 
 # 1/δ in units of 1/L for each byte delta δ; L = lcm(1..255) makes each exact.
 _L = math.lcm(*range(1, 256))
@@ -190,7 +191,7 @@ def _havoc_loop(seed: bytes, gb, stack_max: int, n_ops: int, low: int, high: int
     """``havoc_mutate``'s operator loop under its plan; ``gb`` is the rng's
     ``getrandbits``."""
     budget = _BYTES_PER_OP
-    buf = bytearray(seed)
+    buf = _EMPTY + seed
     n = len(seed)
     for _ in range(gb(30) % stack_max + 1):
         r = gb(width)
@@ -240,7 +241,7 @@ def _havoc_loop(seed: bytes, gb, stack_max: int, n_ops: int, low: int, high: int
                 else:
                     buf[pos:pos] = gb(8 * blen).to_bytes(blen, "little")
                 n += blen
-    return bytes(buf)
+    return b"" + buf
 
 
 def compute_subgradient(seed: bytes, mutant: bytes, d_seed: int,
@@ -332,10 +333,9 @@ def _solve(node: GuardNode, witness: bytes, offsets, root: int) -> bytes:
     if node.kind is GuardKind.STR:
         solved = bytes(_clamp_byte(c + root) for c in node.constant[:size].ljust(size, b"\0"))
     else:
-        bits = 8 * size
-        low = -(1 << (bits - 1)) if node.signed else 0
-        operand = max(low, min(low + (1 << bits) - 1, node.constant + root))
-        solved = (operand & ((1 << bits) - 1)).to_bytes(size, "little")
+        low, high = _INT_BOUNDS[size, node.signed]
+        operand = max(low, min(high, node.constant + root))
+        solved = operand.to_bytes(size, "little", signed=node.signed)
     buf = bytearray(witness.ljust(max(offsets) + 1, b"\0"))
     for offset, byte in zip(offsets, solved):
         buf[offset] = byte

@@ -1,8 +1,9 @@
 """Frontier-branch scheduling: clocks, top-seed map, and greedy selection.
 
-Each frontier branch carries two monotone clocks: total time spent by
-executions that reached it, and the productive fraction that lowered its
-running distance minimum.  The branch score is
+Each frontier branch carries two monotone clocks of target time (each exec's
+``Harness.execute`` time, the paper's reach time, not the campaign's wall
+clock): the total for executions that reached it, and the productive part
+that lowered its running distance minimum.  The branch score is
 
     productive_time / (total_time * sc[top_seed])
 
@@ -41,7 +42,7 @@ class BranchStats:
     ``best`` is the running distance minimum as a plain order key: the signed
     value of a scalar, or ``(L1, values)`` for a vector, whose L1 ties break
     lexicographically.  ``best_input`` is the earliest input that reached it.
-    ``pt``/``tt`` are productive/total reach time in nanoseconds.
+    ``pt``/``tt`` are productive/total reach time in target nanoseconds.
     """
 
     best: int | tuple[int, tuple[int, ...]]

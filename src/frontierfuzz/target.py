@@ -33,7 +33,7 @@ Edge ids are fixed as ``2 * node_id`` for the taken edge and
 
 from __future__ import annotations
 
-import base64
+import binascii
 import json
 import operator
 import struct
@@ -236,68 +236,68 @@ def _templates() -> dict:
 _TEMPLATES = _templates()
 
 
-def _step(n: GuardNode, observe: bool, BUG=GuardKind.BUG, INT=GuardKind.INT, XOR=GuardKind.XOR):
-    """Node ``n``'s step: its template's code with the operands bound in."""
+def _step(n: GuardNode, observe=False, BUG=GuardKind.BUG, INT=GuardKind.INT, STR=GuardKind.STR):
+    """Node ``n``'s step: its template's code with the operands bound in as the
+    one argument tuple its branch builds (an observing step's binds its site)."""
     nid, kind, off, size, endian, signed, rel, const, tk, ntk = n
     if kind is BUG:
         return FunctionType(_TEMPLATES[BUG], _NAMESPACE, None, (-2 - nid,))
-    end, extra = off + size, (nid,) if observe else ()
-    if kind is INT:
-        if size == 1:
-            variant, head = "sbyte" if signed else "byte", (off,)
-        else:
-            variant, head = "int", (off, _READERS[endian, size, signed])
-    elif kind is XOR and size <= 4:
-        variant, head = ("byte", "xor2", "xor3", "xor4")[size - 1], tuple(range(off, end))
-    elif kind is XOR:
-        variant, head = "xor", (off, end)
-    else:
+    te, ne, end = 2 * nid, 2 * nid + 1, off + size
+    tk, ntk = -1 if tk is None else tk, -1 if ntk is None else ntk
+    if kind is STR:
         # Window and constant are both zero-padded to the longer of the two and
         # compared as byte strings.
         cmplen = max(size, len(const))
         pad, const = bytes(cmplen - size), const.ljust(cmplen, b"\0")
         if observe:
-            variant, head = "str", (off, end, pad)
-            extra = (nid, tuple(map((1).__add__, const)), (1,) * cmplen, [None] * 4)
+            variant, args = "str", (off, end, pad, const, te, ne, tk, ntk, nid,
+                                    tuple(map((1).__add__, const)), (1,) * cmplen, [None] * 4)
+        elif pad:
+            variant, args = "pad", (off, end, pad, const, te, ne, tk, ntk)
         else:
-            variant, head = ("pad", (off, end, pad)) if pad else ("str", (off, end))
-    tail = (const, 2 * nid, 2 * nid + 1, -1 if tk is None else tk, -1 if ntk is None else ntk)
-    return FunctionType(_TEMPLATES[variant, rel, observe], _NAMESPACE, None, head + tail + extra)
+            variant, args = "str", (off, end, const, te, ne, tk, ntk)
+    elif kind is INT and size > 1:
+        variant, read = "int", _READERS[endian, size, signed]
+        args = ((off, read, const, te, ne, tk, ntk, nid) if observe
+                else (off, read, const, te, ne, tk, ntk))
+    elif size == 1:  # an int or xor guard on one byte
+        variant = "sbyte" if signed else "byte"
+        args = (off, const, te, ne, tk, ntk, nid) if observe else (off, const, te, ne, tk, ntk)
+    elif size > 4:
+        variant = "xor"
+        args = ((off, end, const, te, ne, tk, ntk, nid) if observe
+                else (off, end, const, te, ne, tk, ntk))
+    else:
+        variant = ("xor2", "xor3", "xor4")[size - 2]
+        args = ((*range(off, end), const, te, ne, tk, ntk, nid) if observe
+                else (*range(off, end), const, te, ne, tk, ntk))
+    return FunctionType(_TEMPLATES[variant, rel, observe], _NAMESPACE, None, args)
 
 
 class GuardProgram:
     """Validated, immutable guard-tree program.
 
     Safe to share between harness handles; all mutable execution state lives
-    in :class:`Harness`.
+    in :class:`Harness`.  ``window_end`` (the furthest operand window end, to
+    which inputs are zero-extended) and ``bugs`` (the bug node ids) come from
+    ``program_from_dict``'s one pass: the program walks its nodes only to build
+    their plain steps.
     """
 
-    def __init__(self, nodes: Iterable[GuardNode], entry: int, max_input_len: int):
+    def __init__(self, nodes: Iterable[GuardNode], entry: int, max_input_len: int,
+                 window_end: int, bugs: Iterable[int]):
         # Ids are dense and ordered (``program_from_dict`` checks), so a node's
         # id is its index.
         self.nodes = nodes = tuple(nodes)
         self.entry = entry
         self.max_input_len = max_input_len
         self.node_ids = frozenset(range(len(nodes)))
-        self._steps = [_step(n, False) for n in nodes]
-        bugs = []
-        # Inputs are zero-extended to here: the furthest operand window end.
-        window_end = 0
-        BUG = GuardKind.BUG
-        for n in nodes:
-            if n.kind is BUG:
-                bugs.append(n.node_id)
-            else:
-                window_end = max(window_end, n.offset + n.size)
+        self._steps = list(map(_step, nodes))
         self._window_end = window_end
         # Every guard node owns exactly its two outgoing edge ids.
         self.all_edges = frozenset(range(2 * len(nodes))).difference(
-            e for nid in bugs for e in (2 * nid, 2 * nid + 1)
-        )
-
-    @property
-    def total_edges(self) -> int:
-        return len(self.all_edges)
+            e for nid in bugs for e in (2 * nid, 2 * nid + 1))
+        self.total_edges = len(self.all_edges)
 
 
 class Harness:
@@ -322,10 +322,8 @@ class Harness:
         new = {nid for nid in sites if nid not in active}
         if not new <= program.node_ids:
             raise ValueError(f"unknown node ids in active set: {sorted(new - program.node_ids)}")
-        nodes, BUG = program.nodes, GuardKind.BUG
-        for nid in new:
-            if nodes[nid].kind is not BUG:  # a bug node observes nothing
-                steps[nid] = _step(nodes[nid], True)
+        for nid in new:  # a bug node's step observes nothing either way
+            steps[nid] = _step(program.nodes[nid], True)
         active |= new
 
     def switch_off(self, sites) -> None:
@@ -360,6 +358,9 @@ class Harness:
 
 
 _VALID_INT_WIDTHS = (1, 2, 4, 8)
+# Each integer operand's (least, greatest) value, keyed by (width, signed).
+_INT_BOUNDS = {(w, s): (-(1 << 8 * w - 1), (1 << 8 * w - 1) - 1) if s else (0, (1 << 8 * w) - 1)
+               for w in _VALID_INT_WIDTHS for s in (False, True)}
 # Inputs are zero-extended to the furthest operand window end: bound it.
 MAX_WINDOW_END = 1 << 24
 _RELATIONS = {r.value: r for r in Relation}
@@ -374,9 +375,10 @@ def _bad_field(raw: dict, ref: str, name: str):
 
 
 def program_from_dict(doc: dict) -> GuardProgram:
-    """Build and validate a :class:`GuardProgram` from a decoded document,
-    checking each field once, in a fixed order, for exactly its JSON type
-    (``true`` is not an int); the first fault found is the one reported."""
+    """Build and validate a :class:`GuardProgram` from a decoded document in
+    one pass over its nodes, checking each field once, in a fixed order, for
+    exactly its JSON type (``true`` is not an int); the first fault found is
+    the one reported.  The pass also keeps the window end and bug ids."""
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     if (max_input_len := doc.get("max_input_len")).__class__ is not int:
@@ -395,6 +397,7 @@ def program_from_dict(doc: dict) -> GuardProgram:
     # Whether every child id lies between its parent's id and n; once the ids
     # are dense, such children all exist and cannot close a cycle.
     forward = True
+    window_end, bugs = 0, []
     new, BUG, INT, XOR = tuple.__new__, GuardKind.BUG, GuardKind.INT, GuardKind.XOR
     for raw in raw_nodes:
         if not isinstance(raw, dict):
@@ -413,6 +416,7 @@ def program_from_dict(doc: dict) -> GuardProgram:
             if get("taken") is not None or get("nottaken") is not None:
                 raise DocumentError(f"node {nid}: bug nodes are terminal and take no children")
             nodes[nid] = new(GuardNode, (nid, kind, 0, 1, "le", False, None, None, None, None))
+            bugs.append(nid)
             continue
 
         if (offset := get("offset")).__class__ is not int:
@@ -443,8 +447,7 @@ def program_from_dict(doc: dict) -> GuardProgram:
                 _bad_field(raw, f"node {nid}", "signed")
             if (constant := get("constant")).__class__ is not int:
                 _bad_field(raw, f"node {nid}", "constant")
-            bits = 8 * size
-            lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if signed else (0, (1 << bits) - 1)
+            lo, hi = _INT_BOUNDS[size, signed]
             if not lo <= constant <= hi:
                 raise DocumentError(f"node {nid}: constant {constant} does not fit width {size}")
         else:
@@ -459,9 +462,10 @@ def program_from_dict(doc: dict) -> GuardProgram:
                 if not 0 <= constant <= 0xFF:
                     raise DocumentError(f"node {nid}: xor constant must fit one byte")
             else:
+                # ``base64.b64decode(constant, validate=True)``, less its wrapper.
                 try:
-                    constant = base64.b64decode(constant, validate=True)
-                except Exception:
+                    constant = binascii.a2b_base64(constant.encode("ascii"), strict_mode=True)
+                except ValueError:
                     raise DocumentError(f"node {nid}: constant is not valid base64") from None
                 if not constant:
                     raise DocumentError(f"node {nid}: string constant must be nonempty")
@@ -472,6 +476,8 @@ def program_from_dict(doc: dict) -> GuardProgram:
         if end > MAX_WINDOW_END:
             raise DocumentError(f"node {nid}: operand window ends past the "
                                 f"{MAX_WINDOW_END}-byte limit")
+        if end > window_end:
+            window_end = end
         nodes[nid] = new(GuardNode, (nid, kind, offset, size, endian, signed, relation,
                                      constant, taken, nottaken))
 
@@ -484,7 +490,7 @@ def program_from_dict(doc: dict) -> GuardProgram:
         raise DocumentError("document: entry node may not be a bug node")
     if not forward:
         _check_children(nodes)
-    return GuardProgram(map(nodes.__getitem__, range(n)), entry, max_input_len)
+    return GuardProgram(map(nodes.__getitem__, range(n)), entry, max_input_len, window_end, bugs)
 
 
 def _check_children(nodes: dict[int, GuardNode]) -> None:

@@ -1480,10 +1480,14 @@ class TestMutateStage:
         # one: the locator, not the guard, says where the operand lies.
         program = builtin_targets.load(name)
         room = program.max_input_len
+        moved = [n._replace(offset=(n.offset + 1) % (room - n.size + 1),
+                            endian="be" if n.endian == "le" else "le") for n in program.nodes]
+        # The two facts the loader's pass hands over: the furthest window end
+        # and the bug node ids.
         misplaced = GuardProgram(
-            [n._replace(offset=(n.offset + 1) % (room - n.size + 1),
-                        endian="be" if n.endian == "le" else "le") for n in program.nodes],
-            program.entry, room)
+            moved, program.entry, room,
+            max(n.offset + n.size for n in moved if n.kind is not GuardKind.BUG),
+            [n.node_id for n in moved if n.kind is GuardKind.BUG])
         flips = 0
         for rng_seed in range(10):
             executor = make_executor(program, frontier={0})

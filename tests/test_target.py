@@ -121,6 +121,35 @@ class TestLoadProgram:
         with pytest.raises(DocumentError, match="one byte"):
             load_program(doc_bytes(doc))
 
+    @pytest.mark.parametrize("constant,message", [
+        ("QU JD", "node 0: constant is not valid base64"),  # inner space
+        ("QUJD\n", "node 0: constant is not valid base64"),  # trailing newline
+        ("QUI", "node 0: constant is not valid base64"),  # missing padding
+        ("-_-_", "node 0: constant is not valid base64"),  # URL-safe alphabet
+        ("QQ==QQ==", "node 0: constant is not valid base64"),  # data after padding
+        ("QUJDé", "node 0: constant is not valid base64"),  # non-ASCII
+        ("", "node 0: string constant must be nonempty"),
+        ("====", "node 0: constant is not valid base64"),
+    ])
+    def test_string_constant_decoder_rejects(self, constant, message):
+        # The strict decoder: these fail with exactly the messages
+        # base64.b64decode(..., validate=True) led to.
+        doc = {"max_input_len": 8, "entry": 0,
+               "nodes": [{"id": 0, "kind": "str", "offset": 0, "length": 4,
+                          "relation": "eq", "constant": constant}]}
+        with pytest.raises(DocumentError) as info:
+            program_from_dict(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("constant,decoded", [
+        ("QUJD", b"ABC"), ("QQ==", b"A"), ("+/+/", b"\xfb\xff\xbf"), ("QUJ=", b"AB"),
+    ])
+    def test_string_constant_decoder_accepts(self, constant, decoded):
+        doc = {"max_input_len": 8, "entry": 0,
+               "nodes": [{"id": 0, "kind": "str", "offset": 0, "length": 4,
+                          "relation": "eq", "constant": constant}]}
+        assert program_from_dict(doc).nodes[0].constant == decoded
+
     def test_entry_must_exist(self):
         doc = {"max_input_len": 4, "entry": 5, "nodes": [int_node(0)]}
         with pytest.raises(DocumentError, match="entry"):
