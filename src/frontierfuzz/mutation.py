@@ -118,23 +118,22 @@ def _clamp_byte(v: int) -> int:
     return 0 if v < 0 else (255 if v > 255 else v)
 
 
-def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
-                 max_len: int | None = None) -> bytes:
+def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int, max_len: int) -> bytes:
     """Apply a random stack of 1 to ``stack_max`` havoc operators to the seed.
 
     Every operator touches at most 4 byte positions (``_BYTES_PER_OP``), so a
-    mutant differs from the seed in at most ``4 * stack_max`` bytes.  Local
-    search passes ``_SEARCH_STACK`` (4) and plain havoc batches
-    ``_BATCH_STACK`` (16).  The length-changing operators are on exactly when
-    ``max_len`` is given (local search needs inputs aligned with the seed);
-    they never move the length more than 4 away from the seed's, and grow
-    only up to ``max_len``.
+    mutant differs from the seed in at most ``4 * stack_max`` bytes.  Plain
+    havoc batches pass ``_BATCH_STACK`` (16).  The two length-changing
+    operators never move the length more than 4 away from the seed's, and
+    grow only up to ``max_len``.  Local search, which needs inputs aligned
+    with the seed, runs ``_havoc_loop`` with ``_SEARCH_STACK`` (4) and the
+    first six operators only.
 
     Draw contract.  The stack depth is ``rng.getrandbits(30) % stack_max + 1``.
     Each operator then takes one ``rng.getrandbits(width)``, even one that is
     skipped, and carves its fields from it in mixed radix (``r % m`` is the
-    field, ``r // m`` the rest), in this order: the operator index (8 with
-    ``max_len``, else 6; the last two resize), then
+    field, ``r // m`` the rest), in this order: the operator index (8, the
+    last two resizing; 6 in local search's loop), then
       bit flip:        bit (8), position (n);
       byte set:        value (256), position (n);
       byte add/sub:    sign and delta as one ``_DELTAS`` index (70), position (n);
@@ -157,28 +156,23 @@ def havoc_mutate(seed: bytes, rng: random.Random, stack_max: int,
     256)``, which no operator's ``M`` exceeds, it is ``max(30, 10 + (bound -
     1).bit_length())``.  So no field's bias reaches ``2**-10``, every
     position stays reachable at any length, and a call whose ``bound`` is at
-    most ``2**20`` (a top length up to 362 with ``max_len``, 418 without)
+    most ``2**20`` (a top length up to 362, or 418 in local search's loop)
     draws 30 bits per operator.  The stack depth's bias is below
-    ``stack_max / 2**30``.  A call plans (the operator count, the resize
-    bounds and the width) and runs ``_havoc_loop``; local search plans once
-    per stage and calls the loop for each sample.
+    ``stack_max / 2**30``.  A call plans (the resize bounds and the width)
+    and runs ``_havoc_loop``; local search plans once per stage and calls
+    the loop for each sample.
     """
     if not seed:
         raise ValueError("seed must be nonempty")
     if stack_max < 1:
         raise ValueError("stack_max must be >= 1")
-    n_ops = 8 if max_len is not None else 6  # operators 6 and 7 resize
     n = len(seed)
-    # Deletes and inserts keep the length within [low, high]; with no
-    # max_len nothing resizes.
+    # Deletes and inserts (operators 6 and 7) keep the length within [low, high].
     low = n - _BYTES_PER_OP if n - _BYTES_PER_OP > 1 else 1
-    if max_len is None:
-        high = n
-    else:
-        high = n + _BYTES_PER_OP if max_len > n + _BYTES_PER_OP else max_len
+    high = n + _BYTES_PER_OP if max_len > n + _BYTES_PER_OP else max_len
     top = n if n > high else high  # no length this call reaches exceeds top
-    width = 30 if top <= 256 else _word_width(n_ops, top)
-    return _havoc_loop(seed, rng.getrandbits, stack_max, n_ops, low, high, width)
+    width = 30 if top <= 256 else _word_width(8, top)
+    return _havoc_loop(seed, rng.getrandbits, stack_max, 8, low, high, width)
 
 
 def _word_width(n_ops: int, top: int) -> int:
@@ -188,7 +182,8 @@ def _word_width(n_ops: int, top: int) -> int:
 
 def _havoc_loop(seed: bytes, gb, stack_max: int, n_ops: int, low: int, high: int,
                 width: int) -> bytes:
-    """``havoc_mutate``'s operator loop under its plan; ``gb`` is the rng's
+    """The havoc operator loop under a plan: the first ``n_ops`` operators,
+    lengths within [low, high] and the word width; ``gb`` is the rng's
     ``getrandbits``."""
     budget = _BYTES_PER_OP
     buf = _EMPTY + seed
@@ -396,7 +391,8 @@ class Mutator:
         norms = dict.fromkeys(seed_v, 0)
         best: dict[int, tuple[bytes, int | tuple[int, tuple[int, ...]]]] = {}
         live = executor.coverage.frontier
-        # The plan of havoc_mutate(seed, rng, _SEARCH_STACK), made once.
+        # The havoc loop's plan, made once: the six operators that keep the
+        # seed's length, at their word width for it.
         n, gb, loop, width = len(seed), rng.getrandbits, _havoc_loop, _word_width(6, len(seed))
         for start in range(0, self.sample_size, _SEARCH_CHUNK):
             count = min(start + _SEARCH_CHUNK, self.sample_size) - max(start, 1)
@@ -413,7 +409,7 @@ class Mutator:
                     if (v := observation_distance(key)) == base:
                         continue
                     if s is None:
-                        s = 0  # with no max_len, havoc keeps the seed's length
+                        s = 0  # six operators keep the seed's length
                         for x, y in zip(seed, data):
                             if x != y:
                                 s += _INV[abs(y - x)]

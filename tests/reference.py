@@ -1,45 +1,40 @@
-"""Reference oracles the tests check the engine against.
+"""The tests' one reference per engine layer, each written from the layer's
+documented contract, not from a past version of the engine, and none on a
+fuzzing run's path.  Layer -> its reference -> the test that compares them:
 
-None of these is on a fuzzing run's path: each restates, from the
-definitions, a fact the engine keeps another way, so that a test can compare
-the two.
+* guard reading -> ``_ROWS`` and ``holds`` (the distance rows and the
+  relations, transcribed by hand), ``guard_feedback`` (a guard's raw
+  feedback on an input) and ``distance_key`` (the key an observing step
+  stores; ``distance`` and ``string_distance`` validate it first) ->
+  test_distance.py, and ``compare_steps``, every step template at the edges
+  of its comparison -> test_target.py ``TestStepsAtBoundaries`` and CI;
+* loader -> ``program_from_dict``, with ``b64_constant`` -> test_target.py
+  ``TestLoaderAgainstReference``; ``constant_table`` -> CI's decoder pin;
+* walk -> ``execute`` -> test_target.py ``TestDifferentialAgainstInterpreter``;
+* frontier -> ``recompute_frontier`` (with ``guard_ids`` and
+  ``edge_endpoints``) -> test_coverage.py and test_campaign.py;
+* scheduler fold -> ``fold`` -> test_scheduling.py
+  ``TestFoldAgainstPerSiteReference``;
+* havoc -> ``havoc`` and ``word_width`` -> ``compare_havoc``, local
+  search's planned loop included -> test_mutation.py
+  ``TestHavoc.test_matches_reference`` and CI;
+* local search -> ``local_search`` -> ``TestLocalSearchAgainstReference``;
+* locator -> ``locate`` -> ``compare_locator`` -> ``TestHotBytes`` and CI;
+* root solver -> ``flip_root`` and ``solve`` ->
+  ``TestOperandSolverAgainstReference``;
+* stage -> ``stage``, composed of the references above only ->
+  ``TestMutateStageAgainstReference``.
 
-* The one reading of what a guard does, shared by every test.  ``_ROWS``
-  and ``holds`` transcribe the twelve distance rows and the six relations
-  by hand, sharing nothing with the step templates.  ``guard_feedback``
-  reads a guard's raw comparison feedback off an input, ``distance_key``
-  turns it into the key an observing step stores (``distance`` and
-  ``string_distance`` validate it first), and ``execute`` walks a program
-  with them, giving the trace a harness must give.  ``row_slope`` gives a
-  row's slope, from which a Newton step finds the row's zero; the root
-  solvers' closed form lands where the comparison flips.
-  ``fraction_newton_step`` is the byte-space Newton step along a record's
-  slopes, in ``Fraction`` arithmetic with ``round_half_away``: the tests'
-  one Newton step, which criterion 2's worked example checks the stage's
-  closed-form candidate against (the engine takes no byte-space step).
-  ``compare_steps`` runs every step template on the operands of
-  ``step_cases``, at the edges of its comparison, and checks its edge and
-  key against ``guard_feedback`` and ``distance_key``.
-* ``guard_ids``, ``edge_endpoints`` and ``recompute_frontier`` derive the
-  frontier from scratch from a coverage map's hit edges; ``CoverageMap``
-  keeps it incrementally.
-* ``convexity_probe`` and ``ConvexityStats`` check a branch's distance for
-  midpoint convexity over an input pair on a real harness.
-* ``locate`` places a guard's operand in a witness by brute force, at every
-  start, and in both byte orders for an integer, through ``guard_feedback``
-  and ``distance_key``; ``compare_locator`` checks ``infer_hot_bytes``
-  against it.
-* ``havoc`` restates ``havoc_mutate``'s draw contract one field at a time,
-  with ``word_width`` giving the width of each operator's word, and
-  ``compare_havoc`` checks the two against each other, and against the
-  havoc loop that ``Mutator.local_search`` plans once per stage.
-
-``compare_steps``, ``compare_locator`` and ``compare_havoc`` need nothing
-beyond the standard library and the engine, so they run without pytest:
+Beside them: ``convexity_probe`` (test_oracle.py, test_acceptance.py), and
+criterion 2's byte-space Newton step, ``fraction_newton_step`` (with
+``row_slope`` and ``round_half_away``), which the stage's candidate must meet.
+``compare_steps``, ``compare_locator``, ``compare_havoc`` and
+``constant_table`` need only the standard library and the engine:
 
     PYTHONPATH=src:tests python -c "import reference; reference.compare_havoc([600], 5, 1)"
     PYTHONPATH=src:tests python -c "import reference; reference.compare_steps()"
     PYTHONPATH=src:tests python -c "import reference; reference.compare_locator(2000, 1)"
+    PYTHONPATH=src:tests python -c "import reference; print(*reference.constant_table(), sep='\\n')"
 """
 
 from __future__ import annotations
@@ -50,14 +45,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import SimpleNamespace
 
+from frontierfuzz import target
 from frontierfuzz.coverage import CoverageMap
 from frontierfuzz.distance import observation_distance
 from frontierfuzz.mutation import (
     _ARITH_MAX, _BATCH_STACK, _INTERESTING, _SEARCH_CHUNK, _SEARCH_STACK, Mutator, havoc_mutate,
     infer_hot_bytes,
 )
+from frontierfuzz.scheduling import BranchStats
 from frontierfuzz.target import (
-    ExecutionTrace, GuardKind, GuardNode, GuardProgram, Harness, Relation, program_from_dict,
+    MAX_WINDOW_END, DocumentError, ExecutionTrace, GuardKind, GuardNode, GuardProgram, Harness,
+    Relation,
 )
 
 # The distance rows, transcribed from the definitions rather than taken from
@@ -242,8 +240,8 @@ def compare_steps() -> int:
         node = dict(node, id=0, offset=1, taken=1, nottaken=None)
         for rel in Relation:
             node["relation"] = rel.value
-            program = program_from_dict({"max_input_len": 16, "entry": 0,
-                                         "nodes": [node, {"id": 1, "kind": "bug"}]})
+            program = target.program_from_dict({"max_input_len": 16, "entry": 0,
+                                                "nodes": [node, {"id": 1, "kind": "bug"}]})
             harness = Harness(program, synthetic_time=True)
             harness.switch_on({0})
             guard, plain, observing = program.nodes[0], program._steps[0], harness._steps[0]
@@ -266,6 +264,152 @@ def compare_steps() -> int:
     if missing:
         raise AssertionError(f"no case reached {len(missing)} (kind, relation, outcome) triples")
     return count
+
+
+_B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def b64_constant(text: str) -> bytes | None:
+    """A string constant's bytes, or None when it is not strict base64: the
+    standard alphabet in whole groups of four characters, the last of which
+    may end in one or two ``=`` pads (whose bits need not be zero)."""
+    digits = text.removesuffix("=").removesuffix("=")
+    if len(text) % 4 or not set(digits) <= set(_B64):
+        return None
+    value, nbytes = 0, len(digits) * 6 // 8
+    for c in digits:
+        value = value << 6 | _B64.index(c)
+    return (value >> len(digits) * 6 - 8 * nbytes).to_bytes(nbytes, "big")
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise DocumentError(message)
+
+
+def _field(raw: dict, ref: str, name: str, kind, required=True):
+    """Field ``name`` of ``raw``, of exactly JSON type ``kind`` (``true`` is
+    no int); absent or null, it is missing, a fault only if ``required``."""
+    value = raw.get(name)
+    _check(value is not None or not required, f"{ref}: missing field '{name}'")
+    _check(value is None or type(value) is kind, f"{ref}: field '{name}' has invalid type")
+    return value
+
+
+def program_from_dict(doc) -> SimpleNamespace:
+    """The loader's contract, as README's "Target documents" states it: the
+    root object, then ``max_input_len``, ``entry`` and ``nodes``; node by
+    node in document order, ``id`` (and duplicates), ``kind``, a bug node's
+    missing children, a guard's ``offset``, ``relation``, ``taken`` and
+    ``nottaken``, its kind's fields, and its window against
+    ``max_input_len`` and ``MAX_WINDOW_END``; then dense ids, the entry,
+    dangling children in document order, and cycles.  The first fault
+    raises ``DocumentError``; else the nodes, in id order, with the facts
+    derived from them.  Cycles are found depth first from each id in order,
+    the not-taken child explored first and both children checked on entry,
+    recursively: the documents it is given are small."""
+    _check(type(doc) is dict, "document root must be an object")
+    max_input_len = _field(doc, "document", "max_input_len", int)
+    _check(max_input_len >= 1, "document: max_input_len must be >= 1")
+    entry = _field(doc, "document", "entry", int)
+    _check(_field(doc, "document", "nodes", list), "document: nodes must be nonempty")
+    nodes = {}
+    for raw in doc["nodes"]:
+        _check(type(raw) is dict, "document: each node must be an object")
+        nid = _field(raw, "node", "id", int)
+        ref = f"node {nid}"
+        _check(nid not in nodes, f"{ref}: duplicate node id")
+        kind = _field(raw, ref, "kind", str)
+        _check(kind in [k.value for k in GuardKind], f"{ref}: unknown kind '{kind}'")
+        if kind == "bug":
+            _check(raw.get("taken") is None and raw.get("nottaken") is None,
+                   f"{ref}: bug nodes are terminal and take no children")
+            nodes[nid] = GuardNode(nid, GuardKind.BUG, 0, 1, "le", False, None, None, None, None)
+            continue
+        offset = _field(raw, ref, "offset", int)
+        _check(offset >= 0, f"{ref}: offset must be >= 0")
+        relation = _field(raw, ref, "relation", str)
+        _check(relation in [r.value for r in Relation], f"{ref}: unknown relation '{relation}'")
+        taken = _field(raw, ref, "taken", int, required=False)
+        nottaken = _field(raw, ref, "nottaken", int, required=False)
+        endian, signed = "le", False
+        if kind == "int":
+            size = _field(raw, ref, "width", int)
+            _check(size in (1, 2, 4, 8), f"{ref}: width must be one of (1, 2, 4, 8)")
+            endian = _field(raw, ref, "endian", str)
+            _check(endian in ("le", "be"), f"{ref}: endian must be 'le' or 'be'")
+            signed = _field(raw, ref, "signed", bool)
+            constant = _field(raw, ref, "constant", int)
+            half = 1 << 8 * size - 1
+            _check((-half if signed else 0) <= constant < (half if signed else 2 * half),
+                   f"{ref}: constant {constant} does not fit width {size}")
+        else:
+            size = _field(raw, ref, "length", int)
+            _check(size >= 1, f"{ref}: length must be >= 1")
+            if kind == "xor":
+                constant = _field(raw, ref, "constant", int)
+                _check(0 <= constant <= 255, f"{ref}: xor constant must fit one byte")
+            else:
+                constant = b64_constant(_field(raw, ref, "constant", str))
+                _check(constant is not None, f"{ref}: constant is not valid base64")
+                _check(constant != b"", f"{ref}: string constant must be nonempty")
+        _check(offset + size <= max_input_len, f"{ref}: operand window [{offset}, "
+               f"{offset + size}) exceeds max_input_len {max_input_len}")
+        _check(offset + size <= MAX_WINDOW_END,
+               f"{ref}: operand window ends past the {MAX_WINDOW_END}-byte limit")
+        nodes[nid] = GuardNode(nid, GuardKind(kind), offset, size, endian, signed,
+                               Relation(relation), constant, taken, nottaken)
+    _check(set(nodes) == set(range(len(nodes))), "document: node ids must be dense 0..n-1")
+    _check(entry in nodes, f"document: entry {entry} is not a node id")
+    _check(nodes[entry].kind is not GuardKind.BUG, "document: entry node may not be a bug node")
+    children = {nid: [c for c in (n.taken, n.nottaken) if c is not None]
+                for nid, n in nodes.items()}
+    for nid, kids in children.items():
+        for child in kids:
+            _check(child in nodes, f"node {nid}: child {child} does not exist")
+    state = {}  # False while on the current path, True once done
+
+    def visit(nid):
+        state[nid] = False
+        for child in children[nid]:
+            _check(state.get(child) is not False, f"node {child}: child references form a cycle")
+        for child in reversed(children[nid]):
+            if child not in state:
+                visit(child)
+        state[nid] = True
+
+    for nid in sorted(nodes):
+        if nid not in state:
+            visit(nid)
+    guards = [n for n in nodes.values() if n.kind is not GuardKind.BUG]
+    return SimpleNamespace(
+        nodes=[nodes[nid] for nid in sorted(nodes)], entry=entry, max_input_len=max_input_len,
+        node_ids=frozenset(nodes), guard_ids=frozenset(n.node_id for n in guards),
+        all_edges=frozenset(e for n in guards for e in (2 * n.node_id, 2 * n.node_id + 1)),
+        _window_end=max(n.offset + n.size for n in guards))
+
+
+# Constants whose acceptance differed between Pythons without the strict
+# rule, beside ones that every Python rejects or decodes alike.
+_CONSTANTS = ["", "====", "QUJD", "QUJD=", "QUJD==", "QUJD===", "QUJD====", "QUJDRA==",
+              "QUJDRA=", "QUJDRA", "QUJDREU=", "QQ==", "QR==", "QQ=", "Q===", "QQ=A", "QUJ=",
+              "QUI=", "QUI", "=QUJ", "QU=D", "QQ==QQ==", "QU JD", "QUJD\n", " QUJD", "-_-_",
+              "QUJD-_8=", "+/+/", "AAAA", "QUJDé"]
+
+
+def constant_table() -> list[str]:
+    """One line per ``_CONSTANTS`` entry as the engine's loader takes it as
+    a string guard's constant: its bytes in hex, or "reject"."""
+    lines = []
+    for text in _CONSTANTS:
+        doc = {"max_input_len": 8, "entry": 0,
+               "nodes": [{"id": 0, "kind": "str", "offset": 0, "length": 4,
+                          "relation": "eq", "constant": text}]}
+        try:
+            lines.append(f"{ascii(text)} {target.program_from_dict(doc).nodes[0].constant.hex()}")
+        except DocumentError:
+            lines.append(f"{ascii(text)} reject")
+    return lines
 
 
 def locate(node: GuardNode, outcome: bool, seed: bytes, witness: bytes, key,
@@ -397,6 +541,100 @@ def compare_locator(cases: int, stream: int) -> int:
     return count
 
 
+def flip_root(outcome: bool, relation: Relation, f: int) -> int:
+    """The Newton step from the difference ``f`` to its row's zero (every
+    row's slope is +/-1), then on down the row while the comparison still
+    gives the outcome."""
+    root = f - _ROWS[outcome, relation](f) * row_slope(outcome, relation, f)
+    while holds(relation, root) == outcome:
+        root -= row_slope(outcome, relation, root)
+    return root
+
+
+def solve(node: GuardNode, witness: bytes, offsets, outcome: bool) -> bytes:
+    """The root step's candidate at the placement ``offsets`` of a witness
+    with ``outcome``: the operand there, read by ``guard_feedback`` on the
+    guard moved to it, goes to ``constant + flip_root`` of its difference.
+    An integer is clamped to its range and written least significant byte
+    first, each string byte (its own difference) clamped to a byte, both
+    into the witness zero-extended through the placement; an xor window's
+    first byte changes alone, so that the window folds to the target
+    clamped to a byte, and the input keeps its length."""
+    start, relation, const = min(offsets), node.relation, node.constant
+    f = guard_feedback(node._replace(offset=start, endian="le" if offsets[0] == start else "be"),
+                       witness)[1]
+    if node.kind is GuardKind.XOR:
+        buf = bytearray(witness)
+        buf[offsets[0]] ^= (const + f) ^ max(0, min(255, const + flip_root(outcome, relation, f)))
+        return bytes(buf)
+    buf = bytearray(witness.ljust(max(offsets) + 1, b"\0"))
+    if node.kind is GuardKind.STR:
+        solved = [max(0, min(255, c + flip_root(outcome, relation, d)))
+                  for c, d in zip(const.ljust(node.size, b"\0"), f)]
+    else:
+        half = 1 << 8 * node.size - 1
+        lo, hi = (-half, half - 1) if node.signed else (0, 2 * half - 1)
+        operand = max(lo, min(hi, const + flip_root(outcome, relation, f)))
+        solved = (operand % (2 * half)).to_bytes(node.size, "little")
+    for offset, byte in zip(offsets, solved):
+        buf[offset] = byte
+    return bytes(buf)
+
+
+def local_search(seed: bytes, frontier, executor, rng, sample_size: int) -> dict:
+    """``Mutator.local_search``'s contract: the seed, then mutants of
+    ``havoc(seed, rng, _SEARCH_STACK)``, run one at a time, ``sample_size``
+    samples at most, in chunks of ``_SEARCH_CHUNK`` (the first holding the
+    seed).  At each site of ``frontier`` that the seed reached, a sample's
+    ``g`` is Δd/Δbyte at each byte it changed, Δd from the scalarized keys;
+    the site's record is the first sample whose ``g`` has the largest L1
+    norm, if that is above 0.  The search stops after a chunk at whose end
+    no sample of it raised the best norm of a site on the executor's
+    frontier, or every such site the seed reached has a record.  Returns
+    ``{site: (witness, key, g)}``."""
+    base = {site: observation_distance(key) for site, key in executor.run(seed).observations.items()
+            if site in frontier}
+    best, records, raised = dict.fromkeys(base, 0), {}, set()
+    for i in range(1, sample_size):
+        data = havoc(seed, rng, _SEARCH_STACK)
+        steps = None  # Δbyte at each changed byte, and Σ 1/|Δbyte|: the L1 norm over |Δd|
+        for site, key in executor.run(data).observations.items():
+            if site in base and (delta := observation_distance(key) - base[site]):
+                if steps is None:
+                    steps = {j: b - a for j, (a, b) in enumerate(zip(seed, data)) if a != b}
+                    inv = sum(Fraction(1, abs(step)) for step in steps.values())
+                if abs(delta) * inv > best[site]:
+                    best[site] = abs(delta) * inv
+                    records[site] = data, key, {j: Fraction(delta, d) for j, d in steps.items()}
+                    raised.add(site)
+        if (i + 1) % _SEARCH_CHUNK == 0:
+            live = executor.coverage.frontier
+            if not raised & live or all(site in records for site in base if site in live):
+                break
+            raised = set()
+    return records
+
+
+def stage(program: GuardProgram, sample_size: int, seed: bytes, frontier, executor, rng) -> None:
+    """``Mutator.mutate_stage``'s contract, from the references above only:
+    the seed zero-extended to the furthest end of a guard's window, then
+    ``local_search``; then, in site order, for each record of a site still
+    on the executor's frontier, one ``solve`` candidate per ``locate``
+    placement, from the witness's outcome (``guard_feedback``), run unless
+    it is the witness, while the site stays on the frontier."""
+    seed = seed.ljust(max(n.offset + n.size for n in program.nodes if n.kind is not GuardKind.BUG),
+                      b"\0")
+    records = local_search(seed, frontier, executor, rng, sample_size)
+    for site, (witness, key, _) in sorted(records.items()):
+        node = program.nodes[site]
+        outcome = guard_feedback(node, witness)[0]
+        for offsets in locate(node, outcome, seed, witness, key, program.max_input_len):
+            if site not in executor.coverage.frontier:
+                break
+            if (candidate := solve(node, witness, offsets, outcome)) != witness:
+                executor.run(candidate)
+
+
 def guard_ids(program: GuardProgram) -> frozenset[int]:
     """The ids of the program's guard nodes: every node but the bug markers."""
     return frozenset(n.node_id for n in program.nodes if n.kind is not GuardKind.BUG)
@@ -421,6 +659,33 @@ def recompute_frontier(cov: CoverageMap) -> frozenset[int]:
         for nid in guard_ids(program)
         if nid in visited and (2 * nid not in hits or 2 * nid + 1 not in hits)
     )
+
+
+def fold(stats: dict, data: bytes, observations, exec_time: int, frontier) -> int:
+    """``SchedulerState.record_execution``'s contract on its ``{site:
+    BranchStats}`` map: each observed site on ``frontier``, in map order,
+    gets stats with both clocks at ``exec_time`` on a first reach; later,
+    ``exec_time`` goes to its total clock, and to its productive clock too
+    when the key is strictly below the minimum, which the key and ``data``
+    then replace.  A key of the other form raises ``ValueError`` before the
+    site's clocks move.  Returns how many minima fell, first reaches
+    included."""
+    lowered = 0
+    for site, key in observations.items():
+        if site not in frontier:
+            continue
+        if site not in stats:
+            stats[site] = BranchStats(key, data, exec_time, exec_time)
+            lowered += 1
+            continue
+        entry = stats[site]
+        if type(key) is not type(entry.best):
+            raise ValueError(f"distance form mismatch for site {site}")
+        entry.tt += exec_time
+        if key < entry.best:
+            entry.best, entry.best_input, entry.pt = key, data, entry.pt + exec_time
+            lowered += 1
+    return lowered
 
 
 @dataclass
@@ -500,7 +765,9 @@ def word_width(length, max_len):
 
 def havoc(seed, rng, stack_max, max_len=None):
     """``havoc_mutate``'s draw contract, one field at a time and with no
-    tables: the oracle for its carving order, ranges and word width."""
+    tables: the oracle for its carving order, ranges and word width.  With
+    no ``max_len`` nothing resizes: the six operators that keep the seed's
+    length, as local search draws them."""
     if not seed:
         raise ValueError("seed must be nonempty")
     budget = 4
@@ -564,8 +831,9 @@ def havoc(seed, rng, stack_max, max_len=None):
 class _SearchDraws:
     """An executor for ``Mutator.local_search`` that runs nothing and checks
     each sample the search pulls against ``havoc(seed, twin,
-    _SEARCH_STACK)``: the same bytes and the same rng state.  The seed
-    reaches no site, so every search ends after its first chunk."""
+    _SEARCH_STACK)`` with no ``max_len``: the same bytes and the same rng
+    state.  The seed reaches no site, so every search ends after its first
+    chunk."""
 
     def __init__(self, rng, twin):
         self.rng, self.twin = rng, twin
@@ -588,8 +856,8 @@ class _SearchDraws:
 
 def compare_havoc(lengths, calls: int, stream: int) -> int:
     """Check ``havoc_mutate`` against ``havoc``, ``calls`` times for each
-    seed length, stack depth (1, 4, 16) and resize cap (none, the seed's
-    length, its length + 2, 64), and ``calls`` samples for each seed length
+    seed length, stack depth (1, 4, 16) and resize cap (the seed's length,
+    its length + 2, 64), and ``calls`` samples for each seed length
     of local search's planned havoc loop against ``havoc`` at stack 4 with
     no cap, over searches of one chunk each: each call and each sample must
     give the same bytes and leave the same rng state.  ``stream`` seeds the
@@ -599,9 +867,9 @@ def compare_havoc(lengths, calls: int, stream: int) -> int:
     fast, slow = random.Random(7 * stream), random.Random(7 * stream)
     count = 0
     for stack_max in (1, _SEARCH_STACK, _BATCH_STACK):
-        for cap in ("none", "len", "len+2", "64"):
+        for cap in ("len", "len+2", "64"):
             for length in lengths:
-                max_len = {"none": None, "len": length, "len+2": length + 2, "64": 64}[cap]
+                max_len = {"len": length, "len+2": length + 2, "64": 64}[cap]
                 for _ in range(calls):
                     seed = pick.randbytes(length)
                     got = havoc_mutate(seed, fast, stack_max, max_len)

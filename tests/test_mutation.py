@@ -7,7 +7,6 @@ import operator
 import pathlib
 import random
 import types
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -31,10 +30,10 @@ from frontierfuzz.mutation import (
     havoc_mutate,
     infer_hot_bytes,
     _ROOTS,
-    _clamp_byte,
     _solve,
 )
 from frontierfuzz.target import GuardKind, GuardProgram, Harness, Relation, program_from_dict
+import reference
 from reference import (
     _ROWS, compare_havoc, compare_locator, distance_key, execute, fraction_newton_step,
     guard_feedback, guard_ids, holds, locate, round_half_away, row_slope, word_width,
@@ -81,13 +80,23 @@ class OpPinnedRng(random.Random):
         return r
 
 
+def _havoc(seed, rng, stack_max, max_len=None):
+    """``havoc_mutate``, or with no ``max_len`` the havoc loop under local
+    search's plan: the six operators that keep the seed's length, at the
+    word width ``word_width`` gives with no cap."""
+    if max_len is not None:
+        return havoc_mutate(seed, rng, stack_max, max_len)
+    n = len(seed)
+    return mutation._havoc_loop(seed, rng.getrandbits, stack_max, 6, n, n, word_width(n, None))
+
+
 def _single_op(seed, op, samples, *, max_len=None, rng_seed=0):
     """``samples`` havoc mutants of ``seed`` that each apply operator ``op``
     once; the resize operators 6 and 7 are drawn exactly when ``max_len`` is
     given."""
     rng = OpPinnedRng(rng_seed, op, 8 if max_len is not None else 6,
                       word_width(len(seed), max_len))
-    return [havoc_mutate(seed, rng, 1, max_len) for _ in range(samples)]
+    return [_havoc(seed, rng, 1, max_len) for _ in range(samples)]
 
 
 def _spec_outcomes(seed, budget, op):
@@ -152,32 +161,32 @@ class TestHavoc:
         # in mixed radix: operator 114 % 6 = 0 (the bit flip), then bit
         # 19 % 8 = 3, then position 2 % 4 = 2.
         rng = ScriptedRng([(30, 0), (30, 114)])
-        mutant = havoc_mutate(bytes(4), rng, _SEARCH_STACK)
+        mutant = _havoc(bytes(4), rng, _SEARCH_STACK)
         assert mutant == bytes([0, 0, 8, 0])
         assert not rng.draws
 
     @pytest.mark.parametrize("stack_max", [0, -1, -7])
     def test_stack_max_below_one_rejected(self, stack_max):
         with pytest.raises(ValueError, match="stack_max must be >= 1"):
-            havoc_mutate(b"seed", random.Random(0), stack_max)
+            havoc_mutate(b"seed", random.Random(0), stack_max, 8)
 
     @pytest.mark.parametrize("stream", [1, 2, 3, 4, 8, 64])
     def test_matches_reference(self, stream):
         # Same output bytes and same rng state after every call, across
-        # stack depths, resize off (no cap) and on (each cap), and seed
-        # lengths.  The long lengths take operator words from 30 up to 44
-        # bits wide.  At 359-364 (8 operators) and 413-419 (6) the largest
+        # stack depths, resize caps and seed lengths, and after every sample
+        # of local search's planned loop (stack 4, no resize).  The long
+        # lengths take operator words from 30 up to 44 bits wide.  At
+        # 359-364 (8 operators) and 413-419 (local search's 6) the largest
         # length a call can reach crosses the bound past which the word
         # grows from 30 to 31 bits.  A call whose insert grows the buffer
         # past the bound shows a width taken from the seed's length only if
         # a swap follows, so these lengths take many calls each.  At 255-258
         # the largest length crosses 256, up to which havoc_mutate takes 30
-        # bits without computing the width.  Each length also checks as many
-        # samples of local search's planned loop (stack 4, no cap).
+        # bits without computing the width.
         lengths = list(range(1, 41)) + [300, 419, 600, 1_500, 2_500, 20_000, 40_000]
-        assert compare_havoc(lengths, 1, stream) == (3 * 4 + 1) * len(lengths)
+        assert compare_havoc(lengths, 1, stream) == (3 * 3 + 1) * len(lengths)
         bound = list(range(255, 259)) + list(range(359, 365)) + list(range(413, 420))
-        assert compare_havoc(bound, 25, stream) == (3 * 4 + 1) * len(bound) * 25
+        assert compare_havoc(bound, 25, stream) == (3 * 3 + 1) * len(bound) * 25
 
     @pytest.mark.parametrize("resize", [False, True])
     def test_operator_mix(self, resize):
@@ -191,7 +200,7 @@ class TestHavoc:
         total = 8_000
         kinds = collections.Counter()
         for _ in range(total):
-            mutant = havoc_mutate(seed, rng, 1, max_len)
+            mutant = _havoc(seed, rng, 1, max_len)
             if len(mutant) != len(seed):
                 kinds["delete" if len(mutant) < len(seed) else "insert"] += 1
             elif mutant != seed and sorted(mutant) == sorted(seed):
@@ -255,14 +264,14 @@ class TestHavoc:
         length = 2**20 + 5
         word = draw + 6 * (8, 256, 70)[op] * (length - 1)
         rng = ScriptedRng([(30, 0), (53, word)])
-        mutant = havoc_mutate(bytes(length), rng, _SEARCH_STACK)
+        mutant = _havoc(bytes(length), rng, _SEARCH_STACK)
         assert mutant[-1] == changed
         assert mutant.count(0) == length - 1
         assert not rng.draws
 
     @pytest.mark.parametrize("length,max_len,width", [
         (362, 362, 30), (363, 363, 31),  # resizing: 8 * 363 * 363 > 2**20
-        (418, None, 30), (419, None, 31),  # plain: 6 * 419 * 419 > 2**20
+        (418, None, 30), (419, None, 31),  # local search's: 6 * 419 * 419 > 2**20
     ])
     def test_word_width_at_the_bound(self, length, max_len, width):
         # The word widens by one bit where the largest product of ranges
@@ -275,7 +284,7 @@ class TestHavoc:
         word += (2**width - 1 - word) // step * step
         assert 2**(width - 1) <= word < 2**width
         rng = ScriptedRng([(30, 0), (width, word)])
-        mutant = havoc_mutate(bytes(length), rng, 1, max_len)
+        mutant = _havoc(bytes(length), rng, 1, max_len)
         assert mutant == bytes(length - 1) + bytes([7])
         assert not rng.draws
 
@@ -338,7 +347,7 @@ class TestHavoc:
 
     def test_empty_seed_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            havoc_mutate(b"", random.Random(0), _SEARCH_STACK)
+            havoc_mutate(b"", random.Random(0), _SEARCH_STACK, 8)
 
     def test_locality_bound(self):
         # Every local-search mutant stays within stack * 4 differing bytes.
@@ -346,7 +355,7 @@ class TestHavoc:
         rng = random.Random(1234)
         bound = _SEARCH_STACK * 4
         for _ in range(10_000):
-            mutant = havoc_mutate(seed, rng, _SEARCH_STACK)
+            mutant = _havoc(seed, rng, _SEARCH_STACK)
             assert len(mutant) == len(seed)
             hamming = sum(1 for a, b in zip(seed, mutant) if a != b)
             assert hamming <= bound
@@ -362,13 +371,13 @@ class TestHavoc:
         # the seed, so it never zero-extends.
         rng = random.Random(rng_seed)
         for _ in range(8):
-            mutant = havoc_mutate(seed, rng, stack_max)
+            mutant = _havoc(seed, rng, stack_max)
             assert len(mutant) == len(seed)
 
     def test_determinism_across_runs(self):
         seed = bytes(range(16))
-        first = [havoc_mutate(seed, random.Random(99), _SEARCH_STACK) for _ in range(500)]
-        second = [havoc_mutate(seed, random.Random(99), _SEARCH_STACK) for _ in range(500)]
+        first = [_havoc(seed, random.Random(99), _SEARCH_STACK) for _ in range(500)]
+        second = [_havoc(seed, random.Random(99), _SEARCH_STACK) for _ in range(500)]
         assert first == second
 
     def test_resize_bounded(self):
@@ -501,62 +510,21 @@ class TestLocalSearch:
             assert g * (x - 5) <= dist(x) - d_seed
 
 
-@dataclass
-class _SeedKeyedRecord:
-    """``SubgradientRecord`` as it was when local search kept a record for
-    every frontier site a sample reached: the seed's key rode along, and a
-    site the seed missed had none."""
-
-    g: dict[int, Fraction]
-    witness: bytes
-    witness_key: int | tuple[int, tuple[int, ...]]
-    seed_key: int | tuple[int, tuple[int, ...]] | None = None
+def _recorded(harness) -> list:
+    """The list of the inputs ``harness`` executes from here on."""
+    ran, execute = [], harness.execute
+    harness.execute = lambda data: ran.append(data) or execute(data)
+    return ran
 
 
-def _reference_local_search(self, seed, frontier, executor, rng):
-    """``Mutator.local_search`` as it was before the norm was factored: a
-    ``Fraction`` slope dict and its L1 norm for every (sample, frontier site)
-    pair, one ``run`` per sample, and samples counted one at a time: sample
-    ``i`` ends a chunk when ``i % _SEARCH_CHUNK`` is the last index, and the
-    search stops after a chunk in which no norm rose above its site's best
-    (0 before any) at a site still on the executor's frontier at the chunk's
-    end, or once every frontier site the seed reached that is still on that
-    frontier has a nonzero best.  Called with the mutator as ``self``; kept
-    as the oracle for the records the factored version keeps."""
-    records: dict[int, _SeedKeyedRecord] = {}
-    norms: dict[int, Fraction] = {}
-    seed_keys: dict[int, object] = {}
-    raised: set[int] = set()
-    for i in range(self.sample_size):
-        if i and i % _SEARCH_CHUNK == 0:
-            live = executor.coverage.frontier
-            if not raised & live or all(norms.get(site, 0) > 0 for site in seed_keys
-                                        if site in frontier and site in live):
-                break
-            raised = set()
-        data = seed if i == 0 else havoc_mutate(seed, rng, _SEARCH_STACK)
-        outcome = executor.run(data)
-        if i == 0:
-            seed_keys = dict(outcome.observations)
-        for site, key in outcome.observations.items():
-            if site not in frontier:
-                continue
-            base = seed_keys.get(site)
-            if data == seed or base is None:
-                g: dict[int, Fraction] = {}
-            else:
-                g = compute_subgradient(
-                    seed, data,
-                    observation_distance(base),
-                    observation_distance(key),
-                )
-            norm = l1_norm(g)
-            if norm > norms.get(site, 0):
-                raised.add(site)
-            if site not in records or norm > norms[site]:
-                records[site] = _SeedKeyedRecord(g, data, key, base)
-                norms[site] = norm
-    return records
+def _executor_run(program, active, rng_seed, run):
+    """``run(executor, rng)`` on a fresh executor with ``active`` on and an rng
+    seeded ``rng_seed``: its result, the inputs it ran, the rng's state, the
+    counters, the corpus and the scheduler's stats (best, best_input, pt, tt)."""
+    executor = make_executor(program, frontier=active)
+    ran, rng = _recorded(executor.harness), random.Random(rng_seed)
+    return (run(executor, rng), ran, rng.getstate(), executor.execs, executor.flips,
+            executor.t_ns, executor.corpus.entries, executor.scheduler.stats)
 
 
 @st.composite
@@ -581,28 +549,11 @@ class TestLocalSearchAgainstReference:
     @given(_search_setups(), st.integers(0, 2**32), st.integers(2, 300))
     def test_same_records_draws_and_state(self, setup, rng_seed, sample_size):
         program, active, frontier, seed = setup
-        mutator = Mutator(program, sample_size)
-        runs = []
-        for search in (Mutator.local_search, _reference_local_search):
-            executor = make_executor(program, frontier=active)
-            rng = random.Random(rng_seed)
-            records = search(mutator, seed, frontier, executor, rng)
-            runs.append((records, rng.getstate(), executor))
-        (got, got_rng, got_ex), (want, want_rng, want_ex) = runs
-        # Local search keeps only the records a root step can fire from: those
-        # with a nonzero norm.
-        want = {site: rec for site, rec in want.items() if l1_norm(rec.g) > 0}
-        assert set(got) == set(want)
-        for site, rec in want.items():
-            assert got[site].witness == rec.witness
-            assert got[site].witness_key == rec.witness_key
-            assert got[site].g == rec.g
-        assert got_rng == want_rng
-        assert (got_ex.execs, got_ex.flips, got_ex.t_ns) == (
-            want_ex.execs, want_ex.flips, want_ex.t_ns)
-        assert got_ex.corpus.entries == want_ex.corpus.entries
-        # best, best_input, pt and tt per site
-        assert got_ex.scheduler.stats == want_ex.scheduler.stats
+        got, want = (_executor_run(program, active, rng_seed, search) for search in (
+            lambda ex, rng: Mutator(program, sample_size).local_search(seed, frontier, ex, rng),
+            lambda ex, rng: reference.local_search(seed, frontier, ex, rng, sample_size)))
+        assert {site: (r.witness, r.witness_key, r.g) for site, r in got[0].items()} == want[0]
+        assert got[1:] == want[1:]
 
     def test_subgradients_built_only_for_nonzero_replacements(self, monkeypatch):
         # Five always-true guards on every path: each sample reaches every
@@ -727,53 +678,6 @@ class TestLocalSearchAgainstReference:
         assert len(made) == sum(samples)
 
 
-def _reference_solve_operand(node, seed, rec):
-    """The operand solver as it was when it decoded the operand a second
-    time: both operands read with ``int.from_bytes`` on a zero-padded slice,
-    an operand-to-difference linkage sampled between them, and an exact
-    ``Fraction`` Newton step to the row's zero; the differences and the
-    outcome come from ``guard_feedback``.  On the two rows ``f - 1``, whose
-    zero the witness's outcome still holds at, the step then descends the
-    row until the comparison flips.  The operand is read and written at
-    ``node``'s offset in its byte order; kept as the oracle for the solver
-    that takes the operand from the difference and writes it at a
-    placement."""
-    order = "little" if node.endian == "le" else "big"
-
-    def read_operand(data):
-        chunk = data[node.offset : node.offset + node.size]
-        if len(chunk) < node.size:
-            chunk = chunk.ljust(node.size, b"\0")
-        return int.from_bytes(chunk, order, signed=node.signed)
-
-    op_seed = read_operand(seed)
-    op_wit = read_operand(rec.witness)
-    if op_wit == op_seed:
-        return None
-    f_seed = guard_feedback(node, seed)[1]
-    outcome, f_wit = guard_feedback(node, rec.witness)
-    linkage = Fraction(f_wit - f_seed, op_wit - op_seed)
-    if linkage == 0:
-        return None
-    slope = row_slope(outcome, node.relation, f_wit) * linkage
-    solved = round_half_away(op_wit - Fraction(rec.witness_key, 1) / slope)
-    # Where the row's zero still gives the witness's outcome, descend the
-    # row past it until the comparison flips.
-    f = f_wit + (solved - op_wit) * linkage
-    while holds(node.relation, f) == outcome:
-        f -= row_slope(outcome, node.relation, f)
-    solved = round_half_away(op_wit + (f - f_wit) / linkage)
-    bits = 8 * node.size
-    lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if node.signed else (0, (1 << bits) - 1)
-    solved = max(lo, min(hi, solved))
-    buf = bytearray(rec.witness)
-    end = node.offset + node.size
-    if end > len(buf):
-        buf.extend(b"\0" * (end - len(buf)))
-    buf[node.offset:end] = (solved & ((1 << bits) - 1)).to_bytes(node.size, order)
-    return bytes(buf)
-
-
 def _placement(node):
     """Guard ``node``'s own placement: its window's offsets in compare
     order, least significant byte first for an integer."""
@@ -814,22 +718,13 @@ class TestOperandSolverAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_same_candidate(self, relation, data):
-        doc, seed, witness = data.draw(_operand_cases(relation))
+        doc, _, witness = data.draw(_operand_cases(relation))
         program = program_from_dict(doc)
-        harness = Harness(program, synthetic_time=True)
-        harness.switch_on({0})
-        (seed_key,) = harness.execute(seed).observations.values()
-        trace = harness.execute(witness)
-        (witness_key,) = trace.observations.values()
-        d_seed, d_witness = observation_distance(seed_key), observation_distance(witness_key)
-        assume(d_witness != d_seed)  # a record needs a nonzero norm
-        rec = SubgradientRecord(compute_subgradient(seed, witness, d_seed, d_witness),
-                                witness, witness_key)
         node = program.nodes[0]
-        want = _reference_solve_operand(node, seed, rec)
         # The witness's outcome is the edge it took: edge 0 is the taken one.
-        root = _ROOTS[0 in trace.edges, node.relation]
-        assert _solve(node, witness, _placement(node), root) == want
+        outcome = 0 in Harness(program, synthetic_time=True).execute(witness).edges
+        assert _solve(node, witness, _placement(node), _ROOTS[outcome, node.relation]) == (
+            reference.solve(node, witness, _placement(node), outcome))
 
 
 def test_roots_are_the_newton_step_from_every_consistent_difference():
@@ -842,12 +737,9 @@ def test_roots_are_the_newton_step_from_every_consistent_difference():
     assert len(cases) == 42
     for outcome, relation, f in cases:
         row = _ROWS[outcome, relation]
-        zero = f - row(f) * row_slope(outcome, relation, f)
-        assert row(zero) == 0, (outcome, relation, f)
-        root = zero
-        while holds(relation, root) == outcome:
-            root -= row_slope(outcome, relation, root)
-        assert root == _ROOTS[outcome, relation], (outcome, relation, f)
+        assert row(f - row(f) * row_slope(outcome, relation, f)) == 0, (outcome, relation, f)
+        assert reference.flip_root(outcome, relation, f) == _ROOTS[outcome, relation], (
+            outcome, relation, f)
     # Only the two rows f - 1 have their zero on the witness's side.
     assert {key for key, root in _ROOTS.items() if _ROWS[key](root) != 0} == {
         (False, Relation.LT), (True, Relation.GE)}
@@ -933,129 +825,21 @@ class TestRootsFlipTheirBranch:
         assert harness.execute(candidate).edges == (1 - edge,)
 
 
-def _flip_root(outcome, relation, f):
-    """The Newton step from the difference ``f`` to its row's zero (every
-    row's slope is +/-1), then on down the row while the comparison still
-    gives the outcome."""
-    root = f - _ROWS[outcome, relation](f) * row_slope(outcome, relation, f)
-    while holds(relation, root) == outcome:
-        root -= row_slope(outcome, relation, root)
-    return root
-
-
-class _ParentMutator(Mutator):
-    """The mutator as it was when local search kept a record for every
-    frontier site a sample reached, and the root solvers gated each record
-    on the seed's key and feedback, with three changes: the seed is first
-    zero-extended to the furthest end of a guard's window, its operand, an
-    xor window's too, is placed by the brute-force ``locate`` rather than read
-    off the guard, and a record fires one candidate per placement, in
-    ``locate``'s order, until its site leaves the live frontier (as
-    ``Mutator.mutate_stage`` does).  ``_solve_string`` takes each window
-    byte's Newton step to its row's zero and, where its comparison still
-    gives the witness's outcome there, descends the row until it flips (as
-    ``_reference_solve_operand`` does), and ``_solve_xor`` brings the
-    window's xor to the constant plus ``_flip_root`` through the
-    placement's first byte.  A record with no placement fires nothing.  Its
-    local search is ``_reference_local_search`` and its operand solver
-    ``_reference_solve_operand`` at the placement; all three solvers sit
-    behind the seed-key gate.  Kept as the oracle for the stage that keeps
-    only the records a root step can fire from and places operands with no
-    exec."""
-
-    def mutate_stage(self, seed: bytes, frontier, executor, rng: random.Random) -> None:
-        """One full stage: sample, estimate slopes, and fire the targeted
-        inputs of each frontier branch that yielded a usable estimate while
-        it is still on the live frontier."""
-        window_end = max((n.offset + n.size for n in self.program.nodes
-                          if n.kind is not GuardKind.BUG), default=0)
-        seed = seed.ljust(window_end, b"\0")
-        records = _reference_local_search(self, seed, frontier, executor, rng)
-        for site in sorted(records):
-            if site not in executor.coverage.frontier:
-                continue
-            rec = records[site]
-            node = self.program.nodes[site]
-            outcome = guard_feedback(node, rec.witness)[0]
-            candidates = []
-            if rec.seed_key is not None:
-                for offsets in locate(node, outcome, seed, rec.witness, rec.witness_key,
-                                      self.program.max_input_len):
-                    if node.kind is GuardKind.STR:
-                        candidates.append(self._solve_string(node, outcome, rec, offsets))
-                    elif node.kind is GuardKind.XOR:
-                        candidates.append(self._solve_xor(node, outcome, rec, offsets))
-                    else:
-                        candidates.append(self._solve_operand(node, seed, rec, offsets))
-            for candidate in candidates:
-                if site not in executor.coverage.frontier:
-                    break
-                if candidate != rec.witness:
-                    executor.run(candidate)
-
-    def _solve_string(self, node, outcome, rec: _SeedKeyedRecord, offsets) -> bytes:
-        """Per-byte root solving over the window at ``offsets``, from the
-        witness's outcome."""
-        diffs = guard_feedback(node._replace(offset=offsets[0]), rec.witness)[1]
-        buf = bytearray(rec.witness.ljust(offsets[-1] + 1, b"\0"))
-        # Positions past the window are padding, with no input byte to solve.
-        for offset, f in zip(offsets, diffs):
-            root = _flip_root(outcome, node.relation, f)
-            buf[offset] = _clamp_byte(buf[offset] + root - f)
-        return bytes(buf)
-
-    def _solve_xor(self, node, outcome, rec: _SeedKeyedRecord, offsets) -> bytes:
-        """The witness with the xor window at ``offsets`` brought to the
-        constant plus its difference's flip root, clamped to a byte, by
-        changing the placement's first byte alone."""
-        f = guard_feedback(node._replace(offset=min(offsets)), rec.witness)[1]
-        target = max(0, min(255, node.constant + _flip_root(outcome, node.relation, f)))
-        buf = bytearray(rec.witness)
-        buf[offsets[0]] ^= (node.constant + f) ^ target
-        return bytes(buf)
-
-    def _solve_operand(self, node, seed: bytes, rec: _SeedKeyedRecord, offsets) -> bytes:
-        """The operand solver with the guard moved to the placement."""
-        endian = "le" if offsets[0] == min(offsets) else "be"
-        return _reference_solve_operand(node._replace(offset=min(offsets), endian=endian),
-                                        seed, rec)
-
-
-def _reference_mutate_stage(program, sample_size, seed, frontier, executor, rng):
-    _ParentMutator(program, sample_size).mutate_stage(seed, frontier, executor, rng)
-
-
 class TestMutateStageAgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(_search_setups(), st.integers(0, 2**32), st.integers(2, 300))
     def test_same_execs_draws_and_state(self, setup, rng_seed, sample_size):
         program, active, frontier, seed = setup
-        runs = []
-        for stage in (Mutator(program, sample_size).mutate_stage,
-                      lambda *args: _reference_mutate_stage(program, sample_size, *args)):
-            executor = make_executor(program, frontier=active)
-            ran = []
-            execute = executor.harness.execute
-
-            def recording(data, execute=execute, ran=ran):
-                ran.append(data)
-                return execute(data)
-
-            executor.harness.execute = recording
-            rng = random.Random(rng_seed)
-            stage(seed, frontier, executor, rng)
-            runs.append((ran, rng.getstate(), executor))
-        (got, got_rng, got_ex), (want, want_rng, want_ex) = runs
+        got, want = (
+            _executor_run(program, active, rng_seed,
+                          lambda ex, rng: stage(seed, frontier, ex, rng))
+            for stage in (Mutator(program, sample_size).mutate_stage,
+                          functools.partial(reference.stage, program, sample_size)))
         assert got == want
-        assert got_rng == want_rng
-        assert (got_ex.execs, got_ex.flips, got_ex.t_ns) == (
-            want_ex.execs, want_ex.flips, want_ex.t_ns)
-        assert got_ex.corpus.entries == want_ex.corpus.entries
-        assert got_ex.scheduler.stats == want_ex.scheduler.stats
 
     # Whole fox campaigns reach the cases a lone stage rarely does: several
-    # records per stage, string records with no hot window, and root steps
-    # that land on their witness.
+    # records per stage, several placements per record, and root steps that
+    # land on their witness.
     @pytest.mark.parametrize("name", builtin_targets.names())
     def test_same_fox_campaigns_on_builtins(self, name):
         program = builtin_targets.load(name)
@@ -1071,23 +855,15 @@ class TestMutateStageAgainstReference:
 
 def _assert_same_fox_campaign(program, sample_size, rng_seed, max_execs):
     """A fox campaign runs the same inputs and ends in the same state with
-    the reference stage as with ``Mutator.mutate_stage``.  Neither may stop
-    on an error: the string solver, whose hot window can be misplaced past
-    the input's end, must not build a candidate longer than
-    ``max_input_len``."""
+    ``reference.stage`` as with ``Mutator.mutate_stage``.  Neither may stop
+    on an error, such as a candidate longer than ``max_input_len``."""
     runs = []
-    for mutator_class in (Mutator, _ParentMutator):
+    for stage in (None, functools.partial(reference.stage, program, sample_size)):
         camp = Campaign(program, [bytes(program.max_input_len)], Mode.FOX,
                         Budget(max_execs=max_execs), sample_size, rng_seed)
-        camp.mutator = mutator_class(program, sample_size)
-        ran = []
-        execute = camp.harness.execute
-
-        def recording(data, execute=execute, ran=ran):
-            ran.append(data)
-            return execute(data)
-
-        camp.harness.execute = recording
+        if stage:
+            camp.mutator = types.SimpleNamespace(sample_size=sample_size, mutate_stage=stage)
+        ran = _recorded(camp.harness)
         camp.run()
         runs.append((ran, camp.log.to_jsonl(), camp.corpus.entries, camp.findings,
                      camp.scheduler.stats))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontierfuzz.scheduling import BranchStats, SchedulerState, StaleSiteError
+from frontierfuzz.scheduling import SchedulerState, StaleSiteError
+import reference
 
 
 def vec(*values):
@@ -141,39 +142,6 @@ class TestDistanceMinimum:
         assert state.stats[0].best_input == bytes([vectors.index(expected)])
 
 
-# -- per-site reference -----------------------------------------------------------
-# ``record_execution`` as it was when the executor called it once per observed
-# frontier site, kept verbatim (called with the state as ``self``) as the
-# reference for the fold; ``_reference_fold`` is the executor's old loop.
-
-def _reference_record_execution(self, site: int, data: bytes, key, exec_time: int,
-                                frontier) -> bool:
-    if site not in frontier:
-        raise StaleSiteError(f"site {site} is not a frontier branch")
-    stats = self.stats.get(site)
-    if stats is None:
-        self.stats[site] = BranchStats(key, data, exec_time, exec_time)
-        return True
-    best = stats.best
-    if key.__class__ is not best.__class__:
-        raise ValueError("distance form mismatch for site %d" % site)
-    stats.tt += exec_time
-    if key < best:
-        stats.best = key
-        stats.best_input = data
-        stats.pt += exec_time
-        return True
-    return False
-
-
-def _reference_fold(state, data, observations, exec_time, frontier) -> int:
-    lowered = 0
-    for site, key in observations.items():
-        if site in frontier:
-            lowered += _reference_record_execution(state, site, data, key, exec_time, frontier)
-    return lowered
-
-
 _SITES = range(6)
 _VECTORS = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(lambda v: vec(*v))
 
@@ -200,17 +168,17 @@ class TestFoldAgainstPerSiteReference:
     @settings(max_examples=200, deadline=None)
     @given(_fold_calls())
     def test_same_stats_and_lowered_count(self, calls):
-        got, want = SchedulerState(), SchedulerState()
+        got, want = SchedulerState(), {}
         for call in calls:
             results = []
-            for state, fold in ((got, SchedulerState.record_execution), (want, _reference_fold)):
+            for fold in (got.record_execution, lambda *args: reference.fold(want, *args)):
                 try:
-                    results.append(fold(state, *call))
+                    results.append(fold(*call))
                 except ValueError as exc:
                     results.append(exc.__class__)
             assert results[0] == results[1]
             # best, best_input, pt and tt per site
-            assert got.stats == want.stats
+            assert got.stats == want
 
 
 class TestSelectNext:

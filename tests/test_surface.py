@@ -3,7 +3,9 @@ every module-level import is used, every ``__all__`` name resolves and is
 used outside its own module, and every public function, class, method and
 module-level constant is used by the engine itself, not only by tests.
 These are the leftovers a deletion tends to leave behind, and the oracles
-that belong in ``tests/``."""
+that belong in ``tests/``.  No test module subclasses an engine class: an
+oracle is written from the contract in ``tests/reference.py``, not forked
+from the engine."""
 
 import ast
 import importlib
@@ -116,3 +118,23 @@ def test_public_definitions_used_by_the_engine(module):
     unused = [qualified for qualified, name in _public_definitions(_tree(module))
               if name not in used]
     assert not unused, f"{module}.py defines names only tests use: {unused}"
+
+
+def test_no_test_module_subclasses_an_engine_class():
+    forks = []
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        engine = set()  # names bound to frontierfuzz modules and to what they define
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("frontierfuzz"):
+                engine.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                engine.update(alias.asname or "frontierfuzz" for alias in node.names
+                              if alias.name.split(".")[0] == "frontierfuzz")
+        for node in ast.walk(tree):
+            for base in node.bases if isinstance(node, ast.ClassDef) else ():
+                while isinstance(base, ast.Attribute):
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id in engine:
+                    forks.append(f"{path.name}: {node.name} (line {node.lineno})")
+    assert not forks, f"test classes subclass engine classes: {forks}"

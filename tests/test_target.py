@@ -1,7 +1,7 @@
 import base64
 import builtins
+import itertools
 import json
-from dataclasses import dataclass, fields
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from frontierfuzz.target import (
     load_program,
     program_from_dict,
 )
+import reference
 from reference import (
     compare_steps, edge_endpoints, execute, guard_feedback, guard_ids, holds, recompute_frontier,
 )
@@ -121,6 +122,12 @@ class TestLoadProgram:
         with pytest.raises(DocumentError, match="one byte"):
             load_program(doc_bytes(doc))
 
+    @staticmethod
+    def string_doc(constant):
+        return {"max_input_len": 8, "entry": 0,
+                "nodes": [{"id": 0, "kind": "str", "offset": 0, "length": 4,
+                           "relation": "eq", "constant": constant}]}
+
     @pytest.mark.parametrize("constant,message", [
         ("QU JD", "node 0: constant is not valid base64"),  # inner space
         ("QUJD\n", "node 0: constant is not valid base64"),  # trailing newline
@@ -130,25 +137,28 @@ class TestLoadProgram:
         ("QUJDé", "node 0: constant is not valid base64"),  # non-ASCII
         ("", "node 0: string constant must be nonempty"),
         ("====", "node 0: constant is not valid base64"),
+        # Pads after a whole group: 3.11 and 3.12 decode them, 3.13 does not.
+        ("QUJD=", "node 0: constant is not valid base64"),
+        ("QUJD==", "node 0: constant is not valid base64"),
     ])
     def test_string_constant_decoder_rejects(self, constant, message):
-        # The strict decoder: these fail with exactly the messages
-        # base64.b64decode(..., validate=True) led to.
-        doc = {"max_input_len": 8, "entry": 0,
-               "nodes": [{"id": 0, "kind": "str", "offset": 0, "length": 4,
-                          "relation": "eq", "constant": constant}]}
+        # The strict decoder: these fail with one message on every Python.
         with pytest.raises(DocumentError) as info:
-            program_from_dict(doc)
+            program_from_dict(self.string_doc(constant))
         assert str(info.value) == message
 
     @pytest.mark.parametrize("constant,decoded", [
         ("QUJD", b"ABC"), ("QQ==", b"A"), ("+/+/", b"\xfb\xff\xbf"), ("QUJ=", b"AB"),
     ])
     def test_string_constant_decoder_accepts(self, constant, decoded):
-        doc = {"max_input_len": 8, "entry": 0,
-               "nodes": [{"id": 0, "kind": "str", "offset": 0, "length": 4,
-                          "relation": "eq", "constant": constant}]}
-        assert program_from_dict(doc).nodes[0].constant == decoded
+        assert program_from_dict(self.string_doc(constant)).nodes[0].constant == decoded
+
+    def test_string_constants_decode_as_the_reference_decodes_them(self):
+        # Every constant of up to six characters from "QUJ=": the loader
+        # takes and decodes exactly what the reference's strict rule does.
+        for length in range(7):
+            for chars in itertools.product("QUJ=", repeat=length):
+                _assert_loaders_agree(self.string_doc("".join(chars)))
 
     def test_entry_must_exist(self):
         doc = {"max_input_len": 4, "entry": 5, "nodes": [int_node(0)]}
@@ -660,204 +670,12 @@ class TestNoPerProgramCompilation:
         assert len(codes) < len(steps)
 
 
-# -- loader reference ------------------------------------------------------------
-# The loader as it was before it checked and built each node in one pass, kept
-# verbatim as the reference for ``program_from_dict``: the same document must
-# give the same program, or the same first error.  Its node and program types
-# are the old frozen dataclass and the old derived sets, without steps.
-
-_VALID_INT_WIDTHS = (1, 2, 4, 8)
-_RELATIONS = {r.value: r for r in Relation}
-
-
-@dataclass(frozen=True)
-class _RefNode:
-    node_id: int
-    kind: GuardKind
-    offset: int = 0
-    size: int = 1
-    endian: str = "le"
-    signed: bool = False
-    relation: Relation | None = None
-    constant: int | bytes | None = None
-    taken: int | None = None
-    nottaken: int | None = None
-
-
-class _RefProgram:
-    def __init__(self, nodes, entry, max_input_len):
-        self.nodes = list(nodes)
-        self.entry = entry
-        self.max_input_len = max_input_len
-        self.node_ids = frozenset(n.node_id for n in self.nodes)
-        self.guard_ids = frozenset(
-            n.node_id for n in self.nodes if n.kind is not GuardKind.BUG
-        )
-        self.all_edges = frozenset(
-            e for nid in self.guard_ids for e in (2 * nid, 2 * nid + 1)
-        )
-        self._window_end = max(
-            (n.offset + n.size for n in self.nodes if n.kind is not GuardKind.BUG), default=0
-        )
-
-
-def _ref_field(raw: dict, node_ref: str, name: str, types, required: bool = True, default=None):
-    value = raw.get(name)
-    if value is None:
-        if required:
-            raise DocumentError(f"{node_ref}: missing field '{name}'")
-        return default
-    if not isinstance(value, types) or (isinstance(value, bool) and types is int):
-        raise DocumentError(f"{node_ref}: field '{name}' has invalid type")
-    return value
-
-
-def _reference_program_from_dict(doc: dict) -> _RefProgram:
-    """Build and validate a :class:`GuardProgram` from a decoded document."""
-    if not isinstance(doc, dict):
-        raise DocumentError("document root must be an object")
-    max_input_len = _ref_field(doc, "document", "max_input_len", int)
-    if max_input_len < 1:
-        raise DocumentError("document: max_input_len must be >= 1")
-    entry = _ref_field(doc, "document", "entry", int)
-    raw_nodes = _ref_field(doc, "document", "nodes", list)
-    if not raw_nodes:
-        raise DocumentError("document: nodes must be nonempty")
-
-    nodes: dict[int, _RefNode] = {}
-    for raw in raw_nodes:
-        if not isinstance(raw, dict):
-            raise DocumentError("document: each node must be an object")
-        nid = _ref_field(raw, "node", "id", int)
-        ref = f"node {nid}"
-        if nid in nodes:
-            raise DocumentError(f"{ref}: duplicate node id")
-        kind_token = _ref_field(raw, ref, "kind", str)
-        try:
-            kind = GuardKind(kind_token)
-        except ValueError:
-            raise DocumentError(f"{ref}: unknown kind '{kind_token}'") from None
-
-        if kind is GuardKind.BUG:
-            if raw.get("taken") is not None or raw.get("nottaken") is not None:
-                raise DocumentError(f"{ref}: bug nodes are terminal and take no children")
-            nodes[nid] = _RefNode(node_id=nid, kind=kind)
-            continue
-
-        offset = _ref_field(raw, ref, "offset", int)
-        if offset < 0:
-            raise DocumentError(f"{ref}: offset must be >= 0")
-        relation_token = _ref_field(raw, ref, "relation", str)
-        if relation_token not in _RELATIONS:
-            raise DocumentError(f"{ref}: unknown relation '{relation_token}'")
-        relation = _RELATIONS[relation_token]
-        taken = _ref_field(raw, ref, "taken", int, required=False)
-        nottaken = _ref_field(raw, ref, "nottaken", int, required=False)
-
-        if kind is GuardKind.INT:
-            size = _ref_field(raw, ref, "width", int)
-            if size not in _VALID_INT_WIDTHS:
-                raise DocumentError(f"{ref}: width must be one of {_VALID_INT_WIDTHS}")
-            endian = _ref_field(raw, ref, "endian", str)
-            if endian not in ("le", "be"):
-                raise DocumentError(f"{ref}: endian must be 'le' or 'be'")
-            signed = _ref_field(raw, ref, "signed", bool)
-            constant = _ref_field(raw, ref, "constant", int)
-            bits = 8 * size
-            lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if signed else (0, (1 << bits) - 1)
-            if not lo <= constant <= hi:
-                raise DocumentError(f"{ref}: constant {constant} does not fit width {size}")
-        elif kind is GuardKind.XOR:
-            size = _ref_field(raw, ref, "length", int)
-            if size < 1:
-                raise DocumentError(f"{ref}: length must be >= 1")
-            endian = "le"
-            signed = False
-            constant = _ref_field(raw, ref, "constant", int)
-            if not 0 <= constant <= 0xFF:
-                raise DocumentError(f"{ref}: xor constant must fit one byte")
-        else:
-            size = _ref_field(raw, ref, "length", int)
-            if size < 1:
-                raise DocumentError(f"{ref}: length must be >= 1")
-            endian = "le"
-            signed = False
-            encoded = _ref_field(raw, ref, "constant", str)
-            try:
-                constant = base64.b64decode(encoded, validate=True)
-            except Exception:
-                raise DocumentError(f"{ref}: constant is not valid base64") from None
-            if not constant:
-                raise DocumentError(f"{ref}: string constant must be nonempty")
-
-        if offset + size > max_input_len:
-            raise DocumentError(
-                f"{ref}: operand window [{offset}, {offset + size}) exceeds "
-                f"max_input_len {max_input_len}"
-            )
-        if offset + size > MAX_WINDOW_END:
-            raise DocumentError(f"{ref}: operand window ends past the {MAX_WINDOW_END}-byte limit")
-        nodes[nid] = _RefNode(
-            node_id=nid,
-            kind=kind,
-            offset=offset,
-            size=size,
-            endian=endian,
-            signed=signed,
-            relation=relation,
-            constant=constant,
-            taken=taken,
-            nottaken=nottaken,
-        )
-
-    ids = set(nodes)
-    if ids != set(range(len(nodes))):
-        raise DocumentError("document: node ids must be dense 0..n-1")
-    if entry not in ids:
-        raise DocumentError(f"document: entry {entry} is not a node id")
-    if nodes[entry].kind is GuardKind.BUG:
-        raise DocumentError("document: entry node may not be a bug node")
-    for node in nodes.values():
-        for child in (node.taken, node.nottaken):
-            if child is not None and child not in ids:
-                raise DocumentError(f"node {node.node_id}: child {child} does not exist")
-
-    # Child references must be acyclic.
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {nid: WHITE for nid in ids}
-    for start in sorted(ids):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[int, bool]] = [(start, False)]
-        while stack:
-            nid, done = stack.pop()
-            if done:
-                color[nid] = BLACK
-                continue
-            if color[nid] == BLACK:
-                continue
-            if color[nid] == GREY:
-                raise DocumentError(f"node {nid}: child references form a cycle")
-            color[nid] = GREY
-            stack.append((nid, True))
-            node = nodes[nid]
-            for child in (node.taken, node.nottaken):
-                if child is None:
-                    continue
-                if color[child] == GREY:
-                    raise DocumentError(f"node {child}: child references form a cycle")
-                if color[child] == WHITE:
-                    stack.append((child, False))
-
-    ordered = [nodes[i] for i in range(len(nodes))]
-    return _RefProgram(ordered, entry, max_input_len)
-
-
 def _assert_loaders_agree(doc) -> bool:
-    """Both loaders raise ``DocumentError`` with the same message, or both
-    return equal programs; True when they loaded."""
+    """The loader and ``reference.program_from_dict`` raise ``DocumentError``
+    with the same message, or give the same nodes, field by field with
+    their types, and the same derived sets; True when they loaded."""
     try:
-        expected = _reference_program_from_dict(doc)
+        expected = reference.program_from_dict(doc)
     except DocumentError as exc:
         with pytest.raises(DocumentError) as info:
             program_from_dict(doc)
@@ -865,11 +683,8 @@ def _assert_loaders_agree(doc) -> bool:
         return False
     program = program_from_dict(doc)
     assert isinstance(program.nodes, tuple)
-    assert len(program.nodes) == len(expected.nodes)
-    for node, ref in zip(program.nodes, expected.nodes):
-        for field in fields(_RefNode):
-            got, want = getattr(node, field.name), getattr(ref, field.name)
-            assert (type(got), got) == (type(want), want), (node.node_id, field.name)
+    assert [[(type(v), v) for v in node] for node in program.nodes] == [
+        [(type(v), v) for v in node] for node in expected.nodes]
     for name in ("entry", "max_input_len", "node_ids", "all_edges", "_window_end"):
         assert getattr(program, name) == getattr(expected, name), name
     assert guard_ids(program) == expected.guard_ids
@@ -893,7 +708,7 @@ def _relabelled(doc, perm):
 # Values of every JSON type, some valid for some fields: a field set to one
 # may be missing (None), mistyped (``true`` for an int) or out of range.
 _JSON_VALUES = [None, True, False, -1, 0, 1, 3, 256, 2**64, 1.5, "", "x", "le", "eq", "int",
-                "bug", "QUJD", "!!", [], {}, [0]]
+                "bug", "QUJD", "QUJD=", "!!", [], {}, [0]]
 _OUT_OF_RANGE = {
     "offset": [-1, 2**24],
     "width": [0, 3, 16],
