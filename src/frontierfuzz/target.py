@@ -17,7 +17,8 @@ copies the program's step list when it is made; its ``switch_on`` builds an
 observing step, which also stores the guard's distance key, for each site it
 turns on, and ``switch_off`` puts the plain step back.  A string guard's
 observing step keeps its last window, key, edge and next node, and reuses them
-when the same window comes back; ``switch_on`` builds a fresh step, so a
+when the same window comes back, as it mostly does where havoc mutates a long
+input around a short window; ``switch_on`` builds a fresh step, so a
 site's memo starts empty each time it is turned on, and no two harnesses share
 one.  A step returns the next node id, or a negative number where the walk
 ends, so the walk loop tests nothing per node.  An input shorter than the
@@ -25,9 +26,10 @@ furthest operand window is zero-extended up to it before the walk; loading
 rejects a window that ends past ``MAX_WINDOW_END`` bytes.
 
 Loading checks and builds each node in one pass over its fields, in a fixed
-order, so a document with several faults always reports the same first one;
-the cycle check runs only when some child id is not above its parent's.
-Edge ids are fixed as ``2 * node_id`` for the taken edge and
+order, so a document with several faults always reports the same first one.
+Every child id must lie above its parent's and below the node count, so node
+ids increase along every path, and dense ids leave no dangling child and no
+cycle.  Edge ids are fixed as ``2 * node_id`` for the taken edge and
 ``2 * node_id + 1`` for the not-taken edge.
 """
 
@@ -238,7 +240,7 @@ _TEMPLATES = _templates()
 
 def _step(n: GuardNode, observe=False, BUG=GuardKind.BUG, INT=GuardKind.INT, STR=GuardKind.STR):
     """Node ``n``'s step: its template's code with the operands bound in as the
-    one argument tuple its branch builds (an observing step's binds its site)."""
+    argument tuple its branch builds (an observing step's binds its site too)."""
     nid, kind, off, size, endian, signed, rel, const, tk, ntk = n
     if kind is BUG:
         return FunctionType(_TEMPLATES[BUG], _NAMESPACE, None, (-2 - nid,))
@@ -257,20 +259,16 @@ def _step(n: GuardNode, observe=False, BUG=GuardKind.BUG, INT=GuardKind.INT, STR
         else:
             variant, args = "str", (off, end, const, te, ne, tk, ntk)
     elif kind is INT and size > 1:
-        variant, read = "int", _READERS[endian, size, signed]
-        args = ((off, read, const, te, ne, tk, ntk, nid) if observe
-                else (off, read, const, te, ne, tk, ntk))
+        variant, args = "int", (off, _READERS[endian, size, signed], const, te, ne, tk, ntk)
     elif size == 1:  # an int or xor guard on one byte
-        variant = "sbyte" if signed else "byte"
-        args = (off, const, te, ne, tk, ntk, nid) if observe else (off, const, te, ne, tk, ntk)
+        variant, args = "sbyte" if signed else "byte", (off, const, te, ne, tk, ntk)
     elif size > 4:
-        variant = "xor"
-        args = ((off, end, const, te, ne, tk, ntk, nid) if observe
-                else (off, end, const, te, ne, tk, ntk))
+        variant, args = "xor", (off, end, const, te, ne, tk, ntk)
     else:
         variant = ("xor2", "xor3", "xor4")[size - 2]
-        args = ((*range(off, end), const, te, ne, tk, ntk, nid) if observe
-                else (*range(off, end), const, te, ne, tk, ntk))
+        args = (*range(off, end), const, te, ne, tk, ntk)
+    if observe and kind is not STR:
+        args += (nid,)  # ``site``, ``_SCALAR``'s last parameter
     return FunctionType(_TEMPLATES[variant, rel, observe], _NAMESPACE, None, args)
 
 
@@ -394,9 +392,6 @@ def program_from_dict(doc: dict) -> GuardProgram:
 
     n = len(raw_nodes)
     nodes: dict[int, GuardNode] = {}
-    # Whether every child id lies between its parent's id and n; once the ids
-    # are dense, such children all exist and cannot close a cycle.
-    forward = True
     window_end, bugs = 0, []
     new, BUG, INT, XOR = tuple.__new__, GuardKind.BUG, GuardKind.INT, GuardKind.XOR
     for raw in raw_nodes:
@@ -432,7 +427,8 @@ def program_from_dict(doc: dict) -> GuardProgram:
         if (nottaken := get("nottaken")) is not None and nottaken.__class__ is not int:
             _bad_field(raw, f"node {nid}", "nottaken")
         if not (taken is None or nid < taken < n) or not (nottaken is None or nid < nottaken < n):
-            forward = False
+            child = taken if taken is not None and not nid < taken < n else nottaken
+            raise DocumentError(f"node {nid}: child {child} is not a node id above {nid}")
 
         if kind is INT:
             if (size := get("width")).__class__ is not int:
@@ -491,41 +487,7 @@ def program_from_dict(doc: dict) -> GuardProgram:
         raise DocumentError(f"document: entry {entry} is not a node id")
     if nodes[entry].kind is BUG:
         raise DocumentError("document: entry node may not be a bug node")
-    if not forward:
-        _check_children(nodes)
     return GuardProgram(map(nodes.__getitem__, range(n)), entry, max_input_len, window_end, bugs)
-
-
-def _check_children(nodes: dict[int, GuardNode]) -> None:
-    """Reject the first dangling child in document order, then any cycle."""
-    n = len(nodes)
-    for node in nodes.values():
-        for child in (node.taken, node.nottaken):
-            if child is not None and not 0 <= child < n:
-                raise DocumentError(f"node {node.node_id}: child {child} does not exist")
-
-    # An iterative DFS: a child on the current path (grey) closes a cycle.  A
-    # node's other stack entries lie below its done marker, so they pop once
-    # it is black; a popped node is never grey.
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * n
-    for start in range(n):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[int, bool]] = [(start, False)]
-        while stack:
-            nid, done = stack.pop()
-            if done:
-                color[nid] = BLACK
-            elif color[nid] == WHITE:
-                color[nid] = GREY
-                stack.append((nid, True))
-                node = nodes[nid]
-                for child in (node.taken, node.nottaken):
-                    if child is not None and color[child] == GREY:
-                        raise DocumentError(f"node {child}: child references form a cycle")
-                    if child is not None and color[child] == WHITE:
-                        stack.append((child, False))
 
 
 def load_program(document: bytes) -> GuardProgram:

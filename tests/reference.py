@@ -301,13 +301,11 @@ def program_from_dict(doc) -> SimpleNamespace:
     root object, then ``max_input_len``, ``entry`` and ``nodes``; node by
     node in document order, ``id`` (and duplicates), ``kind``, a bug node's
     missing children, a guard's ``offset``, ``relation``, ``taken`` and
-    ``nottaken``, its kind's fields, and its window against
-    ``max_input_len`` and ``MAX_WINDOW_END``; then dense ids, the entry,
-    dangling children in document order, and cycles.  The first fault
-    raises ``DocumentError``; else the nodes, in id order, with the facts
-    derived from them.  Cycles are found depth first from each id in order,
-    the not-taken child explored first and both children checked on entry,
-    recursively: the documents it is given are small."""
+    ``nottaken`` (each child an id above the node's and below the node
+    count), its kind's fields, and its window against ``max_input_len`` and
+    ``MAX_WINDOW_END``; then dense ids and the entry.  The first fault raises
+    ``DocumentError``; else the nodes, in id order, with the facts derived
+    from them."""
     _check(type(doc) is dict, "document root must be an object")
     max_input_len = _field(doc, "document", "max_input_len", int)
     _check(max_input_len >= 1, "document: max_input_len must be >= 1")
@@ -332,6 +330,9 @@ def program_from_dict(doc) -> SimpleNamespace:
         _check(relation in [r.value for r in Relation], f"{ref}: unknown relation '{relation}'")
         taken = _field(raw, ref, "taken", int, required=False)
         nottaken = _field(raw, ref, "nottaken", int, required=False)
+        for child in (taken, nottaken):
+            _check(child is None or nid < child < len(doc["nodes"]),
+                   f"{ref}: child {child} is not a node id above {nid}")
         endian, signed = "le", False
         if kind == "int":
             size = _field(raw, ref, "width", int)
@@ -362,25 +363,6 @@ def program_from_dict(doc) -> SimpleNamespace:
     _check(set(nodes) == set(range(len(nodes))), "document: node ids must be dense 0..n-1")
     _check(entry in nodes, f"document: entry {entry} is not a node id")
     _check(nodes[entry].kind is not GuardKind.BUG, "document: entry node may not be a bug node")
-    children = {nid: [c for c in (n.taken, n.nottaken) if c is not None]
-                for nid, n in nodes.items()}
-    for nid, kids in children.items():
-        for child in kids:
-            _check(child in nodes, f"node {nid}: child {child} does not exist")
-    state = {}  # False while on the current path, True once done
-
-    def visit(nid):
-        state[nid] = False
-        for child in children[nid]:
-            _check(state.get(child) is not False, f"node {child}: child references form a cycle")
-        for child in reversed(children[nid]):
-            if child not in state:
-                visit(child)
-        state[nid] = True
-
-    for nid in sorted(nodes):
-        if nid not in state:
-            visit(nid)
     guards = [n for n in nodes.values() if n.kind is not GuardKind.BUG]
     return SimpleNamespace(
         nodes=[nodes[nid] for nid in sorted(nodes)], entry=entry, max_input_len=max_input_len,

@@ -16,6 +16,8 @@ from frontierfuzz.target import (
     MAX_WINDOW_END,
     DocumentError,
     GuardKind,
+    GuardNode,
+    GuardProgram,
     Harness,
     Relation,
     load_program,
@@ -57,9 +59,12 @@ class TestLoadProgram:
         assert program.entry == 0
 
     def test_dangling_child_rejected(self):
-        doc = {"max_input_len": 4, "entry": 0, "nodes": [int_node(0, taken=7)]}
-        with pytest.raises(DocumentError, match="child 7"):
-            load_program(doc_bytes(doc))
+        # A child id past the last node, or negative.
+        for child in (7, 1, -1):
+            doc = {"max_input_len": 4, "entry": 0, "nodes": [int_node(0, nottaken=child)]}
+            with pytest.raises(DocumentError) as info:
+                load_program(doc_bytes(doc))
+            assert str(info.value) == f"node 0: child {child} is not a node id above 0"
 
     def test_bundled_magic32_round_trip(self):
         program = builtin_targets.load("magic32")
@@ -82,13 +87,20 @@ class TestLoadProgram:
             load_program(doc_bytes(doc))
 
     def test_cycle_rejected(self):
+        # A cycle needs a child at or below its parent: the back edge, or
+        # the self-loop, is the child reported.
         doc = {
             "max_input_len": 4,
             "entry": 0,
             "nodes": [int_node(0, taken=1), int_node(1, offset=1, taken=0)],
         }
-        with pytest.raises(DocumentError, match="cycle"):
+        with pytest.raises(DocumentError) as info:
             load_program(doc_bytes(doc))
+        assert str(info.value) == "node 1: child 0 is not a node id above 1"
+        doc["nodes"][0]["taken"] = 0
+        with pytest.raises(DocumentError) as info:
+            load_program(doc_bytes(doc))
+        assert str(info.value) == "node 0: child 0 is not a node id above 0"
 
     def test_operand_window_must_fit(self):
         doc = {"max_input_len": 2, "entry": 0, "nodes": [int_node(0, offset=1, width=4)]}
@@ -634,10 +646,17 @@ class TestStepsAtBoundaries:
 
     def test_bug_node_zero_is_not_a_terminal_edge(self):
         # A bug node's step returns -2 - id, so node 0's is not the -1 of a
-        # terminal edge.
+        # terminal edge.  No document reaches node 0 (a bug node is no entry
+        # and every child lies above its parent), so the program is built
+        # directly.
         doc = {"max_input_len": 4, "entry": 1,
                "nodes": [{"id": 0, "kind": "bug"}, int_node(1, taken=0)]}
-        harness = Harness(program_from_dict(doc), synthetic_time=True)
+        with pytest.raises(DocumentError, match="child 0 is not a node id above 1"):
+            program_from_dict(doc)
+        nodes = [GuardNode(0, GuardKind.BUG, 0, 1, "le", False, None, None, None, None),
+                 GuardNode(1, GuardKind.INT, 0, 1, "le", False, Relation.LE, 15, 0, None)]
+        program = GuardProgram(nodes, entry=1, max_input_len=4, window_end=1, bugs=[0])
+        harness = Harness(program, synthetic_time=True)
         assert harness.execute(bytes([5])).bug_hits == (0,)
         assert harness.execute(bytes([16])).bug_hits == ()
 
@@ -759,7 +778,8 @@ def _corrupted(draw, doc):
         elif fault == "dangling":
             node[draw(st.sampled_from(["taken", "nottaken"]))] = draw(st.sampled_from([-1, n, n + 5]))
         else:
-            # A child reference to a node that reaches this one (itself included).
+            # A child reference to a node that reaches this one (itself
+            # included): a child at or below its parent somewhere.
             children = {nd.get("id"): (nd.get("taken"), nd.get("nottaken"))
                         for nd in nodes if isinstance(nd, dict)}
             target = node.get("id")
@@ -785,7 +805,8 @@ def _corrupted(draw, doc):
 @st.composite
 def _loader_cases(draw):
     """A ``_documents()`` program, maybe relabelled so that children point at
-    smaller ids and the entry is not 0, maybe corrupted."""
+    smaller ids (which both loaders reject) and the entry is not 0, maybe
+    corrupted."""
     doc = draw(_documents())
     n = len(doc["nodes"])
     if n > 1 and draw(st.booleans()):
@@ -830,16 +851,18 @@ class TestLoaderAgainstReference:
     def test_generated_relabelled_and_corrupted_documents(self, doc):
         _assert_loaders_agree(doc)
 
-    def test_relabelled_programs_take_the_cycle_check(self):
+    def test_relabelled_programs_rejected(self):
+        # The chain 0 -> 1 -> 2 renamed 2 -> 1 -> 0 has no cycle, but each
+        # child lies below its parent.
         doc = {"max_input_len": 4, "entry": 0,
                "nodes": [int_node(0, taken=1), int_node(1, offset=1, taken=2), int_node(2)]}
+        assert _assert_loaders_agree(doc)
         relabelled = _relabelled(doc, [2, 1, 0])
         assert relabelled["entry"] == 2
-        assert _assert_loaders_agree(relabelled)
-        relabelled["nodes"][2]["taken"] = 2  # node 0 (the old 2) now leads to node 2
         assert not _assert_loaders_agree(relabelled)
-        with pytest.raises(DocumentError, match="cycle"):
+        with pytest.raises(DocumentError) as info:
             program_from_dict(relabelled)
+        assert str(info.value) == "node 2: child 1 is not a node id above 2"
 
     def test_every_pair_of_faults_in_one_node(self):
         # Each pair of fields of one node (or of the root and one node), each
@@ -937,8 +960,10 @@ class TestDeepProgram:
     def test_back_edge_to_the_entry_rejected(self):
         doc = _chain_doc(self.DEPTH)
         doc["nodes"][-1]["nottaken"] = 0
-        with pytest.raises(DocumentError, match="cycle"):
+        with pytest.raises(DocumentError) as info:
             load_program(doc_bytes(doc))
+        last = self.DEPTH - 1
+        assert str(info.value) == f"node {last}: child 0 is not a node id above {last}"
 
     @pytest.mark.parametrize("mode", [Mode.BASE, Mode.SCHED])
     def test_campaign_keeps_the_frontier(self, mode):
