@@ -278,8 +278,9 @@ def infer_hot_bytes(node: GuardNode, outcome: bool, seed: bytes, witness: bytes,
     ``max_input_len``, and gives the witness's ``key`` under the row of
     ``outcome`` on the zero-extended witness; the guard's offset and byte
     order are not read.  The row is inverted once, to the operand difference
-    (per byte for a string) or its magnitude, which each window is then
-    checked against.  The inputs must have the same length.
+    or its magnitude, which each window is then checked against; a string's
+    key has one value per window byte, since the loader pads its constant to
+    the window.  The inputs must have the same length.
     """
     if len(seed) != len(witness):
         raise ValueError("operand location requires equal-length inputs")
@@ -287,11 +288,7 @@ def infer_hot_bytes(node: GuardNode, outcome: bool, seed: bytes, witness: bytes,
     size, signed, const, string = node.size, node.signed, node.constant, node.kind is GuardKind.STR
     xor = node.kind is GuardKind.XOR
     fold = abs if folded else operator.pos
-    if string:
-        # The key's tail past the window is the padding's at every start.
-        const, want = const[:size].ljust(size, b"\0"), [(v - a) * b for v in key[1][:size]]
-    else:
-        want = (key - a) * b
+    want = [(v - a) * b for v in key[1]] if string else (key - a) * b
     data = witness + bytes(size - 1)  # zero-extended, as the walk reads it
     placements, first = [], 0  # the first start not yet tried
     for j in compress(count(), map(operator.ne, seed, witness)):  # each changed byte
@@ -326,7 +323,7 @@ def _solve(node: GuardNode, witness: bytes, offsets, root: int) -> bytes:
         buf[offsets[0]] = reduce(operator.xor, rest, _clamp_byte(node.constant + root))
         return bytes(buf)
     if node.kind is GuardKind.STR:
-        solved = bytes(_clamp_byte(c + root) for c in node.constant[:size].ljust(size, b"\0"))
+        solved = bytes(_clamp_byte(c + root) for c in node.constant)
     else:
         low, high = _INT_BOUNDS[size, node.signed]
         operand = max(low, min(high, node.constant + root))

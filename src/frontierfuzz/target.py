@@ -29,7 +29,9 @@ Loading checks and builds each node in one pass over its fields, in a fixed
 order, so a document with several faults always reports the same first one.
 Every child id must lie above its parent's and below the node count, so node
 ids increase along every path, and dense ids leave no dangling child and no
-cycle.  Edge ids are fixed as ``2 * node_id`` for the taken edge and
+cycle.  A string guard's constant is zero-padded to its window's length, and
+one longer than the window is rejected, so a string step compares the window
+as it is.  Edge ids are fixed as ``2 * node_id`` for the taken edge and
 ``2 * node_id + 1`` for the not-taken edge.
 """
 
@@ -91,8 +93,8 @@ class GuardNode(NamedTuple):
 
     ``size`` is the operand width in bytes for integer guards and the input
     window length for string and xor guards.  ``constant`` is an int for
-    integer/xor guards and a byte string for string guards.  The loader
-    builds nodes with ``tuple.__new__``.
+    integer/xor guards and a byte string of ``size`` bytes for string guards.
+    The loader builds nodes with ``tuple.__new__``.
     """
 
     node_id: int
@@ -133,9 +135,9 @@ _FORMULAS = {
     (False, Relation.NE): "1 - abs(f)", (True, Relation.EQ): "1 - abs(f)",
 }
 
-# Each row formula over a string guard's padded window ``w``, a value per
-# byte, as a chain of C-level maps: ``cp1`` holds the constant's bytes plus
-# one, and ``ones`` a 1 per byte.
+# Each row formula over a string guard's window ``w``, a value per byte, as a
+# chain of C-level maps: ``cp1`` holds the constant's bytes plus one, and
+# ``ones`` a 1 per byte.
 _STRING_ROWS = {
     "f - 1": "map(sub, w, cp1)",
     "f": "map(sub, w, const)",
@@ -167,8 +169,7 @@ _READERS = {
 # 127 if signed) and any other operand through a reader; an xor window of up to
 # four bytes xors its bytes by index, in parentheses since ``^`` binds looser
 # than ``_SCALAR``'s ``-``, and a longer one folds its slice with ``reduce``; a
-# string window is padded only where its constant is longer (an observing string
-# step always pads, on a memo miss).
+# string window is compared as its slice, which the loader sized its constant to.
 _VARIANTS = {
     "byte": ("data[off]", "off"),
     "sbyte": ("(data[off] ^ 128) - 128", "off"),
@@ -178,7 +179,6 @@ _VARIANTS = {
     "xor4": ("(data[off] ^ data[o1] ^ data[o2] ^ data[o3])", "off, o1, o2, o3"),
     "xor": ("reduce(xor, data[off:end], 0)", "off, end"),
     "str": ("data[off:end]", "off, end"),
-    "pad": ("data[off:end] + pad", "off, end, pad"),
 }
 _PLAIN = """def step(data, edges, obs, {params}, const, te, ne, tk, ntk):
     if {operand} {sym} const:
@@ -197,17 +197,15 @@ _SCALAR = """def step(data, edges, obs, {params}, const, te, ne, tk, ntk, site):
     return ntk"""
 # ``memo`` holds the last window seen, its key, edge and next node id; each
 # step bound here gets a fresh one, and a repeated window reuses them.
-_STRING = """def step(data, edges, obs, off, end, pad, const, te, ne, tk, ntk, site, cp1, ones,
-         memo):
-    window = data[off:end]
-    if window != memo[0]:
-        w = window + pad
+_STRING = """def step(data, edges, obs, off, end, const, te, ne, tk, ntk, site, cp1, ones, memo):
+    w = data[off:end]
+    if w != memo[0]:
         if w {sym} const:
             values = tuple({rt})
-            memo[:] = window, (sum(map(abs, values)), values), te, tk
+            memo[:] = w, (sum(map(abs, values)), values), te, tk
         else:
             values = tuple({rf})
-            memo[:] = window, (sum(map(abs, values)), values), ne, ntk
+            memo[:] = w, (sum(map(abs, values)), values), ne, ntk
     _, obs[site], edge, nid = memo
     edges.append(edge)
     return nid"""
@@ -230,7 +228,7 @@ def _templates() -> dict:
             if variant == "str":
                 rt_w, rf_w = _STRING_ROWS[rt], _STRING_ROWS[rf]
                 templates[variant, rel, True] = code(_STRING.format(sym=sym, rt=rt_w, rf=rf_w))
-            elif variant != "pad":
+            else:
                 templates[variant, rel, True] = code(_SCALAR.format(rt=rt, rf=rf, **fill))
     return templates
 
@@ -246,18 +244,10 @@ def _step(n: GuardNode, observe=False, BUG=GuardKind.BUG, INT=GuardKind.INT, STR
         return FunctionType(_TEMPLATES[BUG], _NAMESPACE, None, (-2 - nid,))
     te, ne, end = 2 * nid, 2 * nid + 1, off + size
     tk, ntk = -1 if tk is None else tk, -1 if ntk is None else ntk
-    if kind is STR:
-        # Window and constant are both zero-padded to the longer of the two and
-        # compared as byte strings.
-        cmplen = max(size, len(const))
-        pad, const = bytes(cmplen - size), const.ljust(cmplen, b"\0")
+    if kind is STR:  # the constant has the window's length (the loader pads it)
+        variant, args = "str", (off, end, const, te, ne, tk, ntk)
         if observe:
-            variant, args = "str", (off, end, pad, const, te, ne, tk, ntk, nid,
-                                    tuple(map((1).__add__, const)), (1,) * cmplen, [None] * 4)
-        elif pad:
-            variant, args = "pad", (off, end, pad, const, te, ne, tk, ntk)
-        else:
-            variant, args = "str", (off, end, const, te, ne, tk, ntk)
+            args += (nid, tuple(map((1).__add__, const)), (1,) * size, [None] * 4)
     elif kind is INT and size > 1:
         variant, args = "int", (off, _READERS[endian, size, signed], const, te, ne, tk, ntk)
     elif size == 1:  # an int or xor guard on one byte
@@ -393,7 +383,8 @@ def program_from_dict(doc: dict) -> GuardProgram:
     n = len(raw_nodes)
     nodes: dict[int, GuardNode] = {}
     window_end, bugs = 0, []
-    new, BUG, INT, XOR = tuple.__new__, GuardKind.BUG, GuardKind.INT, GuardKind.XOR
+    new, BUG, INT, XOR, STR = (tuple.__new__, GuardKind.BUG, GuardKind.INT, GuardKind.XOR,
+                               GuardKind.STR)
     for raw in raw_nodes:
         if not isinstance(raw, dict):
             raise DocumentError("document: each node must be an object")
@@ -468,6 +459,9 @@ def program_from_dict(doc: dict) -> GuardProgram:
                     raise DocumentError(f"node {nid}: constant is not valid base64") from None
                 if not constant:
                     raise DocumentError(f"node {nid}: string constant must be nonempty")
+                if len(constant) > size:
+                    raise DocumentError(f"node {nid}: string constant of {len(constant)} "
+                                        f"bytes does not fit length {size}")
 
         if (end := offset + size) > max_input_len:
             raise DocumentError(f"node {nid}: operand window [{offset}, {end}) exceeds "
@@ -477,6 +471,8 @@ def program_from_dict(doc: dict) -> GuardProgram:
                                 f"{MAX_WINDOW_END}-byte limit")
         if end > window_end:
             window_end = end
+        if kind is STR:  # zero-padded once the window checks have bounded its length
+            constant = constant.ljust(size, b"\0")
         nodes[nid] = new(GuardNode, (nid, kind, offset, size, endian, signed, relation,
                                      constant, taken, nottaken))
 

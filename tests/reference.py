@@ -141,12 +141,12 @@ def guard_feedback(node: GuardNode, data: bytes):
     """The raw comparison feedback of guard ``node`` on ``data``, zero-extended
     as the walk does: ``(outcome, f)`` with the signed operand difference for
     an integer or xor guard, ``(outcome, diffs)`` with the signed per-byte
-    differences over the zero-padded window for a string guard.  Operands
-    are read with ``int.from_bytes`` and outcomes decided by ``holds``."""
+    differences over the window for a string guard, whose constant has the
+    window's length.  Operands are read with ``int.from_bytes`` and outcomes
+    decided by ``holds``."""
     off, size, const = node.offset, node.size, node.constant
     window = data[off:off + size].ljust(size, b"\0")
     if node.kind is GuardKind.STR:
-        window, const = window.ljust(len(const), b"\0"), const.ljust(size, b"\0")
         # ``window R const`` holds exactly when ``sign R 0`` does.
         sign = (window > const) - (window < const)
         return holds(node.relation, sign), tuple(a - b for a, b in zip(window, const))
@@ -210,17 +210,15 @@ def step_cases():
             yield ({"kind": "xor", "length": length, "constant": const},
                    [head + bytes([x ^ rest]) for x in sorted(values) if 0 <= x <= 0xFF])
     for length in (2, 3):
-        # Constants shorter than, as long as and longer than the window, one
-        # with a zero tail that a padded window can equal.
-        for const in (b"\x00" * (length - 1), b"\xff" * (length - 1), bytes(length),
-                      b"\xff" * length, b"\x01\x80\xfe"[:length],
-                      b"\x01\x02\x00\x00"[:length + 1], b"\xff" * (length + 1)):
-            base = const.ljust(length, b"\0")[:length]
+        # Constants of the window's length, as the loader pads a shorter one,
+        # some with a zero tail.
+        for const in (bytes(length), b"\xff" * (length - 1) + b"\0", b"\xff" * length,
+                      b"\x01\x80\xfe"[:length], b"\x01\x02\x00"[:length]):
             windows = {bytes(length), b"\xff" * length}
             for i in range(length):
                 for f in range(-2, 3):
-                    if 0 <= base[i] + f <= 0xFF:
-                        windows.add(base[:i] + bytes([base[i] + f]) + base[i + 1:])
+                    if 0 <= const[i] + f <= 0xFF:
+                        windows.add(const[:i] + bytes([const[i] + f]) + const[i + 1:])
             yield ({"kind": "str", "length": length,
                     "constant": base64.b64encode(const).decode()}, sorted(windows))
 
@@ -302,10 +300,11 @@ def program_from_dict(doc) -> SimpleNamespace:
     node in document order, ``id`` (and duplicates), ``kind``, a bug node's
     missing children, a guard's ``offset``, ``relation``, ``taken`` and
     ``nottaken`` (each child an id above the node's and below the node
-    count), its kind's fields, and its window against ``max_input_len`` and
-    ``MAX_WINDOW_END``; then dense ids and the entry.  The first fault raises
-    ``DocumentError``; else the nodes, in id order, with the facts derived
-    from them."""
+    count), its kind's fields (a string constant no longer than its window),
+    and its window against ``max_input_len`` and ``MAX_WINDOW_END``; then
+    dense ids and the entry.  The first fault raises ``DocumentError``; else
+    the nodes, in id order, a shorter string constant zero-padded to its
+    window, with the facts derived from them."""
     _check(type(doc) is dict, "document root must be an object")
     max_input_len = _field(doc, "document", "max_input_len", int)
     _check(max_input_len >= 1, "document: max_input_len must be >= 1")
@@ -354,10 +353,14 @@ def program_from_dict(doc) -> SimpleNamespace:
                 constant = b64_constant(_field(raw, ref, "constant", str))
                 _check(constant is not None, f"{ref}: constant is not valid base64")
                 _check(constant != b"", f"{ref}: string constant must be nonempty")
+                _check(len(constant) <= size, f"{ref}: string constant of {len(constant)} "
+                       f"bytes does not fit length {size}")
         _check(offset + size <= max_input_len, f"{ref}: operand window [{offset}, "
                f"{offset + size}) exceeds max_input_len {max_input_len}")
         _check(offset + size <= MAX_WINDOW_END,
                f"{ref}: operand window ends past the {MAX_WINDOW_END}-byte limit")
+        if kind == "str":  # padded only once the window checks bound ``size``
+            constant += bytes(size - len(constant))
         nodes[nid] = GuardNode(nid, GuardKind(kind), offset, size, endian, signed,
                                Relation(relation), constant, taken, nottaken)
     _check(set(nodes) == set(range(len(nodes))), "document: node ids must be dense 0..n-1")
@@ -381,11 +384,12 @@ _CONSTANTS = ["", "====", "QUJD", "QUJD=", "QUJD==", "QUJD===", "QUJD====", "QUJ
 
 def constant_table() -> list[str]:
     """One line per ``_CONSTANTS`` entry as the engine's loader takes it as
-    a string guard's constant: its bytes in hex, or "reject"."""
+    the constant of a string guard on an 8-byte window: its bytes, zero-padded
+    to the window, in hex, or "reject"."""
     lines = []
     for text in _CONSTANTS:
         doc = {"max_input_len": 8, "entry": 0,
-               "nodes": [{"id": 0, "kind": "str", "offset": 0, "length": 4,
+               "nodes": [{"id": 0, "kind": "str", "offset": 0, "length": 8,
                           "relation": "eq", "constant": text}]}
         try:
             lines.append(f"{ascii(text)} {target.program_from_dict(doc).nodes[0].constant.hex()}")
@@ -457,10 +461,9 @@ def _locator_case(pick: random.Random):
         node = GuardNode(0, GuardKind.XOR, 0, width, "le", False, None, const, None, None)
     else:
         width = pick.randint(1, min(4, max_input_len))
-        const = bytes(pick.choice(b"\x00\x01AZ\xff") for _ in range(pick.randint(1, width + 2)))
-        base = const.ljust(width, b"\0")[:width]
-        operand = bytes(min(255, max(0, c + pick.randint(-1, 1))) for c in base)
-        twin = base
+        const = bytes(pick.choice(b"\x00\x01AZ\xff") for _ in range(width))
+        operand = bytes(min(255, max(0, c + pick.randint(-1, 1))) for c in const)
+        twin = const
         node = GuardNode(0, GuardKind.STR, 0, width, "le", False, None, const, None, None)
     node = node._replace(offset=pick.randint(0, max_input_len - width),
                          relation=pick.choice(list(Relation)))
@@ -486,10 +489,9 @@ def compare_locator(cases: int, stream: int) -> int:
     """Check ``infer_hot_bytes`` against ``locate`` on ``cases`` drawn guards
     and witnesses (``stream`` seeds the draws): the same placements in the
     same order.  Every (kind, relation, outcome) must come up, as must each
-    integer width, signed operands, both byte orders, string constants
-    shorter and longer than their window, xor windows of at most and of more
-    than four bytes, witnesses that change their last byte, and cases with
-    more than one placement.  Raises AssertionError at
+    integer width, signed operands, both byte orders, xor windows of at
+    most and of more than four bytes, witnesses that change their last
+    byte, and cases with more than one placement.  Raises AssertionError at
     the first difference; returns the number of placements compared."""
     pick = random.Random(stream)
     seen = set()
@@ -509,15 +511,12 @@ def compare_locator(cases: int, stream: int) -> int:
             seen |= {("width", node.size), ("signed", node.signed), ("endian", node.endian)}
         elif node.kind is GuardKind.XOR:
             seen.add(("xor folded", node.size > 4))
-        else:
-            longer = len(node.constant) - node.size
-            seen.add(("constant", (longer > 0) - (longer < 0)))
         seen |= {("last byte", seed[-1] != witness[-1]), ("several", len(want) > 1)}
     wanted = ({(kind, rel, outcome) for kind in (GuardKind.INT, GuardKind.STR, GuardKind.XOR)
                for rel in Relation for outcome in (False, True)}
               | {("xor folded", False), ("xor folded", True)}
               | {("width", w) for w in (1, 2, 4, 8)} | {("signed", True), ("endian", "be")}
-              | {("constant", -1), ("constant", 1), ("last byte", True), ("several", True)})
+              | {("last byte", True), ("several", True)})
     if not wanted <= seen:
         raise AssertionError(f"no case reached {sorted(map(str, wanted - seen))}")
     return count
@@ -552,7 +551,7 @@ def solve(node: GuardNode, witness: bytes, offsets, outcome: bool) -> bytes:
     buf = bytearray(witness.ljust(max(offsets) + 1, b"\0"))
     if node.kind is GuardKind.STR:
         solved = [max(0, min(255, c + flip_root(outcome, relation, d)))
-                  for c, d in zip(const.ljust(node.size, b"\0"), f)]
+                  for c, d in zip(const, f)]
     else:
         half = 1 << 8 * node.size - 1
         lo, hi = (-half, half - 1) if node.signed else (0, 2 * half - 1)

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from conftest import make_executor
 from frontierfuzz import builtin_targets
-from frontierfuzz.campaign import Budget, Campaign, Mode, _Executor, _RunEnded
+from frontierfuzz.campaign import (
+    Budget, Campaign, CampaignLog, LogRecord, Mode, _Executor, _RunEnded,
+)
 from frontierfuzz.coverage import CoverageMap
 from frontierfuzz.distance import observation_distance
 from frontierfuzz.mutation import _BATCH_STACK, Mutator, havoc_mutate
@@ -776,6 +778,17 @@ class TestJsonl:
             "flips", "mode", "stage", "scheduled_branch", "sched_logprob",
             "sched_sc", "fallback",
         ]
+
+    @pytest.mark.parametrize("field", ["execs", "edges_covered"])
+    def test_append_rejects_a_count_below_the_last_record(self, field):
+        log = CampaignLog()
+        first = LogRecord(t_ns=5, execs=10, edges_covered=4, frontier_size=1, corpus_size=1,
+                          flips=0, mode="fox", stage=1, scheduled_branch=None)
+        log.append(first)
+        log.append(first)  # an equal count is monotone
+        with pytest.raises(ValueError, match="monotone"):
+            log.append(first._replace(**{field: getattr(first, field) - 1}))
+        assert log.records == [first, first]
 
 
 # (log, output) sha256 pairs of golden campaigns: 3k execs, rng seed 0,

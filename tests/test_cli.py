@@ -316,6 +316,20 @@ class TestRunSetupErrors:
         assert (out / "corpus").read_bytes() == b"keep"
         assert not ran
 
+    def test_stats_path_is_a_directory_after_the_run(self, tmp_path, monkeypatch):
+        # Output paths past the two directories are written after the run: a
+        # blocked one ends the command the same way, once the campaign ran.
+        ran = self.count_campaign_runs(monkeypatch)
+        out = tmp_path / "out"
+        (out / "stats.jsonl").mkdir(parents=True)
+        with pytest.raises(SystemExit) as info:
+            run_cli(["run", "--target", "builtin:le15", "--budget-execs", "10",
+                     "--out", str(out), "--synthetic-time"])
+        message = str(info.value.code)
+        assert message.startswith("frontierfuzz run: ") and "\n" not in message
+        assert str(out / "stats.jsonl") in message
+        assert len(ran) == 1 and (out / "stats.jsonl").is_dir()
+
     @staticmethod
     def count_campaign_runs(monkeypatch):
         ran = []

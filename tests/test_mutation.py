@@ -1069,9 +1069,8 @@ class TestHotBytes:
     @pytest.mark.parametrize("stream", range(4))
     def test_matches_the_reference_locator(self, stream):
         # Widths 1/2/4/8, signed operands, both byte orders, all twelve rows,
-        # string constants shorter and longer than their window and witnesses
-        # that change their last byte: compare_locator checks that each
-        # comes up.
+        # xor windows by index and folded, and witnesses that change their
+        # last byte: compare_locator checks that each comes up.
         assert compare_locator(2000, stream) > 0
 
     @settings(max_examples=200, deadline=None)

@@ -100,6 +100,12 @@ class TestVerify:
         with pytest.raises(ValueError, match="outside"):
             inst([Fraction(3, 2)], 1)
 
+    @pytest.mark.parametrize("probs,stages,why", [
+        ([], 1, "at least one branch"), ([Fraction(1, 2)], -1, "stages must be >= 0")])
+    def test_empty_or_negative_instance_rejected(self, probs, stages, why):
+        with pytest.raises(ValueError, match=why):
+            inst(probs, stages)
+
     def test_too_large_rejected(self):
         with pytest.raises(ValueError, match="too large"):
             verify(inst([Fraction(1, 2)] * 5, 11))

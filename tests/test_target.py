@@ -119,6 +119,18 @@ class TestLoadProgram:
                "nodes": [int_node(0, offset=MAX_WINDOW_END - 1)]}
         assert load_program(doc_bytes(doc)).nodes[0].offset == MAX_WINDOW_END - 1
 
+    @pytest.mark.parametrize("length,message", [
+        (2**64, "exceeds max_input_len"), (MAX_WINDOW_END + 1, "byte limit")])
+    def test_string_window_checked_before_its_constant_is_padded(self, length, message):
+        # Padding the constant to an unchecked length would fail, or
+        # allocate the window, before the window's fault is reported.
+        doc = {"max_input_len": 2**62, "entry": 0,
+               "nodes": [{"id": 0, "kind": "str", "offset": 0, "length": length,
+                          "relation": "eq", "constant": "QQ=="}]}
+        with pytest.raises(DocumentError, match=message):
+            load_program(doc_bytes(doc))
+        assert not _assert_loaders_agree(doc)
+
     def test_constant_must_fit_width(self):
         doc = {"max_input_len": 4, "entry": 0, "nodes": [int_node(0, constant=300)]}
         with pytest.raises(DocumentError, match="fit"):
@@ -163,7 +175,9 @@ class TestLoadProgram:
         ("QUJD", b"ABC"), ("QQ==", b"A"), ("+/+/", b"\xfb\xff\xbf"), ("QUJ=", b"AB"),
     ])
     def test_string_constant_decoder_accepts(self, constant, decoded):
-        assert program_from_dict(self.string_doc(constant)).nodes[0].constant == decoded
+        # The decoded bytes, zero-padded to the 4-byte window.
+        padded = decoded + bytes(4 - len(decoded))
+        assert program_from_dict(self.string_doc(constant)).nodes[0].constant == padded
 
     def test_string_constants_decode_as_the_reference_decodes_them(self):
         # Every constant of up to six characters from "QUJ=": the loader
@@ -181,6 +195,17 @@ class TestLoadProgram:
         doc = {"max_input_len": 4, "entry": 0, "nodes": [{"id": 0, "kind": "bug"}]}
         with pytest.raises(DocumentError, match="bug"):
             load_program(doc_bytes(doc))
+
+    @pytest.mark.parametrize("root", [[], 1, "x", None])
+    def test_root_must_be_an_object(self, root):
+        with pytest.raises(DocumentError) as info:
+            load_program(json.dumps(root).encode())
+        assert str(info.value) == "document root must be an object"
+        assert not _assert_loaders_agree(root)
+
+    def test_document_must_be_utf8(self):
+        with pytest.raises(DocumentError, match="^document is not UTF-8: "):
+            load_program(b"\xff")
 
     def test_malformed_json_reports_line(self):
         with pytest.raises(DocumentError, match="line"):
@@ -234,38 +259,36 @@ class TestExecute:
         trace = harness.execute(bytes([16]))
         assert trace.edges == (1,)
 
+    @staticmethod
+    def string_doc(constant):
+        return {"max_input_len": 4, "entry": 0,
+                "nodes": [{"id": 0, "kind": "str", "offset": 0, "length": 2,
+                           "relation": "eq", "constant": base64.b64encode(constant).decode(),
+                           "taken": None, "nottaken": None}]}
+
     def test_string_zero_padding(self):
-        # 2-byte window against a 3-byte constant: the window is padded.
-        doc = {
-            "max_input_len": 4,
-            "entry": 0,
-            "nodes": [{"id": 0, "kind": "str", "offset": 0, "length": 2,
-                       "relation": "eq",
-                       "constant": base64.b64encode(b"abc").decode(),
-                       "taken": None, "nottaken": None}],
-        }
-        harness = Harness(program_from_dict(doc), synthetic_time=True)
+        # A 1-byte constant on a 2-byte window loads zero-padded: "a" is
+        # "a\0", which the window "a\0" equals, with the site observing or
+        # not, and "ab" is one above it in its last byte.
+        harness = Harness(program_from_dict(self.string_doc(b"a")), synthetic_time=True)
+        assert harness.program.nodes[0].constant == b"a\0"
+        assert harness.execute(b"a").edges == (0,)
+        assert harness.execute(b"ab").edges == (1,)
         harness.switch_on({0})
-        assert harness.execute(b"ab").observations == {0: (99, (0, 0, 99))}
-        outcome, diffs = guard_feedback(harness.program.nodes[0], b"ab")
-        assert diffs == (0, 0, -99)
-        assert outcome is False
+        assert harness.execute(b"a").edges == (0,)
+        assert harness.execute(b"ab").observations == {0: (98, (0, 98))}
+        assert guard_feedback(harness.program.nodes[0], b"ab") == (False, (0, 98))
 
     def test_string_window_padded_to_constant_length(self):
-        # A 2-byte window equals the constant "ab\0" once zero-padded, with
-        # the site observing or not.
-        doc = {
-            "max_input_len": 4,
-            "entry": 0,
-            "nodes": [{"id": 0, "kind": "str", "offset": 0, "length": 2,
-                       "relation": "eq",
-                       "constant": base64.b64encode(b"ab\0").decode(),
-                       "taken": None, "nottaken": None}],
-        }
-        harness = Harness(program_from_dict(doc), synthetic_time=True)
-        assert harness.execute(b"ab").edges == (0,)
-        harness.switch_on({0})
-        assert harness.execute(b"ab").edges == (0,)
+        # The window is never padded to its constant: a 3-byte constant does
+        # not fit a 2-byte window, a zero tail included, and both loaders
+        # reject it.
+        for constant in (b"abc", b"ab\0"):
+            doc = self.string_doc(constant)
+            with pytest.raises(DocumentError) as info:
+                program_from_dict(doc)
+            assert str(info.value) == "node 0: string constant of 3 bytes does not fit length 2"
+            assert not _assert_loaders_agree(doc)
 
     def test_xor_observation(self):
         doc = {
@@ -551,10 +574,11 @@ def _guard(draw, nid):
                     constant=draw(st.sampled_from([lo, lo + 1, hi - 1, hi, 0, 1])
                                   | st.integers(lo, hi)))
     elif kind == "str":
-        # Constants both shorter and longer than the window.
-        constant = draw(st.lists(_BYTE_VALUES, min_size=1, max_size=7).map(bytes))
-        node.update(length=draw(st.integers(1, 5)),
-                    constant=base64.b64encode(constant).decode())
+        # Constants as long as the window and shorter ones, which load
+        # zero-padded to it.
+        length = draw(st.integers(1, 5))
+        constant = draw(st.lists(_BYTE_VALUES, min_size=1, max_size=length).map(bytes))
+        node.update(length=length, constant=base64.b64encode(constant).decode())
     else:
         node.update(length=draw(st.integers(1, 5)), constant=draw(st.integers(0, 0xFF)))
     return node
@@ -735,7 +759,7 @@ _OUT_OF_RANGE = {
     "endian": ["me"],
     "relation": ["lq"],
     "kind": ["float"],
-    "constant": [-1, 256, 2**64, "!!", ""],
+    "constant": [-1, 256, 2**64, "!!", "", "QUJDREVG"],  # the last decodes to 6 bytes
     "taken": [-1, 99],
     "nottaken": [-1, 99],
 }
